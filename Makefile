@@ -4,10 +4,11 @@ GO ?= go
 # for publication-quality numbers.
 BENCHTIME ?= 100ms
 
-.PHONY: ci vet build test race bench bench-json perf-gate cover series-demo chaos fuzz-smoke megascale-smoke net-smoke live-chaos
+.PHONY: ci vet build test race bench bench-check bench-json perf-gate cover series-demo chaos fuzz-smoke megascale-smoke net-smoke live-chaos
 
 # ci is the full verification gate: static analysis, a clean build of
-# every package, the test suite under the race detector, the chaos
+# every package, vet + tests of the nested bench/ module (which the root
+# ./... patterns skip), the test suite under the race detector, the chaos
 # suite, fuzz smokes of the schedule parser, the XOR ground-truth trie
 # and the real-socket wire codec, an end-to-end smoke of the probe
 # plane (record → sample → series), a mid-size sharded-kernel run of
@@ -17,7 +18,7 @@ BENCHTIME ?= 100ms
 # clusters), and the perf gate (fails on >15% ns/op or allocs/op
 # regression against the baseline snapshot). The coverage summary runs
 # afterwards as a non-fatal reporting step.
-ci: vet build race chaos fuzz-smoke series-demo megascale-smoke net-smoke live-chaos perf-gate
+ci: vet build bench-check race chaos fuzz-smoke series-demo megascale-smoke net-smoke live-chaos perf-gate
 	-$(MAKE) cover
 
 vet:
@@ -28,6 +29,14 @@ build:
 
 test:
 	$(GO) test ./...
+
+# bench-check vets and tests bench/, the end-to-end benchmark behind
+# BENCHMARK.json. It is a module of its own (bench/go.mod, replace
+# unap2p => ../), so root `go build/vet/test ./...` never compile it:
+# without this target an internal/ API edit that breaks the frozen
+# benchmark surface is only discovered by the benchmark pipeline. ~4 s.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # -shuffle=on randomizes test order within each package, surfacing
 # test-order coupling (shared ports, leaked goroutines) early.

@@ -161,10 +161,5 @@ func (inj *Injector) crash(w Window) {
 
 // Crashed returns the hosts currently down by injection, sorted.
 func (inj *Injector) Crashed() []underlay.HostID {
-	out := make([]underlay.HostID, 0, len(inj.crashed))
-	for id := range inj.crashed {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return underlay.SortedIDs(inj.crashed)
 }

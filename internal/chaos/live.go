@@ -427,12 +427,7 @@ func (inj *LiveInjector) Err() error {
 func (inj *LiveInjector) Crashed() []underlay.HostID {
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
-	out := make([]underlay.HostID, 0, len(inj.crashed))
-	for id := range inj.crashed {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return underlay.SortedIDs(inj.crashed)
 }
 
 // WaveTimes returns the wall instants at which crash waves fired so

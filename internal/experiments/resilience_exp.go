@@ -44,7 +44,7 @@ func runResilience(cfg RunConfig) Result {
 
 	dcfg := resilience.DefaultConfig()
 	dcfg.Backoff.Rand = src.Stream("fd-backoff")
-	det := resilience.New(tr, dcfg)
+	det := resilience.New(tr, k, dcfg)
 	suspectAt := map[underlay.HostID]sim.Time{}
 	evictAt := map[underlay.HostID]sim.Time{}
 	det.OnSuspect = func(id underlay.HostID) { suspectAt[id] = k.Now() }

@@ -76,7 +76,7 @@ func newChaosEnv(t *testing.T, name string, seed int64) *chaosEnv {
 	rec.ObserveKernel(k)
 	dcfg := resilience.DefaultConfig()
 	dcfg.Backoff.Rand = src.Stream("fd-backoff")
-	det := resilience.New(tr, dcfg)
+	det := resilience.New(tr, k, dcfg)
 	rec.Registry().RegisterCounters("resilience", det.Counters())
 	return &chaosEnv{
 		t: t, net: net, hosts: hosts, k: k, tr: tr, src: src,

@@ -138,7 +138,7 @@ func TestClusterDetectsKill(t *testing.T) {
 		if node.Detector().Counters().Get("suspect").Value() == 0 {
 			t.Errorf("node %d evicted without suspecting first", i)
 		}
-		if !node.Engine().(*kademlia).c.Dead(victimID) {
+		if !node.Engine().(*kademlia).Dead(victimID) {
 			t.Errorf("node %d: healer did not mark %d dead", i, victimID)
 		}
 		if _, still := node.Net().Book().Get(victimID); still {

@@ -15,7 +15,8 @@ import (
 // Engine is one overlay protocol running live on a node: it installs its
 // RPC handlers on the node's Net, answers queries from its own local
 // view only, and repairs that view when the failure detector declares a
-// peer dead (the resilience.Healer half).
+// peer dead (the resilience.Healer half, which every engine inherits
+// from the Core it embeds).
 type Engine interface {
 	resilience.Healer
 	// Name is the overlay's flag spelling: "kademlia", "chord", "gnutella".
@@ -45,27 +46,22 @@ func NewEngine(name string, core *Core) Engine {
 // Core is the node-local state every engine shares: the socket, the
 // address book as the membership plane, and the eviction ledger. The
 // book alone is not authoritative — a stale frame from an evicted peer
-// would re-teach its address — so Core keeps its own dead set and
-// members() filters through it.
+// would re-teach its address — so Core keeps its own ledger and
+// members() filters through it. Unlike the simulated overlays, which
+// embed the ledger, Core holds it behind a mutex: lookups, handlers and
+// the detector's pacer all reach it from their own goroutines.
 type Core struct {
 	Net  *nettransport.Net
 	Self underlay.HostID
 	Msgs *metrics.CounterSet
 
-	mu      sync.Mutex
-	dead    map[underlay.HostID]bool
-	suspect map[underlay.HostID]bool
+	mu   sync.Mutex
+	dead resilience.Ledger
 }
 
 // NewCore wraps a Net for engine use.
 func NewCore(n *nettransport.Net) *Core {
-	return &Core{
-		Net:     n,
-		Self:    n.Self(),
-		Msgs:    metrics.NewCounterSet(),
-		dead:    make(map[underlay.HostID]bool),
-		suspect: make(map[underlay.HostID]bool),
-	}
+	return &Core{Net: n, Self: n.Self(), Msgs: metrics.NewCounterSet()}
 }
 
 // members returns the current membership view: every address-book id
@@ -76,38 +72,30 @@ func (c *Core) members() []underlay.HostID {
 	defer c.mu.Unlock()
 	out := ids[:0]
 	for _, id := range ids {
-		if !c.dead[id] {
+		if !c.dead.IsEvicted(id) {
 			out = append(out, id)
 		}
 	}
 	return out
 }
 
-// Suspect implements the advisory half of resilience.Healer: the peer is
-// flagged but keeps answering routing queries — suspicion can be
-// recanted.
-func (c *Core) Suspect(id underlay.HostID) {
-	c.mu.Lock()
-	c.suspect[id] = true
-	c.mu.Unlock()
-	c.Msgs.Get("heal_suspect").Inc()
-}
+// Suspect implements the advisory half of resilience.Healer: the verdict
+// is counted, and the peer keeps answering routing queries — suspicion
+// can be recanted.
+func (c *Core) Suspect(underlay.HostID) { c.Msgs.Get("heal_suspect").Inc() }
 
-// Recover recants a suspicion (wired to Detector.OnRecover).
-func (c *Core) Recover(id underlay.HostID) {
-	c.mu.Lock()
-	delete(c.suspect, id)
-	c.mu.Unlock()
-	c.Msgs.Get("heal_recover").Inc()
-}
+// Recover counts a recanted suspicion (wired to Detector.OnRecover).
+func (c *Core) Recover(underlay.HostID) { c.Msgs.Get("heal_recover").Inc() }
 
 // Evict implements the terminal half of resilience.Healer: the peer
 // leaves the membership view permanently and its address is dropped.
 func (c *Core) Evict(id underlay.HostID) {
 	c.mu.Lock()
-	c.dead[id] = true
-	delete(c.suspect, id)
+	first := c.dead.MarkEvicted(id)
 	c.mu.Unlock()
+	if !first {
+		return
+	}
 	c.Net.Book().Remove(id)
 	c.Msgs.Get("heal_evict").Inc()
 }
@@ -116,7 +104,7 @@ func (c *Core) Evict(id underlay.HostID) {
 func (c *Core) Dead(id underlay.HostID) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.dead[id]
+	return c.dead.IsEvicted(id)
 }
 
 func u64(p []byte) (uint64, bool) {
@@ -138,29 +126,27 @@ const (
 // k closest members it knows, so the querier learns addresses as the
 // lookup converges — the live analogue of learning contacts from
 // FIND_NODE replies.
-type kademlia struct{ c *Core }
+type kademlia struct{ *Core }
 
 func newKademlia(c *Core) *kademlia {
-	e := &kademlia{c: c}
+	e := &kademlia{c}
 	c.Net.Handle("kad:find_node", func(from underlay.HostID, payload []byte) []byte {
 		target, ok := u64(payload)
 		if !ok {
 			return nil
 		}
-		e.c.Msgs.Get("kad_served").Inc()
-		closest := ClosestXor(e.c.members(), target, kadK)
-		return e.c.Net.Book().EncodeIDs(closest)
+		e.Msgs.Get("kad_served").Inc()
+		closest := ClosestXor(e.members(), target, kadK)
+		return e.Net.Book().EncodeIDs(closest)
 	})
 	return e
 }
 
-func (e *kademlia) Name() string               { return "kademlia" }
-func (e *kademlia) Suspect(id underlay.HostID) { e.c.Suspect(id) }
-func (e *kademlia) Evict(id underlay.HostID)   { e.c.Evict(id) }
+func (e *kademlia) Name() string { return "kademlia" }
 
 func (e *kademlia) Lookup(target uint64) (underlay.HostID, bool) {
-	e.c.Msgs.Get("kad_lookup").Inc()
-	members := e.c.members()
+	e.Msgs.Get("kad_lookup").Inc()
+	members := e.members()
 	if len(members) == 0 {
 		return 0, false
 	}
@@ -172,11 +158,11 @@ func (e *kademlia) Lookup(target uint64) (underlay.HostID, bool) {
 	// candidate, merging every reply's contacts into the candidate set,
 	// until the frontier is exhausted or the probe budget runs out.
 	candidates := append([]underlay.HostID(nil), members...)
-	queried := map[underlay.HostID]bool{e.c.Self: true}
+	queried := map[underlay.HostID]bool{e.Self: true}
 	for probes := 0; probes < kadMaxProbes; probes++ {
 		var next underlay.HostID = -1
 		for _, id := range ClosestXor(candidates, target, len(candidates)) {
-			if !queried[id] && !e.c.Dead(id) {
+			if !queried[id] && !e.Dead(id) {
 				next = id
 				break
 			}
@@ -185,30 +171,30 @@ func (e *kademlia) Lookup(target uint64) (underlay.HostID, bool) {
 			break
 		}
 		queried[next] = true
-		resp, err := e.c.Net.Call(next, "kad:find_node", key[:])
+		resp, err := e.Net.Call(next, "kad:find_node", key[:])
 		if err != nil {
-			e.c.Msgs.Get("kad_rpc_fail").Inc()
+			e.Msgs.Get("kad_rpc_fail").Inc()
 			continue
 		}
 		peers, err := nettransport.DecodePeers(resp)
 		if err != nil {
-			e.c.Msgs.Get("kad_bad_resp").Inc()
+			e.Msgs.Get("kad_bad_resp").Inc()
 			continue
 		}
 		for _, p := range peers {
-			if e.c.Dead(p.ID) {
+			if e.Dead(p.ID) {
 				continue
 			}
-			e.c.Net.Book().Set(p.ID, p.Addr)
+			e.Net.Book().Set(p.ID, p.Addr)
 			candidates = append(candidates, p.ID)
 		}
 	}
 	got := ClosestXor(dedup(candidates), target, 1)[0]
 	if got == want {
-		e.c.Msgs.Get("kad_lookup_ok").Inc()
+		e.Msgs.Get("kad_lookup_ok").Inc()
 		return got, true
 	}
-	e.c.Msgs.Get("kad_lookup_fail").Inc()
+	e.Msgs.Get("kad_lookup_fail").Inc()
 	return got, false
 }
 
@@ -233,40 +219,38 @@ const chordMaxHops = 32
 // successor is X" (target in its successor arc) or "ask Y next" (its
 // closest preceding member). Reply entries travel as mini address books
 // so the querier can reach the next hop.
-type chord struct{ c *Core }
+type chord struct{ *Core }
 
 func newChord(c *Core) *chord {
-	e := &chord{c: c}
+	e := &chord{c}
 	c.Net.Handle("chord:find_succ", func(from underlay.HostID, payload []byte) []byte {
 		target, ok := u64(payload)
 		if !ok {
 			return nil
 		}
-		e.c.Msgs.Get("chord_served").Inc()
+		e.Msgs.Get("chord_served").Inc()
 		done, hop := e.step(target)
 		flag := byte(0)
 		if done {
 			flag = 1
 		}
-		return append([]byte{flag}, e.c.Net.Book().EncodeIDs([]underlay.HostID{hop})...)
+		return append([]byte{flag}, e.Net.Book().EncodeIDs([]underlay.HostID{hop})...)
 	})
 	return e
 }
 
-func (e *chord) Name() string               { return "chord" }
-func (e *chord) Suspect(id underlay.HostID) { e.c.Suspect(id) }
-func (e *chord) Evict(id underlay.HostID)   { e.c.Evict(id) }
+func (e *chord) Name() string { return "chord" }
 
 // step is one routing decision from this node's own view: done=true
 // means hop owns target; done=false means hop is the next node to ask.
 func (e *chord) step(target uint64) (done bool, hop underlay.HostID) {
-	members := e.c.members()
-	me := NodeKey(e.c.Self)
+	members := e.members()
+	me := NodeKey(e.Self)
 	// Successor of self on the ring (smallest key strictly after me,
 	// wrapping); alone in the ring, self owns everything.
-	succ, okSucc := RingSuccessor(removeID(members, e.c.Self), me+1)
+	succ, okSucc := RingSuccessor(removeID(members, e.Self), me+1)
 	if !okSucc {
-		return true, e.c.Self
+		return true, e.Self
 	}
 	if inArc(target, me, NodeKey(succ)) {
 		return true, succ
@@ -276,7 +260,7 @@ func (e *chord) step(target uint64) (done bool, hop underlay.HostID) {
 	best, okBest := underlay.HostID(-1), false
 	for _, id := range members {
 		k := NodeKey(id)
-		if id == e.c.Self || !inArc(k, me, target) {
+		if id == e.Self || !inArc(k, me, target) {
 			continue
 		}
 		if !okBest || ringGap(k, target) < ringGap(NodeKey(best), target) {
@@ -303,8 +287,8 @@ func removeID(ids []underlay.HostID, drop underlay.HostID) []underlay.HostID {
 }
 
 func (e *chord) Lookup(target uint64) (underlay.HostID, bool) {
-	e.c.Msgs.Get("chord_lookup").Inc()
-	members := e.c.members()
+	e.Msgs.Get("chord_lookup").Inc()
+	members := e.members()
 	want, ok := RingSuccessor(members, target)
 	if !ok {
 		return 0, false
@@ -313,24 +297,24 @@ func (e *chord) Lookup(target uint64) (underlay.HostID, bool) {
 	binary.BigEndian.PutUint64(key[:], target)
 	done, hop := e.step(target)
 	for i := 0; !done && i < chordMaxHops; i++ {
-		resp, err := e.c.Net.Call(hop, "chord:find_succ", key[:])
+		resp, err := e.Net.Call(hop, "chord:find_succ", key[:])
 		if err != nil || len(resp) < 1 {
-			e.c.Msgs.Get("chord_rpc_fail").Inc()
+			e.Msgs.Get("chord_rpc_fail").Inc()
 			break
 		}
 		peers, perr := nettransport.DecodePeers(resp[1:])
 		if perr != nil || len(peers) == 0 {
-			e.c.Msgs.Get("chord_bad_resp").Inc()
+			e.Msgs.Get("chord_bad_resp").Inc()
 			break
 		}
-		e.c.Net.Book().Set(peers[0].ID, peers[0].Addr)
+		e.Net.Book().Set(peers[0].ID, peers[0].Addr)
 		done, hop = resp[0] == 1, peers[0].ID
 	}
 	if done && hop == want {
-		e.c.Msgs.Get("chord_lookup_ok").Inc()
+		e.Msgs.Get("chord_lookup_ok").Inc()
 		return hop, true
 	}
-	e.c.Msgs.Get("chord_lookup_fail").Inc()
+	e.Msgs.Get("chord_lookup_fail").Inc()
 	return hop, false
 }
 
@@ -340,7 +324,34 @@ const (
 	gnuTTL     = 4
 	gnuFanout  = 3
 	gnuTimeout = 2 * time.Second
+	// gnuSeenWindow is how many query ids one dedup generation holds. A
+	// flood lives at most gnuTimeout, so remembering the last window's
+	// worth (plus the generation before it) is ample.
+	gnuSeenWindow = 4096
 )
+
+// seenWindow is the flood's duplicate filter: a two-generation set of
+// recent query ids holding between gnuSeenWindow and 2×gnuSeenWindow of
+// the latest ones, so a long-running daemon's memory stays bounded while
+// any echo of a recent query is still recognized.
+type seenWindow struct {
+	cur, prev map[uint64]struct{}
+}
+
+// add records qid and reports whether it was already in the window.
+func (w *seenWindow) add(qid uint64) (dup bool) {
+	if _, ok := w.cur[qid]; ok {
+		return true
+	}
+	if _, ok := w.prev[qid]; ok {
+		return true
+	}
+	if w.cur == nil || len(w.cur) >= gnuSeenWindow {
+		w.prev, w.cur = w.cur, make(map[uint64]struct{})
+	}
+	w.cur[qid] = struct{}{}
+	return false
+}
 
 // gnutella is the live unstructured engine: a TTL-bounded flood. A query
 // names an exact member; every receiver either answers with a direct
@@ -348,11 +359,11 @@ const (
 // gnuFanout other members. Duplicate query ids are dropped, which is
 // what keeps the flood from echoing forever.
 type gnutella struct {
-	c   *Core
+	*Core
 	qid atomic.Uint64
 
-	mu      sync.Mutex
-	seen    map[uint64]bool
+	qmu     sync.Mutex // guards seen and pending
+	seen    seenWindow
 	pending map[uint64]chan underlay.HostID
 }
 
@@ -360,20 +371,14 @@ type gnutella struct {
 const gnuQueryLen = 8 + 4 + 4 + 1
 
 func newGnutella(c *Core) *gnutella {
-	e := &gnutella{
-		c:       c,
-		seen:    make(map[uint64]bool),
-		pending: make(map[uint64]chan underlay.HostID),
-	}
+	e := &gnutella{Core: c, pending: make(map[uint64]chan underlay.HostID)}
 	e.qid.Store(NodeKey(c.Self)) // disjoint qid streams per node
 	c.Net.HandleData("gnu:query", e.onQuery)
 	c.Net.HandleData("gnu:hit", e.onHit)
 	return e
 }
 
-func (e *gnutella) Name() string               { return "gnutella" }
-func (e *gnutella) Suspect(id underlay.HostID) { e.c.Suspect(id) }
-func (e *gnutella) Evict(id underlay.HostID)   { e.c.Evict(id) }
+func (e *gnutella) Name() string { return "gnutella" }
 
 func (e *gnutella) onQuery(from underlay.HostID, _ string, payload []byte) {
 	if len(payload) < gnuQueryLen {
@@ -384,41 +389,40 @@ func (e *gnutella) onQuery(from underlay.HostID, _ string, payload []byte) {
 	origin := underlay.HostID(int32(binary.BigEndian.Uint32(payload[12:])))
 	ttl := payload[16]
 
-	e.mu.Lock()
-	dup := e.seen[qid]
-	e.seen[qid] = true
-	e.mu.Unlock()
+	e.qmu.Lock()
+	dup := e.seen.add(qid)
+	e.qmu.Unlock()
 	if dup {
-		e.c.Msgs.Get("gnu_dup").Inc()
+		e.Msgs.Get("gnu_dup").Inc()
 		return
 	}
-	if target == e.c.Self {
+	if target == e.Self {
 		var hit [12]byte
 		binary.BigEndian.PutUint64(hit[:], qid)
-		binary.BigEndian.PutUint32(hit[8:], uint32(int32(e.c.Self)))
-		e.c.Net.SendPayload(origin, "gnu:hit", hit[:], 0)
-		e.c.Msgs.Get("gnu_answered").Inc()
+		binary.BigEndian.PutUint32(hit[8:], uint32(int32(e.Self)))
+		e.Net.SendPayload(origin, "gnu:hit", hit[:], 0)
+		e.Msgs.Get("gnu_answered").Inc()
 		return
 	}
 	if ttl <= 1 {
-		e.c.Msgs.Get("gnu_ttl_drop").Inc()
+		e.Msgs.Get("gnu_ttl_drop").Inc()
 		return
 	}
 	fwd := append([]byte(nil), payload...)
 	fwd[16] = ttl - 1
 	e.flood(fwd, from, origin)
-	e.c.Msgs.Get("gnu_forward").Inc()
+	e.Msgs.Get("gnu_forward").Inc()
 }
 
 // flood relays a query to up to gnuFanout members, skipping self, the
 // frame's sender and the origin.
 func (e *gnutella) flood(payload []byte, sender, origin underlay.HostID) {
 	sent := 0
-	for _, id := range e.c.members() {
-		if id == e.c.Self || id == sender || id == origin {
+	for _, id := range e.members() {
+		if id == e.Self || id == sender || id == origin {
 			continue
 		}
-		e.c.Net.SendPayload(id, "gnu:query", payload, 0)
+		e.Net.SendPayload(id, "gnu:query", payload, 0)
 		if sent++; sent >= gnuFanout {
 			break
 		}
@@ -431,9 +435,9 @@ func (e *gnutella) onHit(from underlay.HostID, _ string, payload []byte) {
 	}
 	qid := binary.BigEndian.Uint64(payload)
 	who := underlay.HostID(int32(binary.BigEndian.Uint32(payload[8:])))
-	e.mu.Lock()
+	e.qmu.Lock()
 	ch := e.pending[qid]
-	e.mu.Unlock()
+	e.qmu.Unlock()
 	if ch != nil {
 		select {
 		case ch <- who:
@@ -448,47 +452,47 @@ func (e *gnutella) onHit(from underlay.HostID, _ string, payload []byte) {
 // rate most directly measures flood reach (TTL × fanout vs cluster
 // size).
 func (e *gnutella) Lookup(target uint64) (underlay.HostID, bool) {
-	e.c.Msgs.Get("gnu_lookup").Inc()
-	members := e.c.members()
+	e.Msgs.Get("gnu_lookup").Inc()
+	members := e.members()
 	if len(members) == 0 {
 		return 0, false
 	}
 	want := members[target%uint64(len(members))]
-	if want == e.c.Self {
-		e.c.Msgs.Get("gnu_lookup_ok").Inc()
+	if want == e.Self {
+		e.Msgs.Get("gnu_lookup_ok").Inc()
 		return want, true
 	}
 	qid := e.qid.Add(1)
 	ch := make(chan underlay.HostID, 1)
-	e.mu.Lock()
+	e.qmu.Lock()
 	e.pending[qid] = ch
-	e.seen[qid] = true // don't re-relay our own query when it echoes back
-	e.mu.Unlock()
+	e.seen.add(qid) // don't re-relay our own query when it echoes back
+	e.qmu.Unlock()
 	defer func() {
-		e.mu.Lock()
+		e.qmu.Lock()
 		delete(e.pending, qid)
-		e.mu.Unlock()
+		e.qmu.Unlock()
 	}()
 
 	var q [gnuQueryLen]byte
 	binary.BigEndian.PutUint64(q[:], qid)
 	binary.BigEndian.PutUint32(q[8:], uint32(int32(want)))
-	binary.BigEndian.PutUint32(q[12:], uint32(int32(e.c.Self)))
+	binary.BigEndian.PutUint32(q[12:], uint32(int32(e.Self)))
 	q[16] = gnuTTL
-	e.flood(q[:], e.c.Self, e.c.Self)
+	e.flood(q[:], e.Self, e.Self)
 
 	timer := time.NewTimer(gnuTimeout)
 	defer timer.Stop()
 	select {
 	case who := <-ch:
 		if who == want {
-			e.c.Msgs.Get("gnu_lookup_ok").Inc()
+			e.Msgs.Get("gnu_lookup_ok").Inc()
 			return who, true
 		}
-		e.c.Msgs.Get("gnu_lookup_fail").Inc()
+		e.Msgs.Get("gnu_lookup_fail").Inc()
 		return who, false
 	case <-timer.C:
-		e.c.Msgs.Get("gnu_lookup_fail").Inc()
+		e.Msgs.Get("gnu_lookup_fail").Inc()
 		return -1, false
 	}
 }

@@ -1,0 +1,56 @@
+package livenode
+
+import (
+	"encoding/binary"
+	"testing"
+
+	"unap2p/internal/nettransport"
+	"unap2p/internal/underlay"
+)
+
+// TestGnutellaSeenWindowIsBounded relays far more distinct queries than
+// the dedup window holds: the seen set must stay within its two
+// generations, and an echo of a recent query must still be dropped.
+func TestGnutellaSeenWindowIsBounded(t *testing.T) {
+	requireSockets(t)
+	tr, err := nettransport.Listen(nettransport.Config{Self: 1, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	tr.Book().Set(1, tr.LocalAddr())
+	e := newGnutella(NewCore(tr))
+
+	// A query for somebody else with TTL to spare: deduped, then relayed
+	// (to nobody — this node knows only itself).
+	query := func(qid uint64) []byte {
+		var q [gnuQueryLen]byte
+		binary.BigEndian.PutUint64(q[:], qid)
+		binary.BigEndian.PutUint32(q[8:], 99) // target
+		binary.BigEndian.PutUint32(q[12:], 2) // origin
+		q[16] = gnuTTL
+		return q[:]
+	}
+	const n = 5*gnuSeenWindow + 17
+	for qid := uint64(1); qid <= n; qid++ {
+		e.onQuery(underlay.HostID(2), "gnu:query", query(qid))
+	}
+	if got := e.Msgs.Value("gnu_forward"); got != n {
+		t.Fatalf("relayed %d of %d distinct queries", got, n)
+	}
+	if held := len(e.seen.cur) + len(e.seen.prev); held > 2*gnuSeenWindow || held < gnuSeenWindow {
+		t.Fatalf("seen set holds %d ids after %d queries, want within [%d, %d]",
+			held, n, gnuSeenWindow, 2*gnuSeenWindow)
+	}
+
+	// Echoes of the newest query and of one a full window back are both
+	// still recognized; nothing was counted as a duplicate before.
+	if got := e.Msgs.Value("gnu_dup"); got != 0 {
+		t.Fatalf("gnu_dup = %d before any echo", got)
+	}
+	e.onQuery(underlay.HostID(3), "gnu:query", query(n))
+	e.onQuery(underlay.HostID(3), "gnu:query", query(n-gnuSeenWindow))
+	if got := e.Msgs.Value("gnu_dup"); got != 2 {
+		t.Fatalf("gnu_dup = %d after two echoes of recent queries, want 2", got)
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"unap2p/internal/resilience"
 	"unap2p/internal/sim"
 	"unap2p/internal/telemetry"
+	"unap2p/internal/transport"
 	"unap2p/internal/underlay"
 )
 
@@ -60,6 +61,20 @@ type Node struct {
 
 	closeOnce sync.Once
 	closeErr  error
+}
+
+// pinger is the failure-detection seam between the planes: the one verb
+// resilience.Detector needs, served by an fd_ping Call that the target's
+// registered fd_ping handler echoes back as fd_ack. The retry policy is
+// unused — the detector always passes the zero policy and spaces its own
+// re-probes — so every ping is one attempt bounded by the Net's timeout.
+// The detector reads only OK; the measured RTT is in Net.RTT().
+type pinger struct{ net *nettransport.Net }
+
+func (p pinger) RoundTripWith(_ transport.RetryPolicy, _, to *underlay.Host,
+	reqBytes, _ uint64, reqType, _ string) transport.Result {
+	_, err := p.net.Call(to.ID, reqType, make([]byte, reqBytes))
+	return transport.Result{OK: err == nil}
 }
 
 // Start boots a node: socket up, engine handlers installed, detector
@@ -112,8 +127,8 @@ func Start(cfg Config) (*Node, error) {
 	// The failure detector runs unmodified from the simulation: a kernel
 	// paced 1:1 against the wall clock (sim ms = wall ms), fd_ping round
 	// trips that are now real datagrams with real deadlines.
+	tr.Handle("fd_ping", func(_ underlay.HostID, payload []byte) []byte { return payload })
 	kernel := sim.NewKernel()
-	tr.AttachKernel(kernel)
 	n.pacer = nettransport.NewPacer(kernel)
 	dcfg := resilience.DefaultConfig()
 	dcfg.PingInterval = sim.Duration(float64(cfg.PingInterval) / float64(time.Millisecond))
@@ -129,18 +144,20 @@ func Start(cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("livenode: need SuspectAfter (%d) ≤ EvictAfter (%d)",
 			dcfg.SuspectAfter, dcfg.EvictAfter)
 	}
-	n.det = resilience.New(tr, dcfg)
+	n.det = resilience.New(pinger{tr}, kernel, dcfg)
 	n.det.Heal(n.engine)
 	n.det.OnRecover = n.core.Recover
 
-	// Membership scan: every ping interval, watch any newly learned peer.
-	// Runs as a kernel daemon event, i.e. on the pacer goroutine, which
-	// is the only place detector calls are legal.
-	watchTick := dcfg.PingInterval
-	n.watchCancel = kernel.EveryDaemon(watchTick, func() {
+	// Membership scan: every ping interval, watch any newly learned peer
+	// (re-watching is a no-op). Runs as a kernel daemon event, i.e. on the
+	// pacer goroutine, which is the only place detector calls are legal.
+	// The detector reads only ID and Up from its hosts; live peers are Up
+	// until evicted.
+	self := &underlay.Host{ID: cfg.ID, Up: true}
+	n.watchCancel = kernel.EveryDaemon(dcfg.PingInterval, func() {
 		for _, id := range tr.Book().IDs() {
 			if id != cfg.ID && !n.core.Dead(id) {
-				n.det.Watch(tr.Host(cfg.ID), tr.Host(id))
+				n.det.Watch(self, &underlay.Host{ID: id, Up: true})
 			}
 		}
 	})

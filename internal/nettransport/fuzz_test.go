@@ -64,7 +64,7 @@ func FuzzWireCodec(f *testing.F) {
 	// Seed with valid encodings so the fuzzer starts inside the format…
 	seeds := []Frame{
 		{Kind: KindData, Type: "data"},
-		{Kind: KindReq, Type: "fd_ping", From: 1, To: 2, ReqID: 9, RespBytes: 16},
+		{Kind: KindReq, Type: "fd_ping", From: 1, To: 2, ReqID: 9, Payload: make([]byte, 16)},
 		{Kind: KindResp, Type: "fd_ack", From: 2, To: 1, ReqID: 9, Payload: []byte{1, 2, 3}},
 		{Kind: KindReq, Type: "weird/type", From: -1, To: 1 << 30, ReqID: ^uint64(0), Payload: []byte("p")},
 	}
@@ -79,6 +79,7 @@ func FuzzWireCodec(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{magic0, magic1, wireVersion, 0, 0xFF, 200})
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
+	f.Add(v1Frame())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Property 1: decoding arbitrary bytes never panics (the testing

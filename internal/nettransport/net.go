@@ -9,8 +9,6 @@ import (
 	"time"
 
 	"unap2p/internal/metrics"
-	"unap2p/internal/sim"
-	"unap2p/internal/transport"
 	"unap2p/internal/underlay"
 )
 
@@ -23,7 +21,7 @@ type Config struct {
 	// Listen is the UDP listen address ("127.0.0.1:0" binds an ephemeral
 	// port; LocalAddr reports the result).
 	Listen string
-	// Timeout is the per-attempt round-trip deadline. Zero means 500 ms.
+	// Timeout is the per-call response deadline. Zero means 500 ms.
 	Timeout time.Duration
 	// Logf, when non-nil, receives diagnostic lines (malformed frames,
 	// handler panics).
@@ -31,52 +29,41 @@ type Config struct {
 }
 
 // Handler serves one request type: it receives the requester's id and
-// payload and returns the response payload. Handlers run on their own
-// goroutine per request, so they may issue nested calls through the same
-// Net (the Gnutella flood relays queries this way).
+// payload and returns the response payload.
 type Handler func(from underlay.HostID, payload []byte) []byte
 
 // DataHandler observes one-way KindData frames (no response).
+//
+// Both handler kinds run on their own goroutine per frame, so they may
+// send or issue nested calls through the same Net (the Gnutella flood
+// relays queries this way); Close waits for them, and a panicking
+// handler is logged, not fatal.
 type DataHandler func(from underlay.HostID, msgType string, payload []byte)
 
-// Net is the real-socket transport.Messenger: the same interface the
-// simulated Transport implements, carried over UDP datagrams between
-// actual processes. Differences from the sim backend, by design:
+// Net is the real-socket plane: a payload RPC (Handle/Call, one-way
+// HandleData/SendPayload) over UDP datagrams between actual processes,
+// with per-type frame accounting. It deliberately does not implement the
+// simulator's Messenger — there is no underlay to query and no kernel to
+// schedule on — and shares only the metrics planes with the simulator:
+// the same CounterSet and latency Histogram types feed /metrics on a live
+// node, which is what keeps it comparable with a recorded simulation.
 //
-//   - Time is wall-clock. Send cannot know a one-way latency, so its
-//     Result.Latency is 0; RoundTrip and Probe report the measured RTT
-//     in sim.Duration milliseconds (float).
-//   - There is no global purity: loss is real loss, latency is real
-//     latency, and runs are not reproducible per seed.
-//   - Topology is flat: the local underlay stub has a single AS, so the
-//     intra-AS accounting planes see every byte as intra. The address
-//     book, not the underlay, is the source of reachability.
-//
-// Everything else — per-type counters, RTT histograms, traffic matrices,
-// RetryPolicy semantics — feeds the same metrics planes the sim backend
-// feeds, which is what makes /metrics on a live node comparable with a
-// recorded simulation.
+// Time is wall-clock, loss is real loss, and runs are not reproducible
+// per seed. The address book is the only source of reachability. A frame
+// nobody registered a handler for is dropped and counted, never answered:
+// the socket sends nothing a local handler did not produce.
 type Net struct {
 	cfg  Config
 	conn *net.UDPConn
 	book *AddressBook
 
-	// u is the local underlay stub: one AS, one Host per known peer, all
-	// permanently Up. It satisfies topology queries from components built
-	// against the sim backend; Host pointers stay valid forever.
-	u      *underlay.Network
-	as0    *underlay.AS
-	hostMu sync.Mutex
-
-	// kernel, when attached, is the wall-clock-paced sim kernel that
-	// sim-time components (resilience.Detector) schedule on.
-	kernel *sim.Kernel
-
 	msgs *metrics.CounterSet
 	rtt  *metrics.Histogram
+	// The net_* transport internals, resolved once.
+	txErr, timeouts, rxBad, rxDrop, rxUnhandled *metrics.Counter
 
-	matMu    sync.Mutex
-	matrices map[string]*metrics.TrafficMatrix
+	acctMu sync.RWMutex
+	acct   map[string]*frameCounters
 
 	reqID   atomic.Uint64
 	waitMu  sync.Mutex
@@ -87,15 +74,13 @@ type Net struct {
 	onData   map[string]DataHandler
 
 	// dropRx, when set, discards matching inbound frames before any
-	// processing — the test hook for forcing timeouts and retries
-	// without real packet loss. See SetDropRx.
+	// processing — the test hook for forcing timeouts without real packet
+	// loss. See SetDropRx.
 	dropRx atomic.Pointer[func(f *Frame) bool]
 
 	closed atomic.Bool
 	wg     sync.WaitGroup
 }
-
-var _ transport.Messenger = (*Net)(nil)
 
 // Listen binds the UDP socket and starts the receive loop.
 func Listen(cfg Config) (*Net, error) {
@@ -113,20 +98,23 @@ func Listen(cfg Config) (*Net, error) {
 	if err != nil {
 		return nil, err
 	}
+	msgs := metrics.NewCounterSet()
 	n := &Net{
-		cfg:      cfg,
-		conn:     conn,
-		book:     NewAddressBook(),
-		u:        underlay.New(),
-		msgs:     metrics.NewCounterSet(),
-		rtt:      metrics.NewLatencyHistogram(),
-		matrices: make(map[string]*metrics.TrafficMatrix),
-		waiters:  make(map[uint64]chan Frame),
-		handlers: make(map[string]Handler),
-		onData:   make(map[string]DataHandler),
+		cfg:         cfg,
+		conn:        conn,
+		book:        NewAddressBook(),
+		msgs:        msgs,
+		rtt:         metrics.NewLatencyHistogram(),
+		txErr:       msgs.Get("net_tx_err"),
+		timeouts:    msgs.Get("net_timeout"),
+		rxBad:       msgs.Get("net_rx_bad"),
+		rxDrop:      msgs.Get("net_rx_drop"),
+		rxUnhandled: msgs.Get("net_rx_unhandled"),
+		acct:        make(map[string]*frameCounters),
+		waiters:     make(map[uint64]chan Frame),
+		handlers:    make(map[string]Handler),
+		onData:      make(map[string]DataHandler),
 	}
-	n.as0 = n.u.AddAS(underlay.LocalISP, 0)
-	n.Host(cfg.Self) // materialize self
 	n.wg.Add(1)
 	go n.receiveLoop()
 	return n, nil
@@ -140,10 +128,6 @@ func (n *Net) Self() underlay.HostID { return n.cfg.Self }
 
 // Book exposes the peer address book.
 func (n *Net) Book() *AddressBook { return n.book }
-
-// AttachKernel installs the wall-clock-paced kernel Kernel() reports.
-// Call before handing the Net to kernel-requiring components.
-func (n *Net) AttachKernel(k *sim.Kernel) { n.kernel = k }
 
 // RTT exposes the round-trip latency histogram (milliseconds).
 func (n *Net) RTT() *metrics.Histogram { return n.rtt }
@@ -165,7 +149,7 @@ func (n *Net) HandleData(msgType string, fn DataHandler) {
 
 // SetDropRx installs (or, with nil, removes) an inbound drop filter:
 // frames for which fn returns true are discarded before processing and
-// counted under net_rx_drop. This is the loss-injection hook the retry
+// counted under net_rx_drop. This is the loss-injection hook the timeout
 // and chaos tests use in place of real packet loss.
 func (n *Net) SetDropRx(fn func(f *Frame) bool) {
 	if fn == nil {
@@ -175,8 +159,9 @@ func (n *Net) SetDropRx(fn func(f *Frame) bool) {
 	n.dropRx.Store(&fn)
 }
 
-// Close shuts the socket down and waits for the receive loop to exit.
-// In-flight round trips fail with a closed-connection error.
+// Close shuts the socket down and waits for the receive loop and every
+// in-flight handler to exit. A call still waiting for its response times
+// out; one issued afterwards fails on the closed socket.
 func (n *Net) Close() error {
 	if n.closed.Swap(true) {
 		return nil
@@ -186,99 +171,60 @@ func (n *Net) Close() error {
 	return err
 }
 
-// Host returns the local stub host for id, materializing it (and every
-// lower id) on first use. Pointers remain valid for the Net's lifetime.
-func (n *Net) Host(id underlay.HostID) *underlay.Host {
-	if id < 0 {
-		panic(fmt.Sprintf("nettransport: negative host id %d", id))
-	}
-	n.hostMu.Lock()
-	defer n.hostMu.Unlock()
-	for n.u.NumHosts() <= int(id) {
-		n.u.AddHost(n.as0, 0)
-	}
-	return n.u.Host(id)
-}
-
-// --- transport.Messenger ---
-
-// Underlay returns the local stub network. Topology queries against it
-// are flat (one AS); the usual single-goroutine access rule applies, so
-// grow it only through Net.Host.
-func (n *Net) Underlay() *underlay.Network { return n.u }
-
-// Kernel returns the attached wall-clock-paced kernel (nil before
-// AttachKernel).
-func (n *Net) Kernel() *sim.Kernel { return n.kernel }
-
 // Counters exposes the per-message-type counters: "<type>" counts frames
-// sent, "<type>_bytes" their accounted payload bytes, "<type>_rx" frames
-// received, plus the net_* transport internals (net_retry, net_timeout,
-// net_rx_drop, net_tx_err).
+// sent, "<type>_bytes" their accounted payload bytes, "<type>_rx" and
+// "<type>_rx_bytes" the same for frames received, plus the net_*
+// transport internals (net_timeout, net_tx_err, net_rx_bad, net_rx_drop,
+// net_rx_unhandled).
 func (n *Net) Counters() *metrics.CounterSet { return n.msgs }
 
-// MatrixFor returns the traffic matrix shared by the given message types,
-// creating and registering one on first use — same sharing semantics as
-// the sim transport. With a single-AS stub every byte lands intra-AS.
-func (n *Net) MatrixFor(msgTypes ...string) *metrics.TrafficMatrix {
-	if len(msgTypes) == 0 {
-		panic("nettransport: MatrixFor needs at least one message type")
+// dir is the direction account charges a frame to.
+type dir int
+
+const (
+	tx dir = iota
+	rx
+)
+
+// frameCounters are one message type's counter handles, per direction.
+type frameCounters [2]struct{ frames, bytes *metrics.Counter }
+
+// account charges one frame of msgType to the counter plane. A type's
+// four handles are created on its first frame in either direction, so the
+// per-frame path builds no counter names.
+func (n *Net) account(d dir, msgType string, bytes uint64) {
+	n.acctMu.RLock()
+	fc := n.acct[msgType]
+	n.acctMu.RUnlock()
+	if fc == nil {
+		n.acctMu.Lock()
+		if fc = n.acct[msgType]; fc == nil {
+			fc = &frameCounters{}
+			fc[tx].frames, fc[tx].bytes = n.msgs.Get(msgType), n.msgs.Get(msgType+"_bytes")
+			fc[rx].frames, fc[rx].bytes = n.msgs.Get(msgType+"_rx"), n.msgs.Get(msgType+"_rx_bytes")
+			n.acct[msgType] = fc
+		}
+		n.acctMu.Unlock()
 	}
-	n.matMu.Lock()
-	defer n.matMu.Unlock()
-	var m *metrics.TrafficMatrix
-	for _, ty := range msgTypes {
-		if ex := n.matrices[ty]; ex != nil {
-			m = ex
-			break
+	fc[d].frames.Inc()
+	fc[d].bytes.Add(bytes)
+}
+
+// writeFrame encodes and transmits one frame to addr, or when addr is nil
+// to the book address of the frame's To field. A failure is counted under
+// net_tx_err.
+func (n *Net) writeFrame(f *Frame, addr *net.UDPAddr) (err error) {
+	defer func() {
+		if err != nil {
+			n.txErr.Inc()
+		}
+	}()
+	if addr == nil {
+		var ok bool
+		if addr, ok = n.book.Get(f.To); !ok {
+			return fmt.Errorf("nettransport: no address for host %d", f.To)
 		}
 	}
-	if m == nil {
-		m = metrics.NewTrafficMatrix()
-	}
-	for _, ty := range msgTypes {
-		n.matrices[ty] = m
-	}
-	return m
-}
-
-// account charges one sent frame to the counter and matrix planes.
-func (n *Net) account(msgType string, bytes uint64) {
-	n.msgs.Get(msgType).Inc()
-	n.msgs.Get(msgType + "_bytes").Add(bytes)
-	n.matMu.Lock()
-	m := n.matrices[msgType]
-	n.matMu.Unlock()
-	if m != nil {
-		m.Add(n.as0.ID, n.as0.ID, bytes)
-	}
-}
-
-// padded returns a payload of the given accounted size, clamped to
-// MaxPayload so any Messenger byte count stays a single datagram. The
-// accounting always records the requested size.
-func padded(bytes uint64) []byte {
-	if bytes == 0 {
-		return nil
-	}
-	if bytes > MaxPayload {
-		bytes = MaxPayload
-	}
-	return make([]byte, bytes)
-}
-
-// writeFrame encodes and transmits one frame to the book address of its
-// To field.
-func (n *Net) writeFrame(f *Frame) error {
-	addr, ok := n.book.Get(f.To)
-	if !ok {
-		return fmt.Errorf("nettransport: no address for host %d", f.To)
-	}
-	return n.writeFrameTo(f, addr)
-}
-
-// writeFrameTo encodes and transmits one frame to an explicit address.
-func (n *Net) writeFrameTo(f *Frame, addr *net.UDPAddr) error {
 	buf, err := AppendFrame(nil, f)
 	if err != nil {
 		return err
@@ -287,38 +233,41 @@ func (n *Net) writeFrameTo(f *Frame, addr *net.UDPAddr) error {
 	return err
 }
 
-// Send delivers one one-way message of the given type and size. The
-// message counts as sent once it leaves the socket; delivery is
-// unconfirmed (use RoundTrip for confirmation), so OK reports only that
-// a destination address existed and the write succeeded, and Latency is
-// always zero.
-func (n *Net) Send(from, to *underlay.Host, bytes uint64, msgType string) transport.Result {
-	return n.SendPayload(to.ID, msgType, padded(bytes), bytes)
-}
-
-// SendPayload is Send with an explicit payload (accounted at accountBytes
-// if non-zero, else at len(payload)).
-func (n *Net) SendPayload(to underlay.HostID, msgType string, payload []byte, accountBytes uint64) transport.Result {
+// SendPayload sends one one-way KindData frame, accounted at accountBytes
+// if non-zero, else at len(payload). The frame counts as sent once it
+// leaves the socket; delivery is unconfirmed (use Call for confirmation),
+// so the result reports only that a destination address existed and the
+// write succeeded.
+func (n *Net) SendPayload(to underlay.HostID, msgType string, payload []byte, accountBytes uint64) bool {
 	if accountBytes == 0 {
 		accountBytes = uint64(len(payload))
 	}
-	n.account(msgType, accountBytes)
+	n.account(tx, msgType, accountBytes)
 	f := Frame{Kind: KindData, Type: msgType, From: n.cfg.Self, To: to, Payload: payload}
-	if err := n.writeFrame(&f); err != nil {
-		n.msgs.Get("net_tx_err").Inc()
-		return transport.Result{}
-	}
-	return transport.Result{OK: true}
+	return n.writeFrame(&f, nil) == nil
 }
 
-// errTimeout marks an attempt that got no response within the deadline.
-var errTimeout = errors.New("nettransport: round trip timed out")
+// errTimeout marks a call that got no response within the deadline.
+var errTimeout = errors.New("nettransport: call timed out")
 
-// call performs one request/response attempt with the given payload,
-// returning the response frame and the measured wall RTT. addr, when
-// non-nil, overrides the book lookup (the join handshake knows the
-// bootstrap's address before it knows its id).
-func (n *Net) call(to underlay.HostID, addr *net.UDPAddr, msgType string, payload []byte, respBytes uint32, timeout time.Duration) (Frame, time.Duration, error) {
+// Call is the payload RPC the live overlay engines build on: request
+// payload out, response payload back, single attempt, default timeout.
+// A successful call's wall RTT lands in the RTT histogram.
+func (n *Net) Call(to underlay.HostID, msgType string, payload []byte) ([]byte, error) {
+	return n.call(to, nil, msgType, payload)
+}
+
+// CallAt is Call aimed at an explicit UDP address instead of a book
+// entry — how a joining node reaches its bootstrap before learning its
+// id (the response frame's From field, which the receive loop also
+// learns into the book automatically).
+func (n *Net) CallAt(addr *net.UDPAddr, msgType string, payload []byte) ([]byte, error) {
+	return n.call(-1, addr, msgType, payload) // To = -1: id unknown
+}
+
+// call performs one request/response exchange. addr, when non-nil,
+// overrides the book lookup.
+func (n *Net) call(to underlay.HostID, addr *net.UDPAddr, msgType string, payload []byte) ([]byte, error) {
 	id := n.reqID.Add(1)
 	ch := make(chan Frame, 1)
 	n.waitMu.Lock()
@@ -330,109 +279,23 @@ func (n *Net) call(to underlay.HostID, addr *net.UDPAddr, msgType string, payloa
 		n.waitMu.Unlock()
 	}()
 
-	f := Frame{Kind: KindReq, Type: msgType, From: n.cfg.Self, To: to,
-		ReqID: id, RespBytes: respBytes, Payload: payload}
+	n.account(tx, msgType, uint64(len(payload)))
+	f := Frame{Kind: KindReq, Type: msgType, From: n.cfg.Self, To: to, ReqID: id, Payload: payload}
 	start := time.Now()
-	var werr error
-	if addr != nil {
-		werr = n.writeFrameTo(&f, addr)
-	} else {
-		werr = n.writeFrame(&f)
+	if err := n.writeFrame(&f, addr); err != nil {
+		return nil, err
 	}
-	if werr != nil {
-		n.msgs.Get("net_tx_err").Inc()
-		return Frame{}, 0, werr
-	}
-	timer := time.NewTimer(timeout)
+	timer := time.NewTimer(n.cfg.Timeout)
 	defer timer.Stop()
 	select {
 	case resp := <-ch:
-		return resp, time.Since(start), nil
+		n.rtt.Observe(float64(time.Since(start)) / float64(time.Millisecond))
+		n.account(rx, resp.Type, uint64(len(resp.Payload)))
+		return resp.Payload, nil
 	case <-timer.C:
-		n.msgs.Get("net_timeout").Inc()
-		return Frame{}, 0, errTimeout
+		n.timeouts.Inc()
+		return nil, errTimeout
 	}
-}
-
-// ms converts a wall duration to sim.Duration milliseconds.
-func ms(d time.Duration) sim.Duration { return sim.Duration(float64(d) / float64(time.Millisecond)) }
-
-// RoundTrip sends a request and waits for its reply under a
-// single-attempt policy (the Messenger default), returning the measured
-// round-trip time.
-func (n *Net) RoundTrip(from, to *underlay.Host, reqBytes, respBytes uint64,
-	reqType, respType string) transport.Result {
-	return n.RoundTripWith(transport.RetryPolicy{}, from, to, reqBytes, respBytes, reqType, respType)
-}
-
-// RoundTripWith is RoundTrip under a caller-supplied retry policy. Each
-// attempt is a real datagram exchange bounded by the configured Timeout;
-// Backoff waits are real sleeps, charged into the successful Result's
-// Latency exactly as the sim backend charges them.
-func (n *Net) RoundTripWith(p transport.RetryPolicy, from, to *underlay.Host,
-	reqBytes, respBytes uint64, reqType, respType string) transport.Result {
-	rb := respBytes
-	if rb > MaxPayload {
-		rb = MaxPayload
-	}
-	var waited sim.Duration
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			n.msgs.Get("net_retry").Inc()
-		}
-		n.account(reqType, reqBytes)
-		resp, rtt, err := n.call(to.ID, nil, reqType, padded(reqBytes), uint32(rb), n.cfg.Timeout)
-		if err == nil {
-			// The reply leg is charged on the receiver side when it sends;
-			// account the received reply here so this process's planes see
-			// both directions of its own round trips.
-			n.msgs.Get(respType + "_rx").Inc()
-			n.msgs.Get(respType + "_rx_bytes").Add(uint64(len(resp.Payload)))
-			lat := ms(rtt)
-			n.rtt.Observe(float64(lat))
-			return transport.Result{Latency: waited + lat, OK: true}
-		}
-		if attempt >= p.Budget {
-			return transport.Result{}
-		}
-		if p.Backoff != nil {
-			w := p.Backoff(attempt + 1)
-			waited += w
-			time.Sleep(time.Duration(float64(w) * float64(time.Millisecond)))
-		}
-	}
-}
-
-// Probe measures the RTT to a host with a probe/response pair of the
-// given size, counted under type "probe" — a real measurement of the
-// §3.2 kind, charging real measurement traffic.
-func (n *Net) Probe(from, to *underlay.Host, bytes uint64) transport.Result {
-	return n.RoundTrip(from, to, bytes, bytes, "probe", "probe")
-}
-
-// Call is the payload RPC the live overlay engines build on: request
-// payload out, response payload back, single attempt, default timeout.
-func (n *Net) Call(to underlay.HostID, msgType string, payload []byte) ([]byte, error) {
-	return n.callObserved(to, nil, msgType, payload)
-}
-
-// CallAt is Call aimed at an explicit UDP address instead of a book
-// entry — how a joining node reaches its bootstrap before learning its
-// id (the response frame's From field, which the receive loop also
-// learns into the book automatically).
-func (n *Net) CallAt(addr *net.UDPAddr, msgType string, payload []byte) ([]byte, error) {
-	return n.callObserved(-1, addr, msgType, payload) // To = -1: id unknown
-}
-
-func (n *Net) callObserved(to underlay.HostID, addr *net.UDPAddr, msgType string, payload []byte) ([]byte, error) {
-	n.account(msgType, uint64(len(payload)))
-	resp, rtt, err := n.call(to, addr, msgType, payload, 0, n.cfg.Timeout)
-	if err != nil {
-		return nil, err
-	}
-	n.rtt.Observe(float64(ms(rtt)))
-	n.msgs.Get(resp.Type + "_rx").Inc()
-	return resp.Payload, nil
 }
 
 // receiveLoop drains the socket until Close.
@@ -450,12 +313,12 @@ func (n *Net) receiveLoop() {
 		}
 		f, err := DecodeFrame(buf[:nr])
 		if err != nil {
-			n.msgs.Get("net_rx_bad").Inc()
+			n.rxBad.Inc()
 			n.logf("nettransport: drop malformed frame from %v: %v", raddr, err)
 			continue
 		}
 		if d := n.dropRx.Load(); d != nil && (*d)(&f) {
-			n.msgs.Get("net_rx_drop").Inc()
+			n.rxDrop.Inc()
 			continue
 		}
 		// Learn or refresh the sender's address from the packet source —
@@ -463,43 +326,7 @@ func (n *Net) receiveLoop() {
 		if f.From >= 0 && f.From != n.cfg.Self {
 			n.book.Set(f.From, raddr)
 		}
-		switch f.Kind {
-		case KindData:
-			n.msgs.Get(f.Type + "_rx").Inc()
-			n.msgs.Get(f.Type + "_rx_bytes").Add(uint64(len(f.Payload)))
-			n.handMu.RLock()
-			onData := n.onData[f.Type]
-			n.handMu.RUnlock()
-			if onData != nil {
-				fr := f
-				go onData(fr.From, fr.Type, fr.Payload)
-			}
-		case KindReq:
-			n.msgs.Get(f.Type + "_rx").Inc()
-			n.msgs.Get(f.Type + "_rx_bytes").Add(uint64(len(f.Payload)))
-			n.handMu.RLock()
-			h := n.handlers[f.Type]
-			n.handMu.RUnlock()
-			fr := f
-			if h == nil {
-				// No handler: honour the RoundTrip contract with a padded
-				// auto-reply of the requested size. Inline — no user code.
-				n.reply(&fr, padded(uint64(fr.RespBytes)))
-				continue
-			}
-			// Handlers run detached so they can issue nested calls
-			// (flood relays) without stalling the receive loop.
-			n.wg.Add(1)
-			go func() {
-				defer n.wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						n.logf("nettransport: handler %s panicked: %v", fr.Type, r)
-					}
-				}()
-				n.reply(&fr, h(fr.From, fr.Payload))
-			}()
-		case KindResp:
+		if f.Kind == KindResp {
 			n.waitMu.Lock()
 			ch := n.waiters[f.ReqID]
 			n.waitMu.Unlock()
@@ -509,22 +336,50 @@ func (n *Net) receiveLoop() {
 				default: // duplicate response; first one won
 				}
 			}
+			continue
 		}
+		n.handMu.RLock()
+		h, onData := n.handlers[f.Type], n.onData[f.Type]
+		n.handMu.RUnlock()
+		if (f.Kind == KindReq && h == nil) || (f.Kind == KindData && onData == nil) {
+			// Nobody serves this type: no reply, and no per-type counters
+			// either, so a stranger cannot grow the counter set.
+			n.rxUnhandled.Inc()
+			continue
+		}
+		n.account(rx, f.Type, uint64(len(f.Payload)))
+		n.wg.Add(1)
+		go n.serve(f, h, onData)
 	}
 }
 
-// reply answers a KindReq frame. The response type is derived from the
-// request type when no specific response vocabulary applies: the well
-// known pairs (fd_ping→fd_ack, probe→probe) are honoured so counters on
-// both sides line up with the sim backend's naming.
+// serve runs the handler for one request or data frame. It is detached
+// from the receive loop so handlers can issue nested calls (flood relays)
+// without stalling it, tracked by n.wg so Close waits for it, and guarded
+// so a panicking handler costs one frame, not the daemon.
+func (n *Net) serve(f Frame, h Handler, onData DataHandler) {
+	defer n.wg.Done()
+	defer func() {
+		if r := recover(); r != nil {
+			n.logf("nettransport: handler %s panicked: %v", f.Type, r)
+		}
+	}()
+	if f.Kind == KindReq {
+		n.reply(&f, h(f.From, f.Payload))
+	} else {
+		onData(f.From, f.Type, f.Payload)
+	}
+}
+
+// reply answers a KindReq frame with its handler's payload, under the
+// request type's response name (fd_ping→fd_ack, …) so counters on both
+// sides line up with the sim backend's naming.
 func (n *Net) reply(req *Frame, payload []byte) {
 	respType := responseType(req.Type)
-	n.account(respType, uint64(len(payload)))
+	n.account(tx, respType, uint64(len(payload)))
 	f := Frame{Kind: KindResp, Type: respType, From: n.cfg.Self, To: req.From,
 		ReqID: req.ReqID, Payload: payload}
-	if err := n.writeFrame(&f); err != nil {
-		n.msgs.Get("net_tx_err").Inc()
-	}
+	n.writeFrame(&f, nil) // a failed write is counted; the requester times out
 }
 
 // responseType maps a request type to its reply type.
@@ -536,8 +391,6 @@ func responseType(reqType string) string {
 		return "kad:nodes"
 	case "chord:find_succ":
 		return "chord:succ"
-	case "gnu:query":
-		return "gnu:hit"
 	default:
 		return reqType
 	}

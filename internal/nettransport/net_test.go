@@ -1,12 +1,14 @@
 package nettransport
 
 import (
+	"fmt"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"unap2p/internal/sim"
-	"unap2p/internal/transport"
 	"unap2p/internal/underlay"
 )
 
@@ -54,12 +56,8 @@ func TestNetSendAccountsAndDelivers(t *testing.T) {
 		mu.Unlock()
 	})
 
-	res := a.Send(a.Host(a.Self()), a.Host(b.Self()), 100, "gossip")
-	if !res.OK {
-		t.Fatal("Send to known peer reported !OK")
-	}
-	if res.Latency != 0 {
-		t.Fatalf("one-way Send reported a latency (%v); real sockets cannot know it", res.Latency)
+	if !a.SendPayload(b.Self(), "gossip", make([]byte, 100), 0) {
+		t.Fatal("SendPayload to known peer reported failure")
 	}
 	if n := a.Counters().Get("gossip").Value(); n != 1 {
 		t.Fatalf("sender gossip counter = %d, want 1", n)
@@ -68,89 +66,64 @@ func TestNetSendAccountsAndDelivers(t *testing.T) {
 		t.Fatalf("sender gossip_bytes = %d, want 100", n)
 	}
 	await(t, "data delivery", func() bool {
-		return b.Counters().Get("gossip_rx").Value() == 1
+		mu.Lock()
+		defer mu.Unlock()
+		return len(got) == 1
 	})
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != 1 || got[0] != "gossip" {
+	if got[0] != "gossip" {
 		t.Fatalf("data handler saw %v, want [gossip]", got)
+	}
+	if rx, rxb := b.Counters().Value("gossip_rx"), b.Counters().Value("gossip_rx_bytes"); rx != 1 || rxb != 100 {
+		t.Fatalf("receiver gossip_rx=%d gossip_rx_bytes=%d, want 1 and 100", rx, rxb)
 	}
 
 	// Sending to a host with no book entry fails fast.
-	if res := a.Send(a.Host(a.Self()), a.Host(99), 10, "gossip"); res.OK {
-		t.Fatal("Send to unknown peer reported OK")
+	if a.SendPayload(99, "gossip", []byte("x"), 0) {
+		t.Fatal("SendPayload to unknown peer reported success")
+	}
+	if n := a.Counters().Value("net_tx_err"); n != 1 {
+		t.Fatalf("net_tx_err = %d, want 1", n)
 	}
 }
 
-func TestNetRoundTripAutoReply(t *testing.T) {
+// TestNetUnhandledGetsNoReply pins the reflection guard: a request (or
+// data frame) of a type nobody registered is dropped and counted — the
+// socket answers nothing, and a stranger's type names create no counters.
+func TestNetUnhandledGetsNoReply(t *testing.T) {
 	a, b := pair(t)
-	res := a.RoundTrip(a.Host(a.Self()), a.Host(b.Self()), 64, 128, "probe", "probe")
-	if !res.OK {
-		t.Fatal("RoundTrip over loopback failed")
+	if _, err := a.Call(b.Self(), "stranger:req", make([]byte, 29)); err == nil {
+		t.Fatal("Call of an unregistered type got a reply")
 	}
-	if res.Latency <= 0 {
-		t.Fatalf("RoundTrip latency %v, want > 0 (real RTT)", res.Latency)
-	}
-	if n := a.RTT().N(); n != 1 {
-		t.Fatalf("RTT histogram holds %d samples, want 1", n)
-	}
-	// The responder charged the auto-reply on its own planes.
-	if n := b.Counters().Get("probe").Value(); n != 1 {
-		t.Fatalf("responder probe counter = %d, want 1", n)
-	}
-	if n := b.Counters().Get("probe_bytes").Value(); n != 128 {
-		t.Fatalf("responder auto-reply bytes = %d, want 128 (RespBytes)", n)
-	}
-	// Probe is RoundTrip with probe/probe naming.
-	if res := a.Probe(a.Host(a.Self()), a.Host(b.Self()), 32); !res.OK {
-		t.Fatal("Probe failed")
-	}
-	if n := a.Counters().Get("probe").Value(); n != 2 {
-		t.Fatalf("probe counter after Probe = %d, want 2", n)
-	}
-}
-
-func TestNetRoundTripRetry(t *testing.T) {
-	a, b := pair(t)
-	var dropped sync.Once
-	b.SetDropRx(func(f *Frame) bool {
-		drop := false
-		dropped.Do(func() { drop = true })
-		return drop && f.Kind == KindReq
+	a.SendPayload(b.Self(), "stranger:data", []byte("x"), 0)
+	await(t, "unhandled frames counted", func() bool {
+		return b.Counters().Value("net_rx_unhandled") == 2
 	})
-	policy := transport.RetryPolicy{
-		Budget:  2,
-		Backoff: func(int) sim.Duration { return 1 },
+	for _, name := range b.Counters().Names() {
+		if !strings.HasPrefix(name, "net_") {
+			t.Fatalf("unhandled frames created counter %q on the receiver", name)
+		}
 	}
-	res := a.RoundTripWith(policy, a.Host(a.Self()), a.Host(b.Self()), 16, 16, "fd_ping", "fd_ack")
-	if !res.OK {
-		t.Fatal("retry under budget did not recover from one dropped datagram")
-	}
-	if n := a.Counters().Get("net_retry").Value(); n != 1 {
-		t.Fatalf("net_retry = %d, want 1", n)
-	}
-	if n := a.Counters().Get("net_timeout").Value(); n != 1 {
-		t.Fatalf("net_timeout = %d, want 1", n)
-	}
-	// The charged latency includes the real backoff wait (≥1 ms).
-	if res.Latency < 1 {
-		t.Fatalf("latency %v does not include the 1ms backoff", res.Latency)
+	if n := a.Counters().Value("net_timeout"); n != 1 {
+		t.Fatalf("caller net_timeout = %d, want 1", n)
 	}
 }
 
 func TestNetRoundTripTimesOut(t *testing.T) {
 	a, b := pair(t)
+	b.Handle("fd_ping", func(_ underlay.HostID, p []byte) []byte { return p })
 	b.SetDropRx(func(f *Frame) bool { return true })
 	start := time.Now()
-	res := a.RoundTrip(a.Host(a.Self()), a.Host(b.Self()), 16, 16, "fd_ping", "fd_ack")
-	if res.OK {
-		t.Fatal("RoundTrip into a black hole reported OK")
+	if _, err := a.Call(b.Self(), "fd_ping", make([]byte, 16)); err == nil {
+		t.Fatal("Call into a black hole succeeded")
 	}
 	if elapsed := time.Since(start); elapsed < 200*time.Millisecond {
-		t.Fatalf("gave up after %v, before the 250ms attempt deadline", elapsed)
+		t.Fatalf("gave up after %v, before the 250ms deadline", elapsed)
 	}
-	if n := a.Counters().Get("net_timeout").Value(); n == 0 {
-		t.Fatal("timeout not counted under net_timeout")
+	if n := a.Counters().Value("net_timeout"); n != 1 {
+		t.Fatalf("net_timeout = %d, want 1", n)
+	}
+	if n := a.RTT().N(); n != 0 {
+		t.Fatalf("a timed-out call left %d RTT samples", n)
 	}
 }
 
@@ -169,27 +142,82 @@ func TestNetHandlerAndCall(t *testing.T) {
 	if string(resp) != "nodes:k17" {
 		t.Fatalf("Call returned %q", resp)
 	}
-	// Both sides used the protocol's response vocabulary.
-	if n := b.Counters().Get("kad:nodes").Value(); n != 1 {
-		t.Fatalf("responder kad:nodes counter = %d, want 1", n)
+	if n := a.RTT().N(); n != 1 {
+		t.Fatalf("RTT histogram holds %d samples, want 1", n)
 	}
-	if n := a.Counters().Get("kad:nodes_rx").Value(); n != 1 {
-		t.Fatalf("caller kad:nodes_rx counter = %d, want 1", n)
+	// Both sides used the protocol's response vocabulary, and each
+	// direction of each frame is charged exactly once.
+	for _, c := range []struct {
+		n    *Net
+		name string
+		want uint64
+	}{
+		{a, "kad:find_node", 1}, {a, "kad:find_node_bytes", 3},
+		{b, "kad:find_node_rx", 1}, {b, "kad:find_node_rx_bytes", 3},
+		{b, "kad:nodes", 1}, {b, "kad:nodes_bytes", 9},
+		{a, "kad:nodes_rx", 1}, {a, "kad:nodes_rx_bytes", 9},
+	} {
+		if got := c.n.Counters().Value(c.name); got != c.want {
+			t.Errorf("host %d counter %s = %d, want %d", c.n.Self(), c.name, got, c.want)
+		}
 	}
 }
 
-func TestNetMatrixSharing(t *testing.T) {
+// TestNetCloseWaitsForDataHandler: Close must not return while a data
+// handler is still running — a relay would otherwise write to the closed
+// socket after its owner believes the Net is gone.
+func TestNetCloseWaitsForDataHandler(t *testing.T) {
 	a, b := pair(t)
-	m := a.MatrixFor("kad:find_node", "kad:nodes")
-	if a.MatrixFor("kad:nodes") != m {
-		t.Fatal("MatrixFor does not share matrices across grouped types")
+	entered, release := make(chan struct{}), make(chan struct{})
+	var finished atomic.Bool
+	b.HandleData("gossip", func(underlay.HostID, string, []byte) {
+		close(entered)
+		<-release
+		finished.Store(true)
+	})
+	a.SendPayload(b.Self(), "gossip", []byte("x"), 0)
+	<-entered
+	closed := make(chan struct{})
+	go func() { b.Close(); close(closed) }()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a data handler was still running")
+	case <-time.After(50 * time.Millisecond):
 	}
-	a.RoundTrip(a.Host(a.Self()), a.Host(b.Self()), 40, 0, "kad:find_node", "kad:nodes")
-	if got := m.Total(); got != 40 {
-		t.Fatalf("matrix total = %d, want 40", got)
+	close(release)
+	<-closed
+	if !finished.Load() {
+		t.Fatal("Close returned before the data handler finished")
 	}
-	if !m.Conservation() {
-		t.Fatal("matrix cell sum does not match total")
+}
+
+// TestNetHandlerPanicIsLogged: a panicking handler of either kind costs
+// one frame and a log line, not the process.
+func TestNetHandlerPanicIsLogged(t *testing.T) {
+	var logged atomic.Int32
+	b, err := Listen(Config{Self: 1, Timeout: 250 * time.Millisecond, Logf: func(format string, args ...any) {
+		if strings.Contains(fmt.Sprintf(format, args...), "panicked") {
+			logged.Add(1)
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	a := listen(t, 0)
+	a.Book().Set(b.Self(), b.LocalAddr())
+	b.HandleData("gossip", func(underlay.HostID, string, []byte) { panic("data boom") })
+	b.Handle("probe", func(underlay.HostID, []byte) []byte { panic("req boom") })
+	b.Handle("hello", func(_ underlay.HostID, p []byte) []byte { return p })
+
+	a.SendPayload(b.Self(), "gossip", []byte("x"), 0)
+	if _, err := a.Call(b.Self(), "probe", nil); err == nil {
+		t.Fatal("a panicking request handler still produced a reply")
+	}
+	await(t, "both panics logged", func() bool { return logged.Load() == 2 })
+	// The daemon survived both: the receive loop still serves.
+	if _, err := a.Call(b.Self(), "hello", []byte("hi")); err != nil {
+		t.Fatalf("Net dead after handler panics: %v", err)
 	}
 }
 
@@ -198,34 +226,35 @@ func TestNetMatrixSharing(t *testing.T) {
 // loop, waiter table, counters, and histograms.
 func TestNetConcurrentRoundTrips(t *testing.T) {
 	a, b := pair(t)
+	echo := func(_ underlay.HostID, p []byte) []byte { return p }
+	a.Handle("probe", echo)
+	b.Handle("probe", echo)
 	const workers, per = 8, 25
 	var wg sync.WaitGroup
-	var failed sync.Map
+	var nFailed atomic.Int32
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		src, dst := a, b
 		if w%2 == 1 {
 			src, dst = b, a
 		}
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				res := src.RoundTrip(src.Host(src.Self()), src.Host(dst.Self()), 32, 32, "probe", "probe")
-				if !res.OK {
-					failed.Store(w*1000+i, true)
+				if _, err := src.Call(dst.Self(), "probe", make([]byte, 32)); err != nil {
+					nFailed.Add(1)
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
-	nFailed := 0
-	failed.Range(func(_, _ any) bool { nFailed++; return true })
+	failed := int(nFailed.Load())
 	// Loopback UDP can in principle drop under pressure; tolerate a few.
-	if nFailed > workers*per/20 {
-		t.Fatalf("%d/%d loopback round trips failed", nFailed, workers*per)
+	if failed > workers*per/20 {
+		t.Fatalf("%d/%d loopback round trips failed", failed, workers*per)
 	}
-	if n := a.RTT().N() + b.RTT().N(); n < uint64(workers*per-nFailed) {
-		t.Fatalf("histograms hold %d RTT samples, want ≥ %d", n, workers*per-nFailed)
+	if n := a.RTT().N() + b.RTT().N(); n < uint64(workers*per-failed) {
+		t.Fatalf("histograms hold %d RTT samples, want ≥ %d", n, workers*per-failed)
 	}
 }
 
@@ -279,31 +308,5 @@ func TestPacerDaemonEventsFire(t *testing.T) {
 	case <-fired:
 	case <-time.After(5 * time.Second):
 		t.Fatal("daemon event never fired under the pacer")
-	}
-}
-
-func TestNetImplementsMessenger(t *testing.T) {
-	var _ transport.Messenger = (*Net)(nil)
-	a, _ := pair(t)
-	if a.Underlay() == nil {
-		t.Fatal("nil underlay stub")
-	}
-	h := a.Host(5)
-	if h == nil || h.ID != 5 || !h.Up {
-		t.Fatalf("Host(5) returned %+v", h)
-	}
-	if a.Underlay().NumHosts() != 6 {
-		t.Fatalf("underlay stub holds %d hosts, want 6 after Host(5)", a.Underlay().NumHosts())
-	}
-	if a.Host(5) != h {
-		t.Fatal("Host is not stable across calls")
-	}
-	if a.Kernel() != nil {
-		t.Fatal("kernel non-nil before AttachKernel")
-	}
-	k := sim.NewKernel()
-	a.AttachKernel(k)
-	if a.Kernel() != k {
-		t.Fatal("AttachKernel not reflected by Kernel()")
 	}
 }

@@ -1,17 +1,20 @@
-// Package nettransport is the real-socket backend of the transport seam:
-// a stdlib-only implementation of transport.Messenger over UDP datagrams,
-// so the overlays, the resilience detector, and the chaos tooling built
-// against the simulated underlay can run as N actual processes on
-// localhost or a LAN. The sim backend (internal/transport) stays the
-// reference for experiments — it is pure and byte-identical per seed —
-// while this backend trades that purity for wall-clock reality: real
-// sockets, real timeouts, real RTTs feeding the same metrics planes.
+// Package nettransport is the real-socket plane: a stdlib-only payload
+// RPC over UDP datagrams with per-type frame accounting, so the live
+// overlay engines, the resilience detector, and the chaos tooling can run
+// as N actual processes on localhost or a LAN. The simulated transport
+// (internal/transport) stays the reference for experiments — it is pure
+// and byte-identical per seed — while this plane trades that purity for
+// wall-clock reality: real sockets, real timeouts, real RTTs feeding the
+// same metrics types. It does not imitate the simulator's Messenger; the
+// one thing the two planes share is the failure-detection seam, which
+// internal/livenode bridges with a small adapter over Call("fd_ping").
 //
 // The package splits into four pieces:
 //
 //	wire.go  — the length-prefixed binary frame codec
 //	book.go  — the peer address book (underlay.HostID → *net.UDPAddr)
-//	net.go   — Net, the Messenger implementation + payload RPC layer
+//	net.go   — Net: payload RPC (Handle/Call, HandleData/SendPayload)
+//	  and frame accounting
 //	realtime.go — Pacer, a wall-clock driver for a sim.Kernel, so
 //	  sim-time components (the resilience failure detector) run
 //	  unmodified against wall time
@@ -29,7 +32,7 @@ import (
 type Kind uint8
 
 const (
-	// KindData is a one-way message (transport.Messenger.Send).
+	// KindData is a one-way message (Net.SendPayload).
 	KindData Kind = iota
 	// KindReq opens a round trip; the receiver must answer with a
 	// KindResp frame echoing the request id.
@@ -64,18 +67,16 @@ type Frame struct {
 	From, To underlay.HostID
 	// ReqID correlates a KindResp with its KindReq. 0 for KindData.
 	ReqID uint64
-	// RespBytes is the auto-reply payload size a KindReq asks for — the
-	// respBytes half of the Messenger.RoundTrip contract, honoured by the
-	// receiver when no handler is registered for Type.
-	RespBytes uint32
-	// Payload carries the application bytes (or size-padding for the
-	// byte-accounting Messenger calls).
+	// Payload carries the application bytes.
 	Payload []byte
 }
 
 const (
 	magic0, magic1 = 'u', 'N'
-	wireVersion    = 1
+	// wireVersion 2 dropped v1's respbytes header field — the reply size
+	// a requester could demand of a handler-less receiver. v1 frames are
+	// rejected with ErrBadVersion.
+	wireVersion = 2
 
 	// inlineType marks a message type encoded as an inline string rather
 	// than a table id.
@@ -86,8 +87,8 @@ const (
 	MaxPayload = 60000
 
 	// headerLen is the fixed part of the encoding: magic(2) version(1)
-	// kind(1) typeid(1) from(4) to(4) reqid(8) respbytes(4) paylen(4).
-	headerLen = 2 + 1 + 1 + 1 + 4 + 4 + 8 + 4 + 4
+	// kind(1) typeid(1) from(4) to(4) reqid(8) paylen(4).
+	headerLen = 2 + 1 + 1 + 1 + 4 + 4 + 8 + 4
 )
 
 // typeTable is the static registry of well-known message types: the
@@ -148,7 +149,6 @@ func AppendFrame(buf []byte, f *Frame) ([]byte, error) {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(int32(f.From)))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(int32(f.To)))
 	buf = binary.BigEndian.AppendUint64(buf, f.ReqID)
-	buf = binary.BigEndian.AppendUint32(buf, f.RespBytes)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(f.Payload)))
 	buf = append(buf, f.Payload...)
 	return buf, nil
@@ -190,15 +190,14 @@ func DecodeFrame(b []byte) (Frame, error) {
 	default:
 		return f, ErrBadType
 	}
-	if len(rest) < 4+4+8+4+4 {
+	if len(rest) < 4+4+8+4 {
 		return f, ErrTruncated
 	}
 	f.From = underlay.HostID(int32(binary.BigEndian.Uint32(rest[0:4])))
 	f.To = underlay.HostID(int32(binary.BigEndian.Uint32(rest[4:8])))
 	f.ReqID = binary.BigEndian.Uint64(rest[8:16])
-	f.RespBytes = binary.BigEndian.Uint32(rest[16:20])
-	payLen := binary.BigEndian.Uint32(rest[20:24])
-	rest = rest[24:]
+	payLen := binary.BigEndian.Uint32(rest[16:20])
+	rest = rest[20:]
 	if payLen > MaxPayload {
 		return f, ErrTooLarge
 	}

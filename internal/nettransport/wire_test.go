@@ -2,20 +2,33 @@ package nettransport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 )
 
 func frameEqual(a, b *Frame) bool {
 	return a.Kind == b.Kind && a.Type == b.Type && a.From == b.From &&
-		a.To == b.To && a.ReqID == b.ReqID && a.RespBytes == b.RespBytes &&
-		bytes.Equal(a.Payload, b.Payload)
+		a.To == b.To && a.ReqID == b.ReqID && bytes.Equal(a.Payload, b.Payload)
+}
+
+// v1Frame is a well-formed wire-version-1 fd_ping request — the layout
+// that still carried the respbytes field, here asking for a MaxPayload
+// reply to a 29-byte datagram.
+func v1Frame() []byte {
+	b := []byte{magic0, magic1, 1, byte(KindReq), typeIDs["fd_ping"]}
+	b = binary.BigEndian.AppendUint32(b, 1)          // from
+	b = binary.BigEndian.AppendUint32(b, 2)          // to
+	b = binary.BigEndian.AppendUint64(b, 9)          // reqid
+	b = binary.BigEndian.AppendUint32(b, MaxPayload) // respbytes
+	b = binary.BigEndian.AppendUint32(b, 0)          // paylen
+	return b
 }
 
 func TestWireRoundTrip(t *testing.T) {
 	cases := []Frame{
 		{Kind: KindData, Type: "data", From: 0, To: 1},
-		{Kind: KindReq, Type: "fd_ping", From: 3, To: 7, ReqID: 42, RespBytes: 64},
+		{Kind: KindReq, Type: "fd_ping", From: 3, To: 7, ReqID: 42, Payload: make([]byte, 32)},
 		{Kind: KindResp, Type: "fd_ack", From: 7, To: 3, ReqID: 42, Payload: make([]byte, 64)},
 		{Kind: KindReq, Type: "kad:find_node", From: 1, To: 2, ReqID: 1, Payload: []byte("key")},
 		// A type outside the static table must travel inline.
@@ -62,6 +75,7 @@ func TestWireDecodeErrors(t *testing.T) {
 		{"short", []byte{magic0, magic1}, ErrTruncated},
 		{"magic", append([]byte("XX"), good[2:]...), ErrBadMagic},
 		{"version", append([]byte{magic0, magic1, 99}, good[3:]...), ErrBadVersion},
+		{"v1 frame", v1Frame(), ErrBadVersion},
 		{"type id", append(append([]byte{}, good[:4]...), 200), ErrBadType},
 		{"truncated payload", good[:len(good)-1], ErrTruncated},
 	}

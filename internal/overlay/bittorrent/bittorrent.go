@@ -13,6 +13,7 @@ import (
 
 	"unap2p/internal/core"
 	"unap2p/internal/metrics"
+	"unap2p/internal/resilience"
 	"unap2p/internal/transport"
 	"unap2p/internal/underlay"
 )
@@ -84,9 +85,8 @@ type Swarm struct {
 	peers []*Peer
 	r     *rand.Rand
 	sel   core.Selector
-	// suspected and evicted track failure-detector verdicts (see
-	// heal.go); nil until the resilience layer delivers one.
-	suspected, evicted map[underlay.HostID]bool
+	// Ledger records the failure detector's evictions (see heal.go).
+	resilience.Ledger
 }
 
 // NewSwarm creates an empty swarm sending through tr. A non-nil selector

@@ -1,8 +1,6 @@
 package bittorrent
 
 import (
-	"sort"
-
 	"unap2p/internal/resilience"
 	"unap2p/internal/underlay"
 )
@@ -15,27 +13,12 @@ import (
 
 var _ resilience.Healer = (*Swarm)(nil)
 
-// Suspect records an advisory verdict; the peer keeps its connections
-// until eviction because suspicion can be recanted (Round already
-// skips offline peers).
-func (s *Swarm) Suspect(id underlay.HostID) {
-	if s.suspected == nil {
-		s.suspected = make(map[underlay.HostID]bool)
-	}
-	s.suspected[id] = true
-}
-
 // Evict removes the dead peer from every neighbor set and refills the
 // affected peers' sets. Idempotent.
 func (s *Swarm) Evict(id underlay.HostID) {
-	if s.evicted[id] {
+	if !s.MarkEvicted(id) {
 		return
 	}
-	if s.evicted == nil {
-		s.evicted = make(map[underlay.HostID]bool)
-	}
-	s.evicted[id] = true
-	delete(s.suspected, id)
 	var victim *Peer
 	var affected []*Peer
 	for _, p := range s.peers {
@@ -58,7 +41,7 @@ func (s *Swarm) Evict(id underlay.HostID) {
 	// for replacements (join order — the order `affected` was built in
 	// — keeps the repair deterministic).
 	for _, p := range affected {
-		if p.Host.Up && !s.evicted[p.Host.ID] {
+		if p.Host.Up && !s.IsEvicted(p.Host.ID) {
 			s.refill(p)
 		}
 	}
@@ -79,7 +62,7 @@ func (s *Swarm) refill(p *Peer) {
 	}
 	var candidates []*Peer
 	for _, q := range s.peers {
-		if q == p || !q.Host.Up || s.evicted[q.Host.ID] {
+		if q == p || !q.Host.Up || s.IsEvicted(q.Host.ID) {
 			continue
 		}
 		candidates = append(candidates, q)
@@ -112,16 +95,6 @@ func (s *Swarm) refill(p *Peer) {
 	}
 }
 
-// Evicted returns the peers evicted so far, sorted.
-func (s *Swarm) Evicted() []underlay.HostID {
-	out := make([]underlay.HostID, 0, len(s.evicted))
-	for id := range s.evicted {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Refs returns every peer referenced by a neighbor set (deduped,
 // sorted) — the reference set chaos invariants sweep for dead peers.
 func (s *Swarm) Refs() []underlay.HostID {
@@ -131,12 +104,7 @@ func (s *Swarm) Refs() []underlay.HostID {
 			set[q.Host.ID] = true
 		}
 	}
-	out := make([]underlay.HostID, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return underlay.SortedIDs(set)
 }
 
 // NeighborCount reports p's current neighbor-set size (introspection

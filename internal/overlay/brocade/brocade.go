@@ -13,6 +13,7 @@ import (
 
 	"unap2p/internal/core"
 	"unap2p/internal/metrics"
+	"unap2p/internal/resilience"
 	"unap2p/internal/sim"
 	"unap2p/internal/transport"
 	"unap2p/internal/underlay"
@@ -36,9 +37,8 @@ type Overlay struct {
 	// policy Build ran with.
 	groups map[int][]*underlay.Host
 	sel    core.Selector
-	// suspected and evicted track failure-detector verdicts (see
-	// heal.go); nil until the resilience layer delivers one.
-	suspected, evicted map[underlay.HostID]bool
+	// Ledger records the failure detector's evictions (see heal.go).
+	resilience.Ledger
 }
 
 // Build elects one supernode per AS that has members via the selector's

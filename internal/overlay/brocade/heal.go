@@ -1,8 +1,6 @@
 package brocade
 
 import (
-	"sort"
-
 	"unap2p/internal/resilience"
 	"unap2p/internal/underlay"
 )
@@ -16,27 +14,10 @@ import (
 
 var _ resilience.Healer = (*Overlay)(nil)
 
-// Suspect records an advisory verdict; the landmark overlay is
-// untouched until eviction because suspicion can be recanted.
-func (o *Overlay) Suspect(id underlay.HostID) {
-	if o.suspected == nil {
-		o.suspected = make(map[underlay.HostID]bool)
-	}
-	o.suspected[id] = true
-}
-
 // Evict removes the dead peer from membership and, if it was an AS
 // landmark, re-elects. Idempotent.
 func (o *Overlay) Evict(id underlay.HostID) {
-	if o.evicted[id] {
-		return
-	}
-	if o.evicted == nil {
-		o.evicted = make(map[underlay.HostID]bool)
-	}
-	o.evicted[id] = true
-	delete(o.suspected, id)
-	if !o.members[id] {
+	if !o.MarkEvicted(id) || !o.members[id] {
 		return
 	}
 	delete(o.members, id)
@@ -60,7 +41,7 @@ func (o *Overlay) Evict(id underlay.HostID) {
 func (o *Overlay) reelect(asID int) {
 	var alive []*underlay.Host
 	for _, h := range o.groups[asID] {
-		if h.Up && !o.evicted[h.ID] {
+		if h.Up && !o.IsEvicted(h.ID) {
 			alive = append(alive, h)
 		}
 	}
@@ -77,16 +58,6 @@ func (o *Overlay) reelect(asID int) {
 	o.supernodes[asID] = super.ID
 }
 
-// Evicted returns the peers evicted so far, sorted.
-func (o *Overlay) Evicted() []underlay.HostID {
-	out := make([]underlay.HostID, 0, len(o.evicted))
-	for id := range o.evicted {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Refs returns every peer the landmark overlay routes through — the
 // elected supernodes — deduped and sorted: the reference set chaos
 // invariants sweep for dead peers.
@@ -95,10 +66,5 @@ func (o *Overlay) Refs() []underlay.HostID {
 	for _, id := range o.supernodes {
 		set[id] = true
 	}
-	out := make([]underlay.HostID, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return underlay.SortedIDs(set)
 }

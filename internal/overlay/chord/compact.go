@@ -229,9 +229,6 @@ func (c *CompactRing) Query(origin underlay.PeerID, seed uint64, onDone func(meg
 	c.iter.Start(origin, megascale.Mix64(seed), onDone)
 }
 
-// Stats aggregates the per-shard lookup counters. Barrier-safe.
-func (c *CompactRing) Stats() megascale.Stats { return c.ctr.Stats() }
-
 // MegaStats implements megascale.CompactOverlay.
 func (c *CompactRing) MegaStats() megascale.Stats { return c.ctr.Stats() }
 

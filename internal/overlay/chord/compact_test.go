@@ -90,7 +90,7 @@ func TestCompactRingLookupExact(t *testing.T) {
 		})
 	}
 	net.Kernel().Drain()
-	st := c.Stats()
+	st := c.MegaStats()
 	if st.Done != uint64(pt.Len()) {
 		t.Fatalf("completed %d of %d lookups", st.Done, pt.Len())
 	}
@@ -123,7 +123,7 @@ func TestCompactRingDeterministicAcrossK(t *testing.T) {
 			})
 		}
 		end := net.Kernel().Run(2000)
-		return c.Stats(), net.Stats(), end
+		return c.MegaStats(), net.Stats(), end
 	}
 	s1, n1, e1 := run(1)
 	s1b, n1b, e1b := run(1)
@@ -183,7 +183,7 @@ func TestCompactRingAwareFingers(t *testing.T) {
 		})
 	}
 	anet.Kernel().Drain()
-	if rate := aware.Stats().SuccessRate(); rate != 1 {
+	if rate := aware.MegaStats().SuccessRate(); rate != 1 {
 		t.Fatalf("aware ring exact rate %.4f != 1.0 on a static ring", rate)
 	}
 }

@@ -1,8 +1,6 @@
 package chord
 
 import (
-	"sort"
-
 	"unap2p/internal/resilience"
 	"unap2p/internal/underlay"
 )
@@ -16,26 +14,12 @@ import (
 
 var _ resilience.Healer = (*Ring)(nil)
 
-// Suspect records an advisory verdict; ring state is untouched until
-// eviction because suspicion can be recanted.
-func (c *Ring) Suspect(id underlay.HostID) {
-	if c.suspected == nil {
-		c.suspected = make(map[underlay.HostID]bool)
-	}
-	c.suspected[id] = true
-}
-
 // Evict removes the dead node and repairs successors and fingers.
 // Idempotent.
 func (c *Ring) Evict(id underlay.HostID) {
-	if c.evicted[id] {
+	if !c.MarkEvicted(id) {
 		return
 	}
-	if c.evicted == nil {
-		c.evicted = make(map[underlay.HostID]bool)
-	}
-	c.evicted[id] = true
-	delete(c.suspected, id)
 	idx := -1
 	var dead *Node
 	for i, n := range c.nodes {
@@ -80,16 +64,6 @@ func (c *Ring) Evict(id underlay.HostID) {
 	}
 }
 
-// Evicted returns the nodes evicted so far, sorted by host id.
-func (c *Ring) Evicted() []underlay.HostID {
-	out := make([]underlay.HostID, 0, len(c.evicted))
-	for id := range c.evicted {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Refs returns every peer referenced by a successor list or finger
 // table (deduped, sorted) — the reference set chaos invariants sweep
 // for dead peers.
@@ -105,10 +79,5 @@ func (c *Ring) Refs() []underlay.HostID {
 			}
 		}
 	}
-	out := make([]underlay.HostID, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return underlay.SortedIDs(set)
 }

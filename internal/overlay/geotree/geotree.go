@@ -13,6 +13,7 @@ import (
 	"unap2p/internal/core"
 	"unap2p/internal/geo"
 	"unap2p/internal/metrics"
+	"unap2p/internal/resilience"
 	"unap2p/internal/sim"
 	"unap2p/internal/transport"
 	"unap2p/internal/underlay"
@@ -56,9 +57,8 @@ type Tree struct {
 	root  *zone
 	where map[underlay.HostID]*zone
 	sel   core.Selector
-	// suspected and evicted track failure-detector verdicts (see
-	// heal.go); nil until the resilience layer delivers one.
-	suspected, evicted map[underlay.HostID]bool
+	// Ledger records the failure detector's evictions (see heal.go).
+	resilience.Ledger
 }
 
 // New creates a tree covering the whole globe, sending through tr. The

@@ -1,8 +1,6 @@
 package geotree
 
 import (
-	"sort"
-
 	"unap2p/internal/resilience"
 	"unap2p/internal/underlay"
 )
@@ -17,26 +15,12 @@ import (
 
 var _ resilience.Healer = (*Tree)(nil)
 
-// Suspect records an advisory verdict; the tree is untouched until
-// eviction because suspicion can be recanted.
-func (t *Tree) Suspect(id underlay.HostID) {
-	if t.suspected == nil {
-		t.suspected = make(map[underlay.HostID]bool)
-	}
-	t.suspected[id] = true
-}
-
 // Evict deregisters the dead peer and repairs every zone it
 // supervised. Idempotent.
 func (t *Tree) Evict(id underlay.HostID) {
-	if t.evicted[id] {
+	if !t.MarkEvicted(id) {
 		return
 	}
-	if t.evicted == nil {
-		t.evicted = make(map[underlay.HostID]bool)
-	}
-	t.evicted[id] = true
-	delete(t.suspected, id)
 	t.Remove(t.U.Host(id))
 	var walk func(z *zone)
 	walk = func(z *zone) {
@@ -59,7 +43,7 @@ func (t *Tree) reassign(z *zone) {
 	collect = func(z *zone) {
 		for _, id := range z.members {
 			h := t.U.Host(id)
-			if h.Up && !t.evicted[id] {
+			if h.Up && !t.IsEvicted(id) {
 				hosts = append(hosts, h)
 			}
 		}
@@ -82,16 +66,6 @@ func (t *Tree) reassign(z *zone) {
 	z.hasSuper = true
 }
 
-// Evicted returns the peers evicted so far, sorted.
-func (t *Tree) Evicted() []underlay.HostID {
-	out := make([]underlay.HostID, 0, len(t.evicted))
-	for id := range t.evicted {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Refs returns every peer referenced by the tree — zone members and
 // supervisors at every level — deduped and sorted: the reference set
 // chaos invariants sweep for dead peers.
@@ -110,10 +84,5 @@ func (t *Tree) Refs() []underlay.HostID {
 		}
 	}
 	walk(t.root)
-	out := make([]underlay.HostID, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return underlay.SortedIDs(set)
 }

@@ -450,9 +450,6 @@ func (g *CompactFlood) Potential() uint64 {
 	return n
 }
 
-// Stats aggregates the per-shard query counters. Barrier-safe.
-func (g *CompactFlood) Stats() megascale.Stats { return g.ctr.Stats() }
-
 // MegaStats implements megascale.CompactOverlay.
 func (g *CompactFlood) MegaStats() megascale.Stats { return g.ctr.Stats() }
 

@@ -123,7 +123,7 @@ func TestCompactFloodQueryStatic(t *testing.T) {
 		})
 	}
 	net.Kernel().Drain()
-	st := g.Stats()
+	st := g.MegaStats()
 	if st.Done != uint64(pt.Len()) {
 		t.Fatalf("scored %d of %d queries", st.Done, pt.Len())
 	}
@@ -160,7 +160,7 @@ func TestCompactFloodDeterministicAcrossK(t *testing.T) {
 			})
 		}
 		end := net.Kernel().Run(8000)
-		return g.Stats(), g.Potential(), net.Stats(), end
+		return g.MegaStats(), g.Potential(), net.Stats(), end
 	}
 	s1, p1, n1, e1 := run(1)
 	s1b, p1b, n1b, e1b := run(1)

@@ -17,6 +17,7 @@ import (
 
 	"unap2p/internal/core"
 	"unap2p/internal/metrics"
+	"unap2p/internal/resilience"
 	"unap2p/internal/sim"
 	"unap2p/internal/transport"
 	"unap2p/internal/underlay"
@@ -145,9 +146,8 @@ type Overlay struct {
 	r           *rand.Rand
 	guid        uint64
 	pendingHits map[uint64]*SearchResult
-	// suspected and evicted track failure-detector verdicts (see
-	// heal.go); nil until the resilience layer delivers one.
-	suspected, evicted map[underlay.HostID]bool
+	// Ledger records the failure detector's evictions (see heal.go).
+	resilience.Ledger
 }
 
 // New creates an empty overlay sending through tr (which must carry a
@@ -383,18 +383,6 @@ func (o *Overlay) nextGUID() uint64 {
 // latency and whether the message survived fault injection.
 func (o *Overlay) send(kind string, from, to *underlay.Host, bytes uint64) transport.Result {
 	return o.T.Send(from, to, bytes, kind)
-}
-
-// sortedIDs returns a set's members in ascending order. Protocol fan-out
-// iterates over these so that event sequencing — and therefore the whole
-// simulation — is deterministic despite Go's randomized map iteration.
-func sortedIDs(set map[underlay.HostID]bool) []underlay.HostID {
-	out := make([]underlay.HostID, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // HealthStats implements the telemetry HealthReporter hook: live gauges

@@ -230,7 +230,7 @@ func TestLeafRoles(t *testing.T) {
 func TestLeaveDisconnects(t *testing.T) {
 	net, o := build(t, 4, DefaultConfig(), 9)
 	n := o.Node(net.Hosts()[0].ID)
-	nb := sortedIDs(n.neighbors)
+	nb := underlay.SortedIDs(n.neighbors)
 	o.Leave(n)
 	if n.Degree() != 0 {
 		t.Fatal("left node keeps neighbors")

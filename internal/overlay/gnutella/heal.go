@@ -14,33 +14,19 @@ import (
 
 var _ resilience.Healer = (*Overlay)(nil)
 
-// Suspect records an advisory verdict; the node keeps its connections
-// until eviction because suspicion can be recanted.
-func (o *Overlay) Suspect(id underlay.HostID) {
-	if o.suspected == nil {
-		o.suspected = make(map[underlay.HostID]bool)
-	}
-	o.suspected[id] = true
-}
-
 // Evict disconnects the dead peer and repairs the two-tier topology.
 // Idempotent.
 func (o *Overlay) Evict(id underlay.HostID) {
-	if o.evicted[id] {
+	if !o.MarkEvicted(id) {
 		return
 	}
-	if o.evicted == nil {
-		o.evicted = make(map[underlay.HostID]bool)
-	}
-	o.evicted[id] = true
-	delete(o.suspected, id)
 	n := o.nodes[id]
 	if n == nil {
 		return
 	}
 	wasUltra := n.Ultra
-	orphans := sortedIDs(n.leaves)
-	backbone := sortedIDs(n.neighbors)
+	orphans := underlay.SortedIDs(n.leaves)
+	backbone := underlay.SortedIDs(n.neighbors)
 	o.Leave(n)
 	if !wasUltra {
 		return
@@ -58,7 +44,7 @@ func (o *Overlay) Evict(id underlay.HostID) {
 	// is wired) to find new parents.
 	for _, lid := range orphans {
 		leaf := o.nodes[lid]
-		if leaf != nil && leaf.Host.Up && !o.evicted[lid] && !leaf.Ultra {
+		if leaf != nil && leaf.Host.Up && !o.IsEvicted(lid) && !leaf.Ultra {
 			o.Join(leaf)
 		}
 	}
@@ -66,7 +52,7 @@ func (o *Overlay) Evict(id underlay.HostID) {
 	// degree re-join to refill their connection budget.
 	for _, nb := range backbone {
 		m := o.nodes[nb]
-		if m != nil && m.Host.Up && !o.evicted[nb] && m.Ultra && m.Degree() < o.Cfg.UltraDegree {
+		if m != nil && m.Host.Up && !o.IsEvicted(nb) && m.Ultra && m.Degree() < o.Cfg.UltraDegree {
 			o.Join(m)
 		}
 	}
@@ -77,7 +63,7 @@ func (o *Overlay) Evict(id underlay.HostID) {
 func (o *Overlay) hasLiveUltra(asID int) bool {
 	for _, id := range o.order {
 		n := o.nodes[id]
-		if n.Ultra && n.Host.Up && !o.evicted[id] && n.Host.AS.ID == asID {
+		if n.Ultra && n.Host.Up && !o.IsEvicted(id) && n.Host.AS.ID == asID {
 			return true
 		}
 	}
@@ -91,7 +77,7 @@ func (o *Overlay) electUltra(asID int) *Node {
 	var candidates []*underlay.Host
 	for _, id := range o.order {
 		n := o.nodes[id]
-		if !n.Ultra && n.Host.Up && !o.evicted[id] && n.Host.AS.ID == asID {
+		if !n.Ultra && n.Host.Up && !o.IsEvicted(id) && n.Host.AS.ID == asID {
 			candidates = append(candidates, n.Host)
 		}
 	}
@@ -112,11 +98,6 @@ func (o *Overlay) electUltra(asID int) *Node {
 	return o.nodes[best.ID]
 }
 
-// Evicted returns the peers evicted so far, sorted.
-func (o *Overlay) Evicted() []underlay.HostID {
-	return sortedIDs(o.evicted)
-}
-
 // Refs returns every peer referenced by a connection set — ultrapeer
 // neighbors, leaf attachments, leaf parents — deduped and sorted: the
 // reference set chaos invariants sweep for dead peers.
@@ -134,5 +115,5 @@ func (o *Overlay) Refs() []underlay.HostID {
 			set[p] = true
 		}
 	}
-	return sortedIDs(set)
+	return underlay.SortedIDs(set)
 }

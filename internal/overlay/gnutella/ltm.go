@@ -47,7 +47,7 @@ func (o *Overlay) AdaptRound(cfg AdaptConfig) int {
 		// Measure current neighbors (one probe pair each).
 		var worst underlay.HostID
 		worstRTT := -1.0
-		for _, nb := range sortedIDs(n.neighbors) {
+		for _, nb := range underlay.SortedIDs(n.neighbors) {
 			peer := o.nodes[nb]
 			if !peer.Host.Up {
 				continue

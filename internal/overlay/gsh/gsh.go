@@ -17,6 +17,7 @@ import (
 	"unap2p/internal/core"
 	"unap2p/internal/geo"
 	"unap2p/internal/metrics"
+	"unap2p/internal/resilience"
 	"unap2p/internal/sim"
 	"unap2p/internal/transport"
 	"unap2p/internal/underlay"
@@ -99,9 +100,8 @@ type Overlay struct {
 	// deterministic rendezvous.
 	members []map[ZoneCode][]underlay.HostID
 	sel     core.Selector
-	// suspected and evicted track failure-detector verdicts (see
-	// heal.go); nil until the resilience layer delivers one.
-	suspected, evicted map[underlay.HostID]bool
+	// Ledger records the failure detector's evictions (see heal.go).
+	resilience.Ledger
 }
 
 // New creates an empty overlay sending through tr. The selector's

@@ -17,26 +17,12 @@ import (
 
 var _ resilience.Healer = (*Overlay)(nil)
 
-// Suspect records an advisory verdict; membership is untouched until
-// eviction because suspicion can be recanted.
-func (o *Overlay) Suspect(id underlay.HostID) {
-	if o.suspected == nil {
-		o.suspected = make(map[underlay.HostID]bool)
-	}
-	o.suspected[id] = true
-}
-
 // Evict removes the dead peer from the hierarchy and re-homes the
 // registry entries it was responsible for. Idempotent.
 func (o *Overlay) Evict(id underlay.HostID) {
-	if o.evicted[id] {
+	if !o.MarkEvicted(id) {
 		return
 	}
-	if o.evicted == nil {
-		o.evicted = make(map[underlay.HostID]bool)
-	}
-	o.evicted[id] = true
-	delete(o.suspected, id)
 	dead, ok := o.nodes[id]
 	if !ok {
 		return
@@ -86,7 +72,7 @@ func (o *Overlay) Evict(id underlay.HostID) {
 		for _, k := range keys {
 			for _, holder := range dead.registry[l][k] {
 				h := o.T.Underlay().Host(holder)
-				if !h.Up || o.evicted[holder] {
+				if !h.Up || o.IsEvicted(holder) {
 					continue
 				}
 				o.reRegister(l, h, k)
@@ -119,16 +105,6 @@ func (o *Overlay) reRegister(level int, holder *underlay.Host, k Key) {
 	rn.registry[level][k] = append(rn.registry[level][k], holder.ID)
 }
 
-// Evicted returns the peers evicted so far, sorted.
-func (o *Overlay) Evicted() []underlay.HostID {
-	out := make([]underlay.HostID, 0, len(o.evicted))
-	for id := range o.evicted {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Refs returns every peer referenced by zone membership or a holder
 // list (deduped, sorted) — the reference set chaos invariants sweep
 // for dead peers.
@@ -150,10 +126,5 @@ func (o *Overlay) Refs() []underlay.HostID {
 			}
 		}
 	}
-	out := make([]underlay.HostID, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return underlay.SortedIDs(set)
 }

@@ -92,9 +92,6 @@ func NewCompact(net *transport.ShardedNet, cfg CompactConfig, seed uint64, reqCl
 	return d
 }
 
-// mix64 is the splitmix64 finalizer.
-func mix64(x uint64) uint64 { return megascale.Mix64(x) }
-
 // ID returns peer p's node id.
 func (d *CompactDHT) ID(p underlay.PeerID) NodeID { return d.ids[p] }
 
@@ -195,69 +192,10 @@ func (d *CompactDHT) ClosestGlobal(target NodeID) NodeID {
 	return NodeID(d.space.ClosestXOR(uint64(target)))
 }
 
-// CompactResult reports one completed lookup.
-type CompactResult struct {
-	Origin underlay.PeerID
-	Target NodeID
-	// Best is the closest node id found.
-	Best NodeID
-	// Exact reports whether Best is the globally XOR-closest id.
-	Exact bool
-	// Hops is the number of request/reply round trips used.
-	Hops int
-}
-
-// Lookup starts an iterative α-parallel lookup for target from peer
-// origin. It must be invoked on origin's owning shard (schedule it
-// there). onDone, which may be nil, runs on origin's shard when the
-// lookup converges.
-func (d *CompactDHT) Lookup(origin underlay.PeerID, target NodeID, onDone func(CompactResult)) {
-	var wrap func(megascale.Result)
-	if onDone != nil {
-		wrap = func(r megascale.Result) {
-			onDone(CompactResult{
-				Origin: r.Origin, Target: target,
-				Best: d.ids[r.Best], Exact: r.OK, Hops: r.Hops,
-			})
-		}
-	}
-	d.iter.Start(origin, uint64(target), wrap)
-}
-
 // Query implements megascale.CompactOverlay: one lookup for a
 // pseudo-random target derived from the per-request seed.
 func (d *CompactDHT) Query(origin underlay.PeerID, seed uint64, onDone func(megascale.Result)) {
 	d.iter.Start(origin, megascale.Mix64(seed), onDone)
-}
-
-// CompactStats aggregates lookup counters across shards. Safe at barriers
-// or after a run.
-type CompactStats struct {
-	Started, Done, Exact uint64
-	Hops                 uint64
-}
-
-// SuccessRate is the fraction of completed lookups that found the exact
-// globally closest id.
-func (s CompactStats) SuccessRate() float64 {
-	if s.Done == 0 {
-		return 0
-	}
-	return float64(s.Exact) / float64(s.Done)
-}
-
-// MeanHops is the average round trips per completed lookup.
-func (s CompactStats) MeanHops() float64 {
-	if s.Done == 0 {
-		return 0
-	}
-	return float64(s.Hops) / float64(s.Done)
-}
-
-// Stats aggregates the per-shard lookup counters.
-func (d *CompactDHT) Stats() CompactStats {
-	s := d.ctr.Stats()
-	return CompactStats{Started: s.Started, Done: s.Done, Exact: s.OK, Hops: s.Hops}
 }
 
 // MegaStats aggregates the shared runtime counters

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"unap2p/internal/churn"
+	"unap2p/internal/megascale"
 	"unap2p/internal/sim"
 	"unap2p/internal/transport"
 	"unap2p/internal/underlay"
@@ -62,7 +63,7 @@ func TestCompactClosestGlobalExact(t *testing.T) {
 	d, _ := buildCompact(t, 16, 1, 3)
 	// Brute force ground truth for a spread of targets.
 	for i := 0; i < 200; i++ {
-		target := NodeID(mix64(uint64(i) ^ 0xfeed))
+		target := NodeID(megascale.Mix64(uint64(i) ^ 0xfeed))
 		var best NodeID
 		bd := ^uint64(0)
 		for p := range d.ids {
@@ -83,13 +84,12 @@ func TestCompactLookupConverges(t *testing.T) {
 	pt := net.Peers()
 	for p := 0; p < pt.Len(); p++ {
 		p := underlay.PeerID(p)
-		target := NodeID(mix64(uint64(p) ^ 0xabcd))
 		net.Kernel().Shard(net.ShardOf(p)).Schedule(sim.Duration(p)/16, func() {
-			d.Lookup(p, target, nil)
+			d.Query(p, uint64(p)^0xabcd, nil)
 		})
 	}
 	net.Kernel().Drain()
-	st := d.Stats()
+	st := d.MegaStats()
 	if st.Done != uint64(pt.Len()) {
 		t.Fatalf("completed %d of %d lookups", st.Done, pt.Len())
 	}
@@ -107,7 +107,7 @@ func TestCompactLookupConverges(t *testing.T) {
 // TestCompactLookupDeterministicPerK pins that two identical runs (same
 // seed, same K) produce identical lookup stats and traffic totals.
 func TestCompactLookupDeterministicPerK(t *testing.T) {
-	run := func() (CompactStats, transport.NetStats, sim.Time) {
+	run := func() (megascale.Stats, transport.NetStats, sim.Time) {
 		d, net := buildCompact(t, 24, 4, 21)
 		pt := net.Peers()
 		drv := &churn.ShardDriver{
@@ -118,13 +118,12 @@ func TestCompactLookupDeterministicPerK(t *testing.T) {
 		drv.Start()
 		for p := 0; p < pt.Len(); p += 3 {
 			p := underlay.PeerID(p)
-			target := NodeID(mix64(uint64(p) ^ 0x777))
 			net.Kernel().Shard(net.ShardOf(p)).Schedule(sim.Duration(p), func() {
-				d.Lookup(p, target, nil)
+				d.Query(p, uint64(p)^0x777, nil)
 			})
 		}
 		end := net.Kernel().Run(2000)
-		return d.Stats(), net.Stats(), end
+		return d.MegaStats(), net.Stats(), end
 	}
 	s1, n1, e1 := run()
 	s2, n2, e2 := run()

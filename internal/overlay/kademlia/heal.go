@@ -1,8 +1,6 @@
 package kademlia
 
 import (
-	"sort"
-
 	"unap2p/internal/resilience"
 	"unap2p/internal/underlay"
 )
@@ -15,27 +13,12 @@ import (
 
 var _ resilience.Healer = (*DHT)(nil)
 
-// Suspect records an advisory verdict. Suspected contacts stay in the
-// routing tables (suspicion can be recanted) but are visible to
-// introspection; lookups already route around unresponsive peers.
-func (d *DHT) Suspect(id underlay.HostID) {
-	if d.suspected == nil {
-		d.suspected = make(map[underlay.HostID]bool)
-	}
-	d.suspected[id] = true
-}
-
 // Evict removes the peer from every node's routing table and promotes
 // replacement-cache entries into the freed slots. Idempotent.
 func (d *DHT) Evict(id underlay.HostID) {
-	if d.evicted[id] {
+	if !d.MarkEvicted(id) {
 		return
 	}
-	if d.evicted == nil {
-		d.evicted = make(map[underlay.HostID]bool)
-	}
-	d.evicted[id] = true
-	delete(d.suspected, id)
 	dead := d.nodes[id]
 	if dead == nil {
 		return
@@ -47,9 +30,6 @@ func (d *DHT) Evict(id underlay.HostID) {
 	}
 }
 
-// Evicted returns the peers evicted so far, sorted.
-func (d *DHT) Evicted() []underlay.HostID { return sortedHostIDs(d.evicted) }
-
 // Refs returns every peer referenced by any routing table (deduped,
 // sorted) — the reference set chaos invariants sweep for dead peers.
 func (d *DHT) Refs() []underlay.HostID {
@@ -59,16 +39,7 @@ func (d *DHT) Refs() []underlay.HostID {
 			set[c.Host] = true
 		}
 	}
-	return sortedHostIDs(set)
-}
-
-func sortedHostIDs(set map[underlay.HostID]bool) []underlay.HostID {
-	out := make([]underlay.HostID, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return underlay.SortedIDs(set)
 }
 
 // stash parks a contact in the bucket's replacement cache (newest last,
@@ -118,7 +89,7 @@ func (n *Node) promote(idx int) {
 	bestLat := 0.0
 	for i, c := range n.spares[idx] {
 		h := d.U.Host(c.Host)
-		if !h.Up || d.evicted[c.Host] {
+		if !h.Up || d.IsEvicted(c.Host) {
 			continue
 		}
 		if d.sel == nil {

@@ -19,6 +19,7 @@ import (
 
 	"unap2p/internal/core"
 	"unap2p/internal/metrics"
+	"unap2p/internal/resilience"
 	"unap2p/internal/transport"
 	"unap2p/internal/underlay"
 )
@@ -95,9 +96,8 @@ type DHT struct {
 	sorted []*Node // by NodeID, for deterministic iteration
 	r      *rand.Rand
 	sel    core.Selector
-	// suspected and evicted track failure-detector verdicts (see
-	// heal.go); nil until the resilience layer delivers one.
-	suspected, evicted map[underlay.HostID]bool
+	// Ledger records the failure detector's evictions (see heal.go).
+	resilience.Ledger
 }
 
 // New creates an empty DHT sending through tr. A non-nil selector turns

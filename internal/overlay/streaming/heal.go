@@ -1,8 +1,6 @@
 package streaming
 
 import (
-	"sort"
-
 	"unap2p/internal/resilience"
 	"unap2p/internal/underlay"
 )
@@ -17,27 +15,12 @@ import (
 
 var _ resilience.Healer = (*Mesh)(nil)
 
-// Suspect records an advisory verdict; the mesh is untouched until
-// eviction because suspicion can be recanted (Tick already skips
-// offline parents).
-func (m *Mesh) Suspect(id underlay.HostID) {
-	if m.suspected == nil {
-		m.suspected = make(map[underlay.HostID]bool)
-	}
-	m.suspected[id] = true
-}
-
 // Evict removes the dead peer as a parent everywhere and re-attaches
 // the orphaned children. Idempotent.
 func (m *Mesh) Evict(id underlay.HostID) {
-	if m.evicted[id] {
+	if !m.MarkEvicted(id) {
 		return
 	}
-	if m.evicted == nil {
-		m.evicted = make(map[underlay.HostID]bool)
-	}
-	m.evicted[id] = true
-	delete(m.suspected, id)
 	var orphans []*Peer
 	for _, p := range m.peers {
 		for i, parent := range p.parents {
@@ -54,7 +37,7 @@ func (m *Mesh) Evict(id underlay.HostID) {
 	// Parent re-attach in join order (the order orphans was built in)
 	// keeps the RNG draw sequence deterministic.
 	for _, p := range orphans {
-		if p.Host.Up && !m.evicted[p.Host.ID] {
+		if p.Host.Up && !m.IsEvicted(p.Host.ID) {
 			m.reattach(p)
 		}
 	}
@@ -71,7 +54,7 @@ func (m *Mesh) reattach(p *Peer) {
 	var weights []float64
 	var total float64
 	for _, c := range append([]*Peer{m.source}, m.peers...) {
-		if seen[c.Host.ID] || !c.Host.Up || m.evicted[c.Host.ID] {
+		if seen[c.Host.ID] || !c.Host.Up || m.IsEvicted(c.Host.ID) {
 			continue
 		}
 		w := 1.0
@@ -104,16 +87,6 @@ func (m *Mesh) reattach(p *Peer) {
 	}
 }
 
-// Evicted returns the peers evicted so far, sorted.
-func (m *Mesh) Evicted() []underlay.HostID {
-	out := make([]underlay.HostID, 0, len(m.evicted))
-	for id := range m.evicted {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Refs returns every peer referenced as a parent (deduped, sorted) —
 // the reference set chaos invariants sweep for dead peers.
 func (m *Mesh) Refs() []underlay.HostID {
@@ -123,12 +96,7 @@ func (m *Mesh) Refs() []underlay.HostID {
 			set[parent.Host.ID] = true
 		}
 	}
-	out := make([]underlay.HostID, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return underlay.SortedIDs(set)
 }
 
 // ParentCount reports p's current parent-set size (introspection for

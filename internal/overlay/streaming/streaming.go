@@ -13,6 +13,7 @@ import (
 
 	"unap2p/internal/core"
 	"unap2p/internal/metrics"
+	"unap2p/internal/resilience"
 	"unap2p/internal/transport"
 	"unap2p/internal/underlay"
 )
@@ -83,9 +84,8 @@ type Mesh struct {
 	tick   int
 	r      *rand.Rand
 	sel    core.Selector
-	// suspected and evicted track failure-detector verdicts (see
-	// heal.go); nil until the resilience layer delivers one.
-	suspected, evicted map[underlay.HostID]bool
+	// Ledger records the failure detector's evictions (see heal.go).
+	resilience.Ledger
 }
 
 // NewMesh creates a session rooted at the source host, sending through

@@ -2,7 +2,6 @@ package resilience
 
 import (
 	"fmt"
-	"sort"
 
 	"unap2p/internal/metrics"
 	"unap2p/internal/sim"
@@ -27,6 +26,16 @@ import (
 type Healer interface {
 	Suspect(id underlay.HostID)
 	Evict(id underlay.HostID)
+}
+
+// Pinger is the one transport verb the detector uses: a request/reply
+// exchange between two hosts under a caller-supplied retry policy.
+// *transport.Transport satisfies it as-is; the real-socket plane supplies
+// a small adapter over its payload RPC (internal/livenode) rather than
+// imitating the whole simulated transport.
+type Pinger interface {
+	RoundTripWith(p transport.RetryPolicy, from, to *underlay.Host,
+		reqBytes, respBytes uint64, reqType, respType string) transport.Result
 }
 
 // Config tunes a Detector.
@@ -75,7 +84,7 @@ type watch struct {
 
 // Detector is a sim-time ping/timeout failure detector. Each Watch
 // probes a target from a vantage host with real fd_ping/fd_ack round
-// trips over the shared transport (counted, charged, fault-injectable);
+// trips through its Pinger (counted, charged, fault-injectable);
 // deadline events live on the sim kernel as daemon timers so pending
 // pings never keep an unbounded Run alive. Consecutive missed acks
 // escalate Suspect → Evict through the registered callbacks; a late ack
@@ -84,7 +93,7 @@ type watch struct {
 // A Detector is driven by the single kernel goroutine and is not
 // goroutine-safe, like everything else in the simulation.
 type Detector struct {
-	T   transport.Messenger
+	T   Pinger
 	K   *sim.Kernel
 	Cfg Config
 
@@ -96,15 +105,16 @@ type Detector struct {
 
 	watches   map[watchKey]*watch
 	suspected map[underlay.HostID]bool
-	evicted   map[underlay.HostID]bool
+	dead      Ledger
 	msgs      *metrics.CounterSet
 }
 
-// New builds a detector over tr, which must carry a kernel — deadlines
-// are sim-time events.
-func New(tr transport.Messenger, cfg Config) *Detector {
-	if tr.Kernel() == nil {
-		panic("resilience: Detector requires a transport with a kernel")
+// New builds a detector that pings through p and schedules its deadlines
+// on k — sim-time events, or wall-clock ones when k is paced
+// (nettransport.Pacer).
+func New(p Pinger, k *sim.Kernel, cfg Config) *Detector {
+	if k == nil {
+		panic("resilience: Detector requires a kernel")
 	}
 	if cfg.PingInterval <= 0 {
 		panic("resilience: Config.PingInterval must be positive")
@@ -114,12 +124,11 @@ func New(tr transport.Messenger, cfg Config) *Detector {
 			cfg.SuspectAfter, cfg.EvictAfter))
 	}
 	return &Detector{
-		T:         tr,
-		K:         tr.Kernel(),
+		T:         p,
+		K:         k,
 		Cfg:       cfg,
 		watches:   make(map[watchKey]*watch),
 		suspected: make(map[underlay.HostID]bool),
-		evicted:   make(map[underlay.HostID]bool),
 		msgs:      metrics.NewCounterSet(),
 	}
 }
@@ -152,7 +161,7 @@ func (d *Detector) Counters() *metrics.CounterSet { return d.msgs }
 // pair or an evicted target is a no-op.
 func (d *Detector) Watch(vantage, target *underlay.Host) {
 	key := watchKey{vantage.ID, target.ID}
-	if _, dup := d.watches[key]; dup || d.evicted[target.ID] || vantage.ID == target.ID {
+	if _, dup := d.watches[key]; dup || d.dead.IsEvicted(target.ID) || vantage.ID == target.ID {
 		return
 	}
 	w := &watch{vantage: vantage, target: target}
@@ -177,19 +186,10 @@ func (d *Detector) Watching() int { return len(d.watches) }
 
 // Suspected returns the currently suspected (not yet evicted) peers,
 // sorted.
-func (d *Detector) Suspected() []underlay.HostID { return sortedSet(d.suspected) }
+func (d *Detector) Suspected() []underlay.HostID { return underlay.SortedIDs(d.suspected) }
 
 // Evicted returns every peer the detector has declared dead, sorted.
-func (d *Detector) Evicted() []underlay.HostID { return sortedSet(d.evicted) }
-
-func sortedSet(m map[underlay.HostID]bool) []underlay.HostID {
-	out := make([]underlay.HostID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (d *Detector) Evicted() []underlay.HostID { return d.dead.Evicted() }
 
 func (d *Detector) schedule(w *watch, delay sim.Duration) {
 	w.timer = d.K.AtDaemon(d.K.Now()+delay, func() { d.tick(w) })
@@ -257,10 +257,9 @@ func (d *Detector) ack(w *watch) {
 func (d *Detector) evict(w *watch) {
 	id := w.target.ID
 	d.Unwatch(id)
-	if d.evicted[id] {
+	if !d.dead.MarkEvicted(id) {
 		return
 	}
-	d.evicted[id] = true
 	delete(d.suspected, id)
 	d.msgs.Get("evict").Inc()
 	if d.OnEvict != nil {
@@ -279,7 +278,7 @@ func (d *Detector) HealthStats() map[string]float64 {
 	return map[string]float64{
 		"watched":    float64(len(d.watches)),
 		"suspected":  float64(len(d.suspected)),
-		"evicted":    float64(len(d.evicted)),
+		"evicted":    float64(len(d.dead.evicted)),
 		"pings":      float64(d.msgs.Value("ping")),
 		"ping_fails": float64(d.msgs.Value("ping_fail")),
 		"recoveries": float64(d.msgs.Value("recover")),

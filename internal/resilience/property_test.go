@@ -113,7 +113,7 @@ func detScenario(seed int64, suspectAfter, evictAfter uint8, partition bool) (*D
 	cfg.SuspectAfter = 1 + int(suspectAfter%4)
 	cfg.EvictAfter = cfg.SuspectAfter + int(evictAfter%4)
 	cfg.Backoff.Rand = src.Stream("det-backoff")
-	d := New(tr, cfg)
+	d := New(tr, k, cfg)
 	target := hosts[1+int(((seed%10)+10)%10)]
 	d.Watch(hosts[0], target)
 	return d, k, target

@@ -1,6 +1,7 @@
 package resilience
 
 import (
+	"reflect"
 	"testing"
 
 	"unap2p/internal/sim"
@@ -39,7 +40,7 @@ func TestDetectorEvictsCrashedPeer(t *testing.T) {
 	_, hosts, _, k, tr := testWorld(1)
 	cfg := DefaultConfig()
 	cfg.Backoff.Jitter = 0 // flat, predictable schedule for this test
-	d := New(tr, cfg)
+	d := New(tr, k, cfg)
 	var rec recorder
 	rec.wire(d)
 
@@ -77,7 +78,7 @@ func TestDetectorRecantsSuspicion(t *testing.T) {
 	_, hosts, _, k, tr := testWorld(2)
 	cfg := DefaultConfig()
 	cfg.Backoff.Jitter = 0
-	d := New(tr, cfg)
+	d := New(tr, k, cfg)
 	var rec recorder
 	rec.wire(d)
 
@@ -113,7 +114,7 @@ func TestDetectorRecantsSuspicion(t *testing.T) {
 // vantage is down neither pings nor accumulates failures.
 func TestDetectorOfflineVantage(t *testing.T) {
 	_, hosts, _, k, tr := testWorld(3)
-	d := New(tr, DefaultConfig())
+	d := New(tr, k, DefaultConfig())
 	var rec recorder
 	rec.wire(d)
 	vantage, target := hosts[1], hosts[9]
@@ -131,7 +132,7 @@ func TestDetectorOfflineVantage(t *testing.T) {
 // TestDetectorUnwatchStopsPings verifies Unwatch cancels the timer chain.
 func TestDetectorUnwatchStopsPings(t *testing.T) {
 	_, hosts, _, k, tr := testWorld(4)
-	d := New(tr, DefaultConfig())
+	d := New(tr, k, DefaultConfig())
 	d.Watch(hosts[0], hosts[3])
 	k.Run(2 * sim.Second)
 	before := d.Counters().Value("ping")
@@ -149,7 +150,7 @@ func TestDetectorUnwatchStopsPings(t *testing.T) {
 // with live watches must not keep an unbounded Drain alive.
 func TestDetectorDrainTerminates(t *testing.T) {
 	_, hosts, _, k, tr := testWorld(5)
-	d := New(tr, DefaultConfig())
+	d := New(tr, k, DefaultConfig())
 	for _, h := range hosts[1:6] {
 		d.Watch(hosts[0], h)
 	}
@@ -171,7 +172,7 @@ func TestHealChains(t *testing.T) {
 	_, hosts, _, k, tr := testWorld(6)
 	cfg := DefaultConfig()
 	cfg.Backoff.Jitter = 0
-	d := New(tr, cfg)
+	d := New(tr, k, cfg)
 	var rec recorder
 	rec.wire(d)
 	h := &fakeHealer{}
@@ -186,5 +187,60 @@ func TestHealChains(t *testing.T) {
 	}
 	if len(h.suspected) != 1 {
 		t.Fatalf("healer suspicion not delivered: %v", h.suspected)
+	}
+}
+
+// TestLedgerMarksOnce pins the ledger every Healer shares: the zero
+// value is usable, MarkEvicted reports only the first verdict per peer,
+// Suspect records nothing, and Evicted is sorted.
+func TestLedgerMarksOnce(t *testing.T) {
+	var l Ledger
+	if l.IsEvicted(3) || len(l.Evicted()) != 0 {
+		t.Fatal("zero ledger is not empty")
+	}
+	l.Suspect(9)
+	for _, id := range []underlay.HostID{7, 3, 5} {
+		if !l.MarkEvicted(id) {
+			t.Fatalf("first MarkEvicted(%d) reported a repeat", id)
+		}
+	}
+	if l.MarkEvicted(3) {
+		t.Fatal("second MarkEvicted(3) reported a first verdict")
+	}
+	if got := l.Evicted(); !reflect.DeepEqual(got, []underlay.HostID{3, 5, 7}) {
+		t.Fatalf("Evicted() = %v, want [3 5 7]", got)
+	}
+	if l.IsEvicted(9) {
+		t.Fatal("Suspect evicted a peer")
+	}
+}
+
+// fakePinger answers pings from a script instead of a transport — the
+// detector needs nothing else from its message plane.
+type fakePinger struct{ alive map[underlay.HostID]bool }
+
+func (f fakePinger) RoundTripWith(_ transport.RetryPolicy, _, to *underlay.Host,
+	_, _ uint64, _, _ string) transport.Result {
+	return transport.Result{OK: f.alive[to.ID]}
+}
+
+// TestDetectorOverBarePinger drives the detector with a one-method fake
+// and hand-made hosts, the shape the real-socket plane supplies.
+func TestDetectorOverBarePinger(t *testing.T) {
+	k := sim.NewKernel()
+	cfg := DefaultConfig()
+	cfg.Backoff = Backoff{}
+	d := New(fakePinger{alive: map[underlay.HostID]bool{2: true}}, k, cfg)
+	var rec recorder
+	rec.wire(d)
+	self := &underlay.Host{ID: 1, Up: true}
+	d.Watch(self, &underlay.Host{ID: 2, Up: true})
+	d.Watch(self, &underlay.Host{ID: 3, Up: true})
+	k.Run(10 * sim.Second)
+	if !reflect.DeepEqual(d.Evicted(), []underlay.HostID{3}) || len(rec.evicts) != 1 {
+		t.Fatalf("evicted %v (callbacks %v), want exactly [3]", d.Evicted(), rec.evicts)
+	}
+	if d.Watching() != 1 {
+		t.Fatalf("%d live watches, want 1 (the answering peer)", d.Watching())
 	}
 }

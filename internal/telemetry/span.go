@@ -265,13 +265,6 @@ func (t *tracedMessenger) RoundTrip(from, to *underlay.Host, reqBytes, respBytes
 	})
 }
 
-func (t *tracedMessenger) RoundTripWith(p transport.RetryPolicy, from, to *underlay.Host,
-	reqBytes, respBytes uint64, reqType, respType string) transport.Result {
-	return t.span("rpc:"+reqType, from, to, reqBytes, func() transport.Result {
-		return t.inner.RoundTripWith(p, from, to, reqBytes, respBytes, reqType, respType)
-	})
-}
-
 func (t *tracedMessenger) Probe(from, to *underlay.Host, bytes uint64) transport.Result {
 	return t.span("probe", from, to, bytes, func() transport.Result {
 		return t.inner.Probe(from, to, bytes)

@@ -90,9 +90,11 @@ type Faults struct {
 
 func (f Faults) active() bool { return f.LossRate > 0 || f.ExtraDelay > 0 || f.JitterMax > 0 }
 
-// Messenger is the interface overlays send through. *Transport is the
-// production implementation; tests inject fakes to observe protocol
-// behaviour without a real underlay charge.
+// Messenger is the interface overlays send through — the simulator's
+// seam: *Transport is the production implementation, telemetry wraps it
+// for span tracing, and tests inject fakes to observe protocol behaviour
+// without a real underlay charge. The real-socket plane does not
+// implement it (see internal/nettransport).
 type Messenger interface {
 	// Underlay returns the network used for topology queries (host
 	// lookup, latency estimates); overlays must not call its Send.
@@ -107,10 +109,6 @@ type Messenger interface {
 	// overlay shares. Dropped legs are retried under the transport's
 	// default RetryPolicy.
 	RoundTrip(from, to *underlay.Host, reqBytes, respBytes uint64, reqType, respType string) Result
-	// RoundTripWith is RoundTrip under a caller-supplied retry policy —
-	// per-peer budgets and backoff schedules (internal/resilience) ride
-	// the same instrumented path.
-	RoundTripWith(p RetryPolicy, from, to *underlay.Host, reqBytes, respBytes uint64, reqType, respType string) Result
 	// Probe measures the RTT between two hosts with a real probe/response
 	// message pair (type "probe"), charging the measurement traffic §3.2
 	// warns about.
@@ -122,11 +120,19 @@ type Messenger interface {
 	MatrixFor(msgTypes ...string) *metrics.TrafficMatrix
 }
 
-// typeStats accumulates per-message-type accounting.
+// typeStats accumulates per-message-type accounting, and holds every
+// per-type handle Send needs so one map lookup serves the whole path.
 type typeStats struct {
 	msgs, dropped     uint64
 	bytes, intraBytes uint64
 	latency           *metrics.Histogram
+	// counter is the type's entry in Transport.msgs. It is nil until the
+	// type's first Send: a record MatrixFor created ahead of any traffic
+	// holds only matrix and stays out of every listing until then.
+	counter *metrics.Counter
+	// matrix is the traffic matrix MatrixFor registered for the type
+	// (shared with the other types of that call), or nil.
+	matrix *metrics.TrafficMatrix
 	// id is the dense index of this type in Transport.typeNames, used as
 	// the pointer-free type tag in event log entries.
 	id uint32
@@ -168,9 +174,8 @@ type Transport struct {
 	// EventLog and SetEventLog.
 	log *EventLog
 
-	msgs     *metrics.CounterSet
-	types    map[string]*typeStats
-	matrices map[string]*metrics.TrafficMatrix
+	msgs  *metrics.CounterSet
+	types map[string]*typeStats
 	// typeNames maps typeStats.id back to the message type string.
 	typeNames []string
 }
@@ -184,11 +189,10 @@ func New(u *underlay.Network, k *sim.Kernel) *Transport {
 		panic("transport: nil underlay")
 	}
 	return &Transport{
-		u:        u,
-		k:        k,
-		msgs:     metrics.NewCounterSet(),
-		types:    make(map[string]*typeStats),
-		matrices: make(map[string]*metrics.TrafficMatrix),
+		u:     u,
+		k:     k,
+		msgs:  metrics.NewCounterSet(),
+		types: make(map[string]*typeStats),
 	}
 }
 
@@ -213,8 +217,8 @@ func (t *Transport) MatrixFor(msgTypes ...string) *metrics.TrafficMatrix {
 	}
 	var m *metrics.TrafficMatrix
 	for _, ty := range msgTypes {
-		if ex := t.matrices[ty]; ex != nil {
-			m = ex
+		if st := t.types[ty]; st != nil && st.matrix != nil {
+			m = st.matrix
 			break
 		}
 	}
@@ -222,7 +226,7 @@ func (t *Transport) MatrixFor(msgTypes ...string) *metrics.TrafficMatrix {
 		m = metrics.NewTrafficMatrix()
 	}
 	for _, ty := range msgTypes {
-		t.matrices[ty] = m
+		t.record(ty).matrix = m
 	}
 	return m
 }
@@ -330,11 +334,24 @@ func (l *EventLog) Drain(fn func(*LogEntry)) (lost uint64) {
 // one; use AddTrace for additional lower-rate observers.
 func (t *Transport) SetEventLog(l *EventLog) { t.log = l }
 
-func (t *Transport) stats(msgType string) *typeStats {
-	st, ok := t.types[msgType]
-	if !ok {
-		st = &typeStats{latency: metrics.NewLatencyHistogram(), id: uint32(len(t.typeNames))}
+// record returns msgType's accounting record, creating an empty one.
+func (t *Transport) record(msgType string) *typeStats {
+	st := t.types[msgType]
+	if st == nil {
+		st = &typeStats{}
 		t.types[msgType] = st
+	}
+	return st
+}
+
+// stats returns msgType's record, completing it (counter, histogram,
+// type tag) on the type's first Send.
+func (t *Transport) stats(msgType string) *typeStats {
+	st := t.record(msgType)
+	if st.counter == nil {
+		st.counter = t.msgs.Get(msgType)
+		st.latency = metrics.NewLatencyHistogram()
+		st.id = uint32(len(t.typeNames))
 		t.typeNames = append(t.typeNames, msgType)
 	}
 	return st
@@ -378,7 +395,7 @@ func (t *Transport) extraDelay() sim.Duration {
 // counted but charges nothing.
 func (t *Transport) Send(from, to *underlay.Host, bytes uint64, msgType string) Result {
 	st := t.stats(msgType)
-	t.msgs.Get(msgType).Inc()
+	st.counter.Inc()
 	st.msgs++
 	if t.dropped(from, to) {
 		st.dropped++
@@ -400,7 +417,7 @@ func (t *Transport) Send(from, to *underlay.Host, bytes uint64, msgType string) 
 		st.intraBytes += bytes
 	}
 	st.latency.Observe(float64(lat))
-	if m := t.matrices[msgType]; m != nil {
+	if m := st.matrix; m != nil {
 		m.Add(from.AS.ID, to.AS.ID, bytes)
 	}
 	if l := t.log; l != nil {
@@ -487,8 +504,10 @@ func (t *Transport) Deliver(from, to *underlay.Host, bytes uint64, msgType strin
 // telemetry exporter snapshots.
 func (t *Transport) TrafficMatrices() map[string]*metrics.TrafficMatrix {
 	byMatrix := make(map[*metrics.TrafficMatrix][]string)
-	for ty, m := range t.matrices {
-		byMatrix[m] = append(byMatrix[m], ty)
+	for ty, st := range t.types {
+		if st.matrix != nil {
+			byMatrix[st.matrix] = append(byMatrix[st.matrix], ty)
+		}
 	}
 	out := make(map[string]*metrics.TrafficMatrix, len(byMatrix))
 	for m, tys := range byMatrix {
@@ -500,10 +519,7 @@ func (t *Transport) TrafficMatrices() map[string]*metrics.TrafficMatrix {
 
 // TypeNames returns every message type seen so far, sorted.
 func (t *Transport) TypeNames() []string {
-	names := make([]string, 0, len(t.types))
-	for n := range t.types {
-		names = append(names, n)
-	}
+	names := append([]string(nil), t.typeNames...)
 	sort.Strings(names)
 	return names
 }
@@ -511,8 +527,8 @@ func (t *Transport) TypeNames() []string {
 // StatsFor returns the accounting snapshot for one message type (zero
 // Stats with a nil histogram when the type was never sent).
 func (t *Transport) StatsFor(msgType string) Stats {
-	st, ok := t.types[msgType]
-	if !ok {
+	st := t.types[msgType]
+	if st == nil || st.counter == nil {
 		return Stats{Type: msgType}
 	}
 	return Stats{

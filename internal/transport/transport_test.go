@@ -194,6 +194,39 @@ func TestMatrixForSharedAcrossTypes(t *testing.T) {
 	}
 }
 
+// TestMatrixForLeavesUnsentTypesUnlisted: registering a matrix for a
+// type must not make the type appear anywhere until a message of it is
+// sent — run files enumerate Counters/TypeNames/AllStats, and overlays
+// register matrices for types many experiments never send.
+func TestMatrixForLeavesUnsentTypesUnlisted(t *testing.T) {
+	net := testNet()
+	tr := Over(net)
+	hosts := net.Hosts()
+	m := tr.MatrixFor("file", "store")
+	if names := tr.TypeNames(); len(names) != 0 {
+		t.Fatalf("TypeNames lists unsent types %v", names)
+	}
+	if names := tr.Counters().Names(); len(names) != 0 {
+		t.Fatalf("Counters holds unsent types %v", names)
+	}
+	if st := tr.StatsFor("file"); st.Latency != nil || st.Msgs != 0 {
+		t.Fatalf("StatsFor of an unsent type = %+v, want the zero Stats", st)
+	}
+	if got := tr.TrafficMatrices(); len(got) != 1 || got["file+store"] != m {
+		t.Fatalf("TrafficMatrices = %v, want the one file+store matrix", got)
+	}
+	tr.Send(hosts[0], hosts[9], 40, "store")
+	if names := tr.TypeNames(); len(names) != 1 || names[0] != "store" {
+		t.Fatalf("TypeNames after one send = %v, want [store]", names)
+	}
+	if got := tr.Counters().Value("store"); got != 1 || m.Total() != 40 {
+		t.Fatalf("store counter %d, matrix total %d; want 1 and 40", got, m.Total())
+	}
+	if tr.TypeByID(0) != "store" {
+		t.Fatalf("first sent type got tag %q", tr.TypeByID(0))
+	}
+}
+
 func TestIntraByteAccounting(t *testing.T) {
 	net := testNet()
 	tr := Over(net)

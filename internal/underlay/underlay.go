@@ -11,6 +11,7 @@ package underlay
 
 import (
 	"fmt"
+	"sort"
 
 	"unap2p/internal/metrics"
 	"unap2p/internal/sim"
@@ -113,6 +114,19 @@ func (l *Link) Bytes() uint64 { return l.BytesAB + l.BytesBA }
 
 // HostID identifies a host within a Network.
 type HostID int
+
+// SortedIDs returns a host-id set's members in ascending order. Whatever
+// iterates or exports such a set — protocol fan-out, eviction ledgers,
+// chaos reports — goes through it, so event order and run files never see
+// Go's randomized map iteration.
+func SortedIDs(set map[HostID]bool) []HostID {
+	out := make([]HostID, 0, len(set))
+	for id := range set {
+		out = append(out, id)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
 
 // Host is an end system attached to an AS.
 type Host struct {
