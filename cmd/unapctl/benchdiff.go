@@ -39,7 +39,7 @@ type benchDelta struct {
 
 // cmdBenchDiff compares two bench-import JSON snapshots — the CI perf
 // gate. It returns the number of regressions: benchmarks present in both
-// files whose ns/op or allocs/op grew beyond the threshold. Benchmarks
+// files whose ns/op, B/op or allocs/op grew beyond the threshold. Benchmarks
 // that exist in only one file are reported informationally but never
 // gate (new benchmarks appear, obsolete ones go). Improvements beyond
 // the threshold are listed too, so intentional wins are visible.
@@ -76,7 +76,7 @@ func cmdBenchDiff(args []string) (int, error) {
 		b := base[n]
 		// Gate time on min-of-runs when both snapshots carry it (noise
 		// only inflates a run, so the min is the stable cost estimate);
-		// fall back to the mean for old snapshots. Allocs are
+		// fall back to the mean for old snapshots. Bytes and allocs are
 		// deterministic, so the mean is fine there.
 		baseNs, curNs, nsMetric := b.NsOp, c.NsOp, "ns/op"
 		if b.MinNsOp > 0 && c.MinNsOp > 0 {
@@ -87,6 +87,7 @@ func cmdBenchDiff(args []string) (int, error) {
 			base, cur float64
 		}{
 			{nsMetric, baseNs, curNs},
+			{"B/op", b.BOp, c.BOp},
 			{"allocs/op", b.AllocsOp, c.AllocsOp},
 		} {
 			if m.base <= 0 {

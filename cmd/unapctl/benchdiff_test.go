@@ -82,6 +82,29 @@ func TestBenchDiffGate(t *testing.T) {
 	}
 }
 
+// B/op gates under the same threshold as ns/op and allocs/op: bytes can
+// grow with the allocation count flat (bigger buffers, not more of them).
+func TestBenchDiffGatesBytes(t *testing.T) {
+	base := writeBench(t, "base.json", `{"benchmarks":{
+		"BenchmarkA":{"ns_op":100,"b_op":5670000,"allocs_op":10,"runs":6},
+		"BenchmarkZ":{"ns_op":100,"b_op":0,"allocs_op":0,"runs":6}}}`)
+	fat := writeBench(t, "fat.json", `{"benchmarks":{
+		"BenchmarkA":{"ns_op":100,"b_op":7270000,"allocs_op":10,"runs":6},
+		"BenchmarkZ":{"ns_op":100,"b_op":0,"allocs_op":0,"runs":6}}}`)
+	if n, err := cmdBenchDiff([]string{base, fat}); err != nil || n != 1 {
+		t.Fatalf("+28%% B/op at flat ns/op and allocs/op: %d regressions (want 1), err %v", n, err)
+	}
+	drift := writeBench(t, "drift.json", `{"benchmarks":{
+		"BenchmarkA":{"ns_op":100,"b_op":6000000,"allocs_op":10,"runs":6},
+		"BenchmarkZ":{"ns_op":100,"b_op":0,"allocs_op":0,"runs":6}}}`)
+	if n, err := cmdBenchDiff([]string{base, drift}); err != nil || n != 0 {
+		t.Fatalf("+6%% B/op gated: %d regressions, err %v", n, err)
+	}
+	if n, err := cmdBenchDiff([]string{fat, base}); err != nil || n != 0 {
+		t.Fatalf("B/op improvement gated: %d regressions, err %v", n, err)
+	}
+}
+
 func TestBenchImportMinNs(t *testing.T) {
 	res, err := parseBench(strings.NewReader(`
 BenchmarkX-8   1000   120.0 ns/op   16 B/op   1 allocs/op

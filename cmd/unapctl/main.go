@@ -96,7 +96,8 @@ func usage() {
 
   unapctl bench-diff [-threshold 0.15] <baseline.json> <current.json>
       compare two bench-import snapshots; exits 1 if any benchmark
-      present in both regressed ns/op or allocs/op beyond the threshold
+      present in both regressed ns/op, B/op or allocs/op beyond the
+      threshold
 `)
 }
 

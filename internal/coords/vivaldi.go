@@ -76,7 +76,9 @@ func (n *VivaldiNode) Distance(o *VivaldiNode) float64 {
 
 // Update applies one RTT observation against a remote node's coordinate.
 // rtt must be positive; r supplies the random direction used when the two
-// coordinates coincide.
+// coordinates coincide. remote is only read, so a caller may pass another
+// live node of the same system directly (Clone is for coordinates that
+// travel in a message while their owner keeps moving).
 func (n *VivaldiNode) Update(remote *VivaldiNode, rtt float64, r *rand.Rand) {
 	if rtt <= 0 {
 		return
@@ -103,7 +105,13 @@ func (n *VivaldiNode) Update(remote *VivaldiNode, rtt float64, r *rand.Rand) {
 	}
 
 	// Unit vector from remote toward us (the spring's push direction).
-	unit := make([]float64, len(n.Pos))
+	// It lives on the stack for every dimensionality in practical use.
+	var buf [8]float64
+	unit := buf[:]
+	if len(n.Pos) > len(buf) {
+		unit = make([]float64, len(n.Pos))
+	}
+	unit = unit[:len(n.Pos)]
 	var norm float64
 	for i := range unit {
 		unit[i] = n.Pos[i] - remote.Pos[i]
@@ -194,7 +202,7 @@ func (s *VivaldiSystem) Round() {
 				j = s.r.Intn(n)
 			}
 			s.Probes++
-			s.Nodes[i].Update(s.Nodes[j].Clone(), s.RTT(i, j), s.r)
+			s.Nodes[i].Update(s.Nodes[j], s.RTT(i, j), s.r)
 		}
 	}
 }

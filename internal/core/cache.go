@@ -39,6 +39,15 @@ type cacheKey [2]underlay.HostID
 type cacheEntry struct {
 	score float64
 	epoch uint64
+	// seq numbers the admission that created the entry; the FIFO slot
+	// carrying the same number is the one entitled to evict it.
+	seq uint64
+}
+
+// fifoSlot records one admission.
+type fifoSlot struct {
+	k   cacheKey
+	seq uint64
 }
 
 // scoreCache memoizes Engine.Score per directional (client, peer) pair.
@@ -46,17 +55,31 @@ type cacheEntry struct {
 // out after MaxAge epochs, and explicit invalidation on churn or
 // mobility-handover events (the paper's §6 staleness concern: cached
 // underlay information is only as good as its refresh policy).
+//
+// Admissions queue in a circular buffer of 2×Capacity slots. Aging out
+// and invalidation delete the map entry only, orphaning its slot; an
+// orphan (no entry, or an entry re-admitted under a later seq) is skipped
+// when it reaches the head, and squeezed out when the buffer fills — at
+// which point at least Capacity of the slots are orphans, so compaction
+// is amortised O(1) per admission and never runs in capacity-only use.
 type scoreCache struct {
 	cfg   CacheConfig
 	m     map[cacheKey]cacheEntry
-	fifo  []cacheKey
+	ring  []fifoSlot
+	head  int // index of the oldest slot
+	n     int // slots in use
+	seq   uint64
 	epoch uint64
 
 	hits, misses, evictions, invalidations uint64
 }
 
 func newScoreCache(cfg CacheConfig) *scoreCache {
-	return &scoreCache{cfg: cfg, m: make(map[cacheKey]cacheEntry, cfg.Capacity)}
+	return &scoreCache{
+		cfg:  cfg,
+		m:    make(map[cacheKey]cacheEntry, cfg.Capacity),
+		ring: make([]fifoSlot, 2*cfg.Capacity),
+	}
 }
 
 func (c *scoreCache) fresh(e cacheEntry) bool {
@@ -77,20 +100,49 @@ func (c *scoreCache) get(client, peer underlay.HostID) (float64, bool) {
 	return 0, false
 }
 
+// slot returns the i-th oldest slot in use.
+func (c *scoreCache) slot(i int) *fifoSlot {
+	if i += c.head; i >= len(c.ring) {
+		i -= len(c.ring)
+	}
+	return &c.ring[i]
+}
+
+// live reports whether s is the newest admission of a key still cached.
+func (c *scoreCache) live(s fifoSlot) bool {
+	e, ok := c.m[s.k]
+	return ok && e.seq == s.seq
+}
+
 func (c *scoreCache) put(client, peer underlay.HostID, score float64) {
 	k := cacheKey{client, peer}
-	if _, ok := c.m[k]; !ok {
-		for len(c.m) >= c.cfg.Capacity && len(c.fifo) > 0 {
-			old := c.fifo[0]
-			c.fifo = c.fifo[1:]
-			if _, live := c.m[old]; live {
-				delete(c.m, old)
+	e, ok := c.m[k]
+	if !ok {
+		for len(c.m) >= c.cfg.Capacity && c.n > 0 {
+			old := *c.slot(0)
+			c.head, c.n = (c.head+1)%len(c.ring), c.n-1
+			if c.live(old) {
+				delete(c.m, old.k)
 				c.evictions++
 			}
 		}
-		c.fifo = append(c.fifo, k)
+		if c.n == len(c.ring) { // full of orphans: keep the live slots only
+			kept := 0
+			for i := 0; i < c.n; i++ {
+				if s := *c.slot(i); c.live(s) {
+					*c.slot(kept) = s
+					kept++
+				}
+			}
+			c.n = kept
+		}
+		c.seq++
+		e.seq = c.seq
+		*c.slot(c.n) = fifoSlot{k: k, seq: c.seq}
+		c.n++
 	}
-	c.m[k] = cacheEntry{score: score, epoch: c.epoch}
+	e.score, e.epoch = score, c.epoch
+	c.m[k] = e
 }
 
 func (c *scoreCache) invalidate(id underlay.HostID) {
@@ -161,26 +213,38 @@ func (e *Engine) CacheStats() CacheStats {
 // Overhead incurred before attachment is not back-charged.
 func (e *Engine) RouteOverhead(cs *metrics.CounterSet) {
 	e.routed = cs
-	e.lastOverhead = make([]uint64, len(e.estimators))
-	for i, est := range e.estimators {
-		e.lastOverhead[i] = est.Overhead()
-	}
+	e.overhead = e.overhead[:0]
+	e.flushOverhead()
 }
 
 // OverheadCounterName returns the counter name RouteOverhead charges for
 // a collection method.
 func OverheadCounterName(m Method) string { return "awareness:" + m.String() }
 
+// overheadRoute is one estimator's overhead accounting state.
+type overheadRoute struct {
+	// last is the estimator's cumulative Overhead at the previous flush.
+	last uint64
+	// ctr is the estimator's counter in Engine.routed, resolved at its
+	// first charge: a method that never costs anything registers nothing.
+	ctr *metrics.Counter
+}
+
 func (e *Engine) flushOverhead() {
-	// Estimators added after RouteOverhead snapshot lazily here, so their
-	// pre-existing overhead is likewise not back-charged.
-	for len(e.lastOverhead) < len(e.estimators) {
-		e.lastOverhead = append(e.lastOverhead, e.estimators[len(e.lastOverhead)].Overhead())
+	// Estimators not seen before (all of them right after RouteOverhead,
+	// later ones lazily) only snapshot, so their pre-existing overhead is
+	// not back-charged.
+	for i := len(e.overhead); i < len(e.estimators); i++ {
+		e.overhead = append(e.overhead, overheadRoute{last: e.estimators[i].Overhead()})
 	}
 	for i, est := range e.estimators {
-		if cur := est.Overhead(); cur > e.lastOverhead[i] {
-			e.routed.Get(OverheadCounterName(est.Method())).Add(cur - e.lastOverhead[i])
-			e.lastOverhead[i] = cur
+		o := &e.overhead[i]
+		if cur := est.Overhead(); cur > o.last {
+			if o.ctr == nil {
+				o.ctr = e.routed.Get(OverheadCounterName(est.Method()))
+			}
+			o.ctr.Add(cur - o.last)
+			o.last = cur
 		}
 	}
 }

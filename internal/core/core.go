@@ -38,7 +38,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"unap2p/internal/metrics"
 	"unap2p/internal/underlay"
@@ -176,10 +176,19 @@ type Engine struct {
 	// EnableCache. See cache.go.
 	cache *scoreCache
 	// routed receives per-method overhead counters; nil until
-	// RouteOverhead. lastOverhead snapshots each estimator's cumulative
-	// Overhead at the previous flush so only deltas are added.
-	routed       *metrics.CounterSet
-	lastOverhead []uint64
+	// RouteOverhead. overhead holds, per estimator, the counter and the
+	// cumulative Overhead at the previous flush so only deltas are added.
+	routed   *metrics.CounterSet
+	overhead []overheadRoute
+	// ranked is Rank's scoring scratch, reused across calls (an Engine is
+	// driven by one goroutine, as its cache and estimators already demand).
+	ranked []scored
+}
+
+// scored pairs a Rank candidate with its score.
+type scored struct {
+	id    underlay.HostID
+	score float64
 }
 
 // NewEngine returns an empty engine with a miss penalty of 1.
@@ -232,12 +241,24 @@ func (e *Engine) Score(client, peer *underlay.Host) float64 {
 // order). The input is not modified.
 func (e *Engine) Rank(client *underlay.Host, candidates []underlay.HostID,
 	hostOf func(underlay.HostID) *underlay.Host) []underlay.HostID {
-	out := append([]underlay.HostID(nil), candidates...)
-	scores := make(map[underlay.HostID]float64, len(out))
-	for _, id := range out {
-		scores[id] = e.Score(client, hostOf(id))
+	ranked := e.ranked[:0]
+	for _, id := range candidates {
+		ranked = append(ranked, scored{id, e.Score(client, hostOf(id))})
 	}
-	sort.SliceStable(out, func(i, j int) bool { return scores[out[i]] < scores[out[j]] })
+	e.ranked = ranked
+	slices.SortStableFunc(ranked, func(a, b scored) int {
+		switch {
+		case a.score < b.score:
+			return -1
+		case b.score < a.score:
+			return 1
+		}
+		return 0 // also for NaN, which therefore keeps its input position
+	})
+	out := append([]underlay.HostID(nil), candidates...)
+	for i, s := range ranked {
+		out[i] = s.id
+	}
 	return out
 }
 

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"unap2p/internal/core"
@@ -61,9 +62,10 @@ type Ring struct {
 	// Msgs counts "route" messages — a view of the transport's counters.
 	Msgs *metrics.CounterSet
 
-	nodes []*Node // sorted by ID
-	r     *rand.Rand
-	sel   core.Selector
+	nodes  []*Node // sorted by ID
+	byHost map[underlay.HostID]*Node
+	r      *rand.Rand
+	sel    core.Selector
 	// Ledger records the failure detector's evictions (see heal.go).
 	resilience.Ledger
 }
@@ -76,24 +78,24 @@ func New(tr transport.Messenger, sel core.Selector, cfg Config, r *rand.Rand) *R
 	if cfg.SuccessorList < 1 {
 		panic("chord: SuccessorList must be ≥ 1")
 	}
-	return &Ring{T: tr, U: tr.Underlay(), Cfg: cfg, Msgs: tr.Counters(), r: r, sel: sel}
+	return &Ring{T: tr, U: tr.Underlay(), Cfg: cfg, Msgs: tr.Counters(),
+		byHost: make(map[underlay.HostID]*Node), r: r, sel: sel}
 }
 
 // AddNode places a host on the ring with a random collision-free ID.
 // Call Build after all nodes are added.
 func (c *Ring) AddNode(h *underlay.Host) *Node {
-	for _, n := range c.nodes {
-		if n.Host.ID == h.ID {
-			panic(fmt.Sprintf("chord: host %d already on ring", h.ID))
-		}
+	if c.byHost[h.ID] != nil {
+		panic(fmt.Sprintf("chord: host %d already on ring", h.ID))
 	}
 	id := ID(c.r.Uint64())
 	for c.byID(id) != nil {
 		id = ID(c.r.Uint64())
 	}
 	n := &Node{ID: id, Host: h}
-	c.nodes = append(c.nodes, n)
-	sort.Slice(c.nodes, func(i, j int) bool { return c.nodes[i].ID < c.nodes[j].ID })
+	i := sort.Search(len(c.nodes), func(i int) bool { return c.nodes[i].ID > id })
+	c.nodes = slices.Insert(c.nodes, i, n)
+	c.byHost[h.ID] = n
 	return n
 }
 
@@ -197,13 +199,7 @@ type LookupResult struct {
 // step, the current node forwards to its farthest finger that does not
 // overshoot the key (classic Chord routing), falling back to successors.
 func (c *Ring) Lookup(from underlay.HostID, key ID) LookupResult {
-	var cur *Node
-	for _, n := range c.nodes {
-		if n.Host.ID == from {
-			cur = n
-			break
-		}
-	}
+	cur := c.byHost[from]
 	if cur == nil {
 		return LookupResult{}
 	}

@@ -1,6 +1,7 @@
 package chord
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -181,6 +182,29 @@ func TestValidation(t *testing.T) {
 		}()
 		New(transport.Over(net), nil, DefaultConfig(), sim.NewSource(1).Stream("x")).Build()
 	}()
+}
+
+// Joins are sorted inserts and hosts are indexed: the membership stays
+// in strict ID order, and an evicted host is gone from both views.
+func TestMembershipSortedAndIndexed(t *testing.T) {
+	_, ring := buildRing(t, 100, false, 15)
+	sorted := func() bool {
+		return sort.SliceIsSorted(ring.Nodes(), func(i, j int) bool { return ring.Nodes()[i].ID < ring.Nodes()[j].ID })
+	}
+	if len(ring.Nodes()) != 100 || !sorted() {
+		t.Fatalf("membership of %d not in ID order after joins", len(ring.Nodes()))
+	}
+	gone := ring.Nodes()[40]
+	ring.Evict(gone.Host.ID)
+	if len(ring.Nodes()) != 99 || !sorted() || ring.byID(gone.ID) != nil {
+		t.Fatal("eviction left the dead node in the membership, or broke its order")
+	}
+	if res := ring.Lookup(gone.Host.ID, 1); res.Owner != nil || res.Hops != 0 {
+		t.Fatalf("lookup from an evicted host routed: %+v", res)
+	}
+	if res := ring.Lookup(ring.Nodes()[0].Host.ID, gone.ID); res.Owner != ring.successorOf(gone.ID) {
+		t.Fatal("lookup after eviction missed the new owner")
+	}
 }
 
 // BenchmarkChordLookup measures greedy routing on a 96-node ring.

@@ -1,6 +1,8 @@
 package chord
 
 import (
+	"slices"
+
 	"unap2p/internal/resilience"
 	"unap2p/internal/underlay"
 )
@@ -20,18 +22,13 @@ func (c *Ring) Evict(id underlay.HostID) {
 	if !c.MarkEvicted(id) {
 		return
 	}
-	idx := -1
-	var dead *Node
-	for i, n := range c.nodes {
-		if n.Host.ID == id {
-			idx, dead = i, n
-			break
-		}
-	}
-	if idx < 0 {
+	dead := c.byHost[id]
+	if dead == nil {
 		return
 	}
-	c.nodes = append(c.nodes[:idx], c.nodes[idx+1:]...)
+	delete(c.byHost, id)
+	idx := slices.Index(c.nodes, dead)
+	c.nodes = slices.Delete(c.nodes, idx, idx+1)
 	n := len(c.nodes)
 	if n == 0 {
 		return

@@ -55,7 +55,11 @@ func (n *Node) stash(idx int, c Contact) {
 		}
 	}
 	if len(s) >= n.cfg.K {
-		s = s[1:]
+		// Shift in place: s[1:] plus append walks down the backing array
+		// and reallocates it every K stashes.
+		copy(s, s[1:])
+		s[len(s)-1] = c
+		return
 	}
 	n.spares[idx] = append(s, c)
 }

@@ -15,6 +15,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"unap2p/internal/core"
@@ -98,6 +99,14 @@ type DHT struct {
 	sel    core.Selector
 	// Ledger records the failure detector's evictions (see heal.go).
 	resilience.Ledger
+
+	// Hot-path scratch, reused by every call on this DHT (a DHT is driven
+	// by one goroutine): near backs the slice closest returns, which is
+	// therefore valid only until the next closest call; short and batch
+	// are a lookup's candidate list and its current α-batch.
+	near  []Contact
+	short []cand
+	batch []Contact
 }
 
 // New creates an empty DHT sending through tr. A non-nil selector turns
@@ -151,8 +160,8 @@ func (d *DHT) AddNode(h *underlay.Host) *Node {
 	}
 	d.nodes[h.ID] = n
 	d.byID[id] = n
-	d.sorted = append(d.sorted, n)
-	sort.Slice(d.sorted, func(i, j int) bool { return d.sorted[i].ID < d.sorted[j].ID })
+	i := sort.Search(len(d.sorted), func(i int) bool { return d.sorted[i].ID > id })
+	d.sorted = slices.Insert(d.sorted, i, n)
 	return n
 }
 
@@ -204,24 +213,31 @@ func (n *Node) observe(c Contact) {
 	n.stash(idx, c)
 }
 
-// closest returns up to k contacts from n's table nearest to target,
-// including n itself as a candidate the caller may use.
+// closest returns up to k (≥ 1) contacts from n's table nearest to
+// target, nearest first. The result lives in DHT-owned scratch: it is
+// valid until the next closest call on any node of the same DHT. XOR
+// distance to one target is injective in the ID and a table holds an ID
+// once, so the order is strict and a bounded insertion over the buckets
+// yields exactly the K-prefix of a full sort.
 func (n *Node) closest(target NodeID, k int) []Contact {
-	var all []Contact
+	out := n.dht.near[:0]
 	for _, b := range n.buckets {
-		all = append(all, b...)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		di, dj := Distance(all[i].ID, target), Distance(all[j].ID, target)
-		if di != dj {
-			return di < dj
+		for _, c := range b {
+			dc := Distance(c.ID, target)
+			i := len(out)
+			if i < k {
+				out = append(out, c)
+			} else if i = k - 1; dc > Distance(out[i].ID, target) {
+				continue // farther than the current K-th: not a candidate
+			}
+			for ; i > 0 && Distance(out[i-1].ID, target) > dc; i-- {
+				out[i] = out[i-1]
+			}
+			out[i] = c
 		}
-		return all[i].ID < all[j].ID
-	})
-	if len(all) > k {
-		all = all[:k]
 	}
-	return all
+	n.dht.near = out
+	return out
 }
 
 // BucketFill reports the total number of routing-table entries (test and

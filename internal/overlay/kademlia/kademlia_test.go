@@ -15,6 +15,13 @@ import (
 
 func buildDHT(t *testing.T, nHosts int, pns bool, seed int64) (*underlay.Network, *DHT) {
 	t.Helper()
+	net, d := joinDHT(nHosts, pns, seed)
+	d.Bootstrap(4)
+	return net, d
+}
+
+// joinDHT builds a DHT whose nodes have joined but not yet bootstrapped.
+func joinDHT(nHosts int, pns bool, seed int64) (*underlay.Network, *DHT) {
 	src := sim.NewSource(seed)
 	tcfg := topology.TransitStubConfig{
 		Config:   topology.Config{IntraDelay: 5, LinkDelay: 25, Rand: src.Stream("topo")},
@@ -35,7 +42,6 @@ func buildDHT(t *testing.T, nHosts int, pns bool, seed int64) (*underlay.Network
 		}
 		d.AddNode(h)
 	}
-	d.Bootstrap(4)
 	return net, d
 }
 

@@ -1,8 +1,6 @@
 package kademlia
 
 import (
-	"sort"
-
 	"unap2p/internal/sim"
 	"unap2p/internal/underlay"
 )
@@ -38,6 +36,36 @@ func (d *DHT) Get(from underlay.HostID, key Key) LookupResult {
 	return d.lookup(from, key, &key)
 }
 
+// cand is one lookup shortlist entry: a contact, its XOR distance to the
+// target, and whether the lookup has already queried it.
+type cand struct {
+	c       Contact
+	d       uint64
+	queried bool
+}
+
+// offer inserts c into the lookup shortlist d.short, which is kept sorted
+// by distance to the target and capped at the K best: a candidate beyond
+// them can never re-enter (entries are only ever displaced by closer
+// ones), so dropping it is the same as keeping it unqueried forever.
+// Equal distance means equal ID, i.e. already listed.
+func (d *DHT) offer(c Contact, dist uint64, queried bool) {
+	s := d.short
+	i := len(s)
+	for i > 0 && s[i-1].d > dist {
+		i--
+	}
+	if i == d.Cfg.K || (i > 0 && s[i-1].d == dist) {
+		return
+	}
+	if len(s) < d.Cfg.K {
+		s = append(s, cand{})
+	}
+	copy(s[i+1:], s[i:])
+	s[i] = cand{c: c, d: dist, queried: queried}
+	d.short = s
+}
+
 func (d *DHT) lookup(from underlay.HostID, target NodeID, valueKey *Key) LookupResult {
 	origin := d.nodes[from]
 	if origin == nil {
@@ -49,61 +77,40 @@ func (d *DHT) lookup(from underlay.HostID, target NodeID, valueKey *Key) LookupR
 	}
 
 	var res LookupResult
-	queried := map[NodeID]bool{origin.ID: true}
-
-	type cand struct {
-		c Contact
-		d uint64
-	}
-	var shortlist []cand
-	addCand := func(c Contact) {
-		for _, have := range shortlist {
-			if have.c.ID == c.ID {
-				return
-			}
-		}
-		shortlist = append(shortlist, cand{c: c, d: Distance(c.ID, target)})
-	}
+	d.short = d.short[:0]
+	// The origin never queries itself: it enters the shortlist (when a
+	// peer hands it back) already marked queried.
+	add := func(c Contact) { d.offer(c, Distance(c.ID, target), c.ID == origin.ID) }
 	for _, c := range origin.closest(target, d.Cfg.K) {
-		addCand(c)
-	}
-
-	sortShort := func() {
-		sort.Slice(shortlist, func(i, j int) bool {
-			if shortlist[i].d != shortlist[j].d {
-				return shortlist[i].d < shortlist[j].d
-			}
-			return shortlist[i].c.ID < shortlist[j].c.ID
-		})
+		add(c)
 	}
 	topContacts := func() []Contact {
 		out := make([]Contact, 0, d.Cfg.K)
-		for i := 0; i < len(shortlist) && i < d.Cfg.K; i++ {
-			out = append(out, shortlist[i].c)
+		for _, s := range d.short {
+			out = append(out, s.c)
 		}
 		return out
 	}
 
 	for {
-		sortShort()
 		// Pick up to α unqueried candidates among the K best.
-		var batch []Contact
-		limit := len(shortlist)
-		if limit > d.Cfg.K {
-			limit = d.Cfg.K
-		}
-		for i := 0; i < limit && len(batch) < d.Cfg.Alpha; i++ {
-			if !queried[shortlist[i].c.ID] {
-				batch = append(batch, shortlist[i].c)
+		batch := d.batch[:0]
+		for i := range d.short {
+			if len(batch) == d.Cfg.Alpha {
+				break
+			}
+			if s := &d.short[i]; !s.queried {
+				s.queried = true
+				batch = append(batch, s.c)
 			}
 		}
+		d.batch = batch
 		if len(batch) == 0 {
 			break
 		}
 		res.Hops++
 		var roundLatency sim.Duration
 		for _, c := range batch {
-			queried[c.ID] = true
 			peer := d.byID[c.ID]
 			if peer == nil || !peer.host.Up {
 				continue // dead contact: RPC times out, contributes nothing
@@ -128,20 +135,18 @@ func (d *DHT) lookup(from underlay.HostID, target NodeID, valueKey *Key) LookupR
 					res.Latency += roundLatency
 					res.Value = v
 					res.Found = true
-					sortShort()
 					res.Closest = topContacts()
 					return res
 				}
 			}
 			for _, learned := range peer.closest(target, d.Cfg.K) {
 				origin.observe(learned)
-				addCand(learned)
+				add(learned)
 			}
 		}
 		res.Latency += roundLatency
 	}
 
-	sortShort()
 	res.Closest = topContacts()
 	return res
 }
@@ -173,19 +178,11 @@ func (d *DHT) Put(from underlay.HostID, key Key, value []byte) LookupResult {
 // withinKClosest reports whether id is among the true K closest node IDs
 // to key (global knowledge used only for the origin's self-store check).
 func withinKClosest(d *DHT, key Key, id NodeID) bool {
-	type nd struct {
-		id NodeID
-		d  uint64
-	}
-	all := make([]nd, 0, len(d.sorted))
+	own, closer := Distance(id, key), 0
 	for _, n := range d.sorted {
-		all = append(all, nd{id: n.ID, d: Distance(n.ID, key)})
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].d < all[j].d })
-	for i := 0; i < len(all) && i < d.Cfg.K; i++ {
-		if all[i].id == id {
-			return true
+		if Distance(n.ID, key) < own {
+			closer++
 		}
 	}
-	return false
+	return closer < d.Cfg.K
 }
