@@ -15,9 +15,10 @@ BENCHTIME ?= 100ms
 # all three compact overlays under race, a live multi-process cluster
 # smoke over localhost UDP, the live chaos campaign (sim-vs-live
 # conformance plus schedule-driven fault injection against real
-# clusters), and the perf gate (fails on >15% ns/op, B/op or allocs/op
-# regression against the baseline snapshot). The coverage summary runs
-# afterwards as a non-fatal reporting step.
+# clusters), and the perf gate (fails on a >15% ns/op, B/op or allocs/op
+# regression against the baseline snapshot that a second measurement
+# confirms). The coverage summary runs afterwards as a non-fatal
+# reporting step.
 ci: vet build bench-check race chaos fuzz-smoke series-demo megascale-smoke net-smoke live-chaos perf-gate
 	-$(MAKE) cover
 
@@ -57,10 +58,14 @@ bench-json:
 		| $(GO) run ./cmd/unapctl bench-import -o $(BENCH_JSON)
 
 # perf-gate is the CI benchmark regression gate: re-measure the suite,
-# snapshot it (BENCH_JSON), and fail if any benchmark present in both
-# the baseline and the fresh snapshot regressed ns/op, B/op or allocs/op
-# by more than PERF_THRESHOLD. Benchmarks that exist on only one side are
-# reported but never gate.
+# snapshot it (BENCH_JSON), and compare every benchmark present in both
+# the baseline and the fresh snapshot on ns/op, B/op and allocs/op.
+# Benchmarks that exist on only one side are reported but never gate.
+# One noisy window on a shared machine is not a regression, so the
+# benchmarks the first comparison flags beyond PERF_THRESHOLD are
+# measured once more on their own (a single extra `go test -bench` pass,
+# snapshot in BENCH_RECHECK) and the gate fails only on those flagged
+# both times.
 #
 # The baseline was re-anchored at BENCH_PR8.json when the metrics
 # planes (CounterSet/Histogram/TrafficMatrix) became race-safe for the
@@ -73,12 +78,25 @@ bench-json:
 # It was ratcheted to BENCH_PR14.json when the classic selector
 # experiments' hot paths stopped allocating (PNSKademlia 11.8 -> 4.2 ms,
 # PNSMetric 117k -> 9.6k allocs/op): gating against the older snapshot
-# would let half of that win erode before anything failed.
-BENCH_BASELINE ?= BENCH_PR14.json
+# would let half of that win erode before anything failed; and to
+# BENCH_PR15.json when the Transport…Recorded benchmarks were re-pointed
+# at the sink-attached recorder every recording run uses (~0.9 µs/msg,
+# JSON encode included, against ~90 ns for the deleted in-place log) and
+# BenchmarkSwarmRound began rebuilding its swarm on completion — both
+# are different measurements from the PR 14 entries of the same name.
+BENCH_BASELINE ?= BENCH_PR15.json
 PERF_THRESHOLD ?= 0.15
+BENCH_RECHECK = $(BENCH_JSON:.json=.recheck.json)
+BENCH_DIFF = $(GO) run ./cmd/unapctl bench-diff -threshold $(PERF_THRESHOLD) $(BENCH_BASELINE)
 perf-gate:
 	$(MAKE) bench-json
-	$(GO) run ./cmd/unapctl bench-diff -threshold $(PERF_THRESHOLD) $(BENCH_BASELINE) $(BENCH_JSON)
+	@out=$$(mktemp); $(BENCH_DIFF) $(BENCH_JSON) >$$out; status=$$?; cat $$out; \
+	flagged=$$(awk '$$NF == "REGRESSED" {print $$1}' $$out | sort -u | paste -sd'|' -); rm -f $$out; \
+	if [ -z "$$flagged" ]; then exit $$status; fi; \
+	echo "perf gate: measuring the flagged benchmarks again: $$flagged"; \
+	$(GO) test -run='^$$' -bench="^($$flagged)\$$" -benchtime=$(BENCHTIME) -benchmem -count=6 ./... \
+		| $(GO) run ./cmd/unapctl bench-import -o $(BENCH_RECHECK) && \
+	$(BENCH_DIFF) $(BENCH_RECHECK)
 
 # cover writes a merged coverage profile and prints the total statement
 # coverage.

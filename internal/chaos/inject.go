@@ -96,24 +96,7 @@ func (inj *Injector) Arm() error {
 
 // drop applies the active partition and loss windows to one send.
 func (inj *Injector) drop(from, to *underlay.Host) bool {
-	now := inj.K.Now()
-	for _, w := range inj.Sched.Windows {
-		if !w.active(now) {
-			continue
-		}
-		switch w.Kind {
-		case ASPartition:
-			if w.scoped(from.AS.ID) != w.scoped(to.AS.ID) {
-				return true
-			}
-		case LossBurst:
-			if w.Loss > 0 && (w.scoped(from.AS.ID) || w.scoped(to.AS.ID)) &&
-				inj.Rand.Float64() < w.Loss {
-				return true
-			}
-		}
-	}
-	return false
+	return inj.Sched.drops(inj.K.Now(), from.AS.ID, to.AS.ID, inj.Rand.Float64)
 }
 
 // crash executes one wave: victims are the first Crash hosts of a

@@ -91,28 +91,10 @@ func (f *LiveFilter) as(id underlay.HostID) int {
 }
 
 // Drop reports whether a frame from the given sender should be
-// discarded right now. The semantics mirror Injector.drop: a partition
-// drops traffic whose endpoints sit on opposite sides of the cut; a
-// loss burst drops traffic touching a scoped AS with probability Loss.
+// discarded right now, under the same window semantics as the sim
+// Injector (Schedule.drops).
 func (f *LiveFilter) Drop(from underlay.HostID) bool {
-	now := f.clock.Now()
-	for _, w := range f.sched.Windows {
-		if !w.active(now) {
-			continue
-		}
-		switch w.Kind {
-		case ASPartition:
-			if w.scoped(f.as(from)) != w.scoped(f.as(f.self)) {
-				return true
-			}
-		case LossBurst:
-			if w.Loss > 0 && (w.scoped(f.as(from)) || w.scoped(f.as(f.self))) &&
-				f.draw() < w.Loss {
-				return true
-			}
-		}
-	}
-	return false
+	return f.sched.drops(f.clock.Now(), f.as(from), f.as(f.self), f.draw)
 }
 
 // draw serializes the rand stream: the receive loop is one goroutine,

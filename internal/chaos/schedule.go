@@ -86,6 +86,33 @@ type Schedule struct {
 	Windows []Window
 }
 
+// drops applies the partition and loss windows active at now to one
+// message between two ASes — the window semantics the sim Injector and
+// the live LiveFilter share. A partition drops traffic whose endpoints
+// sit on opposite sides of the cut; a loss burst drops traffic touching a
+// scoped AS with probability Loss. Windows are tried in schedule order
+// and draw is consulted only for an active, scoped loss burst with
+// Loss > 0, so each caller's seeded stream advances the same way in
+// both planes.
+func (s Schedule) drops(now sim.Time, fromAS, toAS int, draw func() float64) bool {
+	for _, w := range s.Windows {
+		if !w.active(now) {
+			continue
+		}
+		switch w.Kind {
+		case ASPartition:
+			if w.scoped(fromAS) != w.scoped(toAS) {
+				return true
+			}
+		case LossBurst:
+			if w.Loss > 0 && (w.scoped(fromAS) || w.scoped(toAS)) && draw() < w.Loss {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // Validate rejects schedules an Injector cannot arm: non-finite or
 // negative times, inverted intervals, out-of-range rates, empty
 // partition cuts, non-positive wave sizes.

@@ -13,154 +13,73 @@ type CacheConfig struct {
 	// full, the oldest entry is evicted (FIFO). Capacity <= 0 disables
 	// caching.
 	Capacity int
-	// MaxAge is the number of epochs an entry stays servable: an entry
-	// written at epoch E answers lookups while the current epoch is
-	// below E+MaxAge and is recomputed afterwards. Zero means entries
-	// never age out (they still fall to eviction and invalidation).
-	MaxAge uint64
 }
 
 // CacheStats is a point-in-time snapshot of cache effectiveness.
 type CacheStats struct {
-	Hits, Misses  uint64
-	Evictions     uint64
-	Invalidations uint64
-	Size          int
-	Epoch         uint64
+	Hits, Misses uint64
+	Evictions    uint64
+	Size         int
 }
 
 func (s CacheStats) String() string {
-	return fmt.Sprintf("hits=%d misses=%d evictions=%d invalidations=%d size=%d epoch=%d",
-		s.Hits, s.Misses, s.Evictions, s.Invalidations, s.Size, s.Epoch)
+	return fmt.Sprintf("hits=%d misses=%d evictions=%d size=%d",
+		s.Hits, s.Misses, s.Evictions, s.Size)
 }
 
 type cacheKey [2]underlay.HostID
 
-type cacheEntry struct {
-	score float64
-	epoch uint64
-	// seq numbers the admission that created the entry; the FIFO slot
-	// carrying the same number is the one entitled to evict it.
-	seq uint64
-}
-
-// fifoSlot records one admission.
-type fifoSlot struct {
-	k   cacheKey
-	seq uint64
-}
-
 // scoreCache memoizes Engine.Score per directional (client, peer) pair.
-// Entries leave the cache three ways: FIFO eviction at capacity, aging
-// out after MaxAge epochs, and explicit invalidation on churn or
-// mobility-handover events (the paper's §6 staleness concern: cached
-// underlay information is only as good as its refresh policy).
-//
-// Admissions queue in a circular buffer of 2×Capacity slots. Aging out
-// and invalidation delete the map entry only, orphaning its slot; an
-// orphan (no entry, or an entry re-admitted under a later seq) is skipped
-// when it reaches the head, and squeezed out when the buffer fills — at
-// which point at least Capacity of the slots are orphans, so compaction
-// is amortised O(1) per admission and never runs in capacity-only use.
+// An entry leaves only by FIFO eviction at capacity, so the admission
+// queue is a ring of exactly Capacity keys that holds the map's key set
+// in admission order.
 type scoreCache struct {
-	cfg   CacheConfig
-	m     map[cacheKey]cacheEntry
-	ring  []fifoSlot
-	head  int // index of the oldest slot
-	n     int // slots in use
-	seq   uint64
-	epoch uint64
+	m    map[cacheKey]float64
+	ring []cacheKey // ring[:len(m)] while filling, all of it once full
+	head int        // index of the oldest key
 
-	hits, misses, evictions, invalidations uint64
+	hits, misses, evictions uint64
 }
 
 func newScoreCache(cfg CacheConfig) *scoreCache {
 	return &scoreCache{
-		cfg:  cfg,
-		m:    make(map[cacheKey]cacheEntry, cfg.Capacity),
-		ring: make([]fifoSlot, 2*cfg.Capacity),
+		m:    make(map[cacheKey]float64, cfg.Capacity),
+		ring: make([]cacheKey, cfg.Capacity),
 	}
-}
-
-func (c *scoreCache) fresh(e cacheEntry) bool {
-	return c.cfg.MaxAge == 0 || c.epoch < e.epoch+c.cfg.MaxAge
 }
 
 func (c *scoreCache) get(client, peer underlay.HostID) (float64, bool) {
-	k := cacheKey{client, peer}
-	e, ok := c.m[k]
-	if ok && c.fresh(e) {
+	score, ok := c.m[cacheKey{client, peer}]
+	if ok {
 		c.hits++
-		return e.score, true
+	} else {
+		c.misses++
 	}
-	if ok { // stale: drop so put re-admits it with the current epoch
-		delete(c.m, k)
-	}
-	c.misses++
-	return 0, false
-}
-
-// slot returns the i-th oldest slot in use.
-func (c *scoreCache) slot(i int) *fifoSlot {
-	if i += c.head; i >= len(c.ring) {
-		i -= len(c.ring)
-	}
-	return &c.ring[i]
-}
-
-// live reports whether s is the newest admission of a key still cached.
-func (c *scoreCache) live(s fifoSlot) bool {
-	e, ok := c.m[s.k]
-	return ok && e.seq == s.seq
+	return score, ok
 }
 
 func (c *scoreCache) put(client, peer underlay.HostID, score float64) {
 	k := cacheKey{client, peer}
-	e, ok := c.m[k]
-	if !ok {
-		for len(c.m) >= c.cfg.Capacity && c.n > 0 {
-			old := *c.slot(0)
-			c.head, c.n = (c.head+1)%len(c.ring), c.n-1
-			if c.live(old) {
-				delete(c.m, old.k)
-				c.evictions++
-			}
-		}
-		if c.n == len(c.ring) { // full of orphans: keep the live slots only
-			kept := 0
-			for i := 0; i < c.n; i++ {
-				if s := *c.slot(i); c.live(s) {
-					*c.slot(kept) = s
-					kept++
-				}
-			}
-			c.n = kept
-		}
-		c.seq++
-		e.seq = c.seq
-		*c.slot(c.n) = fifoSlot{k: k, seq: c.seq}
-		c.n++
-	}
-	e.score, e.epoch = score, c.epoch
-	c.m[k] = e
-}
-
-func (c *scoreCache) invalidate(id underlay.HostID) {
-	for k := range c.m {
-		if k[0] == id || k[1] == id {
-			delete(c.m, k)
-			c.invalidations++
+	if _, ok := c.m[k]; !ok {
+		if len(c.m) < len(c.ring) { // still filling: head has not moved
+			c.ring[len(c.m)] = k
+		} else { // full: the new key takes the evicted head's slot
+			delete(c.m, c.ring[c.head])
+			c.evictions++
+			c.ring[c.head] = k
+			c.head = (c.head + 1) % len(c.ring)
 		}
 	}
+	c.m[k] = score
 }
 
-// EnableCache turns on score memoization with the given capacity and
-// staleness policy. Only enable it when every registered estimator is a
-// pure function of its inputs at ranking time (coordinates, registry
-// lookups, ground-truth measurements); estimators that charge per-query
-// traffic would under-report overhead when served from cache — which is
-// precisely the point, but must be a deliberate choice. Returns the
-// engine for chaining.
+// EnableCache turns on score memoization with the given capacity. Only
+// enable it when every registered estimator is a pure function of its
+// inputs at ranking time (coordinates, registry lookups, ground-truth
+// measurements); estimators that charge per-query traffic would
+// under-report overhead when served from cache — which is precisely the
+// point, but must be a deliberate choice. Returns the engine for
+// chaining.
 func (e *Engine) EnableCache(cfg CacheConfig) *Engine {
 	if cfg.Capacity <= 0 {
 		e.cache = nil
@@ -170,39 +89,14 @@ func (e *Engine) EnableCache(cfg CacheConfig) *Engine {
 	return e
 }
 
-// AdvanceEpoch ages every cached score by one epoch. Overlays call it at
-// natural refresh boundaries (a gossip round, a tracker re-announce, a
-// streaming tick) so entries older than CacheConfig.MaxAge epochs are
-// recomputed.
-func (e *Engine) AdvanceEpoch() {
-	if e.cache != nil {
-		e.cache.epoch++
-	}
-}
-
-// Invalidate drops every cached score involving the given host, as client
-// or as peer. Wire it to churn joins/leaves and mobility handovers (see
-// AttachChurn / AttachMobility): a peer that moved or rejoined has new
-// underlay properties, and serving its old scores is the staleness
-// failure mode of §6.
-func (e *Engine) Invalidate(id underlay.HostID) {
-	if e.cache != nil {
-		e.cache.invalidate(id)
-	}
-}
-
-// CacheStats reports hit/miss/eviction/invalidation counts; the zero
-// snapshot when caching is disabled.
+// CacheStats reports hit/miss/eviction counts; the zero snapshot when
+// caching is disabled.
 func (e *Engine) CacheStats() CacheStats {
 	if e.cache == nil {
 		return CacheStats{}
 	}
 	c := e.cache
-	return CacheStats{
-		Hits: c.hits, Misses: c.misses,
-		Evictions: c.evictions, Invalidations: c.invalidations,
-		Size: len(c.m), Epoch: c.epoch,
-	}
+	return CacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Size: len(c.m)}
 }
 
 // RouteOverhead routes estimator collection overhead into cs: after every

@@ -3,11 +3,7 @@ package core
 import (
 	"testing"
 
-	"unap2p/internal/churn"
-	"unap2p/internal/geo"
 	"unap2p/internal/metrics"
-	"unap2p/internal/mobility"
-	"unap2p/internal/sim"
 	"unap2p/internal/underlay"
 )
 
@@ -62,47 +58,6 @@ func TestCacheFIFOEviction(t *testing.T) {
 	}
 }
 
-func TestCacheStalenessEpochs(t *testing.T) {
-	net := buildNet(t)
-	eng, est := countingEngine(net)
-	eng.EnableCache(CacheConfig{Capacity: 16, MaxAge: 2})
-	a, b := net.Hosts()[0], net.Hosts()[1]
-	eng.Score(a, b)
-	eng.AdvanceEpoch()
-	eng.Score(a, b) // one epoch old: still fresh
-	if est.Overhead() != 1 {
-		t.Fatalf("fresh entry recomputed (overhead %d)", est.Overhead())
-	}
-	eng.AdvanceEpoch()
-	eng.Score(a, b) // two epochs old: aged out, recompute
-	if est.Overhead() != 2 {
-		t.Fatalf("stale entry served (overhead %d)", est.Overhead())
-	}
-	// The recomputed entry re-enters at the current epoch.
-	eng.Score(a, b)
-	if est.Overhead() != 2 {
-		t.Fatalf("re-admitted entry not cached (overhead %d)", est.Overhead())
-	}
-}
-
-func TestCacheInvalidate(t *testing.T) {
-	net := buildNet(t)
-	eng, est := countingEngine(net)
-	eng.EnableCache(CacheConfig{Capacity: 16})
-	h := net.Hosts()
-	eng.Score(h[0], h[1])
-	eng.Score(h[1], h[2])
-	eng.Score(h[2], h[3])
-	eng.Invalidate(h[1].ID) // drops (0,1) and (1,2), as peer and as client
-	if st := eng.CacheStats(); st.Invalidations != 2 || st.Size != 1 {
-		t.Fatalf("stats = %v", st)
-	}
-	eng.Score(h[2], h[3]) // untouched entry still serves
-	if est.Overhead() != 3 {
-		t.Fatalf("surviving entry recomputed (overhead %d)", est.Overhead())
-	}
-}
-
 func TestRouteOverheadChargesCounters(t *testing.T) {
 	net := buildNet(t)
 	eng, est := countingEngine(net)
@@ -125,82 +80,6 @@ func TestRouteOverheadChargesCounters(t *testing.T) {
 	}
 	if est.Overhead() != 4 {
 		t.Fatalf("estimator overhead = %d, want 4", est.Overhead())
-	}
-}
-
-// Integration: churn joins/leaves invalidate the moved host's cached
-// scores via AttachChurn, driven through a real kernel run.
-func TestAttachChurnInvalidatesCache(t *testing.T) {
-	net := buildNet(t)
-	eng, est := countingEngine(net)
-	eng.EnableCache(CacheConfig{Capacity: 64})
-	h := net.Hosts()
-	k := sim.NewKernel()
-	var joins, leaves int
-	d := &churn.Driver{
-		Kernel:  k,
-		Model:   churn.Exponential{MeanOn: 10, MeanOff: 10},
-		Rand:    sim.NewSource(13).Stream("churn"),
-		OnJoin:  func(*underlay.Host) { joins++ },
-		OnLeave: func(*underlay.Host) { leaves++ },
-	}
-	AttachChurn(eng, d)
-
-	eng.Score(h[0], h[1])
-	eng.Score(h[2], h[3])
-	d.Start(h[:2])
-	k.Run(50)
-	if d.Joins+d.Leaves == 0 {
-		t.Fatal("no churn events fired")
-	}
-	if joins != int(d.Joins) || leaves != int(d.Leaves) {
-		t.Fatalf("pre-existing handlers lost: %d/%d vs %d/%d", joins, leaves, d.Joins, d.Leaves)
-	}
-	if st := eng.CacheStats(); st.Invalidations == 0 {
-		t.Fatalf("churn events did not invalidate cache: %v", st)
-	}
-	// The (0,1) entry involved churned hosts: next score recomputes.
-	was := est.Overhead()
-	eng.Score(h[0], h[1])
-	if est.Overhead() != was+1 {
-		t.Fatal("churned pair still served from cache")
-	}
-	// The (2,3) entry involved only stable hosts: still cached.
-	eng.Score(h[2], h[3])
-	if est.Overhead() != was+1 {
-		t.Fatal("stable pair lost its cache entry")
-	}
-}
-
-// Integration: mobility handovers invalidate the moved host's cached
-// scores via AttachMobility.
-func TestAttachMobilityInvalidatesCache(t *testing.T) {
-	net := buildNet(t)
-	eng, _ := countingEngine(net)
-	eng.EnableCache(CacheConfig{Capacity: 64})
-	h := net.Hosts()
-	k := sim.NewKernel()
-	points := []mobility.AttachmentPoint{
-		{AS: net.AS(1), Pos: geo.Coord{Lat: 1, Lon: 1}, AccessDelay: 2},
-		{AS: net.AS(2), Pos: geo.Coord{Lat: 2, Lon: 2}, AccessDelay: 3},
-	}
-	var moved int
-	m := mobility.NewModel(k, sim.NewSource(14).Stream("mob"), points, 5)
-	m.OnMove = func(*underlay.Host, mobility.AttachmentPoint, mobility.AttachmentPoint) { moved++ }
-	AttachMobility(eng, m)
-
-	eng.Score(h[0], h[1])
-	m.Attach(h[0], 0)
-	m.Track(h[0])
-	k.Run(30)
-	if m.Moves == 0 {
-		t.Fatal("no handovers fired")
-	}
-	if moved != int(m.Moves) {
-		t.Fatalf("pre-existing OnMove lost: %d vs %d", moved, m.Moves)
-	}
-	if st := eng.CacheStats(); st.Invalidations == 0 {
-		t.Fatalf("handover did not invalidate cache: %v", st)
 	}
 }
 

@@ -25,10 +25,9 @@
 //
 // Two cross-cutting services complete the control plane:
 //
-//   - a memoized per-(client, peer) score cache (cache.go) with
-//     configurable capacity and staleness epochs, invalidated on churn
-//     and mobility handover events, so repeated ranking in floods,
-//     lookups, and tracker responses stops re-querying estimators;
+//   - a memoized per-(client, peer) score cache (cache.go), a FIFO of
+//     configurable capacity, so repeated ranking in floods, lookups, and
+//     tracker responses stops re-querying estimators;
 //   - unified overhead accounting (RouteOverhead): estimator Overhead()
 //     deltas are routed into metrics counters next to the transport's
 //     per-message-type counters, so experiments measure the collection

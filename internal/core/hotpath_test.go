@@ -13,73 +13,45 @@ import (
 )
 
 // modelCache is the score cache as specified, written for obviousness:
-// an admission-ordered key list kept exactly in step with the map (aging
-// out and invalidation remove the key from the list, O(n)).
+// an admission-ordered key list kept exactly in step with the map.
 type modelCache struct {
-	cfg   CacheConfig
-	m     map[cacheKey]cacheEntry
-	order []cacheKey
-	epoch uint64
+	capacity int
+	m        map[cacheKey]float64
+	order    []cacheKey
 
-	hits, misses, evictions, invalidations uint64
-}
-
-func (c *modelCache) unlist(k cacheKey) {
-	for i, have := range c.order {
-		if have == k {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			return
-		}
-	}
+	hits, misses, evictions uint64
 }
 
 func (c *modelCache) get(client, peer underlay.HostID) (float64, bool) {
-	k := cacheKey{client, peer}
-	e, ok := c.m[k]
-	if ok && (c.cfg.MaxAge == 0 || c.epoch < e.epoch+c.cfg.MaxAge) {
-		c.hits++
-		return e.score, true
-	}
+	score, ok := c.m[cacheKey{client, peer}]
 	if ok {
-		delete(c.m, k)
-		c.unlist(k)
+		c.hits++
+	} else {
+		c.misses++
 	}
-	c.misses++
-	return 0, false
+	return score, ok
 }
 
 func (c *modelCache) put(client, peer underlay.HostID, score float64) {
 	k := cacheKey{client, peer}
 	if _, ok := c.m[k]; !ok {
-		for len(c.m) >= c.cfg.Capacity {
+		for len(c.m) >= c.capacity {
 			delete(c.m, c.order[0])
 			c.order = c.order[1:]
 			c.evictions++
 		}
 		c.order = append(c.order, k)
 	}
-	c.m[k] = cacheEntry{score: score, epoch: c.epoch}
-}
-
-func (c *modelCache) invalidate(id underlay.HostID) {
-	for k := range c.m {
-		if k[0] == id || k[1] == id {
-			delete(c.m, k)
-			c.unlist(k)
-			c.invalidations++
-		}
-	}
+	c.m[k] = score
 }
 
 // TestCacheMatchesModel drives the ring cache and the model through the
-// same random get/put/invalidate/AdvanceEpoch sequences. The first
-// configuration is capacity-only — what every experiment uses, and where
-// the model is step for step the pre-ring implementation.
+// same random get/put sequences; every hit, miss and eviction must agree.
 func TestCacheMatchesModel(t *testing.T) {
-	for _, cfg := range []CacheConfig{{Capacity: 8}, {Capacity: 8, MaxAge: 2}, {Capacity: 1, MaxAge: 1}, {Capacity: 5, MaxAge: 3}} {
+	for _, cfg := range []CacheConfig{{Capacity: 8}, {Capacity: 1}} {
 		r := rand.New(rand.NewSource(int64(cfg.Capacity)))
 		c := newScoreCache(cfg)
-		m := &modelCache{cfg: cfg, m: map[cacheKey]cacheEntry{}}
+		m := &modelCache{capacity: cfg.Capacity, m: map[cacheKey]float64{}}
 		for op := 0; op < 20000; op++ {
 			a, b := underlay.HostID(r.Intn(6)), underlay.HostID(r.Intn(6))
 			switch x := r.Intn(100); {
@@ -92,69 +64,12 @@ func TestCacheMatchesModel(t *testing.T) {
 			case x < 90:
 				c.put(a, b, float64(op))
 				m.put(a, b, float64(op))
-			case x < 95 && cfg.MaxAge > 0:
-				c.invalidate(a)
-				m.invalidate(a)
-			case cfg.MaxAge > 0:
-				c.epoch++
-				m.epoch++
 			}
-			if len(c.m) != len(m.m) || c.hits != m.hits || c.misses != m.misses ||
-				c.evictions != m.evictions || c.invalidations != m.invalidations {
-				t.Fatalf("%+v op %d: stats diverge from the model: size %d/%d hits %d/%d misses %d/%d evictions %d/%d invalidations %d/%d",
-					cfg, op, len(c.m), len(m.m), c.hits, m.hits, c.misses, m.misses,
-					c.evictions, m.evictions, c.invalidations, m.invalidations)
+			if len(c.m) != len(m.m) || c.hits != m.hits || c.misses != m.misses || c.evictions != m.evictions {
+				t.Fatalf("%+v op %d: stats diverge from the model: size %d/%d hits %d/%d misses %d/%d evictions %d/%d",
+					cfg, op, len(c.m), len(m.m), c.hits, m.hits, c.misses, m.misses, c.evictions, m.evictions)
 			}
 		}
-	}
-}
-
-// An aged-out or invalidated entry used to leave its key queued, and the
-// next put queued it again: with the map below Capacity nothing ever
-// drained the queue. 100×Capacity age-and-readmit rounds must leave the
-// queue where it started.
-func TestCacheQueueStaysBounded(t *testing.T) {
-	const capacity = 16
-	c := newScoreCache(CacheConfig{Capacity: capacity, MaxAge: 1})
-	for i := 0; i < 100*capacity; i++ {
-		k := underlay.HostID(i % (capacity / 2)) // the map never reaches Capacity
-		c.put(k, k+1, 1)
-		c.epoch++
-		if _, ok := c.get(k, k+1); ok {
-			t.Fatal("entry outlived MaxAge")
-		}
-		c.put(k, k+1, 2)
-		if i%7 == 0 {
-			c.invalidate(k)
-		}
-		if c.n > len(c.ring) || len(c.ring) != 2*capacity {
-			t.Fatalf("round %d: %d queued admissions in a ring of %d, want ≤ %d", i, c.n, len(c.ring), 2*capacity)
-		}
-	}
-	if c.evictions != 0 {
-		t.Fatalf("%d evictions with the map below Capacity", c.evictions)
-	}
-}
-
-// A key re-admitted after aging out is the newest admission: the slot of
-// its first admission, still queued ahead, must not evict it.
-func TestCacheReadmittedKeyIsNewest(t *testing.T) {
-	net := buildNet(t)
-	eng, est := countingEngine(net)
-	eng.EnableCache(CacheConfig{Capacity: 2, MaxAge: 1})
-	h := net.Hosts()
-	eng.Score(h[0], h[1]) // admissions: A
-	eng.Score(h[0], h[2]) // A B
-	eng.AdvanceEpoch()    // both aged out
-	eng.Score(h[0], h[1]) // A re-admitted: B(stale) A
-	eng.Score(h[0], h[3]) // at capacity: must evict B, not the fresh A
-	before := est.Overhead()
-	eng.Score(h[0], h[1])
-	if est.Overhead() != before {
-		t.Fatal("re-admitted entry was evicted by the slot of its earlier admission")
-	}
-	if st := eng.CacheStats(); st.Evictions != 1 || st.Size != 2 {
-		t.Fatalf("stats = %v, want 1 eviction and size 2", st)
 	}
 }
 

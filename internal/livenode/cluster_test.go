@@ -202,6 +202,15 @@ func TestNodeRejectsUnknownOverlay(t *testing.T) {
 }
 
 func TestKeyHelpers(t *testing.T) {
+	// Golden keys: live ground truth (and every recorded lookup verdict)
+	// rests on this exact mapping.
+	for id, want := range map[underlay.HostID]uint64{
+		0: 0xe220a8397b1dcdaf, 7: 0x63cbe1e459320dd7, 1 << 20: 0x33548c24002a1c2d,
+	} {
+		if got := NodeKey(id); got != want {
+			t.Fatalf("NodeKey(%d) = %#x, want %#x", id, got, want)
+		}
+	}
 	members := []underlay.HostID{0, 1, 2, 3, 4}
 	// ClosestXor(…, key(id), 1) must return id itself.
 	for _, id := range members {

@@ -2,11 +2,50 @@ package livenode
 
 import (
 	"encoding/binary"
+	"net"
 	"testing"
 
 	"unap2p/internal/nettransport"
+	"unap2p/internal/resilience"
+	"unap2p/internal/sim"
 	"unap2p/internal/underlay"
 )
+
+// TestMembershipScanAllocatesPerPeerOnce pins the scan's steady state: the
+// first scan over a 16-peer book watches every peer, a rescan of the
+// unchanged book allocates nothing, and a rescan after the book changed
+// lists the ids again but allocates no Host for a peer it already knows.
+func TestMembershipScanAllocatesPerPeerOnce(t *testing.T) {
+	addr := func(port int) *net.UDPAddr { return &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: port} }
+	book := nettransport.NewAddressBook()
+	for id := 0; id <= 16; id++ { // self is 0
+		book.Set(underlay.HostID(id), addr(9000+id))
+	}
+	det := resilience.New(nil, sim.NewKernel(), resilience.DefaultConfig()) // kernel never runs: no ping is sent
+	scan := membershipScan(0, book, &Core{}, det)
+	scan()
+	if det.Watching() != 16 {
+		t.Fatalf("first scan watches %d peers, want 16", det.Watching())
+	}
+	if allocs := testing.AllocsPerRun(10, scan); allocs != 0 {
+		t.Fatalf("rescan of an unchanged book allocates %.0f objects, want 0", allocs)
+	}
+	addrs := []*net.UDPAddr{addr(9100), addr(9016)}
+	rebinds := 0
+	allocs := testing.AllocsPerRun(10, func() {
+		book.Set(16, addrs[rebinds%2]) // peer 16 rebinds: the book changed, its members did not
+		rebinds++
+		scan()
+	})
+	if allocs >= 16 {
+		t.Fatalf("rescan after a rebind allocates %.0f objects: a Host per known peer again", allocs)
+	}
+	book.Set(17, addr(9017))
+	scan()
+	if det.Watching() != 17 {
+		t.Fatalf("newly learned peer not watched: watching %d, want 17", det.Watching())
+	}
+}
 
 // TestGnutellaSeenWindowIsBounded relays far more distinct queries than
 // the dedup window holds: the seen set must stay within its two

@@ -20,24 +20,15 @@ package livenode
 import (
 	"sort"
 
+	"unap2p/internal/megascale"
 	"unap2p/internal/underlay"
 )
 
-// NodeKey maps a cluster host id onto the 64-bit overlay keyspace with a
-// splitmix64-style finalizer: deterministic, well spread, and computable
-// by every process independently.
+// NodeKey maps a cluster host id onto the 64-bit overlay keyspace with
+// the splitmix64 finalizer: deterministic, well spread, and computable by
+// every process independently.
 func NodeKey(id underlay.HostID) uint64 {
-	return mix64(uint64(uint32(id)) + 0x9e3779b97f4a7c15)
-}
-
-// mix64 is the splitmix64 finalizer.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+	return megascale.Mix64(uint64(uint32(id)) + 0x9e3779b97f4a7c15)
 }
 
 // xorDist is the Kademlia metric.

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"unap2p/internal/megascale"
 	"unap2p/internal/nettransport"
 	"unap2p/internal/resilience"
 	"unap2p/internal/sim"
@@ -148,19 +149,9 @@ func Start(cfg Config) (*Node, error) {
 	n.det.Heal(n.engine)
 	n.det.OnRecover = n.core.Recover
 
-	// Membership scan: every ping interval, watch any newly learned peer
-	// (re-watching is a no-op). Runs as a kernel daemon event, i.e. on the
-	// pacer goroutine, which is the only place detector calls are legal.
-	// The detector reads only ID and Up from its hosts; live peers are Up
-	// until evicted.
-	self := &underlay.Host{ID: cfg.ID, Up: true}
-	n.watchCancel = kernel.EveryDaemon(dcfg.PingInterval, func() {
-		for _, id := range tr.Book().IDs() {
-			if id != cfg.ID && !n.core.Dead(id) {
-				n.det.Watch(self, &underlay.Host{ID: id, Up: true})
-			}
-		}
-	})
+	// Runs as a kernel daemon event, i.e. on the pacer goroutine, which is
+	// the only place detector calls are legal.
+	n.watchCancel = kernel.EveryDaemon(dcfg.PingInterval, membershipScan(cfg.ID, tr.Book(), n.core, n.det))
 	n.pacer.Start()
 
 	n.reg = telemetry.NewRegistry()
@@ -178,6 +169,43 @@ func Start(cfg Config) (*Node, error) {
 		n.msrv = srv
 	}
 	return n, nil
+}
+
+// membershipScan returns the detector's membership scan: each call
+// watches every newly learned peer from self's vantage. The detector
+// reads only ID and Up from its hosts; live peers are Up until evicted.
+// A peer's Host is allocated once and kept until the peer is dead, and a
+// scan over a book that has not changed since the previous one returns
+// at once — everything in it is already watched or dead. The closure's
+// state is unguarded: call it from one goroutine (the pacer).
+func membershipScan(selfID underlay.HostID, book *nettransport.AddressBook,
+	core *Core, det *resilience.Detector) func() {
+	self := &underlay.Host{ID: selfID, Up: true}
+	peers := make(map[underlay.HostID]*underlay.Host)
+	var scanned uint64 // book version the previous scan started from
+	return func() {
+		v := book.Version()
+		if v == scanned {
+			return
+		}
+		scanned = v
+		for id := range peers {
+			if core.Dead(id) {
+				delete(peers, id)
+			}
+		}
+		for _, id := range book.IDs() {
+			if id == selfID || core.Dead(id) {
+				continue
+			}
+			h := peers[id]
+			if h == nil {
+				h = &underlay.Host{ID: id, Up: true}
+				peers[id] = h
+			}
+			det.Watch(self, h)
+		}
+	}
 }
 
 // Join dials a bootstrap node by UDP address, retrying briefly (the
@@ -271,7 +299,7 @@ func (n *Node) MetricsAddr() string {
 func (n *Node) RunLookups(count int) (ok int) {
 	seed := NodeKey(n.cfg.ID)
 	for i := 0; i < count; i++ {
-		target := mix64(seed + uint64(i)*0x9e3779b97f4a7c15)
+		target := megascale.Mix64(seed + uint64(i)*0x9e3779b97f4a7c15)
 		if _, good := n.engine.Lookup(target); good {
 			ok++
 		}

@@ -1,15 +1,23 @@
 package telemetry
 
 import (
+	"io"
 	"testing"
 
 	"unap2p/internal/sim"
 	"unap2p/internal/transport"
 )
 
-// The acceptance bar for the telemetry subsystem is that attaching a
-// Recorder costs at most ~10% on the transport hot path. Run both
-// benchmarks with -benchmem and compare ns/op.
+// The Detached/Recorded pairs price attaching a Recorder to the transport
+// hot path in the mode every recording run uses: a JSONL sink (here over
+// io.Discard), so each message pays the Trace callback, the ring write and
+// its share of the encode when the ring drains. Run both benchmarks of a
+// pair with -benchmem and compare ns/op.
+
+// benchRecorder returns a sink-attached recorder with the default ring.
+func benchRecorder() *Recorder {
+	return NewRecorder(Config{Sink: NewRunWriter(io.Discard)})
+}
 
 func benchSend(b *testing.B, attach, accounted bool) {
 	net, hosts := testNet(1)
@@ -19,10 +27,7 @@ func benchSend(b *testing.B, attach, accounted bool) {
 		tr.MatrixFor("bench")
 	}
 	if attach {
-		// A small ring stays L1-resident, which matters at this
-		// per-event cost scale; capacity only bounds how much history
-		// Events() can replay, not the metrics accounting.
-		rec := NewRecorder(Config{Capacity: 64})
+		rec := benchRecorder()
 		rec.ObserveTransport(tr)
 		rec.ObserveKernel(k)
 	}
@@ -53,7 +58,7 @@ func benchDeliver(b *testing.B, attach bool) {
 	k := sim.NewKernel()
 	tr := transport.New(net, k)
 	if attach {
-		rec := NewRecorder(Config{Capacity: 64})
+		rec := benchRecorder()
 		rec.ObserveTransport(tr)
 		rec.ObserveKernel(k)
 	}

@@ -282,8 +282,8 @@ func (p *Probe) ObserveReporter(name string, hr HealthReporter) {
 // snapshot flattened to scalars, every health source, and each churn
 // driver's live population. Kernel-driven ticks call it automatically;
 // experiments without a kernel call it manually at round boundaries.
-// It must run on the goroutine driving the simulation (the recorder's
-// quiescence contract).
+// It must run on the goroutine driving the simulation: the snapshot reads
+// the observed transports' unsynchronised accounting.
 func (p *Probe) Sample() {
 	snap := p.rec.Snapshot()
 

@@ -29,12 +29,7 @@ type Config struct {
 // the components it observes (transports, kernels, churn drivers,
 // mobility models), draining to a JSONL sink, with a metrics snapshot
 // taken at Close. Parameter sweeps may feed one recorder from several
-// goroutines: the shared ring is mutex-guarded and each transport's
-// high-rate hook writes through its own single-goroutine staging buffer
-// (see transportStage). Accessors (Events, Recorded, Snapshot, Close)
-// drain those buffers and therefore must not run concurrently with
-// in-flight sends — all simulation accessors run after the kernel or the
-// sweep has finished, so this holds naturally. The recorder is strictly
+// goroutines: the shared ring is mutex-guarded. The recorder is strictly
 // a pure observer: attaching it changes no simulated result.
 type Recorder struct {
 	mu sync.Mutex
@@ -58,63 +53,9 @@ type Recorder struct {
 	sharded    []*sim.ShardedKernel
 	churns     []*churn.Driver
 	mobilities []*mobility.Model
-	stages     []*transportStage
 
 	closed  bool
 	summary Summary
-}
-
-// transportStage drains one transport's EventLog into the recorder.
-// Transport messages are the only high-rate event source, so their hot
-// path must stay at a handful of nanoseconds: Send fills the log ring in
-// place (see transport.EventLog) with no callback, no lock, and no
-// conversion. Locking and conversion to telemetry Events happen only
-// here, when the log spills to the sink or an accessor drains it. Each
-// log is written by exactly one goroutine (the sim kernel is
-// single-threaded); accessors rely on the quiescence contract of
-// drainStages.
-type transportStage struct {
-	r   *Recorder
-	t   *transport.Transport // for resolving LogEntry type tags
-	log *transport.EventLog
-}
-
-// drain moves every retained log event into the shared ring (and so to
-// the sink, when one is attached) and folds the log's overwrite count
-// into the recorder's accounting.
-func (s *transportStage) drain() {
-	s.r.mu.Lock()
-	lost := s.log.Drain(func(e *transport.LogEntry) {
-		if p := s.r.slotLocked(); p != nil {
-			p.At = e.At
-			p.Cat = CatTransport
-			p.Type = s.t.TypeByID(e.Type)
-			p.From = int(e.From)
-			p.To = int(e.To)
-			p.Bytes = e.Bytes
-			p.Latency = e.Latency
-			p.Dropped = e.Dropped
-			p.Detail = ""
-		}
-	})
-	if !s.r.closed {
-		s.r.recorded += lost
-		s.r.overwritten += lost
-	}
-	s.r.mu.Unlock()
-}
-
-// drainStages flushes every staging buffer into the ring. Callers must
-// ensure no observed component is concurrently sending (all simulation
-// accessors run after the kernel — or the seed sweep — has finished, so
-// this holds naturally).
-func (r *Recorder) drainStages() {
-	r.mu.Lock()
-	stages := append([]*transportStage(nil), r.stages...)
-	r.mu.Unlock()
-	for _, s := range stages {
-		s.drain()
-	}
 }
 
 // NewRecorder returns a recorder; the zero Config is usable (in-memory
@@ -144,19 +85,9 @@ func (r *Recorder) Registry() *Registry { return r.reg }
 // overflow, see Config.Capacity).
 func (r *Recorder) Record(e Event) {
 	r.mu.Lock()
-	if p := r.slotLocked(); p != nil {
-		*p = e
-	}
-	r.mu.Unlock()
-}
-
-// slotLocked claims the ring slot for the next event (draining or
-// overwriting on overflow) and returns it, or nil when the recorder is
-// closed. Returning the slot instead of copying an Event in keeps the
-// staged drain path down to a single struct store. Caller holds mu.
-func (r *Recorder) slotLocked() *Event {
 	if r.closed {
-		return nil
+		r.mu.Unlock()
+		return
 	}
 	r.recorded++
 	if r.n == len(r.ring) {
@@ -168,9 +99,9 @@ func (r *Recorder) slotLocked() *Event {
 			r.overwritten++
 		}
 	}
-	p := &r.ring[(r.start+r.n)%len(r.ring)]
+	r.ring[(r.start+r.n)%len(r.ring)] = e
 	r.n++
-	return p
+	r.mu.Unlock()
 }
 
 // drainLocked flushes all buffered events to the sink. Caller holds mu.
@@ -207,7 +138,6 @@ func (r *Recorder) recordSample(s Sample) {
 // Events returns the currently buffered events, oldest first. With a
 // sink attached this is only the tail not yet drained.
 func (r *Recorder) Events() []Event {
-	r.drainStages()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]Event, r.n)
@@ -220,7 +150,6 @@ func (r *Recorder) Events() []Event {
 // Recorded reports the total events seen (including drained and
 // overwritten ones).
 func (r *Recorder) Recorded() uint64 {
-	r.drainStages()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.recorded
@@ -236,22 +165,8 @@ func (r *Recorder) ObserveTransport(t *transport.Transport) {
 	}
 	r.mu.Lock()
 	r.transports = append(r.transports, t)
-	sink := r.sink != nil
-	if !sink {
-		// Sink-less recording keeps only the last Capacity events, which
-		// the transport's in-place event log provides at near-zero cost
-		// per message.
-		st := &transportStage{r: r, t: t, log: transport.NewEventLog(len(r.ring))}
-		r.stages = append(r.stages, st)
-		t.SetEventLog(st.log)
-	}
 	r.mu.Unlock()
-	if sink {
-		// With a sink every event must reach the run file in global
-		// arrival order, so record through the (slower) trace callback —
-		// per-event JSON encoding dominates that path anyway.
-		t.AddTrace(func(e transport.Event) { r.Record(transportEvent(e)) })
-	}
+	t.AddTrace(func(e transport.Event) { r.Record(transportEvent(e)) })
 }
 
 // ObserveKernel includes a kernel's run statistics (simulated end time,
@@ -348,7 +263,6 @@ func prefixed(name string, i int) string {
 // MetricsSnapshot. It can be called mid-run; Close calls it one final
 // time for the summary.
 func (r *Recorder) Snapshot() MetricsSnapshot {
-	r.drainStages()
 	s := r.reg.Snapshot()
 	r.mu.Lock()
 	transports := append([]*transport.Transport(nil), r.transports...)
@@ -414,7 +328,6 @@ func (r *Recorder) Snapshot() MetricsSnapshot {
 // summary to the sink (when present), and returns the first sink error
 // encountered. Further Record calls are ignored. Close is idempotent.
 func (r *Recorder) Close() error {
-	r.drainStages()
 	r.mu.Lock()
 	if r.closed {
 		err := r.sinkErr

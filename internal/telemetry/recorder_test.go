@@ -178,6 +178,56 @@ func TestRecorderObserveChurn(t *testing.T) {
 	}
 }
 
+// TestRecorderSinklessEventsInArrivalOrder drives a transport and a churn
+// driver on one kernel under a sink-less recorder: Events() must replay
+// them in the order they happened, transport and churn interleaved.
+func TestRecorderSinklessEventsInArrivalOrder(t *testing.T) {
+	net, hosts := testNet(3)
+	k := sim.NewKernel()
+	tr := transport.New(net, k)
+	drv := &churn.Driver{
+		Kernel: k,
+		Model:  churn.Exponential{MeanOn: 2 * sim.Second, MeanOff: 1 * sim.Second},
+		Rand:   sim.NewSource(3).Stream("churn"),
+	}
+	rec := NewRecorder(Config{Capacity: 4096})
+	rec.ObserveTransport(tr)
+	rec.ObserveChurn(drv)
+	drv.Start(hosts)
+	for i := 1; i <= 40; i++ {
+		i := i
+		k.Schedule(sim.Duration(i)*sim.Second/2, func() {
+			tr.Send(hosts[i%len(hosts)], hosts[(i+1)%len(hosts)], 64, "ping")
+		})
+	}
+	k.Run(20 * sim.Second)
+
+	evs := rec.Events()
+	var transports, churns, switches int
+	for i, e := range evs {
+		if i > 0 && e.At < evs[i-1].At {
+			t.Fatalf("event %d (%s at %v) precedes event %d (%s at %v)",
+				i, e.Cat, e.At, i-1, evs[i-1].Cat, evs[i-1].At)
+		}
+		if i > 0 && e.Cat != evs[i-1].Cat {
+			switches++
+		}
+		switch e.Cat {
+		case CatTransport:
+			transports++
+		case CatChurn:
+			churns++
+		}
+	}
+	if transports != 40 || uint64(churns) != drv.Joins+drv.Leaves || churns == 0 {
+		t.Fatalf("got %d transport and %d churn events; want 40 and %d (>0)",
+			transports, churns, drv.Joins+drv.Leaves)
+	}
+	if switches < 4 {
+		t.Fatalf("categories changed %d times across %d events; want them interleaved", switches, len(evs))
+	}
+}
+
 func TestRecorderObserveMobility(t *testing.T) {
 	net, hosts := testNet(4)
 	k := sim.NewKernel()

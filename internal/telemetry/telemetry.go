@@ -68,23 +68,11 @@ type Event struct {
 
 // transportEvent converts a transport trace event into a telemetry event.
 func transportEvent(e transport.Event) Event {
-	var out Event
-	fillTransportEvent(&out, &e)
-	return out
-}
-
-// fillTransportEvent converts in place — the staged drain path writes
-// straight into a ring slot, avoiding an intermediate Event copy.
-func fillTransportEvent(dst *Event, e *transport.Event) {
-	dst.At = e.At
-	dst.Cat = CatTransport
-	dst.Type = e.Type
-	dst.From = hostID(e.From)
-	dst.To = hostID(e.To)
-	dst.Bytes = e.Bytes
-	dst.Latency = e.Latency
-	dst.Dropped = e.Dropped
-	dst.Detail = ""
+	return Event{
+		At: e.At, Cat: CatTransport, Type: e.Type,
+		From: hostID(e.From), To: hostID(e.To),
+		Bytes: e.Bytes, Latency: e.Latency, Dropped: e.Dropped,
+	}
 }
 
 func hostID(h *underlay.Host) int {

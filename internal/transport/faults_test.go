@@ -246,76 +246,3 @@ func TestInterBytesAfterDrops(t *testing.T) {
 		t.Fatalf("intra bytes %d is not a whole number of messages", st.IntraBytes)
 	}
 }
-
-// TestEventLogKeepsLastN exercises the in-place event log: implicit
-// overwrite of the oldest entries, loss accounting at drain time, and
-// type-tag resolution.
-func TestEventLogKeepsLastN(t *testing.T) {
-	net := testNet()
-	tr := Over(net)
-	l := NewEventLog(4)
-	tr.SetEventLog(l)
-	hosts := net.Hosts()
-	for i := 0; i < 10; i++ {
-		tr.Send(hosts[0], hosts[1], uint64(100+i), "e")
-	}
-	if l.Written() != 10 {
-		t.Fatalf("written = %d, want 10", l.Written())
-	}
-	var got []uint64
-	lost := l.Drain(func(e *LogEntry) {
-		got = append(got, e.Bytes)
-		if tr.TypeByID(e.Type) != "e" {
-			t.Fatalf("type tag %d resolves to %q, want \"e\"", e.Type, tr.TypeByID(e.Type))
-		}
-		if e.From != int32(hosts[0].ID) || e.To != int32(hosts[1].ID) {
-			t.Fatalf("bad endpoints: %+v", e)
-		}
-	})
-	if lost != 6 {
-		t.Fatalf("lost = %d, want 6", lost)
-	}
-	if len(got) != 4 || got[0] != 106 || got[3] != 109 {
-		t.Fatalf("retained = %v, want [106 107 108 109]", got)
-	}
-	// A drained log is empty and resumes cleanly.
-	if lost := l.Drain(func(*LogEntry) { t.Fatal("drained twice") }); lost != 0 {
-		t.Fatalf("second drain lost %d", lost)
-	}
-	tr.Send(hosts[0], hosts[1], 500, "e")
-	var after []uint64
-	if lost := l.Drain(func(e *LogEntry) { after = append(after, e.Bytes) }); lost != 0 {
-		t.Fatal("no overwrite expected after resume")
-	}
-	if len(after) != 1 || after[0] != 500 {
-		t.Fatalf("after resume = %v, want [500]", after)
-	}
-}
-
-// TestEventLogSeesDrops mirrors TestTraceSeesDropsAndDeliveries for the
-// log path: dropped messages appear with Dropped set and zero latency.
-func TestEventLogSeesDrops(t *testing.T) {
-	net := testNet()
-	tr := Over(net)
-	tr.Faults = Faults{LossRate: 0.5, Rand: sim.NewSource(5).Stream("faults")}
-	l := NewEventLog(256)
-	tr.SetEventLog(l)
-	hosts := net.Hosts()
-	for i := 0; i < 100; i++ {
-		tr.Send(hosts[i%len(hosts)], hosts[(i+1)%len(hosts)], 10, "d")
-	}
-	drops := uint64(0)
-	l.Drain(func(e *LogEntry) {
-		if e.Dropped {
-			drops++
-			if e.Latency != 0 {
-				t.Fatalf("dropped event has latency %v", e.Latency)
-			}
-		} else if e.Latency <= 0 {
-			t.Fatalf("delivered event has latency %v", e.Latency)
-		}
-	})
-	if want := tr.StatsFor("d").Dropped; drops != want {
-		t.Fatalf("log saw %d drops, stats say %d", drops, want)
-	}
-}

@@ -16,7 +16,7 @@
 //
 //   - per-message-type counters (Counters) and latency histograms,
 //   - centralized intra-AS vs cross-ISP byte accounting (StatsFor,
-//     IntraFraction) plus optional per-type traffic matrices (MatrixFor),
+//     AllStats) plus optional per-type traffic matrices (MatrixFor),
 //   - deterministic fault injection (Faults): per-seed packet loss and
 //     extra delay, for the churn/failure robustness studies of §6,
 //   - tracing (Trace) of every message for debugging and analysis,
@@ -29,7 +29,6 @@
 package transport
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
@@ -133,9 +132,6 @@ type typeStats struct {
 	// matrix is the traffic matrix MatrixFor registered for the type
 	// (shared with the other types of that call), or nil.
 	matrix *metrics.TrafficMatrix
-	// id is the dense index of this type in Transport.typeNames, used as
-	// the pointer-free type tag in event log entries.
-	id uint32
 }
 
 // Stats is a read-only snapshot of one message type's accounting.
@@ -170,14 +166,9 @@ type Transport struct {
 	Retry RetryPolicy
 	// Trace, when non-nil, observes every message (including drops).
 	Trace func(Event)
-	// log, when non-nil, receives every message event in place — see
-	// EventLog and SetEventLog.
-	log *EventLog
 
 	msgs  *metrics.CounterSet
 	types map[string]*typeStats
-	// typeNames maps typeStats.id back to the message type string.
-	typeNames []string
 }
 
 var _ Messenger = (*Transport)(nil)
@@ -254,86 +245,6 @@ func (t *Transport) AddTrace(fn func(Event)) {
 	t.Trace = fn
 }
 
-// LogEntry is the on-ring representation of one message event. It is
-// deliberately pointer-free — host IDs instead of *Host, a dense type
-// tag (see Transport.TypeByID) instead of the type string — so the
-// in-place fill in Send compiles to a handful of plain stores with no
-// GC write barrier and no stack temporary.
-type LogEntry struct {
-	// At is the simulated send time (0 for kernel-less transports).
-	At sim.Time
-	// Latency is the one-way delivery latency (0 when dropped).
-	Latency sim.Duration
-	// Bytes is the message payload size.
-	Bytes uint64
-	// From and To are the endpoint host IDs.
-	From, To int32
-	// Type is the message type tag; resolve with Transport.TypeByID.
-	Type uint32
-	// Dropped reports that fault injection discarded the message.
-	Dropped bool
-}
-
-// EventLog is a fixed-size ring of message events that Send fills in
-// place, keeping the last capacity events — the near-zero-cost
-// alternative to a Trace callback for high-rate consumers (the telemetry
-// recorder's staging buffer). Unlike Trace, whose indirect call and
-// argument copy cost tens of nanoseconds per message, the log append
-// inlines into Send as a single in-place struct store: older events are
-// overwritten implicitly by the masked write, so the hot path carries no
-// overflow branch; Drain reconstructs the overwrite count afterwards. A
-// log is written by the one goroutine driving its transport and must
-// only be drained after that goroutine is quiescent.
-type EventLog struct {
-	buf  []LogEntry // power-of-two length; the next slot is buf[w&(len-1)]
-	w    uint64     // events written so far
-	done uint64     // events already consumed by Drain
-}
-
-// NewEventLog returns a log holding up to capacity events (rounded up to
-// a power of two; minimum 1).
-func NewEventLog(capacity int) *EventLog {
-	size := 1
-	for size < capacity {
-		size <<= 1
-	}
-	return &EventLog{buf: make([]LogEntry, size)}
-}
-
-// slot claims the ring slot for the next event; Send constructs the
-// event directly into it. Kept trivial so it inlines into the send
-// path; the len-1 masking idiom also lets the compiler drop the bounds
-// check.
-func (l *EventLog) slot() *LogEntry {
-	p := &l.buf[l.w&uint64(len(l.buf)-1)]
-	l.w++
-	return p
-}
-
-// Written reports the total events appended so far.
-func (l *EventLog) Written() uint64 { return l.w }
-
-// Drain invokes fn on every retained event in arrival order, empties the
-// log, and returns how many events were overwritten (lost) since the
-// previous drain.
-func (l *EventLog) Drain(fn func(*LogEntry)) (lost uint64) {
-	lo := l.done
-	if l.w-lo > uint64(len(l.buf)) {
-		lost = l.w - lo - uint64(len(l.buf))
-		lo = l.w - uint64(len(l.buf))
-	}
-	for i := lo; i < l.w; i++ {
-		fn(&l.buf[i&uint64(len(l.buf)-1)])
-	}
-	l.done = l.w
-	return lost
-}
-
-// SetEventLog attaches (or, with nil, detaches) the transport's event
-// log. A transport has at most one log — attaching replaces any previous
-// one; use AddTrace for additional lower-rate observers.
-func (t *Transport) SetEventLog(l *EventLog) { t.log = l }
-
 // record returns msgType's accounting record, creating an empty one.
 func (t *Transport) record(msgType string) *typeStats {
 	st := t.types[msgType]
@@ -344,22 +255,16 @@ func (t *Transport) record(msgType string) *typeStats {
 	return st
 }
 
-// stats returns msgType's record, completing it (counter, histogram,
-// type tag) on the type's first Send.
+// stats returns msgType's record, completing it (counter, histogram) on
+// the type's first Send.
 func (t *Transport) stats(msgType string) *typeStats {
 	st := t.record(msgType)
 	if st.counter == nil {
 		st.counter = t.msgs.Get(msgType)
 		st.latency = metrics.NewLatencyHistogram()
-		st.id = uint32(len(t.typeNames))
-		t.typeNames = append(t.typeNames, msgType)
 	}
 	return st
 }
-
-// TypeByID resolves an event log entry's type tag back to the message
-// type string.
-func (t *Transport) TypeByID(id uint32) string { return t.typeNames[id] }
 
 // dropped draws the loss decision for one message. The endpoint-aware
 // Drop hook is consulted first so a chaos schedule can partition or
@@ -399,10 +304,6 @@ func (t *Transport) Send(from, to *underlay.Host, bytes uint64, msgType string) 
 	st.msgs++
 	if t.dropped(from, to) {
 		st.dropped++
-		if l := t.log; l != nil {
-			*l.slot() = LogEntry{At: t.now(), Bytes: bytes,
-				From: int32(from.ID), To: int32(to.ID), Type: st.id, Dropped: true}
-		}
 		if t.Trace != nil {
 			t.Trace(Event{From: from, To: to, Type: msgType, Bytes: bytes, Dropped: true, At: t.now()})
 		}
@@ -419,10 +320,6 @@ func (t *Transport) Send(from, to *underlay.Host, bytes uint64, msgType string) 
 	st.latency.Observe(float64(lat))
 	if m := st.matrix; m != nil {
 		m.Add(from.AS.ID, to.AS.ID, bytes)
-	}
-	if l := t.log; l != nil {
-		*l.slot() = LogEntry{At: t.now(), Latency: lat, Bytes: bytes,
-			From: int32(from.ID), To: int32(to.ID), Type: st.id}
 	}
 	if t.Trace != nil {
 		t.Trace(Event{From: from, To: to, Type: msgType, Bytes: bytes, Latency: lat, At: t.now()})
@@ -519,7 +416,12 @@ func (t *Transport) TrafficMatrices() map[string]*metrics.TrafficMatrix {
 
 // TypeNames returns every message type seen so far, sorted.
 func (t *Transport) TypeNames() []string {
-	names := append([]string(nil), t.typeNames...)
+	names := make([]string, 0, len(t.types))
+	for ty, st := range t.types {
+		if st.counter != nil {
+			names = append(names, ty)
+		}
+	}
 	sort.Strings(names)
 	return names
 }
@@ -544,45 +446,4 @@ func (t *Transport) AllStats() []Stats {
 		out = append(out, t.StatsFor(n))
 	}
 	return out
-}
-
-// TotalBytes returns delivered bytes across all message types.
-func (t *Transport) TotalBytes() uint64 {
-	var sum uint64
-	for _, st := range t.types {
-		sum += st.bytes
-	}
-	return sum
-}
-
-// IntraFraction returns the intra-AS share of all delivered bytes in
-// [0,1] — the locality headline, computed once here instead of per
-// experiment.
-func (t *Transport) IntraFraction() float64 {
-	var intra, total uint64
-	for _, st := range t.types {
-		intra += st.intraBytes
-		total += st.bytes
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(intra) / float64(total)
-}
-
-// Report formats the per-type accounting as an aligned text table.
-func (t *Transport) Report() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-12s %10s %8s %12s %8s %10s %10s\n",
-		"type", "msgs", "dropped", "bytes", "intra%", "lat p50", "lat p95")
-	for _, s := range t.AllStats() {
-		intra := 0.0
-		if s.Bytes > 0 {
-			intra = 100 * float64(s.IntraBytes) / float64(s.Bytes)
-		}
-		fmt.Fprintf(&b, "%-12s %10d %8d %12d %7.1f%% %10.1f %10.1f\n",
-			s.Type, s.Msgs, s.Dropped, s.Bytes, intra,
-			s.Latency.Quantile(0.5), s.Latency.Quantile(0.95))
-	}
-	return b.String()
 }
