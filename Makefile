@@ -83,8 +83,12 @@ bench-json:
 # at the sink-attached recorder every recording run uses (~0.9 µs/msg,
 # JSON encode included, against ~90 ns for the deleted in-place log) and
 # BenchmarkSwarmRound began rebuilding its swarm on completion — both
-# are different measurements from the PR 14 entries of the same name.
-BENCH_BASELINE ?= BENCH_PR15.json
+# are different measurements from the PR 14 entries of the same name;
+# and to BENCH_PR16.json when the kernel's event queue became a 4-ary heap
+# on concrete types (KernelSchedule/Throughput ~23 -> ~11 ns, KernelFanout
+# 224 -> 135 µs) and BenchmarkKernelHold began pricing it at the depth the
+# workloads run it (32 768 pending events).
+BENCH_BASELINE ?= BENCH_PR16.json
 PERF_THRESHOLD ?= 0.15
 BENCH_RECHECK = $(BENCH_JSON:.json=.recheck.json)
 BENCH_DIFF = $(GO) run ./cmd/unapctl bench-diff -threshold $(PERF_THRESHOLD) $(BENCH_BASELINE)

@@ -1,6 +1,8 @@
 package gnutella
 
 import (
+	"math/bits"
+
 	"unap2p/internal/megascale"
 	"unap2p/internal/sim"
 	"unap2p/internal/transport"
@@ -61,8 +63,10 @@ func DefaultCompactConfig() CompactConfig {
 // QRP-style last-hop routing: an ultrapeer knows which of its leaves
 // share a key (statically, from the deterministic replica placement)
 // and forwards the query only to those, which answer with a QueryHit
-// straight to the origin. Flood dedup state is per-shard, keyed by
-// (query id, peer), so every mutation stays on the owning shard.
+// straight to the origin. Flood dedup state belongs to the query (see
+// floodQuery), one peer set per shard, so every mutation stays on the
+// owning shard and the state is garbage once the query's last closure
+// has run.
 type CompactFlood struct {
 	cfg CompactConfig
 	net *transport.ShardedNet
@@ -80,12 +84,8 @@ type CompactFlood struct {
 	qryClass, hitClass int
 
 	ctr *megascale.Counters
-	// seen holds per-shard flood dedup sets keyed qid<<32|peer; each
-	// shard touches only its own map.
-	seen []map[uint64]struct{}
-	// qseq allocates per-shard query ids; potential counts queries whose
-	// key was statically reachable (the ground-truth denominator).
-	qseq      []uint32
+	// potential counts, per shard, queries whose key was statically
+	// reachable (the ground-truth denominator).
 	potential []uint64
 }
 
@@ -111,12 +111,7 @@ func NewCompactFlood(net *transport.ShardedNet, cfg CompactConfig, seed uint64, 
 		uidx:     make([]int32, n),
 		qryClass: qryClass, hitClass: hitClass,
 		ctr:       megascale.NewCounters(shards),
-		seen:      make([]map[uint64]struct{}, shards),
-		qseq:      make([]uint32, shards),
 		potential: make([]uint64, shards),
-	}
-	for i := range g.seen {
-		g.seen[i] = make(map[uint64]struct{})
 	}
 	return g
 }
@@ -282,11 +277,67 @@ func (g *CompactFlood) attachedTo(o, u underlay.PeerID) bool {
 	return false
 }
 
-// floodQuery is one in-flight query's origin-shard state.
+// peerSet is an open-addressed set of peer ids, sized for the few
+// hundred peers one TTL-bounded flood reaches. A slot holds id+1 so the
+// zero value is an empty set; ids up to math.MaxUint32-1 fit.
+type peerSet struct {
+	slots []uint32 // power-of-two length, linear probing, 0 = empty
+	n     int
+}
+
+// add inserts p and reports whether it was absent.
+func (s *peerSet) add(p underlay.PeerID) bool {
+	if s.slots == nil {
+		s.slots = make([]uint32, 16)
+	}
+	if !s.insert(uint32(p) + 1) {
+		return false
+	}
+	if 2*s.n > len(s.slots) {
+		s.grow()
+	}
+	return true
+}
+
+// insert probes linearly from key's slot, the top log2(len) bits of a
+// multiplicative hash; the table is never more than half full, so an
+// empty slot ends every probe.
+func (s *peerSet) insert(key uint32) bool {
+	mask := uint32(len(s.slots) - 1)
+	for i := key * 0x9e3779b1 >> bits.LeadingZeros32(mask); ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case 0:
+			s.slots[i] = key
+			s.n++
+			return true
+		case key:
+			return false
+		}
+	}
+}
+
+// grow doubles the table and reinserts.
+func (s *peerSet) grow() {
+	old := s.slots
+	s.slots, s.n = make([]uint32, 2*len(old)), 0
+	for _, key := range old {
+		if key != 0 {
+			s.insert(key)
+		}
+	}
+}
+
+// floodQuery is one in-flight query's state. hits, firstHop and best
+// belong to the origin's shard; seen[i] is the set of peers on shard i
+// the query has reached and is touched by shard i alone (the barrier
+// orders Query's allocation before any other shard's first use). Nothing
+// outside the query's own closures points here, so the dedup state is
+// collected once the last of them has run.
 type floodQuery struct {
 	hits     int
 	firstHop int
 	best     underlay.PeerID
+	seen     []peerSet
 }
 
 // Query implements megascale.CompactOverlay: one keyword query for a
@@ -299,18 +350,16 @@ func (g *CompactFlood) Query(origin underlay.PeerID, seed uint64, onDone func(me
 	owners := g.owners(key, nil)
 	oshard := g.net.ShardOf(origin)
 	g.ctr.Start(oshard)
-	qid := uint64(g.qseq[oshard])<<8 | uint64(oshard)
-	g.qseq[oshard]++
-	st := &floodQuery{best: origin}
+	st := &floodQuery{best: origin, seen: make([]peerSet, g.net.Kernel().NumShards())}
 	if g.uidx[origin] >= 0 {
 		// Ultra origin processes the query locally, no self-message.
-		g.deliver(origin, origin, qid, owners, g.cfg.QueryTTL, 0, st)
+		g.deliver(origin, origin, owners, g.cfg.QueryTTL, 0, st)
 	} else {
 		base := int(origin) * g.cfg.LeafParents
 		for i := 0; i < int(g.pcnt[origin]); i++ {
 			up := underlay.PeerID(g.par[base+i])
 			g.net.Send(origin, up, g.qryClass, g.cfg.QueryBytes, func() {
-				g.deliver(origin, up, qid, owners, g.cfg.QueryTTL, 1, st)
+				g.deliver(origin, up, owners, g.cfg.QueryTTL, 1, st)
 			})
 		}
 	}
@@ -327,19 +376,13 @@ func (g *CompactFlood) Query(origin underlay.PeerID, seed uint64, onDone func(me
 }
 
 // deliver processes the query at ultrapeer u, on u's shard: liveness
-// gate, per-shard dedup, QRP hit check against u and its leaves, then a
-// TTL-bounded forward to u's neighbors.
-func (g *CompactFlood) deliver(origin, u underlay.PeerID, qid uint64,
+// gate, dedup against the query's set for this shard, QRP hit check
+// against u and its leaves, then a TTL-bounded forward to u's neighbors.
+func (g *CompactFlood) deliver(origin, u underlay.PeerID,
 	owners []underlay.PeerID, ttl, hops int, st *floodQuery) {
-	if !g.net.Peers().Up(u) {
+	if !g.net.Peers().Up(u) || !st.seen[g.net.ShardOf(u)].add(u) {
 		return
 	}
-	shard := g.net.ShardOf(u)
-	dk := qid<<32 | uint64(u)
-	if _, dup := g.seen[shard][dk]; dup {
-		return
-	}
-	g.seen[shard][dk] = struct{}{}
 	for _, o := range owners {
 		o := o
 		if !g.attachedTo(o, u) {
@@ -353,15 +396,9 @@ func (g *CompactFlood) deliver(origin, u underlay.PeerID, qid uint64,
 		// the origin directly if alive.
 		hop := hops + 1
 		g.net.Send(u, o, g.qryClass, g.cfg.QueryBytes, func() {
-			if !g.net.Peers().Up(o) {
+			if !g.net.Peers().Up(o) || !st.seen[g.net.ShardOf(o)].add(o) {
 				return
 			}
-			lk := qid<<32 | uint64(o)
-			ls := g.net.ShardOf(o)
-			if _, dup := g.seen[ls][lk]; dup {
-				return
-			}
-			g.seen[ls][lk] = struct{}{}
 			g.reply(origin, o, hop, st)
 		})
 	}
@@ -373,7 +410,7 @@ func (g *CompactFlood) deliver(origin, u underlay.PeerID, qid uint64,
 	for i := 0; i < int(g.ncnt[ui]); i++ {
 		v := underlay.PeerID(g.nbr[base+i])
 		g.net.Send(u, v, g.qryClass, g.cfg.QueryBytes, func() {
-			g.deliver(origin, v, qid, owners, ttl-1, hops+1, st)
+			g.deliver(origin, v, owners, ttl-1, hops+1, st)
 		})
 	}
 }
@@ -402,16 +439,15 @@ func (g *CompactFlood) PotentialHit(origin underlay.PeerID, key uint64) bool {
 		ttl int
 	}
 	var frontier []qe
-	visited := map[underlay.PeerID]bool{}
+	var visited peerSet
 	if g.uidx[origin] >= 0 {
 		frontier = append(frontier, qe{origin, g.cfg.QueryTTL})
-		visited[origin] = true
+		visited.add(origin)
 	} else {
 		base := int(origin) * g.cfg.LeafParents
 		for i := 0; i < int(g.pcnt[origin]); i++ {
 			up := underlay.PeerID(g.par[base+i])
-			if !visited[up] {
-				visited[up] = true
+			if visited.add(up) {
 				frontier = append(frontier, qe{up, g.cfg.QueryTTL})
 			}
 		}
@@ -431,8 +467,7 @@ func (g *CompactFlood) PotentialHit(origin underlay.PeerID, key uint64) bool {
 		base := ui * g.cfg.maxDeg()
 		for i := 0; i < int(g.ncnt[ui]); i++ {
 			v := underlay.PeerID(g.nbr[base+i])
-			if !visited[v] {
-				visited[v] = true
+			if visited.add(v) {
 				frontier = append(frontier, qe{v, e.ttl - 1})
 			}
 		}

@@ -88,3 +88,59 @@ func TestKernelScheduleZeroAlloc(t *testing.T) {
 		t.Fatalf("steady-state schedule+drain allocates %.1f/run, want 0", allocs)
 	}
 }
+
+// holdDepth is the queue depth the hold model keeps: the depth
+// mega-flood's shards run at (max queue ≈ 34 k; paper-unstructured
+// reaches 103 k), three orders above the other kernel benchmarks.
+const holdDepth = 32768
+
+// newHold builds the classic hold model: a kernel pre-filled with
+// holdDepth events at hashed delays, each of which reschedules itself
+// when it fires, so every operation is one pop plus one schedule at a
+// constant depth. hold(n) fires exactly n events.
+func newHold() (k *Kernel, hold func(n int)) {
+	k = NewKernel()
+	var h uint64
+	delay := func() Duration {
+		h = splitmix64(h)
+		return Duration(h>>44) / 1024 // [0, 1024) ms in 2^-10 steps
+	}
+	left := 0
+	var tick func()
+	tick = func() {
+		if left--; left == 0 {
+			k.Stop()
+		}
+		k.Schedule(delay(), tick)
+	}
+	for i := 0; i < holdDepth; i++ {
+		k.Schedule(delay(), tick)
+	}
+	return k, func(n int) {
+		left = n
+		k.Run(Forever)
+	}
+}
+
+// BenchmarkKernelHold prices pop+schedule at the depth the benchmark
+// workloads hold the queue at.
+func BenchmarkKernelHold(b *testing.B) {
+	_, hold := newHold()
+	hold(holdDepth) // every event fired once: the pool is in steady state
+	b.ReportAllocs()
+	b.ResetTimer()
+	hold(b.N)
+}
+
+// TestKernelHoldZeroAlloc is TestKernelScheduleZeroAlloc at workload
+// depth.
+func TestKernelHoldZeroAlloc(t *testing.T) {
+	k, hold := newHold()
+	hold(holdDepth)
+	if allocs := testing.AllocsPerRun(10, func() { hold(4096) }); allocs != 0 {
+		t.Fatalf("hold at depth %d allocates %.1f per 4096 events, want 0", holdDepth, allocs)
+	}
+	if k.Pending() != holdDepth || k.MaxQueue() != holdDepth {
+		t.Fatalf("hold drifted: pending %d, max %d, want %d", k.Pending(), k.MaxQueue(), holdDepth)
+	}
+}

@@ -1,9 +1,9 @@
 package sim
 
 import (
-	"container/heap"
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -144,7 +144,7 @@ func (sk *ShardedKernel) Processed() uint64 {
 func (sk *ShardedKernel) Pending() int {
 	n := 0
 	for _, s := range sk.shards {
-		n += len(s.k.queue)
+		n += s.k.Pending()
 		for _, o := range s.out {
 			n += len(o)
 		}
@@ -256,31 +256,6 @@ func (s *Shard) DeferTo(dst int, delay Duration, bytes uint64, fn func()) {
 	s.crossBytes += bytes
 }
 
-// runEpoch executes this kernel's events with at < end (at ≤ end when
-// inclusive), leaving now at the last executed event — the per-shard body
-// of one lock-step epoch. When unbounded, a queue holding only daemon
-// events stops early, exactly like Run(Forever).
-func (k *Kernel) runEpoch(end Time, inclusive, unbounded bool) {
-	for len(k.queue) > 0 {
-		if unbounded && k.daemons == len(k.queue) {
-			return
-		}
-		next := k.queue[0]
-		if next.at > end || (next.at == end && !inclusive) {
-			return
-		}
-		heap.Pop(&k.queue)
-		if next.daemon {
-			k.daemons--
-		}
-		k.now = next.at
-		k.processed++
-		fn := next.fn
-		k.recycle(next)
-		fn()
-	}
-}
-
 // merge delivers every buffered cross-shard batch into its destination
 // heap in canonical order. Sequential; runs at the barrier only.
 func (sk *ShardedKernel) merge() {
@@ -301,15 +276,14 @@ func (sk *ShardedKernel) merge() {
 			sk.scratch = buf
 			continue
 		}
-		sort.Slice(buf, func(i, j int) bool {
-			a, b := &buf[i], &buf[j]
-			if a.x.at != b.x.at {
-				return a.x.at < b.x.at
+		slices.SortFunc(buf, func(a, b mergeEv) int {
+			if c := cmp.Compare(a.x.at, b.x.at); c != 0 {
+				return c
 			}
-			if a.src != b.src {
-				return a.src < b.src
+			if c := cmp.Compare(a.src, b.src); c != 0 {
+				return c
 			}
-			return a.x.seq < b.x.seq
+			return cmp.Compare(a.x.seq, b.x.seq)
 		})
 		for i := range buf {
 			if buf[i].x.at < d.k.now {
@@ -339,11 +313,11 @@ func (sk *ShardedKernel) Run(until Time) Time {
 		next := Forever
 		pending, daemons := 0, 0
 		for _, s := range sk.shards {
-			if n := len(s.k.queue); n > 0 {
-				pending += n
+			if at, ok := s.k.NextAt(); ok {
+				pending += s.k.Pending()
 				daemons += s.k.daemons
-				if s.k.queue[0].at < next {
-					next = s.k.queue[0].at
+				if at < next {
+					next = at
 				}
 			}
 		}
