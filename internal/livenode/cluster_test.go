@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"unap2p/internal/megascale"
 	"unap2p/internal/underlay"
 )
 
@@ -39,16 +40,24 @@ func waitBudget(t *testing.T, def time.Duration) time.Time {
 // address book holds the full membership.
 func bootCluster(t *testing.T, overlay string, n int) []*Node {
 	t.Helper()
+	return bootClusterWith(t, n, Config{
+		Overlay:      overlay,
+		PingInterval: 100 * time.Millisecond,
+		Timeout:      150 * time.Millisecond,
+	})
+}
+
+// bootClusterWith is bootCluster with the caller's Config for every node
+// (ID and Logf are filled in): a big cluster wants slower pings than n²
+// of them every 100 ms.
+func bootClusterWith(t *testing.T, n int, cfg Config) []*Node {
+	t.Helper()
 	requireSockets(t)
+	cfg.Logf = t.Logf
 	nodes := make([]*Node, n)
 	for i := 0; i < n; i++ {
-		node, err := StartRetry(Config{
-			ID:           underlay.HostID(i),
-			Overlay:      overlay,
-			PingInterval: 100 * time.Millisecond,
-			Timeout:      150 * time.Millisecond,
-			Logf:         t.Logf,
-		}, 5)
+		cfg.ID = underlay.HostID(i)
+		node, err := StartRetry(cfg, 5)
 		if err != nil {
 			t.Fatalf("start node %d: %v", i, err)
 		}
@@ -102,6 +111,78 @@ func TestClusterLookups(t *testing.T) {
 			}
 			t.Logf("%s: %d/%d lookups verified", overlay, ok, total)
 		})
+	}
+}
+
+// kadRPCs is the cluster-wide count of kad:find_node requests sent.
+func kadRPCs(nodes []*Node) (total uint64) {
+	for _, node := range nodes {
+		total += node.Net().Counters().Value("kad:find_node")
+	}
+	return total
+}
+
+// TestKademliaLookupStopsAtKClosest pins the lookup's stop rule on real
+// sockets: with full address books every one of 200 lookups verifies, and
+// none costs more than kadK find_node round trips — the kadK closest are
+// known from the start, and once they are all queried the lookup is over.
+// (Querying every member heard of would be 15 here.)
+func TestKademliaLookupStopsAtKClosest(t *testing.T) {
+	const clusterSize, lookups = 16, 200
+	nodes := bootClusterWith(t, clusterSize, Config{
+		Overlay: "kademlia", PingInterval: time.Second, Timeout: time.Second,
+	})
+	for i := 0; i < lookups; i++ {
+		node := nodes[i%clusterSize]
+		target := megascale.Mix64(uint64(i) * 0x9e3779b97f4a7c15)
+		before := kadRPCs(nodes)
+		got, ok := node.Engine().Lookup(target)
+		if !ok {
+			t.Fatalf("lookup %d from node %d: resolved %d, not verified", i, node.Net().Self(), got)
+		}
+		if rpcs := kadRPCs(nodes) - before; rpcs > kadK {
+			t.Fatalf("lookup %d from node %d: %d find_node RPCs, want ≤ %d", i, node.Net().Self(), rpcs, kadK)
+		}
+	}
+}
+
+// TestKademliaLookupLearnsThroughReplies starts a node that knows only
+// itself and one bootstrap address — no Join, so no merged book — in a
+// 32-member cluster whose other members hold full books. Capping the
+// shortlist at kadK must not cost it the ability to learn: every target
+// resolves to the cluster-wide truth, within one round trip to whoever it
+// already knows plus at most kadK to the closest set that reply names.
+func TestKademliaLookupLearnsThroughReplies(t *testing.T) {
+	const clusterSize, lookups = 32, 50
+	cfg := Config{Overlay: "kademlia", PingInterval: time.Second, Timeout: time.Second}
+	nodes := bootClusterWith(t, clusterSize-1, cfg)
+	cfg.ID, cfg.Logf = clusterSize-1, t.Logf
+	lone, err := StartRetry(cfg, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lone.Close() })
+	lone.Net().Book().Set(nodes[0].Net().Self(), nodes[0].Net().LocalAddr())
+
+	all := make([]underlay.HostID, clusterSize)
+	for i := range all {
+		all[i] = underlay.HostID(i)
+	}
+	sent := lone.Net().Counters().Get("kad:find_node")
+	for i := 0; i < lookups; i++ {
+		target := megascale.Mix64(uint64(i)*0x9e3779b97f4a7c15 + 1)
+		before := sent.Value()
+		got, _ := lone.Engine().Lookup(target) // its verdict is against its own partial view
+		if want := ClosestXor(all, target, 1)[0]; got != want {
+			t.Fatalf("lookup %d: resolved %d, cluster-wide closest is %d (lone node knows %d members)",
+				i, got, want, lone.Peers())
+		}
+		if rpcs := sent.Value() - before; rpcs > 1+kadK {
+			t.Fatalf("lookup %d: %d find_node RPCs, want ≤ 1+%d", i, rpcs, kadK)
+		}
+	}
+	if lone.Peers() <= 2 {
+		t.Fatalf("lone node still knows %d members after %d lookups", lone.Peers(), lookups)
 	}
 }
 

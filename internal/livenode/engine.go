@@ -144,6 +144,57 @@ func newKademlia(c *Core) *kademlia {
 
 func (e *kademlia) Name() string { return "kademlia" }
 
+// kadCand is one lookup shortlist entry: a member id, its XOR distance to
+// the target, and whether the lookup has already queried it.
+type kadCand struct {
+	id      underlay.HostID
+	d       uint64
+	queried bool
+}
+
+// kadShortlist is one lookup's candidate set: the kadK closest ids it has
+// heard of, sorted by (distance, id) — the live twin of the classic
+// overlay's DHT.offer shortlist (overlay/kademlia/lookup.go).
+type kadShortlist struct {
+	target uint64
+	n      int
+	c      [kadK]kadCand
+}
+
+// offer inserts id at its sorted position. A duplicate is rejected where
+// it would land, and a candidate beyond the kadK best is dropped: entries
+// are only ever displaced by closer ones, so it could never re-enter, and
+// dropping it is the same as keeping it unqueried forever.
+func (s *kadShortlist) offer(id underlay.HostID, queried bool) {
+	d := xorDist(NodeKey(id), s.target)
+	i := s.n
+	for i > 0 && (s.c[i-1].d > d || (s.c[i-1].d == d && s.c[i-1].id > id)) {
+		i--
+	}
+	if i == kadK || (i > 0 && s.c[i-1].d == d && s.c[i-1].id == id) {
+		return
+	}
+	if s.n < kadK {
+		s.n++
+	}
+	copy(s.c[i+1:s.n], s.c[i:])
+	s.c[i] = kadCand{id: id, d: d, queried: queried}
+}
+
+// next marks and returns the closest entry not yet queried, passing over
+// (and marking) those skip reports; -1 once the kadK best are all done.
+func (s *kadShortlist) next(skip func(underlay.HostID) bool) underlay.HostID {
+	for i := 0; i < s.n; i++ {
+		if c := &s.c[i]; !c.queried {
+			c.queried = true
+			if !skip(c.id) {
+				return c.id
+			}
+		}
+	}
+	return -1
+}
+
 func (e *kademlia) Lookup(target uint64) (underlay.HostID, bool) {
 	e.Msgs.Get("kad_lookup").Inc()
 	members := e.members()
@@ -155,22 +206,19 @@ func (e *kademlia) Lookup(target uint64) (underlay.HostID, bool) {
 	var key [8]byte
 	binary.BigEndian.PutUint64(key[:], target)
 	// Iterative deepening: always query the closest not-yet-queried
-	// candidate, merging every reply's contacts into the candidate set,
-	// until the frontier is exhausted or the probe budget runs out.
-	candidates := append([]underlay.HostID(nil), members...)
-	queried := map[underlay.HostID]bool{e.Self: true}
+	// candidate, merging every reply's contacts into the shortlist, until
+	// the kadK closest known have all been queried or the probe budget
+	// (what bounds a lookup over partial views) runs out. Self is never
+	// queried: it enters the shortlist already marked.
+	short := kadShortlist{target: target}
+	for _, id := range members {
+		short.offer(id, id == e.Self)
+	}
 	for probes := 0; probes < kadMaxProbes; probes++ {
-		var next underlay.HostID = -1
-		for _, id := range ClosestXor(candidates, target, len(candidates)) {
-			if !queried[id] && !e.Dead(id) {
-				next = id
-				break
-			}
-		}
+		next := short.next(e.Dead)
 		if next < 0 {
 			break
 		}
-		queried[next] = true
 		resp, err := e.Net.Call(next, "kad:find_node", key[:])
 		if err != nil {
 			e.Msgs.Get("kad_rpc_fail").Inc()
@@ -186,28 +234,16 @@ func (e *kademlia) Lookup(target uint64) (underlay.HostID, bool) {
 				continue
 			}
 			e.Net.Book().Set(p.ID, p.Addr)
-			candidates = append(candidates, p.ID)
+			short.offer(p.ID, p.ID == e.Self)
 		}
 	}
-	got := ClosestXor(dedup(candidates), target, 1)[0]
+	got := short.c[0].id
 	if got == want {
 		e.Msgs.Get("kad_lookup_ok").Inc()
 		return got, true
 	}
 	e.Msgs.Get("kad_lookup_fail").Inc()
 	return got, false
-}
-
-func dedup(ids []underlay.HostID) []underlay.HostID {
-	seen := make(map[underlay.HostID]bool, len(ids))
-	out := ids[:0]
-	for _, id := range ids {
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-	}
-	return out
 }
 
 // --- Chord ---

@@ -2,7 +2,7 @@ package livenode
 
 import (
 	"encoding/binary"
-	"net"
+	"net/netip"
 	"testing"
 
 	"unap2p/internal/nettransport"
@@ -16,7 +16,9 @@ import (
 // unchanged book allocates nothing, and a rescan after the book changed
 // lists the ids again but allocates no Host for a peer it already knows.
 func TestMembershipScanAllocatesPerPeerOnce(t *testing.T) {
-	addr := func(port int) *net.UDPAddr { return &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: port} }
+	addr := func(port int) netip.AddrPort {
+		return netip.AddrPortFrom(netip.AddrFrom4([4]byte{127, 0, 0, 1}), uint16(port))
+	}
 	book := nettransport.NewAddressBook()
 	for id := 0; id <= 16; id++ { // self is 0
 		book.Set(underlay.HostID(id), addr(9000+id))
@@ -30,7 +32,7 @@ func TestMembershipScanAllocatesPerPeerOnce(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, scan); allocs != 0 {
 		t.Fatalf("rescan of an unchanged book allocates %.0f objects, want 0", allocs)
 	}
-	addrs := []*net.UDPAddr{addr(9100), addr(9016)}
+	addrs := []netip.AddrPort{addr(9100), addr(9016)}
 	rebinds := 0
 	allocs := testing.AllocsPerRun(10, func() {
 		book.Set(16, addrs[rebinds%2]) // peer 16 rebinds: the book changed, its members did not

@@ -18,8 +18,6 @@
 package livenode
 
 import (
-	"sort"
-
 	"unap2p/internal/megascale"
 	"unap2p/internal/underlay"
 )
@@ -35,18 +33,38 @@ func NodeKey(id underlay.HostID) uint64 {
 func xorDist(a, b uint64) uint64 { return a ^ b }
 
 // ClosestXor returns up to k member ids sorted by XOR distance of their
-// NodeKey to target — the Kademlia notion of "closest".
+// NodeKey to target (ties by id) — the Kademlia notion of "closest". It
+// is a bounded insertion into the k best seen so far: each member's
+// distance is computed once, and the result is the only allocation while
+// k fits the stack scratch.
 func ClosestXor(members []underlay.HostID, target uint64, k int) []underlay.HostID {
-	out := append([]underlay.HostID(nil), members...)
-	sort.Slice(out, func(i, j int) bool {
-		di, dj := xorDist(NodeKey(out[i]), target), xorDist(NodeKey(out[j]), target)
-		if di != dj {
-			return di < dj
+	if k > len(members) {
+		k = len(members)
+	}
+	if k <= 0 {
+		return nil
+	}
+	var stack [2 * kadK]uint64
+	dist := stack[:0] // dist[i] is out[i]'s distance
+	if k > len(stack) {
+		dist = make([]uint64, 0, k)
+	}
+	out := make([]underlay.HostID, 0, k)
+	for _, id := range members {
+		d := xorDist(NodeKey(id), target)
+		i := len(out)
+		for i > 0 && (dist[i-1] > d || (dist[i-1] == d && out[i-1] > id)) {
+			i--
 		}
-		return out[i] < out[j]
-	})
-	if len(out) > k {
-		out = out[:k]
+		if i == k {
+			continue
+		}
+		if len(out) < k {
+			out, dist = append(out, 0), append(dist, 0)
+		}
+		copy(out[i+1:], out[i:])
+		copy(dist[i+1:], dist[i:])
+		out[i], dist[i] = id, d
 	}
 	return out
 }

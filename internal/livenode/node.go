@@ -208,10 +208,11 @@ func membershipScan(selfID underlay.HostID, book *nettransport.AddressBook,
 	}
 }
 
-// Join dials a bootstrap node by UDP address, retrying briefly (the
-// bootstrap process may still be binding its socket). On return the
-// node holds the bootstrap's full address book and has announced itself
-// to every member in it.
+// Join dials a bootstrap node by UDP address — operator-supplied, so a
+// host name is resolved here, the one place the live plane resolves
+// anything — retrying briefly (the bootstrap process may still be binding
+// its socket). On return the node holds the bootstrap's full address book
+// and has announced itself to every member in it.
 func (n *Node) Join(bootstrap string) error {
 	addr, err := net.ResolveUDPAddr("udp", bootstrap)
 	if err != nil {
@@ -220,7 +221,7 @@ func (n *Node) Join(bootstrap string) error {
 	var welcome []byte
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		welcome, err = n.net.CallAt(addr, "hello", n.net.Book().Encode())
+		welcome, err = n.net.CallAt(addr.AddrPort(), "hello", n.net.Book().Encode())
 		if err == nil {
 			break
 		}

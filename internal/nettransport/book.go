@@ -3,8 +3,8 @@ package nettransport
 import (
 	"encoding/binary"
 	"fmt"
-	"net"
-	"sort"
+	"net/netip"
+	"slices"
 	"sync"
 
 	"unap2p/internal/underlay"
@@ -15,28 +15,46 @@ import (
 // concurrently by the join handshake and the receive loop (which learns
 // sender addresses) and read on every send, so access is guarded by a
 // read-write mutex; the entry set is tiny (one per peer), making
-// contention irrelevant next to the socket syscalls around it.
+// contention irrelevant next to the socket syscalls around it. Addresses
+// are values, stored unmapped (an IPv4-mapped IPv6 address and its IPv4
+// form are one entry), so "unchanged?" is ==.
 type AddressBook struct {
 	mu      sync.RWMutex
-	addrs   map[underlay.HostID]*net.UDPAddr
+	addrs   map[underlay.HostID]netip.AddrPort
 	version uint64 // bumped on every change; Version lets tests await convergence
 }
 
 // NewAddressBook returns an empty book.
 func NewAddressBook() *AddressBook {
-	return &AddressBook{addrs: make(map[underlay.HostID]*net.UDPAddr)}
+	return &AddressBook{addrs: make(map[underlay.HostID]netip.AddrPort)}
+}
+
+// unmap folds an IPv4-mapped IPv6 address onto its IPv4 form — what a
+// dual-stack socket reports for an IPv4 sender, and what an IPv4 socket
+// refuses to send to.
+func unmap(a netip.AddrPort) netip.AddrPort {
+	return netip.AddrPortFrom(a.Addr().Unmap(), a.Port())
 }
 
 // Set records (or replaces) the address for id, reporting whether the
 // entry changed. Last write wins: a peer that rebinds (NAT, restart)
-// overwrites its stale entry the moment any frame arrives from it.
-func (b *AddressBook) Set(id underlay.HostID, addr *net.UDPAddr) bool {
-	if addr == nil {
+// overwrites its stale entry the moment any frame arrives from it. The
+// receive loop calls Set for every frame, so the unchanged case — all of
+// them, on a settled cluster — takes only the read lock.
+func (b *AddressBook) Set(id underlay.HostID, addr netip.AddrPort) bool {
+	if !addr.IsValid() {
+		return false
+	}
+	addr = unmap(addr)
+	b.mu.RLock()
+	old := b.addrs[id] // the zero AddrPort of a missing entry equals no valid addr
+	b.mu.RUnlock()
+	if old == addr {
 		return false
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if old, ok := b.addrs[id]; ok && old.IP.Equal(addr.IP) && old.Port == addr.Port {
+	if b.addrs[id] == addr {
 		return false
 	}
 	b.addrs[id] = addr
@@ -58,7 +76,7 @@ func (b *AddressBook) Remove(id underlay.HostID) bool {
 }
 
 // Get returns the address for id.
-func (b *AddressBook) Get(id underlay.HostID) (*net.UDPAddr, bool) {
+func (b *AddressBook) Get(id underlay.HostID) (netip.AddrPort, bool) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	a, ok := b.addrs[id]
@@ -73,7 +91,7 @@ func (b *AddressBook) IDs() []underlay.HostID {
 		ids = append(ids, id)
 	}
 	b.mu.RUnlock()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
@@ -99,38 +117,46 @@ func (b *AddressBook) Encode() []byte {
 	return b.EncodeIDs(b.IDs())
 }
 
+// peerEntryHint is what EncodeIDs reserves per entry: id(4) + addrlen(1)
+// + the longest IPv4 "a.b.c.d:port". An IPv6 entry makes append grow the
+// buffer instead.
+const peerEntryHint = 4 + 1 + len("255.255.255.255:65535")
+
 // EncodeIDs serializes the entries for the given ids in Encode's format,
 // silently skipping ids the book does not hold. The Kademlia engine uses
 // this to answer find_node with a mini address book of the k closest
-// peers, so a querier learns addresses along with ids.
+// peers, so a querier learns addresses along with ids. The result is one
+// fresh buffer the caller owns.
 func (b *AddressBook) EncodeIDs(ids []underlay.HostID) []byte {
+	out := make([]byte, 4, 4+len(ids)*peerEntryHint)
+	n := uint32(0)
 	b.mu.RLock()
-	defer b.mu.RUnlock()
-	var body []byte
-	n := 0
 	for _, id := range ids {
 		a, ok := b.addrs[id]
 		if !ok {
 			continue
 		}
-		s := a.String()
-		body = binary.BigEndian.AppendUint32(body, uint32(int32(id)))
-		body = append(body, byte(len(s)))
-		body = append(body, s...)
+		out = binary.BigEndian.AppendUint32(out, uint32(int32(id)))
+		at := len(out)
+		out = a.AppendTo(append(out, 0))
+		out[at] = byte(len(out) - at - 1)
 		n++
 	}
-	out := binary.BigEndian.AppendUint32(make([]byte, 0, 4+len(body)), uint32(n))
-	return append(out, body...)
+	b.mu.RUnlock()
+	binary.BigEndian.PutUint32(out, n)
+	return out
 }
 
 // PeerEntry is one decoded address-book entry.
 type PeerEntry struct {
 	ID   underlay.HostID
-	Addr *net.UDPAddr
+	Addr netip.AddrPort
 }
 
 // DecodePeers parses an Encode/EncodeIDs payload. Malformed input
-// returns an error, never panics.
+// returns an error, never panics. An address must be a literal ip:port:
+// the bytes come from a peer, so a host name is a decode error and never
+// reaches a resolver.
 func DecodePeers(p []byte) ([]PeerEntry, error) {
 	if len(p) < 4 {
 		return nil, ErrTruncated
@@ -145,6 +171,10 @@ func DecodePeers(p []byte) ([]PeerEntry, error) {
 		return nil, ErrTruncated
 	}
 	entries := make([]PeerEntry, 0, n)
+	// One string for the whole body: ParseAddrPort keeps its argument in
+	// the errors it returns, so a per-entry conversion is a heap
+	// allocation per entry.
+	text := string(p)
 	for i := uint32(0); i < n; i++ {
 		if len(p) < 5 {
 			return entries, ErrTruncated
@@ -155,9 +185,10 @@ func DecodePeers(p []byte) ([]PeerEntry, error) {
 		if len(p) < alen {
 			return entries, ErrTruncated
 		}
-		addr, rerr := net.ResolveUDPAddr("udp", string(p[:alen]))
-		if rerr != nil {
-			return entries, fmt.Errorf("nettransport: bad book entry for host %d: %w", id, rerr)
+		at := len(text) - len(p)
+		addr, perr := netip.ParseAddrPort(text[at : at+alen])
+		if perr != nil {
+			return entries, fmt.Errorf("nettransport: bad book entry for host %d: %w", id, perr)
 		}
 		p = p[alen:]
 		entries = append(entries, PeerEntry{ID: id, Addr: addr})

@@ -1,15 +1,15 @@
 package nettransport
 
 import (
-	"net"
+	"net/netip"
 	"testing"
 
 	"unap2p/internal/underlay"
 )
 
-func udpAddr(t *testing.T, s string) *net.UDPAddr {
+func udpAddr(t *testing.T, s string) netip.AddrPort {
 	t.Helper()
-	a, err := net.ResolveUDPAddr("udp", s)
+	a, err := netip.ParseAddrPort(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestAddressBookSetGetRemove(t *testing.T) {
 		t.Fatal("rebind did not report a change")
 	}
 	got, ok := b.Get(1)
-	if !ok || got.Port != 4002 {
+	if !ok || got.Port() != 4002 {
 		t.Fatalf("Get(1) = %v, %v after rebind", got, ok)
 	}
 	v := b.Version()
@@ -68,7 +68,7 @@ func TestAddressBookEncodeMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 || entries[0].ID != 2 || entries[0].Addr.Port != 4002 {
+	if len(entries) != 1 || entries[0].ID != 2 || entries[0].Addr.Port() != 4002 {
 		t.Fatalf("EncodeIDs subset decoded to %v", entries)
 	}
 

@@ -2,7 +2,7 @@ package nettransport
 
 import (
 	"bytes"
-	"net"
+	"net/netip"
 	"testing"
 
 	"unap2p/internal/underlay"
@@ -16,11 +16,7 @@ func FuzzDecodePeers(f *testing.F) {
 	// Valid encodings seed the format…
 	b := NewAddressBook()
 	for i, addr := range []string{"127.0.0.1:4001", "127.0.0.1:4002", "[::1]:4003"} {
-		a, err := net.ResolveUDPAddr("udp", addr)
-		if err != nil {
-			f.Fatal(err)
-		}
-		b.Set(underlay.HostID(i), a)
+		b.Set(underlay.HostID(i), netip.MustParseAddrPort(addr))
 	}
 	f.Add(b.Encode())
 	f.Add(NewAddressBook().Encode())
@@ -28,6 +24,10 @@ func FuzzDecodePeers(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add([]byte{0, 0, 0, 2, 0, 0, 0, 1})
 	f.Add([]byte{})
+	// A host name where an address belongs, and the IPv4-mapped spelling
+	// of an IPv4 address (one entry with its short form).
+	f.Add(payload(entry(1, "127.0.0.1:4001"), entry(2, "localhost:9000")))
+	f.Add(payload(entry(1, "127.0.0.1:9"), entry(1, "[::ffff:127.0.0.1]:9")))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		entries, err := DecodePeers(data)
@@ -35,6 +35,13 @@ func FuzzDecodePeers(f *testing.F) {
 		// in the buffer — the allocation bound in action.
 		if len(entries) > len(data)/5 {
 			t.Fatalf("%d entries decoded from %d bytes (min 5 bytes/entry)", len(entries), len(data))
+		}
+		// No entry is anything but a literal address: nothing in a payload
+		// reaches a resolver.
+		for _, e := range entries {
+			if !e.Addr.IsValid() {
+				t.Fatalf("host %d decoded to the invalid address %v", e.ID, e.Addr)
+			}
 		}
 		if err != nil && len(entries) == 0 {
 			return // rejected outright, nothing more to check

@@ -3,7 +3,9 @@ package nettransport
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,9 +55,10 @@ type DataHandler func(from underlay.HostID, msgType string, payload []byte)
 // nobody registered a handler for is dropped and counted, never answered:
 // the socket sends nothing a local handler did not produce.
 type Net struct {
-	cfg  Config
-	conn *net.UDPConn
-	book *AddressBook
+	cfg   Config
+	conn  *net.UDPConn
+	local netip.AddrPort
+	book  *AddressBook
 
 	msgs *metrics.CounterSet
 	rtt  *metrics.Histogram
@@ -90,21 +93,19 @@ func Listen(cfg Config) (*Net, error) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 500 * time.Millisecond
 	}
-	addr, err := net.ResolveUDPAddr("udp", cfg.Listen)
+	pc, err := net.ListenPacket("udp", cfg.Listen)
 	if err != nil {
 		return nil, err
 	}
-	conn, err := net.ListenUDP("udp", addr)
-	if err != nil {
-		return nil, err
-	}
+	conn := pc.(*net.UDPConn)
 	msgs := metrics.NewCounterSet()
 	n := &Net{
 		cfg:         cfg,
 		conn:        conn,
+		local:       unmap(conn.LocalAddr().(*net.UDPAddr).AddrPort()),
 		book:        NewAddressBook(),
 		msgs:        msgs,
-		rtt:         metrics.NewLatencyHistogram(),
+		rtt:         metrics.NewHistogram(rttBounds()),
 		txErr:       msgs.Get("net_tx_err"),
 		timeouts:    msgs.Get("net_timeout"),
 		rxBad:       msgs.Get("net_rx_bad"),
@@ -120,8 +121,19 @@ func Listen(cfg Config) (*Net, error) {
 	return n, nil
 }
 
+// rttBounds is the RTT histogram's layout: powers of two from 2⁻⁷ ms
+// (~8 µs) to 2¹⁴ ms (~16 s). The simulator's latency layout starts at
+// 1 ms, which puts every loopback round trip in its first bucket.
+func rttBounds() []float64 {
+	bounds := make([]float64, 22)
+	for i := range bounds {
+		bounds[i] = math.Ldexp(1, i-7)
+	}
+	return bounds
+}
+
 // LocalAddr returns the bound UDP address (with the resolved port).
-func (n *Net) LocalAddr() *net.UDPAddr { return n.conn.LocalAddr().(*net.UDPAddr) }
+func (n *Net) LocalAddr() netip.AddrPort { return n.local }
 
 // Self returns this process's host id.
 func (n *Net) Self() underlay.HostID { return n.cfg.Self }
@@ -210,26 +222,29 @@ func (n *Net) account(d dir, msgType string, bytes uint64) {
 	fc[d].bytes.Add(bytes)
 }
 
-// writeFrame encodes and transmits one frame to addr, or when addr is nil
-// to the book address of the frame's To field. A failure is counted under
-// net_tx_err.
-func (n *Net) writeFrame(f *Frame, addr *net.UDPAddr) (err error) {
+// writeFrame encodes and transmits one frame to addr, or when addr is the
+// zero AddrPort to the book address of the frame's To field. A failure is
+// counted under net_tx_err. The frame is encoded into a buffer on this
+// call's stack; one too large for it (a big cluster's hello book) spills
+// to the heap through append.
+func (n *Net) writeFrame(f *Frame, addr netip.AddrPort) (err error) {
 	defer func() {
 		if err != nil {
 			n.txErr.Inc()
 		}
 	}()
-	if addr == nil {
+	if !addr.IsValid() {
 		var ok bool
 		if addr, ok = n.book.Get(f.To); !ok {
 			return fmt.Errorf("nettransport: no address for host %d", f.To)
 		}
 	}
-	buf, err := AppendFrame(nil, f)
+	var stack [512]byte
+	buf, err := AppendFrame(stack[:0], f)
 	if err != nil {
 		return err
 	}
-	_, err = n.conn.WriteToUDP(buf, addr)
+	_, err = n.conn.WriteToUDPAddrPort(buf, addr)
 	return err
 }
 
@@ -244,7 +259,7 @@ func (n *Net) SendPayload(to underlay.HostID, msgType string, payload []byte, ac
 	}
 	n.account(tx, msgType, accountBytes)
 	f := Frame{Kind: KindData, Type: msgType, From: n.cfg.Self, To: to, Payload: payload}
-	return n.writeFrame(&f, nil) == nil
+	return n.writeFrame(&f, netip.AddrPort{}) == nil
 }
 
 // errTimeout marks a call that got no response within the deadline.
@@ -254,20 +269,20 @@ var errTimeout = errors.New("nettransport: call timed out")
 // payload out, response payload back, single attempt, default timeout.
 // A successful call's wall RTT lands in the RTT histogram.
 func (n *Net) Call(to underlay.HostID, msgType string, payload []byte) ([]byte, error) {
-	return n.call(to, nil, msgType, payload)
+	return n.call(to, netip.AddrPort{}, msgType, payload)
 }
 
 // CallAt is Call aimed at an explicit UDP address instead of a book
 // entry — how a joining node reaches its bootstrap before learning its
 // id (the response frame's From field, which the receive loop also
 // learns into the book automatically).
-func (n *Net) CallAt(addr *net.UDPAddr, msgType string, payload []byte) ([]byte, error) {
-	return n.call(-1, addr, msgType, payload) // To = -1: id unknown
+func (n *Net) CallAt(addr netip.AddrPort, msgType string, payload []byte) ([]byte, error) {
+	return n.call(-1, unmap(addr), msgType, payload) // To = -1: id unknown
 }
 
-// call performs one request/response exchange. addr, when non-nil,
+// call performs one request/response exchange. addr, when valid,
 // overrides the book lookup.
-func (n *Net) call(to underlay.HostID, addr *net.UDPAddr, msgType string, payload []byte) ([]byte, error) {
+func (n *Net) call(to underlay.HostID, addr netip.AddrPort, msgType string, payload []byte) ([]byte, error) {
 	id := n.reqID.Add(1)
 	ch := make(chan Frame, 1)
 	n.waitMu.Lock()
@@ -303,7 +318,7 @@ func (n *Net) receiveLoop() {
 	defer n.wg.Done()
 	buf := make([]byte, 65536)
 	for {
-		nr, raddr, err := n.conn.ReadFromUDP(buf)
+		nr, raddr, err := n.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			if n.closed.Load() {
 				return
@@ -317,9 +332,13 @@ func (n *Net) receiveLoop() {
 			n.logf("nettransport: drop malformed frame from %v: %v", raddr, err)
 			continue
 		}
-		if d := n.dropRx.Load(); d != nil && (*d)(&f) {
-			n.rxDrop.Inc()
-			continue
+		if d := n.dropRx.Load(); d != nil {
+			// The filter is caller-supplied code: it gets a copy, or its
+			// pointer parameter would move every received f to the heap.
+			if g := f; (*d)(&g) {
+				n.rxDrop.Inc()
+				continue
+			}
 		}
 		// Learn or refresh the sender's address from the packet source —
 		// a hello is therefore enough to become reachable cluster-wide.
@@ -379,7 +398,7 @@ func (n *Net) reply(req *Frame, payload []byte) {
 	n.account(tx, respType, uint64(len(payload)))
 	f := Frame{Kind: KindResp, Type: respType, From: n.cfg.Self, To: req.From,
 		ReqID: req.ReqID, Payload: payload}
-	n.writeFrame(&f, nil) // a failed write is counted; the requester times out
+	n.writeFrame(&f, netip.AddrPort{}) // a failed write is counted; the requester times out
 }
 
 // responseType maps a request type to its reply type.

@@ -2,6 +2,7 @@ package nettransport
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -160,6 +161,35 @@ func TestNetHandlerAndCall(t *testing.T) {
 		if got := c.n.Counters().Value(c.name); got != c.want {
 			t.Errorf("host %d counter %s = %d, want %d", c.n.Self(), c.name, got, c.want)
 		}
+	}
+}
+
+// TestNetRTTResolvesLoopback: the RTT histogram's buckets reach below a
+// millisecond, so a loopback median is a measurement rather than the
+// midpoint of a 0–1 ms bucket (0.5 ms against a ~0.05 ms round trip).
+func TestNetRTTResolvesLoopback(t *testing.T) {
+	a, b := pair(t)
+	b.Handle("echo", func(_ underlay.HostID, payload []byte) []byte { return payload })
+	const calls = 200
+	outer := make([]float64, calls) // each call timed from outside: ≥ the RTT it recorded
+	for i := range outer {
+		start := time.Now()
+		if _, err := a.Call(b.Self(), "echo", []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		outer[i] = float64(time.Since(start)) / float64(time.Millisecond)
+	}
+	sort.Float64s(outer)
+	h := a.RTT()
+	p50, median := h.Quantile(0.5), outer[calls/2]
+	if h.N() != calls || p50 < h.Min() || p50 > h.Max() || p50 >= 1 {
+		t.Fatalf("after %d loopback calls: min %.4f p50 %.4f max %.4f ms, want min ≤ p50 ≤ max and p50 < 1",
+			h.N(), h.Min(), p50, h.Max())
+	}
+	// Buckets double, so p50 is within a factor of two of the true median
+	// RTT, which the outer median bounds from above.
+	if p50 > 2*median {
+		t.Fatalf("p50 %.4f ms, but the median call took %.4f ms measured from outside", p50, median)
 	}
 }
 

@@ -12,7 +12,7 @@
 // The package splits into four pieces:
 //
 //	wire.go  — the length-prefixed binary frame codec
-//	book.go  — the peer address book (underlay.HostID → *net.UDPAddr)
+//	book.go  — the peer address book (underlay.HostID → netip.AddrPort)
 //	net.go   — Net: payload RPC (Handle/Call, HandleData/SendPayload)
 //	  and frame accounting
 //	realtime.go — Pacer, a wall-clock driver for a sim.Kernel, so
