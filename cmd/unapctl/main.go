@@ -1,6 +1,7 @@
 // Command unapctl manages telemetry runs: it records experiments into
 // run files, summarizes them, and diffs two runs as a seed-to-seed
-// regression detector.
+// regression detector. It also hosts the repository's own gates: the
+// benchmark snapshot tools and the reachability pass.
 //
 // Usage:
 //
@@ -10,9 +11,11 @@
 //	unapctl series [-metric glob] [-csv] <run.jsonl>
 //	unapctl bench-import [-o BENCH.json]        (go test -bench output on stdin)
 //	unapctl bench-diff [-threshold 0.15] <baseline.json> <current.json>
+//	unapctl deadcode [module-root]
 //
 // Exit codes: 0 success (for diff: no delta beyond threshold), 1 diff
-// found deltas beyond the threshold or a run failed, 2 usage error.
+// found deltas beyond the threshold, deadcode found an un-triaged symbol
+// or a stale verdict, or a run failed, 2 usage error.
 package main
 
 import (
@@ -52,6 +55,12 @@ func main() {
 		var regressions int
 		regressions, err = cmdBenchDiff(os.Args[2:])
 		if err == nil && regressions > 0 {
+			os.Exit(1)
+		}
+	case "deadcode":
+		var bad int
+		bad, err = cmdDeadcode(os.Args[2:], os.Stdout)
+		if err == nil && bad > 0 {
 			os.Exit(1)
 		}
 	case "-h", "--help", "help":
@@ -98,6 +107,12 @@ func usage() {
       compare two bench-import snapshots; exits 1 if any benchmark
       present in both regressed ns/op, B/op or allocs/op beyond the
       threshold
+
+  unapctl deadcode [module-root]
+      list every package-level symbol and method that main, init and
+      bench/ reach only through a _test.go file, beside its verdict in
+      <module-root>/deadcode.keep; exits 1 if one has no verdict or a
+      verdict names a symbol that is not dead
 `)
 }
 

@@ -180,6 +180,46 @@ func TestInjectorLossBurst(t *testing.T) {
 	k.Drain()
 }
 
+// countingSource counts the draws taken from the source it wraps.
+type countingSource struct {
+	rand.Source
+	n int
+}
+
+func (c *countingSource) Int63() int64 { c.n++; return c.Source.Int63() }
+
+// TestDropHookChains pins the order Arm chains in: a hook already on the
+// transport runs first, and when it drops, the injector's hook is not
+// consulted — its stream does not advance, so arming a schedule over a
+// lossy transport perturbs neither stream.
+func TestDropHookChains(t *testing.T) {
+	_, hosts, k, tr, _ := testWorld(9)
+	a, b := hosts[0], hosts[len(hosts)-1]
+	calls, firstDrops := 0, true
+	tr.Drop = func(_, _ *underlay.Host) bool { calls++; return firstDrops }
+	draws := &countingSource{Source: rand.NewSource(1)}
+	sched := Schedule{Windows: []Window{
+		{Kind: LossBurst, Start: 100, End: 200, Loss: 0.5},
+	}}
+	if err := NewInjector(k, tr, sched, rand.New(draws)).Arm(); err != nil {
+		t.Fatalf("arm: %v", err)
+	}
+	k.At(150, func() {
+		if tr.Send(a, b, 64, "probe").OK {
+			t.Error("send survived the pre-existing hook's drop")
+		}
+		if calls != 1 || draws.n != 0 {
+			t.Errorf("first hook dropped: %d calls, %d injector draws, want 1 and 0", calls, draws.n)
+		}
+		firstDrops = false
+		tr.Send(a, b, 64, "probe")
+		if calls != 2 || draws.n != 1 {
+			t.Errorf("first hook passed: %d calls, %d injector draws, want 2 and 1", calls, draws.n)
+		}
+	})
+	k.Drain()
+}
+
 func TestInjectorCrashWave(t *testing.T) {
 	_, hosts, k, tr, src := testWorld(9)
 	sched := Schedule{Windows: []Window{

@@ -11,7 +11,7 @@ import (
 )
 
 // Injector arms a schedule against a live world: partition and loss
-// windows install a time-gated Faults.Drop hook on the transport;
+// windows install a time-gated Drop hook on the transport;
 // crash waves become kernel events that flip Host.Up. All randomness
 // (loss draws, victim selection) flows from the single seeded stream,
 // so a campaign is bit-identical per seed.
@@ -76,8 +76,8 @@ func (inj *Injector) Arm() error {
 	}
 	inj.armed = true
 	if hasDropWindows {
-		prev := inj.T.Faults.Drop
-		inj.T.Faults.Drop = func(from, to *underlay.Host) bool {
+		prev := inj.T.Drop
+		inj.T.Drop = func(from, to *underlay.Host) bool {
 			if prev != nil && prev(from, to) {
 				return true
 			}

@@ -106,9 +106,6 @@ func (d *Driver) Online() int {
 	return n
 }
 
-// Population reports how many hosts the driver cycles.
-func (d *Driver) Population() int { return len(d.hosts) }
-
 func (d *Driver) modelFor(h *underlay.Host) Model {
 	if d.ModelFor != nil {
 		return d.ModelFor(h)

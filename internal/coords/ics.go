@@ -23,9 +23,8 @@ type ICS struct {
 	// Alpha is the scaling factor of their Eq. (11), fitted so embedded
 	// distances match measured delays in a least-squares sense.
 	Alpha float64
-	// U is the unscaled m×n principal-component matrix (Eq. 8).
-	U *linalg.Matrix
-	// UBar is the scaled transformation matrix Ū = α·U (Eq. 12)
+	// UBar is the scaled transformation matrix Ū = α·U (Eq. 12), U
+	// being the unscaled m×n principal-component matrix of Eq. (8),
 	// distributed to hosts in step H1.
 	UBar *linalg.Matrix
 	// BeaconCoords holds c̄_i = Ūᵀ d_i for each beacon i.
@@ -108,7 +107,6 @@ func BuildICS(d *linalg.Matrix, opts ICSOptions) (*ICS, error) {
 		D:            d,
 		Dim:          dim,
 		Alpha:        alpha,
-		U:            u,
 		UBar:         ubar,
 		BeaconCoords: coords,
 		Sigma:        sigma,

@@ -52,16 +52,6 @@ func bucket(v float64, bounds []float64) int {
 	return len(bounds)
 }
 
-// Key returns a comparable string form of the bin — nodes sharing a key
-// are placed in the same proximity cluster.
-func (b Bin) Key() string {
-	buf := make([]byte, 0, 3*len(b.Order))
-	for i, lm := range b.Order {
-		buf = append(buf, byte('A'+lm), byte('0'+b.Level[i]), '|')
-	}
-	return string(buf)
-}
-
 // Similarity scores how alike two bins are: the length of the common
 // prefix of their landmark orderings, normalized to [0,1]. Higher means
 // likelier proximity.

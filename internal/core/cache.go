@@ -101,9 +101,10 @@ func (e *Engine) CacheStats() CacheStats {
 
 // RouteOverhead routes estimator collection overhead into cs: after every
 // (uncached) Score, each estimator's Overhead() delta since the previous
-// flush is added to the counter "awareness:<method>". Attaching the same
-// CounterSet a transport.Messenger reports through puts collection cost
-// next to protocol traffic — the unified accounting §5.4 asks for.
+// flush is added to the counter "awareness:<method>". Attaching the
+// CounterSet the overlay's transport.Transport reports through puts
+// collection cost next to protocol traffic — the unified accounting
+// §5.4 asks for.
 // Overhead incurred before attachment is not back-charged.
 func (e *Engine) RouteOverhead(cs *metrics.CounterSet) {
 	e.routed = cs

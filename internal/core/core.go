@@ -17,7 +17,7 @@
 //
 // On top of the Engine sits the Selector interface (selector.go): the
 // uniform control plane every overlay accepts at construction, exactly as
-// overlays accept a transport.Messenger for the data plane. A Selector
+// overlays take a *transport.Transport for the data plane. A Selector
 // answers ranking, neighbor-selection, source-selection, super-peer
 // election, pairwise proximity, capability/bandwidth lookups, and
 // geographic positions — each verb with an ok flag so an overlay keeps
@@ -115,23 +115,6 @@ func (m Method) String() string {
 		return "information management overlay"
 	default:
 		return fmt.Sprintf("Method(%d)", int(m))
-	}
-}
-
-// KindOf returns the information kind each method collects — the edges of
-// Figure 3.
-func KindOf(m Method) Kind {
-	switch m {
-	case IPToISPMapping, ISPComponent, CDNProvided:
-		return ISPLocation
-	case ExplicitMeasurement, PredictionMethod:
-		return Latency
-	case GPS, IPToLocationMapping:
-		return Geolocation
-	case InfoManagementOverlay:
-		return PeerResources
-	default:
-		panic(fmt.Sprintf("core: unknown method %d", int(m)))
 	}
 }
 

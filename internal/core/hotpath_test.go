@@ -186,8 +186,8 @@ func TestRouteOverheadResolvesCountersLazily(t *testing.T) {
 	eng.Add(freeEstimator{}, 1)
 	cs := metrics.NewCounterSet()
 	eng.RouteOverhead(cs)
-	if names := cs.Names(); len(names) != 0 {
-		t.Fatalf("RouteOverhead registered %v before any charge", names)
+	if snap := cs.Snapshot(); len(snap) != 0 {
+		t.Fatalf("RouteOverhead registered %v before any charge", snap)
 	}
 	a, b := net.Hosts()[0], net.Hosts()[1]
 	late := &FuncEstimator{K: Latency, M: PredictionMethod,

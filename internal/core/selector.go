@@ -10,8 +10,8 @@ import (
 )
 
 // Selector is the uniform underlay-awareness control plane: the one
-// interface every overlay accepts at construction, mirroring how the
-// transport.Messenger unifies the data plane. Each verb returns an ok
+// interface every overlay accepts at construction, beside the
+// *transport.Transport that is its data plane. Each verb returns an ok
 // flag; ok=false means "no preference" and the overlay keeps its
 // underlay-unaware default (random neighbors, numerically-closest
 // fingers, uniform parent weights, ground-truth positions). A nil

@@ -160,9 +160,6 @@ func (c RunConfig) sampleObs() {
 	}
 }
 
-// DefaultRunConfig returns seed 1, scale 1.
-func DefaultRunConfig() RunConfig { return RunConfig{Seed: 1, Scale: 1} }
-
 func (c RunConfig) scaled(n int) int {
 	if c.Scale <= 0 {
 		return n

@@ -54,7 +54,7 @@ func TestRegistry(t *testing.T) {
 			t.Fatalf("experiment %s has no title", id)
 		}
 	}
-	if _, err := Run("no-such-exp", DefaultRunConfig()); err == nil {
+	if _, err := Run("no-such-exp", RunConfig{Seed: 1, Scale: 1}); err == nil {
 		t.Fatal("unknown experiment did not error")
 	}
 }

@@ -27,10 +27,10 @@ func TestRunSeedsParallelAndOrdered(t *testing.T) {
 }
 
 func TestRunSeedsValidation(t *testing.T) {
-	if _, err := RunSeeds("fig2-costs", DefaultRunConfig(), 1, 0); err == nil {
+	if _, err := RunSeeds("fig2-costs", RunConfig{Seed: 1, Scale: 1}, 1, 0); err == nil {
 		t.Fatal("n=0 accepted")
 	}
-	if _, err := RunSeeds("nope", DefaultRunConfig(), 1, 2); err == nil {
+	if _, err := RunSeeds("nope", RunConfig{Seed: 1, Scale: 1}, 1, 2); err == nil {
 		t.Fatal("unknown id accepted")
 	}
 }

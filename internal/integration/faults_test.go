@@ -16,7 +16,8 @@ import (
 // per seed.
 func lossy(net *underlay.Network, k *sim.Kernel, src *sim.Source) *transport.Transport {
 	tr := transport.New(net, k)
-	tr.Faults = transport.Faults{LossRate: 0.1, Rand: src.Stream("faults")}
+	r := src.Stream("faults")
+	tr.Drop = func(_, _ *underlay.Host) bool { return r.Float64() < 0.1 }
 	return tr
 }
 
@@ -112,45 +113,28 @@ func TestBitTorrentUnderLoss(t *testing.T) {
 	}
 }
 
-// fakeMessenger wraps a real transport but records every send — the
-// injection seam the constructor-based wiring exists for: protocol tests
-// can observe or manipulate traffic without touching the underlay code.
-type fakeMessenger struct {
-	*transport.Transport
-	sends []string
-}
-
-func (f *fakeMessenger) Send(from, to *underlay.Host, bytes uint64, msgType string) transport.Result {
-	f.sends = append(f.sends, msgType)
-	return f.Transport.Send(from, to, bytes, msgType)
-}
-
-func (f *fakeMessenger) RoundTrip(from, to *underlay.Host, reqBytes, respBytes uint64,
-	reqType, respType string) transport.Result {
-	f.sends = append(f.sends, reqType, respType)
-	return f.Transport.RoundTrip(from, to, reqBytes, respBytes, reqType, respType)
-}
-
-// TestFakeTransportInjection demonstrates satellite 6: a test double
-// implementing transport.Messenger slots into an overlay constructor and
-// observes the protocol's traffic.
+// TestFakeTransportInjection observes a protocol's traffic message by
+// message without a test double: the overlay holds the concrete
+// transport, and the test watches through its Trace hook.
 func TestFakeTransportInjection(t *testing.T) {
 	net, hosts, src := buildWorld(6, 6)
-	fake := &fakeMessenger{Transport: transport.Over(net)}
-	d := kademlia.New(fake, nil, kademlia.DefaultConfig(), src.Stream("dht"))
+	tr := transport.Over(net)
+	var sends []string
+	tr.Trace = func(e transport.Event) { sends = append(sends, e.Type) }
+	d := kademlia.New(tr, nil, kademlia.DefaultConfig(), src.Stream("dht"))
 	for _, h := range hosts[:20] {
 		d.AddNode(h)
 	}
 	d.Bootstrap(3)
-	before := len(fake.sends)
+	before := len(sends)
 	if before == 0 {
-		t.Fatal("fake transport saw no bootstrap traffic")
+		t.Fatal("trace saw no bootstrap traffic")
 	}
 	d.Lookup(d.Nodes()[0].Host, d.Nodes()[5].ID)
-	if len(fake.sends) == before {
-		t.Fatal("fake transport saw no lookup traffic")
+	if len(sends) == before {
+		t.Fatal("trace saw no lookup traffic")
 	}
-	for _, kind := range fake.sends {
+	for _, kind := range sends {
 		switch kind {
 		case "find_node", "find_value", "response", "store":
 		default:

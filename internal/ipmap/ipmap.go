@@ -37,9 +37,6 @@ func (p Prefix) Contains(ip IP) bool {
 	return ip&mask == p.Base&mask
 }
 
-// Size returns the number of addresses in the prefix.
-func (p Prefix) Size() uint64 { return 1 << (32 - p.Bits) }
-
 func (p Prefix) String() string { return fmt.Sprintf("%s/%d", FormatIP(p.Base), p.Bits) }
 
 // Plan is the address plan: one /16 per AS out of 10.0.0.0/8-style space.
@@ -96,13 +93,6 @@ type ISPMapper interface {
 	// ASOf returns the AS id owning ip, or ok=false when the service has
 	// no answer.
 	ASOf(ip IP) (asID int, ok bool)
-}
-
-// LocationMapper resolves an IP to an approximate geolocation.
-type LocationMapper interface {
-	// LocationOf returns an estimated coordinate for ip and ok=false when
-	// unknown.
-	LocationOf(ip IP) (geo.Coord, bool)
 }
 
 // Registry is a mapping service built from the address plan — the

@@ -68,10 +68,6 @@ func TestScaleColRowFirstCols(t *testing.T) {
 	if col[0] != 2 || col[1] != 5 {
 		t.Fatalf("Col = %v", col)
 	}
-	row := a.Row(1)
-	if row[0] != 4 || row[2] != 6 {
-		t.Fatalf("Row = %v", row)
-	}
 	fc := a.FirstCols(2)
 	if fc.Cols != 2 || fc.At(1, 1) != 5 {
 		t.Fatalf("FirstCols = %v", fc)
@@ -93,12 +89,6 @@ func TestIdentityAndSymmetric(t *testing.T) {
 }
 
 func TestVectorHelpers(t *testing.T) {
-	if Dot([]float64{1, 2}, []float64{3, 4}) != 11 {
-		t.Fatal("Dot wrong")
-	}
-	if !almost(Norm2([]float64{3, 4}), 5, 1e-15) {
-		t.Fatal("Norm2 wrong")
-	}
 	if !almost(L2([]float64{0, 0}, []float64{3, 4}), 5, 1e-15) {
 		t.Fatal("L2 wrong")
 	}

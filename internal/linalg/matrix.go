@@ -128,13 +128,6 @@ func (m *Matrix) Col(j int) []float64 {
 	return out
 }
 
-// Row returns row i as a new slice.
-func (m *Matrix) Row(i int) []float64 {
-	out := make([]float64, m.Cols)
-	copy(out, m.Data[i*m.Cols:(i+1)*m.Cols])
-	return out
-}
-
 // Cols returns the submatrix of columns [0, n).
 func (m *Matrix) FirstCols(n int) *Matrix {
 	if n > m.Cols {
@@ -193,21 +186,6 @@ func (m *Matrix) String() string {
 	}
 	return sb.String()
 }
-
-// Dot returns the inner product of equal-length vectors.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("linalg: Dot length mismatch")
-	}
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 { return math.Sqrt(Dot(v, v)) }
 
 // L2 returns the Euclidean distance between equal-length points.
 func L2(a, b []float64) float64 {

@@ -277,8 +277,46 @@ func TestNodeRejectsUnknownOverlay(t *testing.T) {
 	if _, err := Start(Config{ID: 0, Overlay: "pastry"}); err == nil {
 		t.Fatal("Start accepted an unknown overlay")
 	}
-	if _, err := Start(Config{ID: 0, Overlay: "kademlia", SuspectAfter: 6, EvictAfter: 3}); err == nil {
-		t.Fatal("Start accepted EvictAfter < SuspectAfter")
+}
+
+// TestNodeValidatesMissStreaks pins Start's one streak check: negatives
+// and EvictAfter < SuspectAfter — after the detector's defaults (2, 4)
+// fill the zeros — are rejected before anything binds a socket. Each
+// rejected case names a port the test itself holds, so a Start that
+// reached Listen would fail with "address in use" instead.
+func TestNodeValidatesMissStreaks(t *testing.T) {
+	requireSockets(t)
+	held, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	for _, c := range []struct {
+		suspect, evict int
+		ok             bool
+	}{
+		{6, 3, false}, {5, 0, false}, {-1, 0, false}, {0, -1, false},
+		{0, 0, true}, {2, 0, true}, {0, 6, true},
+	} {
+		cfg := Config{ID: 0, Overlay: "kademlia", SuspectAfter: c.suspect, EvictAfter: c.evict}
+		if !c.ok {
+			cfg.Listen = held.LocalAddr().String()
+		}
+		n, err := Start(cfg)
+		if c.ok {
+			if err != nil {
+				t.Fatalf("Start rejected streaks (%d, %d): %v", c.suspect, c.evict, err)
+			}
+			n.Close()
+			continue
+		}
+		if err == nil {
+			n.Close()
+			t.Fatalf("Start accepted streaks (%d, %d)", c.suspect, c.evict)
+		}
+		if !strings.Contains(err.Error(), "SuspectAfter") {
+			t.Fatalf("streaks (%d, %d) rejected only at the socket: %v", c.suspect, c.evict, err)
+		}
 	}
 }
 

@@ -88,10 +88,24 @@ func Start(cfg Config) (*Node, error) {
 	if cfg.PingInterval <= 0 {
 		cfg.PingInterval = 500 * time.Millisecond
 	}
-	if cfg.SuspectAfter < 0 || cfg.EvictAfter < 0 ||
-		(cfg.SuspectAfter > 0 && cfg.EvictAfter > 0 && cfg.EvictAfter < cfg.SuspectAfter) {
-		return nil, fmt.Errorf("livenode: need 0 ≤ SuspectAfter (%d) ≤ EvictAfter (%d)",
+	// The miss streaks are checked once, with the detector's defaults
+	// merged in, and before anything binds a socket.
+	if cfg.SuspectAfter < 0 || cfg.EvictAfter < 0 {
+		return nil, fmt.Errorf("livenode: negative SuspectAfter (%d) or EvictAfter (%d)",
 			cfg.SuspectAfter, cfg.EvictAfter)
+	}
+	dcfg := resilience.DefaultConfig()
+	dcfg.PingInterval = sim.Duration(float64(cfg.PingInterval) / float64(time.Millisecond))
+	dcfg.Backoff = resilience.Backoff{} // flat interval; no RNG dependency
+	if cfg.SuspectAfter > 0 {
+		dcfg.SuspectAfter = cfg.SuspectAfter
+	}
+	if cfg.EvictAfter > 0 {
+		dcfg.EvictAfter = cfg.EvictAfter
+	}
+	if dcfg.EvictAfter < dcfg.SuspectAfter {
+		return nil, fmt.Errorf("livenode: need SuspectAfter (%d) ≤ EvictAfter (%d)",
+			dcfg.SuspectAfter, dcfg.EvictAfter)
 	}
 	tr, err := nettransport.Listen(nettransport.Config{
 		Self: cfg.ID, Listen: cfg.Listen, Timeout: cfg.Timeout, Logf: cfg.Logf,
@@ -131,20 +145,6 @@ func Start(cfg Config) (*Node, error) {
 	tr.Handle("fd_ping", func(_ underlay.HostID, payload []byte) []byte { return payload })
 	kernel := sim.NewKernel()
 	n.pacer = nettransport.NewPacer(kernel)
-	dcfg := resilience.DefaultConfig()
-	dcfg.PingInterval = sim.Duration(float64(cfg.PingInterval) / float64(time.Millisecond))
-	dcfg.Backoff = resilience.Backoff{} // flat interval; no RNG dependency
-	if cfg.SuspectAfter > 0 {
-		dcfg.SuspectAfter = cfg.SuspectAfter
-	}
-	if cfg.EvictAfter > 0 {
-		dcfg.EvictAfter = cfg.EvictAfter
-	}
-	if dcfg.EvictAfter < dcfg.SuspectAfter {
-		tr.Close()
-		return nil, fmt.Errorf("livenode: need SuspectAfter (%d) ≤ EvictAfter (%d)",
-			dcfg.SuspectAfter, dcfg.EvictAfter)
-	}
 	n.det = resilience.New(pinger{tr}, kernel, dcfg)
 	n.det.Heal(n.engine)
 	n.det.OnRecover = n.core.Recover
@@ -250,12 +250,10 @@ func (n *Node) Net() *nettransport.Net { return n.net }
 // Engine exposes the live overlay engine.
 func (n *Node) Engine() Engine { return n.engine }
 
-// Detector exposes the failure detector. Its methods must only be
-// called from Pacer.Do; its Counters are safe anywhere.
+// Detector exposes the failure detector. Its methods belong to the
+// node's pacer goroutine (Evicted and Suspected below go through it);
+// its Counters are safe anywhere.
 func (n *Node) Detector() *resilience.Detector { return n.det }
-
-// Pacer exposes the wall-clock kernel driver.
-func (n *Node) Pacer() *nettransport.Pacer { return n.pacer }
 
 // Registry exposes the node's metric registry (to add app metrics or
 // snapshot in-process).

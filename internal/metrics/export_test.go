@@ -50,7 +50,7 @@ func TestHistogramSingleSampleQuantiles(t *testing.T) {
 func TestHistogramOverflowSample(t *testing.T) {
 	h := NewHistogram([]float64{1, 2})
 	h.Observe(100) // beyond the last bound → overflow bucket
-	counts := h.Counts()
+	counts := h.Snapshot().Counts
 	if counts[len(counts)-1] != 1 {
 		t.Fatalf("overflow sample not in overflow bucket: %v", counts)
 	}
@@ -71,8 +71,8 @@ func TestHistogramSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("round trip lost summary stats: got n=%d sum=%v min=%v max=%v",
 			restored.N(), restored.Sum(), restored.Min(), restored.Max())
 	}
-	if !reflect.DeepEqual(restored.Counts(), h.Counts()) {
-		t.Fatalf("round trip lost counts: %v vs %v", restored.Counts(), h.Counts())
+	if !reflect.DeepEqual(restored.Snapshot().Counts, h.Snapshot().Counts) {
+		t.Fatalf("round trip lost counts: %v vs %v", restored.Snapshot().Counts, h.Snapshot().Counts)
 	}
 	for _, q := range []float64{0, 0.1, 0.5, 0.9, 0.99, 1} {
 		if got, want := restored.Quantile(q), h.Quantile(q); got != want {

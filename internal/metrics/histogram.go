@@ -210,12 +210,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.Max()
 }
 
-// Counts returns a copy of the bucket counts (last entry is overflow).
-func (h *Histogram) Counts() []uint64 {
-	counts, _ := h.loadCounts()
-	return counts
-}
-
 // Bounds returns a copy of the bucket upper bounds.
 func (h *Histogram) Bounds() []float64 { return append([]float64(nil), h.bounds...) }
 

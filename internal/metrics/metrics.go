@@ -37,9 +37,6 @@ func (c *Counter) Inc() { c.n.Add(1) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.n.Load() }
 
-// Name returns the counter's name.
-func (c *Counter) Name() string { return c.name }
-
 func (c *Counter) String() string { return fmt.Sprintf("%s=%d", c.name, c.n.Load()) }
 
 // CounterSet groups named counters, creating them on first use. Reads
@@ -88,17 +85,6 @@ func (s *CounterSet) Value(name string) uint64 {
 	return 0
 }
 
-// Names returns all counter names in sorted order.
-func (s *CounterSet) Names() []string {
-	m := *s.m.Load()
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Dist accumulates a sample distribution with exact quantiles. Experiments
 // are small enough (≤ a few million samples) that keeping the samples and
 // sorting on demand is both simplest and exact. Unlike the fixed-footprint
@@ -121,9 +107,6 @@ func (d *Dist) Observe(v float64) {
 
 // N reports the number of samples.
 func (d *Dist) N() int { return len(d.samples) }
-
-// Sum reports the sum of all samples.
-func (d *Dist) Sum() float64 { return d.sum }
 
 // Mean reports the sample mean (0 for an empty distribution).
 func (d *Dist) Mean() float64 {
@@ -173,15 +156,6 @@ func (d *Dist) Quantile(q float64) float64 {
 		rank = 0
 	}
 	return d.samples[rank]
-}
-
-// Min returns the smallest sample (0 if empty).
-func (d *Dist) Min() float64 {
-	if len(d.samples) == 0 {
-		return 0
-	}
-	d.sortSamples()
-	return d.samples[0]
 }
 
 // Max returns the largest sample (0 if empty).

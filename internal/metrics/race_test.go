@@ -29,7 +29,6 @@ func TestCounterSetConcurrent(t *testing.T) {
 				return
 			default:
 				s.Snapshot()
-				s.Names()
 			}
 		}
 	}()
@@ -45,8 +44,8 @@ func TestCounterSetConcurrent(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	var total uint64
-	for _, n := range s.Names() {
-		total += s.Value(n)
+	for _, v := range s.Snapshot() {
+		total += v
 	}
 	if want := uint64(raceWriters * racePerWriter); total != want {
 		t.Fatalf("lost increments: total %d want %d", total, want)
@@ -84,7 +83,7 @@ func TestHistogramConcurrent(t *testing.T) {
 		t.Fatalf("lost observations: n %d want %d", h.N(), want)
 	}
 	var fromBuckets uint64
-	for _, c := range h.Counts() {
+	for _, c := range h.Snapshot().Counts {
 		fromBuckets += c
 	}
 	if fromBuckets != h.N() {

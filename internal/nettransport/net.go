@@ -44,9 +44,9 @@ type DataHandler func(from underlay.HostID, msgType string, payload []byte)
 
 // Net is the real-socket plane: a payload RPC (Handle/Call, one-way
 // HandleData/SendPayload) over UDP datagrams between actual processes,
-// with per-type frame accounting. It deliberately does not implement the
-// simulator's Messenger — there is no underlay to query and no kernel to
-// schedule on — and shares only the metrics planes with the simulator:
+// with per-type frame accounting. It deliberately shares no send API with
+// the simulator's Transport — there is no underlay to query and no kernel
+// to schedule on — only the metrics planes:
 // the same CounterSet and latency Histogram types feed /metrics on a live
 // node, which is what keeps it comparable with a recorded simulation.
 //

@@ -5,7 +5,7 @@
 // (internal/transport) stays the reference for experiments — it is pure
 // and byte-identical per seed — while this plane trades that purity for
 // wall-clock reality: real sockets, real timeouts, real RTTs feeding the
-// same metrics types. It does not imitate the simulator's Messenger; the
+// same metrics types. It does not imitate the simulator's Transport; the
 // one thing the two planes share is the failure-detection seam, which
 // internal/livenode bridges with a small adapter over Call("fd_ping").
 //

@@ -22,12 +22,6 @@ type Policy struct {
 	UnreachableCost float64
 }
 
-// DefaultPolicy charges transit hops 10× a peering hop: the Figure 2
-// economics as ranking weights.
-func DefaultPolicy() Policy {
-	return Policy{SameASCost: 0, PeeringHopCost: 1, TransitHopCost: 10, UnreachableCost: 1e9}
-}
-
 // PDistance computes the policy cost of reaching dst's AS from src's AS:
 // the sum of per-hop costs along the routed path.
 func (o *Oracle) PDistance(p Policy, srcAS, dstAS int) float64 {

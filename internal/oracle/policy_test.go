@@ -7,6 +7,10 @@ import (
 	"unap2p/internal/underlay"
 )
 
+// figure2Policy charges transit hops 10× a peering hop: the Figure 2
+// economics as ranking weights.
+var figure2Policy = Policy{SameASCost: 0, PeeringHopCost: 1, TransitHopCost: 10, UnreachableCost: 1e9}
+
 // policyNet: client stub C with a peering link to P and a transit path to
 // T's other customer X (both 1 AS hop under plain ranking... P is 1 hop
 // via peering; X is 2 hops via transit core).
@@ -29,7 +33,7 @@ func policyNet() (*underlay.Network, *underlay.Host, *underlay.Host, *underlay.H
 func TestPDistance(t *testing.T) {
 	net, hc, hp, hx := policyNet()
 	o := New(net)
-	pol := DefaultPolicy()
+	pol := figure2Policy
 	if d := o.PDistance(pol, hc.AS.ID, hc.AS.ID); d != 0 {
 		t.Fatalf("same-AS pDistance = %v", d)
 	}
@@ -61,7 +65,7 @@ func TestRankPolicyPrefersPeering(t *testing.T) {
 		t.Fatalf("plain rank = %v, want X first (stable ties)", ranked)
 	}
 	// Policy ranking puts the peered P first: peering(1) < transit(10).
-	polRanked := o.RankPolicy(DefaultPolicy(), hc, []underlay.HostID{hx.ID, hp.ID})
+	polRanked := o.RankPolicy(figure2Policy, hc, []underlay.HostID{hx.ID, hp.ID})
 	if polRanked[0] != hp.ID {
 		t.Fatalf("policy rank = %v, want peered P first", polRanked)
 	}
@@ -72,13 +76,13 @@ func TestRankPolicyDownAndMaxList(t *testing.T) {
 	o := New(net)
 	o.Down = true
 	in := []underlay.HostID{hx.ID, hp.ID}
-	out := o.RankPolicy(DefaultPolicy(), hc, in)
+	out := o.RankPolicy(figure2Policy, hc, in)
 	if out[0] != hx.ID || out[1] != hp.ID {
 		t.Fatal("down oracle must preserve input order")
 	}
 	o.Down = false
 	o.MaxList = 1
-	if got := o.RankPolicy(DefaultPolicy(), hc, in); len(got) != 1 {
+	if got := o.RankPolicy(figure2Policy, hc, in); len(got) != 1 {
 		t.Fatalf("MaxList ignored: %v", got)
 	}
 }
@@ -120,8 +124,8 @@ func TestPolicyDeterminism(t *testing.T) {
 	net, hc, hp, hx := policyNet()
 	o := New(net)
 	_ = sim.NewSource(1) // parity with other tests; ranking needs no RNG
-	a := o.RankPolicy(DefaultPolicy(), hc, []underlay.HostID{hx.ID, hp.ID, hc.ID})
-	b := o.RankPolicy(DefaultPolicy(), hc, []underlay.HostID{hx.ID, hp.ID, hc.ID})
+	a := o.RankPolicy(figure2Policy, hc, []underlay.HostID{hx.ID, hp.ID, hc.ID})
+	b := o.RankPolicy(figure2Policy, hc, []underlay.HostID{hx.ID, hp.ID, hc.ID})
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("policy ranking not deterministic")

@@ -68,9 +68,8 @@ func (p *Peer) Has(i int) bool { return p.have[i] }
 
 // Swarm is a torrent instance.
 type Swarm struct {
-	// T carries piece transfers; U serves topology queries.
-	T   transport.Messenger
-	U   *underlay.Network
+	// T carries piece transfers.
+	T   *transport.Transport
 	Cfg Config
 	// PieceTraffic accounts piece bytes by AS pair, recorded by the
 	// transport under the "piece" message type.
@@ -94,11 +93,11 @@ type Swarm struct {
 // the selector's Proximity verb puts at cost 0 (same ISP) are preferred,
 // with Cfg.External random out-of-ISP links as the connectivity
 // safeguard. A nil selector runs the classic random tracker.
-func NewSwarm(tr transport.Messenger, sel core.Selector, cfg Config, r *rand.Rand) *Swarm {
+func NewSwarm(tr *transport.Transport, sel core.Selector, cfg Config, r *rand.Rand) *Swarm {
 	if cfg.Pieces < 1 || cfg.PeerSet < 1 || cfg.UploadSlots < 1 {
 		panic("bittorrent: invalid config")
 	}
-	return &Swarm{T: tr, U: tr.Underlay(), Cfg: cfg, PieceTraffic: tr.MatrixFor("piece"), r: r, sel: sel}
+	return &Swarm{T: tr, Cfg: cfg, PieceTraffic: tr.MatrixFor("piece"), r: r, sel: sel}
 }
 
 // AddSeed joins a host holding the full file.
@@ -354,7 +353,7 @@ func (s *Swarm) NeighborASMix() float64 {
 	return float64(intra) / float64(total)
 }
 
-// HealthStats implements the telemetry HealthReporter hook: swarm
+// HealthStats feeds telemetry.Probe.ObserveHealth: swarm
 // progress and locality gauges sampled per round by the probe plane
 // (pure reads over the peer slice, deterministic).
 //

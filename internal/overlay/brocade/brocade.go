@@ -22,7 +22,7 @@ import (
 // Overlay is a Brocade layer over a peer population.
 type Overlay struct {
 	// T carries routed messages; U serves topology queries.
-	T transport.Messenger
+	T *transport.Transport
 	U *underlay.Network
 	// MsgBytes is the size of one routed message.
 	MsgBytes uint64
@@ -47,7 +47,7 @@ type Overlay struct {
 // network bandwidth" near the wide-area access point). Ties break on
 // host id for determinism. A nil selector (or one with no election
 // preference) takes the lowest-id member of each AS.
-func Build(tr transport.Messenger, sel core.Selector, members []*underlay.Host) *Overlay {
+func Build(tr *transport.Transport, sel core.Selector, members []*underlay.Host) *Overlay {
 	if len(members) == 0 {
 		panic("brocade: no members")
 	}
@@ -155,7 +155,7 @@ func (o *Overlay) Route(src, dst underlay.HostID) RouteStats {
 	return st
 }
 
-// HealthStats implements the telemetry HealthReporter hook: the state of
+// HealthStats feeds telemetry.Probe.ObserveHealth: the state of
 // the secondary overlay (pure reads, deterministic).
 //
 //   - supernodes: elected AS landmarks

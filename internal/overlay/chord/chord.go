@@ -56,7 +56,7 @@ type Node struct {
 type Ring struct {
 	// T carries routing messages; U serves proximity queries (finger
 	// selection RTT estimates) without charging traffic.
-	T   transport.Messenger
+	T   *transport.Transport
 	U   *underlay.Network
 	Cfg Config
 	// Msgs counts "route" messages — a view of the transport's counters.
@@ -74,7 +74,7 @@ type Ring struct {
 // on proximity-selected fingers: each finger slot keeps the candidate the
 // selector's Proximity verb calls closest (core.RTTSelector for Castro et
 // al.'s RTT-based PNS). A nil selector builds the classic table.
-func New(tr transport.Messenger, sel core.Selector, cfg Config, r *rand.Rand) *Ring {
+func New(tr *transport.Transport, sel core.Selector, cfg Config, r *rand.Rand) *Ring {
 	if cfg.SuccessorList < 1 {
 		panic("chord: SuccessorList must be ≥ 1")
 	}
@@ -247,7 +247,7 @@ func (c *Ring) nextHop(cur *Node, key ID) *Node {
 	return nil
 }
 
-// HealthStats implements the telemetry HealthReporter hook: finger-table
+// HealthStats feeds telemetry.Probe.ObserveHealth: finger-table
 // fill and locality gauges (pure reads over the sorted node slice,
 // deterministic).
 //

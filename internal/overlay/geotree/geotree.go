@@ -47,7 +47,7 @@ type zone struct {
 // Tree is the overlay instance.
 type Tree struct {
 	// T carries control messages; U serves topology queries.
-	T   transport.Messenger
+	T   *transport.Transport
 	U   *underlay.Network
 	Cfg Config
 	// Msgs counts control messages ("register", "search", "result",
@@ -65,7 +65,7 @@ type Tree struct {
 // selector's Position verb supplies peer coordinates (a core.GeoSelector
 // for perfect GPS fixes; wrap it to model mapping error); a nil selector
 // — or one with no position answer — falls back to ground truth.
-func New(tr transport.Messenger, sel core.Selector, cfg Config) *Tree {
+func New(tr *transport.Transport, sel core.Selector, cfg Config) *Tree {
 	if cfg.SplitThreshold < 2 {
 		panic("geotree: SplitThreshold must be ≥ 2")
 	}
@@ -348,7 +348,7 @@ func (t *Tree) Geocast(from *underlay.Host, box geo.Box, payloadBytes uint64) (i
 	return reached, st
 }
 
-// HealthStats implements the telemetry HealthReporter hook: shape gauges
+// HealthStats feeds telemetry.Probe.ObserveHealth: shape gauges
 // of the zone tree (pure reads via a deterministic pre-order walk).
 //
 //   - peers: registered population

@@ -115,7 +115,7 @@ func (n *Node) LeafCount() int { return len(n.leaves) }
 type Overlay struct {
 	// T carries every protocol message; U and K are views of the
 	// transport's underlay (topology queries) and kernel (scheduling).
-	T   transport.Messenger
+	T   *transport.Transport
 	U   *underlay.Network
 	K   *sim.Kernel
 	Cfg Config
@@ -153,7 +153,7 @@ type Overlay struct {
 // New creates an empty overlay sending through tr (which must carry a
 // kernel for delivery scheduling) and selecting through sel (nil for the
 // unaware protocol).
-func New(tr transport.Messenger, sel core.Selector, cfg Config, r *rand.Rand) *Overlay {
+func New(tr *transport.Transport, sel core.Selector, cfg Config, r *rand.Rand) *Overlay {
 	return &Overlay{
 		T:           tr,
 		U:           tr.Underlay(),
@@ -385,7 +385,7 @@ func (o *Overlay) send(kind string, from, to *underlay.Host, bytes uint64) trans
 	return o.T.Send(from, to, bytes, kind)
 }
 
-// HealthStats implements the telemetry HealthReporter hook: live gauges
+// HealthStats feeds telemetry.Probe.ObserveHealth: live gauges
 // over the two-tier topology, computed by pure reads in join order so
 // sampling never perturbs a run.
 //

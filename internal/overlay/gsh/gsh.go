@@ -89,7 +89,7 @@ type node struct {
 type Overlay struct {
 	// T carries every registry/lookup message; GSH needs no other view of
 	// the underlay.
-	T   transport.Messenger
+	T   *transport.Transport
 	Cfg Config
 	// Msgs counts "register", "lookup", "response" messages (a view of
 	// the transport's per-type counters).
@@ -108,7 +108,7 @@ type Overlay struct {
 // Position verb supplies the coordinates GSH hashes into zone prefixes
 // (a core.GeoSelector for perfect GPS fixes); a nil selector — or one
 // with no position answer — falls back to ground truth.
-func New(tr transport.Messenger, sel core.Selector, cfg Config) *Overlay {
+func New(tr *transport.Transport, sel core.Selector, cfg Config) *Overlay {
 	if cfg.MaxLevel < 1 || cfg.MaxLevel > 16 {
 		panic("gsh: MaxLevel must be in [1,16]")
 	}
@@ -329,7 +329,7 @@ func (o *Overlay) ResetLoad() {
 	}
 }
 
-// HealthStats implements the telemetry HealthReporter hook: registry
+// HealthStats feeds telemetry.Probe.ObserveHealth: registry
 // load balance across the hierarchy (pure reads, deterministic).
 //
 //   - peers: joined population

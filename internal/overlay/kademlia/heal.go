@@ -112,12 +112,3 @@ func (n *Node) promote(idx int) {
 	n.spares[idx] = append(n.spares[idx][:best], n.spares[idx][best+1:]...)
 	n.buckets[idx] = append(n.buckets[idx], c)
 }
-
-// SpareCount reports the replacement-cache population (introspection).
-func (n *Node) SpareCount() int {
-	total := 0
-	for _, s := range n.spares {
-		total += len(s)
-	}
-	return total
-}

@@ -82,7 +82,7 @@ type Node struct {
 type DHT struct {
 	// T carries every RPC; U serves topology queries (proximity
 	// estimates) without charging traffic.
-	T   transport.Messenger
+	T   *transport.Transport
 	U   *underlay.Network
 	Cfg Config
 	// Msgs counts RPCs ("find_node", "find_value", "store", "response")
@@ -115,7 +115,7 @@ type DHT struct {
 // Vivaldi/landmark predictor wrapped with core.FuncSelector to study
 // prediction-driven PNS (the §3.2 collection techniques plugged into §4
 // usage). A nil selector runs classic Kademlia.
-func New(tr transport.Messenger, sel core.Selector, cfg Config, r *rand.Rand) *DHT {
+func New(tr *transport.Transport, sel core.Selector, cfg Config, r *rand.Rand) *DHT {
 	if cfg.K < 1 || cfg.Alpha < 1 {
 		panic("kademlia: K and Alpha must be ≥ 1")
 	}
@@ -277,7 +277,7 @@ func (d *DHT) Bootstrap(seeds int) {
 	}
 }
 
-// HealthStats implements the telemetry HealthReporter hook: structural
+// HealthStats feeds telemetry.Probe.ObserveHealth: structural
 // gauges the probe plane samples over simulated time. All values come
 // from pure reads in deterministic order (d.sorted, sorted contacts),
 // so sampling never perturbs a run.

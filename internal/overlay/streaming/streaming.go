@@ -71,9 +71,8 @@ func (p *Peer) Has(chunk int) bool { return p.isSource || p.have[chunk] }
 
 // Mesh is a streaming session.
 type Mesh struct {
-	// T carries chunk transfers; U serves topology queries.
-	T   transport.Messenger
-	U   *underlay.Network
+	// T carries chunk transfers.
+	T   *transport.Transport
 	Cfg Config
 	// ChunkTraffic accounts chunk bytes by AS pair, recorded by the
 	// transport under the "chunk" message type.
@@ -94,7 +93,7 @@ type Mesh struct {
 // when its Weight verb answers, parent assignment becomes bandwidth-
 // aware (capacity-weighted instead of uniform — ResourceSelector with
 // WeightParents set).
-func NewMesh(tr transport.Messenger, sel core.Selector, source *underlay.Host,
+func NewMesh(tr *transport.Transport, sel core.Selector, source *underlay.Host,
 	cfg Config, r *rand.Rand) *Mesh {
 	if cfg.Parents < 1 || cfg.Window < 1 || cfg.BitrateKbps <= 0 {
 		panic("streaming: invalid config")
@@ -103,7 +102,7 @@ func NewMesh(tr transport.Messenger, sel core.Selector, source *underlay.Host,
 		panic("streaming: selector required for peer capacities")
 	}
 	m := &Mesh{
-		T: tr, U: tr.Underlay(), Cfg: cfg,
+		T: tr, Cfg: cfg,
 		ChunkTraffic: tr.MatrixFor("chunk"),
 		r:            r,
 		sel:          sel,
@@ -321,7 +320,7 @@ func (m *Mesh) ParentCapacityMean() float64 {
 	return sum / float64(n)
 }
 
-// HealthStats implements the telemetry HealthReporter hook: playout
+// HealthStats feeds telemetry.Probe.ObserveHealth: playout
 // quality gauges the probe plane samples per tick batch (pure reads over
 // the peer slice, deterministic).
 //

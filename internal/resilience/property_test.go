@@ -107,7 +107,7 @@ func detScenario(seed int64, suspectAfter, evictAfter uint8, partition bool) (*D
 	_, hosts, src, k, tr := testWorld(seed)
 	if partition {
 		// Total partition: no fd traffic crosses, in either direction.
-		tr.Faults.Drop = func(from, to *underlay.Host) bool { return true }
+		tr.Drop = func(from, to *underlay.Host) bool { return true }
 	}
 	cfg := DefaultConfig()
 	cfg.SuspectAfter = 1 + int(suspectAfter%4)

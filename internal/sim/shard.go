@@ -112,9 +112,6 @@ func NewSharded(k int, window Duration) *ShardedKernel {
 // NumShards reports the shard count K.
 func (sk *ShardedKernel) NumShards() int { return len(sk.shards) }
 
-// Window reports the epoch window.
-func (sk *ShardedKernel) Window() Duration { return sk.window }
-
 // Shard returns shard i.
 func (sk *ShardedKernel) Shard(i int) *Shard { return sk.shards[i] }
 
@@ -135,19 +132,6 @@ func (sk *ShardedKernel) Processed() uint64 {
 	var n uint64
 	for _, s := range sk.shards {
 		n += s.k.processed
-	}
-	return n
-}
-
-// Pending reports the total queued events across shards (buffered
-// cross-shard events included).
-func (sk *ShardedKernel) Pending() int {
-	n := 0
-	for _, s := range sk.shards {
-		n += s.k.Pending()
-		for _, o := range s.out {
-			n += len(o)
-		}
 	}
 	return n
 }
@@ -204,14 +188,8 @@ func (sk *ShardedKernel) Stats() ShardedStats {
 	return st
 }
 
-// ID returns the shard's index.
-func (s *Shard) ID() int { return s.id }
-
 // Now returns the shard's current simulated time.
 func (s *Shard) Now() Time { return s.k.now }
-
-// Clock returns a closure over the shard's current time.
-func (s *Shard) Clock() func() Time { return s.k.Clock() }
 
 // Schedule runs fn on this shard after delay.
 func (s *Shard) Schedule(delay Duration, fn func()) Timer { return s.k.Schedule(delay, fn) }
@@ -221,14 +199,6 @@ func (s *Shard) At(t Time, fn func()) Timer { return s.k.At(t, fn) }
 
 // AtDaemon schedules a shard-local daemon event (see Kernel.AtDaemon).
 func (s *Shard) AtDaemon(t Time, fn func()) Timer { return s.k.AtDaemon(t, fn) }
-
-// Every schedules fn on this shard at now+period and every period after.
-func (s *Shard) Every(period Duration, fn func()) (cancel func()) { return s.k.Every(period, fn) }
-
-// EveryDaemon is Every with daemon scheduling.
-func (s *Shard) EveryDaemon(period Duration, fn func()) (cancel func()) {
-	return s.k.EveryDaemon(period, fn)
-}
 
 // DeferTo schedules fn on shard dst after delay of this shard's time.
 // Same-shard deferrals go straight into the local heap; cross-shard ones

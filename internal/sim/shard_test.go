@@ -109,14 +109,14 @@ func TestShardedK1MatchesKernel(t *testing.T) {
 		var legacyLog []traceEntry
 		k := NewKernel()
 		buildMixedSchedule(seed, func(d Duration, fn func()) { k.Schedule(d, fn) },
-			func(at Time, fn func()) { k.AtDaemon(at, fn) }, k.Clock(), &legacyLog)
+			func(at Time, fn func()) { k.AtDaemon(at, fn) }, k.Now, &legacyLog)
 		legacyEnd := k.Run(Forever)
 
 		var shardLog []traceEntry
 		sk := NewSharded(1, 7)
 		s := sk.Shard(0)
 		buildMixedSchedule(seed, func(d Duration, fn func()) { s.Schedule(d, fn) },
-			func(at Time, fn func()) { s.AtDaemon(at, fn) }, s.Clock(), &shardLog)
+			func(at Time, fn func()) { s.AtDaemon(at, fn) }, s.Now, &shardLog)
 		shardEnd := sk.Run(Forever)
 
 		if !reflect.DeepEqual(legacyLog, shardLog) {

@@ -21,15 +21,10 @@ type Duration = Time
 const (
 	Millisecond Duration = 1
 	Second      Duration = 1000
-	Minute      Duration = 60 * Second
-	Hour        Duration = 60 * Minute
 )
 
 // Forever is a time later than any event a simulation will schedule.
 const Forever Time = Time(math.MaxFloat64)
-
-// Seconds reports t as seconds.
-func (t Time) Seconds() float64 { return float64(t) / 1000 }
 
 func (t Time) String() string { return fmt.Sprintf("%.3fms", float64(t)) }
 
@@ -189,12 +184,6 @@ func (k *Kernel) NextAt() (Time, bool) {
 // MaxQueue reports the high-water mark of the pending-event queue — how
 // deep the schedule ever got.
 func (k *Kernel) MaxQueue() int { return k.maxQueue }
-
-// Clock returns a closure over the kernel's current time, the read-only
-// view span tracers and recorders stamp events with.
-func (k *Kernel) Clock() func() Time {
-	return func() Time { return k.now }
-}
 
 // Stats is a frozen snapshot of the kernel's run statistics.
 type Stats struct {

@@ -12,19 +12,6 @@ import (
 	"unap2p/internal/transport"
 )
 
-// HealthReporter is the overlay-health introspection hook: a component
-// exposes a flat map of gauges describing how healthy its structure is
-// right now — routing-table fill and AS-hop locality for a DHT, ultrapeer
-// fan-out and intra-AS neighbor share for Gnutella, piece completion for
-// a swarm, median prediction error for a coordinate system. All unap2p
-// overlays implement it. Keys must be stable across calls and values
-// must be computed by pure reads in deterministic order, because the
-// Probe samples them mid-run and a sampled run must stay bit-identical
-// to an unsampled one.
-type HealthReporter interface {
-	HealthStats() map[string]float64
-}
-
 // Sample is one probe tick: everything the recorder can snapshot,
 // flattened to scalars, plus the registered health sources, at one point
 // in simulated time. Samples serialize into run files as the "sample"
@@ -151,7 +138,6 @@ type Probe struct {
 	seq     uint64
 	kernels []*sim.Kernel
 	sharded []*sim.ShardedKernel
-	cancels []func()
 	health  []healthSource
 	counts  map[string]int
 	churns  []*churn.Driver
@@ -181,14 +167,8 @@ func NewProbe(rec *Recorder, cfg ProbeConfig) *Probe {
 	}
 }
 
-// Recorder returns the wrapped recorder.
-func (p *Probe) Recorder() *Recorder { return p.rec }
-
 // Series returns the in-memory sample store.
 func (p *Probe) Series() *Series { return p.series }
-
-// Interval returns the sim-time sampling period.
-func (p *Probe) Interval() sim.Duration { return p.interval }
 
 // ObserveTransport delegates to the recorder.
 func (p *Probe) ObserveTransport(t *transport.Transport) { p.rec.ObserveTransport(t) }
@@ -211,10 +191,7 @@ func (p *Probe) ObserveKernel(k *sim.Kernel) {
 	}
 	p.kernels = append(p.kernels, k)
 	p.mu.Unlock()
-	cancel := k.EveryDaemon(p.interval, p.Sample)
-	p.mu.Lock()
-	p.cancels = append(p.cancels, cancel)
-	p.mu.Unlock()
+	k.EveryDaemon(p.interval, p.Sample)
 }
 
 // ObserveShardedKernel delegates to the recorder and includes the
@@ -258,7 +235,9 @@ func (p *Probe) ObserveMobility(m *mobility.Model) { p.rec.ObserveMobility(m) }
 // same overlay per variant keeps the curves separable. The parameter is
 // a plain func so packages that must not import telemetry (notably
 // internal/experiments) can feed it through a structural interface
-// check; stats must be a pure deterministic read.
+// check. stats must return the same keys on every call and compute its
+// values by pure reads in deterministic order: the Probe samples it
+// mid-run, and a sampled run must stay bit-identical to an unsampled one.
 func (p *Probe) ObserveHealth(name string, stats func() map[string]float64) {
 	if stats == nil {
 		return
@@ -268,14 +247,6 @@ func (p *Probe) ObserveHealth(name string, stats func() map[string]float64) {
 	p.counts[name] = n + 1
 	p.health = append(p.health, healthSource{name: prefixed(name, n), fn: stats})
 	p.mu.Unlock()
-}
-
-// ObserveReporter is ObserveHealth for values satisfying HealthReporter.
-func (p *Probe) ObserveReporter(name string, hr HealthReporter) {
-	if hr == nil {
-		return
-	}
-	p.ObserveHealth(name, hr.HealthStats)
 }
 
 // Sample takes one sample immediately: the recorder's full metrics
@@ -340,19 +311,6 @@ func (p *Probe) LatestSnapshot() MetricsSnapshot {
 		return newMetricsSnapshot()
 	}
 	return p.latest
-}
-
-// Stop cancels the kernel sampling ticks. Manual Sample calls still
-// work; Stop exists for callers that attach a probe to a long-lived
-// kernel and want sampling bounded to a phase.
-func (p *Probe) Stop() {
-	p.mu.Lock()
-	cancels := p.cancels
-	p.cancels = nil
-	p.mu.Unlock()
-	for _, c := range cancels {
-		c()
-	}
 }
 
 // sampleValues extracts metric across samples, NaN where absent.

@@ -77,7 +77,7 @@ func NewRecorder(cfg Config) *Recorder {
 }
 
 // Registry exposes the recorder's metric registry, so callers can
-// register application-level counters, histograms, matrices, or gauges
+// register application-level counters, histograms, or gauges
 // to be included in the closing snapshot.
 func (r *Recorder) Registry() *Registry { return r.reg }
 
@@ -380,6 +380,3 @@ func (r *Recorder) Summary() Summary {
 	defer r.mu.Unlock()
 	return r.summary
 }
-
-// Manifest returns the run manifest the recorder was configured with.
-func (r *Recorder) Manifest() Manifest { return r.manifest }

@@ -44,12 +44,12 @@ func BenchmarkTransportSend(b *testing.B) {
 	}
 }
 
-// BenchmarkTransportSendWithFaults adds an active fault plan (loss +
-// jitter), measuring the RNG-draw cost on the hot path.
+// BenchmarkTransportSendWithFaults adds a Drop hook drawing a 1% seeded
+// loss, measuring the hook call and RNG draw on the hot path.
 func BenchmarkTransportSendWithFaults(b *testing.B) {
 	n := benchNet()
 	tr := Over(n)
-	tr.Faults = Faults{LossRate: 0.01, JitterMax: 3, Rand: sim.NewSource(1).Stream("faults")}
+	lossy(tr, 0.01, sim.NewSource(1).Stream("faults"))
 	hosts := n.Hosts()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

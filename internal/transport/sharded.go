@@ -17,7 +17,6 @@ import (
 // per-class message/byte counters plus intra-AS and cross-shard splits,
 // each lane owned by exactly one shard and aggregated only at barriers.
 type ShardedNet struct {
-	u     *underlay.Network
 	pt    *underlay.PeerTable
 	part  *underlay.Partition
 	sk    *sim.ShardedKernel
@@ -39,12 +38,13 @@ type Lane struct {
 
 // NewShardedNet builds a sharded transport over the given peer table and
 // kernel. classes names the message classes (request, reply, probe, …);
-// Send takes the class index. The network's routes must already be
+// Send takes the class index. u is the network pt was built over; it is
+// named here only for its precondition: its routes must already be
 // computed (Network.ComputeRoutes) — lazy route building inside a shard
 // callback would race.
 func NewShardedNet(u *underlay.Network, pt *underlay.PeerTable, part *underlay.Partition,
 	sk *sim.ShardedKernel, classes []string) *ShardedNet {
-	n := &ShardedNet{u: u, pt: pt, part: part, sk: sk, names: append([]string(nil), classes...)}
+	n := &ShardedNet{pt: pt, part: part, sk: sk, names: append([]string(nil), classes...)}
 	for i := 0; i < sk.NumShards(); i++ {
 		n.lanes = append(n.lanes, &Lane{
 			Msgs:         make([]uint64, len(classes)),
@@ -85,12 +85,6 @@ func (n *ShardedNet) Kernel() *sim.ShardedKernel { return n.sk }
 
 // ShardOf returns the shard owning peer p.
 func (n *ShardedNet) ShardOf(p underlay.PeerID) int { return n.part.ShardOf(n.pt, p) }
-
-// Lane returns shard i's accounting lane. Mutate only from shard i.
-func (n *ShardedNet) Lane(i int) *Lane { return n.lanes[i] }
-
-// Latency returns the one-way delay between two peers.
-func (n *ShardedNet) Latency(a, b underlay.PeerID) sim.Duration { return n.pt.Latency(a, b) }
 
 // Send delivers bytes from peer from to peer to, invoking fn on the
 // destination peer's owning shard after the one-way latency. It must be

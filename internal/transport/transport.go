@@ -6,30 +6,31 @@
 //
 //	sim.Kernel ── schedules deliveries
 //	underlay.Network ── routes bytes, charges links, computes latency
-//	transport.Transport ── THIS LAYER: counts, traces, injects faults
+//	transport.Transport ── THIS LAYER: counts, traces, drops
 //	overlays (gnutella, kademlia, chord, …) ── protocol logic only
 //	metrics ── counters, histograms, AS-pair traffic matrices
-//	telemetry ── observes it all: run recording, span tracing, exports
+//	telemetry ── observes it all: run recording, probes, exports
 //
-// Every overlay message — one-way sends, request/reply round trips, and
-// latency probes — goes through a Transport, which provides:
+// Every overlay holds a *Transport, and every overlay message — one-way
+// sends, request/reply round trips, and latency probes — goes through
+// it. It provides:
 //
 //   - per-message-type counters (Counters) and latency histograms,
 //   - centralized intra-AS vs cross-ISP byte accounting (StatsFor,
 //     AllStats) plus optional per-type traffic matrices (MatrixFor),
-//   - deterministic fault injection (Faults): per-seed packet loss and
-//     extra delay, for the churn/failure robustness studies of §6,
-//   - tracing (Trace) of every message for debugging and analysis,
+//   - one hook each way: Trace observes every message (drops included),
+//     Drop discards a message before it reaches the underlay — the way
+//     internal/chaos injects seeded loss bursts and AS partitions for
+//     the churn/failure robustness studies of §6,
 //   - kernel-integrated delivery scheduling (Deliver).
 //
-// With fault injection disabled the layer is a pure observer: latencies
-// and byte accounting are bit-identical to calling underlay.Network.Send
+// With no Drop hook the layer is a pure observer: latencies and byte
+// accounting are bit-identical to calling underlay.Network.Send
 // directly, so fixed-seed experiment results are unchanged by routing
 // traffic through it.
 package transport
 
 import (
-	"math/rand"
 	"sort"
 	"strings"
 
@@ -45,7 +46,7 @@ type Result struct {
 	// was dropped.
 	Latency sim.Duration
 	// OK reports whether the message (and, for round trips, its reply)
-	// was delivered. Only fault injection makes it false.
+	// was delivered. Only the Drop hook makes it false.
 	OK bool
 }
 
@@ -56,67 +57,11 @@ type Event struct {
 	Bytes    uint64
 	// Latency is the one-way delivery latency (0 when dropped).
 	Latency sim.Duration
-	// Dropped reports that fault injection discarded the message.
+	// Dropped reports that the Drop hook discarded the message.
 	Dropped bool
 	// At is the simulated send time, stamped from the transport's kernel
 	// (0 for kernel-less transports, whose sends are not on a timeline).
 	At sim.Time
-}
-
-// Faults configures deterministic fault injection. The zero value injects
-// nothing and adds no per-message RNG draws, preserving bit-identical
-// results for existing seeds.
-type Faults struct {
-	// LossRate is the probability in [0,1] that a message is dropped
-	// before reaching the underlay. Requires Rand.
-	LossRate float64
-	// ExtraDelay is added to every delivered message's one-way latency.
-	ExtraDelay sim.Duration
-	// JitterMax, when positive, adds a uniform random extra delay in
-	// [0, JitterMax) per delivered message. Requires Rand.
-	JitterMax sim.Duration
-	// Rand is the dedicated RNG stream for loss and jitter draws; use a
-	// sim.Source stream so faults are reproducible per seed.
-	Rand *rand.Rand
-	// Drop, when non-nil, is consulted per message before the LossRate
-	// draw; returning true discards the message. It is the hook scenario
-	// harnesses (internal/chaos) use for endpoint-aware faults — AS
-	// partitions, correlated per-AS loss bursts — that a flat loss rate
-	// cannot express. Any randomness inside Drop must come from its own
-	// seeded stream to keep runs reproducible.
-	Drop func(from, to *underlay.Host) bool
-}
-
-func (f Faults) active() bool { return f.LossRate > 0 || f.ExtraDelay > 0 || f.JitterMax > 0 }
-
-// Messenger is the interface overlays send through — the simulator's
-// seam: *Transport is the production implementation, telemetry wraps it
-// for span tracing, and tests inject fakes to observe protocol behaviour
-// without a real underlay charge. The real-socket plane does not
-// implement it (see internal/nettransport).
-type Messenger interface {
-	// Underlay returns the network used for topology queries (host
-	// lookup, latency estimates); overlays must not call its Send.
-	Underlay() *underlay.Network
-	// Kernel returns the event kernel for scheduling, or nil when the
-	// transport was built without one.
-	Kernel() *sim.Kernel
-	// Send delivers one message of the given type and size.
-	Send(from, to *underlay.Host, bytes uint64, msgType string) Result
-	// RoundTrip sends a request and its reply, returning the summed
-	// round-trip latency — the request/reply idiom every RPC-style
-	// overlay shares. Dropped legs are retried under the transport's
-	// default RetryPolicy.
-	RoundTrip(from, to *underlay.Host, reqBytes, respBytes uint64, reqType, respType string) Result
-	// Probe measures the RTT between two hosts with a real probe/response
-	// message pair (type "probe"), charging the measurement traffic §3.2
-	// warns about.
-	Probe(from, to *underlay.Host, bytes uint64) Result
-	// Counters exposes the per-message-type counters.
-	Counters() *metrics.CounterSet
-	// MatrixFor returns a traffic matrix recording every message of the
-	// given types (shared across them), creating it on first use.
-	MatrixFor(msgTypes ...string) *metrics.TrafficMatrix
 }
 
 // typeStats accumulates per-message-type accounting, and holds every
@@ -137,8 +82,8 @@ type typeStats struct {
 // Stats is a read-only snapshot of one message type's accounting.
 type Stats struct {
 	Type string
-	// Msgs counts send attempts; Dropped counts those lost to fault
-	// injection.
+	// Msgs counts send attempts; Dropped counts those the Drop hook
+	// discarded.
 	Msgs, Dropped uint64
 	// Bytes is delivered payload; IntraBytes the share whose endpoints
 	// lay in the same AS. Inter-ISP bytes are Bytes - IntraBytes.
@@ -147,17 +92,20 @@ type Stats struct {
 	Latency *metrics.Histogram
 }
 
-// InterBytes returns the delivered bytes that crossed an AS boundary —
-// the traffic ISPs pay transit for.
-func (s Stats) InterBytes() uint64 { return s.Bytes - s.IntraBytes }
-
-// Transport is the production Messenger over a real underlay.
+// Transport is the classic simulator's data plane: every overlay holds
+// one and sends through it.
 type Transport struct {
 	u *underlay.Network
 	k *sim.Kernel
 
-	// Faults configures deterministic loss and delay injection.
-	Faults Faults
+	// Drop, when non-nil, is consulted once per message before it reaches
+	// the underlay; returning true discards the message. It is the one way
+	// faults get in: internal/chaos installs time-gated AS partitions and
+	// per-AS loss bursts here, tests a flat seeded loss rate. Any
+	// randomness inside Drop must come from its own seeded stream to keep
+	// runs reproducible; a hook installed over an existing one calls the
+	// existing one first.
+	Drop func(from, to *underlay.Host) bool
 	// Retry is the default policy RoundTrip applies when either leg is
 	// dropped; retries are real (counted, charged) messages, so overlay
 	// recovery traffic stays bounded and visible. The zero value retries
@@ -170,8 +118,6 @@ type Transport struct {
 	msgs  *metrics.CounterSet
 	types map[string]*typeStats
 }
-
-var _ Messenger = (*Transport)(nil)
 
 // New returns a Transport over the given underlay. k may be nil for
 // overlays that never schedule deliveries on a kernel.
@@ -266,43 +212,14 @@ func (t *Transport) stats(msgType string) *typeStats {
 	return st
 }
 
-// dropped draws the loss decision for one message. The endpoint-aware
-// Drop hook is consulted first so a chaos schedule can partition or
-// degrade specific AS pairs without perturbing the flat LossRate stream.
-func (t *Transport) dropped(from, to *underlay.Host) bool {
-	if d := t.Faults.Drop; d != nil && d(from, to) {
-		return true
-	}
-	if t.Faults.LossRate <= 0 {
-		return false
-	}
-	if t.Faults.Rand == nil {
-		panic("transport: Faults.LossRate requires Faults.Rand")
-	}
-	return t.Faults.Rand.Float64() < t.Faults.LossRate
-}
-
-// extraDelay draws the injected delay for one delivered message.
-func (t *Transport) extraDelay() sim.Duration {
-	d := t.Faults.ExtraDelay
-	if t.Faults.JitterMax > 0 {
-		if t.Faults.Rand == nil {
-			panic("transport: Faults.JitterMax requires Faults.Rand")
-		}
-		d += sim.Duration(t.Faults.Rand.Float64() * float64(t.Faults.JitterMax))
-	}
-	return d
-}
-
 // Send delivers one message: the type counter is incremented, the bytes
-// are charged to the underlay path, and the one-way latency (plus any
-// injected delay) is returned. A message dropped by fault injection is
-// counted but charges nothing.
+// are charged to the underlay path, and the one-way latency is returned.
+// A message the Drop hook discards is counted but charges nothing.
 func (t *Transport) Send(from, to *underlay.Host, bytes uint64, msgType string) Result {
 	st := t.stats(msgType)
 	st.counter.Inc()
 	st.msgs++
-	if t.dropped(from, to) {
+	if t.Drop != nil && t.Drop(from, to) {
 		st.dropped++
 		if t.Trace != nil {
 			t.Trace(Event{From: from, To: to, Type: msgType, Bytes: bytes, Dropped: true, At: t.now()})
@@ -310,9 +227,6 @@ func (t *Transport) Send(from, to *underlay.Host, bytes uint64, msgType string) 
 		return Result{}
 	}
 	lat := t.u.Send(from, to, bytes)
-	if t.Faults.active() {
-		lat += t.extraDelay()
-	}
 	st.bytes += bytes
 	if from.AS.ID == to.AS.ID {
 		st.intraBytes += bytes
@@ -338,9 +252,9 @@ type RetryPolicy struct {
 	// Backoff, when non-nil, returns the wait inserted before retry
 	// attempt n (1-based: Backoff(1) precedes the first re-send). Waits
 	// are charged into the successful Result.Latency so recovery time is
-	// visible to the caller; they draw no transport RNG, keeping the
-	// fault stream stable. A resilience layer supplies a jittered
-	// exponential backoff here from its own seeded stream.
+	// visible to the caller. A resilience layer supplies a jittered
+	// exponential backoff here from its own seeded stream, so the Drop
+	// hook's stream is undisturbed.
 	Backoff func(attempt int) sim.Duration
 }
 

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"math/rand"
 	"testing"
 
 	"unap2p/internal/sim"
@@ -14,6 +15,12 @@ func testNet() *underlay.Network {
 	net := topology.Star(6, topology.DefaultConfig())
 	topology.PlaceHosts(net, 20, false, 1, 5, src.Stream("place"))
 	return net
+}
+
+// lossy installs a flat loss rate as the transport's Drop hook: one draw
+// from r per message, the stream a seeded run shares with nothing else.
+func lossy(tr *Transport, p float64, r *rand.Rand) {
+	tr.Drop = func(_, _ *underlay.Host) bool { return r.Float64() < p }
 }
 
 func TestSendMatchesUnderlay(t *testing.T) {
@@ -73,11 +80,7 @@ func TestDeterminism(t *testing.T) {
 	run := func() (drops uint64, total sim.Duration) {
 		net := testNet()
 		tr := Over(net)
-		tr.Faults = Faults{
-			LossRate:  0.2,
-			JitterMax: 5,
-			Rand:      sim.NewSource(42).Stream("faults"),
-		}
+		lossy(tr, 0.2, sim.NewSource(42).Stream("faults"))
 		hosts := net.Hosts()
 		for i := 0; i < 500; i++ {
 			res := tr.Send(hosts[i%len(hosts)], hosts[(i*7+3)%len(hosts)], 100, "x")
@@ -98,7 +101,7 @@ func TestDeterminism(t *testing.T) {
 func TestLossInjection(t *testing.T) {
 	net := testNet()
 	tr := Over(net)
-	tr.Faults = Faults{LossRate: 0.5, Rand: sim.NewSource(7).Stream("faults")}
+	lossy(tr, 0.5, sim.NewSource(7).Stream("faults"))
 	hosts := net.Hosts()
 	const n = 2000
 	for i := 0; i < n; i++ {
@@ -118,22 +121,8 @@ func TestLossInjection(t *testing.T) {
 	}
 }
 
-func TestExtraDelayInjection(t *testing.T) {
-	net := testNet()
-	hosts := net.Hosts()
-	a, b := hosts[0], hosts[3]
-	base := Over(net).Send(a, b, 100, "x").Latency
-
-	tr := Over(net)
-	tr.Faults = Faults{ExtraDelay: 17}
-	res := tr.Send(a, b, 100, "x")
-	if res.Latency != base+17 {
-		t.Fatalf("delayed latency %v, want %v", res.Latency, base+17)
-	}
-}
-
 func TestZeroFaultsDrawNoRandomness(t *testing.T) {
-	// The zero Faults value must never touch an RNG (there is none), so
+	// A transport with no Drop hook has no RNG to touch, so
 	// transport-routed traffic is bit-identical to direct underlay sends.
 	net := testNet()
 	tr := Over(net)
@@ -206,8 +195,8 @@ func TestMatrixForLeavesUnsentTypesUnlisted(t *testing.T) {
 	if names := tr.TypeNames(); len(names) != 0 {
 		t.Fatalf("TypeNames lists unsent types %v", names)
 	}
-	if names := tr.Counters().Names(); len(names) != 0 {
-		t.Fatalf("Counters holds unsent types %v", names)
+	if snap := tr.Counters().Snapshot(); len(snap) != 0 {
+		t.Fatalf("Counters holds unsent types %v", snap)
 	}
 	if st := tr.StatsFor("file"); st.Latency != nil || st.Msgs != 0 {
 		t.Fatalf("StatsFor of an unsent type = %+v, want the zero Stats", st)
@@ -243,8 +232,8 @@ func TestIntraByteAccounting(t *testing.T) {
 	tr.Send(hosts[0], intra, 100, "x")
 	tr.Send(hosts[0], inter, 300, "x")
 	st := tr.StatsFor("x")
-	if st.IntraBytes != 100 || st.InterBytes() != 300 {
-		t.Fatalf("intra %d inter %d, want 100/300", st.IntraBytes, st.InterBytes())
+	if st.IntraBytes != 100 || st.Bytes != 400 {
+		t.Fatalf("intra %d of %d bytes, want 100 of 400", st.IntraBytes, st.Bytes)
 	}
 }
 
@@ -253,7 +242,7 @@ func TestRoundTripRetries(t *testing.T) {
 	tr := Over(net)
 	// Drop everything: with N retries the transport makes exactly N+1
 	// request attempts and then gives up.
-	tr.Faults = Faults{LossRate: 1, Rand: sim.NewSource(3).Stream("faults")}
+	lossy(tr, 1, sim.NewSource(3).Stream("faults"))
 	tr.Retry = RetryPolicy{Budget: 2}
 	hosts := net.Hosts()
 	res := tr.RoundTrip(hosts[0], hosts[5], 100, 100, "req", "resp")
@@ -285,7 +274,7 @@ func TestDeliverSchedulesOnKernel(t *testing.T) {
 		t.Fatal("callback never delivered")
 	}
 	// A dropped message never fires its callback.
-	tr.Faults = Faults{LossRate: 1, Rand: sim.NewSource(9).Stream("faults")}
+	lossy(tr, 1, sim.NewSource(9).Stream("faults"))
 	if tr.Deliver(hosts[0], hosts[4], 100, "msg", func() { t.Fatal("dropped message delivered") }) {
 		t.Fatal("Deliver reported scheduling under total loss")
 	}
@@ -296,7 +285,7 @@ func TestTraceSeesDropsAndDeliveries(t *testing.T) {
 	net := testNet()
 	k := sim.NewKernel()
 	tr := New(net, k)
-	tr.Faults = Faults{LossRate: 0.5, Rand: sim.NewSource(5).Stream("faults")}
+	lossy(tr, 0.5, sim.NewSource(5).Stream("faults"))
 	var events, drops int
 	tr.Trace = func(e Event) {
 		events++

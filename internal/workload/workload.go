@@ -44,9 +44,6 @@ func (c *Catalog) Place(it ItemID, h underlay.HostID) {
 // Replicas returns the hosts sharing an item.
 func (c *Catalog) Replicas(it ItemID) []underlay.HostID { return c.replicas[it] }
 
-// Holdings returns the items a host shares.
-func (c *Catalog) Holdings(h underlay.HostID) []ItemID { return c.holdings[h] }
-
 // Has reports whether host h shares item it.
 func (c *Catalog) Has(h underlay.HostID, it ItemID) bool {
 	for _, have := range c.holdings[h] {

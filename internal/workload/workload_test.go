@@ -22,9 +22,6 @@ func TestCatalogBasics(t *testing.T) {
 	if len(c.Replicas(3)) != 2 || len(c.Replicas(4)) != 0 {
 		t.Fatalf("replicas = %v", c.Replicas(3))
 	}
-	if len(c.Holdings(7)) != 2 {
-		t.Fatalf("holdings = %v", c.Holdings(7))
-	}
 	if !c.Has(7, 5) || c.Has(9, 5) {
 		t.Fatal("Has wrong")
 	}
