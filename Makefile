@@ -16,10 +16,9 @@ BENCHTIME ?= 100ms
 # all three compact overlays under race, a live multi-process cluster
 # smoke over localhost UDP, the live chaos campaign (sim-vs-live
 # conformance plus schedule-driven fault injection against real
-# clusters), and the perf gate (fails on a >15% ns/op, B/op or allocs/op
-# regression against the baseline snapshot that a second measurement
-# confirms). The coverage summary runs afterwards as a non-fatal
-# reporting step.
+# clusters), and the perf gate (fails on a >15% B/op or allocs/op
+# regression against the baseline snapshot; ns/op moves are advisory).
+# The coverage summary runs afterwards as a non-fatal reporting step.
 ci: vet deadcode build bench-check race chaos fuzz-smoke series-demo megascale-smoke net-smoke live-chaos perf-gate
 	-$(MAKE) cover
 
@@ -60,7 +59,7 @@ bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=$(BENCHTIME) -benchmem -count=3 ./...
 
 # bench-json snapshots the benchmark suite into a stable JSON artifact
-# so later PRs can diff ns/op against this one. -count=6 gives the
+# so later PRs can diff against this one. -count=6 gives the
 # averaging in bench-import something to chew on.
 BENCH_JSON ?= BENCH_CI.json
 bench-json:
@@ -69,54 +68,23 @@ bench-json:
 
 # perf-gate is the CI benchmark regression gate: re-measure the suite,
 # snapshot it (BENCH_JSON), and compare every benchmark present in both
-# the baseline and the fresh snapshot on ns/op, B/op and allocs/op.
-# Benchmarks that exist on only one side are reported but never gate.
-# One noisy window on a shared machine is not a regression, so the
-# benchmarks the first comparison flags beyond PERF_THRESHOLD are
-# measured once more on their own (a single extra `go test -bench` pass,
-# snapshot in BENCH_RECHECK) and the gate fails only on those flagged
-# both times.
+# the baseline and the fresh snapshot. It fails on B/op or allocs/op
+# growth beyond PERF_THRESHOLD — the two columns that are exact and read
+# the same on every machine — and lists ns/op moves as advisory rows: on
+# the shared CI machine min ns/op of unchanged packages reads ±25 %
+# between back-to-back runs, so a time column here gates nothing but
+# noise. Time is gated where it can be measured, by the paired
+# parent/change runs on BENCHMARK.json. Benchmarks that exist on only one
+# side are reported but never gate.
 #
-# The baseline was re-anchored at BENCH_PR8.json when the metrics
-# planes (CounterSet/Histogram/TrafficMatrix) became race-safe for the
-# real-socket transport: the atomic read-modify-writes cost 20–70% on
-# the accounting micro-benches (measured on this machine, documented in
-# DESIGN.md), a price paid deliberately so live /metrics scraping reads
-# consistent values. The megascale 1M-peer paths bypass the metrics
-# package entirely and are unaffected.
-#
-# It was ratcheted to BENCH_PR14.json when the classic selector
-# experiments' hot paths stopped allocating (PNSKademlia 11.8 -> 4.2 ms,
-# PNSMetric 117k -> 9.6k allocs/op): gating against the older snapshot
-# would let half of that win erode before anything failed; and to
-# BENCH_PR15.json when the Transport…Recorded benchmarks were re-pointed
-# at the sink-attached recorder every recording run uses (~0.9 µs/msg,
-# JSON encode included, against ~90 ns for the deleted in-place log) and
-# BenchmarkSwarmRound began rebuilding its swarm on completion — both
-# are different measurements from the PR 14 entries of the same name;
-# and to BENCH_PR16.json when the kernel's event queue became a 4-ary heap
-# on concrete types (KernelSchedule/Throughput ~23 -> ~11 ns, KernelFanout
-# 224 -> 135 µs) and BenchmarkKernelHold began pricing it at the depth the
-# workloads run it (32 768 pending events); and to BENCH_PR17.json when
-# the live plane got its first rows — BenchmarkClosestXor (1 alloc, 64 B),
-# BenchmarkPeersCodec (3, 704 B) and BenchmarkNetCallLoopback (8, ~737 B)
-# — whose allocs/op and B/op are what the gate can hold exactly. That
-# snapshot was taken in a slow window of the shared machine (min ns/op of
-# packages the PR never touched reads up to x1.6 against BENCH_PR16.json),
-# so against it the ns/op column gates less than it did; see CHANGES.md.
-BENCH_BASELINE ?= BENCH_PR17.json
+# The baseline is BENCH_PR24.json, taken when bench-diff stopped gating
+# ns/op and the iterative lookups moved onto the shared lookup.Shortlist
+# (BenchmarkClosestXor still 1 alloc / 64 B, BenchmarkLookup 1 alloc).
+BENCH_BASELINE ?= BENCH_PR24.json
 PERF_THRESHOLD ?= 0.15
-BENCH_RECHECK = $(BENCH_JSON:.json=.recheck.json)
-BENCH_DIFF = $(GO) run ./cmd/unapctl bench-diff -threshold $(PERF_THRESHOLD) $(BENCH_BASELINE)
 perf-gate:
 	$(MAKE) bench-json
-	@out=$$(mktemp); $(BENCH_DIFF) $(BENCH_JSON) >$$out; status=$$?; cat $$out; \
-	flagged=$$(awk '$$NF == "REGRESSED" {print $$1}' $$out | sort -u | paste -sd'|' -); rm -f $$out; \
-	if [ -z "$$flagged" ]; then exit $$status; fi; \
-	echo "perf gate: measuring the flagged benchmarks again: $$flagged"; \
-	$(GO) test -run='^$$' -bench="^($$flagged)\$$" -benchtime=$(BENCHTIME) -benchmem -count=6 ./... \
-		| $(GO) run ./cmd/unapctl bench-import -o $(BENCH_RECHECK) && \
-	$(BENCH_DIFF) $(BENCH_RECHECK)
+	$(GO) run ./cmd/unapctl bench-diff -threshold $(PERF_THRESHOLD) $(BENCH_BASELINE) $(BENCH_JSON)
 
 # cover writes a merged coverage profile and prints the total statement
 # coverage.

@@ -105,8 +105,8 @@ func usage() {
 
   unapctl bench-diff [-threshold 0.15] <baseline.json> <current.json>
       compare two bench-import snapshots; exits 1 if any benchmark
-      present in both regressed ns/op, B/op or allocs/op beyond the
-      threshold
+      present in both grew in B/op or allocs/op beyond the threshold
+      (ns/op moves are listed as advisory rows and never gate)
 
   unapctl deadcode [module-root]
       list every package-level symbol and method that main, init and

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"unap2p/internal/lookup"
+	"unap2p/internal/megascale"
 	"unap2p/internal/metrics"
 	"unap2p/internal/nettransport"
 	"unap2p/internal/resilience"
@@ -144,57 +146,6 @@ func newKademlia(c *Core) *kademlia {
 
 func (e *kademlia) Name() string { return "kademlia" }
 
-// kadCand is one lookup shortlist entry: a member id, its XOR distance to
-// the target, and whether the lookup has already queried it.
-type kadCand struct {
-	id      underlay.HostID
-	d       uint64
-	queried bool
-}
-
-// kadShortlist is one lookup's candidate set: the kadK closest ids it has
-// heard of, sorted by (distance, id) — the live twin of the classic
-// overlay's DHT.offer shortlist (overlay/kademlia/lookup.go).
-type kadShortlist struct {
-	target uint64
-	n      int
-	c      [kadK]kadCand
-}
-
-// offer inserts id at its sorted position. A duplicate is rejected where
-// it would land, and a candidate beyond the kadK best is dropped: entries
-// are only ever displaced by closer ones, so it could never re-enter, and
-// dropping it is the same as keeping it unqueried forever.
-func (s *kadShortlist) offer(id underlay.HostID, queried bool) {
-	d := xorDist(NodeKey(id), s.target)
-	i := s.n
-	for i > 0 && (s.c[i-1].d > d || (s.c[i-1].d == d && s.c[i-1].id > id)) {
-		i--
-	}
-	if i == kadK || (i > 0 && s.c[i-1].d == d && s.c[i-1].id == id) {
-		return
-	}
-	if s.n < kadK {
-		s.n++
-	}
-	copy(s.c[i+1:s.n], s.c[i:])
-	s.c[i] = kadCand{id: id, d: d, queried: queried}
-}
-
-// next marks and returns the closest entry not yet queried, passing over
-// (and marking) those skip reports; -1 once the kadK best are all done.
-func (s *kadShortlist) next(skip func(underlay.HostID) bool) underlay.HostID {
-	for i := 0; i < s.n; i++ {
-		if c := &s.c[i]; !c.queried {
-			c.queried = true
-			if !skip(c.id) {
-				return c.id
-			}
-		}
-	}
-	return -1
-}
-
 func (e *kademlia) Lookup(target uint64) (underlay.HostID, bool) {
 	e.Msgs.Get("kad_lookup").Inc()
 	members := e.members()
@@ -205,20 +156,27 @@ func (e *kademlia) Lookup(target uint64) (underlay.HostID, bool) {
 
 	var key [8]byte
 	binary.BigEndian.PutUint64(key[:], target)
-	// Iterative deepening: always query the closest not-yet-queried
-	// candidate, merging every reply's contacts into the shortlist, until
-	// the kadK closest known have all been queried or the probe budget
-	// (what bounds a lookup over partial views) runs out. Self is never
-	// queried: it enters the shortlist already marked.
-	short := kadShortlist{target: target}
+	// The sequential driver over the shared lookup.Shortlist: always query
+	// the closest not-yet-queried candidate (passing over evicted ones),
+	// merging every reply's contacts into the shortlist, until the kadK
+	// closest known have all been queried or the probe budget (what bounds
+	// a lookup over partial views) runs out. Self is never queried: it
+	// enters the shortlist already marked.
+	var buf [kadK]lookup.Entry[underlay.HostID]
+	short := lookup.New(buf[:], kadK)
+	offer := func(id underlay.HostID) { short.Offer(id, NodeKey(id)^target, id == e.Self) }
 	for _, id := range members {
-		short.offer(id, id == e.Self)
+		offer(id)
 	}
-	for probes := 0; probes < kadMaxProbes; probes++ {
-		next := short.next(e.Dead)
-		if next < 0 {
+	for probes := 0; probes < kadMaxProbes; {
+		next, ok := short.Next()
+		if !ok {
 			break
 		}
+		if e.Dead(next) {
+			continue
+		}
+		probes++
 		resp, err := e.Net.Call(next, "kad:find_node", key[:])
 		if err != nil {
 			e.Msgs.Get("kad_rpc_fail").Inc()
@@ -234,10 +192,10 @@ func (e *kademlia) Lookup(target uint64) (underlay.HostID, bool) {
 				continue
 			}
 			e.Net.Book().Set(p.ID, p.Addr)
-			short.offer(p.ID, p.ID == e.Self)
+			offer(p.ID)
 		}
 	}
-	got := short.c[0].id
+	got := short.Entries()[0].ID
 	if got == want {
 		e.Msgs.Get("kad_lookup_ok").Inc()
 		return got, true
@@ -288,7 +246,7 @@ func (e *chord) step(target uint64) (done bool, hop underlay.HostID) {
 	if !okSucc {
 		return true, e.Self
 	}
-	if inArc(target, me, NodeKey(succ)) {
+	if lookup.InArc(target, me, NodeKey(succ)) {
 		return true, succ
 	}
 	// Closest preceding member in (me, target): the standard Chord hop,
@@ -296,10 +254,10 @@ func (e *chord) step(target uint64) (done bool, hop underlay.HostID) {
 	best, okBest := underlay.HostID(-1), false
 	for _, id := range members {
 		k := NodeKey(id)
-		if id == e.Self || !inArc(k, me, target) {
+		if id == e.Self || !lookup.InArc(k, me, target) {
 			continue
 		}
-		if !okBest || ringGap(k, target) < ringGap(NodeKey(best), target) {
+		if !okBest || megascale.CWDist(k, target) < megascale.CWDist(NodeKey(best), target) {
 			best, okBest = id, true
 		}
 	}
@@ -308,9 +266,6 @@ func (e *chord) step(target uint64) (done bool, hop underlay.HostID) {
 	}
 	return false, best
 }
-
-// ringGap is the clockwise distance from key to target on the ring.
-func ringGap(key, target uint64) uint64 { return target - key } // wraps correctly in uint64
 
 func removeID(ids []underlay.HostID, drop underlay.HostID) []underlay.HostID {
 	out := make([]underlay.HostID, 0, len(ids))

@@ -3,6 +3,7 @@ package livenode
 import (
 	"encoding/binary"
 	"net/netip"
+	"sync/atomic"
 	"testing"
 
 	"unap2p/internal/nettransport"
@@ -93,5 +94,74 @@ func TestGnutellaSeenWindowIsBounded(t *testing.T) {
 	e.onQuery(underlay.HostID(3), "gnu:query", query(n-gnuSeenWindow))
 	if got := e.Msgs.Value("gnu_dup"); got != 2 {
 		t.Fatalf("gnu_dup = %d after two echoes of recent queries, want 2", got)
+	}
+}
+
+// TestPeerCannotRewriteSelfAddress: a hostile peer names the victim's own
+// id with a bogus ip:port in everything a peer can supply — a kad:nodes
+// reply, a chord:succ reply, a hello request's book and a hello
+// announce's. The victim's own entry must stay its socket's address, or
+// it would advertise the forgery in every welcome and find_node reply
+// from then on.
+func TestPeerCannotRewriteSelfAddress(t *testing.T) {
+	requireSockets(t)
+	const victimID, attackerID = 1, 2
+	forged := nettransport.NewAddressBook()
+	forged.Set(victimID, netip.MustParseAddrPort("203.0.113.7:4444"))
+	payload := forged.Encode()
+
+	for _, overlay := range []string{"kademlia", "chord"} {
+		t.Run(overlay, func(t *testing.T) {
+			victim, err := StartRetry(Config{ID: victimID, Overlay: overlay, Logf: t.Logf}, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer victim.Close()
+			attacker, err := nettransport.Listen(nettransport.Config{Self: attackerID, Logf: t.Logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer attacker.Close()
+			var served atomic.Int32
+			attacker.Handle("kad:find_node", func(underlay.HostID, []byte) []byte { served.Add(1); return payload })
+			attacker.Handle("chord:find_succ", func(underlay.HostID, []byte) []byte {
+				served.Add(1)
+				return append([]byte{1}, payload...)
+			})
+			book := victim.Net().Book()
+			book.Set(attackerID, attacker.LocalAddr())
+			attacker.Book().Set(victimID, victim.Net().LocalAddr())
+			intact := func(after string) {
+				t.Helper()
+				if got, _ := book.Get(victimID); got != victim.Net().LocalAddr() {
+					t.Errorf("after %s the victim's own entry reads %v, want its socket's %v", after, got, victim.Net().LocalAddr())
+					book.Set(victimID, victim.Net().LocalAddr()) // so the next forgery is judged on its own
+				}
+			}
+
+			// The victim's own key is outside its successor arc, so a Chord
+			// walk for it leaves the node; a Kademlia lookup queries every
+			// member it knows.
+			victim.Engine().Lookup(NodeKey(victimID))
+			if n := served.Load(); n != 1 {
+				t.Fatalf("the lookup sent the attacker %d requests, want 1: the forged reply was never read", n)
+			}
+			intact("a forged lookup reply")
+
+			if _, err := attacker.Call(victimID, "hello", payload); err != nil {
+				t.Fatal(err)
+			}
+			intact("a forged hello request")
+
+			// An announce has no reply to wait for: it also names a third
+			// id, merged after the victim's, whose arrival shows the
+			// victim has been through the whole book.
+			forged.Set(3, netip.MustParseAddrPort("203.0.113.7:4445"))
+			if !attacker.SendPayload(victimID, "hello", forged.Encode(), 0) {
+				t.Fatal("hello announce not sent")
+			}
+			awaitCluster(t, "the announce to be merged", func() bool { _, ok := book.Get(3); return ok })
+			intact("a forged hello announce")
+		})
 	}
 }

@@ -18,6 +18,7 @@
 package livenode
 
 import (
+	"unap2p/internal/lookup"
 	"unap2p/internal/megascale"
 	"unap2p/internal/underlay"
 )
@@ -29,14 +30,10 @@ func NodeKey(id underlay.HostID) uint64 {
 	return megascale.Mix64(uint64(uint32(id)) + 0x9e3779b97f4a7c15)
 }
 
-// xorDist is the Kademlia metric.
-func xorDist(a, b uint64) uint64 { return a ^ b }
-
-// ClosestXor returns up to k member ids sorted by XOR distance of their
-// NodeKey to target (ties by id) — the Kademlia notion of "closest". It
-// is a bounded insertion into the k best seen so far: each member's
-// distance is computed once, and the result is the only allocation while
-// k fits the stack scratch.
+// ClosestXor returns up to k of the (distinct) member ids sorted by XOR
+// distance of their NodeKey to target — the Kademlia notion of "closest":
+// every member is offered to a lookup.Shortlist, and the result is the
+// only allocation while k fits the stack scratch.
 func ClosestXor(members []underlay.HostID, target uint64, k int) []underlay.HostID {
 	if k > len(members) {
 		k = len(members)
@@ -44,29 +41,12 @@ func ClosestXor(members []underlay.HostID, target uint64, k int) []underlay.Host
 	if k <= 0 {
 		return nil
 	}
-	var stack [2 * kadK]uint64
-	dist := stack[:0] // dist[i] is out[i]'s distance
-	if k > len(stack) {
-		dist = make([]uint64, 0, k)
-	}
-	out := make([]underlay.HostID, 0, k)
+	var buf [2 * kadK]lookup.Entry[underlay.HostID]
+	best := lookup.New(buf[:], k)
 	for _, id := range members {
-		d := xorDist(NodeKey(id), target)
-		i := len(out)
-		for i > 0 && (dist[i-1] > d || (dist[i-1] == d && out[i-1] > id)) {
-			i--
-		}
-		if i == k {
-			continue
-		}
-		if len(out) < k {
-			out, dist = append(out, 0), append(dist, 0)
-		}
-		copy(out[i+1:], out[i:])
-		copy(dist[i+1:], dist[i:])
-		out[i], dist[i] = id, d
+		best.Offer(id, NodeKey(id)^target, false)
 	}
-	return out
+	return best.IDs()
 }
 
 // RingSuccessor returns the member owning target on the Chord ring: the
@@ -92,13 +72,4 @@ func RingSuccessor(members []underlay.HostID, target uint64) (underlay.HostID, b
 		return wrap, true
 	}
 	return 0, false
-}
-
-// inArc reports whether key lies in the half-open ring arc (from, to].
-func inArc(key, from, to uint64) bool {
-	if from < to {
-		return key > from && key <= to
-	}
-	// Arc wraps through zero (or from == to: the full ring).
-	return key > from || key <= to
 }

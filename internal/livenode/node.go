@@ -114,8 +114,9 @@ func Start(cfg Config) (*Node, error) {
 		return nil, err
 	}
 	// A node holds its own book entry: Encode therefore advertises self,
-	// which is the whole join protocol's source of addresses.
-	tr.Book().Set(cfg.ID, tr.LocalAddr())
+	// which is the whole join protocol's source of addresses. Pinned, so
+	// that no peer-supplied entry naming this node's id can replace it.
+	tr.Book().Pin(cfg.ID, tr.LocalAddr())
 
 	n := &Node{cfg: cfg, net: tr, core: NewCore(tr)}
 	n.engine = NewEngine(cfg.Overlay, n.core)

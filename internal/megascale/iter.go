@@ -1,20 +1,21 @@
 package megascale
 
 import (
-	"sort"
-
+	"unap2p/internal/lookup"
 	"unap2p/internal/transport"
 	"unap2p/internal/underlay"
 )
 
 // Iter is the generic shard-resident α-parallel iterative request driver
 // — the state machine extracted from the compact Kademlia's lookup and
-// shared with every structured port. A request keeps a working set of
-// candidates ordered by the overlay's distance metric, keeps up to Alpha
-// requests in flight, executes each hop on the target peer's shard (the
-// only place its liveness may be read), and returns replies to the
-// origin's shard through the sharded transport — so every port obeys the
-// kernel's shard-ownership rules by construction.
+// shared with every structured port. It is the asynchronous driver over
+// the shared lookup.Shortlist: a request keeps the Width candidates
+// nearest its target under the overlay's distance metric, keeps up to
+// Alpha requests in flight to the nearest unqueried of them, executes
+// each hop on the target peer's shard (the only place its liveness may be
+// read), and returns replies to the origin's shard through the sharded
+// transport — so every port obeys the kernel's shard-ownership rules by
+// construction.
 type Iter struct {
 	// Net carries every RPC; ReqClass/RepClass are the transport classes
 	// for request and reply traffic, RPCBytes the size charged per
@@ -31,7 +32,8 @@ type Iter struct {
 	Ctr *Counters
 
 	// Dist returns peer q's distance to target under the overlay's
-	// metric; lower is closer. Must be a pure read of immutable state.
+	// metric; lower is closer, and distinct peers are at distinct
+	// distances. Must be a pure read of immutable state.
 	Dist func(q underlay.PeerID, target uint64) uint64
 	// Candidates returns q's best known contacts toward target. It
 	// executes on q's owning shard and may read q's shard-owned table
@@ -48,15 +50,14 @@ type Iter struct {
 // iterState is one in-flight request; it lives on the origin peer's
 // shard and every mutation of it happens there.
 type iterState struct {
-	it      *Iter
-	origin  underlay.PeerID
-	target  uint64
-	cand    []underlay.PeerID // candidates sorted by distance
-	queried map[underlay.PeerID]bool
-	inFly   int
-	hops    int
-	done    bool
-	onDone  func(Result)
+	it     *Iter
+	origin underlay.PeerID
+	target uint64
+	short  lookup.Shortlist[underlay.PeerID]
+	inFly  int
+	hops   int
+	done   bool
+	onDone func(Result)
 }
 
 // Start begins an iterative request for target from peer origin. It must
@@ -64,13 +65,10 @@ type iterState struct {
 // may be nil, runs on origin's shard when the request converges.
 func (it *Iter) Start(origin underlay.PeerID, target uint64, onDone func(Result)) {
 	it.Ctr.Start(it.Net.ShardOf(origin))
-	st := &iterState{
-		it: it, origin: origin, target: target,
-		queried: make(map[underlay.PeerID]bool, it.Width),
-		onDone:  onDone,
-	}
+	st := &iterState{it: it, origin: origin, target: target, onDone: onDone}
+	st.short.Reset(it.Width)
 	for _, c := range it.Candidates(origin, target) {
-		st.insert(c)
+		st.offer(c)
 	}
 	st.step()
 }
@@ -81,22 +79,16 @@ func (st *iterState) step() {
 	if st.done {
 		return
 	}
-	it := st.it
-	issued := false
-	for _, q := range st.cand {
-		if st.inFly >= it.Alpha {
+	for st.inFly < st.it.Alpha {
+		q, ok := st.short.Next()
+		if !ok {
 			break
 		}
-		if st.queried[q] {
-			continue
-		}
-		st.queried[q] = true
 		st.inFly++
 		st.hops++
-		issued = true
 		st.request(q)
 	}
-	if !issued && st.inFly == 0 {
+	if st.inFly == 0 {
 		st.finish()
 	}
 }
@@ -128,7 +120,7 @@ func (st *iterState) request(q underlay.PeerID) {
 					if it.Learn != nil {
 						it.Learn(origin, c)
 					}
-					st.insert(c)
+					st.offer(c)
 				}
 			}
 			st.step()
@@ -136,31 +128,11 @@ func (st *iterState) request(q underlay.PeerID) {
 	})
 }
 
-// insert merges candidate c into the sorted working set, keeping the
-// nearest Width entries.
-func (st *iterState) insert(c underlay.PeerID) {
-	if c == st.origin {
-		return
-	}
-	it := st.it
-	dc := it.Dist(c, st.target)
-	for _, e := range st.cand {
-		if e == c {
-			return
-		}
-	}
-	i := sort.Search(len(st.cand), func(i int) bool {
-		de := it.Dist(st.cand[i], st.target)
-		if de != dc {
-			return de > dc
-		}
-		return st.cand[i] >= c
-	})
-	st.cand = append(st.cand, 0)
-	copy(st.cand[i+1:], st.cand[i:])
-	st.cand[i] = c
-	if len(st.cand) > it.Width {
-		st.cand = st.cand[:it.Width]
+// offer hands candidate c to the shortlist. The origin never lists
+// itself: Best is the nearest peer other than the asker.
+func (st *iterState) offer(c underlay.PeerID) {
+	if c != st.origin {
+		st.short.Offer(c, st.it.Dist(c, st.target), false)
 	}
 }
 
@@ -169,8 +141,8 @@ func (st *iterState) finish() {
 	st.done = true
 	it := st.it
 	best := st.origin
-	if len(st.cand) > 0 {
-		best = st.cand[0]
+	if e := st.short.Entries(); len(e) > 0 {
+		best = e[0].ID
 	}
 	res := Result{
 		Origin: st.origin, Best: best,

@@ -21,6 +21,8 @@ import (
 type AddressBook struct {
 	mu      sync.RWMutex
 	addrs   map[underlay.HostID]netip.AddrPort
+	self    underlay.HostID // the entry Pin closed to Set, once pinned
+	pinned  bool
 	version uint64 // bumped on every change; Version lets tests await convergence
 }
 
@@ -36,6 +38,19 @@ func unmap(a netip.AddrPort) netip.AddrPort {
 	return netip.AddrPortFrom(a.Addr().Unmap(), a.Port())
 }
 
+// Pin records addr as this process's own entry and closes that entry to
+// Set and Merge from then on. A node's address is where its socket is
+// bound; every other write to a book carries what some peer said — a
+// hello's or welcome's book, a lookup reply's contacts — and a peer must
+// not be able to rewrite what the node goes on to advertise as itself.
+func (b *AddressBook) Pin(self underlay.HostID, addr netip.AddrPort) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.addrs[self] = unmap(addr)
+	b.self, b.pinned = self, true
+	b.version++
+}
+
 // Set records (or replaces) the address for id, reporting whether the
 // entry changed. Last write wins: a peer that rebinds (NAT, restart)
 // overwrites its stale entry the moment any frame arrives from it. The
@@ -48,8 +63,9 @@ func (b *AddressBook) Set(id underlay.HostID, addr netip.AddrPort) bool {
 	addr = unmap(addr)
 	b.mu.RLock()
 	old := b.addrs[id] // the zero AddrPort of a missing entry equals no valid addr
+	closed := b.pinned && id == b.self
 	b.mu.RUnlock()
-	if old == addr {
+	if old == addr || closed {
 		return false
 	}
 	b.mu.Lock()

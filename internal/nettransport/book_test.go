@@ -44,6 +44,28 @@ func TestAddressBookSetGetRemove(t *testing.T) {
 	}
 }
 
+// A pinned entry is closed to Set and Merge; every other entry is not.
+func TestAddressBookPin(t *testing.T) {
+	b := NewAddressBook()
+	own := udpAddr(t, "127.0.0.1:4001")
+	b.Pin(1, own)
+	forged := NewAddressBook()
+	forged.Set(1, udpAddr(t, "203.0.113.7:4444"))
+	forged.Set(2, udpAddr(t, "127.0.0.1:4002"))
+	if b.Set(1, udpAddr(t, "203.0.113.7:4444")) {
+		t.Fatal("Set rewrote the pinned entry")
+	}
+	if changed, err := b.Merge(forged.Encode()); err != nil || changed != 1 {
+		t.Fatalf("Merge changed %d entries (err %v), want 1: the unpinned one", changed, err)
+	}
+	if got, _ := b.Get(1); got != own {
+		t.Fatalf("pinned entry reads %v, want %v", got, own)
+	}
+	if _, ok := b.Get(2); !ok {
+		t.Fatal("Merge dropped the entry beside the pinned one")
+	}
+}
+
 func TestAddressBookEncodeMerge(t *testing.T) {
 	b := NewAddressBook()
 	b.Set(3, udpAddr(t, "127.0.0.1:4003"))

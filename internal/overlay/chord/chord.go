@@ -19,6 +19,7 @@ import (
 	"sort"
 
 	"unap2p/internal/core"
+	"unap2p/internal/lookup"
 	"unap2p/internal/metrics"
 	"unap2p/internal/resilience"
 	"unap2p/internal/sim"
@@ -124,28 +125,42 @@ func (c *Ring) successorOf(id ID) *Node {
 // RTT-closest — Castro et al.'s observation that constrained table slots
 // still leave O(N/2^i) candidates to pick proximally from.
 func (c *Ring) Build() {
-	n := len(c.nodes)
-	if n == 0 {
+	if len(c.nodes) == 0 {
 		panic("chord: Build on empty ring")
 	}
 	for idx, node := range c.nodes {
-		node.successors = node.successors[:0]
-		for s := 1; s <= c.Cfg.SuccessorList && s < n; s++ {
-			node.successors = append(node.successors, c.nodes[(idx+s)%n])
-		}
-		for i := 0; i < 64; i++ {
-			start := node.ID + (ID(1) << uint(i))
-			if c.sel != nil {
-				node.fingers[i] = c.closestInInterval(node, start, ID(1)<<uint(i))
-			} else {
-				f := c.successorOf(start)
-				if f == node {
-					f = nil
-				}
-				node.fingers[i] = f
-			}
+		c.fillSuccessors(idx)
+		for i := range node.fingers {
+			c.fillFinger(node, i)
 		}
 	}
+}
+
+// fillSuccessors rebuilds the successor list of the node at ring
+// position idx: the lists are positional.
+func (c *Ring) fillSuccessors(idx int) {
+	n, node := len(c.nodes), c.nodes[idx]
+	node.successors = node.successors[:0]
+	for s := 1; s <= c.Cfg.SuccessorList && s < n; s++ {
+		node.successors = append(node.successors, c.nodes[(idx+s)%n])
+	}
+}
+
+// fillFinger computes finger slot i of node: the successor of
+// node.ID + 2^i, or under PNS the proximity-closest node of the slot's
+// interval.
+func (c *Ring) fillFinger(node *Node, i int) {
+	span := ID(1) << uint(i)
+	start := node.ID + span
+	if c.sel != nil {
+		node.fingers[i] = c.closestInInterval(node, start, span)
+		return
+	}
+	f := c.successorOf(start)
+	if f == node {
+		f = nil
+	}
+	node.fingers[i] = f
 }
 
 // closestInInterval returns the proximity-closest node whose ID lies in
@@ -173,14 +188,6 @@ func (c *Ring) closestInInterval(from *Node, start, span ID) *Node {
 		cur = next
 	}
 	return best
-}
-
-// between reports whether x ∈ (a, b] on the ring.
-func between(a, x, b ID) bool {
-	if a < b {
-		return x > a && x <= b
-	}
-	return x > a || x <= b
 }
 
 // LookupResult summarizes one routed lookup.
@@ -231,12 +238,12 @@ func (c *Ring) Lookup(from underlay.HostID, key ID) LookupResult {
 func (c *Ring) nextHop(cur *Node, key ID) *Node {
 	for i := 63; i >= 0; i-- {
 		f := cur.fingers[i]
-		if f != nil && between(cur.ID, f.ID, key) {
+		if f != nil && lookup.InArc(uint64(f.ID), uint64(cur.ID), uint64(key)) {
 			return f
 		}
 	}
 	for _, s := range cur.successors {
-		if between(cur.ID, s.ID, key) {
+		if lookup.InArc(uint64(s.ID), uint64(cur.ID), uint64(key)) {
 			return s
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"unap2p/internal/core"
+	"unap2p/internal/lookup"
 	"unap2p/internal/sim"
 	"unap2p/internal/topology"
 	"unap2p/internal/transport"
@@ -132,6 +133,8 @@ func TestSuccessorsOrdered(t *testing.T) {
 }
 
 func TestBetween(t *testing.T) {
+	// x ∈ (a, b], the argument order nextHop reads the arc in.
+	between := func(a, x, b ID) bool { return lookup.InArc(uint64(x), uint64(a), uint64(b)) }
 	if !between(10, 20, 30) || between(10, 5, 30) {
 		t.Fatal("plain interval broken")
 	}

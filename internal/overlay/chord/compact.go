@@ -1,8 +1,7 @@
 package chord
 
 import (
-	"sort"
-
+	"unap2p/internal/lookup"
 	"unap2p/internal/megascale"
 	"unap2p/internal/transport"
 	"unap2p/internal/underlay"
@@ -162,45 +161,27 @@ func (c *CompactRing) Bootstrap(seed uint64) {
 	}
 }
 
-// candidates returns q's best contacts toward target — its successor
-// list and fingers ranked by the predecessor metric, the compact
-// closest_preceding_node. Executes on q's shard; the rows are immutable
-// after Bootstrap so the read is safe from anywhere.
+// candidates returns q's best contacts toward target — the Successors
+// nearest of its successor list and fingers under the predecessor metric,
+// the compact closest_preceding_node: every table entry is offered to a
+// lookup.Shortlist on the stack (which also drops a peer listed in both
+// rows) and the survivors are read off. Executes on q's shard; the rows
+// are immutable after Bootstrap so the read is safe from anywhere.
 func (c *CompactRing) candidates(q underlay.PeerID, target uint64) []underlay.PeerID {
-	out := make([]underlay.PeerID, 0, c.nSucc+c.nFing)
-	seen := func(p underlay.PeerID) bool {
-		for _, e := range out {
-			if e == p {
-				return true
-			}
-		}
-		return false
+	var buf [shortlistStack]lookup.Entry[underlay.PeerID]
+	best := lookup.New(buf[:], c.cfg.Successors)
+	for _, p := range c.succ[int(q)*c.nSucc:][:c.nSucc] {
+		best.Offer(underlay.PeerID(p), c.predDist(underlay.PeerID(p), target), false)
 	}
-	for s := 0; s < c.nSucc; s++ {
-		p := underlay.PeerID(c.succ[int(q)*c.nSucc+s])
-		if !seen(p) {
-			out = append(out, p)
-		}
+	for _, p := range c.fing[int(q)*c.nFing:][:c.nFing] {
+		best.Offer(underlay.PeerID(p), c.predDist(underlay.PeerID(p), target), false)
 	}
-	for j := 0; j < c.nFing; j++ {
-		p := underlay.PeerID(c.fing[int(q)*c.nFing+j])
-		if !seen(p) {
-			out = append(out, p)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		di, dj := c.predDist(out[i], target), c.predDist(out[j], target)
-		if di != dj {
-			return di < dj
-		}
-		return out[i] < out[j]
-	})
-	k := c.cfg.Successors
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out
+	return best.IDs()
 }
+
+// shortlistStack is the widest successor list whose candidate ranking
+// stays on the stack (DefaultCompactConfig asks for 8).
+const shortlistStack = 16
 
 // PredecessorGlobal returns the id of target's exact ring predecessor —
 // the ground truth every lookup is checked against.

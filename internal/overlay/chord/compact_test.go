@@ -2,6 +2,7 @@ package chord
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 
 	"unap2p/internal/megascale"
@@ -185,5 +186,75 @@ func TestCompactRingAwareFingers(t *testing.T) {
 	anet.Kernel().Drain()
 	if rate := aware.MegaStats().SuccessRate(); rate != 1 {
 		t.Fatalf("aware ring exact rate %.4f != 1.0 on a static ring", rate)
+	}
+}
+
+// refCandidates is candidates as it was before the shared
+// lookup.Shortlist — gather both rows into a slice with a seen scan, sort
+// all of it, truncate — kept as the reference the bounded insertion must
+// match.
+func refCandidates(c *CompactRing, q underlay.PeerID, target uint64) []underlay.PeerID {
+	out := make([]underlay.PeerID, 0, c.nSucc+c.nFing)
+	seen := func(p underlay.PeerID) bool {
+		for _, e := range out {
+			if e == p {
+				return true
+			}
+		}
+		return false
+	}
+	for s := 0; s < c.nSucc; s++ {
+		p := underlay.PeerID(c.succ[int(q)*c.nSucc+s])
+		if !seen(p) {
+			out = append(out, p)
+		}
+	}
+	for j := 0; j < c.nFing; j++ {
+		p := underlay.PeerID(c.fing[int(q)*c.nFing+j])
+		if !seen(p) {
+			out = append(out, p)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		di, dj := c.predDist(out[i], target), c.predDist(out[j], target)
+		if di != dj {
+			return di < dj
+		}
+		return out[i] < out[j]
+	})
+	k := c.cfg.Successors
+	if len(out) > k {
+		out = out[:k]
+	}
+	return out
+}
+
+// TestCompactCandidatesMatchReference: for every peer of a plain and an
+// aware ring, and a ring too small to fill a successor list, candidates
+// returns the reference's contacts in the reference's order — for far
+// targets and for targets at and either side of a node's own id, where
+// the predecessor metric wraps — in one allocation, the result.
+func TestCompactCandidatesMatchReference(t *testing.T) {
+	for _, tc := range []struct {
+		perAS int
+		aware bool
+	}{{32, false}, {32, true}, {1, false}} {
+		c, net := buildCompactRing(t, tc.perAS, 1, 17, tc.aware)
+		for q := 0; q < net.Peers().Len(); q++ {
+			q := underlay.PeerID(q)
+			id := uint64(c.ID(q))
+			for i, target := range []uint64{
+				megascale.Mix64(uint64(q)), megascale.Mix64(uint64(q) ^ 0xabc), id, id + 1, id - 1,
+			} {
+				got, want := c.candidates(q, target), refCandidates(c, q, target)
+				if len(want) == 0 || !reflect.DeepEqual(got, want) {
+					t.Fatalf("perAS=%d aware=%v peer %d target %d (%x):\n got %v\nwant %v",
+						tc.perAS, tc.aware, q, i, target, got, want)
+				}
+			}
+		}
+		if a := testing.AllocsPerRun(100, func() { c.candidates(3, 0xfeedface) }); a != 1 {
+			t.Errorf("perAS=%d: candidates allocates %.0f times per call, want 1 (the result)", tc.perAS, a)
+		}
 	}
 }

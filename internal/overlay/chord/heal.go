@@ -29,33 +29,15 @@ func (c *Ring) Evict(id underlay.HostID) {
 	delete(c.byHost, id)
 	idx := slices.Index(c.nodes, dead)
 	c.nodes = slices.Delete(c.nodes, idx, idx+1)
-	n := len(c.nodes)
-	if n == 0 {
-		return
-	}
 	for i, node := range c.nodes {
-		// Successor-list repair: the lists are positional, so rebuild
-		// them over the surviving ring.
-		node.successors = node.successors[:0]
-		for s := 1; s <= c.Cfg.SuccessorList && s < n; s++ {
-			node.successors = append(node.successors, c.nodes[(i+s)%n])
-		}
+		// Successor-list repair: rebuilt over the surviving ring.
+		c.fillSuccessors(i)
 		// Finger repair: only slots that referenced the dead node are
 		// recomputed; every other finger keeps its (possibly
 		// proximity-picked) entry.
-		for fi := 0; fi < 64; fi++ {
-			if node.fingers[fi] != dead {
-				continue
-			}
-			start := node.ID + (ID(1) << uint(fi))
-			if c.sel != nil {
-				node.fingers[fi] = c.closestInInterval(node, start, ID(1)<<uint(fi))
-			} else {
-				f := c.successorOf(start)
-				if f == node {
-					f = nil
-				}
-				node.fingers[fi] = f
+		for fi := range node.fingers {
+			if node.fingers[fi] == dead {
+				c.fillFinger(node, fi)
 			}
 		}
 	}

@@ -2,8 +2,8 @@ package kademlia
 
 import (
 	"math/bits"
-	"sort"
 
+	"unap2p/internal/lookup"
 	"unap2p/internal/megascale"
 	"unap2p/internal/transport"
 	"unap2p/internal/underlay"
@@ -82,7 +82,7 @@ func NewCompact(net *transport.ShardedNet, cfg CompactConfig, seed uint64, reqCl
 			return uint64(d.ids[q]) ^ target
 		},
 		Candidates: func(q underlay.PeerID, target uint64) []underlay.PeerID {
-			return d.closest(q, NodeID(target), d.cfg.K, nil)
+			return d.closest(q, NodeID(target))
 		},
 		Learn: d.Observe,
 		OK: func(best underlay.PeerID, target uint64) bool {
@@ -151,40 +151,35 @@ func (d *CompactDHT) Seed(seed uint64, fanout, near int) {
 // megascale contact mix (fanout 20, ring ±4).
 func (d *CompactDHT) Bootstrap(seed uint64) { d.Seed(seed, 20, 4) }
 
-// closest gathers up to k contacts from p's table nearest to target,
-// deterministically (scan buckets outward from the target's, stable
-// insertion by XOR distance).
-func (d *CompactDHT) closest(p underlay.PeerID, target NodeID, k int, out []underlay.PeerID) []underlay.PeerID {
-	out = out[:0]
-	self := d.ids[p]
-	start := d.bucketOf(Distance(self, target) | 1)
+// closest returns the K contacts of p's table nearest to target, nearest
+// first: buckets are scanned outward from the target's until 4K entries
+// have been seen, each offered to a lookup.Shortlist on the stack.
+func (d *CompactDHT) closest(p underlay.PeerID, target NodeID) []underlay.PeerID {
+	var buf [shortlistStack]lookup.Entry[underlay.PeerID]
+	best := lookup.New(buf[:], d.cfg.K)
+	seen := 0
 	consider := func(b int) {
 		if b < 0 || b >= d.cfg.Buckets {
 			return
 		}
-		base := (int(p)*d.cfg.Buckets + b) * d.cfg.K
-		for i := 0; i < int(d.cnt[int(p)*d.cfg.Buckets+b]); i++ {
-			out = append(out, underlay.PeerID(d.rt[base+i]))
+		row := int(p)*d.cfg.Buckets + b
+		for _, q := range d.rt[row*d.cfg.K:][:d.cnt[row]] {
+			best.Offer(underlay.PeerID(q), Distance(d.ids[q], target), false)
 		}
+		seen += int(d.cnt[row])
 	}
+	start := d.bucketOf(Distance(d.ids[p], target) | 1)
 	consider(start)
-	for off := 1; off < d.cfg.Buckets && len(out) < 4*k; off++ {
+	for off := 1; off < d.cfg.Buckets && seen < 4*d.cfg.K; off++ {
 		consider(start - off)
 		consider(start + off)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		di := Distance(d.ids[out[i]], target)
-		dj := Distance(d.ids[out[j]], target)
-		if di != dj {
-			return di < dj
-		}
-		return out[i] < out[j]
-	})
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out
+	return best.IDs()
 }
+
+// shortlistStack is the widest K whose candidate ranking stays on the
+// stack (DefaultCompactConfig asks for 8).
+const shortlistStack = 16
 
 // ClosestGlobal returns the peer id globally XOR-closest to target —
 // exact ground truth via the id space's binary-trie descent.

@@ -2,6 +2,7 @@ package kademlia
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 
 	"unap2p/internal/churn"
@@ -176,5 +177,74 @@ func TestCompactObserveAware(t *testing.T) {
 	aware := sameAS(da)
 	if aware <= plain {
 		t.Fatalf("aware table holds %d same-AS contacts, plain %d", aware, plain)
+	}
+}
+
+// refCandidates is closest as it was before the shared lookup.Shortlist —
+// gather the outward bucket scan into a slice, sort all of it, truncate —
+// kept as the reference the bounded insertion must match.
+func refCandidates(d *CompactDHT, p underlay.PeerID, target NodeID, k int) []underlay.PeerID {
+	var out []underlay.PeerID
+	self := d.ids[p]
+	start := d.bucketOf(Distance(self, target) | 1)
+	consider := func(b int) {
+		if b < 0 || b >= d.cfg.Buckets {
+			return
+		}
+		base := (int(p)*d.cfg.Buckets + b) * d.cfg.K
+		for i := 0; i < int(d.cnt[int(p)*d.cfg.Buckets+b]); i++ {
+			out = append(out, underlay.PeerID(d.rt[base+i]))
+		}
+	}
+	consider(start)
+	for off := 1; off < d.cfg.Buckets && len(out) < 4*k; off++ {
+		consider(start - off)
+		consider(start + off)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		di := Distance(d.ids[out[i]], target)
+		dj := Distance(d.ids[out[j]], target)
+		if di != dj {
+			return di < dj
+		}
+		return out[i] < out[j]
+	})
+	if len(out) > k {
+		out = out[:k]
+	}
+	return out
+}
+
+// TestCompactClosestMatchesReference: over every peer of a seeded table,
+// for far targets, targets next to the peer's own id (the collapsed near
+// band) and K both under and over the stack scratch, closest returns the
+// reference's contacts in the reference's order — in one allocation, the
+// result, while K fits the stack.
+func TestCompactClosestMatchesReference(t *testing.T) {
+	for _, k := range []int{3, 8, shortlistStack + 4} {
+		base, net := buildCompact(t, 64, 1, 13)
+		cfg := base.cfg
+		cfg.K = k
+		d := NewCompact(net, cfg, 13, 0, 1)
+		d.Seed(13^0x5eed, 20, 4)
+		for p := 0; p < net.Peers().Len(); p++ {
+			p := underlay.PeerID(p)
+			for i, target := range []NodeID{
+				NodeID(megascale.Mix64(uint64(p))), NodeID(megascale.Mix64(uint64(p) ^ 0xabc)),
+				d.ids[p], d.ids[p] ^ 1, d.ids[p] ^ 0xffff, d.ids[(int(p)+1)%len(d.ids)],
+			} {
+				got, want := d.closest(p, target), refCandidates(d, p, target, k)
+				if len(want) == 0 || !reflect.DeepEqual(got, want) {
+					t.Fatalf("K=%d peer %d target %d (%x):\n got %v\nwant %v", k, p, i, target, got, want)
+				}
+			}
+		}
+		if k > shortlistStack {
+			continue
+		}
+		target := NodeID(0xfeedface)
+		if a := testing.AllocsPerRun(100, func() { d.closest(7, target) }); a != 1 {
+			t.Errorf("K=%d: closest allocates %.0f times per call, want 1 (the result)", k, a)
+		}
 	}
 }

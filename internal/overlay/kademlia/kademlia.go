@@ -1,6 +1,6 @@
 // Package kademlia implements a Kademlia DHT over the simulated underlay:
-// XOR metric, k-buckets, iterative α-parallel lookups, and STORE/FIND —
-// plus the proximity neighbor selection (PNS) of Kaune et al. ("Embracing
+// XOR metric, k-buckets and iterative α-parallel FIND_NODE lookups — plus
+// the proximity neighbor selection (PNS) of Kaune et al. ("Embracing
 // the peer next door: Proximity in Kademlia", IEEE P2P 2008 — [17] in the
 // paper), which fills k-buckets with underlay-close contacts to cut
 // inter-AS DHT traffic without hurting hop counts.
@@ -19,6 +19,7 @@ import (
 	"sort"
 
 	"unap2p/internal/core"
+	"unap2p/internal/lookup"
 	"unap2p/internal/metrics"
 	"unap2p/internal/resilience"
 	"unap2p/internal/transport"
@@ -27,9 +28,6 @@ import (
 
 // NodeID is a position in the 64-bit XOR keyspace.
 type NodeID uint64
-
-// Key is a content key in the same space.
-type Key = NodeID
 
 // Distance returns the XOR distance between two IDs.
 func Distance(a, b NodeID) uint64 { return uint64(a ^ b) }
@@ -73,7 +71,6 @@ type Node struct {
 	// eviction frees a slot. Nil until the first stash, so tables built
 	// before any bucket overflows carry no extra state.
 	spares [][]Contact
-	store  map[Key][]byte
 	cfg    Config
 	dht    *DHT
 }
@@ -85,8 +82,8 @@ type DHT struct {
 	T   *transport.Transport
 	U   *underlay.Network
 	Cfg Config
-	// Msgs counts RPCs ("find_node", "find_value", "store", "response")
-	// — a view of the transport's per-type counters.
+	// Msgs counts RPCs ("find_node", "response") — a view of the
+	// transport's per-type counters.
 	Msgs *metrics.CounterSet
 	// LookupTraffic accounts RPC bytes by AS pair, recorded by the
 	// transport across all RPC message types.
@@ -104,8 +101,8 @@ type DHT struct {
 	// by one goroutine): near backs the slice closest returns, which is
 	// therefore valid only until the next closest call; short and batch
 	// are a lookup's candidate list and its current α-batch.
-	near  []Contact
-	short []cand
+	near  lookup.Shortlist[Contact]
+	short lookup.Shortlist[Contact]
 	batch []Contact
 }
 
@@ -119,6 +116,8 @@ func New(tr *transport.Transport, sel core.Selector, cfg Config, r *rand.Rand) *
 	if cfg.K < 1 || cfg.Alpha < 1 {
 		panic("kademlia: K and Alpha must be ≥ 1")
 	}
+	// LookupTraffic's joined type list is the matrix's key in every run
+	// file, so it keeps naming the two RPCs the DHT no longer sends.
 	return &DHT{
 		T:             tr,
 		U:             tr.Underlay(),
@@ -154,7 +153,6 @@ func (d *DHT) AddNode(h *underlay.Host) *Node {
 		Contact: Contact{ID: id, Host: h.ID},
 		host:    h,
 		buckets: make([][]Contact, 64),
-		store:   make(map[Key][]byte),
 		cfg:     d.Cfg,
 		dht:     d,
 	}
@@ -213,31 +211,20 @@ func (n *Node) observe(c Contact) {
 	n.stash(idx, c)
 }
 
-// closest returns up to k (≥ 1) contacts from n's table nearest to
-// target, nearest first. The result lives in DHT-owned scratch: it is
-// valid until the next closest call on any node of the same DHT. XOR
-// distance to one target is injective in the ID and a table holds an ID
-// once, so the order is strict and a bounded insertion over the buckets
-// yields exactly the K-prefix of a full sort.
-func (n *Node) closest(target NodeID, k int) []Contact {
-	out := n.dht.near[:0]
+// closest returns up to k contacts from n's table nearest to target,
+// nearest first, each with its distance. The result lives in DHT-owned
+// scratch: it is valid until the next closest call on any node of the
+// same DHT. A table holds an ID once, so the bounded insertion yields
+// exactly the K-prefix of a full sort.
+func (n *Node) closest(target NodeID, k int) []lookup.Entry[Contact] {
+	near := &n.dht.near
+	near.Reset(k)
 	for _, b := range n.buckets {
 		for _, c := range b {
-			dc := Distance(c.ID, target)
-			i := len(out)
-			if i < k {
-				out = append(out, c)
-			} else if i = k - 1; dc > Distance(out[i].ID, target) {
-				continue // farther than the current K-th: not a candidate
-			}
-			for ; i > 0 && Distance(out[i-1].ID, target) > dc; i-- {
-				out[i] = out[i-1]
-			}
-			out[i] = c
+			near.Offer(c, Distance(c.ID, target), false)
 		}
 	}
-	n.dht.near = out
-	return out
+	return near.Entries()
 }
 
 // BucketFill reports the total number of routing-table entries (test and
