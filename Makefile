@@ -4,10 +4,11 @@ GO ?= go
 # for publication-quality numbers.
 BENCHTIME ?= 100ms
 
-.PHONY: ci vet deadcode build test race bench bench-check bench-json perf-gate cover series-demo chaos fuzz-smoke megascale-smoke net-smoke live-chaos
+.PHONY: ci vet deadcode golden build test race bench bench-check bench-json perf-gate cover series-demo chaos fuzz-smoke megascale-smoke net-smoke live-chaos
 
 # ci is the full verification gate: static analysis, the reachability
-# pass (no un-triaged symbol only tests reach), a clean build of
+# pass (no un-triaged symbol only tests reach), the byte-identity check
+# of the CLI outputs against testdata/golden.sha256, a clean build of
 # every package, vet + tests of the nested bench/ module (which the root
 # ./... patterns skip), the test suite under the race detector, the chaos
 # suite, fuzz smokes of the schedule parser, the XOR ground-truth trie
@@ -19,7 +20,7 @@ BENCHTIME ?= 100ms
 # clusters), and the perf gate (fails on a >15% B/op or allocs/op
 # regression against the baseline snapshot; ns/op moves are advisory).
 # The coverage summary runs afterwards as a non-fatal reporting step.
-ci: vet deadcode build bench-check race chaos fuzz-smoke series-demo megascale-smoke net-smoke live-chaos perf-gate
+ci: vet deadcode golden build bench-check race chaos fuzz-smoke series-demo megascale-smoke net-smoke live-chaos perf-gate
 	-$(MAKE) cover
 
 vet:
@@ -33,6 +34,25 @@ vet:
 # or triaged. ~4 s.
 deadcode:
 	$(GO) run ./cmd/unapctl deadcode
+
+# golden is the output byte-identity gate: it builds underlaysim and
+# unapctl, writes `underlaysim -all -seed 1 -scale 0.25` stdout and the
+# `unapctl record -exp exp-intra-as -seed 1 -scale 0.5` run file with
+# and without `-probe 50` into GOLDEN_DIR, and checks their sha256
+# against testdata/golden.sha256. A change that means to alter output
+# regenerates that file (`sha256sum underlaysim-all.txt intra-as.jsonl
+# intra-as-probe50.jsonl` in GOLDEN_DIR) and says why; anything else that
+# moves a byte fails here. The hashes are for linux/amd64
+# (another GOARCH may round floats differently). ~3 s.
+GOLDEN_DIR ?= .golden
+golden:
+	@mkdir -p $(GOLDEN_DIR)
+	$(GO) build -o $(GOLDEN_DIR)/underlaysim ./cmd/underlaysim
+	$(GO) build -o $(GOLDEN_DIR)/unapctl ./cmd/unapctl
+	cd $(GOLDEN_DIR) && ./underlaysim -all -seed 1 -scale 0.25 > underlaysim-all.txt
+	cd $(GOLDEN_DIR) && ./unapctl record -exp exp-intra-as -seed 1 -scale 0.5 -o intra-as.jsonl > /dev/null
+	cd $(GOLDEN_DIR) && ./unapctl record -exp exp-intra-as -seed 1 -scale 0.5 -probe 50 -o intra-as-probe50.jsonl > /dev/null
+	cd $(GOLDEN_DIR) && sha256sum -c $(CURDIR)/testdata/golden.sha256
 
 build:
 	$(GO) build ./...

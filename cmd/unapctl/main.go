@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	unapctl record -exp <id> [-seed N] [-scale S] [-param name=value]... [-o run.jsonl] [-events N] [-prom metrics.txt] [-probe MS] [-serve addr]
+//	unapctl record -exp <id> [-seed N] [-scale S] [-param name=value]... [-o run.jsonl] [-prom metrics.txt] [-probe MS] [-serve addr]
 //	unapctl report <run.jsonl>
 //	unapctl diff [-threshold 0.02] <a.jsonl> <b.jsonl>
 //	unapctl series [-metric glob] [-csv] <run.jsonl>
@@ -80,11 +80,12 @@ func main() {
 func usage() {
 	fmt.Fprint(os.Stderr, `unapctl — telemetry run management for unap2p
 
-  unapctl record -exp <id> [-seed N] [-scale S] [-param name=value]... [-o run.jsonl] [-events N] [-prom metrics.txt] [-probe MS] [-serve addr]
+  unapctl record -exp <id> [-seed N] [-scale S] [-param name=value]... [-o run.jsonl] [-prom metrics.txt] [-probe MS] [-serve addr]
       run an experiment with a telemetry Recorder attached and write a
       run file (manifest + JSONL events + closing metrics snapshot);
-      -probe attaches a sim-time Probe sampling every MS simulated
-      milliseconds (sample records in the run file, for 'series');
+      -probe samples every metric and overlay health source every MS
+      simulated milliseconds (sample records in the run file, for
+      'series'; 0, the default, is off);
       -serve exposes live /metrics + /debug/pprof/ while it runs
 
   unapctl report <run.jsonl>
@@ -95,7 +96,7 @@ func usage() {
       whose relative delta exceeds the threshold, 0 when none does
 
   unapctl series [-metric glob] [-csv] [-constant] [-width N] <run.jsonl>
-      render the probe samples of a run file as per-metric ASCII
+      render the sample records of a run file as per-metric ASCII
       sparklines (or CSV for plotting); record with -probe to get
       samples
 
@@ -127,9 +128,8 @@ func cmdRecord(args []string) error {
 		seed    = fs.Int64("seed", 1, "random seed")
 		scale   = fs.Float64("scale", 1.0, "workload scale factor")
 		out     = fs.String("o", "run.jsonl", "run file to write")
-		events  = fs.Int("events", 1<<16, "event ring capacity")
 		prom    = fs.String("prom", "", "also write the metrics snapshot in Prometheus text format")
-		probeMS = fs.Float64("probe", 0, "attach a Probe sampling every N simulated ms (0 = off)")
+		probeMS = fs.Float64("probe", 0, "sample every N simulated ms (0 = off)")
 		serveOn = fs.String("serve", "", "serve live /metrics and /debug/pprof/ on this address while recording (implies -probe 100 unless set)")
 	)
 	params := paramFlag{}
@@ -139,7 +139,7 @@ func cmdRecord(args []string) error {
 		return fmt.Errorf("record: -exp is required")
 	}
 	if *serveOn != "" && *probeMS <= 0 {
-		*probeMS = 100 // live /metrics needs a sampler refreshing the snapshot
+		*probeMS = 100 // live /metrics needs sampling to refresh the snapshot
 	}
 
 	f, err := os.Create(*out)
@@ -149,8 +149,7 @@ func cmdRecord(args []string) error {
 	defer f.Close()
 
 	rec := telemetry.NewRecorder(telemetry.Config{
-		Capacity: *events,
-		Sink:     telemetry.NewRunWriter(f),
+		Sink: telemetry.NewRunWriter(f),
 		Manifest: telemetry.Manifest{
 			Name:       *exp,
 			Experiment: *exp,
@@ -158,15 +157,11 @@ func cmdRecord(args []string) error {
 			Scale:      *scale,
 			Params:     params,
 		},
+		Interval: sim.Duration(*probeMS),
 	})
 	cfg := experiments.RunConfig{Seed: *seed, Scale: *scale, Obs: rec, Params: params}
-	var probe *telemetry.Probe
-	if *probeMS > 0 {
-		probe = telemetry.NewProbe(rec, telemetry.ProbeConfig{Interval: sim.Duration(*probeMS)})
-		cfg.Obs = probe
-	}
 	if *serveOn != "" {
-		srv, err := telemetry.Serve(*serveOn, probe.LatestSnapshot)
+		srv, err := telemetry.Serve(*serveOn, rec.LatestSnapshot)
 		if err != nil {
 			return err
 		}
@@ -260,8 +255,8 @@ func printReport(run *telemetry.Run, top int) {
 	}
 	fmt.Printf("events: %d in file", len(run.Events))
 	if run.HasSummary {
-		fmt.Printf(" (%d recorded, %d overwritten), finished at %s",
-			run.Summary.Events, run.Summary.Overwritten, run.Summary.FinishedAt)
+		fmt.Printf(" (%d recorded), finished at %s",
+			run.Summary.Events, run.Summary.FinishedAt)
 	}
 	fmt.Println()
 	for _, k := range sortedParamKeys(byCat) {

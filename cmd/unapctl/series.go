@@ -12,7 +12,7 @@ import (
 	"unap2p/internal/telemetry"
 )
 
-// cmdSeries renders the probe samples of a run file: one ASCII sparkline
+// cmdSeries renders the sample records of a run file: one ASCII sparkline
 // per metric (default), or one CSV table with a column per metric for
 // plotting. Metrics that never change are hidden by default — a 40-cell
 // flat line per constant counter would bury the curves worth looking at.

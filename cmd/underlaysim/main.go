@@ -15,6 +15,7 @@ import (
 
 	"unap2p/internal/experiments"
 	"unap2p/internal/report"
+	"unap2p/internal/sim"
 	"unap2p/internal/telemetry"
 )
 
@@ -48,16 +49,17 @@ func main() {
 
 	cfg := experiments.RunConfig{Seed: *seed, Scale: *scale}
 	if *serveOn != "" {
-		probe := telemetry.NewProbe(nil, telemetry.ProbeConfig{})
+		rec := telemetry.NewRecorder(telemetry.Config{Interval: 100 * sim.Millisecond})
 		if *seeds <= 1 {
-			// A probe samples on the goroutine driving the simulation, so
-			// it cannot be shared across a parallel seed sweep; with -seeds
-			// the server still answers (pprof live, metrics empty).
-			cfg.Obs = probe
+			// A sampling recorder samples on the goroutine driving the
+			// simulation, so it cannot be shared across a parallel seed
+			// sweep; with -seeds the server still answers (pprof live,
+			// metrics empty).
+			cfg.Obs = rec
 		} else {
-			fmt.Fprintln(os.Stderr, "note: -serve with -seeds > 1 exposes pprof only (a probe samples a single run)")
+			fmt.Fprintln(os.Stderr, "note: -serve with -seeds > 1 exposes pprof only (sampling follows a single run)")
 		}
-		srv, err := telemetry.Serve(*serveOn, probe.LatestSnapshot)
+		srv, err := telemetry.Serve(*serveOn, rec.LatestSnapshot)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			os.Exit(1)

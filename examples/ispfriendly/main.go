@@ -50,7 +50,7 @@ func main() {
 		// ports at a flat $500/month. One round ≈ one second of wall
 		// time for rate purposes.
 		elapsed := sim.Duration(swarm.Rounds) * sim.Second
-		report := cost.BillNetwork(net, nil,
+		report := cost.BillNetwork(net,
 			cost.TransitContract{PricePerMbps: 10},
 			cost.PeeringContract{MonthlyFee: 500},
 			elapsed)

@@ -8,7 +8,7 @@
 //
 // With -record run.jsonl a telemetry Recorder rides along and writes a
 // run file; record two seeds and compare them with
-// `go run ./cmd/unapctl diff`. With -probe N a sim-time Probe samples
+// `go run ./cmd/unapctl diff`. With -probe N the recorder samples
 // every N simulated milliseconds and the Vivaldi convergence curve is
 // printed as a sparkline at exit.
 package main
@@ -35,29 +35,25 @@ import (
 func main() {
 	seed := flag.Int64("seed", 42, "simulation seed")
 	record := flag.String("record", "", "write a telemetry run file (JSONL) here")
-	probeMS := flag.Float64("probe", 0, "sample a sim-time Probe every N simulated ms and print the Vivaldi convergence curve")
+	probeMS := flag.Float64("probe", 0, "sample every N simulated ms and print the Vivaldi convergence curve")
 	flag.Parse()
 
 	// 0. Optional observability: a Recorder is a pure observer, so the
-	// numbers below are identical with or without it.
+	// numbers below are identical with or without it. With -probe it
+	// also samples on a sim-time tick — still a pure observer.
 	var rec *telemetry.Recorder
-	if *record != "" {
-		f, err := os.Create(*record)
-		if err != nil {
-			log.Fatal(err)
+	if *record != "" || *probeMS > 0 {
+		cfg := telemetry.Config{Interval: sim.Duration(*probeMS)}
+		if *record != "" {
+			f, err := os.Create(*record)
+			if err != nil {
+				log.Fatal(err)
+			}
+			defer f.Close()
+			cfg.Sink = telemetry.NewRunWriter(f)
+			cfg.Manifest = telemetry.Manifest{Name: "quickstart", Seed: *seed, Scale: 1}
 		}
-		defer f.Close()
-		rec = telemetry.NewRecorder(telemetry.Config{
-			Capacity: 1 << 14,
-			Sink:     telemetry.NewRunWriter(f),
-			Manifest: telemetry.Manifest{Name: "quickstart", Seed: *seed, Scale: 1},
-		})
-	}
-	// A Probe wraps the recorder (or a standalone one) and samples on a
-	// sim-time tick — also a pure observer.
-	var probe *telemetry.Probe
-	if *probeMS > 0 {
-		probe = telemetry.NewProbe(rec, telemetry.ProbeConfig{Interval: sim.Duration(*probeMS)})
+		rec = telemetry.NewRecorder(cfg)
 	}
 
 	// 1. An underlay: 2 transit ISPs, 8 local ISPs, 10 hosts each.
@@ -90,12 +86,9 @@ func main() {
 	build := func(s core.Selector, label string) {
 		k := sim.NewKernel()
 		tr := transport.New(net, k)
-		if probe != nil {
-			probe.ObserveTransport(tr)
-			probe.ObserveKernel(k) // starts the sim-time sampling tick
-		} else if rec != nil {
+		if rec != nil {
 			rec.ObserveTransport(tr)
-			rec.ObserveKernel(k)
+			rec.ObserveKernel(k) // with -probe, starts the sim-time sampling tick
 		}
 		if s != nil {
 			// Unified accounting: collection overhead lands in the same
@@ -146,21 +139,21 @@ func main() {
 		len(auto.Estimators()), auto.TotalOverhead(), a.ID, b.ID, cost)
 
 	// 5. Observability: converge a Vivaldi coordinate system over the same
-	// hosts, sampling embedding quality each round through the probe —
+	// hosts, sampling embedding quality each round through the recorder —
 	// then read the convergence curve back out of its in-memory series.
-	if probe != nil {
+	if *probeMS > 0 {
 		rtt := func(i, j int) float64 { return float64(net.RTT(hosts[i], hosts[j])) }
 		vs := coords.NewVivaldiSystem(len(hosts), coords.DefaultVivaldiConfig(), rtt, src.Stream("vivaldi"))
-		probe.ObserveHealth("vivaldi", vs.HealthStats)
+		rec.ObserveHealth("vivaldi", vs.HealthStats)
 		const rounds = 60
 		for r := 0; r < rounds; r++ {
 			vs.Round()
-			probe.Sample()
+			rec.Sample()
 		}
 		// Kernel-tick samples taken before the Vivaldi phase lack the
 		// metric (they render as leading spaces); trim to the finite tail
 		// for the first→last numbers.
-		curve := probe.Series().Values("health:vivaldi:median_rel_error")
+		curve := rec.Series().Values("health:vivaldi:median_rel_error")
 		finite := curve[:0:0]
 		for _, v := range curve {
 			if v == v { // not NaN
@@ -171,7 +164,7 @@ func main() {
 			rounds, telemetry.Sparkline(finite, rounds), finite[0], finite[len(finite)-1])
 	}
 
-	if rec != nil {
+	if *record != "" {
 		if err := rec.Close(); err != nil {
 			log.Fatal(err)
 		}

@@ -120,20 +120,3 @@ func sortedKeys(m RatioMap) []int {
 	sort.Ints(keys)
 	return keys
 }
-
-// RankBySimilarity orders candidate peers by descending ratio-map cosine
-// similarity with the client's map — the Ono peer-selection primitive.
-func RankBySimilarity(client RatioMap, candidates map[underlay.HostID]RatioMap) []underlay.HostID {
-	ids := make([]underlay.HostID, 0, len(candidates))
-	for id := range candidates {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		si, sj := Cosine(client, candidates[ids[i]]), Cosine(client, candidates[ids[j]])
-		if si != sj {
-			return si > sj
-		}
-		return ids[i] < ids[j]
-	})
-	return ids
-}

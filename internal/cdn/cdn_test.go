@@ -96,38 +96,3 @@ func TestCosineEdgeCases(t *testing.T) {
 		t.Fatalf("orthogonal cosine = %v", orth)
 	}
 }
-
-func TestRankBySimilarity(t *testing.T) {
-	net, c := buildNet(t)
-	client := net.HostsInAS(1)[0]
-	crm := c.ObserveRatioMap(client, 200)
-	cands := map[underlay.HostID]RatioMap{}
-	var sameAS, otherAS underlay.HostID
-	sameAS = net.HostsInAS(1)[2].ID
-	otherAS = net.HostsInAS(3)[1].ID
-	cands[sameAS] = c.ObserveRatioMap(net.Host(sameAS), 200)
-	cands[otherAS] = c.ObserveRatioMap(net.Host(otherAS), 200)
-	ranked := RankBySimilarity(crm, cands)
-	if len(ranked) != 2 || ranked[0] != sameAS {
-		t.Fatalf("ranked = %v, want same-AS peer first", ranked)
-	}
-}
-
-func TestRankBySimilarityDeterministicTies(t *testing.T) {
-	client := RatioMap{0: 1}
-	cands := map[underlay.HostID]RatioMap{
-		5: {0: 1},
-		2: {0: 1},
-		9: {0: 1},
-	}
-	r1 := RankBySimilarity(client, cands)
-	r2 := RankBySimilarity(client, cands)
-	for i := range r1 {
-		if r1[i] != r2[i] {
-			t.Fatal("tie-break not deterministic")
-		}
-	}
-	if r1[0] != 2 || r1[1] != 5 || r1[2] != 9 {
-		t.Fatalf("ties should break by id: %v", r1)
-	}
-}

@@ -250,7 +250,7 @@ func median(xs []float64) float64 {
 	return (s[m-1] + s[m]) / 2
 }
 
-// HealthStats feeds telemetry.Probe.ObserveHealth: embedding
+// HealthStats feeds telemetry.Recorder.ObserveHealth: embedding
 // quality over time — the convergence curve Dabek et al. judge Vivaldi
 // by. MedianRelativeError is an O(n²) all-pairs evaluation, fine at
 // simulated populations; sample accordingly.

@@ -109,46 +109,8 @@ func PeeringCurve(trafficMbps []float64, c PeeringContract) []Point {
 	return out
 }
 
-// Meter samples the byte counters of an underlay link at a fixed interval
-// and converts each interval's delta to Mbps, producing the sample series
-// that transit billing consumes.
-type Meter struct {
-	Link     *underlay.Link
-	Interval sim.Duration
-	samples  []float64
-	lastAB   uint64
-	lastBA   uint64
-}
-
-// NewMeter attaches a meter to a link; call Start to begin sampling on a
-// kernel, or Sample manually.
-func NewMeter(l *underlay.Link, interval sim.Duration) *Meter {
-	return &Meter{Link: l, Interval: interval}
-}
-
-// Start schedules periodic sampling on k; returns a cancel function.
-func (m *Meter) Start(k *sim.Kernel) (cancel func()) {
-	return k.Every(m.Interval, m.Sample)
-}
-
-// Sample records one interval's traffic rate.
-func (m *Meter) Sample() {
-	ab, ba := m.Link.BytesAB, m.Link.BytesBA
-	delta := (ab - m.lastAB) + (ba - m.lastBA)
-	m.lastAB, m.lastBA = ab, ba
-	seconds := float64(m.Interval) / 1000
-	if seconds <= 0 {
-		return
-	}
-	mbps := float64(delta) * 8 / 1e6 / seconds
-	m.samples = append(m.samples, mbps)
-}
-
-// Samples returns the recorded Mbps series.
-func (m *Meter) Samples() []float64 { return m.samples }
-
 // Report summarizes what every ISP in a network pays, given contracts and
-// metered samples. Transit links are paid by the customer (link.A);
+// the links' byte counts. Transit links are paid by the customer (link.A);
 // peering links cost each side the flat fee.
 type Report struct {
 	// PerAS maps AS id → total monthly cost.
@@ -157,19 +119,16 @@ type Report struct {
 	TransitTotal, PeeringTotal float64
 }
 
-// BillNetwork computes a cost report. meters maps links to their recorded
-// samples; transit links without a meter bill their average rate derived
-// from total bytes over the elapsed time (elapsedMs).
-func BillNetwork(net *underlay.Network, meters map[*underlay.Link]*Meter,
-	tc TransitContract, pc PeeringContract, elapsed sim.Duration) Report {
+// BillNetwork computes a cost report. Each transit link bills its
+// average rate, derived from its total bytes over the elapsed time (and
+// nothing but the contract's commit when elapsed is 0).
+func BillNetwork(net *underlay.Network, tc TransitContract, pc PeeringContract, elapsed sim.Duration) Report {
 	rep := Report{PerAS: make(map[int]float64)}
 	for _, l := range net.Links() {
 		switch l.Kind {
 		case underlay.Transit:
 			var samples []float64
-			if m, ok := meters[l]; ok {
-				samples = m.Samples()
-			} else if elapsed > 0 {
+			if elapsed > 0 {
 				avg := float64(l.Bytes()) * 8 / 1e6 / (float64(elapsed) / 1000)
 				samples = []float64{avg}
 			}

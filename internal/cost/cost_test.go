@@ -107,35 +107,6 @@ func TestCurveZeroTraffic(t *testing.T) {
 	}
 }
 
-func TestMeterSampling(t *testing.T) {
-	net := underlay.New()
-	a := net.AddAS(underlay.LocalISP, 1)
-	b := net.AddAS(underlay.TransitISP, 1)
-	l := net.ConnectTransit(a, b, 10)
-	h1 := net.AddHost(a, 0)
-	h2 := net.AddHost(b, 0)
-
-	k := sim.NewKernel()
-	m := NewMeter(l, sim.Second)
-	cancel := m.Start(k)
-
-	// 1 MB in the first second, nothing after.
-	k.Schedule(100, func() { net.Send(h1, h2, 1_000_000) })
-	k.Run(3 * sim.Second)
-	cancel()
-
-	s := m.Samples()
-	if len(s) != 3 {
-		t.Fatalf("samples = %v, want 3", s)
-	}
-	if math.Abs(s[0]-8.0) > 1e-9 { // 1 MB in 1 s = 8 Mbps
-		t.Fatalf("first sample = %v Mbps, want 8", s[0])
-	}
-	if s[1] != 0 || s[2] != 0 {
-		t.Fatalf("idle samples = %v, want zeros", s[1:])
-	}
-}
-
 func TestBillNetwork(t *testing.T) {
 	net := underlay.New()
 	t0 := net.AddAS(underlay.TransitISP, 1)
@@ -148,7 +119,7 @@ func TestBillNetwork(t *testing.T) {
 	h2 := net.AddHost(t0, 0)
 	net.Send(h0, h2, 10_000_000) // 10 MB over l0's transit link
 
-	rep := BillNetwork(net, nil,
+	rep := BillNetwork(net,
 		TransitContract{PricePerMbps: 10},
 		PeeringContract{MonthlyFee: 50},
 		10*sim.Second)
@@ -165,36 +136,10 @@ func TestBillNetwork(t *testing.T) {
 	if math.Abs(rep.TransitTotal-80) > 1e-9 || rep.PeeringTotal != 100 {
 		t.Fatalf("totals = %v", rep)
 	}
-}
-
-func TestBillNetworkWithMeters(t *testing.T) {
-	net := underlay.New()
-	t0 := net.AddAS(underlay.TransitISP, 1)
-	l0 := net.AddAS(underlay.LocalISP, 1)
-	link := net.ConnectTransit(l0, t0, 10)
-	h0 := net.AddHost(l0, 0)
-	h1 := net.AddHost(t0, 0)
-
-	k := sim.NewKernel()
-	m := NewMeter(link, sim.Second)
-	m.Start(k)
-	// Steady 1 Mbps for 20 s with one 100 Mbps spike: p95 should ignore it.
-	for i := 0; i < 20; i++ {
-		i := i
-		k.Schedule(sim.Duration(i)*sim.Second+1, func() {
-			bytes := uint64(125_000) // 1 Mbps over 1 s
-			if i == 5 {
-				bytes = 12_500_000 // 100 Mbps spike
-			}
-			net.Send(h0, h1, bytes)
-		})
-	}
-	k.Run(20 * sim.Second)
-
-	rep := BillNetwork(net, map[*underlay.Link]*Meter{link: m},
-		TransitContract{PricePerMbps: 10}, PeeringContract{}, 0)
-	if rep.TransitTotal != 10 {
-		t.Fatalf("metered bill = %v, want 10 (p95 kills the spike)", rep.TransitTotal)
+	// No elapsed time, no rate: transit bills the commit floor only.
+	rep = BillNetwork(net, TransitContract{PricePerMbps: 10, Commit: 2}, PeeringContract{MonthlyFee: 50}, 0)
+	if rep.TransitTotal != 2*2*10 || rep.PeeringTotal != 100 {
+		t.Fatalf("zero-elapsed totals = %v, want transit 40 (two commits), peering 100", rep)
 	}
 }
 
@@ -221,33 +166,5 @@ func TestQuickPercentileBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMeterStartCancel(t *testing.T) {
-	net := underlay.New()
-	a := net.AddAS(underlay.LocalISP, 1)
-	b := net.AddAS(underlay.TransitISP, 1)
-	l := net.ConnectTransit(a, b, 10)
-	k := sim.NewKernel()
-	m := NewMeter(l, sim.Second)
-	cancel := m.Start(k)
-	k.Run(2 * sim.Second)
-	cancel()
-	k.Run(10 * sim.Second)
-	if len(m.Samples()) != 2 {
-		t.Fatalf("samples after cancel = %d, want 2", len(m.Samples()))
-	}
-}
-
-func TestMeterZeroInterval(t *testing.T) {
-	net := underlay.New()
-	a := net.AddAS(underlay.LocalISP, 1)
-	b := net.AddAS(underlay.TransitISP, 1)
-	l := net.ConnectTransit(a, b, 10)
-	m := NewMeter(l, 0)
-	m.Sample() // must not divide by zero
-	if len(m.Samples()) != 0 {
-		t.Fatal("zero-interval meter recorded a sample")
 	}
 }

@@ -33,8 +33,7 @@ import (
 //	Sample()
 //
 // to receive overlay-health sources and round-boundary sampling hooks
-// (see observeHealth / sampleObs) — the surface the telemetry Probe
-// adds on top of the Recorder.
+// (see observeHealth / sampleObs), as the telemetry Recorder does.
 type Observer interface {
 	ObserveTransport(*transport.Transport)
 	ObserveKernel(*sim.Kernel)
@@ -71,15 +70,18 @@ func (c RunConfig) param(name, def string) string {
 	return def
 }
 
-// paramInt returns Params[name] parsed as an int, or def when absent or
-// unparseable.
-func (c RunConfig) paramInt(name string, def int) int {
+// paramInt returns Params[name] parsed as an int, or def when absent.
+// A value that does not parse also yields def, and appends a note saying
+// so to *notes: the run file's manifest records the value as given, so
+// the result must say it was not used.
+func (c RunConfig) paramInt(name string, def int, notes *[]string) int {
 	v, ok := c.Params[name]
 	if !ok {
 		return def
 	}
 	n, err := strconv.Atoi(strings.TrimSpace(v))
 	if err != nil {
+		*notes = append(*notes, fmt.Sprintf("malformed param %s=%q ignored (want an integer); using %d", name, v, def))
 		return def
 	}
 	return n
@@ -125,7 +127,7 @@ func (c RunConfig) observeMobility(m *mobility.Model) *mobility.Model {
 }
 
 // observeSharded attaches the observer to a sharded kernel when it
-// supports one (the telemetry Recorder and Probe do; the capability is
+// supports one (the telemetry Recorder does; the capability is
 // structural so this package never imports internal/telemetry).
 func (c RunConfig) observeSharded(sk *sim.ShardedKernel) {
 	if o, ok := c.Obs.(interface {
@@ -136,11 +138,12 @@ func (c RunConfig) observeSharded(sk *sim.ShardedKernel) {
 }
 
 // observeHealth registers an overlay-health source with the observer
-// when it supports health sampling — the telemetry Probe does, a bare
-// Recorder (or nil) silently doesn't. The capability check is
-// structural over builtin-composed types so this package still never
-// imports internal/telemetry. stats must be a pure deterministic read:
-// the probe calls it mid-run and results must stay bit-identical.
+// when it supports health sampling — the telemetry Recorder does (and
+// ignores it unless sampling is on); nil silently doesn't. The
+// capability check is structural over builtin-composed types so this
+// package still never imports internal/telemetry. stats must be a pure
+// deterministic read: the recorder calls it mid-run and results must
+// stay bit-identical.
 func (c RunConfig) observeHealth(name string, stats func() map[string]float64) {
 	if o, ok := c.Obs.(interface {
 		ObserveHealth(string, func() map[string]float64)
@@ -149,11 +152,11 @@ func (c RunConfig) observeHealth(name string, stats func() map[string]float64) {
 	}
 }
 
-// sampleObs takes one probe sample, for experiments that drive overlays
-// in rounds without a sim kernel (Kademlia lookup loops, swarm rounds,
+// sampleObs takes one sample, for experiments that drive overlays in
+// rounds without a sim kernel (Kademlia lookup loops, swarm rounds,
 // Vivaldi iterations) — kernel-driven experiments get sampled by the
-// probe's own sim-time tick instead. No-op unless the observer is a
-// sampler (telemetry.Probe).
+// recorder's own sim-time tick instead. No-op unless the observer is a
+// sampler (a telemetry.Recorder with sampling on).
 func (c RunConfig) sampleObs() {
 	if o, ok := c.Obs.(interface{ Sample() }); ok {
 		o.Sample()

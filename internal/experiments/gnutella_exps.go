@@ -67,7 +67,7 @@ func buildGnutella(cfg RunConfig, variant string, hostcache int, biasJoin, biasS
 		ov.AddNode(h, true)
 	}
 	ov.JoinAll()
-	// Probe-attached runs get a health curve per variant; the kernel tick
+	// Sampled runs get a health curve per variant; the kernel tick
 	// registered by newTransport samples it as the search phase advances
 	// simulated time.
 	cfg.observeHealth("gnutella-"+variant, ov.HealthStats)

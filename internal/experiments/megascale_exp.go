@@ -64,11 +64,12 @@ type megascalePoint struct {
 // (nondeterministic) scaling health source into the run file for
 // `unapctl series` rendering.
 func runMegascale(cfg RunConfig) Result {
-	maxPeers := cfg.paramInt("peers", cfg.scaled(20000))
+	var notes []string
+	maxPeers := cfg.paramInt("peers", cfg.scaled(20000), &notes)
 	if maxPeers < 100 {
 		maxPeers = 100
 	}
-	shards := cfg.paramInt("shards", 4)
+	shards := cfg.paramInt("shards", 4, &notes)
 	if shards < 1 {
 		shards = 1
 	}
@@ -76,7 +77,6 @@ func runMegascale(cfg RunConfig) Result {
 
 	ovParam := cfg.param("overlay", "kademlia")
 	var overlays []string
-	var notes []string
 	if ovParam == "all" {
 		overlays = megascaleOverlays
 	} else {

@@ -169,3 +169,22 @@ func TestMegascaleWallclockOptIn(t *testing.T) {
 		}
 	}
 }
+
+// TestMegascaleMalformedParamNoted checks a -param value that does not
+// parse as an integer is reported in the result rather than silently
+// replaced by the default: the run file's manifest records the value as
+// given, so the result must say it was not used.
+func TestMegascaleMalformedParamNoted(t *testing.T) {
+	r := mustRun(t, "exp-megascale", megaCfg("400", "two"))
+	want := `malformed param shards="two" ignored (want an integer); using 4`
+	found := false
+	for _, n := range r.Notes {
+		found = found || n == want
+	}
+	if !found {
+		t.Fatalf("no note %q in %q", want, r.Notes)
+	}
+	if !strings.Contains(r.Title, "K=4 shards") {
+		t.Fatalf("title %q: the default shard count should have run", r.Title)
+	}
+}

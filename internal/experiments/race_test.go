@@ -1,7 +1,8 @@
 // Race acceptance test for shared-observer sweeps: RunSeeds runs its
 // workers concurrently, and the documented supported configuration for
-// observing a whole sweep is a single shared Recorder (a Probe samples
-// one driving goroutine and is per-run only). Under -race this test is
+// observing a whole sweep is a single shared Recorder with sampling off
+// (a sampling recorder samples one driving goroutine and is per-run
+// only). Under -race this test is
 // the proof the Recorder's locking actually covers the concurrent
 // attach-and-record path; the count assertion proves no event is lost.
 package experiments_test
@@ -31,7 +32,7 @@ func (o *sweepObserver) ObserveTransport(t *transport.Transport) {
 }
 
 func TestConcurrentSweepSharedRecorder(t *testing.T) {
-	obs := &sweepObserver{Recorder: telemetry.NewRecorder(telemetry.Config{Capacity: 1 << 12})}
+	obs := &sweepObserver{Recorder: telemetry.NewRecorder(telemetry.Config{})}
 	const seeds = 4
 	cfg := experiments.RunConfig{Scale: 0.5, Obs: obs}
 	if _, err := experiments.RunSeeds("exp-pns-kademlia", cfg, 1, seeds); err != nil {

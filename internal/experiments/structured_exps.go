@@ -160,7 +160,7 @@ func runSuperPeer(cfg RunConfig) Result {
 		if aware {
 			name = "aware"
 		}
-		// Kernel-driven sampling catches election churn live: the probe's
+		// Kernel-driven sampling catches election churn live: the recorder's
 		// sim-time tick sees ultras/online_fraction move as peers cycle.
 		cfg.observeHealth("superpeer-"+name, ov.HealthStats)
 		catalog := workload.NewCatalog(cfg.scaled(60))

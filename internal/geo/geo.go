@@ -20,11 +20,6 @@ type Coord struct {
 
 func (c Coord) String() string { return fmt.Sprintf("(%.4f,%.4f)", c.Lat, c.Lon) }
 
-// Valid reports whether the coordinate is in range.
-func (c Coord) Valid() bool {
-	return c.Lat >= -90 && c.Lat <= 90 && c.Lon >= -180 && c.Lon <= 180
-}
-
 func rad(deg float64) float64 { return deg * math.Pi / 180 }
 func deg(rad float64) float64 { return rad * 180 / math.Pi }
 
@@ -214,16 +209,4 @@ func BoxAround(c Coord, radiusKm float64) Box {
 		MinLon: math.Max(-180, c.Lon-dLon),
 		MaxLon: math.Min(180, c.Lon+dLon),
 	}
-}
-
-// Nearest returns the index of the candidate closest to target by
-// great-circle distance (-1 if candidates is empty).
-func Nearest(target Coord, candidates []Coord) int {
-	best, bestD := -1, math.Inf(1)
-	for i, c := range candidates {
-		if d := Haversine(target, c); d < bestD {
-			best, bestD = i, d
-		}
-	}
-	return best
 }

@@ -183,7 +183,7 @@ func TestBillingFollowsBias(t *testing.T) {
 			res := ov.RunSearch(q.From, q.Item)
 			ov.Download(res)
 		}
-		rep := cost.BillNetwork(net, nil,
+		rep := cost.BillNetwork(net,
 			cost.TransitContract{PricePerMbps: 10},
 			cost.PeeringContract{MonthlyFee: 100},
 			60*sim.Second)

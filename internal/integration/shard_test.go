@@ -10,11 +10,13 @@ import (
 	"testing"
 
 	"unap2p/internal/experiments"
+	"unap2p/internal/sim"
 	"unap2p/internal/telemetry"
 )
 
-// recordMegascale runs exp-megascale for one overlay with a telemetry
-// probe attached — the same wiring as `unapctl record -probe` — and
+// recordMegascale runs exp-megascale for one overlay with a sampling
+// telemetry recorder attached — the same wiring as `unapctl record
+// -probe 100` — and
 // returns the full run file bytes plus the rendered result table.
 func recordMegascale(t *testing.T, seed int64, peers, shards int, overlay string) ([]byte, *experiments.Result) {
 	t.Helper()
@@ -25,16 +27,15 @@ func recordMegascale(t *testing.T, seed int64, peers, shards int, overlay string
 	}
 	var buf bytes.Buffer
 	rec := telemetry.NewRecorder(telemetry.Config{
-		Capacity: 1 << 14,
-		Sink:     telemetry.NewRunWriter(&buf),
+		Sink: telemetry.NewRunWriter(&buf),
 		Manifest: telemetry.Manifest{
 			Name: "exp-megascale", Experiment: "exp-megascale",
 			Seed: seed, Scale: 1, Params: params,
 		},
+		Interval: 100 * sim.Millisecond,
 	})
-	probe := telemetry.NewProbe(rec, telemetry.ProbeConfig{})
 	res, err := experiments.Run("exp-megascale", experiments.RunConfig{
-		Seed: seed, Scale: 1, Obs: probe, Params: params,
+		Seed: seed, Scale: 1, Obs: rec, Params: params,
 	})
 	if err != nil {
 		t.Fatalf("exp-megascale: %v", err)

@@ -185,34 +185,3 @@ func (r *Registry) LocationOf(ip IP) (geo.Coord, bool) {
 	}
 	return c, true
 }
-
-// ISPProvided is the ISP's own authoritative mapper (§3.3: "each ISP knows
-// the addresses and exact locations of all of its customers"). It answers
-// only for hosts of its own AS and returns exact host locations.
-type ISPProvided struct {
-	ASID  int
-	hosts map[IP]geo.Coord
-}
-
-// NewISPProvided indexes the hosts of one AS.
-func NewISPProvided(net *underlay.Network, asID int) *ISPProvided {
-	m := &ISPProvided{ASID: asID, hosts: make(map[IP]geo.Coord)}
-	for _, h := range net.HostsInAS(asID) {
-		m.hosts[h.IP] = geo.Coord{Lat: h.Lat, Lon: h.Lon}
-	}
-	return m
-}
-
-// ASOf answers only for the ISP's own customers.
-func (m *ISPProvided) ASOf(ip IP) (int, bool) {
-	if _, ok := m.hosts[ip]; ok {
-		return m.ASID, true
-	}
-	return 0, false
-}
-
-// LocationOf returns the exact customer location the ISP has on file.
-func (m *ISPProvided) LocationOf(ip IP) (geo.Coord, bool) {
-	c, ok := m.hosts[ip]
-	return c, ok
-}

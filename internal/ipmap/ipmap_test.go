@@ -154,32 +154,6 @@ func TestRegistryLocationNoise(t *testing.T) {
 	}
 }
 
-func TestISPProvided(t *testing.T) {
-	net := testNet(t)
-	AssignAll(net)
-	asID := net.Hosts()[0].AS.ID
-	m := NewISPProvided(net, asID)
-	for _, h := range net.HostsInAS(asID) {
-		got, ok := m.ASOf(h.IP)
-		if !ok || got != asID {
-			t.Fatalf("ISP mapper missed own customer %s", FormatIP(h.IP))
-		}
-		loc, ok := m.LocationOf(h.IP)
-		if !ok || loc.Lat != h.Lat || loc.Lon != h.Lon {
-			t.Fatal("ISP mapper must return exact customer location")
-		}
-	}
-	// Customers of other ISPs are unknown.
-	for _, h := range net.Hosts() {
-		if h.AS.ID != asID {
-			if _, ok := m.ASOf(h.IP); ok {
-				t.Fatal("ISP mapper answered for foreign customer")
-			}
-			break
-		}
-	}
-}
-
 // Property: ASOf is consistent with prefix containment for arbitrary IPs.
 func TestQuickRegistryConsistency(t *testing.T) {
 	net := testNet(t)

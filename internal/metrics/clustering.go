@@ -156,18 +156,3 @@ func ASHeatmap(edges []Edge, as []int) string {
 	}
 	return string(sb)
 }
-
-// DiagonalDominance returns the share of the heatmap's mass on its
-// diagonal — a scalar summary of the visual clustering.
-func DiagonalDominance(edges []Edge, as []int) float64 {
-	if len(edges) == 0 {
-		return 0
-	}
-	diag := 0
-	for _, e := range edges {
-		if as[e.A] == as[e.B] {
-			diag++
-		}
-	}
-	return float64(diag) / float64(len(edges))
-}

@@ -115,15 +115,6 @@ func (m *TrafficMatrix) Snapshot() MatrixSnapshot {
 	return s
 }
 
-// MatrixFromSnapshot reconstructs a live matrix from a snapshot.
-func MatrixFromSnapshot(s MatrixSnapshot) *TrafficMatrix {
-	m := NewTrafficMatrix()
-	for _, p := range s.Pairs {
-		m.Add(p.Src, p.Dst, p.Bytes)
-	}
-	return m
-}
-
 // SortedKeys returns the keys of a snapshot map in sorted order — the
 // iteration helper every deterministic exporter needs.
 func SortedKeys[V any](m map[string]V) []string {

@@ -128,25 +128,3 @@ func TestHistogramQuantileMonotone(t *testing.T) {
 		t.Fatal("quantile endpoints must clamp to min/max")
 	}
 }
-
-func TestMatrixSnapshotRoundTrip(t *testing.T) {
-	m := NewTrafficMatrix()
-	m.Add(1, 1, 100)
-	m.Add(1, 2, 40)
-	m.Add(2, 1, 60)
-	s := m.Snapshot()
-	restored := MatrixFromSnapshot(s)
-	if restored.Total() != m.Total() || restored.Intra() != m.Intra() {
-		t.Fatalf("round trip totals: got (%d, %d), want (%d, %d)",
-			restored.Total(), restored.Intra(), m.Total(), m.Intra())
-	}
-	if !reflect.DeepEqual(restored.Snapshot(), s) {
-		t.Fatal("snapshot of restored matrix differs")
-	}
-	if got := s.IntraFraction(); got != 0.5 {
-		t.Fatalf("IntraFraction = %v, want 0.5", got)
-	}
-	if (MatrixSnapshot{}).IntraFraction() != 0 {
-		t.Fatal("empty matrix IntraFraction must be 0, not NaN")
-	}
-}

@@ -116,21 +116,6 @@ func (d *Dist) Mean() float64 {
 	return d.sum / float64(len(d.samples))
 }
 
-// Stddev reports the population standard deviation.
-func (d *Dist) Stddev() float64 {
-	n := len(d.samples)
-	if n == 0 {
-		return 0
-	}
-	m := d.Mean()
-	var ss float64
-	for _, v := range d.samples {
-		dv := v - m
-		ss += dv * dv
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
 func (d *Dist) sortSamples() {
 	if !d.sorted {
 		sort.Float64s(d.samples)

@@ -132,7 +132,7 @@ func TestTrafficMatrixConcurrent(t *testing.T) {
 	if want := uint64(raceWriters * racePerWriter * 10); m.Total() != want {
 		t.Fatalf("lost bytes: total %d want %d", m.Total(), want)
 	}
-	if !m.Conservation() {
+	if !conserves(m) {
 		t.Fatal("conservation violated")
 	}
 }

@@ -113,15 +113,3 @@ func (m *TrafficMatrix) Pairs() []ASPair {
 func (m *TrafficMatrix) String() string {
 	return fmt.Sprintf("traffic total=%dB intra=%.1f%%", m.Total(), 100*m.IntraFraction())
 }
-
-// Conservation checks the bookkeeping invariant intra+inter == total.
-// It exists for property tests (which run it on quiescent matrices; with
-// writers in flight the cell sum may transiently trail total).
-func (m *TrafficMatrix) Conservation() bool {
-	var sum uint64
-	cells := *m.cells.Load()
-	for _, c := range cells {
-		sum += c.Load()
-	}
-	return sum == m.total.Load() && m.intra.Load() <= m.total.Load()
-}

@@ -294,11 +294,14 @@ func TestPacerRunsKernelOnWallClock(t *testing.T) {
 	var mu sync.Mutex
 	ticks := 0
 	// Schedule before Start: the kernel is still ours.
-	k.Every(10, func() { // every 10 sim-ms = 10 wall-ms
+	var tick func()
+	tick = func() { // every 10 sim-ms = 10 wall-ms
 		mu.Lock()
 		ticks++
 		mu.Unlock()
-	})
+		k.Schedule(10, tick)
+	}
+	k.Schedule(10, tick)
 	p.Start()
 	defer p.Stop()
 	await(t, "pacer ticks", func() bool {

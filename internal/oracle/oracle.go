@@ -66,15 +66,3 @@ func (o *Oracle) Best(client *underlay.Host, candidates []underlay.HostID) (unde
 	}
 	return o.Rank(client, candidates)[0], true
 }
-
-// SameAS filters candidates to those sharing the client's AS — the
-// strictest locality bias.
-func (o *Oracle) SameAS(client *underlay.Host, candidates []underlay.HostID) []underlay.HostID {
-	var out []underlay.HostID
-	for _, id := range candidates {
-		if o.net.Host(id).AS.ID == client.AS.ID {
-			out = append(out, id)
-		}
-	}
-	return out
-}

@@ -127,21 +127,6 @@ func TestBest(t *testing.T) {
 	}
 }
 
-func TestSameAS(t *testing.T) {
-	net := buildNet()
-	o := New(net)
-	client := net.Hosts()[0]
-	local := o.SameAS(client, ids(net.Hosts()))
-	if len(local) != 3 {
-		t.Fatalf("SameAS = %d hosts, want 3", len(local))
-	}
-	for _, id := range local {
-		if net.Host(id).AS.ID != client.AS.ID {
-			t.Fatal("SameAS returned foreign host")
-		}
-	}
-}
-
 // Property: the oracle's ranking is a permutation of its input (modulo
 // MaxList truncation).
 func TestQuickRankIsPermutation(t *testing.T) {

@@ -353,7 +353,7 @@ func (s *Swarm) NeighborASMix() float64 {
 	return float64(intra) / float64(total)
 }
 
-// HealthStats feeds telemetry.Probe.ObserveHealth: swarm
+// HealthStats feeds telemetry.Recorder.ObserveHealth: swarm
 // progress and locality gauges sampled per round by the probe plane
 // (pure reads over the peer slice, deterministic).
 //

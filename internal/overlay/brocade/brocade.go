@@ -155,7 +155,7 @@ func (o *Overlay) Route(src, dst underlay.HostID) RouteStats {
 	return st
 }
 
-// HealthStats feeds telemetry.Probe.ObserveHealth: the state of
+// HealthStats feeds telemetry.Recorder.ObserveHealth: the state of
 // the secondary overlay (pure reads, deterministic).
 //
 //   - supernodes: elected AS landmarks

@@ -254,7 +254,7 @@ func (c *Ring) nextHop(cur *Node, key ID) *Node {
 	return nil
 }
 
-// HealthStats feeds telemetry.Probe.ObserveHealth: finger-table
+// HealthStats feeds telemetry.Recorder.ObserveHealth: finger-table
 // fill and locality gauges (pure reads over the sorted node slice,
 // deterministic).
 //

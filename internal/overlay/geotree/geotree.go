@@ -50,8 +50,8 @@ type Tree struct {
 	T   *transport.Transport
 	U   *underlay.Network
 	Cfg Config
-	// Msgs counts control messages ("register", "search", "result",
-	// "geocast") — a view of the transport's counters.
+	// Msgs counts control messages ("register", "search", "result") — a
+	// view of the transport's counters.
 	Msgs *metrics.CounterSet
 
 	root  *zone
@@ -294,61 +294,7 @@ func boxesIntersect(a, b geo.Box) bool {
 		a.MinLon <= b.MaxLon && b.MinLon <= a.MaxLon
 }
 
-// Geocast delivers a message to every online peer inside the box — the
-// "information dissemination based on geographical information" of
-// GeoPeer (Araujo & Rodrigues, [2] in the paper). Routing descends the
-// zone tree like SearchBox, but the payload fans out supervisor→member
-// instead of members replying to the querier.
-func (t *Tree) Geocast(from *underlay.Host, box geo.Box, payloadBytes uint64) (int, SearchStats) {
-	var st SearchStats
-	reached := 0
-	var walk func(z *zone, chain sim.Duration)
-	walk = func(z *zone, chain sim.Duration) {
-		st.ZonesVisited++
-		if !boxesIntersect(z.box, box) {
-			return
-		}
-		hop := chain
-		if z.hasSuper && z.supervisor != from.ID {
-			st.Msgs++
-			sr := t.T.Send(from, t.U.Host(z.supervisor), payloadBytes, "geocast")
-			if !sr.OK {
-				return // payload lost: this subtree goes unreached
-			}
-			hop = chain + sr.Latency
-		}
-		if z.children == nil {
-			sup := t.U.Host(z.supervisor)
-			for _, id := range z.members {
-				h := t.U.Host(id)
-				if !h.Up || !box.Contains(t.pos(h)) {
-					continue
-				}
-				if id == z.supervisor || id == from.ID {
-					reached++ // already holds the payload
-					continue
-				}
-				st.Msgs++
-				sr := t.T.Send(sup, h, payloadBytes, "geocast")
-				if !sr.OK {
-					continue // member missed the fan-out
-				}
-				reached++
-				if d := hop + sr.Latency; d > st.Latency {
-					st.Latency = d
-				}
-			}
-			return
-		}
-		for _, c := range z.children {
-			walk(c, hop)
-		}
-	}
-	walk(t.root, 0)
-	return reached, st
-}
-
-// HealthStats feeds telemetry.Probe.ObserveHealth: shape gauges
+// HealthStats feeds telemetry.Recorder.ObserveHealth: shape gauges
 // of the zone tree (pure reads via a deterministic pre-order walk).
 //
 //   - peers: registered population

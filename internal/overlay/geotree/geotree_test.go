@@ -156,39 +156,3 @@ func TestNewPanicsOnBadConfig(t *testing.T) {
 	}()
 	New(nil, nil, Config{SplitThreshold: 1})
 }
-
-func TestGeocastReachesAreaPeers(t *testing.T) {
-	net, tr := buildTree(t, 10)
-	from := net.Hosts()[0]
-	box := geo.Box{MinLat: -40, MaxLat: 40, MinLon: -80, MaxLon: 80}
-	reached, st := tr.Geocast(from, box, 512)
-	// Ground truth.
-	want := 0
-	for _, h := range net.Hosts() {
-		if h.Up && box.Contains(geo.Coord{Lat: h.Lat, Lon: h.Lon}) {
-			want++
-		}
-	}
-	if reached != want {
-		t.Fatalf("geocast reached %d, want %d", reached, want)
-	}
-	if st.Msgs == 0 || st.Latency <= 0 {
-		t.Fatalf("no cost recorded: %+v", st)
-	}
-	// Message count stays near the recipient count (tree overhead only),
-	// far below a naive unicast-to-everyone broadcast.
-	if st.Msgs > want+3*st.ZonesVisited {
-		t.Fatalf("geocast used %d messages for %d recipients", st.Msgs, want)
-	}
-}
-
-func TestGeocastSkipsOffline(t *testing.T) {
-	net, tr := buildTree(t, 6)
-	for _, h := range net.Hosts() {
-		h.Up = false
-	}
-	reached, _ := tr.Geocast(net.Hosts()[0], geo.Box{MinLat: -90, MaxLat: 90, MinLon: -180, MaxLon: 180}, 100)
-	if reached != 0 {
-		t.Fatalf("geocast reached %d offline peers", reached)
-	}
-}

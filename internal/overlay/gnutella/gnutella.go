@@ -385,7 +385,7 @@ func (o *Overlay) send(kind string, from, to *underlay.Host, bytes uint64) trans
 	return o.T.Send(from, to, bytes, kind)
 }
 
-// HealthStats feeds telemetry.Probe.ObserveHealth: live gauges
+// HealthStats feeds telemetry.Recorder.ObserveHealth: live gauges
 // over the two-tier topology, computed by pure reads in join order so
 // sampling never perturbs a run.
 //

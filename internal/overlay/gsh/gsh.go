@@ -329,7 +329,7 @@ func (o *Overlay) ResetLoad() {
 	}
 }
 
-// HealthStats feeds telemetry.Probe.ObserveHealth: registry
+// HealthStats feeds telemetry.Recorder.ObserveHealth: registry
 // load balance across the hierarchy (pure reads, deterministic).
 //
 //   - peers: joined population

@@ -264,7 +264,7 @@ func (d *DHT) Bootstrap(seeds int) {
 	}
 }
 
-// HealthStats feeds telemetry.Probe.ObserveHealth: structural
+// HealthStats feeds telemetry.Recorder.ObserveHealth: structural
 // gauges the probe plane samples over simulated time. All values come
 // from pure reads in deterministic order (d.sorted, sorted contacts),
 // so sampling never perturbs a run.

@@ -320,7 +320,7 @@ func (m *Mesh) ParentCapacityMean() float64 {
 	return sum / float64(n)
 }
 
-// HealthStats feeds telemetry.Probe.ObserveHealth: playout
+// HealthStats feeds telemetry.Recorder.ObserveHealth: playout
 // quality gauges the probe plane samples per tick batch (pure reads over
 // the peer slice, deterministic).
 //

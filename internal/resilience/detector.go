@@ -267,7 +267,7 @@ func (d *Detector) evict(w *watch) {
 	}
 }
 
-// HealthStats feeds telemetry.Probe.ObserveHealth: the
+// HealthStats feeds telemetry.Recorder.ObserveHealth: the
 // detector's live state as probe-visible gauges, so `unapctl series`
 // renders suspicion/eviction waves and time-to-recover curves.
 //

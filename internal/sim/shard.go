@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 )
 
 // ShardedKernel is a deterministic lock-step parallel event kernel: peers
@@ -45,14 +44,13 @@ type ShardedKernel struct {
 	crossBatches uint64
 	late         uint64
 
-	stopped atomic.Bool
 	scratch []mergeEv
 
 	// OnBarrier, when non-nil, runs after every epoch barrier (merge
 	// complete, all shard goroutines quiescent) with the kernel's current
-	// time. This is the deterministic hook telemetry probes sample from:
-	// it is the only point during a run where reading cross-shard state
-	// is safe. The hook must be a pure observer or call Stop.
+	// time. This is the deterministic hook telemetry samples from: it is
+	// the only point during a run where reading cross-shard state is
+	// safe. The hook must be a pure observer.
 	OnBarrier func(now Time)
 
 	// MaxEvents, when non-zero, stops Run at the first barrier at which
@@ -135,10 +133,6 @@ func (sk *ShardedKernel) Processed() uint64 {
 	}
 	return n
 }
-
-// Stop makes Run return at the next epoch barrier. Safe to call from any
-// shard's callback or from the barrier hook.
-func (sk *ShardedKernel) Stop() { sk.stopped.Store(true) }
 
 // ShardStat is one shard's frozen statistics.
 type ShardStat struct {
@@ -268,18 +262,12 @@ func (sk *ShardedKernel) merge() {
 
 // Run executes events across all shards in lock-step epochs until every
 // queue empties (or holds only daemons in an unbounded run), simulated
-// time would exceed until, Stop is called, or MaxEvents is reached. It
-// returns the simulated end time, with the same horizon-jump semantics as
-// Kernel.Run.
+// time would exceed until, or MaxEvents is reached. It returns the
+// simulated end time, with the same horizon-jump semantics as Kernel.Run.
 func (sk *ShardedKernel) Run(until Time) Time {
-	sk.stopped.Store(false)
 	unbounded := until >= Forever
 	clamp := true
 	for {
-		if sk.stopped.Load() {
-			clamp = false
-			break
-		}
 		next := Forever
 		pending, daemons := 0, 0
 		for _, s := range sk.shards {

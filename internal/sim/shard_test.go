@@ -199,29 +199,3 @@ func TestShardedLateClamp(t *testing.T) {
 		t.Fatalf("cross-shard counters empty: %+v", s1)
 	}
 }
-
-// TestShardedStopAtBarrier checks Stop halts at the next epoch barrier.
-func TestShardedStopAtBarrier(t *testing.T) {
-	sk := NewSharded(2, 10)
-	var perShard [2]int // shard-owned counters; shared state would race
-	n := func() int { return perShard[0] + perShard[1] }
-	for i := 0; i < 100; i++ {
-		s := i % 2
-		sk.Shard(s).At(Duration(i), func() { perShard[s]++ })
-	}
-	sk.OnBarrier = func(now Time) {
-		if now >= 30 {
-			sk.Stop()
-		}
-	}
-	sk.Run(Forever)
-	if n() == 0 || n() == 100 {
-		t.Fatalf("Stop did not halt mid-run: %d events", n())
-	}
-	// Resuming finishes the rest.
-	sk.OnBarrier = nil
-	sk.Drain()
-	if n() != 100 {
-		t.Fatalf("resume processed %d of 100", n())
-	}
-}

@@ -287,32 +287,12 @@ func (k *Kernel) at(t Time, fn func(), daemon bool) Timer {
 	return Timer{k: k, e: e, gen: e.gen}
 }
 
-// Every schedules fn at now+period, then every period thereafter, until the
-// returned cancel function is called or the run ends.
-func (k *Kernel) Every(period Duration, fn func()) (cancel func()) {
-	if period <= 0 {
-		panic("sim: non-positive period")
-	}
-	stopped := false
-	var tick func()
-	tick = func() {
-		if stopped {
-			return
-		}
-		fn()
-		if !stopped {
-			k.Schedule(period, tick)
-		}
-	}
-	k.Schedule(period, tick)
-	return func() { stopped = true }
-}
-
-// EveryDaemon is Every with daemon scheduling (see AtDaemon): fn fires at
-// now+period and every period thereafter, but the recurring tick never
-// keeps an unbounded Run alive by itself. This is how the telemetry probe
-// samples a kernel at a fixed sim-time interval without turning Drain
-// into an infinite loop.
+// EveryDaemon schedules fn at now+period and every period thereafter,
+// until the returned cancel function is called, with daemon scheduling
+// (see AtDaemon): the recurring tick never keeps an unbounded Run alive
+// by itself. This is how a sampling telemetry Recorder samples a kernel
+// at a fixed sim-time interval without turning Drain into an infinite
+// loop.
 func (k *Kernel) EveryDaemon(period Duration, fn func()) (cancel func()) {
 	if period <= 0 {
 		panic("sim: non-positive period")

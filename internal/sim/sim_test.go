@@ -120,25 +120,6 @@ func TestTimerCancelAfterFire(t *testing.T) {
 	}
 }
 
-func TestEvery(t *testing.T) {
-	k := NewKernel()
-	n := 0
-	var cancel func()
-	cancel = k.Every(10, func() {
-		n++
-		if n == 5 {
-			cancel()
-		}
-	})
-	k.Run(1000)
-	if n != 5 {
-		t.Fatalf("ticks = %d, want 5", n)
-	}
-	if k.Now() != 1000 {
-		t.Fatalf("Now = %v, want horizon 1000", k.Now())
-	}
-}
-
 func TestStop(t *testing.T) {
 	k := NewKernel()
 	n := 0
@@ -153,7 +134,9 @@ func TestStop(t *testing.T) {
 func TestMaxEvents(t *testing.T) {
 	k := NewKernel()
 	k.MaxEvents = 10
-	k.Every(1, func() {})
+	var tick func()
+	tick = func() { k.Schedule(1, tick) }
+	k.Schedule(1, tick)
 	k.Run(Forever)
 	if k.Processed() != 10 {
 		t.Fatalf("processed = %d, want 10", k.Processed())

@@ -157,18 +157,7 @@ func (s *SkyEye) UpdateRound() Aggregate {
 	if total.Peers > 0 {
 		total.MeanScore /= float64(total.Peers)
 	}
-	// Store the normalized mean at the root for Stats().
-	s.root.agg = total
 	return total
-}
-
-// Stats returns the root's latest aggregate — the "oracle view". It
-// panics if no UpdateRound has run (coordinators have no data yet).
-func (s *SkyEye) Stats() Aggregate {
-	if !s.root.fresh {
-		panic("skyeye: Stats before any UpdateRound")
-	}
-	return s.root.agg
 }
 
 // FindCapable returns up to k peer IDs whose resource score is at least

@@ -65,16 +65,6 @@ func TestUpdateMessageCountLinear(t *testing.T) {
 	}
 }
 
-func TestStatsPanicsBeforeUpdate(t *testing.T) {
-	_, _, s := buildSkyEye(t, 4)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	s.Stats()
-}
-
 func TestFindCapable(t *testing.T) {
 	net, tab, s := buildSkyEye(t, 10)
 	s.UpdateRound()

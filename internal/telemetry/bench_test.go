@@ -10,11 +10,10 @@ import (
 
 // The Detached/Recorded pairs price attaching a Recorder to the transport
 // hot path in the mode every recording run uses: a JSONL sink (here over
-// io.Discard), so each message pays the Trace callback, the ring write and
-// its share of the encode when the ring drains. Run both benchmarks of a
-// pair with -benchmem and compare ns/op.
+// io.Discard), so each message pays the Trace callback and its encode.
+// Run both benchmarks of a pair with -benchmem and compare ns/op.
 
-// benchRecorder returns a sink-attached recorder with the default ring.
+// benchRecorder returns a sink-attached recorder.
 func benchRecorder() *Recorder {
 	return NewRecorder(Config{Sink: NewRunWriter(io.Discard)})
 }
@@ -77,9 +76,10 @@ func benchDeliver(b *testing.B, attach bool) {
 func BenchmarkTransportDeliverDetached(b *testing.B) { benchDeliver(b, false) }
 func BenchmarkTransportDeliverRecorded(b *testing.B) { benchDeliver(b, true) }
 
-// BenchmarkRecorderRecord isolates the cost of the ring write itself.
+// BenchmarkRecorderRecord isolates the recorder's own per-event cost —
+// the lock and the count — without the encode a sink adds.
 func BenchmarkRecorderRecord(b *testing.B) {
-	rec := NewRecorder(Config{Capacity: 1 << 12})
+	rec := NewRecorder(Config{})
 	e := Event{At: 1, Cat: CatTransport, Type: "bench", From: 0, To: 1, Bytes: 64, Latency: 1}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -88,17 +88,17 @@ func BenchmarkRecorderRecord(b *testing.B) {
 	}
 }
 
-// BenchmarkProbeSample measures one probe tick — a full metrics snapshot
-// plus health-source reads — over a realistically loaded recorder. This
-// is the probe plane's entire runtime cost: the Send/Deliver hot paths
-// are untouched (the probe adds no per-message work, compare the
+// BenchmarkProbeSample measures one sampling tick — a full metrics
+// snapshot plus health-source reads — over a realistically loaded
+// recorder. This is sampling's entire runtime cost: it adds no
+// per-message work to the Send/Deliver hot paths (compare the
 // Detached/Recorded pairs above), so total overhead is ticks × this.
 func BenchmarkProbeSample(b *testing.B) {
 	net, hosts := testNet(1)
 	k := sim.NewKernel()
 	tr := transport.New(net, k)
 	tr.MatrixFor("bench")
-	p := NewProbe(nil, ProbeConfig{Interval: 10, Retention: 256})
+	p := NewRecorder(Config{Interval: 10})
 	p.ObserveTransport(tr)
 	p.ObserveKernel(k)
 	p.ObserveHealth("overlay", func() map[string]float64 {

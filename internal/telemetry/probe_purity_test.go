@@ -1,10 +1,9 @@
-// Probe purity acceptance tests, the PR's headline invariant: a Probe is
-// a pure observer, like the Recorder it wraps. Attaching one — daemon
-// sampling ticks interleaving with the experiment's own events, health
-// callbacks reading live overlay state mid-run — must leave fixed-seed
-// results bit-identical, and two probed recordings of the same seed and
-// interval must produce byte-identical run files, sample records
-// included.
+// Sampling purity acceptance tests: a Recorder with sampling on is still
+// a pure observer. Daemon sampling ticks interleaving with the
+// experiment's own events and health callbacks reading live overlay
+// state mid-run must leave fixed-seed results bit-identical, and two
+// sampled recordings of the same seed and interval must produce
+// byte-identical run files, sample records included.
 package telemetry_test
 
 import (
@@ -18,23 +17,22 @@ import (
 	"unap2p/internal/telemetry"
 )
 
-func runProbed(t *testing.T, id string, scale float64, interval sim.Duration) (experiments.Result, *telemetry.Probe, []byte) {
+func runProbed(t *testing.T, id string, scale float64, interval sim.Duration) (experiments.Result, *telemetry.Recorder, []byte) {
 	t.Helper()
 	var buf bytes.Buffer
 	rec := telemetry.NewRecorder(telemetry.Config{
-		Capacity: 1 << 14,
 		Sink:     telemetry.NewRunWriter(&buf),
 		Manifest: telemetry.Manifest{Name: id, Experiment: id, Seed: 1, Scale: scale},
+		Interval: interval,
 	})
-	probe := telemetry.NewProbe(rec, telemetry.ProbeConfig{Interval: interval})
-	res, err := experiments.Run(id, experiments.RunConfig{Seed: 1, Scale: scale, Obs: probe})
+	res, err := experiments.Run(id, experiments.RunConfig{Seed: 1, Scale: scale, Obs: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return res, probe, buf.Bytes()
+	return res, rec, buf.Bytes()
 }
 
 func TestProbeIsPureObserver(t *testing.T) {

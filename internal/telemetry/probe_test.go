@@ -32,7 +32,7 @@ func TestSeriesRetention(t *testing.T) {
 }
 
 func TestProbeManualSampleHealthSources(t *testing.T) {
-	p := NewProbe(nil, ProbeConfig{})
+	p := NewRecorder(Config{Interval: 100 * sim.Millisecond})
 	p.ObserveHealth("ov", func() map[string]float64 {
 		return map[string]float64{"x": 1, "bad": math.NaN(), "worse": math.Inf(1)}
 	})
@@ -67,7 +67,7 @@ func TestProbeKernelTickSampling(t *testing.T) {
 	net, hosts := testNet(1)
 	k := sim.NewKernel()
 	tr := transport.New(net, k)
-	p := NewProbe(nil, ProbeConfig{Interval: 10})
+	p := NewRecorder(Config{Interval: 10})
 	p.ObserveTransport(tr)
 	p.ObserveKernel(k)
 	p.ObserveKernel(k) // idempotent: must not double the tick rate
@@ -138,10 +138,9 @@ func TestSampleRecordRoundTrip(t *testing.T) {
 
 func TestRecorderCountsSamplesInSummary(t *testing.T) {
 	var buf bytes.Buffer
-	rec := NewRecorder(Config{Sink: NewRunWriter(&buf), Manifest: Manifest{Name: "s"}})
-	p := NewProbe(rec, ProbeConfig{})
-	p.Sample()
-	p.Sample()
+	rec := NewRecorder(Config{Sink: NewRunWriter(&buf), Manifest: Manifest{Name: "s"}, Interval: 100 * sim.Millisecond})
+	rec.Sample()
+	rec.Sample()
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -154,6 +153,39 @@ func TestRecorderCountsSamplesInSummary(t *testing.T) {
 	}
 	if len(run.Samples) != 2 {
 		t.Fatalf("run file holds %d samples, want 2", len(run.Samples))
+	}
+}
+
+// TestRecorderSamplingOffByDefault pins the Interval-0 contract every
+// unsampled recording relies on: manual Sample and ObserveHealth calls
+// (which experiments make whenever the observer offers them) write no
+// sample record, so the run file stays what it was without sampling.
+func TestRecorderSamplingOffByDefault(t *testing.T) {
+	net, hosts := testNet(1)
+	k := sim.NewKernel()
+	tr := transport.New(net, k)
+	var buf bytes.Buffer
+	rec := NewRecorder(Config{Sink: NewRunWriter(&buf), Manifest: Manifest{Name: "off"}})
+	rec.ObserveTransport(tr)
+	rec.ObserveKernel(k)
+	rec.ObserveHealth("ov", func() map[string]float64 { return map[string]float64{"x": 1} })
+	k.At(250, func() { tr.Send(hosts[0], hosts[1], 100, "ping") })
+	k.Drain()
+	rec.Sample()
+	rec.Sample()
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), `"t":"sample"`) {
+		t.Fatal("an Interval-0 recorder wrote a sample record")
+	}
+	run, err := ReadRun(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.Summary.Samples != 0 || rec.Series().Len() != 0 || len(run.Events) != 1 {
+		t.Fatalf("summary samples %d, series %d, events %d; want 0, 0, 1",
+			run.Summary.Samples, rec.Series().Len(), len(run.Events))
 	}
 }
 

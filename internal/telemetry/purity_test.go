@@ -23,7 +23,6 @@ func runBothWays(t *testing.T, id string, scale float64) (bare, observed experim
 	}
 	var buf bytes.Buffer
 	rec = telemetry.NewRecorder(telemetry.Config{
-		Capacity: 1 << 14,
 		Sink:     telemetry.NewRunWriter(&buf),
 		Manifest: telemetry.Manifest{Name: id, Experiment: id, Seed: 1, Scale: scale},
 	})
@@ -70,7 +69,6 @@ func TestRecordedRunsAreReproducible(t *testing.T) {
 	record := func() []byte {
 		var buf bytes.Buffer
 		rec := telemetry.NewRecorder(telemetry.Config{
-			Capacity: 1 << 14,
 			Sink:     telemetry.NewRunWriter(&buf),
 			Manifest: telemetry.Manifest{Name: "repro", Experiment: "exp-pns-kademlia", Seed: 3, Scale: 1},
 		})

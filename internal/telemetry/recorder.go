@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"unap2p/internal/churn"
@@ -11,67 +12,72 @@ import (
 	"unap2p/internal/underlay"
 )
 
-// Config parameterizes a Recorder.
+// Config parameterizes a Recorder. The zero Config is usable: no sink,
+// empty manifest, sampling off.
 type Config struct {
-	// Capacity is the event ring size (default 4096). When the ring
-	// fills: with a Sink, the buffered events drain to it; without one,
-	// the oldest event is overwritten and counted in Summary.Overwritten.
-	Capacity int
-	// Sink, when non-nil, receives the manifest, every drained event, and
-	// the closing summary as a JSONL run file.
+	// Sink, when non-nil, receives the manifest, every event and sample
+	// as it is recorded, and the closing summary as a JSONL run file.
 	Sink *RunWriter
-	// Manifest identifies the run; it is written to the sink immediately
-	// and embedded in the in-memory Run.
+	// Manifest identifies the run; it is written to the sink immediately.
 	Manifest Manifest
+	// Interval, when positive, turns sampling on: every observed kernel
+	// gets a daemon tick at this sim-time period, and Sample and
+	// ObserveHealth take effect. 0 leaves sampling off, so the run file
+	// carries no sample records.
+	Interval sim.Duration
 }
 
-// Recorder is the telemetry event bus: a bounded ring of events fed by
-// the components it observes (transports, kernels, churn drivers,
-// mobility models), draining to a JSONL sink, with a metrics snapshot
-// taken at Close. Parameter sweeps may feed one recorder from several
-// goroutines: the shared ring is mutex-guarded. The recorder is strictly
-// a pure observer: attaching it changes no simulated result.
+// Recorder is the telemetry observer: it is fed by the components it
+// observes (transports, kernels, churn drivers, mobility models), writes
+// each event through to a JSONL sink as it happens, optionally samples
+// every metric and health source over simulated time, and takes a
+// metrics snapshot at Close. Parameter sweeps may feed one recorder from
+// several goroutines: every method is mutex-guarded (but see Sample).
+// The recorder is strictly a pure observer: every callback is a read,
+// sampling ticks never extend a run (see sim.AtDaemon), and attaching it
+// changes no simulated result.
 type Recorder struct {
 	mu sync.Mutex
 
-	ring  []Event
-	start int // index of oldest buffered event
-	n     int // events currently buffered
+	recorded uint64
+	samples  uint64
 
-	recorded    uint64
-	overwritten uint64
-	samples     uint64
-
-	sink    *RunWriter
-	sinkErr error
-
-	manifest Manifest
+	sink     *RunWriter
 	reg      *Registry
+	interval sim.Duration
+	series   *Series
 
 	transports []*transport.Transport
 	kernels    []*sim.Kernel
 	sharded    []*sim.ShardedKernel
 	churns     []*churn.Driver
 	mobilities []*mobility.Model
+	health     []healthSource
+	healthSeen map[string]int
+
+	latest  MetricsSnapshot
+	hasSnap bool
 
 	closed  bool
 	summary Summary
 }
 
-// NewRecorder returns a recorder; the zero Config is usable (in-memory
-// ring of 4096 events, no sink, empty manifest).
+type healthSource struct {
+	name string
+	fn   func() map[string]float64
+}
+
+// NewRecorder returns a recorder and writes cfg.Manifest to the sink.
 func NewRecorder(cfg Config) *Recorder {
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = 4096
-	}
 	r := &Recorder{
-		ring:     make([]Event, cfg.Capacity),
-		sink:     cfg.Sink,
-		manifest: cfg.Manifest,
-		reg:      NewRegistry(),
+		sink:       cfg.Sink,
+		reg:        NewRegistry(),
+		interval:   cfg.Interval,
+		series:     NewSeries(0),
+		healthSeen: make(map[string]int),
 	}
 	if r.sink != nil {
-		r.sinkErr = r.sink.WriteManifest(r.manifest)
+		r.sink.WriteManifest(cfg.Manifest) // a failure sticks in the writer; Close reports it
 	}
 	return r
 }
@@ -81,74 +87,25 @@ func NewRecorder(cfg Config) *Recorder {
 // to be included in the closing snapshot.
 func (r *Recorder) Registry() *Registry { return r.reg }
 
-// Record appends one event to the ring (draining or overwriting on
-// overflow, see Config.Capacity).
+// Series returns the in-memory store of the samples taken so far (the
+// most recent 4096; the run file receives every one).
+func (r *Recorder) Series() *Series { return r.series }
+
+// Record writes one event through to the sink, in record order; without
+// a sink it is only counted.
 func (r *Recorder) Record(e Event) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.closed {
-		r.mu.Unlock()
 		return
 	}
 	r.recorded++
-	if r.n == len(r.ring) {
-		if r.sink != nil {
-			r.drainLocked()
-		} else {
-			r.start = (r.start + 1) % len(r.ring)
-			r.n--
-			r.overwritten++
-		}
-	}
-	r.ring[(r.start+r.n)%len(r.ring)] = e
-	r.n++
-	r.mu.Unlock()
-}
-
-// drainLocked flushes all buffered events to the sink. Caller holds mu.
-func (r *Recorder) drainLocked() {
-	for i := 0; i < r.n; i++ {
-		e := r.ring[(r.start+i)%len(r.ring)]
-		if err := r.sink.WriteEvent(e); err != nil && r.sinkErr == nil {
-			r.sinkErr = err
-		}
-	}
-	r.start, r.n = 0, 0
-}
-
-// recordSample streams one probe sample into the run file, preserving
-// record order: buffered events drain to the sink first, so a sample
-// always sits after every event it could have observed. Sink-less
-// recorders just count it for the summary. Called by Probe.Sample.
-func (r *Recorder) recordSample(s Sample) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return
-	}
-	r.samples++
-	if r.sink == nil {
-		return
-	}
-	r.drainLocked()
-	if err := r.sink.WriteSample(s); err != nil && r.sinkErr == nil {
-		r.sinkErr = err
+	if r.sink != nil {
+		r.sink.WriteEvent(e)
 	}
 }
 
-// Events returns the currently buffered events, oldest first. With a
-// sink attached this is only the tail not yet drained.
-func (r *Recorder) Events() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Event, r.n)
-	for i := 0; i < r.n; i++ {
-		out[i] = r.ring[(r.start+i)%len(r.ring)]
-	}
-	return out
-}
-
-// Recorded reports the total events seen (including drained and
-// overwritten ones).
+// Recorded reports the total events seen.
 func (r *Recorder) Recorded() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -170,25 +127,35 @@ func (r *Recorder) ObserveTransport(t *transport.Transport) {
 }
 
 // ObserveKernel includes a kernel's run statistics (simulated end time,
-// events processed, queue high-water mark) in the closing summary.
+// events processed, queue high-water mark) in the closing summary and,
+// when sampling is on, starts the sampling tick: a daemon event every
+// Interval of that kernel's simulated time, which fires throughout
+// bounded runs but never keeps Drain alive on its own.
 func (r *Recorder) ObserveKernel(k *sim.Kernel) {
 	if k == nil {
 		return
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	for _, have := range r.kernels {
 		if have == k {
+			r.mu.Unlock()
 			return
 		}
 	}
 	r.kernels = append(r.kernels, k)
+	r.mu.Unlock()
+	if r.interval > 0 {
+		k.EveryDaemon(r.interval, r.Sample)
+	}
 }
 
 // ObserveShardedKernel includes a sharded kernel's run statistics in the
-// closing summary: aggregate epoch/cross-shard counters plus per-shard
+// closing summary — aggregate epoch/cross-shard counters plus per-shard
 // processed / max-queue / cross-bytes gauges, so run files and /metrics
-// show shard balance.
+// show shard balance — and its time in sample stamps. It installs no
+// sampling tick: in a sharded run, sampling is only safe at epoch
+// barriers, so the experiment wires the kernel's OnBarrier hook to
+// Sample (usually with a stride).
 func (r *Recorder) ObserveShardedKernel(sk *sim.ShardedKernel) {
 	if sk == nil {
 		return
@@ -204,7 +171,8 @@ func (r *Recorder) ObserveShardedKernel(sk *sim.ShardedKernel) {
 }
 
 // ObserveChurn attaches to a churn driver: every join/leave becomes a
-// CatChurn event and the final join/leave totals enter the summary.
+// CatChurn event, the final join/leave totals enter the summary, and
+// samples carry the driver's live population as health:churn:online.
 func (r *Recorder) ObserveChurn(d *churn.Driver) {
 	if d == nil {
 		return
@@ -246,6 +214,95 @@ func (r *Recorder) ObserveMobility(m *mobility.Model) {
 			Detail: fmt.Sprintf("as%d→as%d", from.AS.ID, to.AS.ID),
 		})
 	}
+}
+
+// ObserveHealth registers a health source sampled at every tick as
+// "health:<name>:<key>" gauges; a no-op when sampling is off.
+// Registering the same name again auto-suffixes it (name, name2, …), so
+// an experiment that builds the same overlay per variant keeps the
+// curves separable. The parameter is a plain func so packages that must
+// not import telemetry (notably internal/experiments) can feed it
+// through a structural interface check. stats must return the same keys
+// on every call and compute its values by pure reads in deterministic
+// order: the recorder samples it mid-run, and a sampled run must stay
+// bit-identical to an unsampled one.
+func (r *Recorder) ObserveHealth(name string, stats func() map[string]float64) {
+	if stats == nil || r.interval <= 0 {
+		return
+	}
+	r.mu.Lock()
+	n := r.healthSeen[name]
+	r.healthSeen[name] = n + 1
+	r.health = append(r.health, healthSource{name: prefixed(name, n), fn: stats})
+	r.mu.Unlock()
+}
+
+// Sample takes one sample immediately — the full metrics snapshot
+// flattened to scalars, every health source, and each churn driver's
+// live population — appends it to the Series and writes it through to
+// the sink; a no-op when sampling is off. Kernel ticks call it
+// automatically; experiments without a kernel call it at round
+// boundaries. It must run on the goroutine driving the simulation, since
+// the snapshot reads the observed transports' unsynchronised accounting:
+// a sampling recorder must not be shared across concurrent sweep workers.
+func (r *Recorder) Sample() {
+	if r.interval <= 0 {
+		return
+	}
+	snap := r.Snapshot()
+
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.latest, r.hasSnap = snap, true
+	if r.closed {
+		return
+	}
+	values := snap.Flatten()
+	for _, h := range r.health {
+		for k, v := range h.fn() {
+			values["health:"+h.name+":"+k] = v
+		}
+	}
+	for i, d := range r.churns {
+		values["health:"+prefixed("churn", i)+":online"] = float64(d.Online())
+	}
+	for k, v := range values {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			delete(values, k)
+		}
+	}
+	smp := Sample{Seq: r.samples, At: r.nowLocked(), Values: values}
+	r.samples++
+	r.series.add(smp)
+	if r.sink != nil {
+		r.sink.WriteSample(smp)
+	}
+}
+
+// LatestSnapshot returns the metrics snapshot cached by the most recent
+// sample (empty before the first tick). Unlike Snapshot it is safe to
+// call from any goroutine at any time — this is the source Serve renders
+// /metrics from while the simulation is still running.
+func (r *Recorder) LatestSnapshot() MetricsSnapshot {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.hasSnap {
+		return newMetricsSnapshot()
+	}
+	return r.latest
+}
+
+// nowLocked is the latest simulated time across observed kernels.
+// Caller holds mu.
+func (r *Recorder) nowLocked() sim.Time {
+	var now sim.Time
+	for _, k := range r.kernels {
+		now = max(now, k.Now())
+	}
+	for _, sk := range r.sharded {
+		now = max(now, sk.Now())
+	}
+	return now
 }
 
 // prefixed returns name for i==0 and name<i+1> after — "transport",
@@ -324,36 +381,17 @@ func (r *Recorder) Snapshot() MetricsSnapshot {
 	return s
 }
 
-// Close drains the ring, takes the final metrics snapshot, writes the
-// summary to the sink (when present), and returns the first sink error
-// encountered. Further Record calls are ignored. Close is idempotent.
+// Close takes the final metrics snapshot, writes the summary to the sink
+// (when present) and flushes it, and returns the first sink error
+// encountered. Further Record and Sample calls are ignored. Close is
+// idempotent.
 func (r *Recorder) Close() error {
 	r.mu.Lock()
 	if r.closed {
-		err := r.sinkErr
 		r.mu.Unlock()
-		return err
+		return r.sinkErr()
 	}
-	if r.sink != nil {
-		r.drainLocked()
-	}
-	var finished sim.Time
-	for _, k := range r.kernels {
-		if now := k.Now(); now > finished {
-			finished = now
-		}
-	}
-	for _, sk := range r.sharded {
-		if now := sk.Now(); now > finished {
-			finished = now
-		}
-	}
-	r.summary = Summary{
-		FinishedAt:  finished,
-		Events:      r.recorded,
-		Overwritten: r.overwritten,
-		Samples:     r.samples,
-	}
+	r.summary = Summary{FinishedAt: r.nowLocked(), Events: r.recorded, Samples: r.samples}
 	r.closed = true
 	r.mu.Unlock()
 
@@ -364,14 +402,18 @@ func (r *Recorder) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.sink != nil {
-		if err := r.sink.WriteSummary(r.summary); err != nil && r.sinkErr == nil {
-			r.sinkErr = err
-		}
-		if err := r.sink.Flush(); err != nil && r.sinkErr == nil {
-			r.sinkErr = err
-		}
+		r.sink.WriteSummary(r.summary)
+		r.sink.Flush()
 	}
-	return r.sinkErr
+	return r.sinkErr()
+}
+
+// sinkErr is the sink's sticky first write error (nil without a sink).
+func (r *Recorder) sinkErr() error {
+	if r.sink == nil {
+		return nil
+	}
+	return r.sink.Err()
 }
 
 // Summary returns the closing summary; valid after Close.

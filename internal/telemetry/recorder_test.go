@@ -26,18 +26,37 @@ func testNet(seed int64) (*underlay.Network, []*underlay.Host) {
 	return net, hosts
 }
 
+// sinkRecorder returns a recorder writing to an in-memory run file, and a
+// func that closes it and reads the events back.
+func sinkRecorder(t *testing.T) (*Recorder, func() []Event) {
+	t.Helper()
+	var buf bytes.Buffer
+	rec := NewRecorder(Config{Sink: NewRunWriter(&buf)})
+	return rec, func() []Event {
+		t.Helper()
+		if err := rec.Close(); err != nil {
+			t.Fatal(err)
+		}
+		run, err := ReadRun(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return run.Events
+	}
+}
+
 func TestRecorderObserveTransport(t *testing.T) {
 	net, hosts := testNet(1)
 	k := sim.NewKernel()
 	tr := transport.New(net, k)
-	rec := NewRecorder(Config{Capacity: 16})
+	rec, events := sinkRecorder(t)
 	rec.ObserveTransport(tr)
 	rec.ObserveKernel(k)
 
 	tr.Send(hosts[0], hosts[1], 100, "ping")
 	tr.Send(hosts[1], hosts[0], 40, "pong")
 
-	evs := rec.Events()
+	evs := events()
 	if len(evs) != 2 {
 		t.Fatalf("recorded %d events, want 2", len(evs))
 	}
@@ -68,7 +87,7 @@ func TestRecorderChainsExistingTrace(t *testing.T) {
 	tr := transport.Over(net)
 	var prior int
 	tr.Trace = func(transport.Event) { prior++ }
-	rec := NewRecorder(Config{Capacity: 8})
+	rec := NewRecorder(Config{})
 	rec.ObserveTransport(tr)
 	tr.Send(hosts[0], hosts[1], 10, "x")
 	if prior != 1 {
@@ -76,61 +95,6 @@ func TestRecorderChainsExistingTrace(t *testing.T) {
 	}
 	if got := rec.Recorded(); got != 1 {
 		t.Fatalf("recorder saw %d events, want 1", got)
-	}
-}
-
-func TestRecorderRingOverwritesWithoutSink(t *testing.T) {
-	rec := NewRecorder(Config{Capacity: 4})
-	for i := 0; i < 10; i++ {
-		rec.Record(Event{At: sim.Time(i), Cat: "test", Type: "e", From: -1, To: -1})
-	}
-	evs := rec.Events()
-	if len(evs) != 4 {
-		t.Fatalf("ring holds %d events, want 4", len(evs))
-	}
-	// Oldest six were overwritten; the survivors are 6..9 in order.
-	for i, e := range evs {
-		if e.At != sim.Time(6+i) {
-			t.Fatalf("event %d at %v, want %v", i, e.At, sim.Time(6+i))
-		}
-	}
-	rec.Close()
-	sum := rec.Summary()
-	if sum.Events != 10 || sum.Overwritten != 6 {
-		t.Fatalf("summary = %+v, want 10 events / 6 overwritten", sum)
-	}
-}
-
-func TestRecorderDrainsToSinkOnOverflow(t *testing.T) {
-	var buf bytes.Buffer
-	rec := NewRecorder(Config{
-		Capacity: 4,
-		Sink:     NewRunWriter(&buf),
-		Manifest: Manifest{Name: "overflow-test", Seed: 7, Scale: 1},
-	})
-	for i := 0; i < 10; i++ {
-		rec.Record(Event{At: sim.Time(i), Cat: "test", Type: "e", From: -1, To: -1})
-	}
-	if err := rec.Close(); err != nil {
-		t.Fatal(err)
-	}
-	run, err := ReadRun(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(run.Events) != 10 {
-		t.Fatalf("sink got %d events, want all 10", len(run.Events))
-	}
-	for i, e := range run.Events {
-		if e.At != sim.Time(i) {
-			t.Fatalf("event %d out of order: %+v", i, e)
-		}
-	}
-	if run.Manifest.Name != "overflow-test" || run.Manifest.Seed != 7 {
-		t.Fatalf("manifest mangled: %+v", run.Manifest)
-	}
-	if !run.HasSummary || run.Summary.Events != 10 || run.Summary.Overwritten != 0 {
-		t.Fatalf("summary = %+v", run.Summary)
 	}
 }
 
@@ -145,14 +109,14 @@ func TestRecorderObserveChurn(t *testing.T) {
 	}
 	var external int
 	drv.Trace = func(*underlay.Host, bool) { external++ }
-	rec := NewRecorder(Config{Capacity: 1024})
+	rec, events := sinkRecorder(t)
 	rec.ObserveChurn(drv)
 	rec.ObserveKernel(k)
 	drv.Start(hosts)
 	k.Run(20 * sim.Second)
 
 	joins, leaves := 0, 0
-	for _, e := range rec.Events() {
+	for _, e := range events() {
 		switch {
 		case e.Cat == CatChurn && e.Type == "join":
 			joins++
@@ -178,10 +142,11 @@ func TestRecorderObserveChurn(t *testing.T) {
 	}
 }
 
-// TestRecorderSinklessEventsInArrivalOrder drives a transport and a churn
-// driver on one kernel under a sink-less recorder: Events() must replay
-// them in the order they happened, transport and churn interleaved.
-func TestRecorderSinklessEventsInArrivalOrder(t *testing.T) {
+// TestRecorderWritesEventsInArrivalOrder drives a transport and a churn
+// driver on one kernel: the run file must replay their events in the
+// order they happened, transport and churn interleaved, and the summary
+// must count every one.
+func TestRecorderWritesEventsInArrivalOrder(t *testing.T) {
 	net, hosts := testNet(3)
 	k := sim.NewKernel()
 	tr := transport.New(net, k)
@@ -190,7 +155,8 @@ func TestRecorderSinklessEventsInArrivalOrder(t *testing.T) {
 		Model:  churn.Exponential{MeanOn: 2 * sim.Second, MeanOff: 1 * sim.Second},
 		Rand:   sim.NewSource(3).Stream("churn"),
 	}
-	rec := NewRecorder(Config{Capacity: 4096})
+	var buf bytes.Buffer
+	rec := NewRecorder(Config{Sink: NewRunWriter(&buf), Manifest: Manifest{Name: "order", Seed: 3}})
 	rec.ObserveTransport(tr)
 	rec.ObserveChurn(drv)
 	drv.Start(hosts)
@@ -201,8 +167,19 @@ func TestRecorderSinklessEventsInArrivalOrder(t *testing.T) {
 		})
 	}
 	k.Run(20 * sim.Second)
+	recorded := rec.Recorded()
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	run, err := ReadRun(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.Manifest.Name != "order" || run.Manifest.Seed != 3 {
+		t.Fatalf("manifest mangled: %+v", run.Manifest)
+	}
 
-	evs := rec.Events()
+	evs := run.Events
 	var transports, churns, switches int
 	for i, e := range evs {
 		if i > 0 && e.At < evs[i-1].At {
@@ -226,6 +203,9 @@ func TestRecorderSinklessEventsInArrivalOrder(t *testing.T) {
 	if switches < 4 {
 		t.Fatalf("categories changed %d times across %d events; want them interleaved", switches, len(evs))
 	}
+	if !run.HasSummary || run.Summary.Events != recorded || uint64(len(evs)) != recorded {
+		t.Fatalf("summary counts %d events, file holds %d, recorder saw %d", run.Summary.Events, len(evs), recorded)
+	}
 }
 
 func TestRecorderObserveMobility(t *testing.T) {
@@ -244,7 +224,7 @@ func TestRecorderObserveMobility(t *testing.T) {
 		})
 	}
 	model := mobility.NewModel(k, src.Stream("mob"), points, 2*sim.Second)
-	rec := NewRecorder(Config{Capacity: 1024})
+	rec, events := sinkRecorder(t)
 	rec.ObserveMobility(model)
 	model.Attach(hosts[0], 0)
 	model.Track(hosts[0])
@@ -253,7 +233,7 @@ func TestRecorderObserveMobility(t *testing.T) {
 	if model.Moves == 0 {
 		t.Fatal("no moves happened; test is vacuous")
 	}
-	evs := rec.Events()
+	evs := events()
 	if uint64(len(evs)) != model.Moves {
 		t.Fatalf("%d move events, want %d", len(evs), model.Moves)
 	}
@@ -268,7 +248,7 @@ func TestRecorderObserveMobility(t *testing.T) {
 }
 
 func TestRecorderCloseIdempotentAndFreezes(t *testing.T) {
-	rec := NewRecorder(Config{Capacity: 4})
+	rec := NewRecorder(Config{})
 	rec.Record(Event{Cat: "test", Type: "a", From: -1, To: -1})
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)

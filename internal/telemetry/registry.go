@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
@@ -28,12 +27,6 @@ func newMetricsSnapshot() MetricsSnapshot {
 		Histograms: map[string]metrics.HistogramSnapshot{},
 		Matrices:   map[string]metrics.MatrixSnapshot{},
 	}
-}
-
-// JSON renders the snapshot as indented, key-sorted JSON (encoding/json
-// sorts map keys, so output is deterministic).
-func (s MetricsSnapshot) JSON() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
 }
 
 // Flatten reduces the snapshot to scalar name → value pairs: counters and

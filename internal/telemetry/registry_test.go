@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -71,26 +70,5 @@ func TestPrometheusText(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("prometheus text missing %q\n%s", want, text)
 		}
-	}
-}
-
-func TestSnapshotJSONDeterministic(t *testing.T) {
-	s := newMetricsSnapshot()
-	s.Counters["b"] = 2
-	s.Counters["a"] = 1
-	j1, err := s.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2, _ := s.JSON()
-	if string(j1) != string(j2) {
-		t.Fatal("JSON export is not deterministic")
-	}
-	var back MetricsSnapshot
-	if err := json.Unmarshal(j1, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Counters["a"] != 1 || back.Counters["b"] != 2 {
-		t.Fatalf("JSON round trip failed: %+v", back)
 	}
 }

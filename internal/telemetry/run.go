@@ -14,15 +14,14 @@ import (
 //
 //	{"t":"manifest","manifest":{…}}   exactly once, first line
 //	{"t":"event","event":{…}}         zero or more, in record order
-//	{"t":"sample","sample":{…}}       zero or more, probe ticks in order
+//	{"t":"sample","sample":{…}}       zero or more, sampling ticks in order
 //	{"t":"summary","summary":{…}}     exactly once, last line
 //
-// The format is append-only and stream-writable (the Recorder drains its
-// ring here), deterministic (no wall-clock state), and self-describing
-// (readers skip record types they don't know). Sample records interleave
-// with events in capture order: the Recorder drains buffered events
-// before writing each sample, so a sample sits after every event it
-// could have observed.
+// The format is append-only and stream-writable (the Recorder writes
+// each record through as it happens), deterministic (no wall-clock
+// state), and self-describing (readers skip record types they don't
+// know). Sample records interleave with events in capture order, so a
+// sample sits after every event it could have observed.
 type lineRecord struct {
 	T        string    `json:"t"`
 	Manifest *Manifest `json:"manifest,omitempty"`
@@ -40,6 +39,11 @@ type RunWriter struct {
 	bw  *bufio.Writer
 	enc *json.Encoder
 	err error
+	// rec and ev are reused by every write, so the per-event hot path
+	// neither boxes a fresh record into Encode's interface nor lets its
+	// Event escape to the heap.
+	rec lineRecord
+	ev  Event
 }
 
 // NewRunWriter returns a writer streaming to w.
@@ -52,7 +56,8 @@ func (w *RunWriter) encode(rec lineRecord) error {
 	if w.err != nil {
 		return w.err
 	}
-	if err := w.enc.Encode(rec); err != nil {
+	w.rec = rec
+	if err := w.enc.Encode(&w.rec); err != nil {
 		w.err = err
 	}
 	return w.err
@@ -65,10 +70,11 @@ func (w *RunWriter) WriteManifest(m Manifest) error {
 
 // WriteEvent writes one event record.
 func (w *RunWriter) WriteEvent(e Event) error {
-	return w.encode(lineRecord{T: "event", Event: &e})
+	w.ev = e
+	return w.encode(lineRecord{T: "event", Event: &w.ev})
 }
 
-// WriteSample writes one probe sample record.
+// WriteSample writes one sample record.
 func (w *RunWriter) WriteSample(s Sample) error {
 	return w.encode(lineRecord{T: "sample", Sample: &s})
 }
@@ -98,8 +104,8 @@ func (w *RunWriter) Err() error { return w.err }
 type Run struct {
 	Manifest Manifest
 	Events   []Event
-	// Samples holds the probe ticks in capture order (empty unless a
-	// Probe was attached to the recording).
+	// Samples holds the sampling ticks in capture order (empty unless
+	// the recording sampled, Config.Interval > 0).
 	Samples []Sample
 	Summary Summary
 	// HasSummary reports whether a summary record was present (a run cut

@@ -39,7 +39,6 @@ func TestRunWriterStickyError(t *testing.T) {
 func TestRecorderCloseSurfacesSinkError(t *testing.T) {
 	boom := errors.New("disk full")
 	rec := NewRecorder(Config{
-		Capacity: 4,
 		Sink:     NewRunWriter(&failWriter{err: boom}),
 		Manifest: Manifest{Name: "doomed"},
 	})

@@ -30,7 +30,7 @@ type Server struct {
 // Serve starts an HTTP server on addr (e.g. "127.0.0.1:0" or ":0" for an
 // ephemeral port — Addr reports what was actually bound). Every /metrics
 // request renders src() with MetricsSnapshot.PrometheusText; pass a
-// Probe's LatestSnapshot for a probe-cached live view, or a
+// sampling Recorder's LatestSnapshot for a live view, or a
 // Registry.Snapshot for a direct one (safe now that the metrics
 // accumulators tolerate concurrent readers). A nil src serves an empty
 // snapshot — pprof-only mode. The server runs on its own goroutine;

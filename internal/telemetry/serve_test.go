@@ -31,7 +31,7 @@ func TestServeMetricsAndPprof(t *testing.T) {
 	net, hosts := testNet(1)
 	k := sim.NewKernel()
 	tr := transport.New(net, k)
-	p := NewProbe(nil, ProbeConfig{Interval: 10})
+	p := NewRecorder(Config{Interval: 10})
 	p.ObserveTransport(tr)
 	p.ObserveKernel(k)
 

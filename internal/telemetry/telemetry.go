@@ -1,27 +1,30 @@
 // Package telemetry is the observability subsystem of unap2p: run
-// recording, metrics export, and time-series probes over simulated time.
+// recording, metrics export, and time series over simulated time.
 //
 // The paper's §3.2 and Table 2 insist that the *cost* of underlay
 // awareness — probe traffic, oracle load, coordinate maintenance — be
-// measured, not assumed. PR 1/2 put the meters in place (transport
-// counters and histograms, selector overhead counters); this package
-// makes them persistent and comparable:
+// measured, not assumed. This package makes the transport counters,
+// histograms and traffic matrices persistent and comparable:
 //
-//   - Recorder — a bounded-ring event bus fed by transport traces and
-//     churn/mobility transitions, draining to a JSONL run file
-//     together with a run Manifest (experiment, seed, scale)
-//     and a closing metrics Summary (counter / histogram / traffic-matrix
-//     snapshots, kernel statistics).
+//   - Recorder — the one observer. Transports, kernels, churn drivers
+//     and mobility models attach to it; it writes each event through to
+//     a JSONL run file, opened by a run Manifest (experiment, seed,
+//     scale) and closed by a metrics Summary (counter / histogram /
+//     traffic-matrix snapshots, kernel statistics). With a positive
+//     Config.Interval it also samples every metric and registered
+//     overlay health source over simulated time, into "sample" records
+//     and an in-memory Series.
 //   - Registry / MetricsSnapshot — freeze metrics.CounterSet, Histogram,
 //     and TrafficMatrix into JSON and Prometheus text-format exports.
 //
 // Telemetry is strictly opt-in and a pure observer: it draws no
 // randomness, perturbs no schedule, and mutates nothing it watches, so
 // fixed-seed experiment results are bit-identical with or without a
-// Recorder attached (asserted by TestRecorderIsPureObserver).
+// Recorder attached (asserted by TestRecorderIsPureObserver and
+// TestProbeIsPureObserver).
 //
-// The run-file format and the `unapctl record / report / diff` workflow
-// are documented in EXPERIMENTS.md.
+// The run-file format and the `unapctl record / report / diff / series`
+// workflow are documented in EXPERIMENTS.md.
 package telemetry
 
 import (
@@ -98,12 +101,10 @@ type Manifest struct {
 type Summary struct {
 	// FinishedAt is the latest simulated time across observed kernels.
 	FinishedAt sim.Time `json:"finished_at"`
-	// Events counts events recorded; Overwritten counts those lost to
-	// ring overflow (always 0 when a sink is attached).
-	Events      uint64 `json:"events"`
-	Overwritten uint64 `json:"overwritten,omitempty"`
-	// Samples counts probe ticks recorded (0 when no Probe was
-	// attached, and then omitted so probe-less run files are unchanged).
+	// Events counts events recorded.
+	Events uint64 `json:"events"`
+	// Samples counts sampling ticks recorded (0 when sampling was off,
+	// and then omitted so unsampled run files are unchanged).
 	Samples uint64 `json:"samples,omitempty"`
 	// Metrics is the end-of-run snapshot of everything observed.
 	Metrics MetricsSnapshot `json:"metrics"`
