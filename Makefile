@@ -35,10 +35,10 @@ vet:
 deadcode:
 	$(GO) run ./cmd/unapctl deadcode
 
-# golden is the output byte-identity gate: it builds underlaysim and
-# unapctl, writes `underlaysim -all -seed 1 -scale 0.25` stdout and the
-# `unapctl record -exp exp-intra-as -seed 1 -scale 0.5` run file with
-# and without `-probe 50` into GOLDEN_DIR, and checks their sha256
+# golden is the output byte-identity gate: it builds unapctl, writes
+# `unapctl run -all -seed 1 -scale 0.25` stdout and the `unapctl run
+# -exp exp-intra-as -seed 1 -scale 0.5 -o` run file with and without
+# `-probe 50` into GOLDEN_DIR, and checks their sha256
 # against testdata/golden.sha256. A change that means to alter output
 # regenerates that file (`sha256sum underlaysim-all.txt intra-as.jsonl
 # intra-as-probe50.jsonl` in GOLDEN_DIR) and says why; anything else that
@@ -47,11 +47,10 @@ deadcode:
 GOLDEN_DIR ?= .golden
 golden:
 	@mkdir -p $(GOLDEN_DIR)
-	$(GO) build -o $(GOLDEN_DIR)/underlaysim ./cmd/underlaysim
 	$(GO) build -o $(GOLDEN_DIR)/unapctl ./cmd/unapctl
-	cd $(GOLDEN_DIR) && ./underlaysim -all -seed 1 -scale 0.25 > underlaysim-all.txt
-	cd $(GOLDEN_DIR) && ./unapctl record -exp exp-intra-as -seed 1 -scale 0.5 -o intra-as.jsonl > /dev/null
-	cd $(GOLDEN_DIR) && ./unapctl record -exp exp-intra-as -seed 1 -scale 0.5 -probe 50 -o intra-as-probe50.jsonl > /dev/null
+	cd $(GOLDEN_DIR) && ./unapctl run -all -seed 1 -scale 0.25 > underlaysim-all.txt
+	cd $(GOLDEN_DIR) && ./unapctl run -exp exp-intra-as -seed 1 -scale 0.5 -o intra-as.jsonl > /dev/null
+	cd $(GOLDEN_DIR) && ./unapctl run -exp exp-intra-as -seed 1 -scale 0.5 -probe 50 -o intra-as-probe50.jsonl > /dev/null
 	cd $(GOLDEN_DIR) && sha256sum -c $(CURDIR)/testdata/golden.sha256
 
 build:
@@ -173,7 +172,7 @@ live-chaos:
 # gnutella) at K=1 and K=4, under the race detector. Catches
 # shard-ownership violations that the small unit tests are too sparse
 # to provoke. MEGASMOKE_PEERS scales it up (the full 1M-peer study is
-# `unapctl record -exp exp-megascale -param peers=1000000 -param overlay=all`).
+# `unapctl run -exp exp-megascale -param peers=1000000 -param overlay=all`).
 MEGASMOKE_PEERS ?= 50000
 megascale-smoke:
 	UNAP_MEGASMOKE_PEERS=$(MEGASMOKE_PEERS) \
@@ -185,5 +184,5 @@ megascale-smoke:
 # series, and the quickest way to see what the probe plane produces.
 SERIES_RUN ?= /tmp/unap2p-series-demo.jsonl
 series-demo:
-	$(GO) run ./cmd/unapctl record -exp exp-intra-as -scale 0.5 -probe 50 -o $(SERIES_RUN)
+	$(GO) run ./cmd/unapctl run -exp exp-intra-as -scale 0.5 -probe 50 -o $(SERIES_RUN)
 	$(GO) run ./cmd/unapctl series -metric 'health:*' $(SERIES_RUN)

@@ -2,7 +2,7 @@
 // the primary-source artifacts it reprints). Each benchmark regenerates
 // the artifact at a reduced scale and reports the headline quantity as a
 // custom metric, so `go test -bench=. -benchmem` doubles as a full
-// reproduction sweep. Run `go run ./cmd/underlaysim -all` for the
+// reproduction sweep. Run `go run ./cmd/unapctl run -all` for the
 // full-scale tables.
 package unap2p_test
 

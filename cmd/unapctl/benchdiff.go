@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 )
 
 // benchDoc is the on-disk shape bench-import writes.
@@ -65,12 +64,7 @@ func cmdBenchDiff(args []string) (int, error) {
 		return 0, err
 	}
 
-	names := make([]string, 0, len(base))
-	for n := range base {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-
+	names := sortedKeys(base)
 	var deltas []benchDelta
 	onlyBase, onlyCur := []string{}, []string{}
 	for _, n := range names {
@@ -116,12 +110,11 @@ func cmdBenchDiff(args []string) (int, error) {
 			}
 		}
 	}
-	for n := range cur {
+	for _, n := range sortedKeys(cur) {
 		if _, ok := base[n]; !ok {
 			onlyCur = append(onlyCur, n)
 		}
 	}
-	sort.Strings(onlyCur)
 
 	regressions := 0
 	for _, d := range deltas {

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -40,10 +39,7 @@ func cmdBenchImport(args []string) error {
 	if len(results) == 0 {
 		return fmt.Errorf("bench-import: no benchmark lines on stdin")
 	}
-	doc := struct {
-		Benchmarks map[string]BenchResult `json:"benchmarks"`
-	}{Benchmarks: results}
-	data, err := json.MarshalIndent(doc, "", "  ")
+	data, err := json.MarshalIndent(benchDoc{Benchmarks: results}, "", "  ")
 	if err != nil {
 		return err
 	}
@@ -55,12 +51,7 @@ func cmdBenchImport(args []string) error {
 	if err := os.WriteFile(*out, data, 0o644); err != nil {
 		return err
 	}
-	names := make([]string, 0, len(results))
-	for n := range results {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	fmt.Fprintf(os.Stderr, "bench-import: %d benchmarks -> %s\n", len(names), *out)
+	fmt.Fprintf(os.Stderr, "bench-import: %d benchmarks -> %s\n", len(results), *out)
 	return nil
 }
 

@@ -1,17 +1,9 @@
-// Command unapctl manages telemetry runs: it records experiments into
-// run files, summarizes them, and diffs two runs as a seed-to-seed
-// regression detector. It also hosts the repository's own gates: the
-// benchmark snapshot tools and the reachability pass.
-//
-// Usage:
-//
-//	unapctl record -exp <id> [-seed N] [-scale S] [-param name=value]... [-o run.jsonl] [-prom metrics.txt] [-probe MS] [-serve addr]
-//	unapctl report <run.jsonl>
-//	unapctl diff [-threshold 0.02] <a.jsonl> <b.jsonl>
-//	unapctl series [-metric glob] [-csv] <run.jsonl>
-//	unapctl bench-import [-o BENCH.json]        (go test -bench output on stdin)
-//	unapctl bench-diff [-threshold 0.15] <baseline.json> <current.json>
-//	unapctl deadcode [module-root]
+// Command unapctl is the simulator's front door: it runs the paper's
+// experiments (printing their tables and, on request, recording run
+// files), inspects the simulated underlays, summarizes run files, and
+// diffs two runs as a seed-to-seed regression detector. It also hosts
+// the repository's own gates: the benchmark snapshot tools and the
+// reachability pass. `unapctl help` lists every command with its flags.
 //
 // Exit codes: 0 success (for diff: no delta beyond threshold), 1 diff
 // found deltas beyond the threshold, deadcode found an un-triaged symbol
@@ -19,14 +11,13 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"sort"
 	"strings"
 
-	"unap2p/internal/experiments"
-	"unap2p/internal/sim"
 	"unap2p/internal/telemetry"
 )
 
@@ -37,8 +28,10 @@ func main() {
 	}
 	var err error
 	switch os.Args[1] {
-	case "record":
-		err = cmdRecord(os.Args[2:])
+	case "run":
+		err = cmdRun(os.Args[2:], os.Stdout)
+	case "topo":
+		err = cmdTopo(os.Args[2:], os.Stdout)
 	case "report":
 		err = cmdReport(os.Args[2:])
 	case "diff":
@@ -73,20 +66,35 @@ func main() {
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "unapctl:", err)
+		if errors.As(err, new(usageError)) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }
 
-func usage() {
-	fmt.Fprint(os.Stderr, `unapctl — telemetry run management for unap2p
+// usageError is a command-line mistake: main exits 2 on it, as the flag
+// package does on a flag it cannot parse.
+type usageError struct{ error }
 
-  unapctl record -exp <id> [-seed N] [-scale S] [-param name=value]... [-o run.jsonl] [-prom metrics.txt] [-probe MS] [-serve addr]
-      run an experiment with a telemetry Recorder attached and write a
-      run file (manifest + JSONL events + closing metrics snapshot);
-      -probe samples every metric and overlay health source every MS
-      simulated milliseconds (sample records in the run file, for
-      'series'; 0, the default, is off);
+func usagef(format string, args ...any) error {
+	return usageError{fmt.Errorf(format, args...)}
+}
+
+func usage() {
+	fmt.Fprint(os.Stderr, `unapctl — the unap2p simulator's command line
+
+  unapctl run -list | -all | -exp <id> [-seed N] [-scale S] [-seeds N] [-json] [-param name=value]... [-o run.jsonl] [-prom metrics.txt] [-probe MS] [-serve addr]
+      regenerate the paper's tables and figures: print each result table
+      (or JSON document) to stdout; -seeds N sweeps N seeds in parallel;
+      -o records a run file (manifest + JSONL events + closing metrics
+      snapshot) of one experiment and seed; -probe samples every metric
+      and health source every MS simulated ms (0, the default, is off);
       -serve exposes live /metrics + /debug/pprof/ while it runs
+
+  unapctl topo [-kind transit-stub|ring|star|tree|mesh|ba|waxman] [-n N] [-stubs N] [-transits N] [-hosts N] [-seed N] [-dot]
+      generate a simulated underlay and print its summary, links and
+      sample AS paths, or a Graphviz DOT rendering with -dot
 
   unapctl report <run.jsonl>
       summarize a run file: manifest, event counts, headline metrics
@@ -115,77 +123,6 @@ func usage() {
       <module-root>/deadcode.keep; exits 1 if one has no verdict or a
       verdict names a symbol that is not dead
 `)
-}
-
-// cmdRecord runs one experiment with a Recorder attached and writes the
-// run file. The experiment's result table goes to stdout, exactly as
-// underlaysim would print it — telemetry observes, it does not replace
-// reporting.
-func cmdRecord(args []string) error {
-	fs := flag.NewFlagSet("record", flag.ExitOnError)
-	var (
-		exp     = fs.String("exp", "", "experiment id (see underlaysim -list)")
-		seed    = fs.Int64("seed", 1, "random seed")
-		scale   = fs.Float64("scale", 1.0, "workload scale factor")
-		out     = fs.String("o", "run.jsonl", "run file to write")
-		prom    = fs.String("prom", "", "also write the metrics snapshot in Prometheus text format")
-		probeMS = fs.Float64("probe", 0, "sample every N simulated ms (0 = off)")
-		serveOn = fs.String("serve", "", "serve live /metrics and /debug/pprof/ on this address while recording (implies -probe 100 unless set)")
-	)
-	params := paramFlag{}
-	fs.Var(params, "param", "experiment parameter as name=value (repeatable)")
-	fs.Parse(args)
-	if *exp == "" {
-		return fmt.Errorf("record: -exp is required")
-	}
-	if *serveOn != "" && *probeMS <= 0 {
-		*probeMS = 100 // live /metrics needs sampling to refresh the snapshot
-	}
-
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-
-	rec := telemetry.NewRecorder(telemetry.Config{
-		Sink: telemetry.NewRunWriter(f),
-		Manifest: telemetry.Manifest{
-			Name:       *exp,
-			Experiment: *exp,
-			Seed:       *seed,
-			Scale:      *scale,
-			Params:     params,
-		},
-		Interval: sim.Duration(*probeMS),
-	})
-	cfg := experiments.RunConfig{Seed: *seed, Scale: *scale, Obs: rec, Params: params}
-	if *serveOn != "" {
-		srv, err := telemetry.Serve(*serveOn, rec.LatestSnapshot)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "serving /metrics and /debug/pprof/ on http://%s\n", srv.Addr())
-	}
-	res, err := experiments.Run(*exp, cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Print(res.Render())
-	if err := rec.Close(); err != nil {
-		return fmt.Errorf("record: %w", err)
-	}
-	sum := rec.Summary()
-	fmt.Fprintf(os.Stderr, "recorded %d events, %d samples, %d metrics to %s\n",
-		sum.Events, sum.Samples, len(sum.Metrics.Flatten()), *out)
-
-	if *prom != "" {
-		if err := os.WriteFile(*prom, []byte(sum.Metrics.PrometheusText()), 0o644); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // cmdReport summarizes one run file.
@@ -246,7 +183,7 @@ func cmdDiff(args []string) (int, error) {
 func printReport(run *telemetry.Run, top int) {
 	m := run.Manifest
 	fmt.Printf("run: %s  (experiment %s, seed %d, scale %g)\n", m.Name, m.Experiment, m.Seed, m.Scale)
-	for _, k := range sortedParamKeys(m.Params) {
+	for _, k := range sortedKeys(m.Params) {
 		fmt.Printf("  param %s=%s\n", k, m.Params[k])
 	}
 	byCat := map[string]int{}
@@ -259,7 +196,7 @@ func printReport(run *telemetry.Run, top int) {
 			run.Summary.Events, run.Summary.FinishedAt)
 	}
 	fmt.Println()
-	for _, k := range sortedParamKeys(byCat) {
+	for _, k := range sortedKeys(byCat) {
 		fmt.Printf("  %-32s %d\n", k, byCat[k])
 	}
 	if !run.HasSummary {
@@ -267,7 +204,7 @@ func printReport(run *telemetry.Run, top int) {
 		return
 	}
 	flat := run.Summary.Metrics.Flatten()
-	names := sortedParamKeys(flat)
+	names := sortedKeys(flat)
 	fmt.Printf("metrics: %d\n", len(names))
 	shown := 0
 	for _, n := range names {
@@ -283,13 +220,7 @@ func printReport(run *telemetry.Run, top int) {
 // paramFlag collects repeatable -param name=value experiment knobs.
 type paramFlag map[string]string
 
-func (p paramFlag) String() string {
-	parts := make([]string, 0, len(p))
-	for _, k := range sortedParamKeys(p) {
-		parts = append(parts, k+"="+p[k])
-	}
-	return fmt.Sprint(parts)
-}
+func (p paramFlag) String() string { return fmt.Sprint(map[string]string(p)) }
 
 func (p paramFlag) Set(s string) error {
 	name, value, ok := strings.Cut(s, "=")
@@ -300,7 +231,7 @@ func (p paramFlag) Set(s string) error {
 	return nil
 }
 
-func sortedParamKeys[V any](m map[string]V) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

@@ -61,7 +61,7 @@ func cmdSeries(args []string) error {
 	fmt.Println()
 	hidden := 0
 	for _, m := range metrics {
-		vals := seriesValues(run.Samples, m)
+		vals := telemetry.SampleValues(run.Samples, m)
 		first, last, lo, hi, varies := seriesSpan(vals)
 		if !varies && !*constant {
 			hidden++
@@ -99,18 +99,6 @@ func writeSeriesCSV(samples []telemetry.Sample, metrics []string) error {
 	}
 	w.Flush()
 	return w.Error()
-}
-
-func seriesValues(samples []telemetry.Sample, metric string) []float64 {
-	out := make([]float64, len(samples))
-	for i, s := range samples {
-		if v, ok := s.Values[metric]; ok {
-			out[i] = v
-		} else {
-			out[i] = math.NaN()
-		}
-	}
-	return out
 }
 
 // seriesSpan summarizes a series: first/last/min/max over the finite

@@ -52,6 +52,12 @@ func main() {
 		chaosSeed  = flag.Int64("chaos-seed", 1, "per-cluster seed for the chaos loss streams")
 	)
 	flag.Parse()
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := checkFlags(set, *lookups); err != nil {
+		fmt.Fprintln(os.Stderr, "error:", err)
+		os.Exit(2)
+	}
 
 	cfg := livenode.Config{
 		ID:           underlay.HostID(*id),
@@ -147,6 +153,26 @@ func main() {
 
 	sig := <-sigc
 	fmt.Printf("unapnode id=%d shutting down (%v)\n", *id, sig)
+}
+
+// checkFlags rejects the flag combinations main would silently ignore:
+// set holds the names of the flags given on the command line, lookups
+// the -lookups value.
+func checkFlags(set map[string]bool, lookups int) error {
+	for _, name := range []string{"oneshot", "relookup", "expect"} {
+		if set[name] && lookups <= 0 {
+			return fmt.Errorf("-%s needs -lookups N with N > 0", name)
+		}
+	}
+	if set["oneshot"] && set["relookup"] {
+		return fmt.Errorf("-oneshot exits before -relookup can run")
+	}
+	for _, name := range []string{"chaos-epoch", "chaos-ases", "chaos-seed"} {
+		if set[name] && !set["chaos"] {
+			return fmt.Errorf("-%s needs -chaos", name)
+		}
+	}
+	return nil
 }
 
 // awaitMembers blocks until the address book holds want members (or

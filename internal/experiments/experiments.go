@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper
 // (and of the primary sources it reprints). Each experiment is a named
 // Runner producing a Result — a text table plus notes recording the
-// paper's reference values — so that `underlaysim -exp <id>` and the
+// paper's reference values — so that `unapctl run -exp <id>` and the
 // benchmark harness print the same artifacts the paper reports.
 package experiments
 
@@ -55,7 +55,7 @@ type RunConfig struct {
 	// to the pre-telemetry code path.
 	Obs Observer
 	// Params carries optional per-experiment string parameters
-	// (unapctl record -param name=value). Experiments read them through
+	// (unapctl run -param name=value). Experiments read them through
 	// param/paramInt; unknown keys are ignored. An absent map is
 	// equivalent to an empty one, so existing fixed-seed runs are
 	// untouched.

@@ -1,8 +1,8 @@
 // exp-megascale: the sharded-kernel scaling study. A compact overlay —
 // Kademlia, Chord, or Gnutella, all ports of the megascale.CompactOverlay
 // contract — runs its workload under churn at a sweep of population
-// sizes on a K-shard lock-step kernel, reporting a peers-vs-wall-clock/
-// RSS scaling curve. This is the experiment that demonstrates the
+// sizes on a K-shard lock-step kernel, reporting a peers-vs-simulated-
+// cost scaling curve. This is the experiment that demonstrates the
 // megascale headroom ROADMAP items 2–5 build on — D-P2P-Sim+ (PAPERS.md)
 // exists because single-threaded P2P simulators cap out near testlab
 // scale; the sharded kernel removes that cap while keeping runs
@@ -13,11 +13,7 @@ package experiments
 
 import (
 	"fmt"
-	"os"
-	"runtime"
-	"strconv"
 	"strings"
-	"time"
 
 	"unap2p/internal/megascale"
 	"unap2p/internal/overlay/chord"
@@ -31,7 +27,7 @@ import (
 
 func init() {
 	register("exp-megascale",
-		"Sharded-kernel scaling — compact overlay (kademlia|chord|gnutella) under churn, peers vs wall-clock/RSS",
+		"Sharded-kernel scaling — compact overlay (kademlia|chord|gnutella) under churn, peers vs events/exactness",
 		runMegascale)
 }
 
@@ -50,19 +46,15 @@ type megascalePoint struct {
 	successRate float64
 	meanHops    float64
 	simEnd      sim.Time
-	wall        time.Duration
-	peakRSSMB   float64
 }
 
 // runMegascale sweeps population sizes up to Params["peers"] (default
 // 20000×Scale) over Params["shards"] shards (default 4) for each overlay
 // named by Params["overlay"] (kademlia, chord, gnutella, a comma list,
-// or "all"; default kademlia) and reports the scaling curve.
-// Determinism: everything in the run file is a pure function of (seed,
-// peers, shards, overlay) — wall-clock and RSS appear only in the stdout
-// table unless Params["wallclock"]=1 explicitly opts the
-// (nondeterministic) scaling health source into the run file for
-// `unapctl series` rendering.
+// or "all"; default kademlia) and reports the scaling curve. Everything
+// it reports is a pure function of (seed, peers, shards, overlay); the
+// wall-clock and peak-RSS cost of a population is measured by the bench
+// mega workloads, each in a process of its own.
 func runMegascale(cfg RunConfig) Result {
 	var notes []string
 	maxPeers := cfg.paramInt("peers", cfg.scaled(20000), &notes)
@@ -73,7 +65,6 @@ func runMegascale(cfg RunConfig) Result {
 	if shards < 1 {
 		shards = 1
 	}
-	wallInRunFile := cfg.param("wallclock", "") == "1"
 
 	ovParam := cfg.param("overlay", "kademlia")
 	var overlays []string
@@ -102,29 +93,9 @@ func runMegascale(cfg RunConfig) Result {
 	}
 
 	var points []megascalePoint
-	// scaling health source: the most recent point, sampled once per
-	// point boundary when wallclock is opted in.
-	if wallInRunFile {
-		cfg.observeHealth("scaling", func() map[string]float64 {
-			if len(points) == 0 {
-				return map[string]float64{}
-			}
-			p := points[len(points)-1]
-			return map[string]float64{
-				"peers":   float64(p.peers),
-				"wall_ms": float64(p.wall.Milliseconds()),
-				"rss_mb":  p.peakRSSMB,
-			}
-		})
-	}
-
 	for _, name := range overlays {
 		for _, n := range sizes {
-			pt := runMegascalePoint(cfg, name, n, shards)
-			points = append(points, pt)
-			if wallInRunFile {
-				cfg.sampleObs()
-			}
+			points = append(points, runMegascalePoint(cfg, name, n, shards))
 		}
 	}
 
@@ -132,29 +103,20 @@ func runMegascale(cfg RunConfig) Result {
 		ID:    "exp-megascale",
 		Title: fmt.Sprintf("sharded-kernel scaling, K=%d shards, overlay=%s", shards, strings.Join(overlays, "+")),
 		Headers: []string{"overlay", "peers", "events", "epochs", "xbytes", "late",
-			"lookups", "exact", "hops", "sim_end", "wall", "peak_rss"},
+			"lookups", "exact", "hops", "sim_end"},
 		Notes: notes,
 	}
 	for _, p := range points {
-		// Wall-clock and RSS are measured, not simulated: they vary
-		// run-to-run, so they only appear when -param wallclock=1 opts
-		// out of the byte-identical-output guarantee.
-		wall, rss := "-", "-"
-		if wallInRunFile {
-			wall = p.wall.Round(time.Millisecond).String()
-			rss = fmt.Sprintf("%.0fMB", p.peakRSSMB)
-		}
 		res.Rows = append(res.Rows, []string{
 			p.overlay,
 			di(p.peers), d(p.events), d(p.epochs), d(p.crossBytes), d(p.lateEvents),
 			d(p.lookups), pct(p.successRate), f2(p.meanHops),
-			fmt.Sprintf("%.0fms", float64(p.simEnd)), wall, rss,
+			fmt.Sprintf("%.0fms", float64(p.simEnd)),
 		})
 	}
 	res.Notes = append(res.Notes,
 		"runs are byte-identical per (seed, shards, overlay); K=1 reproduces the single-kernel schedule bit-for-bit",
 		"exact = ground-truth success: globally XOR-closest (kademlia), exact ring predecessor (chord), query hit (gnutella)",
-		"pass -param wallclock=1 to include measured wall/RSS (and the scaling health source in the run file)",
 	)
 	for _, name := range overlays {
 		var last megascalePoint
@@ -194,7 +156,6 @@ func buildMegascaleOverlay(name string, snet *transport.ShardedNet, seed uint64)
 // runMegascalePoint builds and runs one (overlay, population) point end
 // to end.
 func runMegascalePoint(cfg RunConfig, overlay string, peers, shards int) megascalePoint {
-	start := time.Now()
 	src := sim.NewSource(cfg.Seed).Fork("megascale")
 	seed := uint64(cfg.Seed)*0x9e3779b97f4a7c15 + uint64(peers)
 
@@ -309,27 +270,5 @@ func runMegascalePoint(cfg RunConfig, overlay string, peers, shards int) megasca
 		successRate: ls.SuccessRate(),
 		meanHops:    ls.MeanHops(),
 		simEnd:      end,
-		wall:        time.Since(start),
-		peakRSSMB:   peakRSSMB(),
 	}
-}
-
-// peakRSSMB reads the process's peak resident set (VmHWM) from
-// /proc/self/status, falling back to the Go runtime's Sys figure.
-func peakRSSMB() float64 {
-	if b, err := os.ReadFile("/proc/self/status"); err == nil {
-		for _, line := range strings.Split(string(b), "\n") {
-			if strings.HasPrefix(line, "VmHWM:") {
-				f := strings.Fields(line)
-				if len(f) >= 2 {
-					if kb, err := strconv.ParseFloat(f[1], 64); err == nil {
-						return kb / 1024
-					}
-				}
-			}
-		}
-	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return float64(ms.Sys) / (1 << 20)
 }

@@ -23,8 +23,6 @@ const (
 	mcExact
 	mcHops
 	mcSimEnd
-	mcWall
-	mcRSS
 )
 
 // TestMegascaleShape runs the scaling sweep at toy size and checks the
@@ -55,10 +53,6 @@ func TestMegascaleShape(t *testing.T) {
 	// Lookups on the largest point mostly find the exact closest peer.
 	if cell(t, r.Rows[2][mcExact]) < 80 {
 		t.Fatalf("exact rate %s%% too low under churn", r.Rows[2][mcExact])
-	}
-	// Default run hides measured wall/RSS for determinism.
-	if r.Rows[0][mcWall] != "-" || r.Rows[0][mcRSS] != "-" {
-		t.Fatalf("wall/rss should be gated, got %q/%q", r.Rows[0][mcWall], r.Rows[0][mcRSS])
 	}
 }
 
@@ -151,22 +145,6 @@ func TestMegascaleOverlayAxis(t *testing.T) {
 	r2 := mustRun(t, "exp-megascale", cfg2)
 	if len(r2.Rows) != 3 || r2.Rows[0][mcOverlay] != "chord" {
 		t.Fatalf("overlay=chord run malformed: %+v", r2.Rows)
-	}
-}
-
-// TestMegascaleWallclockOptIn checks -param wallclock=1 surfaces the
-// measured columns.
-func TestMegascaleWallclockOptIn(t *testing.T) {
-	cfg := megaCfg("800", "2")
-	cfg.Params["wallclock"] = "1"
-	r := mustRun(t, "exp-megascale", cfg)
-	for _, row := range r.Rows {
-		if row[mcWall] == "-" || row[mcRSS] == "-" {
-			t.Fatalf("wallclock=1 should emit measured columns, got %q/%q", row[mcWall], row[mcRSS])
-		}
-		if !strings.HasSuffix(row[mcRSS], "MB") {
-			t.Fatalf("rss cell %q not in MB", row[mcRSS])
-		}
 	}
 }
 

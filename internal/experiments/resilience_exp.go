@@ -21,7 +21,7 @@ func init() {
 // loss burst at [500, 1500) ms and a three-peer crash wave at 2 s —
 // against a Kademlia DHT wired to the failure detector, and reports the
 // per-victim detection timeline plus the lookup success rate before
-// and after the faults. Recorded with sampling on (`unapctl record -probe`),
+// and after the faults. Recorded with sampling on (`unapctl run -probe`),
 // the detector and overlay health curves become the time-to-recover
 // series EXPERIMENTS.md plots.
 func runResilience(cfg RunConfig) Result {

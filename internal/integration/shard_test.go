@@ -15,9 +15,9 @@ import (
 )
 
 // recordMegascale runs exp-megascale for one overlay with a sampling
-// telemetry recorder attached — the same wiring as `unapctl record
-// -probe 100` — and
-// returns the full run file bytes plus the rendered result table.
+// telemetry recorder attached — the same wiring as `unapctl run -o
+// -probe 100` — and returns the full run file bytes plus the rendered
+// result table.
 func recordMegascale(t *testing.T, seed int64, peers, shards int, overlay string) ([]byte, *experiments.Result) {
 	t.Helper()
 	params := map[string]string{

@@ -198,9 +198,9 @@ func TestSampleMetricsSortedUnion(t *testing.T) {
 	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Fatalf("SampleMetrics = %v, want [a b]", got)
 	}
-	vals := sampleValues(samples, "a")
+	vals := SampleValues(samples, "a")
 	if !math.IsNaN(vals[0]) || vals[1] != 2 {
-		t.Fatalf("sampleValues(a) = %v, want [NaN 2]", vals)
+		t.Fatalf("SampleValues(a) = %v, want [NaN 2]", vals)
 	}
 }
 

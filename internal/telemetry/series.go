@@ -95,11 +95,11 @@ func (s *Series) Last() (Sample, bool) {
 func (s *Series) Values(metric string) []float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return sampleValues(s.samples, metric)
+	return SampleValues(s.samples, metric)
 }
 
-// sampleValues extracts metric across samples, NaN where absent.
-func sampleValues(samples []Sample, metric string) []float64 {
+// SampleValues extracts metric across samples, NaN where absent.
+func SampleValues(samples []Sample, metric string) []float64 {
 	out := make([]float64, len(samples))
 	for i, s := range samples {
 		if v, ok := s.Values[metric]; ok {

@@ -12,9 +12,9 @@ import (
 // Server exposes live observability endpoints for a running simulation or
 // a live unapnode daemon: Prometheus metrics text at /metrics and the
 // net/http/pprof suite under /debug/pprof/. It exists for multi-minute
-// sweeps, long underlaysim runs, and real-socket clusters, where "how far
-// along is it and where is the CPU going" should not require waiting for
-// the closing summary.
+// sweeps, long `unapctl run` sessions, and real-socket clusters, where
+// "how far along is it and where is the CPU going" should not require
+// waiting for the closing summary.
 type Server struct {
 	ln  net.Listener
 	srv *http.Server

@@ -23,7 +23,7 @@
 // Recorder attached (asserted by TestRecorderIsPureObserver and
 // TestProbeIsPureObserver).
 //
-// The run-file format and the `unapctl record / report / diff / series`
+// The run-file format and the `unapctl run -o / report / diff / series`
 // workflow are documented in EXPERIMENTS.md.
 package telemetry
 

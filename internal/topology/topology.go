@@ -242,12 +242,12 @@ func BarabasiAlbert(n, m int, cfg Config) *underlay.Network {
 				chosen[t] = true
 			}
 		}
-		for t := range chosen {
-			net.ConnectPeering(ases[v], ases[t], cfg.linkDelay())
-		}
-		// Update the attachment list deterministically (sorted keys).
+		// Link and update the attachment list in sorted key order: map
+		// order would make the link order (and the delay draws) vary
+		// between runs of the same seed.
 		for t := 0; t < n; t++ {
 			if chosen[t] {
+				net.ConnectPeering(ases[v], ases[t], cfg.linkDelay())
 				targets = append(targets, v, t)
 			}
 		}

@@ -140,6 +140,16 @@ func TestBarabasiAlbert(t *testing.T) {
 	if float64(maxDeg) < 2*mean {
 		t.Fatalf("BA max degree %d not hub-like vs mean %.1f", maxDeg, mean)
 	}
+	// Same seed, same links in the same order.
+	for i := 0; i < 5; i++ {
+		cfg.Rand = sim.NewSource(3).Stream("ba")
+		again := BarabasiAlbert(30, 2, cfg).Links()
+		for j, l := range net.Links() {
+			if a := again[j]; a.A.ID != l.A.ID || a.B.ID != l.B.ID || a.DelayAB != l.DelayAB {
+				t.Fatalf("rebuild %d: link %d is %d-%d, want %d-%d", i, j, a.A.ID, a.B.ID, l.A.ID, l.B.ID)
+			}
+		}
+	}
 }
 
 func TestWaxman(t *testing.T) {
