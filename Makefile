@@ -113,9 +113,11 @@ cover:
 
 # chaos runs the self-healing suite: every overlay under the standard
 # seeded fault campaign (loss burst + crash wave) with a live failure
-# detector, three pinned seeds each run twice, asserting invariants and
-# byte-identical run files — race-enabled, since detector, injector,
-# and overlay repair all share the kernel.
+# detector, three pinned seeds each run twice, asserting invariants,
+# byte-identical run files, and each run file's sha256 against
+# internal/integration/testdata/runfiles.sha256 (linux/amd64; on a
+# mismatch the test prints the complete replacement file) — race-enabled,
+# since detector, injector, and overlay repair all share the kernel.
 chaos:
 	$(GO) test -race -run 'TestChaos' -v ./internal/integration/
 

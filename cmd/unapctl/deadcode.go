@@ -36,6 +36,8 @@ type deadcode struct {
 	syms         map[types.Object]*symbol
 	roots        []ast.Node
 	ifaces       map[*types.Interface]bool // what a method can be called through
+	called       map[*types.Func]bool      // module interface methods reached code calls
+	liveTypes    []*types.TypeName         // in the order they became live
 }
 
 func (d *deadcode) Import(path string) (*types.Package, error) {
@@ -118,12 +120,25 @@ func (d *deadcode) walk(node ast.Node) {
 }
 
 // reach makes obj live, and with it what its declaration mentions. A
-// type takes along the methods it answers interface calls with: those
-// of every interface it implements that the module names, or that a
-// package the module imports declares (sort.Interface, fmt.Stringer, …).
+// type takes along the methods it answers interface calls with: every
+// method of an interface declared outside the module that it implements
+// (sort.Interface, fmt.Stringer, …), since code there may call any of
+// them, but of a module interface only the methods reached code calls
+// through it. Calling such a method the first time re-checks the types
+// already live.
 func (d *deadcode) reach(obj types.Object) {
 	if f, ok := obj.(*types.Func); ok {
-		obj = f.Origin() // a generic's method, not its instantiation
+		f = f.Origin() // a generic's method, not its instantiation
+		if recv := f.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) && d.inModule(f) {
+			if !d.called[f] {
+				d.called[f] = true
+				for _, tn := range d.liveTypes {
+					d.dispatch(tn, f)
+				}
+			}
+			return
+		}
+		obj = f
 	}
 	s := d.syms[obj]
 	if s == nil || s.live {
@@ -132,14 +147,33 @@ func (d *deadcode) reach(obj types.Object) {
 	s.live = true
 	d.walk(s.node)
 	tn, ok := obj.(*types.TypeName)
+	if !ok {
+		return
+	}
+	d.liveTypes = append(d.liveTypes, tn)
 	for i := range d.ifaces {
-		if ok && (types.Implements(tn.Type(), i) || types.Implements(types.NewPointer(tn.Type()), i)) {
-			for m := 0; m < i.NumMethods(); m++ {
-				f, _, _ := types.LookupFieldOrMethod(tn.Type(), true, tn.Pkg(), i.Method(m).Name())
-				d.reach(f)
+		for m := 0; m < i.NumMethods(); m++ {
+			if f := i.Method(m); !d.inModule(f) || d.called[f] {
+				d.dispatch(tn, f)
 			}
 		}
 	}
+}
+
+// dispatch reaches tn's implementation of interface method f, if tn or
+// *tn implements the interface f belongs to.
+func (d *deadcode) dispatch(tn *types.TypeName, f *types.Func) {
+	i := f.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+	if types.Implements(tn.Type(), i) || types.Implements(types.NewPointer(tn.Type()), i) {
+		m, _, _ := types.LookupFieldOrMethod(tn.Type(), true, tn.Pkg(), f.Name())
+		d.reach(m)
+	}
+}
+
+// inModule reports whether f is declared in the module.
+func (d *deadcode) inModule(f *types.Func) bool {
+	p := f.Pkg()
+	return p != nil && (p.Path() == d.module || strings.HasPrefix(p.Path(), d.module+"/"))
 }
 
 // cmdDeadcode prints every symbol of the module under args[0] (default
@@ -159,7 +193,8 @@ func cmdDeadcode(args []string, w io.Writer) (int, error) {
 	fset := token.NewFileSet()
 	d := &deadcode{fset: fset, root: root, module: fields[1], std: importer.ForCompiler(fset, "source", nil),
 		info: types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
-		pkgs: map[string]*types.Package{}, syms: map[types.Object]*symbol{}, ifaces: map[*types.Interface]bool{}}
+		pkgs: map[string]*types.Package{}, syms: map[types.Object]*symbol{}, ifaces: map[*types.Interface]bool{},
+		called: map[*types.Func]bool{}}
 	err = filepath.WalkDir(root, func(path string, e fs.DirEntry, err error) error {
 		if n := e.Name(); err == nil && e.IsDir() && path != root && (n[0] == '.' || n[0] == '_' || n == "testdata") {
 			return filepath.SkipDir

@@ -9,14 +9,42 @@ import (
 )
 
 // TestDeadcodeFixture runs the pass over a three-file module: main prints
-// what Live returns; only the test file calls TestOnly and Kept; Kept has
-// a verdict.
+// what Live returns; Live calls Area, but not Perimeter, through the
+// module's Shape interface; only the test file calls TestOnly and Kept;
+// Kept has a verdict.
 func TestDeadcodeFixture(t *testing.T) {
 	root := t.TempDir()
 	for name, src := range map[string]string{
-		"go.mod":        "module fixture\n\ngo 1.22\n",
-		"main.go":       "package main\n\nimport (\n\t\"fmt\"\n\n\t\"fixture/lib\"\n)\n\nfunc main() { fmt.Println(lib.Live()) }\n",
-		"lib/lib.go":    "package lib\n\ntype T int\n\nfunc (T) String() string { return \"\" }\n\nfunc (T) Unused() {}\n\nfunc Live() T { return 0 }\n\nfunc TestOnly() {}\n\nfunc Kept() {}\n",
+		"go.mod":  "module fixture\n\ngo 1.22\n",
+		"main.go": "package main\n\nimport (\n\t\"fmt\"\n\n\t\"fixture/lib\"\n)\n\nfunc main() { fmt.Println(lib.Live()) }\n",
+		"lib/lib.go": `package lib
+
+type T int
+
+func (T) String() string { return "" }
+
+func (T) Unused() {}
+
+type Shape interface {
+	Area() int
+	Perimeter() int
+}
+
+type Sq int
+
+func (Sq) Area() int { return 1 }
+
+func (Sq) Perimeter() int { return 4 }
+
+func Live() T {
+	var s Shape = Sq(1)
+	return T(s.Area())
+}
+
+func TestOnly() {}
+
+func Kept() {}
+`,
 		"lib/l_test.go": "package lib\n\nimport \"testing\"\n\nfunc TestAll(t *testing.T) { TestOnly(); Kept() }\n",
 	} {
 		path := filepath.Join(root, name)
@@ -41,25 +69,27 @@ func TestDeadcodeFixture(t *testing.T) {
 	}
 
 	// Live is reachable, and so is the String method of the type it
-	// returns (the module imports fmt, whose Stringer T implements);
-	// T.Unused, TestOnly and Kept are not, and only Kept is triaged.
+	// returns (the module imports fmt, whose Stringer T implements) and
+	// Sq.Area, which Live calls through Shape. Sq.Perimeter, which nothing
+	// calls through Shape, T.Unused, TestOnly and Kept are not, and only
+	// Kept is triaged.
 	bad, out := run("# verdicts\nlib.Kept\ttest-seam\tfixture\n")
-	if bad != 2 {
-		t.Fatalf("%d problems, want 2 (lib.T.Unused, lib.TestOnly):\n%s", bad, out)
+	if bad != 3 {
+		t.Fatalf("%d problems, want 3 (lib.Sq.Perimeter, lib.T.Unused, lib.TestOnly):\n%s", bad, out)
 	}
-	for _, want := range []string{"lib.Kept ", "test-seam", "lib.TestOnly ", "lib.T.Unused ", "UNTRIAGED", "3 symbols"} {
+	for _, want := range []string{"lib.Kept ", "test-seam", "lib.TestOnly ", "lib.T.Unused ", "lib.Sq.Perimeter ", "UNTRIAGED", "4 symbols"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output lacks %q:\n%s", want, out)
 		}
 	}
-	for _, live := range []string{"lib.Live", "lib.T.String", "main.main"} {
+	for _, live := range []string{"lib.Live", "lib.T.String", "lib.Sq.Area", "lib.Shape ", "main.main"} {
 		if strings.Contains(out, live) {
 			t.Fatalf("%s reported dead:\n%s", live, out)
 		}
 	}
 
 	// Everything triaged: clean. A verdict for a live symbol: stale.
-	all := "lib.Kept\ttest-seam\tfixture\nlib.TestOnly\tdelete\tfixture\nlib.T.Unused\tdelete\tfixture\n"
+	all := "lib.Kept\ttest-seam\tfixture\nlib.TestOnly\tdelete\tfixture\nlib.T.Unused\tdelete\tfixture\nlib.Sq.Perimeter\tdelete\tfixture\n"
 	if bad, out := run(all); bad != 0 {
 		t.Fatalf("fully triaged fixture reports %d problems:\n%s", bad, out)
 	}

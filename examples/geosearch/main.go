@@ -24,7 +24,7 @@ func main() {
 
 	// Every peer registers in the tree under its GPS fix, supplied by the
 	// geolocation selector (§3.3).
-	tree := geotree.New(transport.Over(net), core.GeoSelector{}, geotree.DefaultConfig())
+	tree := geotree.New(transport.Over(net), core.GeoSelector{})
 	for _, h := range hosts {
 		tree.Insert(h)
 	}

@@ -28,11 +28,10 @@ func main() {
 		topology.PlaceHosts(net, 14, false, 1, 5, src.Stream("place"))
 		table := resources.GenerateAll(net, src.Stream("res"))
 
-		cfg := streaming.DefaultConfig()
 		// The resource selector supplies viewer upload capacities; with
 		// WeightParents it also weights parent picks by capacity (§2.3).
 		sel := &core.ResourceSelector{Table: table, WeightParents: aware}
-		mesh := streaming.NewMesh(transport.Over(net), sel, net.Hosts()[0], cfg, src.Stream("mesh"))
+		mesh := streaming.NewMesh(transport.Over(net), sel, net.Hosts()[0], src.Stream("mesh"))
 		for _, h := range net.Hosts()[1:] {
 			mesh.AddViewer(h)
 		}

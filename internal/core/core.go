@@ -18,10 +18,10 @@
 // On top of the Engine sits the Selector interface (selector.go): the
 // uniform control plane every overlay accepts at construction, exactly as
 // overlays take a *transport.Transport for the data plane. A Selector
-// answers ranking, neighbor-selection, source-selection, super-peer
-// election, pairwise proximity, capability/bandwidth lookups, and
-// geographic positions — each verb with an ok flag so an overlay keeps
-// its underlay-unaware default when the selector has no preference.
+// answers ranking, source-selection, super-peer election, pairwise
+// proximity, bandwidth lookups, and geographic positions — each verb with
+// an ok flag so an overlay keeps its underlay-unaware default when the
+// selector has no preference.
 //
 // Two cross-cutting services complete the control plane:
 //
@@ -36,7 +36,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 
 	"unap2p/internal/metrics"
@@ -240,47 +239,6 @@ func (e *Engine) Rank(client *underlay.Host, candidates []underlay.HostID,
 	out := append([]underlay.HostID(nil), candidates...)
 	for i, s := range ranked {
 		out[i] = s.id
-	}
-	return out
-}
-
-// SelectNeighbors implements underlay-aware biased neighbor selection with
-// the connectivity safeguard every deployed variant uses: the best
-// (k − externals) candidates by score plus `externals` uniformly random
-// remaining candidates, so locality never partitions the overlay.
-func (e *Engine) SelectNeighbors(client *underlay.Host, candidates []underlay.HostID,
-	k, externals int, hostOf func(underlay.HostID) *underlay.Host, r *rand.Rand) []underlay.HostID {
-	if k <= 0 {
-		return nil
-	}
-	// Clamp externals to [0, k]: a negative count must not inflate the
-	// biased share past k, and more externals than slots is just "all
-	// random".
-	if externals < 0 {
-		externals = 0
-	}
-	if externals > k {
-		externals = k
-	}
-	ranked := e.Rank(client, candidates, hostOf)
-	take := k - externals
-	if take > len(ranked) {
-		take = len(ranked)
-	}
-	out := append([]underlay.HostID(nil), ranked[:take]...)
-	chosen := make(map[underlay.HostID]bool, len(out))
-	for _, id := range out {
-		chosen[id] = true
-	}
-	rest := ranked[take:]
-	for len(out) < k && len(rest) > 0 {
-		i := r.Intn(len(rest))
-		id := rest[i]
-		rest = append(rest[:i], rest[i+1:]...)
-		if !chosen[id] {
-			chosen[id] = true
-			out = append(out, id)
-		}
 	}
 	return out
 }

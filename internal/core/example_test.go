@@ -11,8 +11,8 @@ import (
 )
 
 // The framework in one screen: collect ISP-location through an IP-to-ISP
-// registry, then select neighbors biased toward the client's ISP with one
-// random external link for connectivity.
+// registry, then rank candidate neighbors so the client's own ISP comes
+// first.
 func ExampleEngine() {
 	src := sim.NewSource(7)
 	net := topology.Star(4, topology.DefaultConfig())
@@ -29,17 +29,17 @@ func ExampleEngine() {
 		}
 	}
 	hostOf := func(id underlay.HostID) *underlay.Host { return net.Host(id) }
-	picked := engine.SelectNeighbors(client, candidates, 3, 1, hostOf, src.Stream("pick"))
+	ranked := engine.Rank(client, candidates, hostOf)
 
 	sameISP := 0
-	for _, id := range picked {
+	for _, id := range ranked[:3] {
 		if net.Host(id).AS.ID == client.AS.ID {
 			sameISP++
 		}
 	}
-	fmt.Printf("%d neighbors, %d from the client's own ISP\n", len(picked), sameISP)
+	fmt.Printf("%d candidates ranked, %d of the best 3 from the client's own ISP\n", len(ranked), sameISP)
 	// Output:
-	// 3 neighbors, 2 from the client's own ISP
+	// 11 candidates ranked, 3 of the best 3 from the client's own ISP
 }
 
 // Bootstrap wires a default engine — registry plus Vivaldi — in one call.

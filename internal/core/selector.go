@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math/rand"
-
 	"unap2p/internal/geo"
 	"unap2p/internal/oracle"
 	"unap2p/internal/resources"
@@ -20,24 +18,19 @@ import (
 // The verbs cover the four usage patterns of §4 plus the lookups the
 // overlays need to apply them:
 //
-//   - Rank / SelectNeighbors — biased neighbor selection with the
-//     random-external safeguard against partitioning;
+//   - Rank — biased neighbor selection (callers keep their own
+//     random-external safeguard against partitioning);
 //   - SelectSource — biased source selection among query hits;
 //   - ElectSuperPeer — capability-based super-peer election;
 //   - Proximity — pairwise cost for PNS fingers/buckets and for
 //     locality partitioning (cost 0 = same ISP);
-//   - Capability / Bandwidth / Weight — peer-resources lookups
-//     (Weight answers only when parents should be capacity-weighted);
+//   - Bandwidth / Weight — peer-resources lookups (Weight answers only
+//     when parents should be capacity-weighted);
 //   - Position — geographic position for zone trees and geo hashing.
 type Selector interface {
 	// Rank orders candidates by preference (best first). ok=false keeps
 	// the caller's input order.
 	Rank(client *underlay.Host, candidates []underlay.HostID) ([]underlay.HostID, bool)
-	// SelectNeighbors picks k neighbors: the best k−externals plus
-	// `externals` uniformly random others, so bias never partitions the
-	// overlay (§4.1's caveat).
-	SelectNeighbors(client *underlay.Host, candidates []underlay.HostID,
-		k, externals int, r *rand.Rand) ([]underlay.HostID, bool)
 	// SelectSource picks a download source among holders of an item.
 	SelectSource(client *underlay.Host, holders []underlay.HostID) (underlay.HostID, bool)
 	// ElectSuperPeer picks the most capable host of a group.
@@ -45,8 +38,6 @@ type Selector interface {
 	// Proximity is a pairwise cost (lower = closer); 0 means same
 	// locality (same ISP for ISP-location selectors).
 	Proximity(a, b *underlay.Host) (float64, bool)
-	// Capability is a host's aggregate capacity score (higher = better).
-	Capability(h *underlay.Host) (float64, bool)
 	// Bandwidth is a host's upload capacity in kbit/s.
 	Bandwidth(h *underlay.Host) (float64, bool)
 	// Weight is the parent-selection weight in kbit/s; unlike Bandwidth
@@ -54,9 +45,6 @@ type Selector interface {
 	Weight(h *underlay.Host) (float64, bool)
 	// Position is the host's believed geographic position.
 	Position(h *underlay.Host) (geo.Coord, bool)
-	// Overhead reports the cumulative collection cost (probes, queries,
-	// messages) behind this selector's answers.
-	Overhead() uint64
 }
 
 // NoPreference answers "no preference" to every verb. Embed it to build
@@ -64,10 +52,6 @@ type Selector interface {
 type NoPreference struct{}
 
 func (NoPreference) Rank(*underlay.Host, []underlay.HostID) ([]underlay.HostID, bool) {
-	return nil, false
-}
-
-func (NoPreference) SelectNeighbors(*underlay.Host, []underlay.HostID, int, int, *rand.Rand) ([]underlay.HostID, bool) {
 	return nil, false
 }
 
@@ -79,18 +63,16 @@ func (NoPreference) ElectSuperPeer([]*underlay.Host) (*underlay.Host, bool) { re
 func (NoPreference) Proximity(*underlay.Host, *underlay.Host) (float64, bool) {
 	return 0, false
 }
-func (NoPreference) Capability(*underlay.Host) (float64, bool) { return 0, false }
 func (NoPreference) Bandwidth(*underlay.Host) (float64, bool)  { return 0, false }
 func (NoPreference) Weight(*underlay.Host) (float64, bool)     { return 0, false }
 func (NoPreference) Position(*underlay.Host) (geo.Coord, bool) { return geo.Coord{}, false }
-func (NoPreference) Overhead() uint64                          { return 0 }
 
 var _ Selector = NoPreference{}
 
 // EngineSelector adapts an Engine (any weighted estimator combination)
-// into a Selector: Rank/SelectNeighbors/SelectSource/Proximity all answer
-// from the engine's weighted score, so one composition — estimators,
-// weights, cache, overhead routing — serves every overlay verb.
+// into a Selector: Rank/SelectSource/Proximity all answer from the
+// engine's weighted score, so one composition — estimators, weights,
+// cache, overhead routing — serves every overlay verb.
 type EngineSelector struct {
 	NoPreference
 	E *Engine
@@ -114,11 +96,6 @@ func (s *EngineSelector) Rank(client *underlay.Host, candidates []underlay.HostI
 	return s.E.Rank(client, candidates, s.hostOf), true
 }
 
-func (s *EngineSelector) SelectNeighbors(client *underlay.Host, candidates []underlay.HostID,
-	k, externals int, r *rand.Rand) ([]underlay.HostID, bool) {
-	return s.E.SelectNeighbors(client, candidates, k, externals, s.hostOf, r), true
-}
-
 func (s *EngineSelector) SelectSource(client *underlay.Host, holders []underlay.HostID) (underlay.HostID, bool) {
 	if len(holders) == 0 {
 		return 0, false
@@ -129,8 +106,6 @@ func (s *EngineSelector) SelectSource(client *underlay.Host, holders []underlay.
 func (s *EngineSelector) Proximity(a, b *underlay.Host) (float64, bool) {
 	return s.E.Score(a, b), true
 }
-
-func (s *EngineSelector) Overhead() uint64 { return s.E.TotalOverhead() }
 
 // OracleSelector answers from an ISP oracle (Aggarwal et al.): ranking by
 // AS-hop distance with same-AS first. Join and Source gate which verbs it
@@ -170,8 +145,6 @@ func (s *OracleSelector) SelectSource(client *underlay.Host, holders []underlay.
 	return s.O.Best(client, holders)
 }
 
-func (s *OracleSelector) Overhead() uint64 { return s.O.Queries }
-
 // ResourceSelector answers peer-resources verbs from a resource table
 // (§2.3): capability scores for super-peer election, upload bandwidth for
 // scheduling budgets, and — when WeightParents is set — capacity-weighted
@@ -180,12 +153,13 @@ type ResourceSelector struct {
 	NoPreference
 	Table *resources.Table
 	// WeightParents makes Weight answer, turning on bandwidth-aware
-	// parent selection; Bandwidth and Capability always answer.
+	// parent selection; Bandwidth always answers.
 	WeightParents bool
 }
 
 var _ Selector = (*ResourceSelector)(nil)
 
+// Capability is a host's aggregate capacity score (higher = better).
 func (s *ResourceSelector) Capability(h *underlay.Host) (float64, bool) {
 	return s.Table.Get(h.ID).Score(), true
 }

@@ -64,7 +64,7 @@ func runBrocade(cfg RunConfig) Result {
 		fLat += float64(r.Latency)
 		fMsgs += float64(r.Msgs)
 		interBytes := (d.LookupTraffic.Total() - totalBefore) - (d.LookupTraffic.Intra() - intraBefore)
-		fCross += float64(interBytes) / float64(2*d.Cfg.RPCBytes) // request+response pairs
+		fCross += float64(interBytes) / float64(2*kademlia.RPCBytes) // request+response pairs
 	}
 	n := float64(len(pairs))
 	res.Rows = append(res.Rows, []string{

@@ -57,10 +57,9 @@ func runTopologyMatching(cfg RunConfig) Result {
 		})
 	}
 	row("unbiased start", 0)
-	acfg := gnutella.DefaultAdaptConfig()
 	total := 0
 	for round := 1; round <= 10; round++ {
-		r := ov.AdaptRound(acfg)
+		r := ov.AdaptRound()
 		total += r
 		if round == 1 || round == 3 || round == 10 || r == 0 {
 			row("after round "+di(round), total)

@@ -34,9 +34,8 @@ func runStreaming(cfg RunConfig) Result {
 		})
 		topology.PlaceHosts(net, cfg.scaled(14), false, 1, 5, src.Stream("place"))
 		table := resources.GenerateAll(net, src.Stream("res"))
-		scfg := streaming.DefaultConfig()
 		sel := &core.ResourceSelector{Table: table, WeightParents: aware}
-		m := streaming.NewMesh(cfg.newTransportOver(net), sel, net.Hosts()[0], scfg, src.Stream("mesh"))
+		m := streaming.NewMesh(cfg.newTransportOver(net), sel, net.Hosts()[0], src.Stream("mesh"))
 		for _, h := range net.Hosts()[1:] {
 			m.AddViewer(h)
 		}
@@ -91,12 +90,11 @@ func runChordPNS(cfg RunConfig) Result {
 			Transits: 2, Stubs: 10,
 		})
 		topology.PlaceHosts(net, cfg.scaled(12), false, 1, 6, src.Stream("place"))
-		ccfg := chord.DefaultConfig()
 		var sel core.Selector
 		if pns {
 			sel = core.RTTSelector(net)
 		}
-		ring := chord.New(cfg.newTransportOver(net), sel, ccfg, src.Stream("ring"))
+		ring := chord.New(cfg.newTransportOver(net), sel, src.Stream("ring"))
 		for _, h := range net.Hosts() {
 			ring.AddNode(h)
 		}

@@ -38,7 +38,7 @@ func runGSHLeopard(cfg RunConfig) Result {
 	src := sim.NewSource(cfg.Seed).Fork("gsh")
 	net := topology.Star(8, topology.DefaultConfig())
 	hosts := topology.PlaceHosts(net, cfg.scaled(35), false, 1, 5, src.Stream("place"))
-	o := gsh.New(cfg.newTransportOver(net), core.GeoSelector{}, gsh.DefaultConfig())
+	o := gsh.New(cfg.newTransportOver(net), core.GeoSelector{})
 	for _, h := range hosts {
 		o.Join(h)
 	}
@@ -80,7 +80,7 @@ func runGSHLeopard(cfg RunConfig) Result {
 			out.n++
 			out.msgs += st.Msgs
 			out.latency += st.Latency
-			if st.Level == o.Cfg.MaxLevel {
+			if st.Level == gsh.MaxLevel {
 				out.local++
 			}
 			if (i+1)%50 == 0 {
@@ -136,7 +136,7 @@ func runSuperPeer(cfg RunConfig) Result {
 		// SkyEye view, or uniformly at random.
 		ultra := map[underlay.HostID]bool{}
 		if aware {
-			se := skyeye.Build(net, table, hosts, skyeye.DefaultConfig())
+			se := skyeye.Build(net, table, hosts)
 			se.UpdateRound()
 			for _, id := range resources.ElectSuperPeers(net, table, 0.2, 1) {
 				ultra[id] = true

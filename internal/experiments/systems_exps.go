@@ -168,7 +168,7 @@ func runGeoSearch(cfg RunConfig) Result {
 	src := sim.NewSource(cfg.Seed).Fork("geosearch")
 	net := topology.Star(8, topology.DefaultConfig())
 	topology.PlaceHosts(net, cfg.scaled(40), false, 1, 5, src.Stream("place"))
-	tr := geotree.New(cfg.newTransportOver(net), core.GeoSelector{}, geotree.DefaultConfig())
+	tr := geotree.New(cfg.newTransportOver(net), core.GeoSelector{})
 	cfg.observeHealth("geotree", tr.HealthStats)
 	for i, h := range net.Hosts() {
 		tr.Insert(h)
@@ -202,7 +202,7 @@ func runSkyEye(cfg RunConfig) Result {
 	net := topology.Star(8, topology.DefaultConfig())
 	hosts := topology.PlaceHosts(net, cfg.scaled(30), false, 1, 5, src.Stream("place"))
 	tab := resources.GenerateAll(net, src.Stream("res"))
-	s := skyeye.Build(net, tab, hosts, skyeye.DefaultConfig())
+	s := skyeye.Build(net, tab, hosts)
 	agg := s.UpdateRound()
 
 	// Cross-check the root view against ground truth.

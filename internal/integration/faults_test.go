@@ -80,7 +80,7 @@ func TestKademliaUnderLoss(t *testing.T) {
 		// Bounded recovery: with α=3, K=8 and ≤2 retries per RPC the
 		// message count cannot explode past a small multiple of the
 		// loss-free worst case.
-		if res.Msgs > 6*(res.Hops+1)*d.Cfg.Alpha*(tr.Retry.Budget+1) {
+		if res.Msgs > 6*(res.Hops+1)*3*(tr.Retry.Budget+1) {
 			t.Fatalf("unbounded retry traffic: %d msgs in %d hops", res.Msgs, res.Hops)
 		}
 	}

@@ -56,7 +56,7 @@ func TestHealersEvictIsIdempotent(t *testing.T) {
 			return ov
 		}},
 		{"chord", func(tr *transport.Transport, hosts []*underlay.Host, src *sim.Source) healer {
-			ring := chord.New(tr, nil, chord.DefaultConfig(), src.Stream("ring"))
+			ring := chord.New(tr, nil, src.Stream("ring"))
 			for _, h := range hosts {
 				ring.AddNode(h)
 			}
@@ -73,14 +73,14 @@ func TestHealersEvictIsIdempotent(t *testing.T) {
 			return s
 		}},
 		{"geotree", func(tr *transport.Transport, hosts []*underlay.Host, _ *sim.Source) healer {
-			gt := geotree.New(tr, core.GeoSelector{}, geotree.DefaultConfig())
+			gt := geotree.New(tr, core.GeoSelector{})
 			for _, h := range hosts {
 				gt.Insert(h)
 			}
 			return gt
 		}},
 		{"gsh", func(tr *transport.Transport, hosts []*underlay.Host, _ *sim.Source) healer {
-			o := gsh.New(tr, core.GeoSelector{}, gsh.DefaultConfig())
+			o := gsh.New(tr, core.GeoSelector{})
 			for _, h := range hosts {
 				o.Join(h)
 			}
@@ -93,7 +93,7 @@ func TestHealersEvictIsIdempotent(t *testing.T) {
 		{"streaming", func(tr *transport.Transport, hosts []*underlay.Host, src *sim.Source) healer {
 			table := resources.GenerateAll(tr.Underlay(), src.Stream("res"))
 			sel := &core.ResourceSelector{Table: table, WeightParents: true}
-			m := streaming.NewMesh(tr, sel, hosts[0], streaming.DefaultConfig(), src.Stream("mesh"))
+			m := streaming.NewMesh(tr, sel, hosts[0], src.Stream("mesh"))
 			for _, h := range hosts[1:] {
 				m.AddViewer(h)
 			}

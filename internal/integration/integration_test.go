@@ -216,11 +216,11 @@ func TestEngineDrivesSwarmTracker(t *testing.T) {
 			s.AddLeecher(h)
 		}
 	}
-	// Engine-selected neighbor sets instead of the built-in tracker:
+	// Engine-ranked neighbor sets instead of the built-in tracker:
 	// replicate AssignNeighbors' symmetric-connection behaviour through
 	// the public Peer API is not exposed, so use the biased tracker as
-	// reference and the engine for a parallel selection-quality check.
-	r := src.Stream("sel")
+	// reference and the engine's best 8 for a parallel selection-quality
+	// check.
 	var ids []underlay.HostID
 	for _, h := range hosts {
 		ids = append(ids, h.ID)
@@ -233,7 +233,7 @@ func TestEngineDrivesSwarmTracker(t *testing.T) {
 				cands = append(cands, id)
 			}
 		}
-		for _, nb := range engine.SelectNeighbors(h, cands, 8, 1, hostOf, r) {
+		for _, nb := range engine.Rank(h, cands, hostOf)[:8] {
 			total++
 			if net.Host(nb).AS.ID == h.AS.ID {
 				intra++

@@ -50,8 +50,8 @@ func recordMegascale(t *testing.T, seed int64, peers, shards int, overlay string
 // of the megascale runtime: for a fixed (seed, shard count, overlay) the
 // entire run file — manifest, barrier samples, closing metrics snapshot
 // — and the rendered table are byte-for-byte identical across runs, for
-// every compact overlay port. Three seeds, single-shard and four-shard,
-// each overlay.
+// every compact overlay port, and each run file matches its checked-in
+// hash. Three seeds, single-shard and four-shard, each overlay.
 func TestMegascaleRunFilesByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repeated megascale runs skipped in -short")
@@ -71,6 +71,7 @@ func TestMegascaleRunFilesByteIdentical(t *testing.T) {
 				if len(fileA) == 0 {
 					t.Fatalf("%s seed %d K=%d: empty run file", overlay, seed, shards)
 				}
+				checkRunFile(t, fmt.Sprintf("%s/%s/seed=%d/K=%d", t.Name(), overlay, seed, shards), fileA)
 				// The run file must carry the sharded kernel's gauges and the
 				// barrier-sampled health sources, or 'series' has nothing to plot.
 				for _, want := range []string{"kernel:sharded", "megascale", "megachurn"} {

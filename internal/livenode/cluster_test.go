@@ -2,6 +2,7 @@ package livenode
 
 import (
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -110,6 +111,39 @@ func TestClusterLookups(t *testing.T) {
 				t.Fatalf("%s: %d/%d lookups verified, floor %d", overlay, ok, total, floor)
 			}
 			t.Logf("%s: %d/%d lookups verified", overlay, ok, total)
+		})
+	}
+}
+
+// TestNoGoroutineOutlivesClose boots 4 nodes per overlay with a metrics
+// endpoint, runs 20 lookups on each, closes them all, and requires the
+// process to return to the goroutine count it had before the boot: no
+// receive loop, handler, pacer or metrics server may outlive Node.Close.
+func TestNoGoroutineOutlivesClose(t *testing.T) {
+	for _, overlay := range []string{"kademlia", "chord", "gnutella"} {
+		t.Run(overlay, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			nodes := bootClusterWith(t, 4, Config{
+				Overlay:      overlay,
+				MetricsAddr:  "127.0.0.1:0",
+				PingInterval: 100 * time.Millisecond,
+				Timeout:      150 * time.Millisecond,
+			})
+			for _, node := range nodes {
+				node.RunLookups(20)
+			}
+			for _, node := range nodes {
+				node.Close()
+			}
+			deadline := time.Now().Add(2500 * time.Millisecond)
+			for runtime.NumGoroutine() > before {
+				if time.Now().After(deadline) {
+					buf := make([]byte, 1<<20)
+					t.Fatalf("%d goroutines after Close, %d before boot:\n%s",
+						runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
 		})
 	}
 }

@@ -21,8 +21,6 @@ import (
 // from the Core it embeds).
 type Engine interface {
 	resilience.Healer
-	// Name is the overlay's flag spelling: "kademlia", "chord", "gnutella".
-	Name() string
 	// Lookup resolves target through the overlay's own protocol — real
 	// RPC hops, no global view — and reports the resolved member plus
 	// whether it matches the ground truth computable from the node's
@@ -144,8 +142,6 @@ func newKademlia(c *Core) *kademlia {
 	return e
 }
 
-func (e *kademlia) Name() string { return "kademlia" }
-
 func (e *kademlia) Lookup(target uint64) (underlay.HostID, bool) {
 	e.Msgs.Get("kad_lookup").Inc()
 	members := e.members()
@@ -232,8 +228,6 @@ func newChord(c *Core) *chord {
 	})
 	return e
 }
-
-func (e *chord) Name() string { return "chord" }
 
 // step is one routing decision from this node's own view: done=true
 // means hop owns target; done=false means hop is the next node to ask.
@@ -369,8 +363,6 @@ func newGnutella(c *Core) *gnutella {
 	return e
 }
 
-func (e *gnutella) Name() string { return "gnutella" }
-
 func (e *gnutella) onQuery(from underlay.HostID, _ string, payload []byte) {
 	if len(payload) < gnuQueryLen {
 		return
@@ -379,6 +371,12 @@ func (e *gnutella) onQuery(from underlay.HostID, _ string, payload []byte) {
 	target := underlay.HostID(int32(binary.BigEndian.Uint32(payload[8:])))
 	origin := underlay.HostID(int32(binary.BigEndian.Uint32(payload[12:])))
 	ttl := payload[16]
+	// A conforming origin sends gnuTTL; anything above it is malformed and
+	// is dropped before its qid can claim a real query's dedup slot.
+	if ttl > gnuTTL {
+		e.Msgs.Get("gnu_bad_ttl").Inc()
+		return
+	}
 
 	e.qmu.Lock()
 	dup := e.seen.add(qid)

@@ -97,6 +97,44 @@ func TestGnutellaSeenWindowIsBounded(t *testing.T) {
 	}
 }
 
+// TestGnutellaDropsOversizedTTL: a conforming origin sends gnuTTL, so a
+// gnu:query claiming more hops is malformed. A raw peer sends one with TTL
+// 200 for another member: the node counts it under gnu_bad_ttl and relays
+// nothing. Its qid never entered the dedup window, so the same query at a
+// conforming TTL is then relayed.
+func TestGnutellaDropsOversizedTTL(t *testing.T) {
+	nodes := bootCluster(t, "gnutella", 3)
+	victim, target := nodes[1], nodes[2]
+	const attackerID = 100
+	attacker, err := nettransport.Listen(nettransport.Config{Self: attackerID, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer attacker.Close()
+	attacker.Book().Set(victim.cfg.ID, victim.Net().LocalAddr())
+
+	msgs := victim.core.Msgs
+	forwarded := msgs.Value("gnu_forward")
+	var q [gnuQueryLen]byte
+	binary.BigEndian.PutUint64(q[:], 0xbad)
+	binary.BigEndian.PutUint32(q[8:], uint32(target.cfg.ID))
+	binary.BigEndian.PutUint32(q[12:], attackerID)
+	q[16] = 200
+	if !attacker.SendPayload(victim.cfg.ID, "gnu:query", q[:], 0) {
+		t.Fatal("query not sent")
+	}
+	awaitCluster(t, "the oversized TTL to be counted", func() bool { return msgs.Value("gnu_bad_ttl") == 1 })
+	if got := msgs.Value("gnu_forward"); got != forwarded {
+		t.Fatalf("gnu_forward went from %d to %d: the malformed query was relayed", forwarded, got)
+	}
+
+	q[16] = gnuTTL
+	if !attacker.SendPayload(victim.cfg.ID, "gnu:query", q[:], 0) {
+		t.Fatal("query not sent")
+	}
+	awaitCluster(t, "the conforming query to be relayed", func() bool { return msgs.Value("gnu_forward") == forwarded+1 })
+}
+
 // TestPeerCannotRewriteSelfAddress: a hostile peer names the victim's own
 // id with a bogus ip:port in everything a peer can supply — a kad:nodes
 // reply, a chord:succ reply, a hello request's book and a hello

@@ -54,8 +54,6 @@ type Result struct {
 // is what lets one experiment sweep structured vs unstructured overlays
 // under identical million-peer churn.
 type CompactOverlay interface {
-	// Name identifies the overlay in tables and run files.
-	Name() string
 	// Bootstrap deterministically populates every peer's contacts from
 	// the given seed. Single-threaded setup only, before the kernel runs.
 	Bootstrap(seed uint64)

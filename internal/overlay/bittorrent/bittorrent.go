@@ -22,28 +22,24 @@ import (
 type Config struct {
 	// Pieces is the number of pieces in the shared file.
 	Pieces int
-	// PieceSize is bytes per piece.
-	PieceSize uint64
 	// PeerSet is how many neighbors the tracker returns per announce.
 	PeerSet int
-	// UploadSlots is how many pieces a peer can upload per round (the
-	// unchoked-connections abstraction).
-	UploadSlots int
-	// External is the number of out-of-AS neighbors a biased peer keeps
-	// (Bindal et al. use k = 1; 35-k internal).
-	External int
 }
 
 // DefaultConfig scales the Bindal et al. setup down for simulation.
-func DefaultConfig() Config {
-	return Config{
-		Pieces:      64,
-		PieceSize:   256 << 10,
-		PeerSet:     12,
-		UploadSlots: 4,
-		External:    1,
-	}
-}
+func DefaultConfig() Config { return Config{Pieces: 64, PeerSet: 12} }
+
+// Swarm parameters shared by every configuration.
+const (
+	// pieceSize is bytes per piece.
+	pieceSize uint64 = 256 << 10
+	// uploadSlots is how many pieces a peer can upload per round (the
+	// unchoked-connections abstraction).
+	uploadSlots = 4
+	// external is the number of out-of-AS neighbors a biased peer keeps
+	// (Bindal et al. use k = 1; 35-k internal).
+	external = 1
+)
 
 // Peer is one swarm participant.
 type Peer struct {
@@ -91,10 +87,10 @@ type Swarm struct {
 // NewSwarm creates an empty swarm sending through tr. A non-nil selector
 // turns on Bindal-style biased neighbor selection at the tracker: peers
 // the selector's Proximity verb puts at cost 0 (same ISP) are preferred,
-// with Cfg.External random out-of-ISP links as the connectivity
+// with `external` random out-of-ISP links as the connectivity
 // safeguard. A nil selector runs the classic random tracker.
 func NewSwarm(tr *transport.Transport, sel core.Selector, cfg Config, r *rand.Rand) *Swarm {
-	if cfg.Pieces < 1 || cfg.PeerSet < 1 || cfg.UploadSlots < 1 {
+	if cfg.Pieces < 1 || cfg.PeerSet < 1 {
 		panic("bittorrent: invalid config")
 	}
 	return &Swarm{T: tr, Cfg: cfg, PieceTraffic: tr.MatrixFor("piece"), r: r, sel: sel}
@@ -134,7 +130,7 @@ func (s *Swarm) addPeer(h *underlay.Host) *Peer {
 func (s *Swarm) Peers() []*Peer { return s.peers }
 
 // AssignNeighbors runs the tracker: every peer receives a peer set —
-// uniformly random when unbiased; same-AS-first plus Cfg.External random
+// uniformly random when unbiased; same-AS-first plus `external` random
 // external peers when biased. Connections are symmetric.
 func (s *Swarm) AssignNeighbors() {
 	adj := make(map[[2]int]bool)
@@ -165,7 +161,7 @@ func (s *Swarm) AssignNeighbors() {
 			continue
 		}
 		// Biased: internal (selector proximity cost 0 — same ISP) first.
-		var internal, external []*Peer
+		var internal, outside []*Peer
 		for _, q := range s.peers {
 			if q == p {
 				continue
@@ -173,23 +169,23 @@ func (s *Swarm) AssignNeighbors() {
 			if cost, ok := s.sel.Proximity(p.Host, q.Host); ok && cost == 0 {
 				internal = append(internal, q)
 			} else {
-				external = append(external, q)
+				outside = append(outside, q)
 			}
 		}
 		s.shuffle(internal)
-		s.shuffle(external)
-		budget := s.Cfg.PeerSet - s.Cfg.External
+		s.shuffle(outside)
+		budget := s.Cfg.PeerSet - external
 		for _, q := range internal {
 			if len(p.neighbors) >= budget {
 				break
 			}
 			connect(p, q)
 		}
-		for i := 0; i < s.Cfg.External && i < len(external); i++ {
-			connect(p, external[i])
+		for i := 0; i < external && i < len(outside); i++ {
+			connect(p, outside[i])
 		}
-		// Top up from external if the AS is too small to fill the set.
-		for _, q := range external {
+		// Top up from outside if the AS is too small to fill the set.
+		for _, q := range outside {
 			if len(p.neighbors) >= s.Cfg.PeerSet {
 				break
 			}
@@ -203,7 +199,7 @@ func (s *Swarm) shuffle(ps []*Peer) {
 }
 
 // Round executes one scheduling round: every peer uploads up to
-// UploadSlots pieces to neighbors that need them; receivers pick the
+// uploadSlots pieces to neighbors that need them; receivers pick the
 // rarest piece (within their neighborhood) the uploader can provide.
 // It returns the number of piece transfers performed.
 func (s *Swarm) Round() int {
@@ -219,7 +215,7 @@ func (s *Swarm) Round() int {
 		if !up.Host.Up {
 			continue
 		}
-		slots := s.Cfg.UploadSlots
+		slots := uploadSlots
 		tried := 0
 		for slots > 0 && tried < len(up.neighbors) {
 			q := up.neighbors[up.cursor%len(up.neighbors)]
@@ -240,7 +236,7 @@ func (s *Swarm) Round() int {
 		if t.to.have[t.piece] {
 			continue // granted by someone else in the same round
 		}
-		if sr := s.T.Send(t.from.Host, t.to.Host, s.Cfg.PieceSize, "piece"); !sr.OK {
+		if sr := s.T.Send(t.from.Host, t.to.Host, pieceSize, "piece"); !sr.OK {
 			continue // piece lost in transit: re-requested a later round
 		}
 		t.to.have[t.piece] = true

@@ -67,7 +67,7 @@ func TestSwarmCompletes(t *testing.T) {
 		t.Fatalf("implausible stats %+v", st)
 	}
 	// Conservation: every leecher downloaded exactly Pieces pieces.
-	wantBytes := uint64(len(s.Peers())-1) * uint64(cfg.Pieces) * cfg.PieceSize
+	wantBytes := uint64(len(s.Peers())-1) * uint64(cfg.Pieces) * pieceSize
 	if s.PieceTraffic.Total() != wantBytes {
 		t.Fatalf("piece traffic %d, want %d", s.PieceTraffic.Total(), wantBytes)
 	}
@@ -75,7 +75,7 @@ func TestSwarmCompletes(t *testing.T) {
 
 func TestBiasedTrackerRaisesNeighborLocality(t *testing.T) {
 	// ASes large enough (15 hosts) that the internal budget (PeerSet −
-	// External = 11) can actually be met.
+	// external = 11) can actually be met.
 	cfgU := DefaultConfig()
 	_, su := buildSwarm(t, 15, false, cfgU, 3)
 	cfgB := DefaultConfig()

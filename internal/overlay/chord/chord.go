@@ -30,17 +30,12 @@ import (
 // ID is a position on the 2^64 ring.
 type ID uint64
 
-// Config tunes the ring.
-type Config struct {
-	// SuccessorList is the number of immediate successors kept (fault
-	// tolerance and final-hop candidates).
-	SuccessorList int
-	// RPCBytes is the size of one routing message.
-	RPCBytes uint64
-}
+// successorList is the number of immediate successors a classic Ring
+// node keeps (fault tolerance and final-hop candidates).
+const successorList = 4
 
-// DefaultConfig keeps 4 successors.
-func DefaultConfig() Config { return Config{SuccessorList: 4, RPCBytes: 100} }
+// rpcBytes is the size of one routing message, classic or compact.
+const rpcBytes uint64 = 100
 
 // Node is one ring member.
 type Node struct {
@@ -57,9 +52,8 @@ type Node struct {
 type Ring struct {
 	// T carries routing messages; U serves proximity queries (finger
 	// selection RTT estimates) without charging traffic.
-	T   *transport.Transport
-	U   *underlay.Network
-	Cfg Config
+	T *transport.Transport
+	U *underlay.Network
 	// Msgs counts "route" messages — a view of the transport's counters.
 	Msgs *metrics.CounterSet
 
@@ -75,11 +69,8 @@ type Ring struct {
 // on proximity-selected fingers: each finger slot keeps the candidate the
 // selector's Proximity verb calls closest (core.RTTSelector for Castro et
 // al.'s RTT-based PNS). A nil selector builds the classic table.
-func New(tr *transport.Transport, sel core.Selector, cfg Config, r *rand.Rand) *Ring {
-	if cfg.SuccessorList < 1 {
-		panic("chord: SuccessorList must be ≥ 1")
-	}
-	return &Ring{T: tr, U: tr.Underlay(), Cfg: cfg, Msgs: tr.Counters(),
+func New(tr *transport.Transport, sel core.Selector, r *rand.Rand) *Ring {
+	return &Ring{T: tr, U: tr.Underlay(), Msgs: tr.Counters(),
 		byHost: make(map[underlay.HostID]*Node), r: r, sel: sel}
 }
 
@@ -141,7 +132,7 @@ func (c *Ring) Build() {
 func (c *Ring) fillSuccessors(idx int) {
 	n, node := len(c.nodes), c.nodes[idx]
 	node.successors = node.successors[:0]
-	for s := 1; s <= c.Cfg.SuccessorList && s < n; s++ {
+	for s := 1; s <= successorList && s < n; s++ {
 		node.successors = append(node.successors, c.nodes[(idx+s)%n])
 	}
 }
@@ -219,7 +210,7 @@ func (c *Ring) Lookup(from underlay.HostID, key ID) LookupResult {
 		}
 		res.Hops++
 		res.Msgs++
-		sr := c.T.Send(cur.Host, next.Host, c.Cfg.RPCBytes, "route")
+		sr := c.T.Send(cur.Host, next.Host, rpcBytes, "route")
 		if !sr.OK {
 			break // route message lost: the lookup dies at this hop
 		}

@@ -21,12 +21,11 @@ func buildRing(t testing.TB, nHosts int, pns bool, seed int64) (*underlay.Networ
 		Transits: 2, Stubs: 8,
 	})
 	topology.PlaceHosts(net, (nHosts+7)/8, false, 1, 5, src.Stream("place"))
-	cfg := DefaultConfig()
 	var sel core.Selector
 	if pns {
 		sel = core.RTTSelector(net)
 	}
-	ring := New(transport.Over(net), sel, cfg, src.Stream("ring"))
+	ring := New(transport.Over(net), sel, src.Stream("ring"))
 	for i, h := range net.Hosts() {
 		if i >= nHosts {
 			break
@@ -172,18 +171,10 @@ func TestValidation(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("expected panic on bad config")
-			}
-		}()
-		New(nil, nil, Config{}, nil)
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
 				t.Fatal("expected panic on empty Build")
 			}
 		}()
-		New(transport.Over(net), nil, DefaultConfig(), sim.NewSource(1).Stream("x")).Build()
+		New(transport.Over(net), nil, sim.NewSource(1).Stream("x")).Build()
 	}()
 }
 

@@ -9,30 +9,30 @@ import (
 
 // CompactConfig parameterizes a CompactRing.
 type CompactConfig struct {
-	// Successors is the successor-list length (fault tolerance and the
-	// last-mile contacts of every lookup).
-	Successors int
-	// Alpha is the lookup parallelism. 1 is the classic sequential
-	// find_successor walk; 2 keeps a spare in flight so a dead hop does
-	// not stall the lookup for a full round trip.
-	Alpha int
-	// RPCBytes is the size charged per request or reply message.
-	RPCBytes uint64
 	// Aware, when true, fills each finger slot with a same-AS node from
 	// the slot's candidate band when one exists — Castro et al.'s
 	// proximity neighbor selection: any node in [2^j, 2^(j+1)) ranks
 	// ahead keeps the O(log n) bound, so the choice is free and the
 	// per-hop latency drops.
 	Aware bool
-	// AwareProbe caps how many band candidates the aware finger fill
-	// scans (bounds Bootstrap cost at megascale).
-	AwareProbe int
 }
 
-// DefaultCompactConfig sizes the ring for megascale runs.
-func DefaultCompactConfig() CompactConfig {
-	return CompactConfig{Successors: 8, Alpha: 2, RPCBytes: 100, AwareProbe: 16}
-}
+// DefaultCompactConfig is the unaware ring.
+func DefaultCompactConfig() CompactConfig { return CompactConfig{} }
+
+// Compact ring parameters, sized for megascale runs.
+const (
+	// compactSuccessors is the successor-list length (fault tolerance and
+	// the last-mile contacts of every lookup).
+	compactSuccessors = 8
+	// compactAlpha is the lookup parallelism. 1 is the classic sequential
+	// find_successor walk; 2 keeps a spare in flight so a dead hop does
+	// not stall the lookup for a full round trip.
+	compactAlpha = 2
+	// awareProbe caps how many band candidates the aware finger fill
+	// scans (bounds Bootstrap cost at megascale).
+	awareProbe = 16
+)
 
 // CompactRing is a struct-of-arrays Chord ring over PeerTable peers for
 // sharded megascale runs, the second port onto the megascale runtime:
@@ -42,7 +42,7 @@ func DefaultCompactConfig() CompactConfig {
 // geometry — flat successor and finger arrays in ring-rank space, and
 // the clockwise predecessor metric.
 //
-// Per-peer state is two flat slices: Successors entries of successor
+// Per-peer state is two flat slices: compactSuccessors entries of successor
 // list and ~log2(n) rank-doubling fingers (finger j sits 2^j ranks
 // ahead, or anywhere in [2^j, 2^(j+1)) under Aware). Tables are built
 // once at Bootstrap with global knowledge (the standard simulation
@@ -68,18 +68,12 @@ type CompactRing struct {
 // traffic. Call Bootstrap before the kernel runs.
 func NewCompactRing(net *transport.ShardedNet, cfg CompactConfig, seed uint64, reqClass, repClass int) *CompactRing {
 	n := net.Peers().Len()
-	if cfg.Successors <= 0 || cfg.Alpha <= 0 {
-		panic("chord: bad CompactConfig")
-	}
-	if cfg.AwareProbe <= 0 {
-		cfg.AwareProbe = 16
-	}
 	c := &CompactRing{
 		cfg: cfg, net: net,
 		space: megascale.NewIDSpace(n, seed),
 		ctr:   megascale.NewCounters(net.Kernel().NumShards()),
 	}
-	c.nSucc = cfg.Successors
+	c.nSucc = compactSuccessors
 	if c.nSucc > n-1 {
 		c.nSucc = n - 1
 	}
@@ -91,8 +85,8 @@ func NewCompactRing(net *transport.ShardedNet, cfg CompactConfig, seed uint64, r
 		c.nFing++
 	}
 	c.iter = megascale.Iter{
-		Net: net, ReqClass: reqClass, RepClass: repClass, RPCBytes: cfg.RPCBytes,
-		Alpha: cfg.Alpha, Width: 3 * (cfg.Successors + 1), Ctr: c.ctr,
+		Net: net, ReqClass: reqClass, RepClass: repClass, RPCBytes: rpcBytes,
+		Alpha: compactAlpha, Width: 3 * (compactSuccessors + 1), Ctr: c.ctr,
 		Dist:       c.predDist,
 		Candidates: c.candidates,
 		OK: func(best underlay.PeerID, target uint64) bool {
@@ -101,9 +95,6 @@ func NewCompactRing(net *transport.ShardedNet, cfg CompactConfig, seed uint64, r
 	}
 	return c
 }
-
-// Name identifies the overlay (megascale.CompactOverlay).
-func (c *CompactRing) Name() string { return "chord" }
 
 // ID returns peer p's ring position.
 func (c *CompactRing) ID(p underlay.PeerID) ID { return ID(c.space.ID(p)) }
@@ -121,7 +112,7 @@ func (c *CompactRing) predDist(q underlay.PeerID, target uint64) uint64 {
 // ahead — with uniformly hashed ids that is the classic successor(p+2^j)
 // table, and it guarantees gap-halving convergence for the predecessor
 // walk. Under Aware, slot j instead takes the first same-AS peer among
-// the band's first AwareProbe ranks (all of [2^j, 2^(j+1)) is correct).
+// the band's first awareProbe ranks (all of [2^j, 2^(j+1)) is correct).
 // Single-threaded setup only. The seed only matters for id assignment,
 // which already happened in NewCompactRing; topology is a pure function
 // of the rank order.
@@ -145,8 +136,8 @@ func (c *CompactRing) Bootstrap(seed uint64) {
 				if off > n-off {
 					limit = n - off
 				}
-				if limit > c.cfg.AwareProbe {
-					limit = c.cfg.AwareProbe
+				if limit > awareProbe {
+					limit = awareProbe
 				}
 				for b := 0; b < limit; b++ {
 					q := c.space.ByRank((r + off + b) % n)
@@ -161,7 +152,7 @@ func (c *CompactRing) Bootstrap(seed uint64) {
 	}
 }
 
-// candidates returns q's best contacts toward target — the Successors
+// candidates returns q's best contacts toward target — the compactSuccessors
 // nearest of its successor list and fingers under the predecessor metric,
 // the compact closest_preceding_node: every table entry is offered to a
 // lookup.Shortlist on the stack (which also drops a peer listed in both
@@ -169,7 +160,7 @@ func (c *CompactRing) Bootstrap(seed uint64) {
 // are immutable after Bootstrap so the read is safe from anywhere.
 func (c *CompactRing) candidates(q underlay.PeerID, target uint64) []underlay.PeerID {
 	var buf [shortlistStack]lookup.Entry[underlay.PeerID]
-	best := lookup.New(buf[:], c.cfg.Successors)
+	best := lookup.New(buf[:], compactSuccessors)
 	for _, p := range c.succ[int(q)*c.nSucc:][:c.nSucc] {
 		best.Offer(underlay.PeerID(p), c.predDist(underlay.PeerID(p), target), false)
 	}
@@ -180,7 +171,7 @@ func (c *CompactRing) candidates(q underlay.PeerID, target uint64) []underlay.Pe
 }
 
 // shortlistStack is the widest successor list whose candidate ranking
-// stays on the stack (DefaultCompactConfig asks for 8).
+// stays on the stack (compactSuccessors is 8).
 const shortlistStack = 16
 
 // PredecessorGlobal returns the id of target's exact ring predecessor —

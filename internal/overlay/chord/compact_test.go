@@ -222,7 +222,7 @@ func refCandidates(c *CompactRing, q underlay.PeerID, target uint64) []underlay.
 		}
 		return out[i] < out[j]
 	})
-	k := c.cfg.Successors
+	k := compactSuccessors
 	if len(out) > k {
 		out = out[:k]
 	}

@@ -15,7 +15,7 @@ func benchTree(b *testing.B) (*Tree, geo.Coord) {
 	src := sim.NewSource(1)
 	net := topology.Star(8, topology.DefaultConfig())
 	topology.PlaceHosts(net, 40, false, 1, 5, src.Stream("place"))
-	tr := New(transport.Over(net), core.GeoSelector{}, DefaultConfig())
+	tr := New(transport.Over(net), core.GeoSelector{})
 	for _, h := range net.Hosts() {
 		tr.Insert(h)
 	}

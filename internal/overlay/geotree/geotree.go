@@ -19,20 +19,15 @@ import (
 	"unap2p/internal/underlay"
 )
 
-// Config tunes the tree.
-type Config struct {
-	// SplitThreshold is the zone population that triggers a 4-way split.
-	SplitThreshold int
-	// MaxDepth bounds splitting (a zone at MaxDepth grows unbounded).
-	MaxDepth int
-	// MsgBytes is the size of one control message.
-	MsgBytes uint64
-}
-
-// DefaultConfig uses small zones suitable for simulated populations.
-func DefaultConfig() Config {
-	return Config{SplitThreshold: 8, MaxDepth: 8, MsgBytes: 80}
-}
+// Tree parameters, sized for simulated populations.
+const (
+	// splitThreshold is the zone population that triggers a 4-way split.
+	splitThreshold = 8
+	// maxDepth bounds splitting (a zone at maxDepth grows unbounded).
+	maxDepth = 8
+	// msgBytes is the size of one control message.
+	msgBytes uint64 = 80
+)
 
 // zone is one node of the area tree.
 type zone struct {
@@ -47,9 +42,8 @@ type zone struct {
 // Tree is the overlay instance.
 type Tree struct {
 	// T carries control messages; U serves topology queries.
-	T   *transport.Transport
-	U   *underlay.Network
-	Cfg Config
+	T *transport.Transport
+	U *underlay.Network
 	// Msgs counts control messages ("register", "search", "result") — a
 	// view of the transport's counters.
 	Msgs *metrics.CounterSet
@@ -65,14 +59,10 @@ type Tree struct {
 // selector's Position verb supplies peer coordinates (a core.GeoSelector
 // for perfect GPS fixes; wrap it to model mapping error); a nil selector
 // — or one with no position answer — falls back to ground truth.
-func New(tr *transport.Transport, sel core.Selector, cfg Config) *Tree {
-	if cfg.SplitThreshold < 2 {
-		panic("geotree: SplitThreshold must be ≥ 2")
-	}
+func New(tr *transport.Transport, sel core.Selector) *Tree {
 	return &Tree{
 		T:    tr,
 		U:    tr.Underlay(),
-		Cfg:  cfg,
 		Msgs: tr.Counters(),
 		root: &zone{
 			box: geo.Box{MinLat: -90, MaxLat: 90, MinLon: -180, MaxLon: 180},
@@ -109,7 +99,7 @@ func (t *Tree) Insert(h *underlay.Host) {
 		// One register-hop message per level (client → zone supervisor).
 		if z.hasSuper && z.supervisor != h.ID {
 			// Best effort: a lost register-hop is simply not re-sent.
-			t.T.Send(h, t.U.Host(z.supervisor), t.Cfg.MsgBytes, "register")
+			t.T.Send(h, t.U.Host(z.supervisor), msgBytes, "register")
 		}
 		if z.children == nil {
 			break
@@ -122,7 +112,7 @@ func (t *Tree) Insert(h *underlay.Host) {
 		z.supervisor = h.ID
 		z.hasSuper = true
 	}
-	if len(z.members) > t.Cfg.SplitThreshold && z.depth < t.Cfg.MaxDepth {
+	if len(z.members) > splitThreshold && z.depth < maxDepth {
 		t.split(z)
 	}
 }
@@ -218,7 +208,7 @@ func (t *Tree) SearchBox(from *underlay.Host, box geo.Box) ([]underlay.HostID, S
 		hop := chain
 		if z.hasSuper {
 			st.Msgs++
-			sr := t.T.Send(from, t.U.Host(z.supervisor), t.Cfg.MsgBytes, "search")
+			sr := t.T.Send(from, t.U.Host(z.supervisor), msgBytes, "search")
 			if !sr.OK {
 				return // lost search prunes this subtree from the query
 			}
@@ -232,7 +222,7 @@ func (t *Tree) SearchBox(from *underlay.Host, box geo.Box) ([]underlay.HostID, S
 				h := t.U.Host(id)
 				if h.Up && box.Contains(t.pos(h)) {
 					st.Msgs++
-					if rr := t.T.Send(h, from, t.Cfg.MsgBytes, "result"); rr.OK {
+					if rr := t.T.Send(h, from, msgBytes, "result"); rr.OK {
 						out = append(out, id)
 					}
 				}
@@ -303,12 +293,12 @@ func boxesIntersect(a, b geo.Box) bool {
 //   - members_per_leaf_mean: mean occupancy of populated leaf zones
 func (t *Tree) HealthStats() map[string]float64 {
 	var zones, leaves, populated, members float64
-	maxDepth := 0
+	deepest := 0
 	var walk func(z *zone)
 	walk = func(z *zone) {
 		zones++
-		if z.depth > maxDepth {
-			maxDepth = z.depth
+		if z.depth > deepest {
+			deepest = z.depth
 		}
 		if z.children == nil {
 			leaves++
@@ -327,7 +317,7 @@ func (t *Tree) HealthStats() map[string]float64 {
 		"peers":      float64(t.Size()),
 		"zones":      zones,
 		"leaf_zones": leaves,
-		"max_depth":  float64(maxDepth),
+		"max_depth":  float64(deepest),
 	}
 	if populated > 0 {
 		out["members_per_leaf_mean"] = members / populated

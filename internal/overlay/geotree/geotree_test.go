@@ -16,7 +16,7 @@ func buildTree(t *testing.T, hostsPerAS int) (*underlay.Network, *Tree) {
 	src := sim.NewSource(1)
 	net := topology.Star(6, topology.DefaultConfig())
 	topology.PlaceHosts(net, hostsPerAS, false, 1, 3, src.Stream("place"))
-	tr := New(transport.Over(net), core.GeoSelector{}, DefaultConfig())
+	tr := New(transport.Over(net), core.GeoSelector{})
 	for _, h := range net.Hosts() {
 		tr.Insert(h)
 	}
@@ -141,18 +141,9 @@ func TestNearestPeerEmptyTree(t *testing.T) {
 	src := sim.NewSource(2)
 	net := topology.Star(3, topology.DefaultConfig())
 	topology.PlaceHosts(net, 2, false, 1, 2, src.Stream("p"))
-	tr := New(transport.Over(net), core.GeoSelector{}, DefaultConfig())
+	tr := New(transport.Over(net), core.GeoSelector{})
 	_, _, ok := tr.NearestPeer(net.Hosts()[0], geo.Coord{})
 	if ok {
 		t.Fatal("found a peer in an empty tree")
 	}
-}
-
-func TestNewPanicsOnBadConfig(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New(nil, nil, Config{SplitThreshold: 1})
 }

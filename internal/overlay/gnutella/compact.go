@@ -11,43 +11,40 @@ import (
 
 // CompactConfig parameterizes a CompactFlood.
 type CompactConfig struct {
-	// UltraShare elects one peer in UltraShare as an ultrapeer (hashed,
-	// deterministic, K-independent).
-	UltraShare int
-	// UltraDegree is the target ultra↔ultra links initiated per
-	// ultrapeer; accepted links can double a node's degree.
-	UltraDegree int
-	// LeafParents is how many ultrapeers each leaf attaches to.
-	LeafParents int
 	// QueryTTL bounds the flood depth over the ultrapeer graph.
 	QueryTTL int
-	// Replicas is how many peers own each key (the QRP-style shared-file
-	// placement).
-	Replicas int
-	// QueryBytes and HitBytes are the per-message sizes charged.
-	QueryBytes, HitBytes uint64
-	// Timeout is the simulated deadline after which a query is scored:
-	// a hit that arrived by then counts, silence is a miss.
-	Timeout sim.Duration
 	// Aware, when true, biases ultra neighbor and leaf parent choices
 	// toward same-AS candidates (Aggarwal et al.'s biased neighbor
 	// selection, the paper's central Gnutella evidence) while keeping
 	// the hashed fallback links that hold the graph together.
 	Aware bool
-	// AwareProbe is how many extra hash draws an aware pick spends
-	// looking for a same-AS candidate before falling back.
-	AwareProbe int
 }
 
-// DefaultCompactConfig sizes the overlay for megascale runs.
-func DefaultCompactConfig() CompactConfig {
-	return CompactConfig{
-		UltraShare: 8, UltraDegree: 6, LeafParents: 2,
-		QueryTTL: 3, Replicas: 3,
-		QueryBytes: queryBytes, HitBytes: queryHitBytes,
-		Timeout: 3000, AwareProbe: 8,
-	}
-}
+// DefaultCompactConfig floods three hops deep, unaware.
+func DefaultCompactConfig() CompactConfig { return CompactConfig{QueryTTL: 3} }
+
+// Compact overlay parameters, sized for megascale runs.
+const (
+	// ultraShare elects one peer in ultraShare as an ultrapeer (hashed,
+	// deterministic, K-independent).
+	ultraShare = 8
+	// compactUltraDegree is the target ultra↔ultra links initiated per
+	// ultrapeer; accepted links can double a node's degree, up to
+	// compactMaxDeg.
+	compactUltraDegree = 6
+	compactMaxDeg      = 2 * compactUltraDegree
+	// compactLeafParents is how many ultrapeers each leaf attaches to.
+	compactLeafParents = 2
+	// replicas is how many peers own each key (the QRP-style shared-file
+	// placement).
+	replicas = 3
+	// queryTimeout is the simulated deadline after which a query is
+	// scored: a hit that arrived by then counts, silence is a miss.
+	queryTimeout sim.Duration = 3000
+	// awareProbe is how many extra hash draws an aware pick spends
+	// looking for a same-AS candidate before falling back.
+	awareProbe = 8
+)
 
 // CompactFlood is a struct-of-arrays Gnutella over PeerTable peers for
 // sharded megascale runs — the unstructured port onto the megascale
@@ -74,9 +71,9 @@ type CompactFlood struct {
 	space *megascale.IDSpace
 	uidx  []int32  // dense ultra index per peer, -1 for leaves
 	ultra []uint32 // ultra peer ids, election order
-	nbr   []uint32 // U×maxDeg ultra neighbors
+	nbr   []uint32 // U×compactMaxDeg ultra neighbors
 	ncnt  []uint8  // neighbor fill per ultra
-	par   []uint32 // n×LeafParents parent ultras (leaf rows only)
+	par   []uint32 // n×compactLeafParents parent ultras (leaf rows only)
 	pcnt  []uint8  // parent fill per peer
 	lhead []int32  // U+1 CSR offsets into llist
 	llist []uint32 // leaves per ultra, CSR
@@ -89,20 +86,13 @@ type CompactFlood struct {
 	potential []uint64
 }
 
-// maxDeg is the accepted-degree cap (initiated + accepted links).
-func (cfg CompactConfig) maxDeg() int { return 2 * cfg.UltraDegree }
-
 // NewCompactFlood builds a compact Gnutella over every peer in the
 // net's table. qryClass and hitClass are the transport classes for
 // query and query-hit traffic. Call Bootstrap before the kernel runs.
 func NewCompactFlood(net *transport.ShardedNet, cfg CompactConfig, seed uint64, qryClass, hitClass int) *CompactFlood {
 	n := net.Peers().Len()
-	if cfg.UltraShare <= 0 || cfg.UltraDegree <= 0 || cfg.LeafParents <= 0 ||
-		cfg.QueryTTL <= 0 || cfg.Replicas <= 0 || cfg.Timeout <= 0 {
+	if cfg.QueryTTL <= 0 {
 		panic("gnutella: bad CompactConfig")
-	}
-	if cfg.AwareProbe <= 0 {
-		cfg.AwareProbe = 8
 	}
 	shards := net.Kernel().NumShards()
 	g := &CompactFlood{
@@ -115,9 +105,6 @@ func NewCompactFlood(net *transport.ShardedNet, cfg CompactConfig, seed uint64, 
 	}
 	return g
 }
-
-// Name identifies the overlay (megascale.CompactOverlay).
-func (g *CompactFlood) Name() string { return "gnutella" }
 
 // IsUltra reports whether peer p was elected ultrapeer.
 func (g *CompactFlood) IsUltra(p underlay.PeerID) bool { return g.uidx[p] >= 0 }
@@ -137,7 +124,7 @@ func (g *CompactFlood) Bootstrap(seed uint64) {
 	}
 	g.ultra = g.ultra[:0]
 	for p := 0; p < n; p++ {
-		if megascale.Mix64(seed^0xa17a^uint64(p))%uint64(g.cfg.UltraShare) == 0 {
+		if megascale.Mix64(seed^0xa17a^uint64(p))%uint64(ultraShare) == 0 {
 			g.uidx[p] = int32(len(g.ultra))
 			g.ultra = append(g.ultra, uint32(p))
 		}
@@ -150,17 +137,16 @@ func (g *CompactFlood) Bootstrap(seed uint64) {
 		}
 	}
 	u := len(g.ultra)
-	maxDeg := g.cfg.maxDeg()
-	g.nbr = make([]uint32, u*maxDeg)
+	g.nbr = make([]uint32, u*compactMaxDeg)
 	g.ncnt = make([]uint8, u)
 	// pickUltra draws a pseudo-random ultra, preferring a same-AS one
-	// within AwareProbe extra draws when Aware is set.
+	// within awareProbe extra draws when Aware is set.
 	pickUltra := func(key uint64, as int) int {
 		pick := int(megascale.Mix64(key) % uint64(u))
 		if !g.cfg.Aware {
 			return pick
 		}
-		for t := 0; t < g.cfg.AwareProbe; t++ {
+		for t := 0; t < awareProbe; t++ {
 			c := int(megascale.Mix64(key^uint64(t+1)*0x9e3779b97f4a7c15) % uint64(u))
 			if pt.AS(underlay.PeerID(g.ultra[c])) == as {
 				return c
@@ -169,7 +155,7 @@ func (g *CompactFlood) Bootstrap(seed uint64) {
 		return pick
 	}
 	linked := func(a, b int) bool {
-		base := a * maxDeg
+		base := a * compactMaxDeg
 		for i := 0; i < int(g.ncnt[a]); i++ {
 			if g.nbr[base+i] == g.ultra[b] {
 				return true
@@ -179,17 +165,17 @@ func (g *CompactFlood) Bootstrap(seed uint64) {
 	}
 	link := func(a, b int) {
 		if a == b || linked(a, b) ||
-			int(g.ncnt[a]) >= maxDeg || int(g.ncnt[b]) >= maxDeg {
+			int(g.ncnt[a]) >= compactMaxDeg || int(g.ncnt[b]) >= compactMaxDeg {
 			return
 		}
-		g.nbr[a*maxDeg+int(g.ncnt[a])] = g.ultra[b]
+		g.nbr[a*compactMaxDeg+int(g.ncnt[a])] = g.ultra[b]
 		g.ncnt[a]++
-		g.nbr[b*maxDeg+int(g.ncnt[b])] = g.ultra[a]
+		g.nbr[b*compactMaxDeg+int(g.ncnt[b])] = g.ultra[a]
 		g.ncnt[b]++
 	}
 	for i := 0; i < u; i++ {
 		as := pt.AS(underlay.PeerID(g.ultra[i]))
-		for d := 0; d < g.cfg.UltraDegree; d++ {
+		for d := 0; d < compactUltraDegree; d++ {
 			// The paper's k-external rule: even aware nodes keep their
 			// first link unbiased so the graph stays connected across
 			// ASes.
@@ -200,9 +186,9 @@ func (g *CompactFlood) Bootstrap(seed uint64) {
 			link(i, pickUltra(seed^0x0b61^uint64(i)<<20^uint64(d), as))
 		}
 	}
-	// Leaves attach to LeafParents distinct ultras; CSR-invert for the
-	// per-ultra leaf lists QRP forwarding walks.
-	g.par = make([]uint32, n*g.cfg.LeafParents)
+	// Leaves attach to compactLeafParents distinct ultras; CSR-invert for
+	// the per-ultra leaf lists QRP forwarding walks.
+	g.par = make([]uint32, n*compactLeafParents)
 	g.pcnt = make([]uint8, n)
 	leafCnt := make([]int32, u)
 	for p := 0; p < n; p++ {
@@ -210,8 +196,8 @@ func (g *CompactFlood) Bootstrap(seed uint64) {
 			continue
 		}
 		as := pt.AS(underlay.PeerID(p))
-		base := p * g.cfg.LeafParents
-		for s := 0; s < g.cfg.LeafParents; s++ {
+		base := p * compactLeafParents
+		for s := 0; s < compactLeafParents; s++ {
 			c := pickUltra(seed^0x1eaf^uint64(p)<<8^uint64(s), as)
 			dup := false
 			for i := 0; i < int(g.pcnt[p]); i++ {
@@ -238,7 +224,7 @@ func (g *CompactFlood) Bootstrap(seed uint64) {
 		if g.uidx[p] >= 0 {
 			continue
 		}
-		base := p * g.cfg.LeafParents
+		base := p * compactLeafParents
 		for i := 0; i < int(g.pcnt[p]); i++ {
 			ui := g.uidx[g.par[base+i]]
 			g.llist[g.lhead[ui]+fill[ui]] = uint32(p)
@@ -247,13 +233,13 @@ func (g *CompactFlood) Bootstrap(seed uint64) {
 	}
 }
 
-// owners derives the Replicas peers sharing the key drawn from a query
+// owners derives the replicas peers sharing the key drawn from a query
 // seed — the deterministic replica placement both the flood's QRP check
 // and the ground truth read.
 func (g *CompactFlood) owners(key uint64, out []underlay.PeerID) []underlay.PeerID {
 	n := uint64(g.space.Len())
 	out = out[:0]
-	for r := 0; r < g.cfg.Replicas; r++ {
+	for r := 0; r < replicas; r++ {
 		out = append(out, underlay.PeerID(megascale.Mix64(key^uint64(r+1)*0xbf58476d1ce4e5b9)%n))
 	}
 	return out
@@ -268,7 +254,7 @@ func (g *CompactFlood) attachedTo(o, u underlay.PeerID) bool {
 	if g.uidx[u] < 0 || g.uidx[o] >= 0 {
 		return false
 	}
-	base := int(o) * g.cfg.LeafParents
+	base := int(o) * compactLeafParents
 	for i := 0; i < int(g.pcnt[o]); i++ {
 		if g.par[base+i] == uint32(u) {
 			return true
@@ -355,15 +341,15 @@ func (g *CompactFlood) Query(origin underlay.PeerID, seed uint64, onDone func(me
 		// Ultra origin processes the query locally, no self-message.
 		g.deliver(origin, origin, owners, g.cfg.QueryTTL, 0, st)
 	} else {
-		base := int(origin) * g.cfg.LeafParents
+		base := int(origin) * compactLeafParents
 		for i := 0; i < int(g.pcnt[origin]); i++ {
 			up := underlay.PeerID(g.par[base+i])
-			g.net.Send(origin, up, g.qryClass, g.cfg.QueryBytes, func() {
+			g.net.Send(origin, up, g.qryClass, queryBytes, func() {
 				g.deliver(origin, up, owners, g.cfg.QueryTTL, 1, st)
 			})
 		}
 	}
-	g.net.Kernel().Shard(oshard).Schedule(g.cfg.Timeout, func() {
+	g.net.Kernel().Shard(oshard).Schedule(queryTimeout, func() {
 		ok := st.hits > 0
 		g.ctr.Finish(oshard, ok, st.firstHop)
 		if g.PotentialHit(origin, key) {
@@ -395,7 +381,7 @@ func (g *CompactFlood) deliver(origin, u underlay.PeerID,
 		// QRP last hop: only the owning leaf gets the query; it answers
 		// the origin directly if alive.
 		hop := hops + 1
-		g.net.Send(u, o, g.qryClass, g.cfg.QueryBytes, func() {
+		g.net.Send(u, o, g.qryClass, queryBytes, func() {
 			if !g.net.Peers().Up(o) || !st.seen[g.net.ShardOf(o)].add(o) {
 				return
 			}
@@ -406,10 +392,10 @@ func (g *CompactFlood) deliver(origin, u underlay.PeerID,
 		return
 	}
 	ui := int(g.uidx[u])
-	base := ui * g.cfg.maxDeg()
+	base := ui * compactMaxDeg
 	for i := 0; i < int(g.ncnt[ui]); i++ {
 		v := underlay.PeerID(g.nbr[base+i])
-		g.net.Send(u, v, g.qryClass, g.cfg.QueryBytes, func() {
+		g.net.Send(u, v, g.qryClass, queryBytes, func() {
 			g.deliver(origin, v, owners, ttl-1, hops+1, st)
 		})
 	}
@@ -417,7 +403,7 @@ func (g *CompactFlood) deliver(origin, u underlay.PeerID,
 
 // reply sends a QueryHit from peer h back to the origin's shard.
 func (g *CompactFlood) reply(origin, h underlay.PeerID, hops int, st *floodQuery) {
-	g.net.Send(h, origin, g.hitClass, g.cfg.HitBytes, func() {
+	g.net.Send(h, origin, g.hitClass, queryHitBytes, func() {
 		if st.hits == 0 {
 			st.firstHop = hops
 			st.best = h
@@ -444,7 +430,7 @@ func (g *CompactFlood) PotentialHit(origin underlay.PeerID, key uint64) bool {
 		frontier = append(frontier, qe{origin, g.cfg.QueryTTL})
 		visited.add(origin)
 	} else {
-		base := int(origin) * g.cfg.LeafParents
+		base := int(origin) * compactLeafParents
 		for i := 0; i < int(g.pcnt[origin]); i++ {
 			up := underlay.PeerID(g.par[base+i])
 			if visited.add(up) {
@@ -464,7 +450,7 @@ func (g *CompactFlood) PotentialHit(origin underlay.PeerID, key uint64) bool {
 			continue
 		}
 		ui := int(g.uidx[e.u])
-		base := ui * g.cfg.maxDeg()
+		base := ui * compactMaxDeg
 		for i := 0; i < int(g.ncnt[ui]); i++ {
 			v := underlay.PeerID(g.nbr[base+i])
 			if visited.add(v) {

@@ -52,7 +52,6 @@ func TestCompactFloodTopology(t *testing.T) {
 	if g.Ultras() == 0 || g.Ultras() == n {
 		t.Fatalf("degenerate election: %d ultras of %d peers", g.Ultras(), n)
 	}
-	maxDeg := g.cfg.maxDeg()
 	for p := 0; p < n; p++ {
 		if g.IsUltra(underlay.PeerID(p)) != g2.IsUltra(underlay.PeerID(p)) {
 			t.Fatal("election depends on shard count")
@@ -60,16 +59,16 @@ func TestCompactFloodTopology(t *testing.T) {
 		if g.IsUltra(underlay.PeerID(p)) {
 			ui := int(g.uidx[p])
 			deg := int(g.ncnt[ui])
-			if deg == 0 || deg > maxDeg {
+			if deg == 0 || deg > compactMaxDeg {
 				t.Fatalf("ultra %d degree %d out of range", p, deg)
 			}
 			// Neighbor symmetry.
 			for i := 0; i < deg; i++ {
-				v := g.nbr[ui*maxDeg+i]
+				v := g.nbr[ui*compactMaxDeg+i]
 				vi := int(g.uidx[v])
 				found := false
 				for j := 0; j < int(g.ncnt[vi]); j++ {
-					if g.nbr[vi*maxDeg+j] == uint32(p) {
+					if g.nbr[vi*compactMaxDeg+j] == uint32(p) {
 						found = true
 					}
 				}
@@ -84,7 +83,7 @@ func TestCompactFloodTopology(t *testing.T) {
 			t.Fatalf("leaf %d has no parents", p)
 		}
 		for i := 0; i < int(g.pcnt[p]); i++ {
-			u := g.par[p*g.cfg.LeafParents+i]
+			u := g.par[p*compactLeafParents+i]
 			ui := g.uidx[u]
 			if ui < 0 {
 				t.Fatalf("leaf %d parent %d is not an ultra", p, u)
@@ -190,11 +189,10 @@ func TestCompactFloodDeterministicAcrossK(t *testing.T) {
 func TestCompactFloodAware(t *testing.T) {
 	stats := func(g *CompactFlood, net *transport.ShardedNet) (sameFrac float64, crossLinks int) {
 		pt := net.Peers()
-		maxDeg := g.cfg.maxDeg()
 		same, total := 0, 0
 		for ui, up := range g.ultra {
 			for i := 0; i < int(g.ncnt[ui]); i++ {
-				v := g.nbr[ui*maxDeg+i]
+				v := g.nbr[ui*compactMaxDeg+i]
 				total++
 				if pt.AS(underlay.PeerID(up)) == pt.AS(underlay.PeerID(v)) {
 					same++

@@ -25,7 +25,7 @@ import (
 )
 
 // Message sizes in bytes (representative Gnutella 0.6 frame sizes; only
-// relative magnitudes matter for traffic accounting).
+// relative magnitudes matter for traffic accounting), classic and compact.
 const (
 	pingBytes     = 23
 	pongBytes     = 37
@@ -33,14 +33,18 @@ const (
 	queryHitBytes = 120
 )
 
+// maxLeaves caps how many leaves one ultrapeer accepts (GTK-Gnutella's 30).
+const maxLeaves = 30
+
+// fileSize is the bytes transferred per download (4 MB).
+const fileSize uint64 = 4 << 20
+
 // Config tunes the overlay.
 type Config struct {
 	// UltraDegree is the target number of ultrapeer↔ultrapeer neighbors.
 	UltraDegree int
 	// MaxUltraDegree caps accepted connections (refusals beyond it).
 	MaxUltraDegree int
-	// MaxLeaves caps how many leaves one ultrapeer accepts.
-	MaxLeaves int
 	// LeafParents is how many ultrapeers each leaf connects to.
 	LeafParents int
 	// HostcacheSize is the random subset of known addresses each joining
@@ -50,8 +54,6 @@ type Config struct {
 	// PingTTL and QueryTTL limit flooding scope.
 	PingTTL  int
 	QueryTTL int
-	// FileSize is the bytes transferred per download.
-	FileSize uint64
 	// ExternalPerNode reserves this many of a biased node's connections
 	// for peers *outside* its AS — "a minimal number of inter-AS
 	// connections necessary to keep the network connected" (§4, and the
@@ -72,12 +74,10 @@ func DefaultConfig() Config {
 	return Config{
 		UltraDegree:     5,
 		MaxUltraDegree:  8,
-		MaxLeaves:       30,
 		LeafParents:     1,
 		HostcacheSize:   100,
 		PingTTL:         2,
 		QueryTTL:        3,
-		FileSize:        4 << 20, // 4 MB
 		ExternalPerNode: 1,
 	}
 }
@@ -299,7 +299,7 @@ func (o *Overlay) Join(n *Node) {
 			break
 		}
 		c := o.nodes[id]
-		if len(c.leaves) >= o.Cfg.MaxLeaves {
+		if len(c.leaves) >= maxLeaves {
 			continue
 		}
 		n.parents[id] = true

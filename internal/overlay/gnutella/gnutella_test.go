@@ -169,7 +169,7 @@ func TestDownloadBiasedPrefersSameAS(t *testing.T) {
 	if o.IntraASDownloadFraction() != 1 {
 		t.Fatalf("intra fraction = %v", o.IntraASDownloadFraction())
 	}
-	if o.FileTraffic.Total() != uint64(o.Cfg.FileSize) {
+	if o.FileTraffic.Total() != fileSize {
 		t.Fatal("file traffic not accounted")
 	}
 }
@@ -374,7 +374,7 @@ func TestAdaptRoundImprovesMatching(t *testing.T) {
 	before := o.MeanNeighborRTT()
 	totalRewires := 0
 	for i := 0; i < 8; i++ {
-		totalRewires += o.AdaptRound(DefaultAdaptConfig())
+		totalRewires += o.AdaptRound()
 	}
 	after := o.MeanNeighborRTT()
 	if totalRewires == 0 {
@@ -401,10 +401,9 @@ func TestAdaptRoundConverges(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.HostcacheSize = 200
 	_, o := build(t, 6, cfg, 31)
-	acfg := DefaultAdaptConfig()
 	// Run until quiescent; rewires must reach zero (hysteresis works).
 	for i := 0; i < 40; i++ {
-		if o.AdaptRound(acfg) == 0 {
+		if o.AdaptRound() == 0 {
 			return
 		}
 	}
@@ -414,13 +413,11 @@ func TestAdaptRoundConverges(t *testing.T) {
 func TestAdaptRespectsMinDegree(t *testing.T) {
 	cfg := DefaultConfig()
 	_, o := build(t, 4, cfg, 32)
-	acfg := DefaultAdaptConfig()
-	acfg.MinDegree = 3
 	for i := 0; i < 10; i++ {
-		o.AdaptRound(acfg)
+		o.AdaptRound()
 	}
 	for _, n := range o.Nodes() {
-		if n.Host.Up && n.Degree() < 2 {
+		if n.Host.Up && n.Degree() < adaptMinDegree {
 			t.Fatalf("node %d degree %d below protection", n.Host.ID, n.Degree())
 		}
 	}

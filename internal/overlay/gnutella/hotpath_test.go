@@ -44,15 +44,15 @@ func (r *refFlood) query(origin underlay.PeerID, seed uint64, onDone func(megasc
 	if g.uidx[origin] >= 0 {
 		r.deliver(origin, origin, qid, owners, g.cfg.QueryTTL, 0, st)
 	} else {
-		base := int(origin) * g.cfg.LeafParents
+		base := int(origin) * compactLeafParents
 		for i := 0; i < int(g.pcnt[origin]); i++ {
 			up := underlay.PeerID(g.par[base+i])
-			g.net.Send(origin, up, g.qryClass, g.cfg.QueryBytes, func() {
+			g.net.Send(origin, up, g.qryClass, queryBytes, func() {
 				r.deliver(origin, up, qid, owners, g.cfg.QueryTTL, 1, st)
 			})
 		}
 	}
-	g.net.Kernel().Shard(oshard).Schedule(g.cfg.Timeout, func() {
+	g.net.Kernel().Shard(oshard).Schedule(queryTimeout, func() {
 		ok := st.hits > 0
 		g.ctr.Finish(oshard, ok, st.firstHop)
 		if refPotentialHit(g, origin, key) {
@@ -86,7 +86,7 @@ func (r *refFlood) deliver(origin, u underlay.PeerID, qid uint64,
 			continue
 		}
 		hop := hops + 1
-		g.net.Send(u, o, g.qryClass, g.cfg.QueryBytes, func() {
+		g.net.Send(u, o, g.qryClass, queryBytes, func() {
 			if !g.net.Peers().Up(o) {
 				return
 			}
@@ -103,10 +103,10 @@ func (r *refFlood) deliver(origin, u underlay.PeerID, qid uint64,
 		return
 	}
 	ui := int(g.uidx[u])
-	base := ui * g.cfg.maxDeg()
+	base := ui * compactMaxDeg
 	for i := 0; i < int(g.ncnt[ui]); i++ {
 		v := underlay.PeerID(g.nbr[base+i])
-		g.net.Send(u, v, g.qryClass, g.cfg.QueryBytes, func() {
+		g.net.Send(u, v, g.qryClass, queryBytes, func() {
 			r.deliver(origin, v, qid, owners, ttl-1, hops+1, st)
 		})
 	}
@@ -124,7 +124,7 @@ func refPotentialHit(g *CompactFlood, origin underlay.PeerID, key uint64) bool {
 		frontier = append(frontier, qe{origin, g.cfg.QueryTTL})
 		visited[origin] = true
 	} else {
-		base := int(origin) * g.cfg.LeafParents
+		base := int(origin) * compactLeafParents
 		for i := 0; i < int(g.pcnt[origin]); i++ {
 			up := underlay.PeerID(g.par[base+i])
 			if !visited[up] {
@@ -145,7 +145,7 @@ func refPotentialHit(g *CompactFlood, origin underlay.PeerID, key uint64) bool {
 			continue
 		}
 		ui := int(g.uidx[e.u])
-		base := ui * g.cfg.maxDeg()
+		base := ui * compactMaxDeg
 		for i := 0; i < int(g.ncnt[ui]); i++ {
 			v := underlay.PeerID(g.nbr[base+i])
 			if !visited[v] {

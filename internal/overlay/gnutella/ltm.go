@@ -14,22 +14,18 @@ import (
 // probeBytes is the size of one measurement probe.
 const probeBytes = 40
 
-// AdaptConfig tunes topology matching.
-type AdaptConfig struct {
-	// Candidates is how many Hostcache entries a node probes per round.
-	Candidates int
-	// Improvement is the minimum relative RTT gain (e.g. 0.2 = 20%)
-	// before a node cuts its worst link — hysteresis against flapping.
-	Improvement float64
-	// MinDegree protects connectivity: no cut may drop either endpoint
-	// below this degree.
-	MinDegree int
-}
-
-// DefaultAdaptConfig mirrors LTM's conservative settings.
-func DefaultAdaptConfig() AdaptConfig {
-	return AdaptConfig{Candidates: 5, Improvement: 0.2, MinDegree: 2}
-}
+// LTM's conservative topology-matching settings.
+const (
+	// adaptCandidates is how many Hostcache entries a node probes per
+	// round.
+	adaptCandidates = 5
+	// adaptImprovement is the minimum relative RTT gain (20%) before a
+	// node cuts its worst link — hysteresis against flapping.
+	adaptImprovement = 0.2
+	// adaptMinDegree protects connectivity: no cut may drop either
+	// endpoint below this degree.
+	adaptMinDegree = 2
+)
 
 // AdaptRound performs one topology-matching round over every online
 // ultrapeer (in deterministic order): measure all neighbors, probe a few
@@ -37,7 +33,7 @@ func DefaultAdaptConfig() AdaptConfig {
 // closer candidate. It returns the number of rewires performed. Probes
 // are real messages: they are counted under "probe" and charged to the
 // underlay — the measurement overhead §3.2 warns about.
-func (o *Overlay) AdaptRound(cfg AdaptConfig) int {
+func (o *Overlay) AdaptRound() int {
 	rewires := 0
 	for _, id := range o.order {
 		n := o.nodes[id]
@@ -60,10 +56,10 @@ func (o *Overlay) AdaptRound(cfg AdaptConfig) int {
 				worst, worstRTT = nb, rtt
 			}
 		}
-		if worstRTT < 0 || n.Degree() <= cfg.MinDegree {
+		if worstRTT < 0 || n.Degree() <= adaptMinDegree {
 			continue
 		}
-		if o.nodes[worst].Degree() <= cfg.MinDegree {
+		if o.nodes[worst].Degree() <= adaptMinDegree {
 			continue
 		}
 		// Probe a few candidates from the Hostcache.
@@ -71,7 +67,7 @@ func (o *Overlay) AdaptRound(cfg AdaptConfig) int {
 		bestRTT := worstRTT
 		probed := 0
 		for _, cand := range n.hostcache {
-			if probed >= cfg.Candidates {
+			if probed >= adaptCandidates {
 				break
 			}
 			c := o.nodes[cand]
@@ -89,7 +85,7 @@ func (o *Overlay) AdaptRound(cfg AdaptConfig) int {
 		if best == 0 && bestRTT == worstRTT {
 			continue
 		}
-		if worstRTT-bestRTT < cfg.Improvement*worstRTT {
+		if worstRTT-bestRTT < adaptImprovement*worstRTT {
 			continue // not enough gain to justify a rewire
 		}
 		// Rewire: cut the worst link, adopt the better candidate.

@@ -301,7 +301,7 @@ func (o *Overlay) Download(res *SearchResult) (ok, intraAS bool) {
 		src = hits[o.r.Intn(len(hits))]
 	}
 	source := o.U.Host(src)
-	if r := o.T.Send(source, requester, o.Cfg.FileSize, "file"); !r.OK {
+	if r := o.T.Send(source, requester, fileSize, "file"); !r.OK {
 		return false, false // transfer lost: no download recorded
 	}
 	o.Downloads++

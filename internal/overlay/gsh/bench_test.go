@@ -15,7 +15,7 @@ func benchOverlay(b *testing.B) *Overlay {
 	src := sim.NewSource(1)
 	net := topology.Star(6, topology.DefaultConfig())
 	topology.PlaceHosts(net, 40, false, 1, 5, src.Stream("place"))
-	o := New(transport.Over(net), core.GeoSelector{}, DefaultConfig())
+	o := New(transport.Over(net), core.GeoSelector{})
 	for _, h := range net.Hosts() {
 		o.Join(h)
 	}

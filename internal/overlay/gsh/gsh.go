@@ -52,17 +52,12 @@ func zoneOf(c geo.Coord, level int) ZoneCode {
 	return code
 }
 
-// Config tunes the overlay.
-type Config struct {
-	// MaxLevel is the deepest zone level (2·MaxLevel bits of location
-	// prefix); level 0 is the whole world.
-	MaxLevel int
-	// MsgBytes is the size of one registry/lookup message.
-	MsgBytes uint64
-}
+// MaxLevel is the deepest zone level (2·MaxLevel bits of location
+// prefix, up to 256 leaf zones); level 0 is the whole world.
+const MaxLevel = 4
 
-// DefaultConfig uses 4 levels (up to 256 leaf zones).
-func DefaultConfig() Config { return Config{MaxLevel: 4, MsgBytes: 96} }
+// msgBytes is the size of one registry/lookup message.
+const msgBytes uint64 = 96
 
 // Key identifies a content item.
 type Key uint64
@@ -89,8 +84,7 @@ type node struct {
 type Overlay struct {
 	// T carries every registry/lookup message; GSH needs no other view of
 	// the underlay.
-	T   *transport.Transport
-	Cfg Config
+	T *transport.Transport
 	// Msgs counts "register", "lookup", "response" messages (a view of
 	// the transport's per-type counters).
 	Msgs *metrics.CounterSet
@@ -108,16 +102,12 @@ type Overlay struct {
 // Position verb supplies the coordinates GSH hashes into zone prefixes
 // (a core.GeoSelector for perfect GPS fixes); a nil selector — or one
 // with no position answer — falls back to ground truth.
-func New(tr *transport.Transport, sel core.Selector, cfg Config) *Overlay {
-	if cfg.MaxLevel < 1 || cfg.MaxLevel > 16 {
-		panic("gsh: MaxLevel must be in [1,16]")
-	}
+func New(tr *transport.Transport, sel core.Selector) *Overlay {
 	o := &Overlay{
 		T:       tr,
-		Cfg:     cfg,
 		Msgs:    tr.Counters(),
 		nodes:   make(map[underlay.HostID]*node),
-		members: make([]map[ZoneCode][]underlay.HostID, cfg.MaxLevel+1),
+		members: make([]map[ZoneCode][]underlay.HostID, MaxLevel+1),
 		sel:     sel,
 	}
 	for l := range o.members {
@@ -148,14 +138,14 @@ func (o *Overlay) Join(h *underlay.Host) {
 	n := &node{
 		host:     h,
 		suffix:   hh.Sum64(),
-		registry: make([]map[Key][]underlay.HostID, o.Cfg.MaxLevel+1),
+		registry: make([]map[Key][]underlay.HostID, MaxLevel+1),
 	}
 	for l := range n.registry {
 		n.registry[l] = make(map[Key][]underlay.HostID)
 	}
 	o.nodes[h.ID] = n
 	pos := o.pos(h)
-	for l := 0; l <= o.Cfg.MaxLevel; l++ {
+	for l := 0; l <= MaxLevel; l++ {
 		z := zoneOf(pos, l)
 		ids := append(o.members[l][z], h.ID)
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
@@ -205,7 +195,7 @@ type PublishStats struct {
 func (o *Overlay) Publish(holder *underlay.Host, k Key) PublishStats {
 	var st PublishStats
 	pos := o.pos(holder)
-	for l := o.Cfg.MaxLevel; l >= 0; l-- {
+	for l := MaxLevel; l >= 0; l-- {
 		z := zoneOf(pos, l)
 		resp, ok := o.responsible(l, z, k)
 		if !ok {
@@ -214,7 +204,7 @@ func (o *Overlay) Publish(holder *underlay.Host, k Key) PublishStats {
 		rn := o.nodes[resp]
 		if resp != holder.ID {
 			st.Msgs++
-			res := o.T.Send(holder, rn.host, o.Cfg.MsgBytes, "register")
+			res := o.T.Send(holder, rn.host, msgBytes, "register")
 			if !res.OK {
 				continue // registration lost at this level (fault injection)
 			}
@@ -254,7 +244,7 @@ type LookupStats struct {
 func (o *Overlay) Lookup(requester *underlay.Host, k Key) ([]underlay.HostID, LookupStats) {
 	st := LookupStats{Level: -1}
 	pos := o.pos(requester)
-	for l := o.Cfg.MaxLevel; l >= 0; l-- {
+	for l := MaxLevel; l >= 0; l-- {
 		z := zoneOf(pos, l)
 		resp, ok := o.responsible(l, z, k)
 		if !ok {
@@ -264,7 +254,7 @@ func (o *Overlay) Lookup(requester *underlay.Host, k Key) ([]underlay.HostID, Lo
 		if resp != requester.ID {
 			st.Msgs += 2
 			res := o.T.RoundTrip(requester, rn.host,
-				o.Cfg.MsgBytes, o.Cfg.MsgBytes, "lookup", "response")
+				msgBytes, msgBytes, "lookup", "response")
 			if !res.OK {
 				continue // query timed out at this level; widen scope
 			}
@@ -308,7 +298,7 @@ func (o *Overlay) GlobalLookup(requester *underlay.Host, k Key) ([]underlay.Host
 	if resp != requester.ID {
 		st.Msgs = 2
 		r := o.T.RoundTrip(requester, rn.host,
-			o.Cfg.MsgBytes, o.Cfg.MsgBytes, "lookup", "response")
+			msgBytes, msgBytes, "lookup", "response")
 		if !r.OK {
 			return nil, st // the single rendezvous timed out
 		}

@@ -17,7 +17,7 @@ func buildGSH(t *testing.T) (*underlay.Network, *Overlay) {
 	src := sim.NewSource(1)
 	net := topology.Star(6, topology.DefaultConfig())
 	topology.PlaceHosts(net, 25, false, 1, 5, src.Stream("place"))
-	o := New(transport.Over(net), core.GeoSelector{}, DefaultConfig())
+	o := New(transport.Over(net), core.GeoSelector{})
 	for _, h := range net.Hosts() {
 		o.Join(h)
 	}
@@ -91,8 +91,8 @@ func TestScopedResolutionStaysLocal(t *testing.T) {
 	for _, a := range net.Hosts() {
 		for _, b := range net.Hosts() {
 			if a.ID != b.ID &&
-				zoneOf(geo.Coord{Lat: a.Lat, Lon: a.Lon}, o.Cfg.MaxLevel) ==
-					zoneOf(geo.Coord{Lat: b.Lat, Lon: b.Lon}, o.Cfg.MaxLevel) {
+				zoneOf(geo.Coord{Lat: a.Lat, Lon: a.Lon}, MaxLevel) ==
+					zoneOf(geo.Coord{Lat: b.Lat, Lon: b.Lon}, MaxLevel) {
 				pub, req = a, b
 				break
 			}
@@ -107,9 +107,9 @@ func TestScopedResolutionStaysLocal(t *testing.T) {
 	k := HashKey("local-item")
 	o.Publish(pub, k)
 	_, st := o.Lookup(req, k)
-	if st.Level != o.Cfg.MaxLevel {
+	if st.Level != MaxLevel {
 		t.Fatalf("co-zoned lookup resolved at level %d, want leaf level %d",
-			st.Level, o.Cfg.MaxLevel)
+			st.Level, MaxLevel)
 	}
 }
 
@@ -173,15 +173,6 @@ func TestJoinPanicsOnDuplicate(t *testing.T) {
 		}
 	}()
 	o.Join(net.Hosts()[0])
-}
-
-func TestNewValidatesConfig(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New(transport.Over(underlay.New()), nil, Config{MaxLevel: 0})
 }
 
 func TestRendezvousStability(t *testing.T) {

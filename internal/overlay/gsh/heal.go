@@ -92,7 +92,7 @@ func (o *Overlay) reRegister(level int, holder *underlay.Host, k Key) {
 	}
 	rn := o.nodes[resp]
 	if resp != holder.ID {
-		if res := o.T.Send(holder, rn.host, o.Cfg.MsgBytes, "register"); !res.OK {
+		if res := o.T.Send(holder, rn.host, msgBytes, "register"); !res.OK {
 			return
 		}
 	}

@@ -20,10 +20,6 @@ type CompactConfig struct {
 	// leaves the collapsed band essentially empty while keeping the flat
 	// array small.
 	Buckets int
-	// Alpha is the lookup parallelism.
-	Alpha int
-	// RPCBytes is the size charged per request or reply message.
-	RPCBytes uint64
 	// Aware, when true, fills spare bucket capacity preferring same-AS
 	// contacts — the paper's proximity neighbor selection applied to the
 	// compact table (lower latency per hop at equal correctness).
@@ -32,7 +28,7 @@ type CompactConfig struct {
 
 // DefaultCompactConfig mirrors DefaultConfig at megascale-friendly size.
 func DefaultCompactConfig() CompactConfig {
-	return CompactConfig{K: 8, Buckets: 24, Alpha: 3, RPCBytes: 100}
+	return CompactConfig{K: 8, Buckets: 24}
 }
 
 // CompactDHT is a struct-of-arrays Kademlia over PeerTable peers for
@@ -61,7 +57,7 @@ type CompactDHT struct {
 // message classes for request and reply traffic.
 func NewCompact(net *transport.ShardedNet, cfg CompactConfig, seed uint64, reqClass, repClass int) *CompactDHT {
 	n := net.Peers().Len()
-	if cfg.K <= 0 || cfg.Buckets <= 0 || cfg.Alpha <= 0 {
+	if cfg.K <= 0 || cfg.Buckets <= 0 {
 		panic("kademlia: bad CompactConfig")
 	}
 	d := &CompactDHT{
@@ -76,8 +72,8 @@ func NewCompact(net *transport.ShardedNet, cfg CompactConfig, seed uint64, reqCl
 		d.ids[p] = NodeID(d.space.ID(underlay.PeerID(p)))
 	}
 	d.iter = megascale.Iter{
-		Net: net, ReqClass: reqClass, RepClass: repClass, RPCBytes: cfg.RPCBytes,
-		Alpha: cfg.Alpha, Width: 3 * cfg.K, Ctr: d.ctr,
+		Net: net, ReqClass: reqClass, RepClass: repClass, RPCBytes: RPCBytes,
+		Alpha: alpha, Width: 3 * cfg.K, Ctr: d.ctr,
 		Dist: func(q underlay.PeerID, target uint64) uint64 {
 			return uint64(d.ids[q]) ^ target
 		},
@@ -94,9 +90,6 @@ func NewCompact(net *transport.ShardedNet, cfg CompactConfig, seed uint64, reqCl
 
 // ID returns peer p's node id.
 func (d *CompactDHT) ID(p underlay.PeerID) NodeID { return d.ids[p] }
-
-// Name identifies the overlay (megascale.CompactOverlay).
-func (d *CompactDHT) Name() string { return "kademlia" }
 
 // bucketOf maps an XOR distance to a bucket slot: the top cfg.Buckets
 // distance bands in order, with everything nearer collapsed into slot 0.

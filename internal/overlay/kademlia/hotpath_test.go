@@ -85,7 +85,7 @@ func refLookup(d *DHT, from underlay.HostID, target NodeID) LookupResult {
 		if limit > d.Cfg.K {
 			limit = d.Cfg.K
 		}
-		for i := 0; i < limit && len(batch) < d.Cfg.Alpha; i++ {
+		for i := 0; i < limit && len(batch) < alpha; i++ {
 			if !queried[shortlist[i].c.ID] {
 				batch = append(batch, shortlist[i].c)
 			}
@@ -102,7 +102,7 @@ func refLookup(d *DHT, from underlay.HostID, target NodeID) LookupResult {
 				continue
 			}
 			rt := d.T.RoundTrip(origin.host, peer.host,
-				d.Cfg.RPCBytes, d.Cfg.RPCBytes, "find_node", "response")
+				RPCBytes, RPCBytes, "find_node", "response")
 			res.Msgs += 2
 			if !rt.OK {
 				continue

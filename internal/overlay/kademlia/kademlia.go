@@ -52,14 +52,17 @@ type Contact struct {
 type Config struct {
 	// K is the bucket size / replication factor.
 	K int
-	// Alpha is the lookup parallelism.
-	Alpha int
-	// RPCBytes is the size of one request or response message.
-	RPCBytes uint64
 }
 
-// DefaultConfig uses the classic k=8 (scaled from 20), α=3.
-func DefaultConfig() Config { return Config{K: 8, Alpha: 3, RPCBytes: 100} }
+// DefaultConfig uses the classic k=8 (scaled from 20).
+func DefaultConfig() Config { return Config{K: 8} }
+
+// alpha is the lookup parallelism, classic and compact.
+const alpha = 3
+
+// RPCBytes is the size of one request or response message, classic and
+// compact.
+const RPCBytes uint64 = 100
 
 // Node is one DHT participant.
 type Node struct {
@@ -113,8 +116,8 @@ type DHT struct {
 // prediction-driven PNS (the §3.2 collection techniques plugged into §4
 // usage). A nil selector runs classic Kademlia.
 func New(tr *transport.Transport, sel core.Selector, cfg Config, r *rand.Rand) *DHT {
-	if cfg.K < 1 || cfg.Alpha < 1 {
-		panic("kademlia: K and Alpha must be ≥ 1")
+	if cfg.K < 1 {
+		panic("kademlia: K must be ≥ 1")
 	}
 	// LookupTraffic's joined type list is the matrix's key in every run
 	// file, so it keeps naming the two RPCs the DHT no longer sends.

@@ -224,7 +224,7 @@ func TestNewPanicsOnBadConfig(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	New(nil, nil, Config{K: 0, Alpha: 1}, nil)
+	New(nil, nil, Config{K: 0}, nil)
 }
 
 func TestDeterministicLookups(t *testing.T) {

@@ -40,7 +40,7 @@ func (d *DHT) Lookup(from underlay.HostID, target NodeID) LookupResult {
 
 	for {
 		batch := d.batch[:0]
-		for len(batch) < d.Cfg.Alpha {
+		for len(batch) < alpha {
 			c, ok := short.Next()
 			if !ok {
 				break
@@ -62,7 +62,7 @@ func (d *DHT) Lookup(from underlay.HostID, target NodeID) LookupResult {
 			// both messages, charges the underlay, and records the
 			// AS-pair traffic).
 			rt := d.T.RoundTrip(origin.host, peer.host,
-				d.Cfg.RPCBytes, d.Cfg.RPCBytes, "find_node", "response")
+				RPCBytes, RPCBytes, "find_node", "response")
 			res.Msgs += 2
 			if !rt.OK {
 				continue // RPC lost: times out, contributes nothing

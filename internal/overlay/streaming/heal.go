@@ -43,7 +43,7 @@ func (m *Mesh) Evict(id underlay.HostID) {
 	}
 }
 
-// reattach tops p's parent set back up to Cfg.Parents from live,
+// reattach tops p's parent set back up to meshParents from live,
 // unevicted candidates, capacity-weighted exactly like AssignParents.
 func (m *Mesh) reattach(p *Peer) {
 	seen := map[underlay.HostID]bool{p.Host.ID: true}
@@ -59,7 +59,7 @@ func (m *Mesh) reattach(p *Peer) {
 		}
 		w := 1.0
 		if kbps, ok := m.sel.Weight(c.Host); ok {
-			w = kbps / m.Cfg.BitrateKbps
+			w = kbps / bitrateKbps
 			if c.isSource {
 				w = 2
 			}
@@ -68,7 +68,7 @@ func (m *Mesh) reattach(p *Peer) {
 		weights = append(weights, w)
 		total += w
 	}
-	for tries := 0; len(p.parents) < m.Cfg.Parents && tries < 200 && len(candidates) > 0; tries++ {
+	for tries := 0; len(p.parents) < meshParents && tries < 200 && len(candidates) > 0; tries++ {
 		x := m.r.Float64() * total
 		pick := len(candidates) - 1
 		for i, w := range weights {

@@ -18,37 +18,25 @@ import (
 	"unap2p/internal/underlay"
 )
 
-// Config tunes the stream.
-type Config struct {
-	// BitrateKbps is the stream rate; a peer's chunk-per-tick upload
-	// budget is UpKbps/BitrateKbps (one tick carries one chunk).
-	BitrateKbps float64
-	// ChunkBytes is the size of one chunk on the wire.
-	ChunkBytes uint64
-	// Window is how many chunks ahead of the playhead a peer will pull.
-	Window int
-	// StartupDelay is the playout offset in ticks: at tick t every peer
-	// must play chunk t−StartupDelay.
-	StartupDelay int
-	// Parents is the number of mesh parents per peer.
-	Parents int
-	// SourceFanout guarantees the source directly parents this many
+// Stream parameters.
+const (
+	// bitrateKbps is the stream rate; a peer's chunk-per-tick upload
+	// budget is UpKbps/bitrateKbps (one tick carries one chunk).
+	bitrateKbps float64 = 400
+	// chunkBytes is the size of one chunk on the wire.
+	chunkBytes uint64 = 50 << 10
+	// window is how many chunks ahead of the playhead a peer will pull.
+	window = 10
+	// startupDelay is the playout offset in ticks: at tick t every peer
+	// must play chunk t−startupDelay.
+	startupDelay = 12
+	// meshParents is the number of mesh parents per peer.
+	meshParents = 4
+	// sourceFanout guarantees the source directly parents this many
 	// viewers; without it the whole stream can bottleneck through a
 	// single lucky child.
-	SourceFanout int
-}
-
-// DefaultConfig streams at 400 kbps with a 10-chunk window.
-func DefaultConfig() Config {
-	return Config{
-		BitrateKbps:  400,
-		ChunkBytes:   50 << 10,
-		Window:       10,
-		StartupDelay: 12,
-		Parents:      4,
-		SourceFanout: 6,
-	}
-}
+	sourceFanout = 6
+)
 
 // Peer is one viewer.
 type Peer struct {
@@ -72,8 +60,7 @@ func (p *Peer) Has(chunk int) bool { return p.isSource || p.have[chunk] }
 // Mesh is a streaming session.
 type Mesh struct {
 	// T carries chunk transfers.
-	T   *transport.Transport
-	Cfg Config
+	T *transport.Transport
 	// ChunkTraffic accounts chunk bytes by AS pair, recorded by the
 	// transport under the "chunk" message type.
 	ChunkTraffic *metrics.TrafficMatrix
@@ -93,16 +80,12 @@ type Mesh struct {
 // when its Weight verb answers, parent assignment becomes bandwidth-
 // aware (capacity-weighted instead of uniform — ResourceSelector with
 // WeightParents set).
-func NewMesh(tr *transport.Transport, sel core.Selector, source *underlay.Host,
-	cfg Config, r *rand.Rand) *Mesh {
-	if cfg.Parents < 1 || cfg.Window < 1 || cfg.BitrateKbps <= 0 {
-		panic("streaming: invalid config")
-	}
+func NewMesh(tr *transport.Transport, sel core.Selector, source *underlay.Host, r *rand.Rand) *Mesh {
 	if sel == nil {
 		panic("streaming: selector required for peer capacities")
 	}
 	m := &Mesh{
-		T: tr, Cfg: cfg,
+		T:            tr,
 		ChunkTraffic: tr.MatrixFor("chunk"),
 		r:            r,
 		sel:          sel,
@@ -125,7 +108,7 @@ func (m *Mesh) AddViewer(h *underlay.Host) *Peer {
 	p := &Peer{
 		Host:      h,
 		have:      map[int]bool{},
-		upPerTick: up / m.Cfg.BitrateKbps,
+		upPerTick: up / bitrateKbps,
 	}
 	m.peers = append(m.peers, p)
 	return p
@@ -134,7 +117,7 @@ func (m *Mesh) AddViewer(h *underlay.Host) *Peer {
 // Peers returns the viewers in join order.
 func (m *Mesh) Peers() []*Peer { return m.peers }
 
-// AssignParents wires the mesh: every viewer gets Cfg.Parents parents
+// AssignParents wires the mesh: every viewer gets meshParents parents
 // from {source} ∪ viewers. When the selector's Weight verb declines,
 // picks are uniform; when it answers, picks are capacity-weighted
 // (high-upload peers parent many children — the bandwidth-aware strategy).
@@ -145,7 +128,7 @@ func (m *Mesh) AssignParents() {
 	for i, c := range candidates {
 		w := 1.0
 		if kbps, ok := m.sel.Weight(c.Host); ok {
-			w = kbps / m.Cfg.BitrateKbps
+			w = kbps / bitrateKbps
 			if c.isSource {
 				w = 2 // the source is one peer, not infinite capacity
 			}
@@ -165,7 +148,7 @@ func (m *Mesh) AssignParents() {
 	}
 	for _, p := range m.peers {
 		seen := map[underlay.HostID]bool{p.Host.ID: true}
-		for tries := 0; len(p.parents) < m.Cfg.Parents && tries < 200; tries++ {
+		for tries := 0; len(p.parents) < meshParents && tries < 200; tries++ {
 			c := pickWeighted()
 			if seen[c.Host.ID] {
 				continue
@@ -174,10 +157,10 @@ func (m *Mesh) AssignParents() {
 			p.parents = append(p.parents, c)
 		}
 	}
-	// Guaranteed source fan-out: the first SourceFanout viewers (spread
+	// Guaranteed source fan-out: the first sourceFanout viewers (spread
 	// by a shuffle) get the source as an extra parent unless they have
 	// it already.
-	fan := m.Cfg.SourceFanout
+	fan := sourceFanout
 	if fan > len(m.peers) {
 		fan = len(m.peers)
 	}
@@ -219,7 +202,7 @@ func (m *Mesh) Tick() {
 	// Pull phase: peers in deterministic order request their most urgent
 	// window chunks. A request succeeds if some parent has the chunk and
 	// upload budget left.
-	playhead := m.tick - m.Cfg.StartupDelay
+	playhead := m.tick - startupDelay
 	for _, p := range m.peers {
 		if !p.Host.Up {
 			continue
@@ -228,7 +211,7 @@ func (m *Mesh) Tick() {
 		if low < 0 {
 			low = 0
 		}
-		for c := low; c <= chunk && c < low+m.Cfg.Window; c++ {
+		for c := low; c <= chunk && c < low+window; c++ {
 			if p.have[c] {
 				continue
 			}
@@ -239,7 +222,7 @@ func (m *Mesh) Tick() {
 				parent.budget--
 				// The parent's budget is spent even when the chunk is
 				// lost; the peer retries the chunk next tick.
-				if sr := m.T.Send(parent.Host, p.Host, m.Cfg.ChunkBytes, "chunk"); sr.OK {
+				if sr := m.T.Send(parent.Host, p.Host, chunkBytes, "chunk"); sr.OK {
 					p.have[c] = true
 				}
 				break

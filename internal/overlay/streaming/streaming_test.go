@@ -20,9 +20,8 @@ func buildMesh(t testing.TB, aware bool, seed int64) (*underlay.Network, *Mesh) 
 	})
 	topology.PlaceHosts(net, 12, false, 1, 5, src.Stream("place"))
 	table := resources.GenerateAll(net, src.Stream("res"))
-	cfg := DefaultConfig()
 	sel := &core.ResourceSelector{Table: table, WeightParents: aware}
-	m := NewMesh(transport.Over(net), sel, net.Hosts()[0], cfg, src.Stream("mesh"))
+	m := NewMesh(transport.Over(net), sel, net.Hosts()[0], src.Stream("mesh"))
 	for _, h := range net.Hosts()[1:] {
 		m.AddViewer(h)
 	}
@@ -61,7 +60,7 @@ func TestPlayoutAccounting(t *testing.T) {
 	m.Run(100)
 	for _, p := range m.Peers() {
 		total := p.Played + p.Missed
-		want := 100 - m.Cfg.StartupDelay
+		want := 100 - startupDelay
 		if total != want {
 			t.Fatalf("peer %d scored %d playouts, want %d", p.Host.ID, total, want)
 		}
@@ -83,9 +82,9 @@ func TestOfflineViewersSkipPlayout(t *testing.T) {
 func TestValidation(t *testing.T) {
 	net, m := buildMesh(t, false, 5)
 	cases := []func(){
-		func() { m.AddViewer(net.Hosts()[0]) },           // source
-		func() { m.AddViewer(net.Hosts()[1]) },           // duplicate
-		func() { NewMesh(nil, nil, nil, Config{}, nil) }, // bad config
+		func() { m.AddViewer(net.Hosts()[0]) }, // source
+		func() { m.AddViewer(net.Hosts()[1]) }, // duplicate
+		func() { NewMesh(nil, nil, nil, nil) }, // no selector
 	}
 	for i, fn := range cases {
 		func() {

@@ -42,8 +42,6 @@ type Pinger interface {
 type Config struct {
 	// PingInterval is the healthy-peer probe period.
 	PingInterval sim.Duration
-	// PingBytes sizes each fd_ping / fd_ack message.
-	PingBytes uint64
 	// SuspectAfter is the consecutive-failure streak that triggers
 	// Suspect (must be ≥ 1).
 	SuspectAfter int
@@ -64,12 +62,14 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		PingInterval: 500,
-		PingBytes:    32,
 		SuspectAfter: 2,
 		EvictAfter:   4,
 		Backoff:      Backoff{Base: 250, Max: 2000, Factor: 2, Jitter: 0.1},
 	}
 }
+
+// pingBytes sizes each fd_ping / fd_ack message.
+const pingBytes uint64 = 32
 
 type watchKey struct {
 	vantage, target underlay.HostID
@@ -208,7 +208,7 @@ func (d *Detector) tick(w *watch) {
 	}
 	d.msgs.Get("ping").Inc()
 	res := d.T.RoundTripWith(transport.RetryPolicy{}, w.vantage, w.target,
-		d.Cfg.PingBytes, d.Cfg.PingBytes, "fd_ping", "fd_ack")
+		pingBytes, pingBytes, "fd_ping", "fd_ack")
 	// A crashed peer never acks: the request may reach the host, but no
 	// fd_ack comes back. The underlay charges the request leg either
 	// way — failure detection traffic is real traffic.

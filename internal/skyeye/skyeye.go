@@ -17,16 +17,11 @@ import (
 	"unap2p/internal/underlay"
 )
 
-// Config tunes the over-overlay.
-type Config struct {
-	// Arity is the aggregation-tree fan-in.
-	Arity int
-	// MsgBytes is the size of one statistics update message.
-	MsgBytes uint64
-}
+// arity is the aggregation-tree fan-in: the β=4 of the SkyEye evaluation.
+const arity = 4
 
-// DefaultConfig uses the β=4 fan-in of the SkyEye evaluation.
-func DefaultConfig() Config { return Config{Arity: 4, MsgBytes: 120} }
+// msgBytes is the size of one statistics update message.
+const msgBytes uint64 = 120
 
 // Aggregate summarizes a subtree.
 type Aggregate struct {
@@ -52,7 +47,6 @@ type treeNode struct {
 type SkyEye struct {
 	U     *underlay.Network
 	Table *resources.Table
-	Cfg   Config
 	// Msgs counts "update" and "query" messages.
 	Msgs *metrics.CounterSet
 
@@ -61,14 +55,11 @@ type SkyEye struct {
 }
 
 // Build constructs the aggregation tree over the given hosts: peers are
-// sorted by ID, grouped into leaves of Arity, and leaf/inner coordinators
+// sorted by ID, grouped into leaves of arity, and leaf/inner coordinators
 // are the first peer of each group (deterministic, as the DHT-position
 // derivation in SkyEye is).
-func Build(u *underlay.Network, table *resources.Table, hosts []*underlay.Host, cfg Config) *SkyEye {
-	if cfg.Arity < 2 {
-		panic("skyeye: arity must be ≥ 2")
-	}
-	s := &SkyEye{U: u, Table: table, Cfg: cfg, Msgs: metrics.NewCounterSet()}
+func Build(u *underlay.Network, table *resources.Table, hosts []*underlay.Host) *SkyEye {
+	s := &SkyEye{U: u, Table: table, Msgs: metrics.NewCounterSet()}
 	for _, h := range hosts {
 		s.peers = append(s.peers, h.ID)
 	}
@@ -79,8 +70,8 @@ func Build(u *underlay.Network, table *resources.Table, hosts []*underlay.Host, 
 
 	// Leaves.
 	var level []*treeNode
-	for i := 0; i < len(s.peers); i += cfg.Arity {
-		end := i + cfg.Arity
+	for i := 0; i < len(s.peers); i += arity {
+		end := i + arity
 		if end > len(s.peers) {
 			end = len(s.peers)
 		}
@@ -90,8 +81,8 @@ func Build(u *underlay.Network, table *resources.Table, hosts []*underlay.Host, 
 	// Inner levels.
 	for len(level) > 1 {
 		var next []*treeNode
-		for i := 0; i < len(level); i += cfg.Arity {
-			end := i + cfg.Arity
+		for i := 0; i < len(level); i += arity {
+			end := i + arity
 			if end > len(level) {
 				end = len(level)
 			}
@@ -120,7 +111,7 @@ func (s *SkyEye) UpdateRound() Aggregate {
 				res := s.Table.Get(id)
 				if id != n.coordinator {
 					s.Msgs.Get("update").Inc()
-					s.U.Send(h, coord, s.Cfg.MsgBytes)
+					s.U.Send(h, coord, msgBytes)
 				}
 				agg.Peers++
 				if h.Up {
@@ -138,7 +129,7 @@ func (s *SkyEye) UpdateRound() Aggregate {
 				ca := up(c)
 				if c.coordinator != n.coordinator {
 					s.Msgs.Get("update").Inc()
-					s.U.Send(s.U.Host(c.coordinator), coord, s.Cfg.MsgBytes)
+					s.U.Send(s.U.Host(c.coordinator), coord, msgBytes)
 				}
 				agg.Peers += ca.Peers
 				agg.OnlinePeers += ca.OnlinePeers
@@ -176,7 +167,7 @@ func (s *SkyEye) FindCapable(from *underlay.Host, minScore float64, k int) []und
 			return
 		}
 		s.Msgs.Get("query").Inc()
-		s.U.Send(from, s.U.Host(n.coordinator), s.Cfg.MsgBytes)
+		s.U.Send(from, s.U.Host(n.coordinator), msgBytes)
 		if n.children == nil {
 			for _, id := range n.leafPeers {
 				if len(out) >= k {

@@ -16,7 +16,7 @@ func buildSkyEye(t *testing.T, hostsPerAS int) (*underlay.Network, *resources.Ta
 	net := topology.Star(5, topology.DefaultConfig())
 	topology.PlaceHosts(net, hostsPerAS, false, 1, 3, src.Stream("place"))
 	tab := resources.GenerateAll(net, src.Stream("res"))
-	s := Build(net, tab, net.Hosts(), DefaultConfig())
+	s := Build(net, tab, net.Hosts())
 	return net, tab, s
 }
 
@@ -135,8 +135,7 @@ func TestPathLengthLogarithmic(t *testing.T) {
 
 func TestBuildPanics(t *testing.T) {
 	cases := []func(){
-		func() { Build(nil, nil, nil, Config{Arity: 1}) },
-		func() { Build(underlay.New(), resources.NewTable(), nil, DefaultConfig()) },
+		func() { Build(underlay.New(), resources.NewTable(), nil) },
 	}
 	for i, fn := range cases {
 		func() {

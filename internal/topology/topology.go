@@ -153,15 +153,13 @@ type TransitStubConfig struct {
 	// establish a peering link — the "peering agreements between closely
 	// located ISPs" of §2.1.
 	StubPeeringProb float64
-	// TransitDelay is the delay of transit-core peering links (defaults to
-	// 2×LinkDelay when zero).
-	TransitDelay sim.Duration
 }
 
 // TransitStub builds a two-tier Internet: a clique of transit ISPs and
 // stub ISPs buying transit from random providers, with optional
-// multihoming and stub peering. Routing is valley-free. The returned
-// network is always fully reachable.
+// multihoming and stub peering. Transit-core peering links take
+// 2×LinkDelay. Routing is valley-free. The returned network is always
+// fully reachable.
 func TransitStub(cfg TransitStubConfig) *underlay.Network {
 	if cfg.Transits < 1 || cfg.Stubs < 1 {
 		panic("topology: TransitStub needs ≥1 transit and ≥1 stub")
@@ -169,10 +167,7 @@ func TransitStub(cfg TransitStubConfig) *underlay.Network {
 	if cfg.Rand == nil {
 		panic("topology: TransitStub requires Rand")
 	}
-	td := cfg.TransitDelay
-	if td == 0 {
-		td = 2 * cfg.LinkDelay
-	}
+	td := 2 * cfg.LinkDelay
 	net := underlay.New()
 	transits := make([]*underlay.AS, cfg.Transits)
 	for i := range transits {
