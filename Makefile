@@ -96,10 +96,11 @@ bench-json:
 # parent/change runs on BENCHMARK.json. Benchmarks that exist on only one
 # side are reported but never gate.
 #
-# The baseline is BENCH_PR24.json, taken when bench-diff stopped gating
-# ns/op and the iterative lookups moved onto the shared lookup.Shortlist
-# (BenchmarkClosestXor still 1 alloc / 64 B, BenchmarkLookup 1 alloc).
-BENCH_BASELINE ?= BENCH_PR24.json
+# The baseline is BENCH_PR29.json, taken when underlay.Network.Send
+# stopped keeping an AS-pair matrix and classic Gnutella's connection sets
+# became sorted slices (BenchmarkTab1GnutellaMessages 595 k allocs /
+# 55 MB per op, BenchmarkIntraASExchange 202 k / 27 MB).
+BENCH_BASELINE ?= BENCH_PR29.json
 PERF_THRESHOLD ?= 0.15
 perf-gate:
 	$(MAKE) bench-json

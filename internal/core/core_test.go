@@ -114,12 +114,12 @@ func TestRTTEstimatorProbesUnderlay(t *testing.T) {
 	net := buildNet(t)
 	e := &RTTEstimator{U: net}
 	a, b := net.Hosts()[0], net.Hosts()[10]
-	before := net.Traffic.Total()
+	before := net.SentBytes()
 	cost, ok := e.Estimate(a, b)
 	if !ok || cost != float64(net.RTT(a, b)) {
 		t.Fatalf("rtt estimate = %v,%v", cost, ok)
 	}
-	if net.Traffic.Total() == before {
+	if net.SentBytes() == before {
 		t.Fatal("explicit measurement sent no probes")
 	}
 	if e.Overhead() != 2 {

@@ -198,7 +198,7 @@ func runAblPongCache(cfg RunConfig) Result {
 			ov.AddNode(h, true)
 		}
 		ov.JoinAll()
-		before := net.Traffic.Total()
+		before := net.SentBytes()
 		for _, n := range ov.Nodes() {
 			ov.Ping(n.Host.ID)
 		}
@@ -222,7 +222,7 @@ func runAblPongCache(cfg RunConfig) Result {
 			name,
 			d(ov.Msgs.Value("ping")),
 			d(ov.Msgs.Value("pong")),
-			d(net.Traffic.Total() - before),
+			d(net.SentBytes() - before),
 			learned,
 		})
 	}

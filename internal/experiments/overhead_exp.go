@@ -68,7 +68,7 @@ func runOverhead(cfg RunConfig) Result {
 
 	for _, est := range ests {
 		est := est
-		bytesBefore := net.Traffic.Total()
+		bytesBefore := net.SentBytes()
 		counter := core.OverheadCounterName(est.Method())
 		countBefore := tr.Counters().Value(counter)
 		// Each technique becomes a single-estimator engine driving the
@@ -100,7 +100,7 @@ func runOverhead(cfg RunConfig) Result {
 		res.Rows = append(res.Rows, []string{
 			name,
 			d(tr.Counters().Value(counter) - countBefore + overheadSetup(est)),
-			d(net.Traffic.Total() - bytesBefore),
+			d(net.SentBytes() - bytesBefore),
 			f1(rtt),
 			pct((randomRTT - rtt) / randomRTT),
 		})

@@ -10,8 +10,8 @@ import (
 	"unap2p/internal/workload"
 )
 
-func benchOverlay(b *testing.B, biased bool) *Overlay {
-	b.Helper()
+func benchOverlay(tb testing.TB, biased bool) *Overlay {
+	tb.Helper()
 	src := sim.NewSource(1)
 	net := topology.TransitStub(topology.TransitStubConfig{
 		Config:   topology.Config{IntraDelay: 5, LinkDelay: 20, Rand: src.Stream("topo")},

@@ -13,6 +13,7 @@ package gnutella
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"unap2p/internal/core"
@@ -82,16 +83,37 @@ func DefaultConfig() Config {
 	}
 }
 
+// idSet is a connection set: distinct host ids in ascending order, so a
+// flood ranges it directly in the order event scheduling depends on.
+type idSet []underlay.HostID
+
+func (s idSet) has(id underlay.HostID) bool {
+	_, ok := slices.BinarySearch(s, id)
+	return ok
+}
+
+func (s *idSet) add(id underlay.HostID) {
+	if i, ok := slices.BinarySearch(*s, id); !ok {
+		*s = slices.Insert(*s, i, id)
+	}
+}
+
+func (s *idSet) remove(id underlay.HostID) {
+	if i, ok := slices.BinarySearch(*s, id); ok {
+		*s = slices.Delete(*s, i, i+1)
+	}
+}
+
 // Node is one Gnutella servent.
 type Node struct {
 	Host  *underlay.Host
 	Ultra bool
 	// neighbors are ultrapeer↔ultrapeer connections (only for ultras).
-	neighbors map[underlay.HostID]bool
+	neighbors idSet
 	// leaves are attached leaf nodes (only for ultras).
-	leaves map[underlay.HostID]bool
+	leaves idSet
 	// parents are the leaf's ultrapeers (only for leaves).
-	parents map[underlay.HostID]bool
+	parents idSet
 	// hostcache is the node's known-address list.
 	hostcache []underlay.HostID
 	// seen de-duplicates flooded GUIDs → the neighbor we first heard it
@@ -188,12 +210,9 @@ func (o *Overlay) AddNode(h *underlay.Host, ultra bool) *Node {
 		panic(fmt.Sprintf("gnutella: host %d already has a node", h.ID))
 	}
 	n := &Node{
-		Host:      h,
-		Ultra:     ultra,
-		neighbors: make(map[underlay.HostID]bool),
-		leaves:    make(map[underlay.HostID]bool),
-		parents:   make(map[underlay.HostID]bool),
-		seen:      make(map[uint64]underlay.HostID),
+		Host:  h,
+		Ultra: ultra,
+		seen:  make(map[uint64]underlay.HostID),
 	}
 	o.nodes[h.ID] = n
 	o.order = append(o.order, h.ID)
@@ -244,14 +263,14 @@ func (o *Overlay) Join(n *Node) {
 	if n.Ultra {
 		connect := func(id underlay.HostID, force bool) bool {
 			c := o.nodes[id]
-			if n.neighbors[id] || id == n.Host.ID {
+			if n.neighbors.has(id) || id == n.Host.ID {
 				return false
 			}
 			if !force && c.Degree() >= o.Cfg.MaxUltraDegree {
 				return false
 			}
-			n.neighbors[id] = true
-			c.neighbors[n.Host.ID] = true
+			n.neighbors.add(id)
+			c.neighbors.add(n.Host.ID)
 			return true
 		}
 		// In biased mode, reserve ExternalPerNode slots for out-of-AS
@@ -302,8 +321,8 @@ func (o *Overlay) Join(n *Node) {
 		if len(c.leaves) >= maxLeaves {
 			continue
 		}
-		n.parents[id] = true
-		c.leaves[n.Host.ID] = true
+		n.parents.add(id)
+		c.leaves.add(n.Host.ID)
 	}
 }
 
@@ -325,18 +344,16 @@ func (o *Overlay) JoinAll() {
 
 // Leave disconnects a node from the overlay (churn hook).
 func (o *Overlay) Leave(n *Node) {
-	for id := range n.neighbors {
-		delete(o.nodes[id].neighbors, n.Host.ID)
+	for _, id := range n.neighbors {
+		o.nodes[id].neighbors.remove(n.Host.ID)
 	}
-	n.neighbors = make(map[underlay.HostID]bool)
-	for id := range n.leaves {
-		delete(o.nodes[id].parents, n.Host.ID)
+	for _, id := range n.leaves {
+		o.nodes[id].parents.remove(n.Host.ID)
 	}
-	n.leaves = make(map[underlay.HostID]bool)
-	for id := range n.parents {
-		delete(o.nodes[id].leaves, n.Host.ID)
+	for _, id := range n.parents {
+		o.nodes[id].leaves.remove(n.Host.ID)
 	}
-	n.parents = make(map[underlay.HostID]bool)
+	n.neighbors, n.leaves, n.parents = nil, nil, nil
 }
 
 // Edges returns the ultrapeer overlay edges (each once) plus leaf
@@ -345,12 +362,12 @@ func (o *Overlay) Edges() []metrics.Edge {
 	var edges []metrics.Edge
 	for _, id := range o.order {
 		n := o.nodes[id]
-		for nb := range n.neighbors {
+		for _, nb := range n.neighbors {
 			if id < nb {
 				edges = append(edges, metrics.Edge{A: int(id), B: int(nb)})
 			}
 		}
-		for p := range n.parents {
+		for _, p := range n.parents {
 			edges = append(edges, metrics.Edge{A: int(id), B: int(p)})
 		}
 	}
@@ -412,7 +429,7 @@ func (o *Overlay) HealthStats() map[string]float64 {
 		ultras++
 		degree += float64(len(n.neighbors))
 		attached += float64(len(n.leaves))
-		for nb := range n.neighbors {
+		for _, nb := range n.neighbors {
 			if id < nb { // count each undirected edge once
 				edges++
 				if o.U.Host(nb).AS.ID == n.Host.AS.ID {

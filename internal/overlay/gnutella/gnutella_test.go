@@ -1,6 +1,8 @@
 package gnutella
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"unap2p/internal/core"
@@ -230,13 +232,13 @@ func TestLeafRoles(t *testing.T) {
 func TestLeaveDisconnects(t *testing.T) {
 	net, o := build(t, 4, DefaultConfig(), 9)
 	n := o.Node(net.Hosts()[0].ID)
-	nb := underlay.SortedIDs(n.neighbors)
+	nb := slices.Clone(n.neighbors)
 	o.Leave(n)
 	if n.Degree() != 0 {
 		t.Fatal("left node keeps neighbors")
 	}
 	for _, id := range nb {
-		if o.Node(id).neighbors[n.Host.ID] {
+		if o.Node(id).neighbors.has(n.Host.ID) {
 			t.Fatal("neighbor still points at left node")
 		}
 	}
@@ -419,6 +421,83 @@ func TestAdaptRespectsMinDegree(t *testing.T) {
 	for _, n := range o.Nodes() {
 		if n.Host.Up && n.Degree() < adaptMinDegree {
 			t.Fatalf("node %d degree %d below protection", n.Host.ID, n.Degree())
+		}
+	}
+}
+
+// TestMeanNeighborRTTDeterministic: the float sum runs in ascending
+// neighbour order, so repeated calls agree to the bit.
+func TestMeanNeighborRTTDeterministic(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.HostcacheSize = 200
+	_, o := build(t, 8, cfg, 30)
+	o.AdaptRound()
+	want := math.Float64bits(o.MeanNeighborRTT())
+	for i := 0; i < 200; i++ {
+		if got := math.Float64bits(o.MeanNeighborRTT()); got != want {
+			t.Fatalf("call %d: MeanNeighborRTT bits %#x, first call %#x", i, got, want)
+		}
+	}
+}
+
+// TestConnectionSetInvariants checks every node's neighbour, leaf and
+// parent set after joins, topology matching and an eviction wave: each is
+// strictly ascending, free of the node itself, and symmetric.
+func TestConnectionSetInvariants(t *testing.T) {
+	for _, biased := range []bool{false, true} {
+		src := sim.NewSource(33)
+		net := topology.TransitStub(topology.TransitStubConfig{
+			Config:   topology.Config{IntraDelay: 5, LinkDelay: 20, Rand: src.Stream("topo")},
+			Transits: 2, Stubs: 10,
+		})
+		hosts := topology.PlaceHosts(net, 3, false, 1, 5, src.Stream("place"))
+		var sel core.Selector
+		if biased {
+			sel = core.NewOracleSelector(net, true, false)
+		}
+		o := New(transport.New(net, sim.NewKernel()), sel, DefaultConfig(), src.Stream("overlay"))
+		for i, h := range hosts {
+			o.AddNode(h, i%2 == 0)
+		}
+		o.JoinAll()
+		for i := 0; i < 3; i++ {
+			o.AdaptRound()
+		}
+		var ultras []*Node
+		for _, n := range o.Nodes() {
+			if n.Ultra {
+				ultras = append(ultras, n)
+			}
+		}
+		for _, n := range ultras[:len(ultras)/3] {
+			n.Host.Up = false
+			o.Evict(n.Host.ID)
+		}
+
+		nodes := o.Nodes()
+		if len(nodes) != 30 || len(o.Evicted()) != 5 {
+			t.Fatalf("biased=%v: %d nodes, %d evicted; want 30 and 5", biased, len(nodes), len(o.Evicted()))
+		}
+		for _, n := range nodes {
+			me := n.Host.ID
+			for name, set := range map[string]idSet{"neighbors": n.neighbors, "leaves": n.leaves, "parents": n.parents} {
+				for i, id := range set {
+					if id == me {
+						t.Fatalf("biased=%v: node %d lists itself in %s %v", biased, me, name, set)
+					}
+					if i > 0 && set[i-1] >= id {
+						t.Fatalf("biased=%v: node %d %s %v not strictly ascending", biased, me, name, set)
+					}
+				}
+			}
+			for _, m := range nodes {
+				if n.neighbors.has(m.Host.ID) != m.neighbors.has(me) {
+					t.Fatalf("biased=%v: neighbour link %d–%d is one-sided", biased, me, m.Host.ID)
+				}
+				if n.leaves.has(m.Host.ID) != m.parents.has(me) {
+					t.Fatalf("biased=%v: ultrapeer %d / leaf %d attachment is one-sided", biased, me, m.Host.ID)
+				}
+			}
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package gnutella
 
 import (
+	"slices"
+
 	"unap2p/internal/resilience"
 	"unap2p/internal/underlay"
 )
@@ -25,8 +27,10 @@ func (o *Overlay) Evict(id underlay.HostID) {
 		return
 	}
 	wasUltra := n.Ultra
-	orphans := underlay.SortedIDs(n.leaves)
-	backbone := underlay.SortedIDs(n.neighbors)
+	// The snapshots alias n's sets. That is safe: Leave edits only the
+	// peers' sets and then sets n's to nil, so anything later added to n
+	// grows a fresh array and nothing else writes these two.
+	orphans, backbone := n.leaves, n.neighbors
 	o.Leave(n)
 	if !wasUltra {
 		return
@@ -102,18 +106,11 @@ func (o *Overlay) electUltra(asID int) *Node {
 // neighbors, leaf attachments, leaf parents — deduped and sorted: the
 // reference set chaos invariants sweep for dead peers.
 func (o *Overlay) Refs() []underlay.HostID {
-	set := make(map[underlay.HostID]bool)
+	var refs []underlay.HostID
 	for _, id := range o.order {
 		n := o.nodes[id]
-		for nb := range n.neighbors {
-			set[nb] = true
-		}
-		for l := range n.leaves {
-			set[l] = true
-		}
-		for p := range n.parents {
-			set[p] = true
-		}
+		refs = append(append(append(refs, n.neighbors...), n.leaves...), n.parents...)
 	}
-	return underlay.SortedIDs(set)
+	slices.Sort(refs)
+	return slices.Compact(refs)
 }

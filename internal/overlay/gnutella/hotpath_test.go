@@ -304,3 +304,16 @@ func TestPeerSet(t *testing.T) {
 		t.Fatalf("table sizes %v, want %v", sizes, want)
 	}
 }
+
+// TestRunSearchAllocs pins the allocations of one settled query flood on
+// the warmed 100-node ultrapeer mesh of BenchmarkSearchFlood. Neighbour
+// sets are ranged in place, so what is left is the result, one delivery
+// closure per message, and the growth of the reached nodes' seen maps.
+func TestRunSearchAllocs(t *testing.T) {
+	o := benchOverlay(t, false)
+	from := o.Nodes()[0].Host.ID
+	o.RunSearch(from, 7)
+	if allocs := testing.AllocsPerRun(100, func() { o.RunSearch(from, 7) }); allocs > 238 {
+		t.Fatalf("RunSearch allocates %.0f times, want ≤ 238", allocs)
+	}
+}

@@ -43,7 +43,7 @@ func (o *Overlay) AdaptRound() int {
 		// Measure current neighbors (one probe pair each).
 		var worst underlay.HostID
 		worstRTT := -1.0
-		for _, nb := range underlay.SortedIDs(n.neighbors) {
+		for _, nb := range n.neighbors {
 			peer := o.nodes[nb]
 			if !peer.Host.Up {
 				continue
@@ -71,7 +71,7 @@ func (o *Overlay) AdaptRound() int {
 				break
 			}
 			c := o.nodes[cand]
-			if c == nil || !c.Ultra || !c.Host.Up || n.neighbors[cand] || cand == n.Host.ID {
+			if c == nil || !c.Ultra || !c.Host.Up || n.neighbors.has(cand) || cand == n.Host.ID {
 				continue
 			}
 			if c.Degree() >= o.Cfg.MaxUltraDegree {
@@ -89,10 +89,10 @@ func (o *Overlay) AdaptRound() int {
 			continue // not enough gain to justify a rewire
 		}
 		// Rewire: cut the worst link, adopt the better candidate.
-		delete(n.neighbors, worst)
-		delete(o.nodes[worst].neighbors, n.Host.ID)
-		n.neighbors[best] = true
-		o.nodes[best].neighbors[n.Host.ID] = true
+		n.neighbors.remove(worst)
+		o.nodes[worst].neighbors.remove(n.Host.ID)
+		n.neighbors.add(best)
+		o.nodes[best].neighbors.add(n.Host.ID)
 		rewires++
 	}
 	return rewires
@@ -112,7 +112,7 @@ func (o *Overlay) MeanNeighborRTT() float64 {
 	n := 0
 	for _, id := range o.order {
 		node := o.nodes[id]
-		for nb := range node.neighbors {
+		for _, nb := range node.neighbors {
 			if id < nb { // each edge once
 				sum += float64(o.U.RTT(node.Host, o.nodes[nb].Host))
 				n++

@@ -20,7 +20,7 @@ func (o *Overlay) Ping(from underlay.HostID) {
 	}
 	guid := o.nextGUID()
 	n.seen[guid] = from // origin marks itself
-	for _, nb := range underlay.SortedIDs(n.neighbors) {
+	for _, nb := range n.neighbors {
 		o.forwardPing(guid, from, nb, o.Cfg.PingTTL)
 	}
 }
@@ -35,12 +35,11 @@ func (o *Overlay) cachedPing(n *Node) {
 	if limit <= 0 {
 		limit = 10
 	}
-	for _, nb := range underlay.SortedIDs(n.neighbors) {
+	for _, nb := range n.neighbors {
 		recv := o.nodes[nb]
 		if recv == nil || !recv.Host.Up {
 			continue
 		}
-		nbID := nb
 		r := o.send("ping", n.Host, recv.Host, pingBytes)
 		if !r.OK {
 			continue // ping lost: this neighbor never answers
@@ -57,7 +56,7 @@ func (o *Overlay) cachedPing(n *Node) {
 					o.K.Schedule(back.Latency, func() { o.learn(n, id) })
 				}
 			}
-			for _, id := range underlay.SortedIDs(recv.neighbors) {
+			for _, id := range recv.neighbors {
 				if sent >= limit {
 					break
 				}
@@ -67,7 +66,7 @@ func (o *Overlay) cachedPing(n *Node) {
 				if sent >= limit {
 					break
 				}
-				if !o.nodes[nbID].neighbors[id] {
+				if !recv.neighbors.has(id) {
 					reply(id)
 				}
 			}
@@ -111,7 +110,7 @@ func (o *Overlay) forwardPing(guid uint64, from, to underlay.HostID, ttl int) {
 		// Reply with a Pong routed back along the reverse path.
 		o.routeBack("pong", guid, to, pongBytes)
 		// Forward to all other neighbors.
-		for _, nb := range underlay.SortedIDs(recv.neighbors) {
+		for _, nb := range recv.neighbors {
 			if nb != from {
 				o.forwardPing(guid, to, nb, ttl-1)
 			}
@@ -175,12 +174,12 @@ func (o *Overlay) Search(from underlay.HostID, item workload.ItemID) *SearchResu
 
 	if n.Ultra {
 		o.answerLocal(guid, n, item)
-		for _, nb := range underlay.SortedIDs(n.neighbors) {
+		for _, nb := range n.neighbors {
 			o.forwardQuery(guid, item, from, nb, o.Cfg.QueryTTL)
 		}
 		return res
 	}
-	for _, p := range underlay.SortedIDs(n.parents) {
+	for _, p := range n.parents {
 		o.forwardQuery(guid, item, from, p, o.Cfg.QueryTTL)
 	}
 	return res
@@ -194,7 +193,7 @@ func (o *Overlay) answerLocal(guid uint64, up *Node, item workload.ItemID) {
 	if o.Catalog.Has(up.Host.ID, item) {
 		o.sendHitBack(guid, up.Host.ID, up.Host.ID)
 	}
-	for _, leaf := range underlay.SortedIDs(up.leaves) {
+	for _, leaf := range up.leaves {
 		if o.nodes[leaf].Host.Up && o.Catalog.Has(leaf, item) {
 			o.sendHitBack(guid, up.Host.ID, leaf)
 		}
@@ -249,7 +248,7 @@ func (o *Overlay) forwardQuery(guid uint64, item workload.ItemID, from, to under
 		}
 		recv.seen[guid] = from
 		o.answerLocal(guid, recv, item)
-		for _, nb := range underlay.SortedIDs(recv.neighbors) {
+		for _, nb := range recv.neighbors {
 			if nb != from {
 				o.forwardQuery(guid, item, to, nb, ttl-1)
 			}

@@ -24,9 +24,13 @@ func ExampleNetwork() {
 	fmt.Println("AS path:", net.ASPath(homeISP.ID, workISP.ID))
 	fmt.Println("one-way latency:", net.Latency(home, work))
 	net.Send(home, work, 1_000_000)
-	fmt.Printf("intra-AS traffic share: %.0f%%\n", 100*net.Traffic.IntraFraction())
+	fmt.Println("bytes sent:", net.SentBytes())
+	fmt.Println("home uplink carried:", homeISP.Links()[0].BytesAB)
+	fmt.Println("work downlink carried:", workISP.Links()[0].BytesBA)
 	// Output:
 	// AS path: [1 0 2]
 	// one-way latency: 28.000ms
-	// intra-AS traffic share: 0%
+	// bytes sent: 1000000
+	// home uplink carried: 1000000
+	// work downlink carried: 1000000
 }

@@ -275,16 +275,27 @@ func (n *Network) Latency(a, b *Host) sim.Duration {
 	if a.ID == b.ID {
 		return 0
 	}
-	base := a.AccessDelay + b.AccessDelay
 	if a.AS.ID == b.AS.ID {
-		return base + a.AS.IntraDelay
+		return a.AccessDelay + b.AccessDelay + a.AS.IntraDelay
 	}
-	d := n.ASDelay(a.AS.ID, b.AS.ID)
-	if d < 0 {
+	return latencyVia(a, b, n.hostRoute(a, b).delay)
+}
+
+// hostRoute returns the routed path between the distinct ASes of two
+// hosts, panicking when there is none.
+func (n *Network) hostRoute(a, b *Host) *route {
+	r := &n.ensureRoutes().routes[a.AS.ID][b.AS.ID]
+	if r.path == nil {
 		panic(fmt.Sprintf("underlay: host %d (AS%d) cannot reach host %d (AS%d)",
 			a.ID, a.AS.ID, b.ID, b.AS.ID))
 	}
-	return base + a.AS.IntraDelay/2 + d + b.AS.IntraDelay/2
+	return r
+}
+
+// latencyVia is the one-way delay between hosts in different ASes whose
+// routed path takes asDelay.
+func latencyVia(a, b *Host, asDelay sim.Duration) sim.Duration {
+	return a.AccessDelay + b.AccessDelay + a.AS.IntraDelay/2 + asDelay + b.AS.IntraDelay/2
 }
 
 // RTT returns the round-trip time between two hosts. With asymmetric link
@@ -293,23 +304,19 @@ func (n *Network) RTT(a, b *Host) sim.Duration {
 	return n.Latency(a, b) + n.Latency(b, a)
 }
 
-// Send accounts n bytes of traffic from host a to host b: every inter-AS
-// link on the path carries the bytes, and the AS-pair traffic matrix is
-// updated. It returns the one-way latency so callers can schedule message
-// delivery.
+// Send accounts n bytes of traffic from host a to host b: the bytes join
+// the SentBytes total and every inter-AS link on the path carries them. It
+// returns the one-way latency so callers can schedule message delivery.
 func (n *Network) Send(a, b *Host, bytes uint64) sim.Duration {
-	n.Traffic.Add(a.AS.ID, b.AS.ID, bytes)
-	if a.AS.ID != b.AS.ID {
-		path := n.ASPath(a.AS.ID, b.AS.ID)
-		if path == nil {
-			panic(fmt.Sprintf("underlay: no route AS%d→AS%d", a.AS.ID, b.AS.ID))
-		}
-		for i := 0; i+1 < len(path); i++ {
-			l := n.linkBetween(path[i], path[i+1])
-			l.Carry(path[i], bytes)
-		}
+	n.sent += bytes
+	if a.AS.ID == b.AS.ID {
+		return n.Latency(a, b)
 	}
-	return n.Latency(a, b)
+	r := n.hostRoute(a, b)
+	for i := 0; i+1 < len(r.path); i++ {
+		n.linkBetween(r.path[i], r.path[i+1]).Carry(r.path[i], bytes)
+	}
+	return latencyVia(a, b, r.delay)
 }
 
 // linkBetween returns the link joining two adjacent ASes on a routed path.

@@ -1,8 +1,8 @@
 // Package underlay simulates the physical network beneath a P2P overlay at
 // the Autonomous System level: local and transit ISPs (Figure 1 of the
 // paper), customer/provider and peering links, valley-free inter-domain
-// routing, end-host access links, end-to-end latency, and per-link /
-// per-AS-pair traffic accounting.
+// routing, end-host access links, end-to-end latency, and per-link byte
+// accounting.
 //
 // The underlay is the substrate "on which the overlay resides" (§2); every
 // overlay implementation in unap2p sends its messages through a Network so
@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"sort"
 
-	"unap2p/internal/metrics"
 	"unap2p/internal/sim"
 )
 
@@ -116,9 +115,9 @@ func (l *Link) Bytes() uint64 { return l.BytesAB + l.BytesBA }
 type HostID int
 
 // SortedIDs returns a host-id set's members in ascending order. Whatever
-// iterates or exports such a set — protocol fan-out, eviction ledgers,
-// chaos reports — goes through it, so event order and run files never see
-// Go's randomized map iteration.
+// iterates or exports such a set — eviction ledgers, chaos reports,
+// overlay reference sweeps — goes through it, so event order and run
+// files never see Go's randomized map iteration.
 func SortedIDs(set map[HostID]bool) []HostID {
 	out := make([]HostID, 0, len(set))
 	for id := range set {
@@ -164,16 +163,18 @@ type Network struct {
 	links []*Link
 	hosts []*Host
 
-	// Traffic accumulates the AS-pair traffic matrix for every Send.
-	Traffic *metrics.TrafficMatrix
+	// sent totals the bytes of every Send; the links hold the per-hop
+	// split, and per-type AS-pair matrices are transport views.
+	sent uint64
 
 	routes *routeTable // computed lazily, invalidated on topology change
 }
 
 // New returns an empty network with valley-free routing.
-func New() *Network {
-	return &Network{Traffic: metrics.NewTrafficMatrix()}
-}
+func New() *Network { return &Network{} }
+
+// SentBytes returns the bytes of every Send so far, intra- and inter-AS.
+func (n *Network) SentBytes() uint64 { return n.sent }
 
 // AddAS creates an AS. IDs are dense and assigned in creation order.
 func (n *Network) AddAS(kind ASKind, intraDelay sim.Duration) *AS {

@@ -184,8 +184,8 @@ func TestSendAccountsTrafficAndLinks(t *testing.T) {
 	n.Send(h1, h2, 1000) // intra
 	n.Send(h1, h3, 500)  // L0→T0→T1→L2
 
-	if n.Traffic.Intra() != 1000 || n.Traffic.Inter() != 500 {
-		t.Fatalf("traffic intra/inter = %d/%d", n.Traffic.Intra(), n.Traffic.Inter())
+	if got := n.SentBytes(); got != 1500 {
+		t.Fatalf("SentBytes = %d, want 1500 (intra and inter alike)", got)
 	}
 	// The L0–T0 transit link must have carried the 500 bytes uphill.
 	var carried uint64
@@ -204,6 +204,33 @@ func TestSendAccountsTrafficAndLinks(t *testing.T) {
 				t.Fatalf("T0-T1 peering carried %d, want 500", l.Bytes())
 			}
 		}
+	}
+}
+
+// TestSendAllocatesNothing pins Send at zero allocations on warm routes,
+// with every call crossing an AS pair no earlier Send used.
+func TestSendAllocatesNothing(t *testing.T) {
+	n := benchNet()
+	hosts := n.Hosts()
+	n.ComputeRoutes()
+	var pairs [][2]*Host
+	for _, a := range hosts {
+		for _, b := range hosts {
+			if a.AS != b.AS {
+				pairs = append(pairs, [2]*Host{a, b})
+			}
+		}
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		n.Send(pairs[next][0], pairs[next][1], 100)
+		next++
+	})
+	if allocs != 0 {
+		t.Fatalf("Send allocates %.1f times per call, want 0", allocs)
+	}
+	if got, want := n.SentBytes(), uint64(100*next); got != want {
+		t.Fatalf("SentBytes = %d after %d sends, want %d", got, next, want)
 	}
 }
 
