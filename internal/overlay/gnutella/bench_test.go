@@ -4,9 +4,11 @@ import (
 	"testing"
 
 	"unap2p/internal/core"
+	"unap2p/internal/megascale"
 	"unap2p/internal/sim"
 	"unap2p/internal/topology"
 	"unap2p/internal/transport"
+	"unap2p/internal/underlay"
 	"unap2p/internal/workload"
 )
 
@@ -62,5 +64,19 @@ func BenchmarkPingFlood(b *testing.B) {
 func BenchmarkJoinAll(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		benchOverlay(b, true)
+	}
+}
+
+// BenchmarkCompactFloodQuery measures one megascale Gnutella query, its
+// flood and its deadline's ground-truth BFS, drained, on a 20 000-peer
+// compact overlay split over K=2 shards.
+func BenchmarkCompactFloodQuery(b *testing.B) {
+	g, net := buildCompactFlood(b, 5000, 2, 1, false)
+	n := uint64(net.Peers().Len())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.Query(underlay.PeerID(megascale.Mix64(uint64(i))%n), uint64(i), nil)
+		net.Kernel().Drain()
 	}
 }

@@ -1,6 +1,7 @@
 package gnutella
 
 import (
+	"math"
 	"math/bits"
 
 	"unap2p/internal/megascale"
@@ -11,7 +12,8 @@ import (
 
 // CompactConfig parameterizes a CompactFlood.
 type CompactConfig struct {
-	// QueryTTL bounds the flood depth over the ultrapeer graph.
+	// QueryTTL bounds the flood depth over the ultrapeer graph, at most
+	// math.MaxInt16 (a message carries it narrowed; see floodQuery).
 	QueryTTL int
 	// Aware, when true, biases ultra neighbor and leaf parent choices
 	// toward same-AS candidates (Aggarwal et al.'s biased neighbor
@@ -63,7 +65,8 @@ const (
 // straight to the origin. Flood dedup state belongs to the query (see
 // floodQuery), one peer set per shard, so every mutation stays on the
 // owning shard and the state is garbage once the query's last closure
-// has run.
+// has run. The ground-truth BFS at each query's deadline reuses its
+// shard's scratch.
 type CompactFlood struct {
 	cfg CompactConfig
 	net *transport.ShardedNet
@@ -84,6 +87,9 @@ type CompactFlood struct {
 	// potential counts, per shard, queries whose key was statically
 	// reachable (the ground-truth denominator).
 	potential []uint64
+	// scratch is the ground-truth BFS state of each shard, touched only by
+	// deadline events of queries that shard originated.
+	scratch []bfsScratch
 }
 
 // NewCompactFlood builds a compact Gnutella over every peer in the
@@ -91,7 +97,7 @@ type CompactFlood struct {
 // query and query-hit traffic. Call Bootstrap before the kernel runs.
 func NewCompactFlood(net *transport.ShardedNet, cfg CompactConfig, seed uint64, qryClass, hitClass int) *CompactFlood {
 	n := net.Peers().Len()
-	if cfg.QueryTTL <= 0 {
+	if cfg.QueryTTL <= 0 || cfg.QueryTTL > math.MaxInt16 {
 		panic("gnutella: bad CompactConfig")
 	}
 	shards := net.Kernel().NumShards()
@@ -102,6 +108,7 @@ func NewCompactFlood(net *transport.ShardedNet, cfg CompactConfig, seed uint64, 
 		qryClass: qryClass, hitClass: hitClass,
 		ctr:       megascale.NewCounters(shards),
 		potential: make([]uint64, shards),
+		scratch:   make([]bfsScratch, shards),
 	}
 	return g
 }
@@ -313,17 +320,30 @@ func (s *peerSet) grow() {
 	}
 }
 
-// floodQuery is one in-flight query's state. hits, firstHop and best
-// belong to the origin's shard; seen[i] is the set of peers on shard i
-// the query has reached and is touched by shard i alone (the barrier
-// orders Query's allocation before any other shard's first use). Nothing
-// outside the query's own closures points here, so the dedup state is
-// collected once the last of them has run.
+// floodQuery is one in-flight query's state. g, origin and owners are
+// fixed at Query and read from any shard, so a message closure carries
+// only the query, its next peer and the narrowed ttl and hop count
+// (24 B). hits, firstHop and best belong to the origin's shard; seen[i]
+// is the set of peers on shard i the query has reached and is touched by
+// shard i alone (the barrier orders Query's allocation before any other
+// shard's first use). Nothing outside the query's own closures points
+// here, so the dedup state is collected once the last of them has run.
 type floodQuery struct {
+	g        *CompactFlood
+	origin   underlay.PeerID
+	owners   [replicas]underlay.PeerID
 	hits     int
 	firstHop int
 	best     underlay.PeerID
 	seen     []peerSet
+}
+
+// seenSlots is the per-shard dedup table size Query presizes for K
+// shards: 512 slots over K rounded up to a power of two, never below 16.
+// One flood reaches a few hundred peers, so most tables end at this size
+// without regrowing.
+func seenSlots(K int) int {
+	return max(16, 512>>bits.Len(uint(K-1)))
 }
 
 // Query implements megascale.CompactOverlay: one keyword query for a
@@ -333,26 +353,31 @@ type floodQuery struct {
 // reports a hit; Result.Hops is the first hit's hop count.
 func (g *CompactFlood) Query(origin underlay.PeerID, seed uint64, onDone func(megascale.Result)) {
 	key := megascale.Mix64(seed ^ 0x6e7e11a)
-	owners := g.owners(key, nil)
 	oshard := g.net.ShardOf(origin)
 	g.ctr.Start(oshard)
-	st := &floodQuery{best: origin, seen: make([]peerSet, g.net.Kernel().NumShards())}
+	shards := g.net.Kernel().NumShards()
+	size := seenSlots(shards)
+	st := &floodQuery{g: g, origin: origin, best: origin, seen: make([]peerSet, shards)}
+	g.owners(key, st.owners[:0])
+	slots := make([]uint32, shards*size)
+	for i := range st.seen {
+		st.seen[i].slots = slots[i*size : (i+1)*size]
+	}
+	ttl := int16(g.cfg.QueryTTL)
 	if g.uidx[origin] >= 0 {
 		// Ultra origin processes the query locally, no self-message.
-		g.deliver(origin, origin, owners, g.cfg.QueryTTL, 0, st)
+		st.deliver(origin, ttl, 0)
 	} else {
 		base := int(origin) * compactLeafParents
 		for i := 0; i < int(g.pcnt[origin]); i++ {
 			up := underlay.PeerID(g.par[base+i])
-			g.net.Send(origin, up, g.qryClass, queryBytes, func() {
-				g.deliver(origin, up, owners, g.cfg.QueryTTL, 1, st)
-			})
+			g.net.Send(origin, up, g.qryClass, queryBytes, func() { st.deliver(up, ttl, 1) })
 		}
 	}
 	g.net.Kernel().Shard(oshard).Schedule(queryTimeout, func() {
 		ok := st.hits > 0
 		g.ctr.Finish(oshard, ok, st.firstHop)
-		if g.PotentialHit(origin, key) {
+		if g.potentialHit(origin, &st.owners, &g.scratch[oshard]) {
 			g.potential[oshard]++
 		}
 		if onDone != nil {
@@ -364,29 +389,25 @@ func (g *CompactFlood) Query(origin underlay.PeerID, seed uint64, onDone func(me
 // deliver processes the query at ultrapeer u, on u's shard: liveness
 // gate, dedup against the query's set for this shard, QRP hit check
 // against u and its leaves, then a TTL-bounded forward to u's neighbors.
-func (g *CompactFlood) deliver(origin, u underlay.PeerID,
-	owners []underlay.PeerID, ttl, hops int, st *floodQuery) {
+// ttl fits int16 (NewCompactFlood bounds QueryTTL) and hops, at most
+// QueryTTL+1, fits uint16.
+func (st *floodQuery) deliver(u underlay.PeerID, ttl int16, hops uint16) {
+	g := st.g
 	if !g.net.Peers().Up(u) || !st.seen[g.net.ShardOf(u)].add(u) {
 		return
 	}
-	for _, o := range owners {
-		o := o
+	for _, o := range st.owners {
 		if !g.attachedTo(o, u) {
 			continue
 		}
 		if o == u {
-			g.reply(origin, u, hops, st)
+			st.reply(u, hops)
 			continue
 		}
 		// QRP last hop: only the owning leaf gets the query; it answers
 		// the origin directly if alive.
 		hop := hops + 1
-		g.net.Send(u, o, g.qryClass, queryBytes, func() {
-			if !g.net.Peers().Up(o) || !st.seen[g.net.ShardOf(o)].add(o) {
-				return
-			}
-			g.reply(origin, o, hop, st)
-		})
+		g.net.Send(u, o, g.qryClass, queryBytes, func() { st.leaf(o, hop) })
 	}
 	if ttl <= 1 {
 		return
@@ -395,21 +416,40 @@ func (g *CompactFlood) deliver(origin, u underlay.PeerID,
 	base := ui * compactMaxDeg
 	for i := 0; i < int(g.ncnt[ui]); i++ {
 		v := underlay.PeerID(g.nbr[base+i])
-		g.net.Send(u, v, g.qryClass, queryBytes, func() {
-			g.deliver(origin, v, owners, ttl-1, hops+1, st)
-		})
+		g.net.Send(u, v, g.qryClass, queryBytes, func() { st.deliver(v, ttl-1, hops+1) })
 	}
 }
 
+// leaf processes the QRP last hop at owning leaf o, on o's shard.
+func (st *floodQuery) leaf(o underlay.PeerID, hops uint16) {
+	g := st.g
+	if !g.net.Peers().Up(o) || !st.seen[g.net.ShardOf(o)].add(o) {
+		return
+	}
+	st.reply(o, hops)
+}
+
 // reply sends a QueryHit from peer h back to the origin's shard.
-func (g *CompactFlood) reply(origin, h underlay.PeerID, hops int, st *floodQuery) {
-	g.net.Send(h, origin, g.hitClass, queryHitBytes, func() {
+func (st *floodQuery) reply(h underlay.PeerID, hops uint16) {
+	g := st.g
+	g.net.Send(h, st.origin, g.hitClass, queryHitBytes, func() {
 		if st.hits == 0 {
-			st.firstHop = hops
+			st.firstHop = int(hops)
 			st.best = h
 		}
 		st.hits++
 	})
+}
+
+// bfsScratch is the reusable state of one ground-truth BFS.
+type bfsScratch struct {
+	frontier []bfsEntry
+	visited  peerSet
+}
+
+type bfsEntry struct {
+	u   underlay.PeerID
+	ttl int
 }
 
 // PotentialHit is the ground-truth checker: whether any replica of the
@@ -419,28 +459,33 @@ func (g *CompactFlood) reply(origin, h underlay.PeerID, hops int, st *floodQuery
 // hit; the gap between the two rates is exactly the churn's toll on the
 // flood. Pure read of immutable topology — safe from any shard.
 func (g *CompactFlood) PotentialHit(origin underlay.PeerID, key uint64) bool {
-	owners := g.owners(key, nil)
-	type qe struct {
-		u   underlay.PeerID
-		ttl int
-	}
-	var frontier []qe
-	var visited peerSet
+	var owners [replicas]underlay.PeerID
+	g.owners(key, owners[:0])
+	return g.potentialHit(origin, &owners, &bfsScratch{})
+}
+
+// potentialHit is PotentialHit for precomputed owners, breadth-first
+// over s: the frontier is walked by index and both it and the visited
+// set are cleared, not reallocated, so a warmed s allocates nothing.
+func (g *CompactFlood) potentialHit(origin underlay.PeerID, owners *[replicas]underlay.PeerID, s *bfsScratch) bool {
+	visited := &s.visited
+	clear(visited.slots)
+	visited.n = 0
+	s.frontier = s.frontier[:0]
 	if g.uidx[origin] >= 0 {
-		frontier = append(frontier, qe{origin, g.cfg.QueryTTL})
+		s.frontier = append(s.frontier, bfsEntry{origin, g.cfg.QueryTTL})
 		visited.add(origin)
 	} else {
 		base := int(origin) * compactLeafParents
 		for i := 0; i < int(g.pcnt[origin]); i++ {
 			up := underlay.PeerID(g.par[base+i])
 			if visited.add(up) {
-				frontier = append(frontier, qe{up, g.cfg.QueryTTL})
+				s.frontier = append(s.frontier, bfsEntry{up, g.cfg.QueryTTL})
 			}
 		}
 	}
-	for len(frontier) > 0 {
-		e := frontier[0]
-		frontier = frontier[1:]
+	for head := 0; head < len(s.frontier); head++ {
+		e := s.frontier[head]
 		for _, o := range owners {
 			if g.attachedTo(o, e.u) {
 				return true
@@ -454,7 +499,7 @@ func (g *CompactFlood) PotentialHit(origin underlay.PeerID, key uint64) bool {
 		for i := 0; i < int(g.ncnt[ui]); i++ {
 			v := underlay.PeerID(g.nbr[base+i])
 			if visited.add(v) {
-				frontier = append(frontier, qe{v, e.ttl - 1})
+				s.frontier = append(s.frontier, bfsEntry{v, e.ttl - 1})
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package gnutella
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -12,8 +13,19 @@ import (
 
 // buildCompactFlood wires a small sharded stack: star underlay, peer
 // table, partition, kernel, transport, flood overlay.
-func buildCompactFlood(t *testing.T, perAS, K int, seed uint64, aware bool) (*CompactFlood, *transport.ShardedNet) {
-	t.Helper()
+func buildCompactFlood(tb testing.TB, perAS, K int, seed uint64, aware bool) (*CompactFlood, *transport.ShardedNet) {
+	tb.Helper()
+	net := buildShardedNet(perAS, K)
+	cfg := DefaultCompactConfig()
+	cfg.Aware = aware
+	g := NewCompactFlood(net, cfg, seed, 0, 1)
+	g.Bootstrap(seed ^ 0x5eed)
+	return g, net
+}
+
+// buildShardedNet is buildCompactFlood's stack without the overlay:
+// perAS peers in each of 4 stub ASes, split over K shards.
+func buildShardedNet(perAS, K int) *transport.ShardedNet {
 	u := underlay.New()
 	transit := u.AddAS(underlay.TransitISP, 2)
 	for i := 0; i < 4; i++ {
@@ -34,12 +46,47 @@ func buildCompactFlood(t *testing.T, perAS, K int, seed uint64, aware bool) (*Co
 		window = 5
 	}
 	sk := sim.NewSharded(K, window)
-	net := transport.NewShardedNet(u, pt, part, sk, []string{"qry", "hit"})
-	cfg := DefaultCompactConfig()
-	cfg.Aware = aware
-	g := NewCompactFlood(net, cfg, seed, 0, 1)
-	g.Bootstrap(seed ^ 0x5eed)
-	return g, net
+	return transport.NewShardedNet(u, pt, part, sk, []string{"qry", "hit"})
+}
+
+// TestCompactFloodQueryTTLBound pins the QueryTTL range: a message
+// carries the remaining TTL as an int16, so NewCompactFlood rejects a
+// QueryTTL that would wrap — before Bootstrap, so a bad config never
+// builds a topology — and a flood at the bound reports an in-range hop
+// count.
+func TestCompactFloodQueryTTLBound(t *testing.T) {
+	for _, tc := range []struct {
+		ttl int
+		ok  bool
+	}{{0, false}, {1, true}, {math.MaxInt16, true}, {math.MaxInt16 + 1, false}} {
+		net := buildShardedNet(16, 2)
+		var g *CompactFlood
+		func() {
+			defer func() {
+				if r := recover(); (r == nil) != tc.ok {
+					t.Errorf("QueryTTL %d: panic %v, want accepted=%v", tc.ttl, r, tc.ok)
+				}
+			}()
+			g = NewCompactFlood(net, CompactConfig{QueryTTL: tc.ttl}, 3, 0, 1)
+		}()
+		if !tc.ok || g == nil {
+			continue
+		}
+		g.Bootstrap(3)
+		var res []megascale.Result
+		for p := underlay.PeerID(0); p < 8; p++ {
+			g.Query(p, uint64(p), func(r megascale.Result) { res = append(res, r) })
+		}
+		net.Kernel().Drain()
+		if len(res) != 8 {
+			t.Fatalf("QueryTTL %d: %d of 8 queries scored", tc.ttl, len(res))
+		}
+		for _, r := range res {
+			if r.OK && (r.Hops < 0 || r.Hops > tc.ttl+1) {
+				t.Errorf("QueryTTL %d: hit from %d at %d hops", tc.ttl, r.Origin, r.Hops)
+			}
+		}
+	}
 }
 
 // TestCompactFloodTopology checks the deterministic election and the

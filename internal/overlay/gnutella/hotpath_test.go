@@ -40,7 +40,7 @@ func (r *refFlood) query(origin underlay.PeerID, seed uint64, onDone func(megasc
 	g.ctr.Start(oshard)
 	qid := uint64(r.qseq[oshard])<<8 | uint64(oshard)
 	r.qseq[oshard]++
-	st := &floodQuery{best: origin}
+	st := &floodQuery{g: g, origin: origin, best: origin}
 	if g.uidx[origin] >= 0 {
 		r.deliver(origin, origin, qid, owners, g.cfg.QueryTTL, 0, st)
 	} else {
@@ -82,7 +82,7 @@ func (r *refFlood) deliver(origin, u underlay.PeerID, qid uint64,
 			continue
 		}
 		if o == u {
-			g.reply(origin, u, hops, st)
+			st.reply(u, uint16(hops))
 			continue
 		}
 		hop := hops + 1
@@ -96,7 +96,7 @@ func (r *refFlood) deliver(origin, u underlay.PeerID, qid uint64,
 				return
 			}
 			r.seen[ls][lk] = struct{}{}
-			g.reply(origin, o, hop, st)
+			st.reply(o, uint16(hop))
 		})
 	}
 	if ttl <= 1 {
@@ -315,5 +315,67 @@ func TestRunSearchAllocs(t *testing.T) {
 	o.RunSearch(from, 7)
 	if allocs := testing.AllocsPerRun(100, func() { o.RunSearch(from, 7) }); allocs > 238 {
 		t.Fatalf("RunSearch allocates %.0f times, want ≤ 238", allocs)
+	}
+}
+
+// TestCompactFloodAllocs pins the flood's allocation budget on a warmed
+// K=2 flood: a query plus its drain allocates one closure of at most
+// 32 B per transport message, plus a small per-query constant (the
+// query state, its dedup tables presized in one array, the deadline
+// event: 4 allocations, budgeted 8) and the sharded kernel's per-epoch barrier (a
+// WaitGroup, the epoch bounds, one goroutine and its closure per shard,
+// and what the runtime needs to park and wake them: ~7 at K=2). The
+// ground-truth BFS on a warmed shard scratch allocates nothing.
+func TestCompactFloodAllocs(t *testing.T) {
+	g, net := buildCompactFlood(t, 1000, 2, 17, false)
+	k := net.Kernel()
+	origin := underlay.PeerID(0)
+	for !g.IsUltra(origin) {
+		origin++
+	}
+	var seed uint64
+	query := func() {
+		seed++
+		g.Query(origin, seed, nil)
+		k.Drain()
+	}
+	for i := 0; i < 20; i++ {
+		query()
+	}
+	const runs = 200
+	var before, after runtime.MemStats
+	msgs0, epochs0 := net.Stats().Msgs, k.Stats().Epochs
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, query)
+	runtime.ReadMemStats(&after)
+	// AllocsPerRun makes one warm-up call before its runs.
+	msgs := float64(net.Stats().Msgs-msgs0) / (runs + 1)
+	epochs := float64(k.Stats().Epochs-epochs0) / (runs + 1)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
+	const (
+		queryAllocs, epochAllocs = 8, 7 // measured: 4 and ~6.9
+		epochBytes               = 256
+	)
+	queryBytes := 256 + 2*4*float64(seenSlots(2)) // state + the two presized seen tables
+	perMsg := (bytes - queryBytes - epochBytes*epochs) / msgs
+	t.Logf("per query: %.1f messages, %.1f epochs, %.1f allocs, %.0f B (%.1f B per message beyond the constants)",
+		msgs, epochs, allocs, bytes, perMsg)
+	if msgs < 100 {
+		t.Fatalf("%.1f messages per query: the flood is too small to measure", msgs)
+	}
+	if budget := msgs + queryAllocs + epochAllocs*epochs; allocs > budget {
+		t.Errorf("%.1f allocs per query, want ≤ %.1f (one per message + %d per query + %d per epoch)",
+			allocs, budget, queryAllocs, epochAllocs)
+	}
+	if perMsg > 32 {
+		t.Errorf("%.1f B per message beyond the per-query and per-epoch constants, want ≤ 32", perMsg)
+	}
+
+	var owners [replicas]underlay.PeerID
+	g.owners(megascale.Mix64(7), owners[:0])
+	s := &g.scratch[net.ShardOf(origin)]
+	g.potentialHit(origin, &owners, s)
+	if n := testing.AllocsPerRun(100, func() { g.potentialHit(origin, &owners, s) }); n != 0 {
+		t.Errorf("potentialHit on warmed scratch allocates %.0f times, want 0", n)
 	}
 }
