@@ -96,12 +96,16 @@ bench-json:
 # parent/change runs on BENCHMARK.json. Benchmarks that exist on only one
 # side are reported but never gate.
 #
-# The baseline is BENCH_PR30.json, taken when the compact Gnutella flood
-# stopped allocating per hop and BenchmarkCompactFloodQuery put it in the
-# suite (276 allocs / 9.2 kB per drained query on 20 k peers, K=2;
-# BenchmarkTab1GnutellaMessages 595 k allocs / 55 MB per op and
-# BenchmarkIntraASExchange 202 k / 27 MB, as in BENCH_PR29.json).
-BENCH_BASELINE ?= BENCH_PR30.json
+# The baseline is BENCH_PR31.json, taken when the proximity-selection hot
+# path stopped hashing, binary-searching and over-allocating, and
+# BenchmarkScoreCacheThrash (every Score a miss and an eviction: 0 allocs,
+# ~150 ns) and BenchmarkBuildPNS (a PNS Chord build over ~1000 hosts:
+# 0 allocs, ~38 ms) joined the suite. BenchmarkPNSKademlia 3987 allocs /
+# 1.06 MB per op and BenchmarkPNSMetric 6345 / 2.05 MB (were 5724 / 1.49 MB
+# and 8784 / 2.96 MB); BenchmarkCompactFloodQuery 276 allocs / 9.2 kB,
+# BenchmarkTab1GnutellaMessages 595 k / 55 MB and BenchmarkIntraASExchange
+# 202 k / 27 MB, as in BENCH_PR30.json.
+BENCH_BASELINE ?= BENCH_PR31.json
 PERF_THRESHOLD ?= 0.15
 perf-gate:
 	$(MAKE) bench-json

@@ -1,11 +1,164 @@
 package coords
 
 import (
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
+	"testing/quick"
 
 	"unap2p/internal/sim"
 )
+
+// refUpdate is the Update this package used to run: Distance computes the
+// diff vector and its square root, then the spring direction computes
+// them again. Update now does it once, which must change no bit.
+func refUpdate(n, remote *VivaldiNode, rtt float64, r *rand.Rand) {
+	if rtt <= 0 {
+		return
+	}
+	n.Samples++
+
+	w := 0.5
+	if n.Err+remote.Err > 0 {
+		w = n.Err / (n.Err + remote.Err)
+	}
+
+	dist := n.Distance(remote)
+	relErr := math.Abs(dist-rtt) / rtt
+
+	ce := n.cfg.CE
+	n.Err = relErr*ce*w + n.Err*(1-ce*w)
+	if n.Err > 2.0 {
+		n.Err = 2.0
+	}
+	if n.Err < 0.001 {
+		n.Err = 0.001
+	}
+
+	unit := make([]float64, len(n.Pos))
+	var norm float64
+	for i := range unit {
+		unit[i] = n.Pos[i] - remote.Pos[i]
+		norm += unit[i] * unit[i]
+	}
+	norm = math.Sqrt(norm)
+	if norm < 1e-12 {
+		for i := range unit {
+			unit[i] = r.NormFloat64()
+		}
+		norm = 0
+		for _, v := range unit {
+			norm += v * v
+		}
+		norm = math.Sqrt(norm)
+		if norm < 1e-12 {
+			unit[0], norm = 1, 1
+		}
+	}
+	for i := range unit {
+		unit[i] /= norm
+	}
+
+	delta := n.cfg.CC * w
+	force := delta * (rtt - dist)
+	for i := range n.Pos {
+		n.Pos[i] += force * unit[i]
+	}
+	if n.cfg.UseHeight {
+		denom := norm
+		if denom < 1e-9 {
+			denom = 1e-9
+		}
+		n.Height += force * n.Height / denom
+		if n.Height < n.cfg.MinHeight {
+			n.Height = n.cfg.MinHeight
+		}
+	}
+}
+
+// sameBits reports whether two node states are bit-identical.
+func sameBits(a, b *VivaldiNode) bool {
+	if len(a.Pos) != len(b.Pos) || a.Samples != b.Samples ||
+		math.Float64bits(a.Height) != math.Float64bits(b.Height) ||
+		math.Float64bits(a.Err) != math.Float64bits(b.Err) {
+		return false
+	}
+	for i := range a.Pos {
+		if math.Float64bits(a.Pos[i]) != math.Float64bits(b.Pos[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestQuickUpdateMatchesTwoPass runs Update and refUpdate from the same
+// state and RNG: Dim 1–12 (past the 8-slot stack buffer), heights on and
+// off, coincident and nearly coincident coordinates (the random direction
+// must draw the same numbers) and non-positive RTTs (no-ops).
+func TestQuickUpdateMatchesTwoPass(t *testing.T) {
+	f := func(seed int64, dimRaw uint8, height bool, shape uint8) bool {
+		r := rand.New(rand.NewSource(seed))
+		cfg := VivaldiConfig{Dim: 1 + int(dimRaw)%12, CE: 0.25, CC: 0.25, UseHeight: height, MinHeight: 0.1}
+		state := func() *VivaldiNode {
+			n := NewVivaldiNode(cfg)
+			for i := range n.Pos {
+				n.Pos[i] = r.NormFloat64() * 100
+			}
+			n.Height = cfg.MinHeight + r.Float64()*20
+			n.Err = r.Float64() * 2
+			n.Samples = r.Intn(100)
+			return n
+		}
+		local, remote := state(), state()
+		rtt := 1 + r.Float64()*300
+		switch shape % 5 {
+		case 1: // coincident coordinates
+			copy(remote.Pos, local.Pos)
+		case 2: // non-positive RTT
+			rtt = -r.Float64() * float64(shape&4)
+		case 3: // both at the origin, no confidence yet
+			local, remote = NewVivaldiNode(cfg), NewVivaldiNode(cfg)
+		case 4: // nearly coincident: a norm below 1e-12 but not zero
+			for i := range local.Pos {
+				local.Pos[i], remote.Pos[i] = r.NormFloat64()*1e-13, 0
+			}
+		}
+		a, b := local.Clone(), local.Clone()
+		ra, rb := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		for step := 0; step < 3; step++ { // repeated, so later steps start from moved states
+			a.Update(remote, rtt, ra)
+			refUpdate(b, remote, rtt, rb)
+			if !sameBits(a, b) {
+				t.Logf("cfg %+v shape %d step %d:\n got %+v\nwant %+v", cfg, shape%5, step, a, b)
+				return false
+			}
+		}
+		return ra.Int63() == rb.Int63() // the same draws were taken
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// NewVivaldiSystem's slab nodes start exactly as free-standing ones.
+func TestSystemSlabMatchesNewVivaldiNode(t *testing.T) {
+	for _, cfg := range []VivaldiConfig{
+		DefaultVivaldiConfig(),
+		{Dim: 1, CE: 0.25, CC: 0.25},
+		{Dim: 12, CE: 0.25, CC: 0.25, UseHeight: true, MinHeight: 0.1},
+	} {
+		s := NewVivaldiSystem(5, cfg, gridRTT(5), sim.NewSource(1).Stream("v"))
+		for i, n := range s.Nodes {
+			if want := NewVivaldiNode(cfg); !reflect.DeepEqual(n, want) {
+				t.Fatalf("dim %d: slab node %d = %+v, want %+v", cfg.Dim, i, n, want)
+			}
+			if cap(n.Pos) != cfg.Dim {
+				t.Fatalf("dim %d: slab node %d Pos has capacity %d: an append would write into its neighbour", cfg.Dim, i, cap(n.Pos))
+			}
+		}
+	}
+}
 
 // refRound is the Round this package used to run: the remote node is
 // cloned for every probe, as if its coordinate had travelled in a

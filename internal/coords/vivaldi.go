@@ -50,14 +50,25 @@ type VivaldiNode struct {
 
 // NewVivaldiNode returns a node at the origin with error 1.
 func NewVivaldiNode(cfg VivaldiConfig) *VivaldiNode {
+	checkDim(cfg)
+	n := &VivaldiNode{}
+	n.init(cfg, make([]float64, cfg.Dim))
+	return n
+}
+
+func checkDim(cfg VivaldiConfig) {
 	if cfg.Dim <= 0 {
 		panic("coords: vivaldi dimension must be positive")
 	}
-	n := &VivaldiNode{cfg: cfg, Pos: make([]float64, cfg.Dim), Err: 1}
+}
+
+// init sets n to the starting state — at the origin pos (cfg.Dim zeros),
+// error 1 — for NewVivaldiNode and NewVivaldiSystem's slab alike.
+func (n *VivaldiNode) init(cfg VivaldiConfig, pos []float64) {
+	*n = VivaldiNode{cfg: cfg, Pos: pos, Err: 1}
 	if cfg.UseHeight {
 		n.Height = cfg.MinHeight
 	}
-	return n
 }
 
 // Distance predicts the latency between two coordinate states.
@@ -91,21 +102,11 @@ func (n *VivaldiNode) Update(remote *VivaldiNode, rtt float64, r *rand.Rand) {
 		w = n.Err / (n.Err + remote.Err)
 	}
 
-	dist := n.Distance(remote)
-	relErr := math.Abs(dist-rtt) / rtt
-
-	// Exponentially weighted moving average of the relative error.
-	ce := n.cfg.CE
-	n.Err = relErr*ce*w + n.Err*(1-ce*w)
-	if n.Err > 2.0 {
-		n.Err = 2.0
-	}
-	if n.Err < 0.001 {
-		n.Err = 0.001
-	}
-
-	// Unit vector from remote toward us (the spring's push direction).
-	// It lives on the stack for every dimensionality in practical use.
+	// Vector from remote toward us (the spring's push direction, unit
+	// once divided by its norm). It lives on the stack for every
+	// dimensionality in practical use. Its norm is also the Euclidean part
+	// of the predicted distance: the same operations, in the same order,
+	// as Distance.
 	var buf [8]float64
 	unit := buf[:]
 	if len(n.Pos) > len(buf) {
@@ -118,6 +119,22 @@ func (n *VivaldiNode) Update(remote *VivaldiNode, rtt float64, r *rand.Rand) {
 		norm += unit[i] * unit[i]
 	}
 	norm = math.Sqrt(norm)
+	dist := norm
+	if n.cfg.UseHeight {
+		dist += n.Height + remote.Height
+	}
+	relErr := math.Abs(dist-rtt) / rtt
+
+	// Exponentially weighted moving average of the relative error.
+	ce := n.cfg.CE
+	n.Err = relErr*ce*w + n.Err*(1-ce*w)
+	if n.Err > 2.0 {
+		n.Err = 2.0
+	}
+	if n.Err < 0.001 {
+		n.Err = 0.001
+	}
+
 	if norm < 1e-12 {
 		// Coincident coordinates: pick a random direction.
 		for i := range unit {
@@ -180,11 +197,19 @@ type VivaldiSystem struct {
 	r *rand.Rand
 }
 
-// NewVivaldiSystem creates n nodes with the given config.
+// NewVivaldiSystem creates n nodes with the given config. The nodes and
+// their positions live in two slabs, so the round loop walks contiguous
+// memory and a system costs three allocations instead of two per node.
 func NewVivaldiSystem(n int, cfg VivaldiConfig, rtt func(i, j int) float64, r *rand.Rand) *VivaldiSystem {
+	checkDim(cfg)
 	s := &VivaldiSystem{RTT: rtt, NeighborsPerRound: 4, r: r}
-	for i := 0; i < n; i++ {
-		s.Nodes = append(s.Nodes, NewVivaldiNode(cfg))
+	nodes := make([]VivaldiNode, n)
+	pos := make([]float64, n*cfg.Dim)
+	s.Nodes = make([]*VivaldiNode, n)
+	for i := range nodes {
+		// Full slice expressions: a node's Pos never reaches into the next.
+		nodes[i].init(cfg, pos[i*cfg.Dim:(i+1)*cfg.Dim:(i+1)*cfg.Dim])
+		s.Nodes[i] = &nodes[i]
 	}
 	return s
 }

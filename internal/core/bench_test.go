@@ -80,6 +80,29 @@ func BenchmarkScoreCached(b *testing.B) {
 	}
 }
 
+// BenchmarkScoreCacheThrash cycles 256 distinct pairs through a 64-entry
+// cache: every Score misses, computes, inserts and evicts — the path the
+// proximity-selection runs take on 12–99 % of their calls, where
+// BenchmarkScoreCached measures only a warm hit.
+func BenchmarkScoreCacheThrash(b *testing.B) {
+	eng, _, cands, hostOf := benchEngine(b, false)
+	eng.EnableCache(CacheConfig{Capacity: 64})
+	var pairs [256][2]*underlay.Host
+	for i := range pairs {
+		pairs[i] = [2]*underlay.Host{hostOf(cands[i/len(cands)]), hostOf(cands[i%len(cands)])}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := &pairs[i%len(pairs)]
+		eng.Score(p[0], p[1])
+	}
+	b.StopTimer()
+	if st := eng.CacheStats(); st.Hits != 0 {
+		b.Fatalf("thrash benchmark hit the cache: %v", st)
+	}
+}
+
 func BenchmarkRankUncached(b *testing.B) {
 	eng, client, cands, hostOf := benchEngine(b, false)
 	b.ResetTimer()

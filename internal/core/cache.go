@@ -27,50 +27,120 @@ func (s CacheStats) String() string {
 		s.Hits, s.Misses, s.Evictions, s.Size)
 }
 
-type cacheKey [2]underlay.HostID
+// cacheKey packs a directional (client, peer) pair into one word: client
+// in the high half, peer in the low. Host ids are AddHost indices, so 32
+// bits each is ample; an id that does not fit panics rather than alias
+// another pair.
+func cacheKey(client, peer underlay.HostID) uint64 {
+	if uint64(client)>>32 != 0 || uint64(peer)>>32 != 0 {
+		panic(fmt.Sprintf("core: score cache host ids (%d, %d) do not fit 32 bits", client, peer))
+	}
+	return uint64(client)<<32 | uint64(peer)
+}
+
+// cacheSlot is one cell of the open-addressed table.
+type cacheSlot struct {
+	key   uint64
+	score float64
+	full  bool
+}
 
 // scoreCache memoizes Engine.Score per directional (client, peer) pair.
-// An entry leaves only by FIFO eviction at capacity, so the admission
-// queue is a ring of exactly Capacity keys that holds the map's key set
+// It is an open-addressed table (linear probing, backward-shift deletion,
+// a power-of-two slot count of at least twice the capacity, so probe runs
+// stay short and always end) beside a FIFO ring. An entry leaves only by
+// FIFO eviction at capacity, so the ring holds exactly the table's key set
 // in admission order.
 type scoreCache struct {
-	m    map[cacheKey]float64
-	ring []cacheKey // ring[:len(m)] while filling, all of it once full
-	head int        // index of the oldest key
+	slots []cacheSlot
+	shift uint     // 64 - log2(len(slots)): hash keeps the product's top bits
+	ring  []uint64 // ring[:size] while filling, all of it once full
+	head  int      // index of the oldest key
+	size  int
 
 	hits, misses, evictions uint64
 }
 
 func newScoreCache(cfg CacheConfig) *scoreCache {
+	// At least 4 slots: put briefly holds Capacity+1 entries, and a probe
+	// run must always end at an empty slot.
+	shift := uint(62)
+	for 1<<(64-shift) < 2*cfg.Capacity {
+		shift--
+	}
 	return &scoreCache{
-		m:    make(map[cacheKey]float64, cfg.Capacity),
-		ring: make([]cacheKey, cfg.Capacity),
+		slots: make([]cacheSlot, 1<<(64-shift)),
+		shift: shift,
+		ring:  make([]uint64, cfg.Capacity),
+	}
+}
+
+// home is the key's preferred slot (Fibonacci hashing).
+func (c *scoreCache) home(key uint64) int {
+	return int((key * 0x9e3779b97f4a7c15) >> c.shift)
+}
+
+// find returns the slot holding key, or the empty slot that ends its
+// probe run.
+func (c *scoreCache) find(key uint64) *cacheSlot {
+	mask := len(c.slots) - 1
+	for i := c.home(key); ; i = (i + 1) & mask {
+		if s := &c.slots[i]; !s.full || s.key == key {
+			return s
+		}
 	}
 }
 
 func (c *scoreCache) get(client, peer underlay.HostID) (float64, bool) {
-	score, ok := c.m[cacheKey{client, peer}]
-	if ok {
+	s := c.find(cacheKey(client, peer))
+	if s.full {
 		c.hits++
-	} else {
-		c.misses++
+		return s.score, true
 	}
-	return score, ok
+	c.misses++
+	return 0, false
 }
 
 func (c *scoreCache) put(client, peer underlay.HostID, score float64) {
-	k := cacheKey{client, peer}
-	if _, ok := c.m[k]; !ok {
-		if len(c.m) < len(c.ring) { // still filling: head has not moved
-			c.ring[len(c.m)] = k
-		} else { // full: the new key takes the evicted head's slot
-			delete(c.m, c.ring[c.head])
-			c.evictions++
-			c.ring[c.head] = k
-			c.head = (c.head + 1) % len(c.ring)
+	k := cacheKey(client, peer)
+	s := c.find(k)
+	if s.full {
+		s.score = score
+		return
+	}
+	// The table has room for one entry past capacity, so the newcomer goes
+	// in first and the evicted head leaves after.
+	*s = cacheSlot{key: k, score: score, full: true}
+	if c.size < len(c.ring) { // still filling: head has not moved
+		c.ring[c.size] = k
+		c.size++
+		return
+	}
+	c.remove(c.ring[c.head])
+	c.evictions++
+	c.ring[c.head] = k
+	c.head = (c.head + 1) % len(c.ring)
+}
+
+// remove deletes a present key by backward shift: each later entry of the
+// probe run that the gap cuts off from its home moves back into the gap,
+// so no tombstones are needed and lookups still stop at the first empty
+// slot.
+func (c *scoreCache) remove(key uint64) {
+	mask := len(c.slots) - 1
+	gap := c.home(key)
+	for c.slots[gap].key != key || !c.slots[gap].full {
+		gap = (gap + 1) & mask
+	}
+	for j := (gap + 1) & mask; c.slots[j].full; j = (j + 1) & mask {
+		// The entry at j may fill the gap iff its home is not cyclically
+		// in (gap, j].
+		if (j-c.home(c.slots[j].key))&mask >= (j-gap)&mask {
+			c.slots[gap] = c.slots[j]
+			gap = j
 		}
 	}
-	c.m[k] = score
+	c.slots[gap] = cacheSlot{}
 }
 
 // EnableCache turns on score memoization with the given capacity. Only
@@ -96,7 +166,7 @@ func (e *Engine) CacheStats() CacheStats {
 		return CacheStats{}
 	}
 	c := e.cache
-	return CacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Size: len(c.m)}
+	return CacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Size: c.size}
 }
 
 // RouteOverhead routes estimator collection overhead into cs: after every

@@ -12,18 +12,21 @@ import (
 	"unap2p/internal/underlay"
 )
 
+// modelKey is the model's pair key: the two ids side by side, no packing.
+type modelKey [2]underlay.HostID
+
 // modelCache is the score cache as specified, written for obviousness:
-// an admission-ordered key list kept exactly in step with the map.
+// a map and an admission-ordered key list kept exactly in step.
 type modelCache struct {
 	capacity int
-	m        map[cacheKey]float64
-	order    []cacheKey
+	m        map[modelKey]float64
+	order    []modelKey
 
 	hits, misses, evictions uint64
 }
 
 func (c *modelCache) get(client, peer underlay.HostID) (float64, bool) {
-	score, ok := c.m[cacheKey{client, peer}]
+	score, ok := c.m[modelKey{client, peer}]
 	if ok {
 		c.hits++
 	} else {
@@ -33,7 +36,7 @@ func (c *modelCache) get(client, peer underlay.HostID) (float64, bool) {
 }
 
 func (c *modelCache) put(client, peer underlay.HostID, score float64) {
-	k := cacheKey{client, peer}
+	k := modelKey{client, peer}
 	if _, ok := c.m[k]; !ok {
 		for len(c.m) >= c.capacity {
 			delete(c.m, c.order[0])
@@ -45,31 +48,77 @@ func (c *modelCache) put(client, peer underlay.HostID, score float64) {
 	c.m[k] = score
 }
 
-// TestCacheMatchesModel drives the ring cache and the model through the
-// same random get/put sequences; every hit, miss and eviction must agree.
+// TestCacheMatchesModel drives the table cache and the model through the
+// same random get/put sequences; every hit, miss, eviction and the size
+// must agree. The id ranges are several times the capacity, so the cache
+// runs full, probe runs wrap the table's end and every eviction exercises
+// backward-shift deletion. The second run mixes low ids with ids just
+// below and above 2^31, where a sign-extending or overlapping pack would
+// alias two pairs.
 func TestCacheMatchesModel(t *testing.T) {
-	for _, cfg := range []CacheConfig{{Capacity: 8}, {Capacity: 1}} {
-		r := rand.New(rand.NewSource(int64(cfg.Capacity)))
-		c := newScoreCache(cfg)
-		m := &modelCache{capacity: cfg.Capacity, m: map[cacheKey]float64{}}
-		for op := 0; op < 20000; op++ {
-			a, b := underlay.HostID(r.Intn(6)), underlay.HostID(r.Intn(6))
-			switch x := r.Intn(100); {
-			case x < 45:
-				gs, gok := c.get(a, b)
-				ws, wok := m.get(a, b)
-				if gs != ws || gok != wok {
-					t.Fatalf("%+v op %d: get(%d,%d) = %v,%v; model %v,%v", cfg, op, a, b, gs, gok, ws, wok)
-				}
-			case x < 90:
-				c.put(a, b, float64(op))
-				m.put(a, b, float64(op))
+	for _, capacity := range []int{1, 8, 300, 5000} {
+		for _, base := range []underlay.HostID{0, 1<<31 - 3} {
+			cfg := CacheConfig{Capacity: capacity}
+			r := rand.New(rand.NewSource(int64(capacity) + int64(base)))
+			c := newScoreCache(cfg)
+			m := &modelCache{capacity: capacity, m: map[modelKey]float64{}}
+			// span² distinct pairs, about four times the capacity.
+			span := 2
+			for span*span < 4*capacity {
+				span++
 			}
-			if len(c.m) != len(m.m) || c.hits != m.hits || c.misses != m.misses || c.evictions != m.evictions {
-				t.Fatalf("%+v op %d: stats diverge from the model: size %d/%d hits %d/%d misses %d/%d evictions %d/%d",
-					cfg, op, len(c.m), len(m.m), c.hits, m.hits, c.misses, m.misses, c.evictions, m.evictions)
+			id := func() underlay.HostID {
+				if base != 0 && r.Intn(2) == 0 { // low ids beside high ones
+					return underlay.HostID(r.Intn(span))
+				}
+				return base + underlay.HostID(r.Intn(span))
+			}
+			for op := 0; op < 40*capacity+20000; op++ {
+				a, b := id(), id()
+				switch x := r.Intn(100); {
+				case x < 45:
+					gs, gok := c.get(a, b)
+					ws, wok := m.get(a, b)
+					if gs != ws || gok != wok {
+						t.Fatalf("%+v base %d op %d: get(%d,%d) = %v,%v; model %v,%v", cfg, base, op, a, b, gs, gok, ws, wok)
+					}
+				case x < 90:
+					c.put(a, b, float64(op))
+					m.put(a, b, float64(op))
+				}
+				if c.size != len(m.m) || c.hits != m.hits || c.misses != m.misses || c.evictions != m.evictions {
+					t.Fatalf("%+v base %d op %d: stats diverge from the model: size %d/%d hits %d/%d misses %d/%d evictions %d/%d",
+						cfg, base, op, c.size, len(m.m), c.hits, m.hits, c.misses, m.misses, c.evictions, m.evictions)
+				}
+			}
+			if c.evictions == 0 {
+				t.Fatalf("%+v base %d: no eviction: the run never reached the deletion path", cfg, base)
+			}
+			full := 0
+			for _, s := range c.slots {
+				if s.full {
+					full++
+				}
+			}
+			if full != c.size {
+				t.Fatalf("%+v base %d: %d table slots in use for %d entries", cfg, base, full, c.size)
 			}
 		}
+	}
+}
+
+// A host id that does not fit 32 bits cannot be packed without aliasing
+// another pair, so put refuses it.
+func TestCachePutPanicsOnWideID(t *testing.T) {
+	for _, pair := range [][2]underlay.HostID{{1 << 32, 0}, {0, 1 << 32}, {1<<32 + 5, 5}, {-1, 0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("put(%d, %d) did not panic", pair[0], pair[1])
+				}
+			}()
+			newScoreCache(CacheConfig{Capacity: 8}).put(pair[0], pair[1], 1)
+		}()
 	}
 }
 

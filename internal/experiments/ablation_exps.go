@@ -50,9 +50,11 @@ func runAblCoords(cfg RunConfig) Result {
 	rtt := func(i, j int) float64 { return float64(net.RTT(hosts[i], hosts[j])) }
 
 	// Evaluation: for sampled (client, 20 candidates), does the technique
-	// pick the true closest? Plus median relative error over pairs.
+	// pick the true closest? Plus median relative error over pairs. All
+	// four techniques share one errs buffer.
+	var errs []float64
 	eval := func(predict func(i, j int) float64) (mre, hitRate float64) {
-		var errs []float64
+		errs = errs[:0]
 		for i := 0; i < n; i += 3 {
 			for j := i + 1; j < n; j += 3 {
 				actual := rtt(i, j)

@@ -160,11 +160,16 @@ func (c *Ring) fillFinger(node *Node, i int) {
 func (c *Ring) closestInInterval(from *Node, start, span ID) *Node {
 	var best *Node
 	bestCost := math.MaxFloat64
-	// Iterate candidates clockwise from start while inside the interval.
-	cur := c.successorOf(start)
-	for i := 0; i < len(c.nodes); i++ {
-		offset := cur.ID - start // ring arithmetic wraps naturally
-		if offset >= span {
+	// Iterate candidates clockwise from start while inside the interval:
+	// one search for the first, then ring positions, each node at most once.
+	n := len(c.nodes)
+	at := sort.Search(n, func(i int) bool { return c.nodes[i].ID >= start })
+	for k := 0; k < n; k++ {
+		if at == n {
+			at = 0
+		}
+		cur := c.nodes[at]
+		if cur.ID-start >= span { // ring arithmetic wraps naturally
 			break
 		}
 		if cur != from {
@@ -172,11 +177,7 @@ func (c *Ring) closestInInterval(from *Node, start, span ID) *Node {
 				best, bestCost = cur, cost
 			}
 		}
-		next := c.successorOf(cur.ID + 1)
-		if next == cur {
-			break
-		}
-		cur = next
+		at++
 	}
 	return best
 }

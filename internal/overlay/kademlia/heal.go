@@ -45,23 +45,20 @@ func (d *DHT) Refs() []underlay.HostID {
 // stash parks a contact in the bucket's replacement cache (newest last,
 // oldest displaced, no duplicates).
 func (n *Node) stash(idx int, c Contact) {
-	if n.spares == nil {
-		n.spares = make([][]Contact, len(n.buckets))
-	}
-	s := n.spares[idx]
-	for _, have := range s {
+	for _, have := range n.spares.bucket(idx) {
 		if have.ID == c.ID {
 			return
 		}
 	}
-	if len(s) >= n.cfg.K {
+	s := n.slot(&n.spares, idx)
+	if len(*s) >= n.cfg.K {
 		// Shift in place: s[1:] plus append walks down the backing array
 		// and reallocates it every K stashes.
-		copy(s, s[1:])
-		s[len(s)-1] = c
+		copy(*s, (*s)[1:])
+		(*s)[len(*s)-1] = c
 		return
 	}
-	n.spares[idx] = append(s, c)
+	*s = append(*s, c)
 }
 
 // dropContact removes c from the bucket holding it and promotes a
@@ -71,9 +68,10 @@ func (n *Node) dropContact(c Contact) {
 	if idx < 0 {
 		return
 	}
-	for i, have := range n.buckets[idx] {
+	for i, have := range n.buckets.bucket(idx) {
 		if have.ID == c.ID {
-			n.buckets[idx] = append(n.buckets[idx][:i], n.buckets[idx][i+1:]...)
+			b := n.slot(&n.buckets, idx)
+			*b = append((*b)[:i], (*b)[i+1:]...)
 			n.promote(idx)
 			return
 		}
@@ -85,13 +83,10 @@ func (n *Node) dropContact(c Contact) {
 // replacement-cache policy of Kademlia's original design, made
 // underlay-aware through the selector.
 func (n *Node) promote(idx int) {
-	if n.spares == nil {
-		return
-	}
 	d := n.dht
 	best := -1
 	bestLat := 0.0
-	for i, c := range n.spares[idx] {
+	for i, c := range n.spares.bucket(idx) {
 		h := d.U.Host(c.Host)
 		if !h.Up || d.IsEvicted(c.Host) {
 			continue
@@ -108,7 +103,9 @@ func (n *Node) promote(idx int) {
 	if best < 0 {
 		return
 	}
-	c := n.spares[idx][best]
-	n.spares[idx] = append(n.spares[idx][:best], n.spares[idx][best+1:]...)
-	n.buckets[idx] = append(n.buckets[idx], c)
+	s := n.slot(&n.spares, idx)
+	c := (*s)[best]
+	*s = append((*s)[:best], (*s)[best+1:]...)
+	b := n.slot(&n.buckets, idx)
+	*b = append(*b, c)
 }

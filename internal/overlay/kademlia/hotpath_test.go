@@ -128,36 +128,84 @@ func refLookup(d *DHT, from underlay.HostID, target NodeID) LookupResult {
 // distinct random contacts (bucket sizes unconstrained: closest must not
 // depend on them).
 func randomTable(r *rand.Rand, size int) *Node {
-	n := &Node{Contact: Contact{ID: NodeID(r.Uint64())}, buckets: make([][]Contact, 64), dht: &DHT{}}
+	n := &Node{Contact: Contact{ID: NodeID(r.Uint64())}, cfg: Config{K: 8}, dht: &DHT{}}
 	seen := map[NodeID]bool{n.ID: true}
 	for len(seen) <= size {
 		// Mix short and long common prefixes so low buckets fill too.
 		id := n.ID ^ NodeID(r.Uint64()>>uint(r.Intn(64)))
-		if seen[id] {
-			continue
+		if !seen[id] {
+			seen[id] = true
+			addContact(n, id)
 		}
-		seen[id] = true
-		idx := bucketIndex(Distance(n.ID, id))
-		n.buckets[idx] = append(n.buckets[idx], Contact{ID: id, Host: underlay.HostID(len(seen))})
 	}
 	return n
+}
+
+// addContact files id in its bucket of n's table, however full.
+func addContact(n *Node, id NodeID) {
+	s := n.slot(&n.buckets, bucketIndex(Distance(n.ID, id)))
+	*s = append(*s, Contact{ID: id, Host: underlay.HostID(len(*s))})
+}
+
+// closestMatches reports whether n.closest(target, k) is the reference's
+// K-prefix, contact for contact, with the right distances.
+func closestMatches(n *Node, target NodeID, k int) bool {
+	got := n.closest(target, k)
+	want := refClosest(n, target, k)
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range got {
+		if got[i].ID != want[i] || got[i].Dist != Distance(want[i].ID, target) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestQuickClosestMatchesReference(t *testing.T) {
 	f := func(seed int64, target uint64, size uint8, kRaw uint8) bool {
 		n := randomTable(rand.New(rand.NewSource(seed)), int(size))
 		k := 1 + int(kRaw)%24
-		got := n.closest(NodeID(target), k)
-		want := refClosest(n, NodeID(target), k)
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range got {
-			if got[i].ID != want[i] || got[i].Dist != Distance(want[i].ID, NodeID(target)) {
-				return false
+		return closestMatches(n, NodeID(target), k) &&
+			// target == n.ID: no bucket h, every bucket lies above.
+			closestMatches(n, n.ID, k) &&
+			// k beyond the table: the stop rule never fires, all is read.
+			closestMatches(n, NodeID(target), int(size)+1+int(kRaw))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Bucket h empty, the buckets below h holding `below` contacts and those
+// above it `above`: whether the walk reads past the buckets below h is
+// the stop rule's call alone (with above = 0 the table is filled only
+// below h).
+func TestQuickClosestStopRuleBelowH(t *testing.T) {
+	f := func(seed int64, hRaw, below, above, kRaw uint8) bool {
+		r := rand.New(rand.NewSource(seed))
+		h := 1 + int(hRaw)%63
+		n := &Node{Contact: Contact{ID: NodeID(r.Uint64())}, cfg: Config{K: 8}, dht: &DHT{}}
+		seen := map[NodeID]bool{}
+		fill := func(count int, bucket func() int) {
+			for len(seen) < count {
+				i := bucket()
+				id := n.ID ^ NodeID(1)<<i ^ NodeID(r.Uint64()&(1<<i-1))
+				if !seen[id] {
+					seen[id] = true
+					addContact(n, id)
+				}
 			}
 		}
-		return true
+		nBelow := min(int(below)%40, 1<<h-1) // buckets 0…h-1 hold 2^h-1 ids
+		fill(nBelow, func() int { return r.Intn(h) })
+		if h < 63 {
+			fill(nBelow+int(above)%20, func() int { return h + 1 + r.Intn(63-h) })
+		}
+		target := n.ID ^ NodeID(1)<<h ^ NodeID(r.Uint64()&(1<<h-1))
+		k := 1 + int(kRaw)%24
+		return closestMatches(n, target, k)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
@@ -230,13 +278,24 @@ func TestLookupMatchesReference(t *testing.T) {
 // allocates its returned Closest slice and nothing else.
 func TestHotPathAllocs(t *testing.T) {
 	_, d := buildDHT(t, 200, false, 41)
+	// Tables are only as deep as their deepest bucket in use.
+	for _, n := range d.Nodes() {
+		for name, tab := range map[string]table{"buckets": n.buckets, "spares": n.spares} {
+			if len(tab) > 0 && len(tab[len(tab)-1]) == 0 {
+				t.Fatalf("node %x: %s table %d deep, its deepest list is empty", n.ID, name, len(tab))
+			}
+		}
+		if len(n.spares) > len(n.buckets) {
+			t.Fatalf("node %x: spares %d deep, buckets %d", n.ID, len(n.spares), len(n.buckets))
+		}
+	}
 	n := d.Nodes()[7]
 	target := NodeID(0xfeedface)
 	if a := testing.AllocsPerRun(200, func() { n.closest(target, d.Cfg.K) }); a != 0 {
 		t.Errorf("closest allocates %.0f times per call, want 0", a)
 	}
 
-	idx := 60
+	idx := 64 - len(n.buckets) // n's deepest bucket
 	for i := 0; i < d.Cfg.K; i++ {
 		n.stash(idx, Contact{ID: NodeID(1000 + i)})
 	}
@@ -244,7 +303,7 @@ func TestHotPathAllocs(t *testing.T) {
 	if a := testing.AllocsPerRun(200, func() { next++; n.stash(idx, Contact{ID: next}) }); a != 0 {
 		t.Errorf("stash at a full replacement cache allocates %.0f times per call, want 0", a)
 	}
-	if s := n.spares[idx]; len(s) != d.Cfg.K || s[len(s)-1].ID != next || s[0].ID != next-NodeID(d.Cfg.K)+1 {
+	if s := n.spares.bucket(idx); len(s) != d.Cfg.K || s[len(s)-1].ID != next || s[0].ID != next-NodeID(d.Cfg.K)+1 {
 		t.Errorf("stash lost FIFO order: %v (newest %d)", s, next)
 	}
 

@@ -68,14 +68,52 @@ const RPCBytes uint64 = 100
 type Node struct {
 	Contact
 	host    *underlay.Host
-	buckets [][]Contact // index by bucketIndex
+	buckets table // the k-buckets
 	// spares is the per-bucket replacement cache: contacts that lost the
 	// insertion contest wait here (newest last) and are promoted when an
-	// eviction frees a slot. Nil until the first stash, so tables built
+	// eviction frees a slot. Empty until the first stash, so tables built
 	// before any bucket overflows carry no extra state.
-	spares [][]Contact
+	spares table
 	cfg    Config
 	dht    *DHT
+}
+
+// table holds one contact list per k-bucket, indexed by depth: t[63-i]
+// is bucket i's list. It is only as deep as the deepest list ever written
+// — random ids put a node's contacts in its ~log2(N) farthest buckets, so
+// a node carries that many lists rather than 64 — and each list gets
+// capacity K when first written, so it never regrows.
+type table [][]Contact
+
+// bucket returns list idx (nil when the table is not that deep). Reads
+// only: write through Node.slot.
+func (t table) bucket(idx int) []Contact {
+	if d := 63 - idx; d < len(t) {
+		return t[d]
+	}
+	return nil
+}
+
+// slot returns list idx of t, one of n's tables, for writing: it deepens
+// the table to reach the list and gives the list capacity K on first use.
+// A table's first write reserves the depth a node's nearest neighbour
+// lies at among the DHT's current population, so most tables never
+// regrow.
+func (n *Node) slot(t *table, idx int) *[]Contact {
+	d := 63 - idx
+	if d >= len(*t) {
+		if cap(*t) == 0 {
+			*t = make(table, 0, max(d+1, bits.Len(uint(len(n.dht.sorted)))+1))
+		}
+		for len(*t) <= d {
+			*t = append(*t, nil)
+		}
+	}
+	s := &(*t)[d]
+	if *s == nil {
+		*s = make([]Contact, 0, n.cfg.K)
+	}
+	return s
 }
 
 // DHT is a Kademlia instance bound to an underlay via a transport.
@@ -155,7 +193,6 @@ func (d *DHT) AddNode(h *underlay.Host) *Node {
 	n := &Node{
 		Contact: Contact{ID: id, Host: h.ID},
 		host:    h,
-		buckets: make([][]Contact, 64),
 		cfg:     d.Cfg,
 		dht:     d,
 	}
@@ -178,14 +215,15 @@ func (n *Node) observe(c Contact) {
 		return
 	}
 	idx := bucketIndex(Distance(n.ID, c.ID))
-	b := n.buckets[idx]
+	b := n.buckets.bucket(idx)
 	for _, have := range b {
 		if have.ID == c.ID {
 			return // already known
 		}
 	}
 	if len(b) < n.cfg.K {
-		n.buckets[idx] = append(b, c)
+		s := n.slot(&n.buckets, idx)
+		*s = append(*s, c)
 		return
 	}
 	if n.dht.sel == nil {
@@ -207,8 +245,8 @@ func (n *Node) observe(c Contact) {
 	}
 	newLat := prox(n.host, n.dht.U.Host(c.Host))
 	if worst >= 0 && newLat < worstLat {
-		n.stash(idx, n.buckets[idx][worst])
-		n.buckets[idx][worst] = c
+		n.stash(idx, b[worst])
+		b[worst] = c
 		return
 	}
 	n.stash(idx, c)
@@ -217,17 +255,42 @@ func (n *Node) observe(c Contact) {
 // closest returns up to k contacts from n's table nearest to target,
 // nearest first, each with its distance. The result lives in DHT-owned
 // scratch: it is valid until the next closest call on any node of the
-// same DHT. A table holds an ID once, so the bounded insertion yields
-// exactly the K-prefix of a full sort.
+// same DHT.
+//
+// Only the buckets that can matter are read. With h the top bit of
+// n.ID^target, bucket h holds every distance below 2^h, the buckets below
+// h hold distances in [2^h, 2^(h+1)), and each bucket i above h holds
+// distances in [2^i, 2^(i+1)). Visiting them in that order offers the
+// ranges in ascending order, so once k entries are listed nothing later
+// can displace one. A table holds an ID once and distances to one target
+// are unique, so the bounded insertion yields exactly the K-prefix of a
+// full sort.
 func (n *Node) closest(target NodeID, k int) []lookup.Entry[Contact] {
 	near := &n.dht.near
 	near.Reset(k)
-	for _, b := range n.buckets {
-		for _, c := range b {
-			near.Offer(c, Distance(c.ID, target), false)
+	t := n.buckets
+	h := bucketIndex(Distance(n.ID, target))
+	if h >= 0 {
+		offerAll(near, t.bucket(h), target)
+		if len(near.Entries()) < k {
+			// Buckets h-1 … 0 share one range: offer all of them.
+			for d := 64 - h; d < len(t); d++ {
+				offerAll(near, t[d], target)
+			}
 		}
 	}
+	// Buckets h+1, h+2, …: one range each, nearest first.
+	for d := min(62-h, len(t)-1); d >= 0 && len(near.Entries()) < k; d-- {
+		offerAll(near, t[d], target)
+	}
 	return near.Entries()
+}
+
+// offerAll offers every contact of b to near at its distance to target.
+func offerAll(near *lookup.Shortlist[Contact], b []Contact, target NodeID) {
+	for _, c := range b {
+		near.Offer(c, Distance(c.ID, target), false)
+	}
 }
 
 // BucketFill reports the total number of routing-table entries (test and

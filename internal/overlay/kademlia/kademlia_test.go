@@ -88,7 +88,8 @@ func TestBucketIndex(t *testing.T) {
 func TestBucketCapacityInvariant(t *testing.T) {
 	_, d := buildDHT(t, 60, false, 1)
 	for _, n := range d.Nodes() {
-		for i, b := range n.buckets {
+		for depth, b := range n.buckets {
+			i := 63 - depth
 			if len(b) > d.Cfg.K {
 				t.Fatalf("node %x bucket %d has %d > K entries", n.ID, i, len(b))
 			}
