@@ -96,16 +96,18 @@ bench-json:
 # parent/change runs on BENCHMARK.json. Benchmarks that exist on only one
 # side are reported but never gate.
 #
-# The baseline is BENCH_PR31.json, taken when the proximity-selection hot
-# path stopped hashing, binary-searching and over-allocating, and
-# BenchmarkScoreCacheThrash (every Score a miss and an eviction: 0 allocs,
-# ~150 ns) and BenchmarkBuildPNS (a PNS Chord build over ~1000 hosts:
-# 0 allocs, ~38 ms) joined the suite. BenchmarkPNSKademlia 3987 allocs /
-# 1.06 MB per op and BenchmarkPNSMetric 6345 / 2.05 MB (were 5724 / 1.49 MB
-# and 8784 / 2.96 MB); BenchmarkCompactFloodQuery 276 allocs / 9.2 kB,
-# BenchmarkTab1GnutellaMessages 595 k / 55 MB and BenchmarkIntraASExchange
-# 202 k / 27 MB, as in BENCH_PR30.json.
-BENCH_BASELINE ?= BENCH_PR31.json
+# The baseline is BENCH_PR32.json, taken when megascale messages became
+# recycled records and BenchmarkCompactLookup (one drained compact
+# Kademlia or Chord lookup on a warmed 8 000-peer K=2 substrate) joined
+# the suite: kademlia 108 allocs / 2.7 kB per op and chord 161 / 4.1 kB,
+# nearly all of it the sharded kernel's ~7 allocations per epoch barrier;
+# BenchmarkCompactFloodQuery 44 allocs / 3.6 kB (was 276 / 9.2 kB).
+# BenchmarkPNSKademlia 3987 allocs / 1.06 MB per op, BenchmarkPNSMetric
+# 6345 / 2.05 MB, BenchmarkTab1GnutellaMessages 595 k / 55 MB and
+# BenchmarkIntraASExchange 202 k / 27 MB, as in BENCH_PR31.json. Its e2e
+# section holds the paired end-to-end runs of BENCHMARK.json's workloads
+# against the parent commit; bench-diff reads only the benchmarks.
+BENCH_BASELINE ?= BENCH_PR32.json
 PERF_THRESHOLD ?= 0.15
 perf-gate:
 	$(MAKE) bench-json

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -131,5 +132,45 @@ BenchmarkX-8   1000   150.0 ns/op   16 B/op   1 allocs/op
 	}
 	if x.NsOp != 120 || x.MinNsOp != 90 || x.Runs != 3 {
 		t.Fatalf("want mean 120 / min 90 / 3 runs, got %+v", x)
+	}
+}
+
+// TestBenchDiffIgnoresE2E: a snapshot may carry an "e2e" section beside
+// its benchmarks (the paired end-to-end medians of BENCHMARK.json's
+// workloads). It still loads as a baseline, to the same benchmarks, and
+// gates exactly as the file without it does.
+func TestBenchDiffIgnoresE2E(t *testing.T) {
+	benches := `"benchmarks":{
+		"BenchmarkA":{"ns_op":100,"allocs_op":10,"runs":6},
+		"BenchmarkB":{"ns_op":200,"b_op":64,"allocs_op":1,"runs":6}}`
+	plain := writeBench(t, "plain.json", `{`+benches+`}`)
+	withE2E := writeBench(t, "e2e.json", `{`+benches+`,
+		"e2e":{"mega-dht":{"peak_rss_mb":{
+			"parent":{"median":380.1,"q1":380.0,"q3":380.3},
+			"change":{"median":264.1,"q1":264.0,"q3":264.2},
+			"pairs":10,"won":10,"seeds":[1,2,3,4,5,6,7,8,9,10]}}}}`)
+	a, err := readBenchDoc(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := readBenchDoc(withE2E)
+	if err != nil {
+		t.Fatalf("a baseline with an e2e section does not load: %v", err)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("the e2e section changed the benchmarks read:\n%v\n%v", a, b)
+	}
+	for _, cur := range []string{
+		`{"benchmarks":{"BenchmarkA":{"ns_op":100,"allocs_op":10,"runs":6},"BenchmarkB":{"ns_op":200,"b_op":64,"allocs_op":1,"runs":6}}}`,
+		`{"benchmarks":{"BenchmarkA":{"ns_op":100,"allocs_op":13,"runs":6},"BenchmarkB":{"ns_op":200,"b_op":128,"allocs_op":1,"runs":6}}}`,
+	} {
+		c := writeBench(t, "cur.json", cur)
+		want, err := cmdBenchDiff([]string{plain, c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := cmdBenchDiff([]string{withE2E, c}); err != nil || got != want {
+			t.Fatalf("against the e2e baseline: %d regressions, err %v; without the section: %d", got, err, want)
+		}
 	}
 }

@@ -92,12 +92,15 @@ func (s *Shortlist[T]) Next() (id T, ok bool) {
 func (s *Shortlist[T]) Entries() []Entry[T] { return s.e }
 
 // IDs returns the listed ids, nearest first, in a slice of their own.
-func (s *Shortlist[T]) IDs() []T {
-	out := make([]T, len(s.e))
+func (s *Shortlist[T]) IDs() []T { return s.AppendIDs(make([]T, 0, len(s.e))) }
+
+// AppendIDs appends the listed ids, nearest first, to buf and returns the
+// extended slice: into a warmed buffer it allocates nothing.
+func (s *Shortlist[T]) AppendIDs(buf []T) []T {
 	for i := range s.e {
-		out[i] = s.e[i].ID
+		buf = append(buf, s.e[i].ID)
 	}
-	return out
+	return buf
 }
 
 // InArc reports whether key lies in the half-open ring arc (from, to];

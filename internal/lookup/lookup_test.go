@@ -100,7 +100,9 @@ func TestQuickShortlistMatchesModel(t *testing.T) {
 				return false
 			}
 		}
-		return len(ids) == len(s.Entries())
+		prefix := []uint16{7}
+		app := s.AppendIDs(prefix)
+		return len(ids) == len(s.Entries()) && app[0] == 7 && reflect.DeepEqual(app[1:], ids)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
@@ -132,6 +134,10 @@ func TestShortlistBacking(t *testing.T) {
 	}
 	if got := s.IDs(); !reflect.DeepEqual(got, []int{1, 2, 3, 4, 5, 6}) {
 		t.Fatalf("list %v after outgrowing the caller's array", got)
+	}
+	ids := make([]int, 0, 8)
+	if a := testing.AllocsPerRun(100, func() { ids = s.AppendIDs(ids[:0]) }); a != 0 {
+		t.Fatalf("AppendIDs into a buffer with room allocates %.0f times", a)
 	}
 	s.Reset(0)
 	if s.Offer(1, 1, false) || len(s.Entries()) != 0 {

@@ -1,6 +1,8 @@
 package megascale
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"unap2p/internal/underlay"
@@ -20,40 +22,89 @@ type IDSpace struct {
 
 // NewIDSpace assigns n unique ids hashed from the seed. Collisions are
 // re-hashed, so ids are unique and still a pure function of (seed, n).
-func NewIDSpace(n int, seed uint64) *IDSpace {
+func NewIDSpace(n int, seed uint64) *IDSpace { return newIDSpace(n, seed, Mix64) }
+
+// newIDSpace is NewIDSpace over hash, the seam through which tests force
+// collisions. Peer p draws hash(seed ^ p·φ) and, while a peer before it
+// holds that id, moves on to the hash of it. Collisions show up as equal
+// neighbours in the sorted array index builds anyway; only when there is
+// one does rehash walk the peers in order.
+func newIDSpace(n int, seed uint64, hash func(uint64) uint64) *IDSpace {
 	ids := make([]uint64, n)
-	seen := make(map[uint64]bool, n)
-	for p := 0; p < n; p++ {
-		id := Mix64(seed ^ uint64(p)*0x9e3779b97f4a7c15)
-		for seen[id] {
-			id = Mix64(id)
-		}
-		seen[id] = true
-		ids[p] = id
+	for p := range ids {
+		ids[p] = hash(seed ^ uint64(p)*0x9e3779b97f4a7c15)
 	}
-	return NewIDSpaceFrom(ids)
+	s := NewIDSpaceFrom(ids)
+	for r := 1; r < n; r++ {
+		if s.sorted[r] == s.sorted[r-1] {
+			s.rehash(hash)
+			s.index()
+			break
+		}
+	}
+	return s
 }
 
 // NewIDSpaceFrom builds the space over explicit ids (they must be
 // unique). Ports with an external id assignment — and the fuzz harness —
 // use this; most callers want NewIDSpace.
 func NewIDSpaceFrom(ids []uint64) *IDSpace {
-	n := len(ids)
-	s := &IDSpace{
-		ids:    ids,
-		byRank: make([]underlay.PeerID, n),
-		rank:   make([]int32, n),
-	}
-	for p := 0; p < n; p++ {
-		s.byRank[p] = underlay.PeerID(p)
-	}
-	sort.Slice(s.byRank, func(i, j int) bool { return ids[s.byRank[i]] < ids[s.byRank[j]] })
-	s.sorted = make([]uint64, n)
-	for r, p := range s.byRank {
-		s.sorted[r] = ids[p]
-		s.rank[p] = int32(r)
-	}
+	s := &IDSpace{ids: ids}
+	s.index()
 	return s
+}
+
+// idPeer is one peer's sort key.
+type idPeer struct {
+	id uint64
+	p  underlay.PeerID
+}
+
+// index builds the sorted view and the rank maps from ids, ordering
+// peers that share an id by peer.
+func (s *IDSpace) index() {
+	n := len(s.ids)
+	pairs := make([]idPeer, n)
+	for p, id := range s.ids {
+		pairs[p] = idPeer{id, underlay.PeerID(p)}
+	}
+	slices.SortFunc(pairs, func(a, b idPeer) int {
+		if c := cmp.Compare(a.id, b.id); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.p, b.p)
+	})
+	s.sorted = make([]uint64, n)
+	s.rank = make([]int32, n)
+	s.byRank = make([]underlay.PeerID, n)
+	for r, e := range pairs {
+		s.sorted[r], s.byRank[r], s.rank[e.p] = e.id, e.p, int32(r)
+	}
+}
+
+// rehash resolves collisions in peer order, as a walk over every peer
+// with a set of the ids taken so far would: peer p keeps the first of
+// ids[p], hash(ids[p]), … that no peer before it holds. An id once held
+// stays held, so an id that some peer q < p drew is held when p comes:
+// by q, or by whoever forced q off it. Before the walk sorted and byRank
+// order the drawn ids by (id, peer), so one binary search answers that;
+// moved holds the few ids peers were re-hashed onto.
+func (s *IDSpace) rehash(hash func(uint64) uint64) {
+	moved := map[uint64]bool{}
+	held := func(id uint64, p int) bool {
+		r, drawn := slices.BinarySearch(s.sorted, id)
+		return moved[id] || drawn && int(s.byRank[r]) < p
+	}
+	for p, drawn := range s.ids {
+		id := drawn
+		for held(id, p) {
+			id = hash(id)
+		}
+		if id != drawn {
+			s.ids[p] = id
+			moved[id] = true
+		}
+	}
 }
 
 // Len reports the peer count.

@@ -23,6 +23,11 @@
 //     count K.
 //   - Aggregation (Stats, HealthStats) reads per-shard counters and is
 //     safe only at epoch barriers or after the run.
+//   - An in-flight message is a record recycled on per-shard free lists,
+//     never a sync.Pool. A record belongs to the shard that holds the
+//     message, and each free list is touched only by its own shard; a
+//     record reaches another shard's list only by riding a message there
+//     (see Iter and gnutella.CompactFlood).
 package megascale
 
 import (

@@ -2,6 +2,7 @@ package megascale
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 
 	"unap2p/internal/sim"
@@ -52,6 +53,47 @@ func TestIDSpaceUniqueDeterministic(t *testing.T) {
 		if s1.ByRank(s1.Rank(underlay.PeerID(p))) != underlay.PeerID(p) {
 			t.Fatalf("rank/byRank disagree for peer %d", p)
 		}
+	}
+}
+
+// TestIDSpaceCollisionsMatchMapWalk forces collisions through a hash
+// onto 2^14 values and checks the space against the walk NewIDSpace used
+// to run: every peer in order, a set of the ids taken so far, a re-hash
+// while the drawn id is taken, then a sort of the peers by id.
+func TestIDSpaceCollisionsMatchMapWalk(t *testing.T) {
+	weak := func(x uint64) uint64 { return Mix64(x) & (1<<14 - 1) }
+	rehashed := 0
+	for _, n := range []int{1, 2, 300, 2000} {
+		for seed := uint64(0); seed < 4; seed++ {
+			ids := make([]uint64, n)
+			seen := make(map[uint64]bool, n)
+			for p := 0; p < n; p++ {
+				id := weak(seed ^ uint64(p)*0x9e3779b97f4a7c15)
+				for seen[id] {
+					id = weak(id)
+					rehashed++
+				}
+				seen[id] = true
+				ids[p] = id
+			}
+			byRank := make([]underlay.PeerID, n)
+			for p := range byRank {
+				byRank[p] = underlay.PeerID(p)
+			}
+			sort.Slice(byRank, func(i, j int) bool { return ids[byRank[i]] < ids[byRank[j]] })
+			s := newIDSpace(n, seed, weak)
+			if !reflect.DeepEqual(s.ids, ids) || !reflect.DeepEqual(s.byRank, byRank) {
+				t.Fatalf("n=%d seed=%d: ids or rank order differ from the map walk", n, seed)
+			}
+			for r, p := range byRank {
+				if s.sorted[r] != ids[p] || s.Rank(p) != r {
+					t.Fatalf("n=%d seed=%d: sorted view or rank of peer %d wrong", n, seed, p)
+				}
+			}
+		}
+	}
+	if rehashed < 100 {
+		t.Fatalf("only %d re-hashes: the weak hash no longer exercises the collision path", rehashed)
 	}
 }
 
@@ -161,13 +203,13 @@ func TestIterConverges(t *testing.T) {
 		n := net.Peers().Len()
 		space := NewIDSpace(n, 3)
 		ctr := NewCounters(net.Kernel().NumShards())
-		it := &Iter{
+		it := NewIter(Iter{
 			Net: net, ReqClass: 0, RepClass: 1, RPCBytes: 64,
 			Alpha: 2, Width: 8, Ctr: ctr,
 			Dist: func(q underlay.PeerID, target uint64) uint64 {
 				return space.ID(q) ^ target
 			},
-			Candidates: func(q underlay.PeerID, target uint64) []underlay.PeerID {
+			Candidates: func(q underlay.PeerID, target uint64, out []underlay.PeerID) []underlay.PeerID {
 				// Omniscient routing: a linear scan for the XOR-nearest
 				// peer plus the target's ring neighborhood as filler.
 				best, bd := underlay.PeerID(0), ^uint64(0)
@@ -176,7 +218,7 @@ func TestIterConverges(t *testing.T) {
 						best, bd = underlay.PeerID(p), d
 					}
 				}
-				out := []underlay.PeerID{best}
+				out = append(out, best)
 				r := space.SuccessorRank(target)
 				for off := -2; off <= 2; off++ {
 					out = append(out, space.ByRank(((r+off)%n+n)%n))
@@ -186,7 +228,7 @@ func TestIterConverges(t *testing.T) {
 			OK: func(best underlay.PeerID, target uint64) bool {
 				return space.ID(best) == space.ClosestXOR(target)
 			},
-		}
+		})
 		for p := 0; p < n; p++ {
 			p := underlay.PeerID(p)
 			target := Mix64(uint64(p) ^ 0xabc)

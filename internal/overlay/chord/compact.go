@@ -59,7 +59,7 @@ type CompactRing struct {
 	nFing int      // entries per finger row
 
 	ctr  *megascale.Counters
-	iter megascale.Iter
+	iter *megascale.Iter
 }
 
 // NewCompactRing builds a compact ring over every peer in the net's
@@ -84,7 +84,7 @@ func NewCompactRing(net *transport.ShardedNet, cfg CompactConfig, seed uint64, r
 	for 1<<c.nFing < n {
 		c.nFing++
 	}
-	c.iter = megascale.Iter{
+	c.iter = megascale.NewIter(megascale.Iter{
 		Net: net, ReqClass: reqClass, RepClass: repClass, RPCBytes: rpcBytes,
 		Alpha: compactAlpha, Width: 3 * (compactSuccessors + 1), Ctr: c.ctr,
 		Dist:       c.predDist,
@@ -92,7 +92,7 @@ func NewCompactRing(net *transport.ShardedNet, cfg CompactConfig, seed uint64, r
 		OK: func(best underlay.PeerID, target uint64) bool {
 			return c.space.ID(best) == c.space.PredecessorID(target)
 		},
-	}
+	})
 	return c
 }
 
@@ -152,22 +152,23 @@ func (c *CompactRing) Bootstrap(seed uint64) {
 	}
 }
 
-// candidates returns q's best contacts toward target — the compactSuccessors
-// nearest of its successor list and fingers under the predecessor metric,
-// the compact closest_preceding_node: every table entry is offered to a
-// lookup.Shortlist on the stack (which also drops a peer listed in both
-// rows) and the survivors are read off. Executes on q's shard; the rows
-// are immutable after Bootstrap so the read is safe from anywhere.
-func (c *CompactRing) candidates(q underlay.PeerID, target uint64) []underlay.PeerID {
-	var buf [shortlistStack]lookup.Entry[underlay.PeerID]
-	best := lookup.New(buf[:], compactSuccessors)
+// candidates appends to buf q's best contacts toward target — the
+// compactSuccessors nearest of its successor list and fingers under the
+// predecessor metric, the compact closest_preceding_node: every table
+// entry is offered to a lookup.Shortlist on the stack (which also drops a
+// peer listed in both rows) and the survivors are read off. Executes on
+// q's shard; the rows are immutable after Bootstrap so the read is safe
+// from anywhere.
+func (c *CompactRing) candidates(q underlay.PeerID, target uint64, buf []underlay.PeerID) []underlay.PeerID {
+	var stack [shortlistStack]lookup.Entry[underlay.PeerID]
+	best := lookup.New(stack[:], compactSuccessors)
 	for _, p := range c.succ[int(q)*c.nSucc:][:c.nSucc] {
 		best.Offer(underlay.PeerID(p), c.predDist(underlay.PeerID(p), target), false)
 	}
 	for _, p := range c.fing[int(q)*c.nFing:][:c.nFing] {
 		best.Offer(underlay.PeerID(p), c.predDist(underlay.PeerID(p), target), false)
 	}
-	return best.IDs()
+	return best.AppendIDs(buf)
 }
 
 // shortlistStack is the widest successor list whose candidate ranking

@@ -64,9 +64,9 @@ const (
 // and forwards the query only to those, which answer with a QueryHit
 // straight to the origin. Flood dedup state belongs to the query (see
 // floodQuery), one peer set per shard, so every mutation stays on the
-// owning shard and the state is garbage once the query's last closure
-// has run. The ground-truth BFS at each query's deadline reuses its
-// shard's scratch.
+// owning shard and the state is garbage once the query's last message
+// has run. Messages are recycled records (see floodMsg). The
+// ground-truth BFS at each query's deadline reuses its shard's scratch.
 type CompactFlood struct {
 	cfg CompactConfig
 	net *transport.ShardedNet
@@ -90,6 +90,9 @@ type CompactFlood struct {
 	// scratch is the ground-truth BFS state of each shard, touched only by
 	// deadline events of queries that shard originated.
 	scratch []bfsScratch
+	// spare holds each shard's free message records, one allocation per
+	// shard so that no two shards write the same cache line.
+	spare []*msgList
 }
 
 // NewCompactFlood builds a compact Gnutella over every peer in the
@@ -109,6 +112,10 @@ func NewCompactFlood(net *transport.ShardedNet, cfg CompactConfig, seed uint64, 
 		ctr:       megascale.NewCounters(shards),
 		potential: make([]uint64, shards),
 		scratch:   make([]bfsScratch, shards),
+		spare:     make([]*msgList, shards),
+	}
+	for i := range g.spare {
+		g.spare[i] = &msgList{away: make([]*floodMsg, shards)}
 	}
 	return g
 }
@@ -321,13 +328,15 @@ func (s *peerSet) grow() {
 }
 
 // floodQuery is one in-flight query's state. g, origin and owners are
-// fixed at Query and read from any shard, so a message closure carries
-// only the query, its next peer and the narrowed ttl and hop count
-// (24 B). hits, firstHop and best belong to the origin's shard; seen[i]
-// is the set of peers on shard i the query has reached and is touched by
-// shard i alone (the barrier orders Query's allocation before any other
-// shard's first use). Nothing outside the query's own closures points
-// here, so the dedup state is collected once the last of them has run.
+// fixed at Query and read from any shard, so a message carries only the
+// query, its next peer and the narrowed ttl and hop count. hits,
+// firstHop and best belong to the origin's shard; seen[i] is the set of
+// peers on shard i the query has reached and is touched by shard i alone
+// (the barrier orders Query's allocation before any other shard's first
+// use). Nothing outside the query's deadline and its in-flight messages
+// points here, so the dedup state is collected once the last of them has
+// run. The query itself is not recycled: a message may land after the
+// deadline, and nothing counts them.
 type floodQuery struct {
 	g        *CompactFlood
 	origin   underlay.PeerID
@@ -366,12 +375,12 @@ func (g *CompactFlood) Query(origin underlay.PeerID, seed uint64, onDone func(me
 	ttl := int16(g.cfg.QueryTTL)
 	if g.uidx[origin] >= 0 {
 		// Ultra origin processes the query locally, no self-message.
-		st.deliver(origin, ttl, 0)
+		st.deliver(origin, oshard, ttl, 0)
 	} else {
 		base := int(origin) * compactLeafParents
 		for i := 0; i < int(g.pcnt[origin]); i++ {
 			up := underlay.PeerID(g.par[base+i])
-			g.net.Send(origin, up, g.qryClass, queryBytes, func() { st.deliver(up, ttl, 1) })
+			st.send(origin, oshard, up, msgDeliver, ttl, 1)
 		}
 	}
 	g.net.Kernel().Shard(oshard).Schedule(queryTimeout, func() {
@@ -386,14 +395,110 @@ func (g *CompactFlood) Query(origin underlay.PeerID, seed uint64, onDone func(me
 	})
 }
 
+// msgKind is what a floodMsg carries.
+type msgKind uint8
+
+const (
+	msgDeliver msgKind = iota // the query, to ultrapeer peer
+	msgLeaf                   // the QRP last hop, to owning leaf peer
+	msgHit                    // a QueryHit from peer, to the origin
+)
+
+// floodMsg is one message in flight: the query it belongs to, the peer it
+// names, and the narrowed ttl and hop count. run is the record's handle
+// method, bound once when the record is allocated, so a send allocates
+// nothing.
+//
+// A record belongs to the shard that allocated it, its home, and only
+// its home takes it from a free list. The shard that consumes a message
+// frees the record if it is home, and otherwise chains it to wait for a
+// ride: the next message that shard sends to the home shard carries the
+// chain in next, and the home shard frees it on arrival. So each free
+// list is touched by its own shard alone, every hand-over rides a
+// message through the kernel, and a shard's records are bounded by its
+// messages in flight or waiting for a ride, however one-sided the
+// traffic between two shards is.
+type floodMsg struct {
+	st    *floodQuery
+	next  *floodMsg // free-list link; in flight, the records it carries home
+	run   func()
+	peer  underlay.PeerID
+	ttl   int16
+	hops  uint16
+	kind  msgKind
+	home  int32 // the shard that allocated the record
+	shard int32 // the shard that consumes the message
+}
+
+// msgList is one shard's message records: those at home, free, and
+// those of other shards, waiting for a message to their home.
+type msgList struct {
+	free *floodMsg
+	away []*floodMsg // away[h] chains records of home h
+}
+
+// send carries a message of the given kind from peer from, on shard
+// shard, to peer to, along with the records waiting for a ride to to's
+// shard.
+func (st *floodQuery) send(from underlay.PeerID, shard int, to underlay.PeerID, kind msgKind, ttl int16, hops uint16) {
+	g := st.g
+	l := g.spare[shard]
+	m := l.free
+	if m != nil {
+		l.free = m.next
+	} else {
+		m = &floodMsg{home: int32(shard)}
+		m.run = m.handle
+	}
+	dst := g.net.ShardOf(to)
+	m.next, l.away[dst] = l.away[dst], nil
+	m.st, m.peer, m.ttl, m.hops, m.kind, m.shard = st, to, ttl, hops, kind, int32(dst)
+	class, bytes := g.qryClass, uint64(queryBytes)
+	if kind == msgHit {
+		m.peer, class, bytes = from, g.hitClass, queryHitBytes
+	}
+	g.net.Send(from, to, class, bytes, m.run)
+}
+
+// handle runs a message on the shard that consumes it: the records it
+// carried home go on the free list, the record itself is freed or set
+// aside for its ride home, and then the message is processed.
+func (m *floodMsg) handle() {
+	st, peer, ttl, hops, kind, shard := m.st, m.peer, m.ttl, m.hops, m.kind, int(m.shard)
+	l := st.g.spare[shard]
+	for c := m.next; c != nil; {
+		next := c.next
+		c.next, l.free = l.free, c
+		c = next
+	}
+	m.st = nil
+	if int(m.home) == shard {
+		m.next, l.free = l.free, m
+	} else {
+		m.next, l.away[m.home] = l.away[m.home], m
+	}
+	switch kind {
+	case msgDeliver:
+		st.deliver(peer, shard, ttl, hops)
+	case msgLeaf:
+		st.leaf(peer, shard, hops)
+	case msgHit:
+		if st.hits == 0 {
+			st.firstHop = int(hops)
+			st.best = peer
+		}
+		st.hits++
+	}
+}
+
 // deliver processes the query at ultrapeer u, on u's shard: liveness
 // gate, dedup against the query's set for this shard, QRP hit check
 // against u and its leaves, then a TTL-bounded forward to u's neighbors.
 // ttl fits int16 (NewCompactFlood bounds QueryTTL) and hops, at most
 // QueryTTL+1, fits uint16.
-func (st *floodQuery) deliver(u underlay.PeerID, ttl int16, hops uint16) {
+func (st *floodQuery) deliver(u underlay.PeerID, shard int, ttl int16, hops uint16) {
 	g := st.g
-	if !g.net.Peers().Up(u) || !st.seen[g.net.ShardOf(u)].add(u) {
+	if !g.net.Peers().Up(u) || !st.seen[shard].add(u) {
 		return
 	}
 	for _, o := range st.owners {
@@ -406,8 +511,7 @@ func (st *floodQuery) deliver(u underlay.PeerID, ttl int16, hops uint16) {
 		}
 		// QRP last hop: only the owning leaf gets the query; it answers
 		// the origin directly if alive.
-		hop := hops + 1
-		g.net.Send(u, o, g.qryClass, queryBytes, func() { st.leaf(o, hop) })
+		st.send(u, shard, o, msgLeaf, 0, hops+1)
 	}
 	if ttl <= 1 {
 		return
@@ -415,30 +519,21 @@ func (st *floodQuery) deliver(u underlay.PeerID, ttl int16, hops uint16) {
 	ui := int(g.uidx[u])
 	base := ui * compactMaxDeg
 	for i := 0; i < int(g.ncnt[ui]); i++ {
-		v := underlay.PeerID(g.nbr[base+i])
-		g.net.Send(u, v, g.qryClass, queryBytes, func() { st.deliver(v, ttl-1, hops+1) })
+		st.send(u, shard, underlay.PeerID(g.nbr[base+i]), msgDeliver, ttl-1, hops+1)
 	}
 }
 
 // leaf processes the QRP last hop at owning leaf o, on o's shard.
-func (st *floodQuery) leaf(o underlay.PeerID, hops uint16) {
-	g := st.g
-	if !g.net.Peers().Up(o) || !st.seen[g.net.ShardOf(o)].add(o) {
+func (st *floodQuery) leaf(o underlay.PeerID, shard int, hops uint16) {
+	if !st.g.net.Peers().Up(o) || !st.seen[shard].add(o) {
 		return
 	}
 	st.reply(o, hops)
 }
 
-// reply sends a QueryHit from peer h back to the origin's shard.
+// reply sends a QueryHit from peer h, on h's shard, back to the origin.
 func (st *floodQuery) reply(h underlay.PeerID, hops uint16) {
-	g := st.g
-	g.net.Send(h, st.origin, g.hitClass, queryHitBytes, func() {
-		if st.hits == 0 {
-			st.firstHop = int(hops)
-			st.best = h
-		}
-		st.hits++
-	})
+	st.send(h, st.g.net.ShardOf(h), st.origin, msgHit, 0, hops)
 }
 
 // bfsScratch is the reusable state of one ground-truth BFS.

@@ -48,7 +48,7 @@ type CompactDHT struct {
 	cnt   []uint8  // bucket fill counts, peer p at cnt[p*Buckets:]
 
 	ctr  *megascale.Counters
-	iter megascale.Iter
+	iter *megascale.Iter
 }
 
 // NewCompact builds a compact DHT over every peer in the net's table.
@@ -71,20 +71,20 @@ func NewCompact(net *transport.ShardedNet, cfg CompactConfig, seed uint64, reqCl
 	for p := 0; p < n; p++ {
 		d.ids[p] = NodeID(d.space.ID(underlay.PeerID(p)))
 	}
-	d.iter = megascale.Iter{
+	d.iter = megascale.NewIter(megascale.Iter{
 		Net: net, ReqClass: reqClass, RepClass: repClass, RPCBytes: RPCBytes,
 		Alpha: alpha, Width: 3 * cfg.K, Ctr: d.ctr,
 		Dist: func(q underlay.PeerID, target uint64) uint64 {
 			return uint64(d.ids[q]) ^ target
 		},
-		Candidates: func(q underlay.PeerID, target uint64) []underlay.PeerID {
-			return d.closest(q, NodeID(target))
+		Candidates: func(q underlay.PeerID, target uint64, buf []underlay.PeerID) []underlay.PeerID {
+			return d.closest(q, NodeID(target), buf)
 		},
 		Learn: d.Observe,
 		OK: func(best underlay.PeerID, target uint64) bool {
 			return uint64(d.ids[best]) == d.space.ClosestXOR(target)
 		},
-	}
+	})
 	return d
 }
 
@@ -144,12 +144,12 @@ func (d *CompactDHT) Seed(seed uint64, fanout, near int) {
 // megascale contact mix (fanout 20, ring ±4).
 func (d *CompactDHT) Bootstrap(seed uint64) { d.Seed(seed, 20, 4) }
 
-// closest returns the K contacts of p's table nearest to target, nearest
-// first: buckets are scanned outward from the target's until 4K entries
-// have been seen, each offered to a lookup.Shortlist on the stack.
-func (d *CompactDHT) closest(p underlay.PeerID, target NodeID) []underlay.PeerID {
-	var buf [shortlistStack]lookup.Entry[underlay.PeerID]
-	best := lookup.New(buf[:], d.cfg.K)
+// closest appends to buf the K contacts of p's table nearest to target,
+// nearest first: buckets are scanned outward from the target's until 4K
+// entries have been seen, each offered to a lookup.Shortlist on the stack.
+func (d *CompactDHT) closest(p underlay.PeerID, target NodeID, buf []underlay.PeerID) []underlay.PeerID {
+	var stack [shortlistStack]lookup.Entry[underlay.PeerID]
+	best := lookup.New(stack[:], d.cfg.K)
 	seen := 0
 	consider := func(b int) {
 		if b < 0 || b >= d.cfg.Buckets {
@@ -167,7 +167,7 @@ func (d *CompactDHT) closest(p underlay.PeerID, target NodeID) []underlay.PeerID
 		consider(start - off)
 		consider(start + off)
 	}
-	return best.IDs()
+	return best.AppendIDs(buf)
 }
 
 // shortlistStack is the widest K whose candidate ranking stays on the

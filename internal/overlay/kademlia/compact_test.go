@@ -218,8 +218,8 @@ func refCandidates(d *CompactDHT, p underlay.PeerID, target NodeID, k int) []und
 // TestCompactClosestMatchesReference: over every peer of a seeded table,
 // for far targets, targets next to the peer's own id (the collapsed near
 // band) and K both under and over the stack scratch, closest returns the
-// reference's contacts in the reference's order — in one allocation, the
-// result, while K fits the stack.
+// reference's contacts in the reference's order — and, while K fits the
+// stack, without allocating into a warmed buffer.
 func TestCompactClosestMatchesReference(t *testing.T) {
 	for _, k := range []int{3, 8, shortlistStack + 4} {
 		base, net := buildCompact(t, 64, 1, 13)
@@ -233,7 +233,7 @@ func TestCompactClosestMatchesReference(t *testing.T) {
 				NodeID(megascale.Mix64(uint64(p))), NodeID(megascale.Mix64(uint64(p) ^ 0xabc)),
 				d.ids[p], d.ids[p] ^ 1, d.ids[p] ^ 0xffff, d.ids[(int(p)+1)%len(d.ids)],
 			} {
-				got, want := d.closest(p, target), refCandidates(d, p, target, k)
+				got, want := d.closest(p, target, nil), refCandidates(d, p, target, k)
 				if len(want) == 0 || !reflect.DeepEqual(got, want) {
 					t.Fatalf("K=%d peer %d target %d (%x):\n got %v\nwant %v", k, p, i, target, got, want)
 				}
@@ -243,8 +243,9 @@ func TestCompactClosestMatchesReference(t *testing.T) {
 			continue
 		}
 		target := NodeID(0xfeedface)
-		if a := testing.AllocsPerRun(100, func() { d.closest(7, target) }); a != 1 {
-			t.Errorf("K=%d: closest allocates %.0f times per call, want 1 (the result)", k, a)
+		buf := d.closest(7, target, nil)
+		if a := testing.AllocsPerRun(100, func() { buf = d.closest(7, target, buf[:0]) }); a != 0 {
+			t.Errorf("K=%d: closest into a warmed buffer allocates %.0f times per call, want 0", k, a)
 		}
 	}
 }
