@@ -35,22 +35,28 @@ vet:
 deadcode:
 	$(GO) run ./cmd/unapctl deadcode
 
-# golden is the output byte-identity gate: it builds unapctl, writes
-# `unapctl run -all -seed 1 -scale 0.25` stdout and the `unapctl run
-# -exp exp-intra-as -seed 1 -scale 0.5 -o` run file with and without
-# `-probe 50` into GOLDEN_DIR, and checks their sha256
-# against testdata/golden.sha256. A change that means to alter output
+# golden is the output byte-identity gate: it builds unapctl and the
+# five examples, writes `unapctl run -all -seed 1 -scale 0.25` stdout,
+# the `unapctl run -exp exp-intra-as -seed 1 -scale 0.5 -o` run file with
+# and without `-probe 50`, and each example's stdout (example-<name>.txt)
+# into GOLDEN_DIR, and checks their sha256 against
+# testdata/golden.sha256. A change that means to alter output
 # regenerates that file (`sha256sum underlaysim-all.txt intra-as.jsonl
-# intra-as-probe50.jsonl` in GOLDEN_DIR) and says why; anything else that
-# moves a byte fails here. The hashes are for linux/amd64
-# (another GOARCH may round floats differently). ~3 s.
+# intra-as-probe50.jsonl example-*.txt` in GOLDEN_DIR) and says why;
+# anything else that moves a byte fails here. The hashes are for
+# linux/amd64 (another GOARCH may round floats differently). ~5 s.
 GOLDEN_DIR ?= .golden
+EXAMPLES := geosearch ispfriendly latencyoverlay quickstart streamtv
 golden:
 	@mkdir -p $(GOLDEN_DIR)
 	$(GO) build -o $(GOLDEN_DIR)/unapctl ./cmd/unapctl
 	cd $(GOLDEN_DIR) && ./unapctl run -all -seed 1 -scale 0.25 > underlaysim-all.txt
 	cd $(GOLDEN_DIR) && ./unapctl run -exp exp-intra-as -seed 1 -scale 0.5 -o intra-as.jsonl > /dev/null
 	cd $(GOLDEN_DIR) && ./unapctl run -exp exp-intra-as -seed 1 -scale 0.5 -probe 50 -o intra-as-probe50.jsonl > /dev/null
+	for e in $(EXAMPLES); do \
+		$(GO) build -o $(GOLDEN_DIR)/$$e ./examples/$$e && \
+		(cd $(GOLDEN_DIR) && ./$$e > example-$$e.txt) || exit 1; \
+	done
 	cd $(GOLDEN_DIR) && sha256sum -c $(CURDIR)/testdata/golden.sha256
 
 build:
@@ -96,18 +102,23 @@ bench-json:
 # parent/change runs on BENCHMARK.json. Benchmarks that exist on only one
 # side are reported but never gate.
 #
-# The baseline is BENCH_PR32.json, taken when megascale messages became
-# recycled records and BenchmarkCompactLookup (one drained compact
-# Kademlia or Chord lookup on a warmed 8 000-peer K=2 substrate) joined
-# the suite: kademlia 108 allocs / 2.7 kB per op and chord 161 / 4.1 kB,
-# nearly all of it the sharded kernel's ~7 allocations per epoch barrier;
-# BenchmarkCompactFloodQuery 44 allocs / 3.6 kB (was 276 / 9.2 kB).
-# BenchmarkPNSKademlia 3987 allocs / 1.06 MB per op, BenchmarkPNSMetric
-# 6345 / 2.05 MB, BenchmarkTab1GnutellaMessages 595 k / 55 MB and
-# BenchmarkIntraASExchange 202 k / 27 MB, as in BENCH_PR31.json. Its e2e
-# section holds the paired end-to-end runs of BENCHMARK.json's workloads
-# against the parent commit; bench-diff reads only the benchmarks.
-BENCH_BASELINE ?= BENCH_PR32.json
+# The baseline is BENCH_PR34.json, taken when tab2-impact stopped
+# converging an unread Vivaldi system and caching its scores, and
+# TrafficMatrix became a plain map (no index clone per new AS pair):
+# BenchmarkTab2Impact 9775 allocs / 0.86 MB per op (was 12.5 k /
+# 3.7 MB), BenchmarkPNSKademlia 2836 / 0.62 MB (was 3987 / 1.06 MB),
+# BenchmarkPNSMetric 4042 / 1.16 MB (was 6346 / 2.05 MB),
+# BenchmarkBrocade 1526 / 0.23 MB (was 2101 / 0.45 MB),
+# BenchmarkTab1GnutellaMessages 593 k / 54 MB and
+# BenchmarkIntraASExchange 198 k / 25 MB. Megascale rows are as in
+# BENCH_PR32.json: BenchmarkCompactLookup (one drained compact Kademlia or
+# Chord lookup on a warmed 8 000-peer K=2 substrate) kademlia 108 allocs
+# / 2.7 kB per op and chord 161 / 4.1 kB, nearly all of it the sharded
+# kernel's ~7 allocations per epoch barrier; BenchmarkCompactFloodQuery
+# 44 allocs / 3.6 kB. Its e2e section holds the paired end-to-end runs
+# of BENCHMARK.json's workloads against the parent commit; bench-diff
+# reads only the benchmarks.
+BENCH_BASELINE ?= BENCH_PR34.json
 PERF_THRESHOLD ?= 0.15
 perf-gate:
 	$(MAKE) bench-json

@@ -29,7 +29,7 @@ func main() {
 	// Collection: Vivaldi — every peer learns a coordinate from a few
 	// gossip probes per round instead of O(N²) pings.
 	rtt := func(i, j int) float64 { return float64(net.RTT(hosts[i], hosts[j])) }
-	vs := coords.NewVivaldiSystem(len(hosts), coords.DefaultVivaldiConfig(), rtt, src.Stream("vivaldi"))
+	vs := coords.NewVivaldiSystem(len(hosts), rtt, src.Stream("vivaldi"))
 	vs.Run(100)
 	fmt.Printf("vivaldi: %d nodes, %d probes, median relative error %.3f\n",
 		len(hosts), vs.Probes, vs.MedianRelativeError())

@@ -129,9 +129,9 @@ func main() {
 	fmt.Printf("score cache: %v\n", engine.CacheStats())
 
 	// 4. Or let the framework wire itself: Bootstrap builds the same kind
-	// of engine (registry + Vivaldi by default) in one call; wrap it in an
+	// of engine (registry + Vivaldi) in one call; wrap it in an
 	// EngineSelector to hand it to any overlay.
-	auto := core.Bootstrap(net, src.Fork("auto"), core.DefaultBootstrap())
+	auto := core.Bootstrap(net, src.Fork("auto"))
 	autoSel := core.NewEngineSelector(auto, net)
 	a, b := hosts[0], hosts[1]
 	cost, _ := autoSel.Proximity(a, b)
@@ -143,7 +143,7 @@ func main() {
 	// then read the convergence curve back out of its in-memory series.
 	if *probeMS > 0 {
 		rtt := func(i, j int) float64 { return float64(net.RTT(hosts[i], hosts[j])) }
-		vs := coords.NewVivaldiSystem(len(hosts), coords.DefaultVivaldiConfig(), rtt, src.Stream("vivaldi"))
+		vs := coords.NewVivaldiSystem(len(hosts), rtt, src.Stream("vivaldi"))
 		rec.ObserveHealth("vivaldi", vs.HealthStats)
 		const rounds = 60
 		for r := 0; r < rounds; r++ {

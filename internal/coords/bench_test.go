@@ -11,9 +11,7 @@ import (
 // cost of running Vivaldi.
 func BenchmarkVivaldiUpdate(b *testing.B) {
 	r := sim.NewSource(1).Stream("bench")
-	cfg := DefaultVivaldiConfig()
-	a := NewVivaldiNode(cfg)
-	o := NewVivaldiNode(cfg)
+	a, o := NewVivaldiNode(), NewVivaldiNode()
 	o.Pos[0] = 10
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -24,7 +22,7 @@ func BenchmarkVivaldiUpdate(b *testing.B) {
 // BenchmarkVivaldiRound measures one gossip round over 100 nodes.
 func BenchmarkVivaldiRound(b *testing.B) {
 	r := sim.NewSource(2).Stream("bench")
-	s := NewVivaldiSystem(100, DefaultVivaldiConfig(), gridRTT(100), r)
+	s := NewVivaldiSystem(100, gridRTT(100), r)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Round()

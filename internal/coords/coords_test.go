@@ -176,8 +176,7 @@ func gridRTT(n int) func(i, j int) float64 {
 
 func TestVivaldiConvergesOnEuclideanSpace(t *testing.T) {
 	r := sim.NewSource(1).Stream("vivaldi")
-	cfg := VivaldiConfig{Dim: 2, CE: 0.25, CC: 0.25}
-	s := NewVivaldiSystem(36, cfg, gridRTT(36), r)
+	s := NewVivaldiSystem(36, gridRTT(36), r)
 	s.Run(200)
 	if mre := s.MedianRelativeError(); mre > 0.12 {
 		t.Fatalf("median relative error = %v, want < 0.12", mre)
@@ -189,8 +188,7 @@ func TestVivaldiConvergesOnEuclideanSpace(t *testing.T) {
 
 func TestVivaldiErrorDecreases(t *testing.T) {
 	r := sim.NewSource(2).Stream("vivaldi2")
-	cfg := DefaultVivaldiConfig()
-	s := NewVivaldiSystem(25, cfg, gridRTT(25), r)
+	s := NewVivaldiSystem(25, gridRTT(25), r)
 	s.Run(5)
 	early := s.MedianRelativeError()
 	s.Run(195)
@@ -205,13 +203,13 @@ func TestVivaldiHeightModel(t *testing.T) {
 	// tiny Euclidean part. Height model should fit it well.
 	rtt := func(i, j int) float64 { return 100 + float64((i+j)%3) }
 	r := sim.NewSource(3).Stream("vivaldi3")
-	s := NewVivaldiSystem(20, DefaultVivaldiConfig(), rtt, r)
+	s := NewVivaldiSystem(20, rtt, r)
 	s.Run(300)
 	if mre := s.MedianRelativeError(); mre > 0.25 {
 		t.Fatalf("height-model error = %v", mre)
 	}
 	for _, n := range s.Nodes {
-		if n.Height < n.cfg.MinHeight {
+		if n.Height < minHeight {
 			t.Fatal("height fell below floor")
 		}
 	}
@@ -219,8 +217,7 @@ func TestVivaldiHeightModel(t *testing.T) {
 
 func TestVivaldiIgnoresNonPositiveRTT(t *testing.T) {
 	r := sim.NewSource(4).Stream("vivaldi4")
-	n := NewVivaldiNode(VivaldiConfig{Dim: 2, CE: 0.25, CC: 0.25})
-	o := NewVivaldiNode(VivaldiConfig{Dim: 2, CE: 0.25, CC: 0.25})
+	n, o := NewVivaldiNode(), NewVivaldiNode()
 	n.Update(o, 0, r)
 	n.Update(o, -5, r)
 	if n.Samples != 0 {
@@ -230,32 +227,21 @@ func TestVivaldiIgnoresNonPositiveRTT(t *testing.T) {
 
 func TestVivaldiCoincidentNodesSeparate(t *testing.T) {
 	r := sim.NewSource(5).Stream("vivaldi5")
-	cfg := VivaldiConfig{Dim: 3, CE: 0.25, CC: 0.25}
-	a, b := NewVivaldiNode(cfg), NewVivaldiNode(cfg)
+	a, b := NewVivaldiNode(), NewVivaldiNode()
 	a.Update(b.Clone(), 50, r) // both at origin: needs random direction
-	if linalg.L2(a.Pos, make([]float64, len(a.Pos))) == 0 {
+	if a.Pos == b.Pos {
 		t.Fatal("node did not move off the origin")
 	}
 }
 
 func TestVivaldiClone(t *testing.T) {
-	cfg := DefaultVivaldiConfig()
-	a := NewVivaldiNode(cfg)
+	a := NewVivaldiNode()
 	a.Pos[0] = 7
 	c := a.Clone()
 	c.Pos[0] = 9
 	if a.Pos[0] != 7 {
 		t.Fatal("Clone aliases position")
 	}
-}
-
-func TestVivaldiPanicsOnBadDim(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewVivaldiNode(VivaldiConfig{Dim: 0})
 }
 
 func TestComputeBinOrdering(t *testing.T) {
@@ -312,10 +298,9 @@ func TestBinsClusterSameASNodes(t *testing.T) {
 // Property: Vivaldi distance is symmetric and non-negative for any pair of
 // coordinate states.
 func TestQuickVivaldiDistanceSymmetric(t *testing.T) {
-	cfg := VivaldiConfig{Dim: 3, CE: 0.25, CC: 0.25, UseHeight: true, MinHeight: 0.1}
-	f := func(p1, p2 [3]int8, h1, h2 uint8) bool {
-		a, b := NewVivaldiNode(cfg), NewVivaldiNode(cfg)
-		for i := 0; i < 3; i++ {
+	f := func(p1, p2 [vivaldiDim]int8, h1, h2 uint8) bool {
+		a, b := NewVivaldiNode(), NewVivaldiNode()
+		for i := range a.Pos {
 			a.Pos[i], b.Pos[i] = float64(p1[i]), float64(p2[i])
 		}
 		a.Height, b.Height = float64(h1)+0.1, float64(h2)+0.1

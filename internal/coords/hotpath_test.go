@@ -3,7 +3,6 @@ package coords
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -27,7 +26,7 @@ func refUpdate(n, remote *VivaldiNode, rtt float64, r *rand.Rand) {
 	dist := n.Distance(remote)
 	relErr := math.Abs(dist-rtt) / rtt
 
-	ce := n.cfg.CE
+	ce := vivaldiCE
 	n.Err = relErr*ce*w + n.Err*(1-ce*w)
 	if n.Err > 2.0 {
 		n.Err = 2.0
@@ -60,26 +59,24 @@ func refUpdate(n, remote *VivaldiNode, rtt float64, r *rand.Rand) {
 		unit[i] /= norm
 	}
 
-	delta := n.cfg.CC * w
+	delta := vivaldiCC * w
 	force := delta * (rtt - dist)
 	for i := range n.Pos {
 		n.Pos[i] += force * unit[i]
 	}
-	if n.cfg.UseHeight {
-		denom := norm
-		if denom < 1e-9 {
-			denom = 1e-9
-		}
-		n.Height += force * n.Height / denom
-		if n.Height < n.cfg.MinHeight {
-			n.Height = n.cfg.MinHeight
-		}
+	denom := norm
+	if denom < 1e-9 {
+		denom = 1e-9
+	}
+	n.Height += force * n.Height / denom
+	if n.Height < minHeight {
+		n.Height = minHeight
 	}
 }
 
 // sameBits reports whether two node states are bit-identical.
 func sameBits(a, b *VivaldiNode) bool {
-	if len(a.Pos) != len(b.Pos) || a.Samples != b.Samples ||
+	if a.Samples != b.Samples ||
 		math.Float64bits(a.Height) != math.Float64bits(b.Height) ||
 		math.Float64bits(a.Err) != math.Float64bits(b.Err) {
 		return false
@@ -93,19 +90,17 @@ func sameBits(a, b *VivaldiNode) bool {
 }
 
 // TestQuickUpdateMatchesTwoPass runs Update and refUpdate from the same
-// state and RNG: Dim 1–12 (past the 8-slot stack buffer), heights on and
-// off, coincident and nearly coincident coordinates (the random direction
-// must draw the same numbers) and non-positive RTTs (no-ops).
+// state and RNG: coincident and nearly coincident coordinates (the random
+// direction must draw the same numbers) and non-positive RTTs (no-ops).
 func TestQuickUpdateMatchesTwoPass(t *testing.T) {
-	f := func(seed int64, dimRaw uint8, height bool, shape uint8) bool {
+	f := func(seed int64, shape uint8) bool {
 		r := rand.New(rand.NewSource(seed))
-		cfg := VivaldiConfig{Dim: 1 + int(dimRaw)%12, CE: 0.25, CC: 0.25, UseHeight: height, MinHeight: 0.1}
 		state := func() *VivaldiNode {
-			n := NewVivaldiNode(cfg)
+			n := NewVivaldiNode()
 			for i := range n.Pos {
 				n.Pos[i] = r.NormFloat64() * 100
 			}
-			n.Height = cfg.MinHeight + r.Float64()*20
+			n.Height = minHeight + r.Float64()*20
 			n.Err = r.Float64() * 2
 			n.Samples = r.Intn(100)
 			return n
@@ -114,11 +109,11 @@ func TestQuickUpdateMatchesTwoPass(t *testing.T) {
 		rtt := 1 + r.Float64()*300
 		switch shape % 5 {
 		case 1: // coincident coordinates
-			copy(remote.Pos, local.Pos)
+			remote.Pos = local.Pos
 		case 2: // non-positive RTT
 			rtt = -r.Float64() * float64(shape&4)
 		case 3: // both at the origin, no confidence yet
-			local, remote = NewVivaldiNode(cfg), NewVivaldiNode(cfg)
+			local, remote = NewVivaldiNode(), NewVivaldiNode()
 		case 4: // nearly coincident: a norm below 1e-12 but not zero
 			for i := range local.Pos {
 				local.Pos[i], remote.Pos[i] = r.NormFloat64()*1e-13, 0
@@ -130,7 +125,7 @@ func TestQuickUpdateMatchesTwoPass(t *testing.T) {
 			a.Update(remote, rtt, ra)
 			refUpdate(b, remote, rtt, rb)
 			if !sameBits(a, b) {
-				t.Logf("cfg %+v shape %d step %d:\n got %+v\nwant %+v", cfg, shape%5, step, a, b)
+				t.Logf("shape %d step %d:\n got %+v\nwant %+v", shape%5, step, a, b)
 				return false
 			}
 		}
@@ -143,19 +138,10 @@ func TestQuickUpdateMatchesTwoPass(t *testing.T) {
 
 // NewVivaldiSystem's slab nodes start exactly as free-standing ones.
 func TestSystemSlabMatchesNewVivaldiNode(t *testing.T) {
-	for _, cfg := range []VivaldiConfig{
-		DefaultVivaldiConfig(),
-		{Dim: 1, CE: 0.25, CC: 0.25},
-		{Dim: 12, CE: 0.25, CC: 0.25, UseHeight: true, MinHeight: 0.1},
-	} {
-		s := NewVivaldiSystem(5, cfg, gridRTT(5), sim.NewSource(1).Stream("v"))
-		for i, n := range s.Nodes {
-			if want := NewVivaldiNode(cfg); !reflect.DeepEqual(n, want) {
-				t.Fatalf("dim %d: slab node %d = %+v, want %+v", cfg.Dim, i, n, want)
-			}
-			if cap(n.Pos) != cfg.Dim {
-				t.Fatalf("dim %d: slab node %d Pos has capacity %d: an append would write into its neighbour", cfg.Dim, i, cap(n.Pos))
-			}
+	s := NewVivaldiSystem(5, gridRTT(5), sim.NewSource(1).Stream("v"))
+	for i := range s.Nodes {
+		if want := NewVivaldiNode(); s.Nodes[i] != *want {
+			t.Fatalf("slab node %d = %+v, want %+v", i, s.Nodes[i], want)
 		}
 	}
 }
@@ -170,7 +156,7 @@ func refRound(s *VivaldiSystem) {
 		return
 	}
 	for i := 0; i < n; i++ {
-		for k := 0; k < s.NeighborsPerRound; k++ {
+		for k := 0; k < neighborsPerRound; k++ {
 			j := s.r.Intn(n)
 			for j == i {
 				j = s.r.Intn(n)
@@ -182,37 +168,30 @@ func refRound(s *VivaldiSystem) {
 }
 
 func TestRoundMatchesClonePerProbe(t *testing.T) {
-	for _, cfg := range []VivaldiConfig{
-		DefaultVivaldiConfig(),
-		{Dim: 5, CE: 0.25, CC: 0.25},
-		{Dim: 12, CE: 0.25, CC: 0.25, UseHeight: true, MinHeight: 0.1}, // beyond the stack buffer
-	} {
-		a := NewVivaldiSystem(40, cfg, gridRTT(40), sim.NewSource(9).Stream("v"))
-		b := NewVivaldiSystem(40, cfg, gridRTT(40), sim.NewSource(9).Stream("v"))
-		for round := 0; round < 30; round++ {
-			a.Round()
-			refRound(b)
-		}
-		if a.Probes != b.Probes {
-			t.Fatalf("dim %d: %d probes vs %d", cfg.Dim, a.Probes, b.Probes)
-		}
-		for i := range a.Nodes {
-			if !reflect.DeepEqual(a.Nodes[i], b.Nodes[i]) {
-				t.Fatalf("dim %d: node %d diverges from the clone-per-probe run:\n got %+v\nwant %+v",
-					cfg.Dim, i, a.Nodes[i], b.Nodes[i])
-			}
+	a := NewVivaldiSystem(40, gridRTT(40), sim.NewSource(9).Stream("v"))
+	b := NewVivaldiSystem(40, gridRTT(40), sim.NewSource(9).Stream("v"))
+	for round := 0; round < 30; round++ {
+		a.Round()
+		refRound(b)
+	}
+	if a.Probes != b.Probes {
+		t.Fatalf("%d probes vs %d", a.Probes, b.Probes)
+	}
+	for i := range a.Nodes {
+		if !sameBits(&a.Nodes[i], &b.Nodes[i]) {
+			t.Fatalf("node %d diverges from the clone-per-probe run:\n got %+v\nwant %+v",
+				i, a.Nodes[i], b.Nodes[i])
 		}
 	}
 }
 
 func TestVivaldiHotPathAllocs(t *testing.T) {
 	r := sim.NewSource(2).Stream("v")
-	cfg := DefaultVivaldiConfig()
-	n, o := NewVivaldiNode(cfg), NewVivaldiNode(cfg)
+	n, o := NewVivaldiNode(), NewVivaldiNode()
 	if a := testing.AllocsPerRun(200, func() { n.Update(o, 40, r) }); a != 0 {
 		t.Errorf("Update allocates %.0f times per call, want 0", a)
 	}
-	s := NewVivaldiSystem(50, cfg, gridRTT(50), r)
+	s := NewVivaldiSystem(50, gridRTT(50), r)
 	if a := testing.AllocsPerRun(20, s.Round); a != 0 {
 		t.Errorf("Round allocates %.0f times per call, want 0", a)
 	}

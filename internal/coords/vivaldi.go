@@ -12,34 +12,29 @@ import (
 	"sort"
 )
 
-// VivaldiConfig tunes the spring-relaxation update.
-type VivaldiConfig struct {
-	// Dim is the Euclidean dimensionality of the coordinate space.
-	Dim int
-	// CE is the error-averaging weight c_e (typically 0.25).
-	CE float64
-	// CC is the timestep weight c_c (typically 0.25).
-	CC float64
-	// UseHeight enables the height-vector model: predicted latency is the
-	// Euclidean part plus both nodes' heights, capturing access-link delay
-	// that no Euclidean embedding can express.
-	UseHeight bool
-	// MinHeight floors the height component (metres of "access delay").
-	MinHeight float64
-}
+// The Vivaldi paper's parameters: a 2-dimensional Euclidean space plus a
+// height, and c_e = c_c = 0.25.
+const (
+	// vivaldiDim is the Euclidean dimensionality of the coordinate space.
+	vivaldiDim = 2
+	// vivaldiCE is the error-averaging weight c_e.
+	vivaldiCE = 0.25
+	// vivaldiCC is the timestep weight c_c.
+	vivaldiCC = 0.25
+	// minHeight floors the height component (ms of access delay).
+	minHeight = 0.1
+	// neighborsPerRound is how many random probes each node sends per
+	// round (Vivaldi's steady-state gossip).
+	neighborsPerRound = 4
+)
 
-// DefaultVivaldiConfig returns the parameters from the Vivaldi paper:
-// 2 dimensions + height, c_e = c_c = 0.25.
-func DefaultVivaldiConfig() VivaldiConfig {
-	return VivaldiConfig{Dim: 2, CE: 0.25, CC: 0.25, UseHeight: true, MinHeight: 0.1}
-}
-
-// VivaldiNode is one participant's coordinate state.
+// VivaldiNode is one participant's coordinate state. Predicted latency is
+// the Euclidean part plus both nodes' heights (the height-vector model),
+// capturing access-link delay that no Euclidean embedding can express.
 type VivaldiNode struct {
-	cfg VivaldiConfig
 	// Pos is the Euclidean component.
-	Pos []float64
-	// Height is the non-Euclidean height component (0 when disabled).
+	Pos [vivaldiDim]float64
+	// Height is the non-Euclidean height component.
 	Height float64
 	// Err is the node's confidence-weighted relative error estimate,
 	// starting at 1 (no confidence).
@@ -49,26 +44,8 @@ type VivaldiNode struct {
 }
 
 // NewVivaldiNode returns a node at the origin with error 1.
-func NewVivaldiNode(cfg VivaldiConfig) *VivaldiNode {
-	checkDim(cfg)
-	n := &VivaldiNode{}
-	n.init(cfg, make([]float64, cfg.Dim))
-	return n
-}
-
-func checkDim(cfg VivaldiConfig) {
-	if cfg.Dim <= 0 {
-		panic("coords: vivaldi dimension must be positive")
-	}
-}
-
-// init sets n to the starting state — at the origin pos (cfg.Dim zeros),
-// error 1 — for NewVivaldiNode and NewVivaldiSystem's slab alike.
-func (n *VivaldiNode) init(cfg VivaldiConfig, pos []float64) {
-	*n = VivaldiNode{cfg: cfg, Pos: pos, Err: 1}
-	if cfg.UseHeight {
-		n.Height = cfg.MinHeight
-	}
+func NewVivaldiNode() *VivaldiNode {
+	return &VivaldiNode{Height: minHeight, Err: 1}
 }
 
 // Distance predicts the latency between two coordinate states.
@@ -78,11 +55,8 @@ func (n *VivaldiNode) Distance(o *VivaldiNode) float64 {
 		d := n.Pos[i] - o.Pos[i]
 		s += d * d
 	}
-	d := math.Sqrt(s)
-	if n.cfg.UseHeight {
-		d += n.Height + o.Height
-	}
-	return d
+	// The heights are summed first: (a + b) + c would round differently.
+	return math.Sqrt(s) + (n.Height + o.Height)
 }
 
 // Update applies one RTT observation against a remote node's coordinate.
@@ -103,31 +77,21 @@ func (n *VivaldiNode) Update(remote *VivaldiNode, rtt float64, r *rand.Rand) {
 	}
 
 	// Vector from remote toward us (the spring's push direction, unit
-	// once divided by its norm). It lives on the stack for every
-	// dimensionality in practical use. Its norm is also the Euclidean part
-	// of the predicted distance: the same operations, in the same order,
-	// as Distance.
-	var buf [8]float64
-	unit := buf[:]
-	if len(n.Pos) > len(buf) {
-		unit = make([]float64, len(n.Pos))
-	}
-	unit = unit[:len(n.Pos)]
+	// once divided by its norm). Its norm is also the Euclidean part of
+	// the predicted distance: the same operations, in the same order, as
+	// Distance.
+	var unit [vivaldiDim]float64
 	var norm float64
 	for i := range unit {
 		unit[i] = n.Pos[i] - remote.Pos[i]
 		norm += unit[i] * unit[i]
 	}
 	norm = math.Sqrt(norm)
-	dist := norm
-	if n.cfg.UseHeight {
-		dist += n.Height + remote.Height
-	}
+	dist := norm + (n.Height + remote.Height)
 	relErr := math.Abs(dist-rtt) / rtt
 
 	// Exponentially weighted moving average of the relative error.
-	ce := n.cfg.CE
-	n.Err = relErr*ce*w + n.Err*(1-ce*w)
+	n.Err = relErr*vivaldiCE*w + n.Err*(1-vivaldiCE*w)
 	if n.Err > 2.0 {
 		n.Err = 2.0
 	}
@@ -154,62 +118,49 @@ func (n *VivaldiNode) Update(remote *VivaldiNode, rtt float64, r *rand.Rand) {
 	}
 
 	// Displacement along the spring: δ·(rtt − dist).
-	delta := n.cfg.CC * w
+	delta := vivaldiCC * w
 	force := delta * (rtt - dist)
 	for i := range n.Pos {
 		n.Pos[i] += force * unit[i]
 	}
-	if n.cfg.UseHeight {
-		// Heights absorb a proportional share of the force (Dabek §5.4):
-		// stretching the spring raises both heights.
-		denom := norm
-		if denom < 1e-9 {
-			denom = 1e-9
-		}
-		n.Height += force * n.Height / denom
-		if n.Height < n.cfg.MinHeight {
-			n.Height = n.cfg.MinHeight
-		}
+	// Heights absorb a proportional share of the force (Dabek §5.4):
+	// stretching the spring raises both heights.
+	denom := norm
+	if denom < 1e-9 {
+		denom = 1e-9
+	}
+	n.Height += force * n.Height / denom
+	if n.Height < minHeight {
+		n.Height = minHeight
 	}
 }
 
 // Clone returns a copy of the node's coordinate state (used to exchange
 // coordinates in messages without aliasing).
 func (n *VivaldiNode) Clone() *VivaldiNode {
-	c := &VivaldiNode{cfg: n.cfg, Height: n.Height, Err: n.Err, Samples: n.Samples}
-	c.Pos = append([]float64(nil), n.Pos...)
-	return c
+	c := *n
+	return &c
 }
 
 // VivaldiSystem runs Vivaldi over a set of nodes against a ground-truth
 // RTT function, in rounds where every node probes a few random neighbors.
 // It is the driver experiments use to converge a coordinate system.
 type VivaldiSystem struct {
-	Nodes []*VivaldiNode
+	Nodes []VivaldiNode
 	// RTT returns the true round-trip time between node indices.
 	RTT func(i, j int) float64
-	// NeighborsPerRound is how many random probes each node sends per
-	// round (Vivaldi's steady-state gossip).
-	NeighborsPerRound int
 	// Probes counts total measurements issued, for overhead accounting.
 	Probes uint64
 
 	r *rand.Rand
 }
 
-// NewVivaldiSystem creates n nodes with the given config. The nodes and
-// their positions live in two slabs, so the round loop walks contiguous
-// memory and a system costs three allocations instead of two per node.
-func NewVivaldiSystem(n int, cfg VivaldiConfig, rtt func(i, j int) float64, r *rand.Rand) *VivaldiSystem {
-	checkDim(cfg)
-	s := &VivaldiSystem{RTT: rtt, NeighborsPerRound: 4, r: r}
-	nodes := make([]VivaldiNode, n)
-	pos := make([]float64, n*cfg.Dim)
-	s.Nodes = make([]*VivaldiNode, n)
-	for i := range nodes {
-		// Full slice expressions: a node's Pos never reaches into the next.
-		nodes[i].init(cfg, pos[i*cfg.Dim:(i+1)*cfg.Dim:(i+1)*cfg.Dim])
-		s.Nodes[i] = &nodes[i]
+// NewVivaldiSystem creates n nodes at the origin. The nodes live in one
+// slab, so the round loop walks contiguous memory.
+func NewVivaldiSystem(n int, rtt func(i, j int) float64, r *rand.Rand) *VivaldiSystem {
+	s := &VivaldiSystem{Nodes: make([]VivaldiNode, n), RTT: rtt, r: r}
+	for i := range s.Nodes {
+		s.Nodes[i] = *NewVivaldiNode()
 	}
 	return s
 }
@@ -221,13 +172,13 @@ func (s *VivaldiSystem) Round() {
 		return
 	}
 	for i := 0; i < n; i++ {
-		for k := 0; k < s.NeighborsPerRound; k++ {
+		for k := 0; k < neighborsPerRound; k++ {
 			j := s.r.Intn(n)
 			for j == i {
 				j = s.r.Intn(n)
 			}
 			s.Probes++
-			s.Nodes[i].Update(s.Nodes[j], s.RTT(i, j), s.r)
+			s.Nodes[i].Update(&s.Nodes[j], s.RTT(i, j), s.r)
 		}
 	}
 }
@@ -241,7 +192,7 @@ func (s *VivaldiSystem) Run(rounds int) {
 
 // Predict returns the embedded distance between nodes i and j.
 func (s *VivaldiSystem) Predict(i, j int) float64 {
-	return s.Nodes[i].Distance(s.Nodes[j])
+	return s.Nodes[i].Distance(&s.Nodes[j])
 }
 
 // MedianRelativeError evaluates embedding quality over all pairs:

@@ -25,7 +25,7 @@ func benchEngine(b *testing.B, cached bool) (*Engine, *underlay.Host, []underlay
 	})
 	hosts := topology.PlaceHosts(net, 10, false, 1, 5, src.Stream("place"))
 	rtt := func(i, j int) float64 { return float64(net.RTT(hosts[i], hosts[j])) }
-	vs := coords.NewVivaldiSystem(len(hosts), coords.DefaultVivaldiConfig(), rtt, src.Stream("vivaldi"))
+	vs := coords.NewVivaldiSystem(len(hosts), rtt, src.Stream("vivaldi"))
 	vs.Run(30)
 	vidx := map[underlay.HostID]int{}
 	for i, h := range hosts {

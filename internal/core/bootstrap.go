@@ -3,104 +3,51 @@ package core
 import (
 	"unap2p/internal/coords"
 	"unap2p/internal/ipmap"
-	"unap2p/internal/oracle"
-	"unap2p/internal/resources"
 	"unap2p/internal/sim"
 	"unap2p/internal/underlay"
 )
 
-// BootstrapOptions selects which information kinds the default engine
-// collects and how much it may spend doing so.
-type BootstrapOptions struct {
-	// ISPLocation adds an IP-to-ISP registry estimator (and an oracle
-	// estimator when UseOracle is set).
-	ISPLocation bool
-	// UseOracle additionally deploys an ISP oracle (requires ISP
-	// cooperation; the registry variant does not).
-	UseOracle bool
-	// Latency converges a Vivaldi system over the hosts and adds its
-	// predictor.
-	Latency bool
-	// VivaldiRounds bounds the gossip spent converging (default 100).
-	VivaldiRounds int
-	// PeerResources generates a resource table and adds the capability
-	// estimator.
-	PeerResources bool
-	// Weights (all default 1) let callers trade the kinds off.
-	ISPWeight, LatencyWeight, ResourceWeight float64
-}
+// bootstrapVivaldiRounds is the gossip Bootstrap spends converging its
+// Vivaldi system.
+const bootstrapVivaldiRounds = 100
 
-// DefaultBootstrap collects ISP-location (registry) and latency (Vivaldi)
-// — the two kinds every file-sharing deployment wants first.
-func DefaultBootstrap() BootstrapOptions {
-	return BootstrapOptions{ISPLocation: true, Latency: true}
-}
-
-// Bootstrap assembles a ready-to-use Engine over a network: it allocates
-// addresses if missing, builds the requested collectors, converges
-// coordinate systems, and wires everything with the requested weights.
-// This is the survey's "general architecture" reduced to one call.
-func Bootstrap(net *underlay.Network, src *sim.Source, opts BootstrapOptions) *Engine {
+// Bootstrap assembles a ready-to-use Engine over a network with the two
+// information kinds every file-sharing deployment wants first:
+// ISP location from an IP-to-ISP registry (weight 1), and latency from a
+// Vivaldi system converged over the hosts (weight 0.01, which normalizes
+// millisecond-scale costs against the 0/1 and hop-count scales of the
+// ISP estimator). Hosts without addresses get them. This is the survey's
+// "general architecture" reduced to one call.
+func Bootstrap(net *underlay.Network, src *sim.Source) *Engine {
 	if net.NumHosts() == 0 {
 		panic("core: Bootstrap on a network without hosts")
 	}
 	hosts := net.Hosts()
 	eng := NewEngine()
 
-	w := func(v float64) float64 {
-		if v <= 0 {
-			return 1
+	// Allocate the IP plan lazily: hosts without addresses get them.
+	needPlan := false
+	for _, h := range hosts {
+		if h.IP == 0 {
+			needPlan = true
+			break
 		}
-		return v
 	}
+	var plan *ipmap.Plan
+	if needPlan {
+		plan = ipmap.AssignAll(net)
+	} else {
+		plan = ipmap.NewPlan(net)
+	}
+	eng.Add(&IPMapEstimator{Reg: ipmap.NewRegistry(net, plan)}, 1)
 
-	if opts.ISPLocation {
-		// Allocate the IP plan lazily: hosts without addresses get them.
-		needPlan := false
-		for _, h := range hosts {
-			if h.IP == 0 {
-				needPlan = true
-				break
-			}
-		}
-		var plan *ipmap.Plan
-		if needPlan {
-			plan = ipmap.AssignAll(net)
-		} else {
-			plan = ipmap.NewPlan(net)
-		}
-		reg := ipmap.NewRegistry(net, plan)
-		eng.Add(&IPMapEstimator{Reg: reg}, w(opts.ISPWeight))
-		if opts.UseOracle {
-			eng.Add(&OracleEstimator{O: oracle.New(net), U: net}, w(opts.ISPWeight))
-		}
+	rtt := func(i, j int) float64 { return float64(net.RTT(hosts[i], hosts[j])) }
+	vs := coords.NewVivaldiSystem(len(hosts), rtt, src.Stream("core/vivaldi"))
+	vs.Run(bootstrapVivaldiRounds)
+	idx := make(map[underlay.HostID]int, len(hosts))
+	for i, h := range hosts {
+		idx[h.ID] = i
 	}
-
-	if opts.Latency {
-		rounds := opts.VivaldiRounds
-		if rounds <= 0 {
-			rounds = 100
-		}
-		rtt := func(i, j int) float64 { return float64(net.RTT(hosts[i], hosts[j])) }
-		vs := coords.NewVivaldiSystem(len(hosts), coords.DefaultVivaldiConfig(),
-			rtt, src.Stream("core/vivaldi"))
-		vs.Run(rounds)
-		idx := make(map[underlay.HostID]int, len(hosts))
-		for i, h := range hosts {
-			idx[h.ID] = i
-		}
-		eng.Add(&VivaldiEstimator{S: vs, Index: idx}, w(opts.LatencyWeight)/100)
-		// The /100 normalizes millisecond-scale costs against the 0/1 and
-		// hop-count scales of the ISP estimators.
-	}
-
-	if opts.PeerResources {
-		table := resources.GenerateAll(net, src.Stream("core/resources"))
-		eng.Add(&ResourceEstimator{Table: table}, w(opts.ResourceWeight))
-	}
-
-	if len(eng.Estimators()) == 0 {
-		panic("core: Bootstrap selected no information kinds")
-	}
+	eng.Add(&VivaldiEstimator{S: vs, Index: idx}, 0.01)
 	return eng
 }

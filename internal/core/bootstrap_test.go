@@ -21,7 +21,7 @@ func bootstrapNet(t *testing.T) (*underlay.Network, *sim.Source) {
 
 func TestBootstrapDefault(t *testing.T) {
 	net, src := bootstrapNet(t)
-	eng := Bootstrap(net, src, DefaultBootstrap())
+	eng := Bootstrap(net, src)
 	if len(eng.Estimators()) != 2 {
 		t.Fatalf("default bootstrap built %d estimators, want 2", len(eng.Estimators()))
 	}
@@ -45,55 +45,25 @@ func TestBootstrapDefault(t *testing.T) {
 	}
 }
 
-func TestBootstrapAllKinds(t *testing.T) {
-	net, src := bootstrapNet(t)
-	eng := Bootstrap(net, src, BootstrapOptions{
-		ISPLocation:   true,
-		UseOracle:     true,
-		Latency:       true,
-		VivaldiRounds: 30,
-		PeerResources: true,
-		ISPWeight:     2,
-	})
-	if len(eng.Estimators()) != 4 {
-		t.Fatalf("built %d estimators, want 4", len(eng.Estimators()))
-	}
-	kinds := map[Kind]bool{}
-	for _, e := range eng.Estimators() {
-		kinds[e.Kind()] = true
-	}
-	if !kinds[ISPLocation] || !kinds[Latency] || !kinds[PeerResources] {
-		t.Fatalf("kinds missing: %v", kinds)
-	}
-}
-
 func TestBootstrapPanics(t *testing.T) {
-	net, src := bootstrapNet(t)
-	cases := []func(){
-		func() { Bootstrap(underlay.New(), src, DefaultBootstrap()) }, // no hosts
-		func() { Bootstrap(net, src, BootstrapOptions{}) },            // nothing selected
-	}
-	for i, fn := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("case %d: expected panic", i)
-				}
-			}()
-			fn()
-		}()
-	}
+	_, src := bootstrapNet(t)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on a network without hosts")
+		}
+	}()
+	Bootstrap(underlay.New(), src)
 }
 
 func TestBootstrapReusesExistingAddresses(t *testing.T) {
 	net, src := bootstrapNet(t)
 	// Pre-assign; bootstrap must not re-allocate (IPs stay stable).
 	firstIPs := map[underlay.HostID]uint32{}
-	Bootstrap(net, src, BootstrapOptions{ISPLocation: true})
+	Bootstrap(net, src)
 	for _, h := range net.Hosts() {
 		firstIPs[h.ID] = h.IP
 	}
-	Bootstrap(net, src.Fork("again"), BootstrapOptions{ISPLocation: true})
+	Bootstrap(net, src.Fork("again"))
 	for _, h := range net.Hosts() {
 		if h.IP != firstIPs[h.ID] {
 			t.Fatal("bootstrap reassigned existing addresses")

@@ -135,7 +135,7 @@ func TestVivaldiAndICSEstimators(t *testing.T) {
 	net := buildNet(t)
 	hosts := net.Hosts()
 	rtt := func(i, j int) float64 { return float64(net.RTT(hosts[i], hosts[j])) }
-	vs := coords.NewVivaldiSystem(len(hosts), coords.DefaultVivaldiConfig(), rtt, sim.NewSource(3).Stream("v"))
+	vs := coords.NewVivaldiSystem(len(hosts), rtt, sim.NewSource(3).Stream("v"))
 	vs.Run(50)
 	idx := map[underlay.HostID]int{}
 	for i, h := range hosts {

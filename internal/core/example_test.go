@@ -48,7 +48,7 @@ func ExampleBootstrap() {
 	net := topology.Star(4, topology.DefaultConfig())
 	topology.PlaceHosts(net, 4, false, 1, 2, src.Stream("place"))
 
-	engine := core.Bootstrap(net, src, core.DefaultBootstrap())
+	engine := core.Bootstrap(net, src)
 	for _, est := range engine.Estimators() {
 		fmt.Println(est.Kind(), "via", est.Method())
 	}

@@ -99,7 +99,7 @@ func runAblCoords(cfg RunConfig) Result {
 	res.Rows = append(res.Rows, []string{"explicit measurement", f3(mre), pct(hit), d(uint64(n) * uint64(n-1))})
 
 	// Vivaldi.
-	vs := coords.NewVivaldiSystem(n, coords.DefaultVivaldiConfig(), rtt, src.Stream("vivaldi"))
+	vs := coords.NewVivaldiSystem(n, rtt, src.Stream("vivaldi"))
 	vs.Run(150)
 	mre, hit = eval(vs.Predict)
 	res.Rows = append(res.Rows, []string{"Vivaldi (2d+height)", f3(mre), pct(hit), d(vs.Probes)})

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"unap2p/internal/coords"
 	"unap2p/internal/core"
 	"unap2p/internal/geo"
 	"unap2p/internal/metrics"
@@ -55,8 +54,6 @@ type impactScenario struct {
 	hosts   []*underlay.Host
 	catalog *workload.Catalog
 	table   *resources.Table
-	vs      *coords.VivaldiSystem
-	vidx    map[underlay.HostID]int
 	queries []workload.Query
 	// availability[h] is the probability host h is online at any moment,
 	// derived from its mean session length.
@@ -145,14 +142,6 @@ func buildImpactScenario(cfg RunConfig) *impactScenario {
 		availability[h.ID] = on / (on + 1.5) // mean offline period: 1.5 h
 	}
 
-	rtt := func(i, j int) float64 { return float64(net.RTT(hosts[i], hosts[j])) }
-	vs := coords.NewVivaldiSystem(len(hosts), coords.DefaultVivaldiConfig(), rtt, src.Stream("vivaldi"))
-	vs.Run(200)
-	vidx := map[underlay.HostID]int{}
-	for i, h := range hosts {
-		vidx[h.ID] = i
-	}
-
 	gen := workload.NewQueryGen(net, catalog, hosts, 0.5, 1.0, src.Stream("queries"))
 	var queries []workload.Query
 	for i := 0; i < cfg.scaled(400); i++ {
@@ -162,34 +151,30 @@ func buildImpactScenario(cfg RunConfig) *impactScenario {
 	}
 	return &impactScenario{
 		net: net, hosts: hosts, catalog: catalog, table: table,
-		vs: vs, vidx: vidx, queries: queries,
+		queries: queries,
 		availability: availability, fileMB: 4,
 	}
 }
 
 // selectorFor returns the strategy's selector (nil = random order, i.e.
 // the unaware baseline). Each kind is one of the framework's stock
-// single-estimator selectors with the score cache enabled — the exact
-// composition the overlays consume.
+// single-estimator selectors — the exact composition the overlays
+// consume. None caches its scores: they are pure, and almost every
+// (client, peer) pair here is scored once.
 func (s *impactScenario) selectorFor(kind string) core.Selector {
-	var es *core.EngineSelector
 	switch kind {
 	case "isp-location":
-		es = core.ASHopSelector(s.net)
+		return core.ASHopSelector(s.net)
 	case "latency":
 		// Explicit measurement (§3.2): precise per-pair RTT at probe
-		// cost. The Vivaldi field (s.vs) provides the cheap predictive
-		// variant, compared against this in the ablation benches.
-		es = core.RTTSelector(s.net)
+		// cost. abl-coords compares it against Vivaldi prediction.
+		return core.RTTSelector(s.net)
 	case "geolocation":
-		es = core.GeoDistanceSelector(s.net)
+		return core.GeoDistanceSelector(s.net)
 	case "peer-resources":
-		es = core.CapacitySelector(s.net, s.table)
-	default:
-		return nil
+		return core.CapacitySelector(s.net, s.table)
 	}
-	es.E.EnableCache(core.CacheConfig{Capacity: 8192})
-	return es
+	return nil
 }
 
 // pathUsesTransit reports whether the routed path between two ASes

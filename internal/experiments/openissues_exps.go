@@ -191,7 +191,6 @@ func runAblPongCache(cfg RunConfig) Result {
 		gcfg := gnutella.DefaultConfig()
 		gcfg.PingTTL = 3
 		gcfg.PongCache = cached
-		gcfg.PongCacheSize = 10
 		gcfg.HostcacheSize = 1000
 		ov := gnutella.New(cfg.newTransport(net, k), nil, gcfg, src.Stream("overlay"))
 		for _, h := range net.Hosts() {

@@ -254,7 +254,7 @@ func runAblPNSMetric(cfg RunConfig) Result {
 	// it in sampled slices so a probe records the convergence curve —
 	// the time series Dabek et al. judge coordinate systems by.
 	rtt := func(i, j int) float64 { return float64(net.RTT(hosts[i], hosts[j])) }
-	vs := coords.NewVivaldiSystem(len(hosts), coords.DefaultVivaldiConfig(), rtt, src.Stream("vivaldi"))
+	vs := coords.NewVivaldiSystem(len(hosts), rtt, src.Stream("vivaldi"))
 	cfg.observeHealth("vivaldi", vs.HealthStats)
 	for r := 0; r < 150; r += 10 {
 		vs.Run(10)

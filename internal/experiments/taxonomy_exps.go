@@ -48,7 +48,7 @@ func buildEstimators(cfg RunConfig) (*underlay.Network, []core.Estimator) {
 
 	// Latency estimators.
 	rttFn := func(i, j int) float64 { return float64(net.RTT(hosts[i], hosts[j])) }
-	vs := coords.NewVivaldiSystem(len(hosts), coords.DefaultVivaldiConfig(), rttFn, src.Stream("vivaldi"))
+	vs := coords.NewVivaldiSystem(len(hosts), rttFn, src.Stream("vivaldi"))
 	vs.Run(60)
 	vidx := map[underlay.HostID]int{}
 	for i, h := range hosts {

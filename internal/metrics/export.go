@@ -6,7 +6,7 @@ import (
 )
 
 // This file holds the export surface of the metrics package: frozen,
-// JSON-serializable snapshots of the live accumulators (CounterSet,
+// JSON-serializable snapshots of the accumulators (CounterSet,
 // Histogram, TrafficMatrix). Snapshots decouple observation from
 // reporting — the telemetry layer persists them into run files and the
 // Prometheus exporter renders them — and they are value types, so two

@@ -2,13 +2,13 @@
 // message counters, latency distributions, AS-pair traffic matrices, and
 // overlay-clustering statistics used to quantify "locality of traffic".
 //
-// Counter, CounterSet, Histogram, and TrafficMatrix are safe for
-// concurrent use: the simulation writes them from its single kernel
-// goroutine, but the real-socket transport (internal/nettransport)
-// updates them from its receive loop while telemetry.Serve scrapes them
-// live, so every accumulator takes either an atomic or a mutex fast
-// path. Dist retains raw samples and stays single-goroutine (it is an
-// experiment-side aggregator, never written from a receive loop).
+// Counter, CounterSet and Histogram are shared with the live plane and
+// are safe for concurrent use: the real-socket transport
+// (internal/nettransport) updates them from its receive loop while
+// telemetry.Serve scrapes them live, so each takes an atomic or a mutex
+// fast path. TrafficMatrix and Dist belong to the simulation goroutine
+// and take no lock: no live code builds either, and the live /metrics
+// view renders a snapshot taken on that goroutine.
 package metrics
 
 import (

@@ -178,6 +178,59 @@ func TestQuickTrafficConservation(t *testing.T) {
 	}
 }
 
+// TestTrafficMatrixMatchesModel replays random Add sequences — few ASes,
+// so pairs repeat, and zero-byte adds, which still register their pair —
+// into a matrix and into a plain map, and compares every read.
+func TestTrafficMatrixMatchesModel(t *testing.T) {
+	f := func(flows []struct {
+		Src, Dst uint8
+		N        uint16
+	}) bool {
+		m := NewTrafficMatrix()
+		model := map[ASPair]uint64{}
+		var total, intra uint64
+		for _, fl := range flows {
+			src, dst, n := int(fl.Src%5), int(fl.Dst%5), uint64(fl.N%4)*uint64(fl.N)
+			m.Add(src, dst, n)
+			model[ASPair{src, dst}] += n
+			total += n
+			if src == dst {
+				intra += n
+			}
+		}
+		wantPairs := make([]ASPair, 0, len(model))
+		for src := 0; src < 5; src++ {
+			for dst := 0; dst < 5; dst++ {
+				if _, ok := model[ASPair{src, dst}]; ok {
+					wantPairs = append(wantPairs, ASPair{src, dst})
+				}
+			}
+		}
+		want := MatrixSnapshot{Total: total, Intra: intra}
+		for _, p := range wantPairs {
+			want.Pairs = append(want.Pairs, PairBytes{Src: p.Src, Dst: p.Dst, Bytes: model[p]})
+		}
+		wantFrac := 0.0
+		if total > 0 {
+			wantFrac = float64(intra) / float64(total)
+		}
+		for src := 0; src < 6; src++ { // AS 5 never sends: Pair reads 0
+			for dst := 0; dst < 6; dst++ {
+				if m.Pair(src, dst) != model[ASPair{src, dst}] {
+					return false
+				}
+			}
+		}
+		return m.Total() == total && m.Intra() == intra && m.Inter() == total-intra &&
+			m.IntraFraction() == wantFrac &&
+			reflect.DeepEqual(m.Pairs(), wantPairs) &&
+			reflect.DeepEqual(m.Snapshot(), want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestIntraASEdgeFraction(t *testing.T) {
 	as := []int{0, 0, 1, 1}
 	edges := []Edge{{0, 1}, {2, 3}, {0, 2}, {1, 3}}

@@ -22,15 +22,15 @@ import (
 type Config struct {
 	// Pieces is the number of pieces in the shared file.
 	Pieces int
-	// PeerSet is how many neighbors the tracker returns per announce.
-	PeerSet int
 }
 
 // DefaultConfig scales the Bindal et al. setup down for simulation.
-func DefaultConfig() Config { return Config{Pieces: 64, PeerSet: 12} }
+func DefaultConfig() Config { return Config{Pieces: 64} }
 
 // Swarm parameters shared by every configuration.
 const (
+	// peerSet is how many neighbors the tracker returns per announce.
+	peerSet = 12
 	// pieceSize is bytes per piece.
 	pieceSize uint64 = 256 << 10
 	// uploadSlots is how many pieces a peer can upload per round (the
@@ -90,7 +90,7 @@ type Swarm struct {
 // with `external` random out-of-ISP links as the connectivity
 // safeguard. A nil selector runs the classic random tracker.
 func NewSwarm(tr *transport.Transport, sel core.Selector, cfg Config, r *rand.Rand) *Swarm {
-	if cfg.Pieces < 1 || cfg.PeerSet < 1 {
+	if cfg.Pieces < 1 {
 		panic("bittorrent: invalid config")
 	}
 	return &Swarm{T: tr, Cfg: cfg, PieceTraffic: tr.MatrixFor("piece"), r: r, sel: sel}
@@ -153,7 +153,7 @@ func (s *Swarm) AssignNeighbors() {
 		if s.sel == nil {
 			perm := s.r.Perm(len(s.peers))
 			for _, idx := range perm {
-				if len(p.neighbors) >= s.Cfg.PeerSet {
+				if len(p.neighbors) >= peerSet {
 					break
 				}
 				connect(p, s.peers[idx])
@@ -174,7 +174,7 @@ func (s *Swarm) AssignNeighbors() {
 		}
 		s.shuffle(internal)
 		s.shuffle(outside)
-		budget := s.Cfg.PeerSet - external
+		budget := peerSet - external
 		for _, q := range internal {
 			if len(p.neighbors) >= budget {
 				break
@@ -186,7 +186,7 @@ func (s *Swarm) AssignNeighbors() {
 		}
 		// Top up from outside if the AS is too small to fill the set.
 		for _, q := range outside {
-			if len(p.neighbors) >= s.Cfg.PeerSet {
+			if len(p.neighbors) >= peerSet {
 				break
 			}
 			connect(p, q)

@@ -8,7 +8,7 @@ import (
 // This file implements the resilience.Healer Suspect/Evict/Replace
 // contract for BitTorrent: evicting a peer strips it from every
 // neighbor set, then the tracker refills each shrunken set back toward
-// PeerSet — same-ISP-first when biased selection is on, so the repaired
+// peerSet — same-ISP-first when biased selection is on, so the repaired
 // swarm keeps the traffic locality of Bindal et al.
 
 var _ resilience.Healer = (*Swarm)(nil)
@@ -47,7 +47,7 @@ func (s *Swarm) Evict(id underlay.HostID) {
 	}
 }
 
-// refill tops p's neighbor set back up to PeerSet from live, unevicted
+// refill tops p's neighbor set back up to peerSet from live, unevicted
 // candidates: selector-biased (internal AS first, like AssignNeighbors)
 // when a selector is wired, uniformly random otherwise.
 func (s *Swarm) refill(p *Peer) {
@@ -70,7 +70,7 @@ func (s *Swarm) refill(p *Peer) {
 	if s.sel == nil {
 		s.shuffle(candidates)
 		for _, q := range candidates {
-			if len(p.neighbors) >= s.Cfg.PeerSet {
+			if len(p.neighbors) >= peerSet {
 				return
 			}
 			connect(q)
@@ -88,7 +88,7 @@ func (s *Swarm) refill(p *Peer) {
 	s.shuffle(internal)
 	s.shuffle(external)
 	for _, q := range append(internal, external...) {
-		if len(p.neighbors) >= s.Cfg.PeerSet {
+		if len(p.neighbors) >= peerSet {
 			return
 		}
 		connect(q)

@@ -40,6 +40,9 @@ const maxLeaves = 30
 // fileSize is the bytes transferred per download (4 MB).
 const fileSize uint64 = 4 << 20
 
+// pongCacheSize caps the pongs a pong-caching ultrapeer returns per ping.
+const pongCacheSize = 10
+
 // Config tunes the overlay.
 type Config struct {
 	// UltraDegree is the target number of ultrapeer↔ultrapeer neighbors.
@@ -65,8 +68,6 @@ type Config struct {
 	// hosts instead of re-flooding — the protocol optimization that tamed
 	// Ping/Pong traffic in deployed Gnutella.
 	PongCache bool
-	// PongCacheSize caps the pongs returned per cached reply.
-	PongCacheSize int
 }
 
 // DefaultConfig mirrors common GTK-Gnutella settings scaled for

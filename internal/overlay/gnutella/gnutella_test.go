@@ -312,7 +312,6 @@ func TestPongCachingReducesTraffic(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.PingTTL = 3 // deployed 0.4-era TTL; caching ignores TTL by design
 		cfg.PongCache = cache
-		cfg.PongCacheSize = 10
 		net, o := build(t, 6, cfg, 20)
 		for _, n := range o.Nodes() {
 			o.Ping(n.Host.ID)
@@ -338,14 +337,14 @@ func TestPongCachingReducesTraffic(t *testing.T) {
 func TestPongCacheRespectsLimit(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.PongCache = true
-	cfg.PongCacheSize = 2
 	_, o := build(t, 6, cfg, 21)
 	n := o.Nodes()[0]
 	o.Ping(n.Host.ID)
 	o.K.Drain()
-	// At most 2 pongs per neighbor.
-	if got, max := o.Msgs.Value("pong"), uint64(2*n.Degree()); got > max {
-		t.Fatalf("pongs %d exceed limit %d", got, max)
+	// Every neighbor knows more hosts than the cap, so each answers with
+	// exactly pongCacheSize pongs.
+	if got, want := o.Msgs.Value("pong"), uint64(pongCacheSize*n.Degree()); got != want {
+		t.Fatalf("pongs %d, want %d (%d per neighbor)", got, want, pongCacheSize)
 	}
 }
 

@@ -26,15 +26,11 @@ func (o *Overlay) Ping(from underlay.HostID) {
 }
 
 // cachedPing implements Gnutella 0.6 pong caching: one Ping per neighbor,
-// each answered directly with up to PongCacheSize pongs drawn from the
+// each answered directly with up to pongCacheSize pongs drawn from the
 // neighbor's own contact cache (its neighbors plus learned hosts). The
 // pinging node learns the returned addresses into its Hostcache — same
 // discovery result, a fraction of the 0.4 flooding traffic.
 func (o *Overlay) cachedPing(n *Node) {
-	limit := o.Cfg.PongCacheSize
-	if limit <= 0 {
-		limit = 10
-	}
 	for _, nb := range n.neighbors {
 		recv := o.nodes[nb]
 		if recv == nil || !recv.Host.Up {
@@ -47,7 +43,7 @@ func (o *Overlay) cachedPing(n *Node) {
 		o.K.Schedule(r.Latency, func() {
 			sent := 0
 			reply := func(id underlay.HostID) {
-				if sent >= limit || id == n.Host.ID {
+				if sent >= pongCacheSize || id == n.Host.ID {
 					return
 				}
 				back := o.send("pong", recv.Host, n.Host, pongBytes)
@@ -57,13 +53,13 @@ func (o *Overlay) cachedPing(n *Node) {
 				}
 			}
 			for _, id := range recv.neighbors {
-				if sent >= limit {
+				if sent >= pongCacheSize {
 					break
 				}
 				reply(id)
 			}
 			for _, id := range recv.hostcache {
-				if sent >= limit {
+				if sent >= pongCacheSize {
 					break
 				}
 				if !recv.neighbors.has(id) {
