@@ -102,13 +102,15 @@ bench-json:
 # parent/change runs on BENCHMARK.json. Benchmarks that exist on only one
 # side are reported but never gate.
 #
-# The baseline is BENCH_PR34.json, taken when tab2-impact stopped
-# converging an unread Vivaldi system and caching its scores, and
-# TrafficMatrix became a plain map (no index clone per new AS pair):
-# BenchmarkTab2Impact 9775 allocs / 0.86 MB per op (was 12.5 k /
-# 3.7 MB), BenchmarkPNSKademlia 2836 / 0.62 MB (was 3987 / 1.06 MB),
-# BenchmarkPNSMetric 4042 / 1.16 MB (was 6346 / 2.05 MB),
-# BenchmarkBrocade 1526 / 0.23 MB (was 2101 / 0.45 MB),
+# The baseline is BENCH_PR35.json, taken when the live RPC path stopped
+# allocating per frame (call slots, handlers on the receive goroutine,
+# codecs that append into caller storage): BenchmarkNetCallLoopback
+# 1 alloc / 186 B per op (was 8 / 737; the one left is the response copy
+# Call hands its caller, CallAppend has none), BenchmarkPeersCodec 0
+# (was 3 / 704 B) and BenchmarkClosestXor 0 (was 1). Rows from
+# BENCH_PR34.json: BenchmarkTab2Impact 9775 allocs / 0.86 MB per op,
+# BenchmarkPNSKademlia 2836 / 0.62 MB, BenchmarkPNSMetric 4042 /
+# 1.16 MB, BenchmarkBrocade 1526 / 0.23 MB,
 # BenchmarkTab1GnutellaMessages 593 k / 54 MB and
 # BenchmarkIntraASExchange 198 k / 25 MB. Megascale rows are as in
 # BENCH_PR32.json: BenchmarkCompactLookup (one drained compact Kademlia or
@@ -118,7 +120,7 @@ bench-json:
 # 44 allocs / 3.6 kB. Its e2e section holds the paired end-to-end runs
 # of BENCHMARK.json's workloads against the parent commit; bench-diff
 # reads only the benchmarks.
-BENCH_BASELINE ?= BENCH_PR34.json
+BENCH_BASELINE ?= BENCH_PR35.json
 PERF_THRESHOLD ?= 0.15
 perf-gate:
 	$(MAKE) bench-json
@@ -145,14 +147,16 @@ chaos:
 # fuzzing campaign: the chaos schedule parser, the binary-trie XOR
 # ground truth every megascale exactness figure rests on (cross-checked
 # against a naive scan), the nettransport wire codec (arbitrary
-# datagrams must never panic the receive loop), and the address-book
-# peer codec (a lying entry count must never drive the allocator;
-# decode → merge → encode is a fixpoint).
+# datagrams must never panic the receive loop), the address-book peer
+# codec (a lying entry count must never drive the allocator; decode →
+# merge → encode is a fixpoint), and the codec's IPv4 address fast path
+# (it accepts nothing netip.ParseAddrPort would read differently).
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseSchedule -fuzztime=10s ./internal/chaos/
 	$(GO) test -run='^$$' -fuzz=FuzzClosestGlobal -fuzztime=10s ./internal/megascale/
 	$(GO) test -run='^$$' -fuzz=FuzzWireCodec -fuzztime=10s ./internal/nettransport/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodePeers -fuzztime=10s ./internal/nettransport/
+	$(GO) test -run='^$$' -fuzz=FuzzPeerAddr -fuzztime=10s ./internal/nettransport/
 
 # net-smoke boots a real multi-process cluster per overlay: 5 unapnode
 # OS processes on localhost UDP ports, joined through a bootstrap, each

@@ -207,7 +207,7 @@ func TestKademliaLookupLearnsThroughReplies(t *testing.T) {
 		target := megascale.Mix64(uint64(i)*0x9e3779b97f4a7c15 + 1)
 		before := sent.Value()
 		got, _ := lone.Engine().Lookup(target) // its verdict is against its own partial view
-		if want := ClosestXor(all, target, 1)[0]; got != want {
+		if want := ClosestXor(nil, all, target, 1)[0]; got != want {
 			t.Fatalf("lookup %d: resolved %d, cluster-wide closest is %d (lone node knows %d members)",
 				i, got, want, lone.Peers())
 		}
@@ -367,7 +367,7 @@ func TestKeyHelpers(t *testing.T) {
 	members := []underlay.HostID{0, 1, 2, 3, 4}
 	// ClosestXor(…, key(id), 1) must return id itself.
 	for _, id := range members {
-		if got := ClosestXor(members, NodeKey(id), 1)[0]; got != id {
+		if got := ClosestXor(nil, members, NodeKey(id), 1)[0]; got != id {
 			t.Fatalf("ClosestXor(key(%d)) = %d", id, got)
 		}
 	}

@@ -2,6 +2,7 @@ package livenode
 
 import (
 	"encoding/binary"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,20 +65,34 @@ func NewCore(n *nettransport.Net) *Core {
 	return &Core{Net: n, Self: n.Self(), Msgs: metrics.NewCounterSet()}
 }
 
-// members returns the current membership view: every address-book id
-// (self included — nodes hold their own entry) minus evicted peers.
+// members returns the current membership view, sorted: every
+// address-book id (self included — nodes hold their own entry) minus
+// evicted peers.
 func (c *Core) members() []underlay.HostID {
-	ids := c.Net.Book().IDs()
+	ids := c.appendMembers(make([]underlay.HostID, 0, c.Net.Book().Len()))
+	slices.Sort(ids)
+	return ids
+}
+
+// appendMembers appends members()'s ids to dst in no particular order —
+// all that the XOR and ring routing, whose answers are order-free, need.
+func (c *Core) appendMembers(dst []underlay.HostID) []underlay.HostID {
+	start := len(dst)
+	dst = c.Net.Book().AppendIDs(dst)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := ids[:0]
-	for _, id := range ids {
+	out := dst[:start]
+	for _, id := range dst[start:] {
 		if !c.dead.IsEvicted(id) {
 			out = append(out, id)
 		}
 	}
 	return out
 }
+
+// memberHint sizes the stack arrays that the routing paths collect the
+// membership view into; a larger view spills to the heap through append.
+const memberHint = 64
 
 // Suspect implements the advisory half of resilience.Healer: the verdict
 // is counted, and the peer keeps answering routing queries — suspicion
@@ -126,32 +141,46 @@ const (
 // k closest members it knows, so the querier learns addresses as the
 // lookup converges — the live analogue of learning contacts from
 // FIND_NODE replies.
-type kademlia struct{ *Core }
+type kademlia struct {
+	*Core
+	reply []byte // the find_node reply, reused: handlers run one at a time
+}
 
 func newKademlia(c *Core) *kademlia {
-	e := &kademlia{c}
+	e := &kademlia{Core: c}
 	c.Net.Handle("kad:find_node", func(from underlay.HostID, payload []byte) []byte {
 		target, ok := u64(payload)
 		if !ok {
 			return nil
 		}
 		e.Msgs.Get("kad_served").Inc()
-		closest := ClosestXor(e.members(), target, kadK)
-		return e.Net.Book().EncodeIDs(closest)
+		var view [memberHint]underlay.HostID
+		var closest [kadK]underlay.HostID
+		ids := ClosestXor(closest[:0], e.appendMembers(view[:0]), target, kadK)
+		e.reply = e.Net.Book().AppendEncodedIDs(e.reply[:0], ids)
+		return e.reply
 	})
 	return e
 }
 
+// replyHint sizes the stack buffers a lookup receives replies into: a
+// kadK-entry mini-book of IPv4 addresses takes under 200 bytes.
+const replyHint = 512
+
 func (e *kademlia) Lookup(target uint64) (underlay.HostID, bool) {
 	e.Msgs.Get("kad_lookup").Inc()
-	members := e.members()
+	var view [memberHint]underlay.HostID
+	members := e.appendMembers(view[:0])
 	if len(members) == 0 {
 		return 0, false
 	}
-	want := ClosestXor(members, target, 1)[0]
+	var one [1]underlay.HostID
+	want := ClosestXor(one[:0], members, target, 1)[0]
 
 	var key [8]byte
 	binary.BigEndian.PutUint64(key[:], target)
+	var resp [replyHint]byte
+	var peers [kadK]nettransport.PeerEntry
 	// The sequential driver over the shared lookup.Shortlist: always query
 	// the closest not-yet-queried candidate (passing over evicted ones),
 	// merging every reply's contacts into the shortlist, until the kadK
@@ -173,17 +202,17 @@ func (e *kademlia) Lookup(target uint64) (underlay.HostID, bool) {
 			continue
 		}
 		probes++
-		resp, err := e.Net.Call(next, "kad:find_node", key[:])
+		reply, err := e.Net.CallAppend(resp[:0], next, "kad:find_node", key[:])
 		if err != nil {
 			e.Msgs.Get("kad_rpc_fail").Inc()
 			continue
 		}
-		peers, err := nettransport.DecodePeers(resp)
+		contacts, err := nettransport.AppendPeers(peers[:0], reply)
 		if err != nil {
 			e.Msgs.Get("kad_bad_resp").Inc()
 			continue
 		}
-		for _, p := range peers {
+		for _, p := range contacts {
 			if e.Dead(p.ID) {
 				continue
 			}
@@ -209,10 +238,13 @@ const chordMaxHops = 32
 // successor is X" (target in its successor arc) or "ask Y next" (its
 // closest preceding member). Reply entries travel as mini address books
 // so the querier can reach the next hop.
-type chord struct{ *Core }
+type chord struct {
+	*Core
+	reply []byte // the find_succ reply, reused: handlers run one at a time
+}
 
 func newChord(c *Core) *chord {
-	e := &chord{c}
+	e := &chord{Core: c}
 	c.Net.Handle("chord:find_succ", func(from underlay.HostID, payload []byte) []byte {
 		target, ok := u64(payload)
 		if !ok {
@@ -224,7 +256,9 @@ func newChord(c *Core) *chord {
 		if done {
 			flag = 1
 		}
-		return append([]byte{flag}, e.Net.Book().EncodeIDs([]underlay.HostID{hop})...)
+		ids := [1]underlay.HostID{hop}
+		e.reply = e.Net.Book().AppendEncodedIDs(append(e.reply[:0], flag), ids[:])
+		return e.reply
 	})
 	return e
 }
@@ -232,11 +266,12 @@ func newChord(c *Core) *chord {
 // step is one routing decision from this node's own view: done=true
 // means hop owns target; done=false means hop is the next node to ask.
 func (e *chord) step(target uint64) (done bool, hop underlay.HostID) {
-	members := e.members()
+	var view [memberHint]underlay.HostID
+	others := removeID(e.appendMembers(view[:0]), e.Self)
 	me := NodeKey(e.Self)
 	// Successor of self on the ring (smallest key strictly after me,
 	// wrapping); alone in the ring, self owns everything.
-	succ, okSucc := RingSuccessor(removeID(members, e.Self), me+1)
+	succ, okSucc := RingSuccessor(others, me+1)
 	if !okSucc {
 		return true, e.Self
 	}
@@ -246,9 +281,9 @@ func (e *chord) step(target uint64) (done bool, hop underlay.HostID) {
 	// Closest preceding member in (me, target): the standard Chord hop,
 	// computed over the membership view in place of a finger table.
 	best, okBest := underlay.HostID(-1), false
-	for _, id := range members {
+	for _, id := range others {
 		k := NodeKey(id)
-		if id == e.Self || !lookup.InArc(k, me, target) {
+		if !lookup.InArc(k, me, target) {
 			continue
 		}
 		if !okBest || megascale.CWDist(k, target) < megascale.CWDist(NodeKey(best), target) {
@@ -261,8 +296,9 @@ func (e *chord) step(target uint64) (done bool, hop underlay.HostID) {
 	return false, best
 }
 
+// removeID drops every drop from ids, in place.
 func removeID(ids []underlay.HostID, drop underlay.HostID) []underlay.HostID {
-	out := make([]underlay.HostID, 0, len(ids))
+	out := ids[:0]
 	for _, id := range ids {
 		if id != drop {
 			out = append(out, id)
@@ -273,27 +309,29 @@ func removeID(ids []underlay.HostID, drop underlay.HostID) []underlay.HostID {
 
 func (e *chord) Lookup(target uint64) (underlay.HostID, bool) {
 	e.Msgs.Get("chord_lookup").Inc()
-	members := e.members()
-	want, ok := RingSuccessor(members, target)
+	var view [memberHint]underlay.HostID
+	want, ok := RingSuccessor(e.appendMembers(view[:0]), target)
 	if !ok {
 		return 0, false
 	}
 	var key [8]byte
 	binary.BigEndian.PutUint64(key[:], target)
+	var resp [replyHint]byte
+	var peers [1]nettransport.PeerEntry
 	done, hop := e.step(target)
 	for i := 0; !done && i < chordMaxHops; i++ {
-		resp, err := e.Net.Call(hop, "chord:find_succ", key[:])
-		if err != nil || len(resp) < 1 {
+		reply, err := e.Net.CallAppend(resp[:0], hop, "chord:find_succ", key[:])
+		if err != nil || len(reply) < 1 {
 			e.Msgs.Get("chord_rpc_fail").Inc()
 			break
 		}
-		peers, perr := nettransport.DecodePeers(resp[1:])
-		if perr != nil || len(peers) == 0 {
+		contacts, perr := nettransport.AppendPeers(peers[:0], reply[1:])
+		if perr != nil || len(contacts) == 0 {
 			e.Msgs.Get("chord_bad_resp").Inc()
 			break
 		}
-		e.Net.Book().Set(peers[0].ID, peers[0].Addr)
-		done, hop = resp[0] == 1, peers[0].ID
+		e.Net.Book().Set(contacts[0].ID, contacts[0].Addr)
+		done, hop = reply[0] == 1, contacts[0].ID
 	}
 	if done && hop == want {
 		e.Msgs.Get("chord_lookup_ok").Inc()

@@ -6,8 +6,10 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"unap2p/internal/lookup"
+	"unap2p/internal/megascale"
 	"unap2p/internal/underlay"
 )
 
@@ -157,7 +159,7 @@ func TestClosestXorMatchesReference(t *testing.T) {
 		// shortlist names a member once.
 		distinct := refDedup(members)
 		for k := 0; k <= len(members)+1; k++ {
-			got, want := ClosestXor(members, target, k), refClosestXor(distinct, target, k)
+			got, want := ClosestXor(nil, members, target, k), refClosestXor(distinct, target, k)
 			if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 				t.Logf("members %v target %#x k %d:\n got %v\nwant %v", members, target, k, got, want)
 				return false
@@ -226,35 +228,89 @@ func TestShortlistProbesReferencePrefix(t *testing.T) {
 	}
 }
 
+// TestRoutingIgnoresMemberOrder: the engines collect the membership view
+// unsorted, in the address book's map order, so ClosestXor and
+// RingSuccessor must give the same answer for every order of distinct
+// members.
+func TestRoutingIgnoresMemberOrder(t *testing.T) {
+	check := func(seed int64, target uint64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		members := refDedup(randomIDs(rng, 1+rng.Intn(40)))
+		sorted := append([]underlay.HostID(nil), members...)
+		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+		rng.Shuffle(len(members), func(i, j int) { members[i], members[j] = members[j], members[i] })
+		succ, _ := RingSuccessor(members, target)
+		wantSucc, _ := RingSuccessor(sorted, target)
+		got, want := ClosestXor(nil, members, target, kadK), ClosestXor(nil, sorted, target, kadK)
+		if succ != wantSucc || !reflect.DeepEqual(got, want) {
+			t.Logf("order %v target %#x: successor %d vs %d, closest %v vs %v", members, target, succ, wantSucc, got, want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestClosestXorAllocs(t *testing.T) {
 	members := make([]underlay.HostID, 16)
 	for i := range members {
 		members[i] = underlay.HostID(i + 1)
 	}
-	var sink []underlay.HostID
+	sink := make([]underlay.HostID, 0, kadK)
 	target := uint64(0)
 	allocs := testing.AllocsPerRun(200, func() {
 		target += 0x9e3779b97f4a7c15
-		sink = ClosestXor(members, target, kadK)
+		sink = ClosestXor(sink[:0], members, target, kadK)
 	})
-	if allocs > 1 || len(sink) != kadK {
-		t.Fatalf("ClosestXor(16 members, %d) allocates %.0f objects, want ≤ 1 (the result)", kadK, allocs)
+	if allocs != 0 || len(sink) != kadK {
+		t.Fatalf("ClosestXor(16 members, %d) into a warmed buffer allocates %.0f objects, want 0", kadK, allocs)
 	}
 }
 
 // BenchmarkClosestXor is one kad:find_node handler's ranking: the kadK
-// closest of a 16-member view.
+// closest of a 16-member view, into the handler's buffer.
 func BenchmarkClosestXor(b *testing.B) {
 	members := make([]underlay.HostID, 16)
 	for i := range members {
 		members[i] = underlay.HostID(i + 1)
 	}
+	buf := make([]underlay.HostID, 0, kadK)
 	b.ReportAllocs()
 	n := 0
 	for i := 0; i < b.N; i++ {
-		n += len(ClosestXor(members, uint64(i)*0x9e3779b97f4a7c15, kadK))
+		buf = ClosestXor(buf[:0], members, uint64(i)*0x9e3779b97f4a7c15, kadK)
+		n += len(buf)
 	}
 	if n != b.N*kadK {
 		b.Fatalf("ranked %d ids in %d calls", n, b.N)
+	}
+}
+
+// TestLookupAllocs pins the live RPC path's steady state on a 16-node
+// in-process cluster: a lookup — every find_node or find_succ round
+// trip, both receive loops and the handler it runs — allocates at most
+// one object, counted process-wide. The detector's ping period is long
+// enough that no ping falls inside the count.
+func TestLookupAllocs(t *testing.T) {
+	for _, overlay := range []string{"kademlia", "chord"} {
+		t.Run(overlay, func(t *testing.T) {
+			nodes := bootClusterWith(t, 16, Config{Overlay: overlay, PingInterval: time.Hour, Timeout: time.Second})
+			i := 0
+			lookup := func() {
+				i++
+				node := nodes[i%len(nodes)]
+				if got, ok := node.Engine().Lookup(megascale.Mix64(uint64(i))); !ok {
+					t.Fatalf("lookup %d from node %d resolved %d, not verified", i, node.Net().Self(), got)
+				}
+			}
+			for range 64 { // every node's slab, reply buffer and counters exist
+				lookup()
+			}
+			if allocs := testing.AllocsPerRun(200, lookup); allocs > 1 {
+				t.Fatalf("a %s lookup allocates %.2f objects, want ≤ 1", overlay, allocs)
+			}
+		})
 	}
 }

@@ -30,28 +30,30 @@ func NodeKey(id underlay.HostID) uint64 {
 	return megascale.Mix64(uint64(uint32(id)) + 0x9e3779b97f4a7c15)
 }
 
-// ClosestXor returns up to k of the (distinct) member ids sorted by XOR
-// distance of their NodeKey to target — the Kademlia notion of "closest":
-// every member is offered to a lookup.Shortlist, and the result is the
-// only allocation while k fits the stack scratch.
-func ClosestXor(members []underlay.HostID, target uint64, k int) []underlay.HostID {
+// ClosestXor appends to dst up to k of the (distinct) member ids sorted
+// by XOR distance of their NodeKey to target — the Kademlia notion of
+// "closest": every member is offered to a lookup.Shortlist on this call's
+// stack, so nothing is allocated while dst has room for k ids. The
+// answer does not depend on the order of members.
+func ClosestXor(dst, members []underlay.HostID, target uint64, k int) []underlay.HostID {
 	if k > len(members) {
 		k = len(members)
 	}
 	if k <= 0 {
-		return nil
+		return dst
 	}
 	var buf [2 * kadK]lookup.Entry[underlay.HostID]
 	best := lookup.New(buf[:], k)
 	for _, id := range members {
 		best.Offer(id, NodeKey(id)^target, false)
 	}
-	return best.IDs()
+	return best.AppendIDs(dst)
 }
 
 // RingSuccessor returns the member owning target on the Chord ring: the
 // member whose NodeKey is the smallest key ≥ target, wrapping to the
-// smallest key overall. False when members is empty.
+// smallest key overall. False when members is empty. The answer does not
+// depend on the order of members.
 func RingSuccessor(members []underlay.HostID, target uint64) (underlay.HostID, bool) {
 	var best, wrap underlay.HostID
 	var bestKey, wrapKey uint64

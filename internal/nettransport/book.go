@@ -101,14 +101,20 @@ func (b *AddressBook) Get(id underlay.HostID) (netip.AddrPort, bool) {
 
 // IDs returns every known host id, sorted.
 func (b *AddressBook) IDs() []underlay.HostID {
-	b.mu.RLock()
-	ids := make([]underlay.HostID, 0, len(b.addrs))
-	for id := range b.addrs {
-		ids = append(ids, id)
-	}
-	b.mu.RUnlock()
+	ids := b.AppendIDs(make([]underlay.HostID, 0, b.Len()))
 	slices.Sort(ids)
 	return ids
+}
+
+// AppendIDs appends every known host id to dst, in no particular order,
+// and returns the extended slice.
+func (b *AddressBook) AppendIDs(dst []underlay.HostID) []underlay.HostID {
+	b.mu.RLock()
+	for id := range b.addrs {
+		dst = append(dst, id)
+	}
+	b.mu.RUnlock()
+	return dst
 }
 
 // Len reports the number of entries.
@@ -139,12 +145,19 @@ func (b *AddressBook) Encode() []byte {
 const peerEntryHint = 4 + 1 + len("255.255.255.255:65535")
 
 // EncodeIDs serializes the entries for the given ids in Encode's format,
-// silently skipping ids the book does not hold. The Kademlia engine uses
-// this to answer find_node with a mini address book of the k closest
-// peers, so a querier learns addresses along with ids. The result is one
-// fresh buffer the caller owns.
+// silently skipping ids the book does not hold. The result is one fresh
+// buffer the caller owns.
 func (b *AddressBook) EncodeIDs(ids []underlay.HostID) []byte {
-	out := make([]byte, 4, 4+len(ids)*peerEntryHint)
+	return b.AppendEncodedIDs(make([]byte, 0, 4+len(ids)*peerEntryHint), ids)
+}
+
+// AppendEncodedIDs is EncodeIDs appending onto out. The Kademlia engine
+// answers find_node this way with a mini address book of the k closest
+// peers, so a querier learns addresses along with ids, written into a
+// reply buffer the engine reuses.
+func (b *AddressBook) AppendEncodedIDs(out []byte, ids []underlay.HostID) []byte {
+	start := len(out)
+	out = append(out, 0, 0, 0, 0)
 	n := uint32(0)
 	b.mu.RLock()
 	for _, id := range ids {
@@ -159,7 +172,7 @@ func (b *AddressBook) EncodeIDs(ids []underlay.HostID) []byte {
 		n++
 	}
 	b.mu.RUnlock()
-	binary.BigEndian.PutUint32(out, n)
+	binary.BigEndian.PutUint32(out[start:], n)
 	return out
 }
 
@@ -177,39 +190,97 @@ func DecodePeers(p []byte) ([]PeerEntry, error) {
 	if len(p) < 4 {
 		return nil, ErrTruncated
 	}
+	// Bound the allocation by what the buffer can actually hold (see
+	// AppendPeers): without this check a 4-byte payload claiming
+	// 0xFFFFFFFF entries would allocate ~100 GB.
 	n := binary.BigEndian.Uint32(p)
-	p = p[4:]
-	// Bound the allocation by what the buffer can actually hold: every
-	// entry needs at least id(4)+addrlen(1) bytes, so a count claiming
-	// more than len(p)/5 entries is lying. Without this check a 4-byte
-	// payload claiming 0xFFFFFFFF entries would allocate ~100 GB.
-	if int64(n)*5 > int64(len(p)) {
+	if int64(n)*5 > int64(len(p)-4) {
 		return nil, ErrTruncated
 	}
-	entries := make([]PeerEntry, 0, n)
-	// One string for the whole body: ParseAddrPort keeps its argument in
-	// the errors it returns, so a per-entry conversion is a heap
-	// allocation per entry.
-	text := string(p)
+	return AppendPeers(make([]PeerEntry, 0, n), p)
+}
+
+// AppendPeers is DecodePeers appending the entries onto dst, so a caller
+// with a stack array decodes a reply without touching the heap. On error
+// it returns dst extended by the entries decoded before the bad one.
+func AppendPeers(dst []PeerEntry, p []byte) ([]PeerEntry, error) {
+	if len(p) < 4 {
+		return dst, ErrTruncated
+	}
+	n := binary.BigEndian.Uint32(p)
+	p = p[4:]
+	// Every entry needs at least id(4)+addrlen(1) bytes, so a count
+	// claiming more than len(p)/5 entries is lying.
+	if int64(n)*5 > int64(len(p)) {
+		return dst, ErrTruncated
+	}
 	for i := uint32(0); i < n; i++ {
 		if len(p) < 5 {
-			return entries, ErrTruncated
+			return dst, ErrTruncated
 		}
 		id := underlay.HostID(int32(binary.BigEndian.Uint32(p)))
 		alen := int(p[4])
 		p = p[5:]
 		if len(p) < alen {
-			return entries, ErrTruncated
+			return dst, ErrTruncated
 		}
-		at := len(text) - len(p)
-		addr, perr := netip.ParseAddrPort(text[at : at+alen])
-		if perr != nil {
-			return entries, fmt.Errorf("nettransport: bad book entry for host %d: %w", id, perr)
+		addr, ok := parseAddrPort4(p[:alen])
+		if !ok {
+			var perr error
+			if addr, perr = netip.ParseAddrPort(string(p[:alen])); perr != nil {
+				return dst, fmt.Errorf("nettransport: bad book entry for host %d: %w", id, perr)
+			}
 		}
 		p = p[alen:]
-		entries = append(entries, PeerEntry{ID: id, Addr: addr})
+		dst = append(dst, PeerEntry{ID: id, Addr: addr})
 	}
-	return entries, nil
+	return dst, nil
+}
+
+// parseAddrPort4 is netip.ParseAddrPort's IPv4 case, read straight from
+// the bytes: four decimal octets without leading zeros, each ≤ 255, then
+// a port of one to five digits ≤ 65535. It declines (ok false) anything
+// else — IPv6, host names, malformed text — which the caller hands to
+// ParseAddrPort, so every input it accepts parses there to the same
+// value (FuzzPeerAddr).
+func parseAddrPort4(b []byte) (ap netip.AddrPort, ok bool) {
+	var ip [4]byte
+	i := 0
+	for field := 0; field < 4; field++ {
+		if field > 0 {
+			if i == len(b) || b[i] != '.' {
+				return ap, false
+			}
+			i++
+		}
+		v, digits := 0, 0
+		for ; i < len(b) && b[i] >= '0' && b[i] <= '9' && digits < 3; i++ {
+			v = v*10 + int(b[i]-'0')
+			digits++
+		}
+		if digits == 0 || v > 255 || (digits > 1 && b[i-digits] == '0') {
+			return ap, false
+		}
+		ip[field] = byte(v)
+	}
+	if i == len(b) || b[i] != ':' {
+		return ap, false
+	}
+	i++
+	port, digits := 0, len(b)-i
+	if digits == 0 || digits > 5 {
+		return ap, false
+	}
+	for ; i < len(b); i++ {
+		if b[i] < '0' || b[i] > '9' {
+			return ap, false
+		}
+		port = port*10 + int(b[i]-'0')
+	}
+	if port > 65535 {
+		return ap, false
+	}
+	return netip.AddrPortFrom(netip.AddrFrom4(ip), uint16(port)), true
 }
 
 // Merge decodes an Encode payload into the book, skipping entries it

@@ -110,3 +110,29 @@ func FuzzWireCodec(f *testing.F) {
 		}
 	})
 }
+
+// FuzzPeerAddr pins the peer codec's IPv4 fast path to its reference:
+// for every input, parseAddrPort4 either declines it or returns exactly
+// what netip.ParseAddrPort returns, which must then accept it. And it
+// declines no IPv4 address in the canonical form every encoder writes.
+func FuzzPeerAddr(f *testing.F) {
+	for _, s := range []string{
+		"127.0.0.1:4001", "0.0.0.0:0", "255.255.255.255:65535", "10.0.255.7:09", "1.2.3.4:00000",
+		"256.1.1.1:1", "01.2.3.4:5", "1.2.3.4:65536", "1.2.3.4:", "1.2.3:4", "1.2.3.4.5:6",
+		"1.2.3.4:123456", "[::1]:80", "[::ffff:1.2.3.4]:9", "localhost:9000", "1.2.3.4:+5", "",
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		want, err := netip.ParseAddrPort(string(b))
+		if got, ok := parseAddrPort4(b); ok && (err != nil || got != want) {
+			t.Fatalf("%q: fast path %v, ParseAddrPort %v (%v)", b, got, want, err)
+		}
+		if err == nil && want.Addr().Is4() {
+			canon := want.String()
+			if got, ok := parseAddrPort4([]byte(canon)); !ok || got != want {
+				t.Fatalf("%q: fast path declines or misreads the canonical %q (%v, %v)", b, canon, got, ok)
+			}
+		}
+	})
+}

@@ -159,31 +159,66 @@ func TestCodecAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, func() { wire = book.EncodeIDs(ids) }); allocs > 1 {
 		t.Errorf("EncodeIDs of 8 entries allocates %.0f objects, want ≤ 1 (the result)", allocs)
 	}
-	// Two, not one: the entries, and one string of the payload for
-	// netip.ParseAddrPort to slice (it keeps its argument in its errors,
-	// so a converted argument is always a heap copy; per entry that was 8).
 	var entries []PeerEntry
-	if allocs := testing.AllocsPerRun(200, func() { entries, _ = DecodePeers(wire) }); allocs > 2 || len(entries) != 8 {
-		t.Errorf("DecodePeers of 8 entries allocates %.0f objects for %d entries, want ≤ 2", allocs, len(entries))
+	if allocs := testing.AllocsPerRun(200, func() { entries, _ = DecodePeers(wire) }); allocs > 1 || len(entries) != 8 {
+		t.Errorf("DecodePeers of 8 entries allocates %.0f objects for %d entries, want ≤ 1 (the result)", allocs, len(entries))
+	}
+	// The engines' forms: into warmed buffers, nothing.
+	out := make([]byte, 0, 512)
+	if allocs := testing.AllocsPerRun(200, func() { out = book.AppendEncodedIDs(out[:0], ids) }); allocs != 0 || !bytes.Equal(out, wire) {
+		t.Errorf("AppendEncodedIDs into a reused buffer allocates %.0f objects, want 0 and EncodeIDs' bytes", allocs)
+	}
+	entries = make([]PeerEntry, 0, 8)
+	if allocs := testing.AllocsPerRun(200, func() { entries, _ = AppendPeers(entries[:0], wire) }); allocs != 0 || len(entries) != 8 {
+		t.Errorf("AppendPeers of 8 entries into a reused buffer allocates %.0f objects, want 0", allocs)
 	}
 	f := Frame{Kind: KindResp, Type: "kad:nodes", From: 1, To: 2, ReqID: 7, Payload: wire}
 	buf := make([]byte, 0, 512)
 	if allocs := testing.AllocsPerRun(200, func() { buf, _ = AppendFrame(buf[:0], &f) }); allocs != 0 {
 		t.Errorf("AppendFrame into a reused buffer allocates %.0f objects, want 0", allocs)
 	}
+	var g Frame
+	if allocs := testing.AllocsPerRun(200, func() { _ = decodeFrame(buf, &g) }); allocs != 0 || !frameEqual(&f, &g) {
+		t.Errorf("decodeFrame allocates %.0f objects, want 0 and the encoded frame back", allocs)
+	}
 	if allocs := testing.AllocsPerRun(200, func() { book.Set(3, netip.AddrPortFrom(netip.AddrFrom4([4]byte{127, 0, 0, 1}), 40003)) }); allocs != 0 {
 		t.Errorf("Set of an unchanged entry allocates %.0f objects, want 0", allocs)
 	}
 }
 
-// BenchmarkPeersCodec is one find_node reply through the peer codec:
-// encode eight entries, decode them back.
+// TestCallAppendAllocs: a round trip into a reused buffer allocates
+// nothing on either side — caller, receive loops, handler or slot.
+func TestCallAppendAllocs(t *testing.T) {
+	x, y := pair(t)
+	book, ids := eightPeers()
+	reply := book.EncodeIDs(ids)
+	y.Handle("kad:find_node", func(underlay.HostID, []byte) []byte { return reply })
+	req := make([]byte, 8)
+	dst := make([]byte, 0, 512)
+	call := func() {
+		var err error
+		if dst, err = x.CallAppend(dst[:0], y.Self(), "kad:find_node", req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	call() // grows the slab and creates the counters
+	if allocs := testing.AllocsPerRun(200, call); allocs != 0 || !bytes.Equal(dst, reply) {
+		t.Fatalf("CallAppend allocates %.1f objects per round trip, want 0", allocs)
+	}
+}
+
+// BenchmarkPeersCodec is one find_node reply through the peer codec as
+// the engines run it: encode eight entries into the handler's reply
+// buffer, decode them into the lookup's entry array.
 func BenchmarkPeersCodec(b *testing.B) {
 	book, ids := eightPeers()
+	wire := make([]byte, 0, 512)
+	entries := make([]PeerEntry, 0, 8)
 	b.ReportAllocs()
 	n := 0
 	for i := 0; i < b.N; i++ {
-		entries, _ := DecodePeers(book.EncodeIDs(ids))
+		wire = book.AppendEncodedIDs(wire[:0], ids)
+		entries, _ = AppendPeers(entries[:0], wire)
 		n += len(entries)
 	}
 	if n != 8*b.N {
@@ -192,9 +227,9 @@ func BenchmarkPeersCodec(b *testing.B) {
 }
 
 // BenchmarkNetCallLoopback is one Call round trip between two sockets of
-// this process: encode, sendto, receive loop, handler goroutine, reply,
-// waiter wake-up. The payloads are find_node's: 8 bytes out, a
-// mini-book of eight back.
+// this process: encode, sendto, receive loop, handler, reply, call-slot
+// wake-up and the copy of the response the caller owns. The payloads are
+// find_node's: 8 bytes out, a mini-book of eight back.
 func BenchmarkNetCallLoopback(b *testing.B) {
 	x, err := Listen(Config{Self: 1})
 	if err != nil {

@@ -32,14 +32,21 @@ type Config struct {
 
 // Handler serves one request type: it receives the requester's id and
 // payload and returns the response payload.
+//
+// Handlers of both kinds run on the Net's receive goroutine, one frame
+// at a time, so the number of goroutines stays fixed however fast frames
+// arrive. payload points into the receive buffer and is valid only for
+// the duration of the call: a handler that keeps bytes copies them. The
+// returned reply is encoded and sent before the next frame is read, so a
+// handler may return a buffer it reuses on every call. A handler may send
+// (SendPayload; the Gnutella flood relays queries this way), but a Call
+// from inside a handler stalls its own node until it times out: the
+// response would have to be read by the goroutine that is waiting for it.
+// A panicking handler is logged, not fatal.
 type Handler func(from underlay.HostID, payload []byte) []byte
 
-// DataHandler observes one-way KindData frames (no response).
-//
-// Both handler kinds run on their own goroutine per frame, so they may
-// send or issue nested calls through the same Net (the Gnutella flood
-// relays queries this way); Close waits for them, and a panicking
-// handler is logged, not fatal.
+// DataHandler observes one-way KindData frames (no response). It runs
+// under Handler's rules.
 type DataHandler func(from underlay.HostID, msgType string, payload []byte)
 
 // Net is the real-socket plane: a payload RPC (Handle/Call, one-way
@@ -63,14 +70,17 @@ type Net struct {
 	msgs *metrics.CounterSet
 	rtt  *metrics.Histogram
 	// The net_* transport internals, resolved once.
-	txErr, timeouts, rxBad, rxDrop, rxUnhandled *metrics.Counter
+	txErr, timeouts, rxBad, rxDrop, rxUnhandled, rxStale *metrics.Counter
 
 	acctMu sync.RWMutex
 	acct   map[string]*frameCounters
 
-	reqID   atomic.Uint64
-	waitMu  sync.Mutex
-	waiters map[uint64]chan Frame
+	// slotMu guards the call slab: slots grows to the peak number of
+	// concurrent calls, free holds the indices of the idle ones, and each
+	// slot's gen, waiting and to fields.
+	slotMu sync.Mutex
+	slots  []*callSlot
+	free   []uint32
 
 	handMu   sync.RWMutex
 	handlers map[string]Handler
@@ -111,8 +121,8 @@ func Listen(cfg Config) (*Net, error) {
 		rxBad:       msgs.Get("net_rx_bad"),
 		rxDrop:      msgs.Get("net_rx_drop"),
 		rxUnhandled: msgs.Get("net_rx_unhandled"),
+		rxStale:     msgs.Get("net_rx_stale"),
 		acct:        make(map[string]*frameCounters),
-		waiters:     make(map[uint64]chan Frame),
 		handlers:    make(map[string]Handler),
 		onData:      make(map[string]DataHandler),
 	}
@@ -171,9 +181,9 @@ func (n *Net) SetDropRx(fn func(f *Frame) bool) {
 	n.dropRx.Store(&fn)
 }
 
-// Close shuts the socket down and waits for the receive loop and every
-// in-flight handler to exit. A call still waiting for its response times
-// out; one issued afterwards fails on the closed socket.
+// Close shuts the socket down and waits for the receive loop, and with it
+// the handler it may be running, to exit. A call still waiting for its
+// response times out; one issued afterwards fails on the closed socket.
 func (n *Net) Close() error {
 	if n.closed.Swap(true) {
 		return nil
@@ -187,7 +197,7 @@ func (n *Net) Close() error {
 // sent, "<type>_bytes" their accounted payload bytes, "<type>_rx" and
 // "<type>_rx_bytes" the same for frames received, plus the net_*
 // transport internals (net_timeout, net_tx_err, net_rx_bad, net_rx_drop,
-// net_rx_unhandled).
+// net_rx_unhandled, net_rx_stale).
 func (n *Net) Counters() *metrics.CounterSet { return n.msgs }
 
 // dir is the direction account charges a frame to.
@@ -267,9 +277,16 @@ var errTimeout = errors.New("nettransport: call timed out")
 
 // Call is the payload RPC the live overlay engines build on: request
 // payload out, response payload back, single attempt, default timeout.
-// A successful call's wall RTT lands in the RTT histogram.
+// A successful call's wall RTT lands in the RTT histogram. The returned
+// slice is the caller's.
 func (n *Net) Call(to underlay.HostID, msgType string, payload []byte) ([]byte, error) {
-	return n.call(to, netip.AddrPort{}, msgType, payload)
+	return n.call(nil, to, netip.AddrPort{}, msgType, payload)
+}
+
+// CallAppend is Call appending the response payload onto dst, so a
+// caller that reuses dst makes a round trip without allocating.
+func (n *Net) CallAppend(dst []byte, to underlay.HostID, msgType string, payload []byte) ([]byte, error) {
+	return n.call(dst, to, netip.AddrPort{}, msgType, payload)
 }
 
 // CallAt is Call aimed at an explicit UDP address instead of a book
@@ -277,43 +294,134 @@ func (n *Net) Call(to underlay.HostID, msgType string, payload []byte) ([]byte, 
 // id (the response frame's From field, which the receive loop also
 // learns into the book automatically).
 func (n *Net) CallAt(addr netip.AddrPort, msgType string, payload []byte) ([]byte, error) {
-	return n.call(-1, unmap(addr), msgType, payload) // To = -1: id unknown
+	return n.call(nil, -1, unmap(addr), msgType, payload) // To = -1: id unknown
 }
 
-// call performs one request/response exchange. addr, when valid,
-// overrides the book lookup.
-func (n *Net) call(to underlay.HostID, addr netip.AddrPort, msgType string, payload []byte) ([]byte, error) {
-	id := n.reqID.Add(1)
-	ch := make(chan Frame, 1)
-	n.waitMu.Lock()
-	n.waiters[id] = ch
-	n.waitMu.Unlock()
-	defer func() {
-		n.waitMu.Lock()
-		delete(n.waiters, id)
-		n.waitMu.Unlock()
-	}()
+// callSlot is one entry of a Net's call slab: the waiter of one
+// outstanding call at a time. Its request id is gen<<32 | index+1, so a
+// response for an earlier call through the same slot — late, replayed or
+// forged — names a generation that no longer matches. The receive loop
+// copies a matching response into resp, clears waiting and signals wake
+// (buffer 1, one signal per generation) with slotMu held; the caller
+// reads resp once it has taken that signal.
+type callSlot struct {
+	gen     uint32
+	waiting bool
+	to      underlay.HostID // the only host that may answer; -1 for CallAt
+	wake    chan struct{}
+	resp    []byte
+	// timer bounds the wait. It is reused call after call, and under the
+	// pre-Go 1.23 timer rules that go.mod's go line selects, a tick of an
+	// earlier arming can still sit in timer.C after Reset; the waiter
+	// therefore trusts only its own deadline, never a tick alone.
+	timer *time.Timer
+}
+
+// acquire takes an idle slot, or grows the slab by one, for a call to to,
+// and returns it with its index and the request id of this use.
+func (n *Net) acquire(to underlay.HostID) (s *callSlot, idx uint32, id uint64) {
+	n.slotMu.Lock()
+	defer n.slotMu.Unlock()
+	if k := len(n.free); k > 0 {
+		idx = n.free[k-1]
+		n.free = n.free[:k-1]
+		s = n.slots[idx]
+	} else {
+		idx = uint32(len(n.slots))
+		t := time.NewTimer(time.Hour)
+		t.Stop()
+		s = &callSlot{wake: make(chan struct{}, 1), timer: t}
+		n.slots = append(n.slots, s)
+	}
+	s.gen++
+	s.waiting, s.to = true, to
+	return s, idx, uint64(s.gen)<<32 | uint64(idx+1)
+}
+
+// release returns a slot to the free list. A response that reached it
+// after its call gave up without waiting for one (a failed write) is
+// discarded with the slot's generation.
+func (n *Net) release(s *callSlot, idx uint32) {
+	n.slotMu.Lock()
+	s.waiting = false
+	select {
+	case <-s.wake:
+	default:
+	}
+	n.free = append(n.free, idx)
+	n.slotMu.Unlock()
+}
+
+// call performs one request/response exchange, appending the response
+// payload onto dst. addr, when valid, overrides the book lookup.
+func (n *Net) call(dst []byte, to underlay.HostID, addr netip.AddrPort, msgType string, payload []byte) ([]byte, error) {
+	s, idx, id := n.acquire(to)
+	defer n.release(s, idx)
 
 	n.account(tx, msgType, uint64(len(payload)))
 	f := Frame{Kind: KindReq, Type: msgType, From: n.cfg.Self, To: to, ReqID: id, Payload: payload}
 	start := time.Now()
 	if err := n.writeFrame(&f, addr); err != nil {
-		return nil, err
+		return dst, err
 	}
-	timer := time.NewTimer(n.cfg.Timeout)
-	defer timer.Stop()
-	select {
-	case resp := <-ch:
-		n.rtt.Observe(float64(time.Since(start)) / float64(time.Millisecond))
-		n.account(rx, resp.Type, uint64(len(resp.Payload)))
-		return resp.Payload, nil
-	case <-timer.C:
+	deadline := start.Add(n.cfg.Timeout)
+	s.timer.Reset(n.cfg.Timeout)
+	defer s.timer.Stop()
+	for {
+		select {
+		case <-s.wake:
+			return n.answered(dst, s, start), nil
+		case <-s.timer.C:
+		}
+		if left := time.Until(deadline); left > 0 {
+			s.timer.Reset(left) // a stale tick from an earlier call
+			continue
+		}
+		n.slotMu.Lock()
+		delivered := !s.waiting // the response won the race with the deadline
+		s.waiting = false
+		n.slotMu.Unlock()
+		if delivered {
+			<-s.wake
+			return n.answered(dst, s, start), nil
+		}
 		n.timeouts.Inc()
-		return nil, errTimeout
+		return dst, errTimeout
 	}
 }
 
-// receiveLoop drains the socket until Close.
+// answered records a delivered response's RTT and appends it onto dst.
+func (n *Net) answered(dst []byte, s *callSlot, start time.Time) []byte {
+	n.rtt.Observe(float64(time.Since(start)) / float64(time.Millisecond))
+	return append(dst, s.resp...)
+}
+
+// deliver hands a response frame to the call waiting for it. A response
+// is accepted once, for the generation its slot is serving, and from the
+// host the request went to when that host is known; anything else —
+// late after a timeout, a replay, a forged id or sender — is dropped and
+// counted under net_rx_stale.
+func (n *Net) deliver(f *Frame) {
+	idx, gen := uint32(f.ReqID)-1, uint32(f.ReqID>>32)
+	n.slotMu.Lock()
+	defer n.slotMu.Unlock()
+	if int(idx) >= len(n.slots) {
+		n.rxStale.Inc()
+		return
+	}
+	s := n.slots[idx]
+	if s.gen != gen || !s.waiting || (s.to >= 0 && f.From != s.to) {
+		n.rxStale.Inc()
+		return
+	}
+	n.account(rx, f.Type, uint64(len(f.Payload)))
+	s.resp = append(s.resp[:0], f.Payload...)
+	s.waiting = false
+	s.wake <- struct{}{} // never blocks: one signal per generation, taken before the slot is reused
+}
+
+// receiveLoop drains the socket until Close, serving each request and
+// data frame on this goroutine.
 func (n *Net) receiveLoop() {
 	defer n.wg.Done()
 	buf := make([]byte, 65536)
@@ -326,8 +434,8 @@ func (n *Net) receiveLoop() {
 			n.logf("nettransport: read: %v", err)
 			continue
 		}
-		f, err := DecodeFrame(buf[:nr])
-		if err != nil {
+		var f Frame
+		if err := decodeFrame(buf[:nr], &f); err != nil {
 			n.rxBad.Inc()
 			n.logf("nettransport: drop malformed frame from %v: %v", raddr, err)
 			continue
@@ -346,15 +454,7 @@ func (n *Net) receiveLoop() {
 			n.book.Set(f.From, raddr)
 		}
 		if f.Kind == KindResp {
-			n.waitMu.Lock()
-			ch := n.waiters[f.ReqID]
-			n.waitMu.Unlock()
-			if ch != nil {
-				select {
-				case ch <- f:
-				default: // duplicate response; first one won
-				}
-			}
+			n.deliver(&f)
 			continue
 		}
 		n.handMu.RLock()
@@ -367,24 +467,20 @@ func (n *Net) receiveLoop() {
 			continue
 		}
 		n.account(rx, f.Type, uint64(len(f.Payload)))
-		n.wg.Add(1)
-		go n.serve(f, h, onData)
+		n.serve(&f, h, onData)
 	}
 }
 
-// serve runs the handler for one request or data frame. It is detached
-// from the receive loop so handlers can issue nested calls (flood relays)
-// without stalling it, tracked by n.wg so Close waits for it, and guarded
-// so a panicking handler costs one frame, not the daemon.
-func (n *Net) serve(f Frame, h Handler, onData DataHandler) {
-	defer n.wg.Done()
+// serve runs the handler for one request or data frame, guarded so a
+// panicking handler costs one frame, not the daemon.
+func (n *Net) serve(f *Frame, h Handler, onData DataHandler) {
 	defer func() {
 		if r := recover(); r != nil {
 			n.logf("nettransport: handler %s panicked: %v", f.Type, r)
 		}
 	}()
 	if f.Kind == KindReq {
-		n.reply(&f, h(f.From, f.Payload))
+		n.reply(f, h(f.From, f.Payload))
 	} else {
 		onData(f.From, f.Type, f.Payload)
 	}

@@ -2,6 +2,9 @@ package nettransport
 
 import (
 	"fmt"
+	"net"
+	"net/netip"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -286,6 +289,16 @@ func TestNetConcurrentRoundTrips(t *testing.T) {
 	if n := a.RTT().N() + b.RTT().N(); n < uint64(workers*per-failed) {
 		t.Fatalf("histograms hold %d RTT samples, want ≥ %d", n, workers*per-failed)
 	}
+	// Each Net had workers/2 callers at most: its call slab grew to that
+	// and no further.
+	for _, n := range []*Net{a, b} {
+		n.slotMu.Lock()
+		slots, free := len(n.slots), len(n.free)
+		n.slotMu.Unlock()
+		if slots > workers/2 || free != slots {
+			t.Errorf("host %d: %d call slots (%d idle) after %d concurrent callers", n.Self(), slots, free, workers/2)
+		}
+	}
 }
 
 func TestPacerRunsKernelOnWallClock(t *testing.T) {
@@ -341,5 +354,207 @@ func TestPacerDaemonEventsFire(t *testing.T) {
 	case <-fired:
 	case <-time.After(5 * time.Second):
 		t.Fatal("daemon event never fired under the pacer")
+	}
+}
+
+// rawPeer is a bare UDP socket that speaks the wire format by hand, for
+// tests that need a peer to misbehave.
+type rawPeer struct {
+	t    *testing.T
+	conn *net.UDPConn
+}
+
+func newRawPeer(t *testing.T) *rawPeer {
+	t.Helper()
+	c, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Skipf("environment forbids UDP sockets: %v", err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return &rawPeer{t: t, conn: c}
+}
+
+func (r *rawPeer) addr() netip.AddrPort { return r.conn.LocalAddr().(*net.UDPAddr).AddrPort() }
+
+// read returns the next frame the peer receives, with its source.
+func (r *rawPeer) read() (Frame, netip.AddrPort) {
+	r.t.Helper()
+	buf := make([]byte, 65536)
+	r.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	n, from, err := r.conn.ReadFromUDPAddrPort(buf)
+	if err != nil {
+		r.t.Fatalf("raw peer read: %v", err)
+	}
+	f, err := DecodeFrame(buf[:n])
+	if err != nil {
+		r.t.Fatalf("raw peer got a malformed frame: %v", err)
+	}
+	return f, from
+}
+
+func (r *rawPeer) send(f Frame, to netip.AddrPort) {
+	r.t.Helper()
+	b, err := AppendFrame(nil, &f)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	if _, err := r.conn.WriteToUDPAddrPort(b, to); err != nil {
+		r.t.Fatalf("raw peer write: %v", err)
+	}
+}
+
+// TestNetDropsStaleResponses: a response is accepted once, for the call
+// its request id names, and only from the host that call went to. A
+// replay of an answered response, a forged slot index, and a response
+// with the right id from the wrong host are each dropped and counted
+// under net_rx_stale — none reaches the next call through the same
+// slot, which gets its own answer.
+func TestNetDropsStaleResponses(t *testing.T) {
+	a := listen(t, 0)
+	peer := newRawPeer(t)
+	const peerID = 5
+	a.Book().Set(peerID, peer.addr())
+	answer := func(req Frame, from underlay.HostID, body string) Frame {
+		return Frame{Kind: KindResp, Type: responseType(req.Type), From: from, To: 0, ReqID: req.ReqID, Payload: []byte(body)}
+	}
+
+	type result struct {
+		resp []byte
+		err  error
+	}
+	call := func() chan result {
+		done := make(chan result, 1)
+		go func() {
+			resp, err := a.Call(peerID, "probe", []byte("q"))
+			done <- result{resp, err}
+		}()
+		return done
+	}
+
+	first := call()
+	req1, from := peer.read()
+	old := answer(req1, peerID, "first")
+	peer.send(old, from)
+	if r := <-first; r.err != nil || string(r.resp) != "first" {
+		t.Fatalf("first call: %q, %v", r.resp, r.err)
+	}
+	peer.send(old, from) // a replay of the answered response
+	await(t, "the replay counted", func() bool { return a.Counters().Value("net_rx_stale") == 1 })
+
+	second := call()
+	req2, from := peer.read()
+	if uint32(req2.ReqID) != uint32(req1.ReqID) || req2.ReqID == req1.ReqID {
+		t.Fatalf("request ids %#x then %#x: the second call should reuse the slot under a new generation", req1.ReqID, req2.ReqID)
+	}
+	peer.send(old, from)                                  // the first call's response, replayed again
+	peer.send(answer(req2, peerID+1, "wrong host"), from) // right id, wrong sender
+	forged := answer(req2, peerID, "forged slot")
+	forged.ReqID = req2.ReqID + 1 // a slot that does not exist
+	peer.send(forged, from)
+	await(t, "three stale responses counted", func() bool { return a.Counters().Value("net_rx_stale") == 4 })
+	peer.send(answer(req2, peerID, "second"), from)
+	if r := <-second; r.err != nil || string(r.resp) != "second" {
+		t.Fatalf("second call got %q, %v, want its own response", r.resp, r.err)
+	}
+}
+
+// TestNetLateResponseSkipsNextCall: a handler that sleeps past the
+// caller's deadline answers after the call has timed out. The next call
+// reuses the slot; the late answer must be dropped as stale, not taken
+// as the next call's response.
+func TestNetLateResponseSkipsNextCall(t *testing.T) {
+	a, b := pair(t)
+	b.Handle("probe", func(_ underlay.HostID, p []byte) []byte {
+		if string(p) == "slow" {
+			time.Sleep(350 * time.Millisecond) // a's Timeout is 250 ms
+		}
+		return p
+	})
+	if _, err := a.Call(b.Self(), "probe", []byte("slow")); err == nil {
+		t.Fatal("a call outliving its deadline succeeded")
+	}
+	resp, err := a.Call(b.Self(), "probe", []byte("fast"))
+	if err != nil || string(resp) != "fast" {
+		t.Fatalf("the call after a timeout got %q, %v, want \"fast\"", resp, err)
+	}
+	if n := a.Counters().Value("net_rx_stale"); n != 1 {
+		t.Fatalf("net_rx_stale = %d, want 1 (the late answer)", n)
+	}
+	if n := a.Counters().Value("net_timeout"); n != 1 {
+		t.Fatalf("net_timeout = %d, want 1", n)
+	}
+}
+
+// TestNetStaleTimerTick: slots reuse their timer, and under the pre-Go
+// 1.23 timer rules a tick of an earlier arming can still wait in its
+// channel when the next call starts. Such a tick must not end that call:
+// a call into a black hole still waits its full deadline, and a call
+// that is answered succeeds without a timeout.
+func TestNetStaleTimerTick(t *testing.T) {
+	a, b := pair(t)
+	b.Handle("probe", func(_ underlay.HostID, p []byte) []byte { return p })
+	if _, err := a.Call(b.Self(), "probe", nil); err != nil {
+		t.Fatal(err)
+	}
+	staleTick := func() {
+		t.Helper()
+		a.slotMu.Lock()
+		s := a.slots[0]
+		a.slotMu.Unlock()
+		s.timer.Reset(time.Microsecond)
+		await(t, "the tick to fire", func() bool { return len(s.timer.C) == 1 })
+	}
+
+	staleTick()
+	if resp, err := a.Call(b.Self(), "probe", []byte("x")); err != nil || string(resp) != "x" {
+		t.Fatalf("answered call with a stale tick pending: %q, %v", resp, err)
+	}
+	if n := a.Counters().Value("net_timeout"); n != 0 {
+		t.Fatalf("net_timeout = %d after an answered call", n)
+	}
+
+	staleTick()
+	b.SetDropRx(func(*Frame) bool { return true })
+	start := time.Now()
+	if _, err := a.Call(b.Self(), "probe", nil); err == nil {
+		t.Fatal("a call into a black hole succeeded")
+	}
+	if elapsed := time.Since(start); elapsed < 250*time.Millisecond {
+		t.Fatalf("a stale tick ended the call after %v, before its 250ms deadline", elapsed)
+	}
+}
+
+// TestNetFloodKeepsGoroutinesBounded sends 10 000 requests of a served
+// type from a raw socket as fast as it can write them. Handlers run on
+// the receive goroutine, so the process's goroutine count stays put
+// throughout, and afterwards a well-behaved peer's call still succeeds.
+func TestNetFloodKeepsGoroutinesBounded(t *testing.T) {
+	a, b := pair(t)
+	b.Handle("probe", func(_ underlay.HostID, p []byte) []byte { return p })
+	peer := newRawPeer(t)
+	base := runtime.NumGoroutine()
+	req := Frame{Kind: KindReq, Type: "probe", From: 9, To: b.Self(), ReqID: 1, Payload: make([]byte, 32)}
+	peak := base
+	for i := 0; i < 10_000; i++ {
+		peer.send(req, b.LocalAddr())
+		if i%100 == 0 {
+			peak = max(peak, runtime.NumGoroutine())
+		}
+	}
+	// A datagram socket delivers in order, so once a marker sent after
+	// the flood is handled, the flood before it has been read. The kernel
+	// may drop datagrams of a full buffer, the marker too: resend it.
+	var marked atomic.Bool
+	b.HandleData("marker", func(underlay.HostID, string, []byte) { marked.Store(true) })
+	await(t, "the flood to be drained", func() bool {
+		peak = max(peak, runtime.NumGoroutine())
+		peer.send(Frame{Kind: KindData, Type: "marker", From: 9}, b.LocalAddr())
+		return marked.Load()
+	})
+	if peak > base+2 {
+		t.Fatalf("goroutines peaked at %d during the flood, %d before", peak, base)
+	}
+	if resp, err := a.Call(b.Self(), "probe", []byte("still here")); err != nil || string(resp) != "still here" {
+		t.Fatalf("call after the flood: %q, %v", resp, err)
 	}
 }

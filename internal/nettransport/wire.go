@@ -137,7 +137,9 @@ func AppendFrame(buf []byte, f *Frame) ([]byte, error) {
 		return buf, ErrTooLarge
 	}
 	if len(f.Type) > 254 {
-		return buf, fmt.Errorf("nettransport: message type %.20q… too long", f.Type)
+		// The length, not the text: handing f.Type to fmt would make every
+		// caller's payload escape to the heap along with it.
+		return buf, fmt.Errorf("nettransport: message type of %d bytes too long", len(f.Type))
 	}
 	buf = append(buf, magic0, magic1, wireVersion, byte(f.Kind))
 	if id, ok := typeIDs[f.Type]; ok {
@@ -159,28 +161,41 @@ func AppendFrame(buf []byte, f *Frame) ([]byte, error) {
 // Arbitrary input never panics: every length is checked before use.
 func DecodeFrame(b []byte) (Frame, error) {
 	var f Frame
+	if err := decodeFrame(b, &f); err != nil {
+		return f, err
+	}
+	if len(f.Payload) > 0 {
+		f.Payload = append([]byte(nil), f.Payload...)
+	}
+	return f, nil
+}
+
+// decodeFrame is DecodeFrame without the copy: f.Payload points into b,
+// and is nil when the payload is empty. The receive loop decodes this way,
+// so a frame costs no allocation while b, its read buffer, is not reused.
+func decodeFrame(b []byte, f *Frame) error {
 	if len(b) < 5 {
-		return f, ErrTruncated
+		return ErrTruncated
 	}
 	if b[0] != magic0 || b[1] != magic1 {
-		return f, ErrBadMagic
+		return ErrBadMagic
 	}
 	if b[2] != wireVersion {
-		return f, ErrBadVersion
+		return ErrBadVersion
 	}
 	f.Kind = Kind(b[3])
 	if f.Kind > KindResp {
-		return f, fmt.Errorf("nettransport: unknown frame kind %d", b[3])
+		return fmt.Errorf("nettransport: unknown frame kind %d", b[3])
 	}
 	rest := b[4:]
 	switch id := rest[0]; {
 	case id == inlineType:
 		if len(rest) < 2 {
-			return f, ErrTruncated
+			return ErrTruncated
 		}
 		n := int(rest[1])
 		if len(rest) < 2+n {
-			return f, ErrTruncated
+			return ErrTruncated
 		}
 		f.Type = string(rest[2 : 2+n])
 		rest = rest[2+n:]
@@ -188,10 +203,10 @@ func DecodeFrame(b []byte) (Frame, error) {
 		f.Type = typeTable[id]
 		rest = rest[1:]
 	default:
-		return f, ErrBadType
+		return ErrBadType
 	}
 	if len(rest) < 4+4+8+4 {
-		return f, ErrTruncated
+		return ErrTruncated
 	}
 	f.From = underlay.HostID(int32(binary.BigEndian.Uint32(rest[0:4])))
 	f.To = underlay.HostID(int32(binary.BigEndian.Uint32(rest[4:8])))
@@ -199,13 +214,14 @@ func DecodeFrame(b []byte) (Frame, error) {
 	payLen := binary.BigEndian.Uint32(rest[16:20])
 	rest = rest[20:]
 	if payLen > MaxPayload {
-		return f, ErrTooLarge
+		return ErrTooLarge
 	}
 	if uint32(len(rest)) < payLen {
-		return f, ErrTruncated
+		return ErrTruncated
 	}
+	f.Payload = nil
 	if payLen > 0 {
-		f.Payload = append([]byte(nil), rest[:payLen]...)
+		f.Payload = rest[:payLen:payLen]
 	}
-	return f, nil
+	return nil
 }

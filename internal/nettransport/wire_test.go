@@ -3,8 +3,12 @@ package nettransport
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"net/netip"
 	"testing"
+
+	"unap2p/internal/underlay"
 )
 
 func frameEqual(a, b *Frame) bool {
@@ -109,5 +113,51 @@ func TestWirePayloadIsCopied(t *testing.T) {
 	}
 	if string(got.Payload) != "hold" {
 		t.Fatalf("decoded payload aliases the read buffer: %q", got.Payload)
+	}
+}
+
+// TestWireGoldenBytes pins the encoded bytes of a request frame, a peer
+// list and a response frame carrying it (inline type, negative sender)
+// to what the codec produced before the receive path stopped copying:
+// the wire format is a contract between processes of different builds.
+func TestWireGoldenBytes(t *testing.T) {
+	req := Frame{Kind: KindReq, Type: "kad:find_node", From: 3, To: 12, ReqID: 7<<32 | 2,
+		Payload: []byte{0xde, 0xad, 0xbe, 0xef, 1, 2, 3, 4}}
+	book := NewAddressBook()
+	book.Set(1, netip.MustParseAddrPort("127.0.0.1:40001"))
+	book.Set(5, netip.MustParseAddrPort("10.0.255.7:9"))
+	book.Set(9, netip.MustParseAddrPort("[::1]:65535"))
+	peers := book.EncodeIDs([]underlay.HostID{9, 1, 4, 5})
+	resp := Frame{Kind: KindResp, Type: "custom:x", From: -1, To: 3, ReqID: 7<<32 | 2, Payload: peers}
+	const (
+		wantReq   = "754e020106000000030000000c000000070000000200000008deadbeef01020304"
+		wantPeers = "00000003000000090b5b3a3a315d3a3635353335000000010f3132372e302e302e313a3430303031000000050c31302e302e3235352e373a39"
+		wantResp  = "754e0202ff08637573746f6d3a78ffffffff000000030000000700000002000000390000000300000009" +
+			"0b5b3a3a315d3a3635353335000000010f3132372e302e302e313a3430303031000000050c31302e302e3235352e373a39"
+	)
+	reqBytes, _ := AppendFrame(nil, &req)
+	respBytes, _ := AppendFrame([]byte("prefix"), &resp)
+	for _, c := range []struct {
+		name string
+		got  []byte
+		want string
+	}{
+		{"request frame", reqBytes, wantReq},
+		{"peer list", peers, wantPeers},
+		{"peer list appended", book.AppendEncodedIDs([]byte("prefix"), []underlay.HostID{9, 1, 4, 5})[6:], wantPeers},
+		{"response frame", respBytes[6:], wantResp},
+	} {
+		if got := hex.EncodeToString(c.got); got != c.want {
+			t.Errorf("%s:\n got %s\nwant %s", c.name, got, c.want)
+		}
+	}
+	var back Frame
+	if err := decodeFrame(respBytes[6:], &back); err != nil || !frameEqual(&back, &resp) {
+		t.Fatalf("decodeFrame of the response: %+v, %v", back, err)
+	}
+	entries, err := DecodePeers(back.Payload)
+	if err != nil || len(entries) != 3 || entries[0].Addr != netip.MustParseAddrPort("[::1]:65535") ||
+		entries[2].Addr != netip.MustParseAddrPort("10.0.255.7:9") {
+		t.Fatalf("DecodePeers of the golden list: %v, %v", entries, err)
 	}
 }
