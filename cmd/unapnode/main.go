@@ -18,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -120,39 +121,60 @@ func main() {
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 
-	if *lookups > 0 {
-		if !awaitMembers(node, *expect, sigc) {
-			return // interrupted while waiting
+	if code := serve(node, rounds{*lookups, *expect, *oneshot, *relookup}, sigc, os.Stdout); code != 0 {
+		os.Exit(code)
+	}
+}
+
+// rounds is the lookup schedule the flags ask for.
+type rounds struct {
+	lookups, expect int
+	oneshot         bool
+	relookup        time.Duration
+}
+
+// serve is main after start-up: with r.lookups > 0 it runs a lookup round
+// once the cluster has r.expect members, then exits (-oneshot), repeats
+// the round every r.relookup, or just serves, until a signal arrives on
+// sigc. It reports each round on out and returns the exit code: 2 for a
+// -oneshot round below the 95 % success floor, else 0.
+func serve(node *livenode.Node, r rounds, sigc <-chan os.Signal, out io.Writer) int {
+	id := node.Net().Self()
+	round := func() int {
+		ok := node.RunLookups(r.lookups)
+		fmt.Fprintf(out, "unapnode id=%d lookups ok=%d/%d\n", id, ok, r.lookups)
+		return ok
+	}
+	var tick <-chan time.Time
+	if r.lookups > 0 {
+		if !awaitMembers(node, r.expect, sigc) {
+			return 0 // interrupted while waiting
 		}
-		ok := node.RunLookups(*lookups)
-		fmt.Printf("unapnode id=%d lookups ok=%d/%d\n", *id, ok, *lookups)
-		if *oneshot {
-			if ok*100 < *lookups*95 {
-				os.Exit(2) // below the smoke-test success floor
+		ok := round()
+		if r.oneshot {
+			if ok*100 < r.lookups*95 {
+				return 2 // below the smoke-test success floor
 			}
-			return
+			return 0
 		}
 		// Campaign mode: keep re-running the lookup round so an external
 		// harness (the live chaos driver) can read success rates before,
 		// during and after the schedule's fault windows.
-		if *relookup > 0 {
-			tick := time.NewTicker(*relookup)
-			defer tick.Stop()
-			for {
-				select {
-				case <-tick.C:
-					ok := node.RunLookups(*lookups)
-					fmt.Printf("unapnode id=%d lookups ok=%d/%d\n", *id, ok, *lookups)
-				case sig := <-sigc:
-					fmt.Printf("unapnode id=%d shutting down (%v)\n", *id, sig)
-					return
-				}
-			}
+		if r.relookup > 0 {
+			t := time.NewTicker(r.relookup)
+			defer t.Stop()
+			tick = t.C
 		}
 	}
-
-	sig := <-sigc
-	fmt.Printf("unapnode id=%d shutting down (%v)\n", *id, sig)
+	for {
+		select {
+		case <-tick:
+			round()
+		case sig := <-sigc:
+			fmt.Fprintf(out, "unapnode id=%d shutting down (%v)\n", id, sig)
+			return 0
+		}
+	}
 }
 
 // checkFlags rejects the flag combinations main would silently ignore:

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -92,5 +94,86 @@ func TestAwaitMembers(t *testing.T) {
 	}
 	if d := time.Since(begin); d > time.Second {
 		t.Fatalf("awaitMembers took %v to see a pending signal", d)
+	}
+}
+
+// syncBuffer is a bytes.Buffer that serve's goroutine may write while the
+// test reads it.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestServeExitCodes drives serve's three lookup modes against an
+// in-process three-node Chord cluster: a -oneshot round that clears the
+// 95 % floor exits 0, one that falls below it once the other two members
+// are gone exits 2, and -relookup repeats its round until a signal
+// arrives, then exits 0.
+func TestServeExitCodes(t *testing.T) {
+	var nodes []*livenode.Node
+	for id := 0; id < 3; id++ {
+		n, err := livenode.StartRetry(livenode.Config{
+			ID: underlay.HostID(id), Overlay: "chord", Timeout: 100 * time.Millisecond,
+			PingInterval: time.Minute, // no eviction may shrink the view mid-test
+		}, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { n.Close() })
+		if id > 0 {
+			if err := n.Join(nodes[0].Net().LocalAddr().String()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		nodes = append(nodes, n)
+	}
+	node := nodes[0]
+	sigc := make(chan os.Signal, 1)
+
+	var passed, repeated, failed syncBuffer
+	if code := serve(node, rounds{lookups: 20, expect: 3, oneshot: true}, sigc, &passed); code != 0 {
+		t.Fatalf("passing -oneshot round exited %d:\n%s", code, passed.String())
+	}
+	if !strings.Contains(passed.String(), "lookups ok=20/20") {
+		t.Fatalf("passing round printed %q", passed.String())
+	}
+
+	done := make(chan int, 1)
+	go func() { done <- serve(node, rounds{lookups: 4, relookup: 10 * time.Millisecond}, sigc, &repeated) }()
+	deadline := time.Now().Add(10 * time.Second)
+	for strings.Count(repeated.String(), "lookups ok=") < 3 {
+		if time.Now().After(deadline) {
+			t.Fatalf("-relookup printed only:\n%s", repeated.String())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	sigc <- syscall.SIGTERM
+	select {
+	case code := <-done:
+		if code != 0 || !strings.Contains(repeated.String(), "shutting down") {
+			t.Fatalf("-relookup exited %d on a signal:\n%s", code, repeated.String())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("-relookup did not stop on a signal")
+	}
+
+	// Node 0 still lists the other two, which no longer answer: every walk
+	// that leaves node 0 fails.
+	nodes[1].Close()
+	nodes[2].Close()
+	if code := serve(node, rounds{lookups: 20, oneshot: true}, sigc, &failed); code != 2 {
+		t.Fatalf("a round below the floor exited %d:\n%s", code, failed.String())
 	}
 }

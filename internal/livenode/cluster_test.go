@@ -253,8 +253,8 @@ func TestClusterDetectsKill(t *testing.T) {
 		if node.Detector().Counters().Get("suspect").Value() == 0 {
 			t.Errorf("node %d evicted without suspecting first", i)
 		}
-		if !node.Engine().(*kademlia).Dead(victimID) {
-			t.Errorf("node %d: healer did not mark %d dead", i, victimID)
+		if n := node.core.Msgs.Value("heal_evict"); n != 1 {
+			t.Errorf("node %d: healer evicted %d times, want 1 (%d)", i, n, victimID)
 		}
 		if _, still := node.Net().Book().Get(victimID); still {
 			t.Errorf("node %d: victim still in the address book", i)

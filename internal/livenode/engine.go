@@ -2,7 +2,6 @@ package livenode
 
 import (
 	"encoding/binary"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,20 +43,16 @@ func NewEngine(name string, core *Core) Engine {
 	return nil
 }
 
-// Core is the node-local state every engine shares: the socket, the
-// address book as the membership plane, and the eviction ledger. The
-// book alone is not authoritative — a stale frame from an evicted peer
-// would re-teach its address — so Core keeps its own ledger and
-// members() filters through it. Unlike the simulated overlays, which
-// embed the ledger, Core holds it behind a mutex: lookups, handlers and
-// the detector's pacer all reach it from their own goroutines.
+// Core is the node-local state every engine shares: the socket, whose
+// address book is the membership view, and the overlay counters. The
+// book holds the node's one membership record: an evicted peer is gone
+// from it and refused by every later write, so every read of it — a
+// lookup's start set, a handler's answer, a reply contact — is already
+// filtered and the engines keep no ledger of their own.
 type Core struct {
 	Net  *nettransport.Net
 	Self underlay.HostID
 	Msgs *metrics.CounterSet
-
-	mu   sync.Mutex
-	dead resilience.Ledger
 }
 
 // NewCore wraps a Net for engine use.
@@ -65,34 +60,17 @@ func NewCore(n *nettransport.Net) *Core {
 	return &Core{Net: n, Self: n.Self(), Msgs: metrics.NewCounterSet()}
 }
 
-// members returns the current membership view, sorted: every
-// address-book id (self included — nodes hold their own entry) minus
-// evicted peers.
-func (c *Core) members() []underlay.HostID {
-	ids := c.appendMembers(make([]underlay.HostID, 0, c.Net.Book().Len()))
-	slices.Sort(ids)
-	return ids
-}
-
-// appendMembers appends members()'s ids to dst in no particular order —
-// all that the XOR and ring routing, whose answers are order-free, need.
-func (c *Core) appendMembers(dst []underlay.HostID) []underlay.HostID {
-	start := len(dst)
-	dst = c.Net.Book().AppendIDs(dst)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := dst[:start]
-	for _, id := range dst[start:] {
-		if !c.dead.IsEvicted(id) {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // memberHint sizes the stack arrays that the routing paths collect the
 // membership view into; a larger view spills to the heap through append.
 const memberHint = 64
+
+// learn records a reply contact's address and reports whether the book
+// holds the contact afterwards, which it does unless the id is evicted.
+func (c *Core) learn(p nettransport.PeerEntry) bool {
+	c.Net.Book().Set(p.ID, p.Addr)
+	_, ok := c.Net.Book().Get(p.ID)
+	return ok
+}
 
 // Suspect implements the advisory half of resilience.Healer: the verdict
 // is counted, and the peer keeps answering routing queries — suspicion
@@ -103,23 +81,11 @@ func (c *Core) Suspect(underlay.HostID) { c.Msgs.Get("heal_suspect").Inc() }
 func (c *Core) Recover(underlay.HostID) { c.Msgs.Get("heal_recover").Inc() }
 
 // Evict implements the terminal half of resilience.Healer: the peer
-// leaves the membership view permanently and its address is dropped.
+// leaves the address book, and with it the membership view, for good.
 func (c *Core) Evict(id underlay.HostID) {
-	c.mu.Lock()
-	first := c.dead.MarkEvicted(id)
-	c.mu.Unlock()
-	if !first {
-		return
+	if c.Net.Book().Remove(id) {
+		c.Msgs.Get("heal_evict").Inc()
 	}
-	c.Net.Book().Remove(id)
-	c.Msgs.Get("heal_evict").Inc()
-}
-
-// Dead reports whether id has been evicted.
-func (c *Core) Dead(id underlay.HostID) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.dead.IsEvicted(id)
 }
 
 func u64(p []byte) (uint64, bool) {
@@ -156,7 +122,7 @@ func newKademlia(c *Core) *kademlia {
 		e.Msgs.Get("kad_served").Inc()
 		var view [memberHint]underlay.HostID
 		var closest [kadK]underlay.HostID
-		ids := ClosestXor(closest[:0], e.appendMembers(view[:0]), target, kadK)
+		ids := ClosestXor(closest[:0], e.Net.Book().AppendIDs(view[:0]), target, kadK)
 		e.reply = e.Net.Book().AppendEncodedIDs(e.reply[:0], ids)
 		return e.reply
 	})
@@ -170,7 +136,7 @@ const replyHint = 512
 func (e *kademlia) Lookup(target uint64) (underlay.HostID, bool) {
 	e.Msgs.Get("kad_lookup").Inc()
 	var view [memberHint]underlay.HostID
-	members := e.appendMembers(view[:0])
+	members := e.Net.Book().AppendIDs(view[:0])
 	if len(members) == 0 {
 		return 0, false
 	}
@@ -182,10 +148,11 @@ func (e *kademlia) Lookup(target uint64) (underlay.HostID, bool) {
 	var resp [replyHint]byte
 	var peers [kadK]nettransport.PeerEntry
 	// The sequential driver over the shared lookup.Shortlist: always query
-	// the closest not-yet-queried candidate (passing over evicted ones),
-	// merging every reply's contacts into the shortlist, until the kadK
-	// closest known have all been queried or the probe budget (what bounds
-	// a lookup over partial views) runs out. Self is never queried: it
+	// the closest not-yet-queried candidate (passing over one the book no
+	// longer holds, evicted since it was offered), merging every reply
+	// contact the book holds into the shortlist, until the kadK closest
+	// known have all been queried or the probe budget (what bounds a
+	// lookup over partial views) runs out. Self is never queried: it
 	// enters the shortlist already marked.
 	var buf [kadK]lookup.Entry[underlay.HostID]
 	short := lookup.New(buf[:], kadK)
@@ -198,7 +165,7 @@ func (e *kademlia) Lookup(target uint64) (underlay.HostID, bool) {
 		if !ok {
 			break
 		}
-		if e.Dead(next) {
+		if _, held := e.Net.Book().Get(next); !held {
 			continue
 		}
 		probes++
@@ -213,11 +180,9 @@ func (e *kademlia) Lookup(target uint64) (underlay.HostID, bool) {
 			continue
 		}
 		for _, p := range contacts {
-			if e.Dead(p.ID) {
-				continue
+			if e.learn(p) {
+				offer(p.ID)
 			}
-			e.Net.Book().Set(p.ID, p.Addr)
-			offer(p.ID)
 		}
 	}
 	got := short.Entries()[0].ID
@@ -267,7 +232,7 @@ func newChord(c *Core) *chord {
 // means hop owns target; done=false means hop is the next node to ask.
 func (e *chord) step(target uint64) (done bool, hop underlay.HostID) {
 	var view [memberHint]underlay.HostID
-	others := removeID(e.appendMembers(view[:0]), e.Self)
+	others := removeID(e.Net.Book().AppendIDs(view[:0]), e.Self)
 	me := NodeKey(e.Self)
 	// Successor of self on the ring (smallest key strictly after me,
 	// wrapping); alone in the ring, self owns everything.
@@ -310,7 +275,7 @@ func removeID(ids []underlay.HostID, drop underlay.HostID) []underlay.HostID {
 func (e *chord) Lookup(target uint64) (underlay.HostID, bool) {
 	e.Msgs.Get("chord_lookup").Inc()
 	var view [memberHint]underlay.HostID
-	want, ok := RingSuccessor(e.appendMembers(view[:0]), target)
+	want, ok := RingSuccessor(e.Net.Book().AppendIDs(view[:0]), target)
 	if !ok {
 		return 0, false
 	}
@@ -330,7 +295,7 @@ func (e *chord) Lookup(target uint64) (underlay.HostID, bool) {
 			e.Msgs.Get("chord_bad_resp").Inc()
 			break
 		}
-		e.Net.Book().Set(contacts[0].ID, contacts[0].Addr)
+		e.learn(contacts[0]) // an evicted hop stays out: the call to it fails, and it is nobody's answer
 		done, hop = reply[0] == 1, contacts[0].ID
 	}
 	if done && hop == want {
@@ -445,7 +410,7 @@ func (e *gnutella) onQuery(from underlay.HostID, _ string, payload []byte) {
 // frame's sender and the origin.
 func (e *gnutella) flood(payload []byte, sender, origin underlay.HostID) {
 	sent := 0
-	for _, id := range e.members() {
+	for _, id := range e.Net.Book().IDs() {
 		if id == e.Self || id == sender || id == origin {
 			continue
 		}
@@ -480,7 +445,7 @@ func (e *gnutella) onHit(from underlay.HostID, _ string, payload []byte) {
 // size).
 func (e *gnutella) Lookup(target uint64) (underlay.HostID, bool) {
 	e.Msgs.Get("gnu_lookup").Inc()
-	members := e.members()
+	members := e.Net.Book().IDs()
 	if len(members) == 0 {
 		return 0, false
 	}

@@ -3,6 +3,7 @@ package livenode
 import (
 	"encoding/binary"
 	"net/netip"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -12,20 +13,22 @@ import (
 	"unap2p/internal/underlay"
 )
 
-// TestMembershipScanAllocatesPerPeerOnce pins the scan's steady state: the
-// first scan over a 16-peer book watches every peer, a rescan of the
-// unchanged book allocates nothing, and a rescan after the book changed
-// lists the ids again but allocates no Host for a peer it already knows.
-func TestMembershipScanAllocatesPerPeerOnce(t *testing.T) {
+// TestMembershipScanWatchesEachPeerOnce pins the scan against the
+// detector's own bookkeeping: the first scan over a 16-peer book watches
+// every peer but self, a rescan of the unchanged book allocates nothing,
+// a rescan after a rebind adds no watch, a newly learned peer is watched,
+// and an evicted peer is not watched again.
+func TestMembershipScanWatchesEachPeerOnce(t *testing.T) {
 	addr := func(port int) netip.AddrPort {
 		return netip.AddrPortFrom(netip.AddrFrom4([4]byte{127, 0, 0, 1}), uint16(port))
 	}
 	book := nettransport.NewAddressBook()
-	for id := 0; id <= 16; id++ { // self is 0
+	book.Pin(0, addr(9000))
+	for id := 1; id <= 16; id++ {
 		book.Set(underlay.HostID(id), addr(9000+id))
 	}
 	det := resilience.New(nil, sim.NewKernel(), resilience.DefaultConfig()) // kernel never runs: no ping is sent
-	scan := membershipScan(0, book, &Core{}, det)
+	scan := membershipScan(0, book, det)
 	scan()
 	if det.Watching() != 16 {
 		t.Fatalf("first scan watches %d peers, want 16", det.Watching())
@@ -33,20 +36,22 @@ func TestMembershipScanAllocatesPerPeerOnce(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, scan); allocs != 0 {
 		t.Fatalf("rescan of an unchanged book allocates %.0f objects, want 0", allocs)
 	}
-	addrs := []netip.AddrPort{addr(9100), addr(9016)}
-	rebinds := 0
-	allocs := testing.AllocsPerRun(10, func() {
-		book.Set(16, addrs[rebinds%2]) // peer 16 rebinds: the book changed, its members did not
-		rebinds++
-		scan()
-	})
-	if allocs >= 16 {
-		t.Fatalf("rescan after a rebind allocates %.0f objects: a Host per known peer again", allocs)
+	book.Set(16, addr(9100)) // peer 16 rebinds: the book changed, its members did not
+	scan()
+	if det.Watching() != 16 {
+		t.Fatalf("rescan after a rebind watches %d peers, want 16", det.Watching())
 	}
 	book.Set(17, addr(9017))
 	scan()
 	if det.Watching() != 17 {
 		t.Fatalf("newly learned peer not watched: watching %d, want 17", det.Watching())
+	}
+	det.Unwatch(17) // what an eviction does to the detector's watches
+	book.Remove(17)
+	book.Set(18, addr(9018))
+	scan()
+	if det.Watching() != 17 {
+		t.Fatalf("after evicting 17 and learning 18: watching %d, want 17", det.Watching())
 	}
 }
 
@@ -200,6 +205,86 @@ func TestPeerCannotRewriteSelfAddress(t *testing.T) {
 			}
 			awaitCluster(t, "the announce to be merged", func() bool { _, ok := book.Get(3); return ok })
 			intact("a forged hello announce")
+		})
+	}
+}
+
+// TestEvictedPeerStaysOut: once a node evicts a member, nothing a peer
+// says brings it back — a kad:nodes or chord:succ reply naming it, a
+// hello request's or announce's book naming it, or a request from the
+// evicted member's own, still running socket, which is answered. The id
+// never reappears in Members, and the book finds no address for it.
+func TestEvictedPeerStaysOut(t *testing.T) {
+	for _, overlay := range []string{"kademlia", "chord"} {
+		t.Run(overlay, func(t *testing.T) {
+			nodes := bootCluster(t, overlay, 2)
+			victim, gone := nodes[0], nodes[1]
+			victimID, goneID := victim.cfg.ID, gone.cfg.ID
+			const liarID, markerID = 7, 9
+			liar, err := nettransport.Listen(nettransport.Config{Self: liarID, Logf: t.Logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer liar.Close()
+			stale := nettransport.NewAddressBook()
+			stale.Set(goneID, gone.Net().LocalAddr())
+			payload := stale.Encode()
+			var served atomic.Int32
+			liar.Handle("kad:find_node", func(underlay.HostID, []byte) []byte { served.Add(1); return payload })
+			liar.Handle("chord:find_succ", func(underlay.HostID, []byte) []byte {
+				served.Add(1)
+				return append([]byte{1}, payload...)
+			})
+			// Answered pings keep the victim's detector from evicting the liar.
+			liar.Handle("fd_ping", func(_ underlay.HostID, p []byte) []byte { return p })
+			victim.Net().Book().Set(liarID, liar.LocalAddr())
+			liar.Book().Set(victimID, victim.Net().LocalAddr())
+
+			victim.Engine().Evict(goneID)
+			out := func(after string) {
+				t.Helper()
+				if slices.Contains(victim.Members(), goneID) {
+					t.Errorf("after %s the evicted %d is a member again: %v", after, goneID, victim.Members())
+				}
+				if a, ok := victim.Net().Book().Get(goneID); ok {
+					t.Errorf("after %s the book holds %v for the evicted %d", after, a, goneID)
+				}
+			}
+			out("the eviction")
+
+			// With the victim's view down to itself and the liar, a lookup
+			// of the victim's own key asks the liar.
+			victim.Engine().Lookup(NodeKey(victimID))
+			if served.Load() == 0 {
+				t.Fatal("the lookup never asked the liar")
+			}
+			out("a lookup reply naming it")
+			if overlay == "kademlia" {
+				// The liar offers the evicted id for its own key, where no
+				// other member comes close: it must still not be the answer.
+				if got, _ := victim.Engine().Lookup(NodeKey(goneID)); got == goneID {
+					t.Errorf("a lookup resolved to the evicted %d", goneID)
+				}
+			}
+
+			if _, err := liar.Call(victimID, "hello", payload); err != nil {
+				t.Fatal(err)
+			}
+			out("a hello request naming it")
+
+			// An announce has no reply: a marker entry merged after the
+			// evicted one shows the whole book was read.
+			stale.Set(markerID, netip.MustParseAddrPort("203.0.113.7:4445"))
+			if !liar.SendPayload(victimID, "hello", stale.Encode(), 0) {
+				t.Fatal("hello announce not sent")
+			}
+			awaitCluster(t, "the announce to be merged", func() bool { _, ok := victim.Net().Book().Get(markerID); return ok })
+			out("a hello announce naming it")
+
+			if resp, err := gone.Net().Call(victimID, "fd_ping", []byte("still here")); err != nil || string(resp) != "still here" {
+				t.Fatalf("the evicted member's own request: %q, %v", resp, err)
+			}
+			out("a request from its own socket")
 		})
 	}
 }

@@ -152,7 +152,7 @@ func Start(cfg Config) (*Node, error) {
 
 	// Runs as a kernel daemon event, i.e. on the pacer goroutine, which is
 	// the only place detector calls are legal.
-	n.watchCancel = kernel.EveryDaemon(dcfg.PingInterval, membershipScan(cfg.ID, tr.Book(), n.core, n.det))
+	n.watchCancel = kernel.EveryDaemon(dcfg.PingInterval, membershipScan(cfg.ID, tr.Book(), n.det))
 	n.pacer.Start()
 
 	n.reg = telemetry.NewRegistry()
@@ -173,16 +173,14 @@ func Start(cfg Config) (*Node, error) {
 }
 
 // membershipScan returns the detector's membership scan: each call
-// watches every newly learned peer from self's vantage. The detector
-// reads only ID and Up from its hosts; live peers are Up until evicted.
-// A peer's Host is allocated once and kept until the peer is dead, and a
+// watches every peer in the book from self's vantage. The detector reads
+// only ID and Up from its hosts; live peers are Up until evicted, and
+// Watch passes over self, peers it already watches and evicted ones. A
 // scan over a book that has not changed since the previous one returns
-// at once — everything in it is already watched or dead. The closure's
-// state is unguarded: call it from one goroutine (the pacer).
-func membershipScan(selfID underlay.HostID, book *nettransport.AddressBook,
-	core *Core, det *resilience.Detector) func() {
+// at once. The closure's state is unguarded: call it from one goroutine
+// (the pacer).
+func membershipScan(selfID underlay.HostID, book *nettransport.AddressBook, det *resilience.Detector) func() {
 	self := &underlay.Host{ID: selfID, Up: true}
-	peers := make(map[underlay.HostID]*underlay.Host)
 	var scanned uint64 // book version the previous scan started from
 	return func() {
 		v := book.Version()
@@ -190,21 +188,8 @@ func membershipScan(selfID underlay.HostID, book *nettransport.AddressBook,
 			return
 		}
 		scanned = v
-		for id := range peers {
-			if core.Dead(id) {
-				delete(peers, id)
-			}
-		}
 		for _, id := range book.IDs() {
-			if id == selfID || core.Dead(id) {
-				continue
-			}
-			h := peers[id]
-			if h == nil {
-				h = &underlay.Host{ID: id, Up: true}
-				peers[id] = h
-			}
-			det.Watch(self, h)
+			det.Watch(self, &underlay.Host{ID: id, Up: true})
 		}
 	}
 }
@@ -264,10 +249,10 @@ func (n *Node) Registry() *telemetry.Registry { return n.reg }
 // itself included.
 func (n *Node) Peers() int { return n.net.Book().Len() }
 
-// Members returns the node's live membership view (book ids minus
-// evicted peers, self included) — the reference set every engine routes
-// over.
-func (n *Node) Members() []underlay.HostID { return n.core.members() }
+// Members returns the node's live membership view, sorted: the address
+// book's ids, self included and evicted peers gone — the reference set
+// every engine routes over.
+func (n *Node) Members() []underlay.HostID { return n.net.Book().IDs() }
 
 // Evicted returns the peers the failure detector has permanently
 // evicted, sorted. Safe from any goroutine (the read runs on the pacer).

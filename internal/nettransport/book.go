@@ -11,24 +11,32 @@ import (
 )
 
 // AddressBook maps cluster-wide host ids to UDP addresses — the live
-// counterpart of the simulated underlay's host table. It is written
-// concurrently by the join handshake and the receive loop (which learns
-// sender addresses) and read on every send, so access is guarded by a
-// read-write mutex; the entry set is tiny (one per peer), making
+// counterpart of the simulated underlay's host table, and a live node's
+// one membership record. It is written concurrently by the join
+// handshake, the receive loop (which learns sender addresses), lookup
+// replies and evictions, and read on every send, so access is guarded by
+// a read-write mutex; the entry set is tiny (one per peer), making
 // contention irrelevant next to the socket syscalls around it. Addresses
 // are values, stored unmapped (an IPv4-mapped IPv6 address and its IPv4
 // form are one entry), so "unchanged?" is ==.
+//
+// Some ids are closed to Set and Merge: the pinned self entry, and every
+// id Remove evicted. Every write but Pin and Remove carries what some
+// peer said, so closing an id is what keeps a peer from rewriting the
+// node's own address or re-admitting a member the node declared dead.
 type AddressBook struct {
 	mu      sync.RWMutex
 	addrs   map[underlay.HostID]netip.AddrPort
-	self    underlay.HostID // the entry Pin closed to Set, once pinned
-	pinned  bool
-	version uint64 // bumped on every change; Version lets tests await convergence
+	closed  map[underlay.HostID]bool // one entry for self, plus one per eviction
+	version uint64                   // bumped on every change; Version lets pollers skip an unchanged book
 }
 
 // NewAddressBook returns an empty book.
 func NewAddressBook() *AddressBook {
-	return &AddressBook{addrs: make(map[underlay.HostID]netip.AddrPort)}
+	return &AddressBook{
+		addrs:  make(map[underlay.HostID]netip.AddrPort),
+		closed: make(map[underlay.HostID]bool),
+	}
 }
 
 // unmap folds an IPv4-mapped IPv6 address onto its IPv4 form — what a
@@ -39,38 +47,37 @@ func unmap(a netip.AddrPort) netip.AddrPort {
 }
 
 // Pin records addr as this process's own entry and closes that entry to
-// Set and Merge from then on. A node's address is where its socket is
-// bound; every other write to a book carries what some peer said — a
-// hello's or welcome's book, a lookup reply's contacts — and a peer must
-// not be able to rewrite what the node goes on to advertise as itself.
+// Set, Merge and Remove from then on. A node's address is where its
+// socket is bound, and a peer must not be able to rewrite what the node
+// goes on to advertise as itself.
 func (b *AddressBook) Pin(self underlay.HostID, addr netip.AddrPort) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.addrs[self] = unmap(addr)
-	b.self, b.pinned = self, true
+	b.closed[self] = true
 	b.version++
 }
 
 // Set records (or replaces) the address for id, reporting whether the
-// entry changed. Last write wins: a peer that rebinds (NAT, restart)
-// overwrites its stale entry the moment any frame arrives from it. The
-// receive loop calls Set for every frame, so the unchanged case — all of
-// them, on a settled cluster — takes only the read lock.
+// entry changed; a closed id is left as it is. Last write wins: a peer
+// that rebinds (NAT, restart) overwrites its stale entry the moment any
+// frame arrives from it. The receive loop calls Set for every frame, so
+// the unchanged case — all of them, on a settled cluster — takes only the
+// read lock.
 func (b *AddressBook) Set(id underlay.HostID, addr netip.AddrPort) bool {
 	if !addr.IsValid() {
 		return false
 	}
 	addr = unmap(addr)
 	b.mu.RLock()
-	old := b.addrs[id] // the zero AddrPort of a missing entry equals no valid addr
-	closed := b.pinned && id == b.self
+	keep := b.addrs[id] == addr || b.closed[id] // the zero AddrPort of a missing entry equals no valid addr
 	b.mu.RUnlock()
-	if old == addr || closed {
+	if keep {
 		return false
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.addrs[id] == addr {
+	if b.addrs[id] == addr || b.closed[id] {
 		return false
 	}
 	b.addrs[id] = addr
@@ -78,14 +85,17 @@ func (b *AddressBook) Set(id underlay.HostID, addr netip.AddrPort) bool {
 	return true
 }
 
-// Remove drops the entry for id (after an eviction), reporting whether
-// it existed.
+// Remove evicts id: it drops id's entry and closes id to every later Set
+// and Merge, so no stale frame, hello book or lookup reply that still
+// names the peer brings it back. It reports whether this call evicted
+// id; a closed id (evicted before, or pinned) is left as it is.
 func (b *AddressBook) Remove(id underlay.HostID) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if _, ok := b.addrs[id]; !ok {
+	if b.closed[id] {
 		return false
 	}
+	b.closed[id] = true
 	delete(b.addrs, id)
 	b.version++
 	return true
@@ -124,8 +134,8 @@ func (b *AddressBook) Len() int {
 	return len(b.addrs)
 }
 
-// Version reports the change counter — it increases on every effective
-// Set/Remove, so pollers can detect quiescence.
+// Version reports the change counter — it increases on every Pin,
+// eviction and effective Set, so pollers can detect quiescence.
 func (b *AddressBook) Version() uint64 {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
@@ -283,9 +293,10 @@ func parseAddrPort4(b []byte) (ap netip.AddrPort, ok bool) {
 	return netip.AddrPortFrom(netip.AddrFrom4(ip), uint16(port)), true
 }
 
-// Merge decodes an Encode payload into the book, skipping entries it
-// already has verbatim. It returns how many entries were added or
-// updated. Malformed input returns an error, never panics.
+// Merge decodes an Encode payload into the book through Set, so entries
+// it already has verbatim and closed ids are skipped. It returns how many
+// entries were added or updated. Malformed input returns an error, never
+// panics.
 func (b *AddressBook) Merge(p []byte) (changed int, err error) {
 	entries, err := DecodePeers(p)
 	for _, e := range entries {

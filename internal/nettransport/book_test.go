@@ -1,8 +1,12 @@
 package nettransport
 
 import (
+	"bytes"
 	"net/netip"
+	"slices"
+	"sync"
 	"testing"
+	"testing/quick"
 
 	"unap2p/internal/underlay"
 )
@@ -41,6 +45,143 @@ func TestAddressBookSetGetRemove(t *testing.T) {
 	}
 	if b.Len() != 0 {
 		t.Fatalf("Len = %d after removal", b.Len())
+	}
+	// Removal is an eviction: no later Set or Merge brings the id back.
+	if b.Set(1, a1) {
+		t.Fatal("Set re-admitted an evicted id")
+	}
+	if changed, err := b.Merge(payload(entry(1, "127.0.0.1:4003"))); err != nil || changed != 0 {
+		t.Fatalf("Merge changed %d entries (err %v), want 0: the only one is evicted", changed, err)
+	}
+	if _, ok := b.Get(1); ok || b.Len() != 0 {
+		t.Fatal("an evicted id came back")
+	}
+}
+
+// bookModel is the address book's specification over plain maps: Pin and
+// eviction close an id, Set and Merge write only open ids and store
+// addresses unmapped, and every change bumps the version.
+type bookModel struct {
+	addrs   map[underlay.HostID]netip.AddrPort
+	closed  map[underlay.HostID]bool
+	version uint64
+}
+
+func (m *bookModel) set(id underlay.HostID, a netip.AddrPort) bool {
+	a = netip.AddrPortFrom(a.Addr().Unmap(), a.Port())
+	if m.closed[id] || m.addrs[id] == a {
+		return false
+	}
+	m.addrs[id] = a
+	m.version++
+	return true
+}
+
+func (m *bookModel) evict(id underlay.HostID) bool {
+	if m.closed[id] {
+		return false
+	}
+	delete(m.addrs, id)
+	m.closed[id] = true
+	m.version++
+	return true
+}
+
+// agrees reports whether every read of b matches the model: IDs,
+// AppendIDs, Len, Encode, Get and Version.
+func (m *bookModel) agrees(b *AddressBook) bool {
+	ids := make([]underlay.HostID, 0, len(m.addrs))
+	for id := range m.addrs {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	var entries [][]byte
+	for _, id := range ids {
+		entries = append(entries, entry(id, m.addrs[id].String()))
+	}
+	appended := b.AppendIDs(nil)
+	slices.Sort(appended)
+	if !slices.Equal(b.IDs(), ids) || !slices.Equal(appended, ids) || b.Len() != len(ids) ||
+		!bytes.Equal(b.Encode(), payload(entries...)) || b.Version() != m.version {
+		return false
+	}
+	for id := underlay.HostID(-1); id <= 8; id++ {
+		got, ok := b.Get(id)
+		want, wantOK := m.addrs[id]
+		if got != want || ok != wantOK {
+			return false
+		}
+	}
+	return true
+}
+
+// TestQuickBookMatchesModel applies random sequences of Set, Merge,
+// eviction and attempted rewrites of the pinned self entry to a book and
+// to bookModel, and checks every read after every step. Independently of
+// the model, no evicted id may reappear and self must keep its pinned
+// address.
+func TestQuickBookMatchesModel(t *testing.T) {
+	const self = 0
+	addrs := []netip.AddrPort{
+		netip.MustParseAddrPort("127.0.0.1:4001"), netip.MustParseAddrPort("127.0.0.1:4002"),
+		netip.MustParseAddrPort("10.0.0.9:4001"), netip.MustParseAddrPort("[::ffff:127.0.0.1]:4002"),
+		netip.MustParseAddrPort("[::1]:4001"),
+	}
+	f := func(ops []uint16) bool {
+		b := NewAddressBook()
+		m := &bookModel{addrs: map[underlay.HostID]netip.AddrPort{}, closed: map[underlay.HostID]bool{}}
+		b.Pin(self, addrs[0])
+		m.addrs[self], m.closed[self] = addrs[0], true
+		m.version++
+		evicted := map[underlay.HostID]bool{}
+		for _, op := range ops {
+			id := underlay.HostID(op>>3) % 8
+			a, other := addrs[int(op>>6)%len(addrs)], addrs[int(op>>9)%len(addrs)]
+			switch op & 7 {
+			case 0, 1, 2:
+				if b.Set(id, a) != m.set(id, a) {
+					return false
+				}
+			case 3, 4, 5: // a two-entry book, the second naming the next id
+				next := (id + 1) % 8
+				changed, err := b.Merge(payload(entry(id, a.String()), entry(next, other.String())))
+				want := 0
+				for _, e := range []struct {
+					id underlay.HostID
+					a  netip.AddrPort
+				}{{id, a}, {next, other}} {
+					if m.set(e.id, e.a) {
+						want++
+					}
+				}
+				if err != nil || changed != want {
+					return false
+				}
+			case 6:
+				if b.Remove(id) != m.evict(id) {
+					return false
+				}
+				if id != self {
+					evicted[id] = true
+				}
+			case 7:
+				if b.Set(self, a) || b.Remove(self) {
+					return false
+				}
+			}
+			for id := range evicted {
+				if _, ok := b.Get(id); ok {
+					return false
+				}
+			}
+			if got, _ := b.Get(self); got != addrs[0] || !m.agrees(b) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -132,5 +273,33 @@ func TestDecodePeersHugeCount(t *testing.T) {
 	b.Set(7, udpAddr(t, "127.0.0.1:4007"))
 	if _, err := DecodePeers(b.Encode()); err != nil {
 		t.Fatalf("valid single-entry payload rejected: %v", err)
+	}
+}
+
+// TestBookEvictionWinsRace: Set calls from several goroutines, each a
+// rebind that takes the write path, race the eviction of every id they
+// write. Once all have returned, no evicted id is in the book.
+func TestBookEvictionWinsRace(t *testing.T) {
+	b := NewAddressBook()
+	const ids, rounds = 64, 200
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				port := uint16(1 + w*rounds + r)
+				for id := underlay.HostID(0); id < ids; id++ {
+					b.Set(id, netip.AddrPortFrom(netip.AddrFrom4([4]byte{127, 0, 0, 1}), port))
+				}
+			}
+		}(w)
+	}
+	for id := underlay.HostID(0); id < ids; id++ {
+		b.Remove(id)
+	}
+	wg.Wait()
+	if b.Len() != 0 {
+		t.Fatalf("%d evicted ids back in the book: %v", b.Len(), b.IDs())
 	}
 }

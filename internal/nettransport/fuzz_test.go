@@ -3,6 +3,7 @@ package nettransport
 import (
 	"bytes"
 	"net/netip"
+	"slices"
 	"testing"
 
 	"unap2p/internal/underlay"
@@ -11,7 +12,8 @@ import (
 // FuzzDecodePeers pins the address-book codec's safety and round-trip
 // properties: DecodePeers never panics and never over-allocates on a
 // lying count (the huge-count hazard), and any payload a book accepts
-// re-encodes canonically — Merge(Encode(Merge(data))) is a fixpoint.
+// re-encodes canonically — Merge(Encode(Merge(data))) is a fixpoint. And
+// no payload re-admits an id the merging book has evicted.
 func FuzzDecodePeers(f *testing.F) {
 	// Valid encodings seed the format…
 	b := NewAddressBook()
@@ -42,6 +44,15 @@ func FuzzDecodePeers(f *testing.F) {
 			if !e.Addr.IsValid() {
 				t.Fatalf("host %d decoded to the invalid address %v", e.ID, e.Addr)
 			}
+		}
+		// Whatever the payload names, a book that evicted an id keeps it
+		// out: the seeds name host 1.
+		held := NewAddressBook()
+		held.Set(1, netip.MustParseAddrPort("127.0.0.1:4001"))
+		held.Remove(1)
+		held.Merge(data)
+		if a, ok := held.Get(1); ok || slices.Contains(held.IDs(), 1) {
+			t.Fatalf("merge re-admitted evicted host 1 at %v", a)
 		}
 		if err != nil && len(entries) == 0 {
 			return // rejected outright, nothing more to check

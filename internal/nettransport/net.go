@@ -38,7 +38,10 @@ type Config struct {
 // arrive. payload points into the receive buffer and is valid only for
 // the duration of the call: a handler that keeps bytes copies them. The
 // returned reply is encoded and sent before the next frame is read, so a
-// handler may return a buffer it reuses on every call. A handler may send
+// handler may return a buffer it reuses on every call. The reply goes to
+// the request datagram's source address, not to the book entry of its
+// claimed From: a forged From cannot aim a reply at another host, and a
+// peer the book refuses (evicted) is still answered. A handler may send
 // (SendPayload; the Gnutella flood relays queries this way), but a Call
 // from inside a handler stalls its own node until it times out: the
 // response would have to be read by the goroutine that is waiting for it.
@@ -58,9 +61,10 @@ type DataHandler func(from underlay.HostID, msgType string, payload []byte)
 // node, which is what keeps it comparable with a recorded simulation.
 //
 // Time is wall-clock, loss is real loss, and runs are not reproducible
-// per seed. The address book is the only source of reachability. A frame
-// nobody registered a handler for is dropped and counted, never answered:
-// the socket sends nothing a local handler did not produce.
+// per seed. The address book is the only source of reachability for what
+// a node sends on its own; a reply goes back where its request came from.
+// A frame nobody registered a handler for is dropped and counted, never
+// answered: the socket sends nothing a local handler did not produce.
 type Net struct {
 	cfg   Config
 	conn  *net.UDPConn
@@ -450,6 +454,8 @@ func (n *Net) receiveLoop() {
 		}
 		// Learn or refresh the sender's address from the packet source —
 		// a hello is therefore enough to become reachable cluster-wide.
+		// The book refuses an evicted sender, whose request is still
+		// answered: replies go to raddr.
 		if f.From >= 0 && f.From != n.cfg.Self {
 			n.book.Set(f.From, raddr)
 		}
@@ -467,34 +473,34 @@ func (n *Net) receiveLoop() {
 			continue
 		}
 		n.account(rx, f.Type, uint64(len(f.Payload)))
-		n.serve(&f, h, onData)
+		n.serve(&f, raddr, h, onData)
 	}
 }
 
-// serve runs the handler for one request or data frame, guarded so a
-// panicking handler costs one frame, not the daemon.
-func (n *Net) serve(f *Frame, h Handler, onData DataHandler) {
+// serve runs the handler for one request or data frame that arrived from
+// raddr, guarded so a panicking handler costs one frame, not the daemon.
+func (n *Net) serve(f *Frame, raddr netip.AddrPort, h Handler, onData DataHandler) {
 	defer func() {
 		if r := recover(); r != nil {
 			n.logf("nettransport: handler %s panicked: %v", f.Type, r)
 		}
 	}()
 	if f.Kind == KindReq {
-		n.reply(f, h(f.From, f.Payload))
+		n.reply(f, raddr, h(f.From, f.Payload))
 	} else {
 		onData(f.From, f.Type, f.Payload)
 	}
 }
 
-// reply answers a KindReq frame with its handler's payload, under the
-// request type's response name (fd_ping→fd_ack, …) so counters on both
-// sides line up with the sim backend's naming.
-func (n *Net) reply(req *Frame, payload []byte) {
+// reply answers a KindReq frame from raddr with its handler's payload,
+// under the request type's response name (fd_ping→fd_ack, …) so counters
+// on both sides line up with the sim backend's naming.
+func (n *Net) reply(req *Frame, raddr netip.AddrPort, payload []byte) {
 	respType := responseType(req.Type)
 	n.account(tx, respType, uint64(len(payload)))
 	f := Frame{Kind: KindResp, Type: respType, From: n.cfg.Self, To: req.From,
 		ReqID: req.ReqID, Payload: payload}
-	n.writeFrame(&f, netip.AddrPort{}) // a failed write is counted; the requester times out
+	n.writeFrame(&f, raddr) // a failed write is counted; the requester times out
 }
 
 // responseType maps a request type to its reply type.

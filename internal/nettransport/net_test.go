@@ -558,3 +558,46 @@ func TestNetFloodKeepsGoroutinesBounded(t *testing.T) {
 		t.Fatalf("call after the flood: %q, %v", resp, err)
 	}
 }
+
+// TestNetRepliesToSender: a reply goes to the request's source address,
+// whichever member its From names. A raw peer sends probe and fd_ping
+// requests naming first the receiver b itself, then the third member a:
+// every answer reaches the raw socket, and neither a nor b is sent a
+// response. A peer b has evicted is still answered, at its own socket.
+func TestNetRepliesToSender(t *testing.T) {
+	a, b := pair(t)
+	echo := func(_ underlay.HostID, p []byte) []byte { return p }
+	b.Handle("probe", echo)
+	b.Handle("fd_ping", echo)
+	peer := newRawPeer(t)
+	reqID := uint64(0)
+	for _, from := range []underlay.HostID{b.Self(), a.Self()} {
+		for _, typ := range []string{"probe", "fd_ping"} {
+			reqID++
+			peer.send(Frame{Kind: KindReq, Type: typ, From: from, To: b.Self(), ReqID: reqID, Payload: []byte(typ)}, b.LocalAddr())
+			resp, src := peer.read()
+			if resp.Kind != KindResp || resp.Type != responseType(typ) || resp.ReqID != reqID ||
+				string(resp.Payload) != typ || src != b.LocalAddr() {
+				t.Fatalf("%s request naming host %d: raw peer got %+v from %v", typ, from, resp, src)
+			}
+		}
+	}
+	// b serves frames in arrival order, so once a's own call is answered
+	// every response to the forged requests has been sent and received.
+	if resp, err := a.Call(b.Self(), "probe", []byte("a")); err != nil || string(resp) != "a" {
+		t.Fatalf("a's call: %q, %v", resp, err)
+	}
+	for _, n := range []*Net{a, b} {
+		if stale := n.Counters().Value("net_rx_stale"); stale != 0 {
+			t.Fatalf("host %d received %d responses it never asked for", n.Self(), stale)
+		}
+	}
+
+	b.Book().Remove(a.Self())
+	if resp, err := a.Call(b.Self(), "fd_ping", []byte("evicted")); err != nil || string(resp) != "evicted" {
+		t.Fatalf("evicted peer's call: %q, %v", resp, err)
+	}
+	if _, ok := b.Book().Get(a.Self()); ok {
+		t.Fatal("the evicted peer's request put it back in the book")
+	}
+}

@@ -2,15 +2,14 @@ package resilience
 
 import "unap2p/internal/underlay"
 
-// Ledger is the eviction record behind every Healer in this repo: which
-// peers have been declared dead, marked at most once. The eight overlays
-// and livenode.Core embed it — gaining the advisory Suspect, IsEvicted
-// and the sorted Evicted view — and open their own Evict with
-// MarkEvicted, which is what makes every repair idempotent. The zero
-// value is an empty ledger.
-//
-// A Ledger is not goroutine-safe; livenode.Core guards its copy with the
-// mutex it already holds for the membership view.
+// Ledger is the eviction record behind the Detector and every simulated
+// Healer: which peers have been declared dead, marked at most once. The
+// eight overlays embed it — gaining the advisory Suspect, IsEvicted and
+// the sorted Evicted view — and open their own Evict with MarkEvicted,
+// which is what makes every repair idempotent. The zero value is an empty
+// ledger. A Ledger is not goroutine-safe. A live node keeps no copy of
+// its own: its address book refuses an evicted id (see
+// nettransport.AddressBook.Remove).
 type Ledger struct {
 	evicted map[underlay.HostID]bool
 }

@@ -52,11 +52,6 @@ type ShardedKernel struct {
 	// the only point during a run where reading cross-shard state is
 	// safe. The hook must be a pure observer.
 	OnBarrier func(now Time)
-
-	// MaxEvents, when non-zero, stops Run at the first barrier at which
-	// the total processed count reaches it — a runaway backstop with
-	// epoch granularity.
-	MaxEvents uint64
 }
 
 // Shard is one partition of a ShardedKernel: a private event heap plus
@@ -123,15 +118,6 @@ func (sk *ShardedKernel) Now() Time {
 		}
 	}
 	return now
-}
-
-// Processed reports the total events executed across shards.
-func (sk *ShardedKernel) Processed() uint64 {
-	var n uint64
-	for _, s := range sk.shards {
-		n += s.k.processed
-	}
-	return n
 }
 
 // ShardStat is one shard's frozen statistics.
@@ -261,12 +247,11 @@ func (sk *ShardedKernel) merge() {
 }
 
 // Run executes events across all shards in lock-step epochs until every
-// queue empties (or holds only daemons in an unbounded run), simulated
-// time would exceed until, or MaxEvents is reached. It returns the
-// simulated end time, with the same horizon-jump semantics as Kernel.Run.
+// queue empties (or holds only daemons in an unbounded run) or simulated
+// time would exceed until. It returns the simulated end time, with the
+// same horizon-jump semantics as Kernel.Run.
 func (sk *ShardedKernel) Run(until Time) Time {
 	unbounded := until >= Forever
-	clamp := true
 	for {
 		next := Forever
 		pending, daemons := 0, 0
@@ -310,12 +295,8 @@ func (sk *ShardedKernel) Run(until Time) Time {
 		if sk.OnBarrier != nil {
 			sk.OnBarrier(sk.Now())
 		}
-		if sk.MaxEvents != 0 && sk.Processed() >= sk.MaxEvents {
-			clamp = false
-			break
-		}
 	}
-	if !unbounded && clamp {
+	if !unbounded {
 		for _, s := range sk.shards {
 			if s.k.now < until {
 				s.k.now = until

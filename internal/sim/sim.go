@@ -143,7 +143,7 @@ type Kernel struct {
 	seq     uint64
 	queue   eventQueue
 	stopped bool
-	// processed counts events executed, for diagnostics and run limits.
+	// processed counts events executed, for diagnostics.
 	processed uint64
 	// maxQueue tracks the high-water mark of the pending-event queue, a
 	// cheap load statistic telemetry exports per run.
@@ -154,9 +154,6 @@ type Kernel struct {
 	// free heads the recycled-event list; its length is bounded by the
 	// queue's high-water mark.
 	free *event
-	// MaxEvents, when non-zero, aborts Run after that many events as a
-	// runaway-simulation backstop.
-	MaxEvents uint64
 }
 
 // NewKernel returns an empty kernel at time 0.
@@ -317,7 +314,7 @@ func (k *Kernel) Stop() { k.stopped = true }
 
 // Run executes events in time order until the queue empties (or holds
 // only daemon events in an unbounded run, see AtDaemon), Stop is called,
-// simulated time would exceed until, or MaxEvents is hit.
+// or simulated time would exceed until.
 // It returns the simulated time at which the run ended.
 func (k *Kernel) Run(until Time) Time {
 	k.stopped = false
@@ -345,9 +342,6 @@ func (k *Kernel) Run(until Time) Time {
 		fn := next.fn
 		k.recycle(next)
 		fn()
-		if k.MaxEvents != 0 && k.processed >= k.MaxEvents {
-			break
-		}
 	}
 	if k.now < until && until < Forever && len(k.queue) == 0 {
 		// Queue drained before a finite horizon: time jumps to the horizon

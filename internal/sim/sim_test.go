@@ -131,18 +131,6 @@ func TestStop(t *testing.T) {
 	}
 }
 
-func TestMaxEvents(t *testing.T) {
-	k := NewKernel()
-	k.MaxEvents = 10
-	var tick func()
-	tick = func() { k.Schedule(1, tick) }
-	k.Schedule(1, tick)
-	k.Run(Forever)
-	if k.Processed() != 10 {
-		t.Fatalf("processed = %d, want 10", k.Processed())
-	}
-}
-
 func TestSourceDeterminism(t *testing.T) {
 	a := NewSource(42).Stream("overlay")
 	b := NewSource(42).Stream("overlay")
