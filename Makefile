@@ -4,7 +4,7 @@ GO ?= go
 # for publication-quality numbers.
 BENCHTIME ?= 100ms
 
-.PHONY: ci vet deadcode golden build test race bench bench-check bench-json perf-gate cover series-demo chaos fuzz-smoke megascale-smoke net-smoke live-chaos
+.PHONY: ci vet deadcode golden build test race bench bench-check bench-json perf-gate cover lines series-demo chaos fuzz-smoke megascale-smoke net-smoke live-chaos
 
 # ci is the full verification gate: static analysis, the reachability
 # pass (no un-triaged symbol only tests reach), the byte-identity check
@@ -19,9 +19,11 @@ BENCHTIME ?= 100ms
 # conformance plus schedule-driven fault injection against real
 # clusters), and the perf gate (fails on a >15% B/op or allocs/op
 # regression against the baseline snapshot; ns/op moves are advisory).
-# The coverage summary runs afterwards as a non-fatal reporting step.
+# The coverage summary and the line count run afterwards as non-fatal
+# reporting steps.
 ci: vet deadcode golden build bench-check race chaos fuzz-smoke series-demo megascale-smoke net-smoke live-chaos perf-gate
 	-$(MAKE) cover
+	-$(MAKE) lines
 
 vet:
 	$(GO) vet ./...
@@ -131,6 +133,11 @@ perf-gate:
 cover:
 	$(GO) test -coverprofile=coverage.out ./...
 	$(GO) tool cover -func=coverage.out | tail -n 1
+
+# lines prints the size of the program the code diet tracks: non-test
+# Go lines outside the bench/ module.
+lines:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 
 # chaos runs the self-healing suite: every overlay under the standard
 # seeded fault campaign (loss burst + crash wave) with a live failure

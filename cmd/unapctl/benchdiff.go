@@ -5,6 +5,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+
+	"unap2p/internal/metrics"
 )
 
 // benchDoc is the on-disk shape bench-import writes.
@@ -64,7 +66,7 @@ func cmdBenchDiff(args []string) (int, error) {
 		return 0, err
 	}
 
-	names := sortedKeys(base)
+	names := metrics.SortedKeys(base)
 	var deltas []benchDelta
 	onlyBase, onlyCur := []string{}, []string{}
 	for _, n := range names {
@@ -110,7 +112,7 @@ func cmdBenchDiff(args []string) (int, error) {
 			}
 		}
 	}
-	for _, n := range sortedKeys(cur) {
+	for _, n := range metrics.SortedKeys(cur) {
 		if _, ok := base[n]; !ok {
 			onlyCur = append(onlyCur, n)
 		}

@@ -15,9 +15,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 
+	"unap2p/internal/metrics"
 	"unap2p/internal/telemetry"
 )
 
@@ -183,7 +183,7 @@ func cmdDiff(args []string) (int, error) {
 func printReport(run *telemetry.Run, top int) {
 	m := run.Manifest
 	fmt.Printf("run: %s  (experiment %s, seed %d, scale %g)\n", m.Name, m.Experiment, m.Seed, m.Scale)
-	for _, k := range sortedKeys(m.Params) {
+	for _, k := range metrics.SortedKeys(m.Params) {
 		fmt.Printf("  param %s=%s\n", k, m.Params[k])
 	}
 	byCat := map[string]int{}
@@ -196,7 +196,7 @@ func printReport(run *telemetry.Run, top int) {
 			run.Summary.Events, run.Summary.FinishedAt)
 	}
 	fmt.Println()
-	for _, k := range sortedKeys(byCat) {
+	for _, k := range metrics.SortedKeys(byCat) {
 		fmt.Printf("  %-32s %d\n", k, byCat[k])
 	}
 	if !run.HasSummary {
@@ -204,7 +204,7 @@ func printReport(run *telemetry.Run, top int) {
 		return
 	}
 	flat := run.Summary.Metrics.Flatten()
-	names := sortedKeys(flat)
+	names := metrics.SortedKeys(flat)
 	fmt.Printf("metrics: %d\n", len(names))
 	shown := 0
 	for _, n := range names {
@@ -231,11 +231,3 @@ func (p paramFlag) Set(s string) error {
 	return nil
 }
 
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}

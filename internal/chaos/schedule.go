@@ -412,7 +412,7 @@ func Generate(r *rand.Rand, cfg GenConfig) Schedule {
 			Kind:  ASPartition,
 			Start: sim.Time(start),
 			End:   sim.Time(start + dur),
-			ASes:  pickASes(r, cfg.ASes, 1+r.Intn(maxInt(1, len(cfg.ASes)/2))),
+			ASes:  pickASes(r, cfg.ASes, 1+r.Intn(max(1, len(cfg.ASes)/2))),
 		})
 	}
 	for i := 0; i < cfg.Bursts; i++ {
@@ -425,7 +425,7 @@ func Generate(r *rand.Rand, cfg GenConfig) Schedule {
 			Loss:  0.1 + (cfg.MaxLoss-0.1)*r.Float64(),
 		}
 		if r.Float64() < 0.5 {
-			w.ASes = pickASes(r, cfg.ASes, 1+r.Intn(maxInt(1, len(cfg.ASes)/2)))
+			w.ASes = pickASes(r, cfg.ASes, 1+r.Intn(max(1, len(cfg.ASes)/2)))
 		}
 		s.Windows = append(s.Windows, w)
 	}
@@ -460,11 +460,4 @@ func pickASes(r *rand.Rand, pool []int, k int) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -57,10 +57,9 @@ func (m Weibull) OffTime(r *rand.Rand) sim.Duration {
 // Driver schedules join/leave events for a set of hosts on a kernel.
 type Driver struct {
 	Kernel *sim.Kernel
-	Model  Model
-	// ModelFor, when non-nil, overrides Model per host — e.g. sessions
-	// drawn from each peer's own resource profile (capable peers tend to
-	// be the stable ones, the premise of super-peer election).
+	// ModelFor returns a host's session model — e.g. sessions drawn from
+	// each peer's own resource profile (capable peers tend to be the
+	// stable ones, the premise of super-peer election).
 	ModelFor func(*underlay.Host) Model
 	Rand     *rand.Rand
 	// OnJoin and OnLeave are invoked after the host's Up flag flips;
@@ -106,15 +105,8 @@ func (d *Driver) Online() int {
 	return n
 }
 
-func (d *Driver) modelFor(h *underlay.Host) Model {
-	if d.ModelFor != nil {
-		return d.ModelFor(h)
-	}
-	return d.Model
-}
-
 func (d *Driver) scheduleLeave(h *underlay.Host) {
-	d.Kernel.Schedule(d.modelFor(h).SessionLength(d.Rand), func() {
+	d.Kernel.Schedule(d.ModelFor(h).SessionLength(d.Rand), func() {
 		if !h.Up {
 			return
 		}
@@ -131,7 +123,7 @@ func (d *Driver) scheduleLeave(h *underlay.Host) {
 }
 
 func (d *Driver) scheduleJoin(h *underlay.Host) {
-	d.Kernel.Schedule(d.modelFor(h).OffTime(d.Rand), func() {
+	d.Kernel.Schedule(d.ModelFor(h).OffTime(d.Rand), func() {
 		if h.Up {
 			return
 		}

@@ -58,11 +58,11 @@ func TestDriverCyclesHosts(t *testing.T) {
 	k := sim.NewKernel()
 	var joins, leaves int
 	d := &Driver{
-		Kernel:  k,
-		Model:   Exponential{MeanOn: 100, MeanOff: 100},
-		Rand:    sim.NewSource(4).Stream("drv"),
-		OnJoin:  func(*underlay.Host) { joins++ },
-		OnLeave: func(*underlay.Host) { leaves++ },
+		Kernel:   k,
+		ModelFor: func(*underlay.Host) Model { return Exponential{MeanOn: 100, MeanOff: 100} },
+		Rand:     sim.NewSource(4).Stream("drv"),
+		OnJoin:   func(*underlay.Host) { joins++ },
+		OnLeave:  func(*underlay.Host) { leaves++ },
 	}
 	d.Start(hosts)
 	k.Run(10 * sim.Second)
@@ -83,9 +83,9 @@ func TestDriverHalfOnlineEquilibrium(t *testing.T) {
 	_, hosts := buildHosts()
 	k := sim.NewKernel()
 	d := &Driver{
-		Kernel: k,
-		Model:  Exponential{MeanOn: 200, MeanOff: 200},
-		Rand:   sim.NewSource(5).Stream("drv2"),
+		Kernel:   k,
+		ModelFor: func(*underlay.Host) Model { return Exponential{MeanOn: 200, MeanOff: 200} },
+		Rand:     sim.NewSource(5).Stream("drv2"),
 	}
 	d.Start(hosts)
 	k.Run(20 * sim.Second)
@@ -108,9 +108,9 @@ func TestDriverStartsOfflineHosts(t *testing.T) {
 	}
 	k := sim.NewKernel()
 	d := &Driver{
-		Kernel: k,
-		Model:  Exponential{MeanOn: 1000, MeanOff: 10},
-		Rand:   sim.NewSource(6).Stream("drv3"),
+		Kernel:   k,
+		ModelFor: func(*underlay.Host) Model { return Exponential{MeanOn: 1000, MeanOff: 10} },
+		Rand:     sim.NewSource(6).Stream("drv3"),
 	}
 	d.Start(hosts)
 	k.Run(sim.Second)

@@ -39,16 +39,9 @@ type ShardDriver struct {
 }
 
 // draw maps (seed, peer, counter) to an exponential duration with the
-// given mean via a splitmix-style hash — stateless, so identical for any
-// shard count.
+// given mean via sim.Mix64 — stateless, so identical for any shard count.
 func (d *ShardDriver) draw(p underlay.PeerID, ctr uint64, mean sim.Duration) sim.Duration {
-	x := d.Seed ^ (uint64(p)+1)*0x9e3779b97f4a7c15 ^ ctr*0xbf58476d1ce4e5b9
-	// splitmix64 finalizer
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
+	x := sim.Mix64(d.Seed ^ (uint64(p)+1)*0x9e3779b97f4a7c15 ^ ctr*0xbf58476d1ce4e5b9)
 	u := (float64(x>>11) + 0.5) / (1 << 53) // in (0,1)
 	return sim.Duration(-math.Log(u) * float64(mean))
 }

@@ -14,7 +14,7 @@ import (
 // mapping service: cost 0 for a same-ISP peer, 1 otherwise; misses when
 // the registry cannot resolve either address.
 type IPMapEstimator struct {
-	Reg     ipmap.ISPMapper
+	Reg     *ipmap.Registry
 	lookups uint64
 }
 

@@ -112,7 +112,7 @@ func (s *EngineSelector) Proximity(a, b *underlay.Host) (float64, bool) {
 // answers, matching the paper's two deployment stages — biased neighbor
 // selection at join time and biased source selection among query hits.
 // Every answer is a real oracle query (counted in Oracle.Queries,
-// truncated to Oracle.MaxList, degraded to input order when Down).
+// degraded to input order when Down).
 type OracleSelector struct {
 	NoPreference
 	O *oracle.Oracle
@@ -125,8 +125,8 @@ type OracleSelector struct {
 var _ Selector = (*OracleSelector)(nil)
 
 // NewOracleSelector deploys a fresh oracle over net, answering the join
-// verb, the source verb, or both. Reach the oracle's failure knobs
-// (MaxList, Down, Queries) through the O field.
+// verb, the source verb, or both. Reach the oracle's failure knob and
+// counter (Down, Queries) through the O field.
 func NewOracleSelector(net *underlay.Network, join, source bool) *OracleSelector {
 	return &OracleSelector{O: oracle.New(net), Join: join, Source: source}
 }

@@ -20,19 +20,12 @@ import (
 type TransitContract struct {
 	// PricePerMbps is the monthly charge per Mbps of billable rate.
 	PricePerMbps float64
-	// Commit is the minimum billable rate in Mbps (common in real
-	// contracts; zero means pure usage billing).
-	Commit float64
 }
 
 // Bill returns the monthly charge for the given per-interval rate samples
-// in Mbps.
+// in Mbps: pure usage billing, with no committed minimum rate.
 func (c TransitContract) Bill(samplesMbps []float64) float64 {
-	rate := Percentile(samplesMbps, 0.95)
-	if rate < c.Commit {
-		rate = c.Commit
-	}
-	return rate * c.PricePerMbps
+	return Percentile(samplesMbps, 0.95) * c.PricePerMbps
 }
 
 // PeeringContract is a settlement-free interconnect: each party pays a
@@ -121,7 +114,7 @@ type Report struct {
 
 // BillNetwork computes a cost report. Each transit link bills its
 // average rate, derived from its total bytes over the elapsed time (and
-// nothing but the contract's commit when elapsed is 0).
+// nothing when elapsed is 0).
 func BillNetwork(net *underlay.Network, tc TransitContract, pc PeeringContract, elapsed sim.Duration) Report {
 	rep := Report{PerAS: make(map[int]float64)}
 	for _, l := range net.Links() {

@@ -54,11 +54,6 @@ func TestTransitBill(t *testing.T) {
 	if b := c.Bill(samples); b != 500 {
 		t.Fatalf("bill = %v, want 500 (5 spikes free at p95)", b)
 	}
-	// Commit floor.
-	c.Commit = 100
-	if b := c.Bill([]float64{10}); b != 1000 {
-		t.Fatalf("commit bill = %v, want 1000", b)
-	}
 }
 
 func TestPeeringBillFlat(t *testing.T) {
@@ -136,10 +131,10 @@ func TestBillNetwork(t *testing.T) {
 	if math.Abs(rep.TransitTotal-80) > 1e-9 || rep.PeeringTotal != 100 {
 		t.Fatalf("totals = %v", rep)
 	}
-	// No elapsed time, no rate: transit bills the commit floor only.
-	rep = BillNetwork(net, TransitContract{PricePerMbps: 10, Commit: 2}, PeeringContract{MonthlyFee: 50}, 0)
-	if rep.TransitTotal != 2*2*10 || rep.PeeringTotal != 100 {
-		t.Fatalf("zero-elapsed totals = %v, want transit 40 (two commits), peering 100", rep)
+	// No elapsed time, no rate: transit bills nothing.
+	rep = BillNetwork(net, TransitContract{PricePerMbps: 10}, PeeringContract{MonthlyFee: 50}, 0)
+	if rep.TransitTotal != 0 || rep.PeeringTotal != 100 {
+		t.Fatalf("zero-elapsed totals = %v, want transit 0, peering 100", rep)
 	}
 }
 

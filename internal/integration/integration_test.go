@@ -57,8 +57,10 @@ func TestGnutellaUnderChurn(t *testing.T) {
 
 	drv := &churn.Driver{
 		Kernel: k,
-		Model:  churn.Exponential{MeanOn: 5 * sim.Second, MeanOff: 2 * sim.Second},
-		Rand:   src.Stream("churn"),
+		ModelFor: func(*underlay.Host) churn.Model {
+			return churn.Exponential{MeanOn: 5 * sim.Second, MeanOff: 2 * sim.Second}
+		},
+		Rand: src.Stream("churn"),
 		OnLeave: func(h *underlay.Host) {
 			ov.Leave(ov.Node(h.ID))
 		},

@@ -2,12 +2,11 @@
 // and the mapping services of §3.1/§3.3: every AS owns a well-known prefix,
 // so mapping a peer's IP to its ISP is a prefix lookup (the IP2Country /
 // IP2Location class of services), and mapping an IP to a location returns
-// the "rough geographical area" of that ISP with configurable accuracy.
+// the "rough geographical area" of that ISP: the centroid of its hosts.
 package ipmap
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"unap2p/internal/geo"
@@ -88,26 +87,12 @@ func AssignAll(net *underlay.Network) *Plan {
 	return p
 }
 
-// ISPMapper resolves an IP to the AS/ISP that owns it.
-type ISPMapper interface {
-	// ASOf returns the AS id owning ip, or ok=false when the service has
-	// no answer.
-	ASOf(ip IP) (asID int, ok bool)
-}
-
 // Registry is a mapping service built from the address plan — the
-// simulated equivalent of the commercial IP-to-ISP databases. Accuracy
-// knobs reproduce the paper's caveat that such services are "less
-// accurate" than ISP-provided data.
+// simulated equivalent of the commercial IP-to-ISP databases. Its
+// answers are exact at AS granularity; a location is only the AS
+// centroid, the paper's caveat that such services are "less accurate"
+// than ISP-provided data.
 type Registry struct {
-	// MissRate is the probability a lookup returns no answer (stale or
-	// missing database entry).
-	MissRate float64
-	// Rand supplies the error draws; nil means a perfect registry.
-	Rand *rand.Rand
-	// LocationNoiseKm scatters returned locations around the AS centroid.
-	LocationNoiseKm float64
-
 	entries   []registryEntry // sorted by Base for binary search
 	centroids map[int]geo.Coord
 }
@@ -145,11 +130,9 @@ func NewRegistry(net *underlay.Network, plan *Plan) *Registry {
 	return r
 }
 
-// ASOf maps ip to its owning AS by longest(-only) prefix match.
+// ASOf maps ip to its owning AS by longest(-only) prefix match, or
+// reports false when no prefix holds it.
 func (r *Registry) ASOf(ip IP) (int, bool) {
-	if r.Rand != nil && r.MissRate > 0 && r.Rand.Float64() < r.MissRate {
-		return 0, false
-	}
 	i := sort.Search(len(r.entries), func(i int) bool {
 		return r.entries[i].prefix.Base > ip
 	}) - 1
@@ -162,7 +145,7 @@ func (r *Registry) ASOf(ip IP) (int, bool) {
 	return 0, false
 }
 
-// LocationOf returns the (noisy) centroid of the owning AS — a "rough
+// LocationOf returns the centroid of the owning AS — a "rough
 // geographical area in which a peer is (most probably) located" (§3.3).
 func (r *Registry) LocationOf(ip IP) (geo.Coord, bool) {
 	asID, ok := r.ASOf(ip)
@@ -170,18 +153,5 @@ func (r *Registry) LocationOf(ip IP) (geo.Coord, bool) {
 		return geo.Coord{}, false
 	}
 	c, ok := r.centroids[asID]
-	if !ok {
-		return geo.Coord{}, false
-	}
-	if r.Rand != nil && r.LocationNoiseKm > 0 {
-		c.Lat += r.Rand.NormFloat64() * r.LocationNoiseKm / 111.32
-		c.Lon += r.Rand.NormFloat64() * r.LocationNoiseKm / 111.32
-		if c.Lat > 90 {
-			c.Lat = 90
-		}
-		if c.Lat < -90 {
-			c.Lat = -90
-		}
-	}
-	return c, true
+	return c, ok
 }

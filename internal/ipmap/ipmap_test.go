@@ -93,25 +93,6 @@ func TestRegistryASOf(t *testing.T) {
 	}
 }
 
-func TestRegistryMissRate(t *testing.T) {
-	net := testNet(t)
-	plan := AssignAll(net)
-	reg := NewRegistry(net, plan)
-	reg.MissRate = 0.5
-	reg.Rand = sim.NewSource(2).Stream("miss")
-	h := net.Hosts()[0]
-	misses := 0
-	const n = 2000
-	for i := 0; i < n; i++ {
-		if _, ok := reg.ASOf(h.IP); !ok {
-			misses++
-		}
-	}
-	if misses < n/3 || misses > 2*n/3 {
-		t.Fatalf("misses = %d/%d, want ≈ half", misses, n)
-	}
-}
-
 func TestRegistryLocationOf(t *testing.T) {
 	net := testNet(t)
 	plan := AssignAll(net)
@@ -129,28 +110,6 @@ func TestRegistryLocationOf(t *testing.T) {
 	}
 	if _, ok := reg.LocationOf(192 << 24); ok {
 		t.Fatal("unknown IP should have no location")
-	}
-}
-
-func TestRegistryLocationNoise(t *testing.T) {
-	net := testNet(t)
-	plan := AssignAll(net)
-	reg := NewRegistry(net, plan)
-	base, _ := reg.LocationOf(net.Hosts()[0].IP)
-	reg.LocationNoiseKm = 50
-	reg.Rand = sim.NewSource(3).Stream("noise")
-	moved := false
-	for i := 0; i < 10; i++ {
-		loc, ok := reg.LocationOf(net.Hosts()[0].IP)
-		if !ok {
-			t.Fatal("lookup failed")
-		}
-		if geo.Haversine(base, loc) > 1 {
-			moved = true
-		}
-	}
-	if !moved {
-		t.Fatal("noise never displaced the location")
 	}
 }
 

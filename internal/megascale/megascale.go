@@ -19,8 +19,8 @@
 //     is touched only from the peer's owning shard. Anything crossing
 //     shards goes through transport.ShardedNet.Send.
 //   - No shared RNG streams: every random draw is a stateless hash of
-//     (seed, peer, counter) so schedules are independent of the shard
-//     count K.
+//     (seed, peer, counter) through sim.Mix64 (Mix64 here), so schedules
+//     are independent of the shard count K.
 //   - Aggregation (Stats, HealthStats) reads per-shard counters and is
 //     safe only at epoch barriers or after the run.
 //   - An in-flight message is a record recycled on per-shard free lists,
@@ -180,17 +180,10 @@ func AttachChurn(net *transport.ShardedNet, seed uint64, cfg ChurnConfig) *churn
 	return drv
 }
 
-// Mix64 is the splitmix64 finalizer — the stateless hash every megascale
-// draw (ids, bootstrap contacts, churn flips, workload targets) derives
-// from.
-func Mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
+// Mix64 is sim.Mix64, the splitmix64 finalizer — the stateless hash every
+// megascale draw (ids, bootstrap contacts, churn flips, workload targets)
+// derives from.
+func Mix64(x uint64) uint64 { return sim.Mix64(x) }
 
 // ReplaceCrossAS is the compact AS-aware neighbor-replacement hook (the
 // paper's proximity neighbor selection applied to a full slot list):

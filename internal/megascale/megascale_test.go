@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"testing/quick"
 
 	"unap2p/internal/sim"
 	"unap2p/internal/transport"
@@ -282,5 +283,13 @@ func TestAttachChurn(t *testing.T) {
 	}
 	if up1 == 0 {
 		t.Fatal("everything churned off — Frac selection not applied")
+	}
+}
+
+// TestMix64IsSimMix64 holds the name bench/ and the compact overlays call
+// to the kernel package's one stateless hash.
+func TestMix64IsSimMix64(t *testing.T) {
+	if err := quick.Check(func(x uint64) bool { return Mix64(x) == sim.Mix64(x) }, nil); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -40,9 +40,10 @@ func (c *Counter) Value() uint64 { return c.n.Load() }
 func (c *Counter) String() string { return fmt.Sprintf("%s=%d", c.name, c.n.Load()) }
 
 // CounterSet groups named counters, creating them on first use. Reads
-// (the per-message Get on the transport send path) go through an atomic
-// copy-on-write map and cost the same as a plain map lookup; only the
-// first touch of a new name takes the write lock and clones the map.
+// (the live engines' per-lookup and per-request Msgs.Get calls; the
+// simulated transport caches each type's *Counter instead) go through an
+// atomic copy-on-write map and cost the same as a plain map lookup; only
+// the first touch of a new name takes the write lock and clones the map.
 type CounterSet struct {
 	mu sync.Mutex // serializes map replacement on first-touch creation
 	m  atomic.Pointer[map[string]*Counter]

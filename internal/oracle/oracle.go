@@ -20,10 +20,6 @@ import (
 // AS-hop distances the ISP already learns from BGP.
 type Oracle struct {
 	net *underlay.Network
-	// MaxList caps the length of the ranked list the oracle returns
-	// (the "list size 100 / 1000" knob in the testlab study). Zero means
-	// unlimited.
-	MaxList int
 	// Down simulates an oracle outage: Rank returns the input order
 	// unchanged, so clients degrade to unbiased behaviour (failure
 	// injection for §6's ISP-cooperation caveat).
@@ -52,9 +48,6 @@ func (o *Oracle) Rank(client *underlay.Host, candidates []underlay.HostID) []und
 			return d
 		}
 		sort.SliceStable(out, func(i, j int) bool { return key(out[i]) < key(out[j]) })
-	}
-	if o.MaxList > 0 && len(out) > o.MaxList {
-		out = out[:o.MaxList]
 	}
 	return out
 }

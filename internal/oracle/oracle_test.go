@@ -85,16 +85,6 @@ func TestRankDoesNotMutateInput(t *testing.T) {
 	}
 }
 
-func TestMaxList(t *testing.T) {
-	net := buildNet()
-	o := New(net)
-	o.MaxList = 2
-	out := o.Rank(net.Hosts()[0], ids(net.Hosts()))
-	if len(out) != 2 {
-		t.Fatalf("MaxList ignored: got %d", len(out))
-	}
-}
-
 func TestOracleDownFallsBackToInputOrder(t *testing.T) {
 	net := buildNet()
 	o := New(net)
@@ -127,8 +117,7 @@ func TestBest(t *testing.T) {
 	}
 }
 
-// Property: the oracle's ranking is a permutation of its input (modulo
-// MaxList truncation).
+// Property: the oracle's ranking is a permutation of its input.
 func TestQuickRankIsPermutation(t *testing.T) {
 	net := buildNet()
 	o := New(net)

@@ -9,10 +9,9 @@ import (
 // Policy weights let the ISP express traffic-engineering preferences in
 // its ranking, beyond plain AS-hop distance — the P4P idea (Xie et al.,
 // [29] in the paper): the provider portal ranks candidates by a "pDistance"
-// that encodes what each path actually costs the ISP.
+// that encodes what each path actually costs the ISP. Staying inside the
+// AS costs 0.
 type Policy struct {
-	// SameASCost is the pDistance of staying inside the AS (usually 0).
-	SameASCost float64
 	// PeeringHopCost is the pDistance of each settlement-free peering hop.
 	PeeringHopCost float64
 	// TransitHopCost is the pDistance of each paid transit hop — the
@@ -26,7 +25,7 @@ type Policy struct {
 // the sum of per-hop costs along the routed path.
 func (o *Oracle) PDistance(p Policy, srcAS, dstAS int) float64 {
 	if srcAS == dstAS {
-		return p.SameASCost
+		return 0
 	}
 	path := o.net.ASPath(srcAS, dstAS)
 	if path == nil {
@@ -63,9 +62,6 @@ func (o *Oracle) RankPolicy(p Policy, client *underlay.Host, candidates []underl
 		cost[id] = o.PDistance(p, client.AS.ID, o.net.Host(id).AS.ID)
 	}
 	sort.SliceStable(out, func(i, j int) bool { return cost[out[i]] < cost[out[j]] })
-	if o.MaxList > 0 && len(out) > o.MaxList {
-		out = out[:o.MaxList]
-	}
 	return out
 }
 

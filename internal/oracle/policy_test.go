@@ -9,7 +9,7 @@ import (
 
 // figure2Policy charges transit hops 10× a peering hop: the Figure 2
 // economics as ranking weights.
-var figure2Policy = Policy{SameASCost: 0, PeeringHopCost: 1, TransitHopCost: 10, UnreachableCost: 1e9}
+var figure2Policy = Policy{PeeringHopCost: 1, TransitHopCost: 10, UnreachableCost: 1e9}
 
 // policyNet: client stub C with a peering link to P and a transit path to
 // T's other customer X (both 1 AS hop under plain ranking... P is 1 hop
@@ -71,7 +71,7 @@ func TestRankPolicyPrefersPeering(t *testing.T) {
 	}
 }
 
-func TestRankPolicyDownAndMaxList(t *testing.T) {
+func TestRankPolicyDown(t *testing.T) {
 	net, hc, hp, hx := policyNet()
 	o := New(net)
 	o.Down = true
@@ -79,11 +79,6 @@ func TestRankPolicyDownAndMaxList(t *testing.T) {
 	out := o.RankPolicy(figure2Policy, hc, in)
 	if out[0] != hx.ID || out[1] != hp.ID {
 		t.Fatal("down oracle must preserve input order")
-	}
-	o.Down = false
-	o.MaxList = 1
-	if got := o.RankPolicy(figure2Policy, hc, in); len(got) != 1 {
-		t.Fatalf("MaxList ignored: %v", got)
 	}
 }
 

@@ -174,13 +174,10 @@ func (o *Overlay) responsible(level int, z ZoneCode, k Key) (underlay.HostID, bo
 	return best, true
 }
 
+// rendezvousWeight is a uniform weight for (suffix, key): the SplitMix64
+// output for state suffix^key.
 func rendezvousWeight(suffix, key uint64) uint64 {
-	x := suffix ^ key
-	// splitmix-style mix for a uniform weight.
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	return sim.Mix64((suffix ^ key) + 0x9e3779b97f4a7c15)
 }
 
 // PublishStats reports the cost of a Publish.

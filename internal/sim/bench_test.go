@@ -102,7 +102,7 @@ func newHold() (k *Kernel, hold func(n int)) {
 	k = NewKernel()
 	var h uint64
 	delay := func() Duration {
-		h = splitmix64(h)
+		h = Mix64(h + splitmixGamma)
 		return Duration(h>>44) / 1024 // [0, 1024) ms in 2^-10 steps
 	}
 	left := 0

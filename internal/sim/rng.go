@@ -22,7 +22,7 @@ func NewSource(seed int64) *Source { return &Source{seed: uint64(seed)} }
 func (s *Source) Stream(name string) *rand.Rand {
 	h := fnv.New64a()
 	h.Write([]byte(name))
-	mixed := splitmix64(s.seed ^ h.Sum64())
+	mixed := Mix64((s.seed ^ h.Sum64()) + splitmixGamma)
 	return rand.New(rand.NewSource(int64(mixed)))
 }
 
@@ -32,13 +32,19 @@ func (s *Source) Fork(name string) *Source {
 	h := fnv.New64a()
 	h.Write([]byte("fork/"))
 	h.Write([]byte(name))
-	return &Source{seed: splitmix64(s.seed ^ h.Sum64())}
+	return &Source{seed: Mix64((s.seed ^ h.Sum64()) + splitmixGamma)}
 }
 
-// splitmix64 is the finalizer of the SplitMix64 generator; it decorrelates
-// nearby seeds.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
+// splitmixGamma is the SplitMix64 generator's increment: Source derives
+// each seed as the generator's next output, Mix64(state + gamma).
+const splitmixGamma = 0x9e3779b97f4a7c15
+
+// Mix64 is the finalizer of the SplitMix64 generator: a stateless
+// bijection that decorrelates nearby inputs. It is the one stateless
+// draw of the module — every hash of (seed, peer, counter) that must not
+// depend on the order or the shard it is drawn on (megascale ids and
+// targets, sharded churn, rendezvous weights) derives from it.
+func Mix64(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)

@@ -248,8 +248,8 @@ func (sk *ShardedKernel) merge() {
 
 // Run executes events across all shards in lock-step epochs until every
 // queue empties (or holds only daemons in an unbounded run) or simulated
-// time would exceed until. It returns the simulated end time, with the
-// same horizon-jump semantics as Kernel.Run.
+// time would exceed until. It returns Now() at the end, under the same
+// horizon rule as Kernel.Run.
 func (sk *ShardedKernel) Run(until Time) Time {
 	unbounded := until >= Forever
 	for {
@@ -302,7 +302,6 @@ func (sk *ShardedKernel) Run(until Time) Time {
 				s.k.now = until
 			}
 		}
-		return until
 	}
 	return sk.Now()
 }

@@ -39,16 +39,16 @@ func runPropSchedule(seed uint64, K int) [propPeers][]propEvent {
 			if depth >= 4 {
 				return
 			}
-			h := splitmix64(seed ^ chain<<20 ^ uint64(depth)<<12 ^ uint64(p))
+			h := Mix64((seed ^ chain<<20 ^ uint64(depth)<<12 ^ uint64(p)) + splitmixGamma)
 			q := int(h % propPeers)
-			delay := propLookahead * Duration(1+u01(splitmix64(h)))
+			delay := propLookahead * Duration(1+u01(Mix64(h+splitmixGamma)))
 			s.DeferTo(shardOf(q), delay, 16, hop(q, chain, depth+1))
 		}
 	}
 	for p := 0; p < propPeers; p++ {
 		for c := 0; c < 3; c++ {
 			chain := uint64(p)*3 + uint64(c) + 1
-			t0 := Duration(100 * u01(splitmix64(seed^0xa5a5a5a5^chain)))
+			t0 := Duration(100 * u01(Mix64((seed^0xa5a5a5a5^chain)+splitmixGamma)))
 			sk.Shard(shardOf(p)).At(t0, hop(p, chain, 0))
 		}
 	}
@@ -87,16 +87,16 @@ func buildMixedSchedule(seed uint64, schedule func(delay Duration, fn func()), a
 		return func() {
 			*log = append(*log, traceEntry{At: now(), Tag: id})
 			if depth < 6 {
-				h := splitmix64(seed ^ uint64(id)<<16 ^ uint64(depth))
+				h := Mix64((seed ^ uint64(id)<<16 ^ uint64(depth)) + splitmixGamma)
 				schedule(Duration(float64(h>>11)/(1<<50)), chain(depth+1))
 				if h%3 == 0 {
-					schedule(Duration(float64(splitmix64(h)>>11)/(1<<50)), chain(depth+2))
+					schedule(Duration(float64(Mix64(h+splitmixGamma)>>11)/(1<<50)), chain(depth+2))
 				}
 			}
 		}
 	}
 	for c := 0; c < 8; c++ {
-		h := splitmix64(seed ^ 0xdead ^ uint64(c))
+		h := Mix64((seed ^ 0xdead ^ uint64(c)) + splitmixGamma)
 		schedule(Duration(float64(h>>11)/(1<<50)), chain(0))
 	}
 	atDaemon(3, func() { *log = append(*log, traceEntry{At: now(), Tag: -1}) })
@@ -152,6 +152,34 @@ func TestShardedK1BoundedHorizon(t *testing.T) {
 	sk.Run(200)
 	if !fired {
 		t.Fatal("event at horizon did not fire")
+	}
+}
+
+// TestRunHorizonBelowNow runs a horizon below the clock on both kernels:
+// it fires nothing, leaves the clock where the earlier horizon put it,
+// and both Runs return that clock, so a later schedule cannot fire before
+// a horizon already passed.
+func TestRunHorizonBelowNow(t *testing.T) {
+	k := NewKernel()
+	sk := NewSharded(1, 7)
+	s := sk.Shard(0)
+	var fired, shardFired []Time
+	k.Schedule(10, func() { fired = append(fired, k.Now()) })
+	s.Schedule(10, func() { shardFired = append(shardFired, s.Now()) })
+	for _, until := range []Time{5, 3} {
+		end, shardEnd := k.Run(until), sk.Run(until)
+		if end != 5 || k.Now() != 5 || shardEnd != 5 || sk.Now() != 5 {
+			t.Fatalf("Run(%v) ended at %v/%v (sharded %v/%v), want 5",
+				until, end, k.Now(), shardEnd, sk.Now())
+		}
+	}
+	k.Schedule(1, func() { fired = append(fired, k.Now()) })
+	s.Schedule(1, func() { shardFired = append(shardFired, s.Now()) })
+	k.Drain()
+	sk.Drain()
+	want := []Time{6, 10}
+	if !reflect.DeepEqual(fired, want) || !reflect.DeepEqual(shardFired, want) {
+		t.Fatalf("events fired at %v (sharded %v), want %v", fired, shardFired, want)
 	}
 }
 

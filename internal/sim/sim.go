@@ -316,47 +316,26 @@ func (k *Kernel) Stop() { k.stopped = true }
 // only daemon events in an unbounded run, see AtDaemon), Stop is called,
 // or simulated time would exceed until.
 // It returns the simulated time at which the run ended.
+//
+// Horizon rule: unless Stop left events pending, a finite horizon later
+// than Now() becomes the clock, so repeated Run calls stay monotone. A
+// horizon below Now() fires nothing and leaves the clock where it is.
 func (k *Kernel) Run(until Time) Time {
 	k.stopped = false
-	for len(k.queue) > 0 && !k.stopped {
-		if k.daemons == len(k.queue) && until >= Forever {
-			// Only housekeeping left and no horizon to fill: stop here,
-			// leaving the daemons queued, exactly as if the queue were
-			// empty. Time stays at the last real event.
-			break
-		}
-		next := k.queue[0]
-		if next.at > until {
-			k.now = until
-			return k.now
-		}
-		k.queue.remove(0)
-		if next.daemon {
-			k.daemons--
-		}
-		k.now = next.at
-		k.processed++
-		// Recycle before running: the callback's own schedules may reuse
-		// the struct immediately, and its Timer (if any) must already be
-		// inert.
-		fn := next.fn
-		k.recycle(next)
-		fn()
-	}
-	if k.now < until && until < Forever && len(k.queue) == 0 {
-		// Queue drained before a finite horizon: time jumps to the horizon
-		// so repeated Run calls remain monotone.
+	k.runEpoch(until, true, until >= Forever)
+	if k.now < until && until < Forever && (!k.stopped || len(k.queue) == 0) {
 		k.now = until
 	}
 	return k.now
 }
 
 // runEpoch executes this kernel's events with at < end (at ≤ end when
-// inclusive), leaving now at the last executed event — the per-shard body
-// of one lock-step epoch. When unbounded, a queue holding only daemon
-// events stops early, exactly like Run(Forever).
+// inclusive) until Stop is called, leaving now at the last executed
+// event — the body of Run, and of one lock-step epoch per shard. When
+// unbounded, a queue holding only daemon events stops early: only
+// housekeeping is left and there is no horizon to fill.
 func (k *Kernel) runEpoch(end Time, inclusive, unbounded bool) {
-	for len(k.queue) > 0 {
+	for len(k.queue) > 0 && !k.stopped {
 		if unbounded && k.daemons == len(k.queue) {
 			return
 		}
@@ -370,6 +349,9 @@ func (k *Kernel) runEpoch(end Time, inclusive, unbounded bool) {
 		}
 		k.now = next.at
 		k.processed++
+		// Recycle before running: the callback's own schedules may reuse
+		// the struct immediately, and its Timer (if any) must already be
+		// inert.
 		fn := next.fn
 		k.recycle(next)
 		fn()

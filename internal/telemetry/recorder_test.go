@@ -104,8 +104,10 @@ func TestRecorderObserveChurn(t *testing.T) {
 	src := sim.NewSource(3)
 	drv := &churn.Driver{
 		Kernel: k,
-		Model:  churn.Exponential{MeanOn: 2 * sim.Second, MeanOff: 1 * sim.Second},
-		Rand:   src.Stream("churn"),
+		ModelFor: func(*underlay.Host) churn.Model {
+			return churn.Exponential{MeanOn: 2 * sim.Second, MeanOff: 1 * sim.Second}
+		},
+		Rand: src.Stream("churn"),
 	}
 	var external int
 	drv.Trace = func(*underlay.Host, bool) { external++ }
@@ -152,8 +154,10 @@ func TestRecorderWritesEventsInArrivalOrder(t *testing.T) {
 	tr := transport.New(net, k)
 	drv := &churn.Driver{
 		Kernel: k,
-		Model:  churn.Exponential{MeanOn: 2 * sim.Second, MeanOff: 1 * sim.Second},
-		Rand:   sim.NewSource(3).Stream("churn"),
+		ModelFor: func(*underlay.Host) churn.Model {
+			return churn.Exponential{MeanOn: 2 * sim.Second, MeanOff: 1 * sim.Second}
+		},
+		Rand: sim.NewSource(3).Stream("churn"),
 	}
 	var buf bytes.Buffer
 	rec := NewRecorder(Config{Sink: NewRunWriter(&buf), Manifest: Manifest{Name: "order", Seed: 3}})

@@ -67,12 +67,13 @@ type Event struct {
 // typeStats accumulates per-message-type accounting, and holds every
 // per-type handle Send needs so one map lookup serves the whole path.
 type typeStats struct {
-	msgs, dropped     uint64
+	dropped           uint64
 	bytes, intraBytes uint64
 	latency           *metrics.Histogram
-	// counter is the type's entry in Transport.msgs. It is nil until the
-	// type's first Send: a record MatrixFor created ahead of any traffic
-	// holds only matrix and stays out of every listing until then.
+	// counter is the type's entry in Transport.msgs, and its count of
+	// send attempts. It is nil until the type's first Send: a record
+	// MatrixFor created ahead of any traffic holds only matrix and stays
+	// out of every listing until then.
 	counter *metrics.Counter
 	// matrix is the traffic matrix MatrixFor registered for the type
 	// (shared with the other types of that call), or nil.
@@ -218,7 +219,6 @@ func (t *Transport) stats(msgType string) *typeStats {
 func (t *Transport) Send(from, to *underlay.Host, bytes uint64, msgType string) Result {
 	st := t.stats(msgType)
 	st.counter.Inc()
-	st.msgs++
 	if t.Drop != nil && t.Drop(from, to) {
 		st.dropped++
 		if t.Trace != nil {
@@ -348,7 +348,7 @@ func (t *Transport) StatsFor(msgType string) Stats {
 		return Stats{Type: msgType}
 	}
 	return Stats{
-		Type: msgType, Msgs: st.msgs, Dropped: st.dropped,
+		Type: msgType, Msgs: st.counter.Value(), Dropped: st.dropped,
 		Bytes: st.bytes, IntraBytes: st.intraBytes, Latency: st.latency,
 	}
 }

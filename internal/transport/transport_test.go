@@ -108,8 +108,8 @@ func TestLossInjection(t *testing.T) {
 		tr.Send(hosts[i%len(hosts)], hosts[(i*11+1)%len(hosts)], 100, "x")
 	}
 	st := tr.StatsFor("x")
-	if st.Msgs != n {
-		t.Fatalf("attempts = %d, want %d", st.Msgs, n)
+	if st.Msgs != n || st.Msgs != tr.Counters().Value("x") {
+		t.Fatalf("attempts = %d (counter %d), want %d", st.Msgs, tr.Counters().Value("x"), n)
 	}
 	frac := float64(st.Dropped) / float64(st.Msgs)
 	if frac < 0.45 || frac > 0.55 {
@@ -210,6 +210,12 @@ func TestMatrixForLeavesUnsentTypesUnlisted(t *testing.T) {
 	}
 	if got := tr.Counters().Value("store"); got != 1 || m.Total() != 40 {
 		t.Fatalf("store counter %d, matrix total %d; want 1 and 40", got, m.Total())
+	}
+	if st := tr.StatsFor("store"); st.Msgs != 1 {
+		t.Fatalf("StatsFor(store).Msgs = %d after one send, want 1", st.Msgs)
+	}
+	if st := tr.StatsFor("file"); st.Latency != nil || st.Msgs != 0 {
+		t.Fatalf("StatsFor of the still unsent type = %+v, want the zero Stats", st)
 	}
 }
 
