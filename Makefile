@@ -4,9 +4,9 @@ GO ?= go
 # for publication-quality numbers.
 BENCHTIME ?= 100ms
 
-.PHONY: ci vet deadcode golden build test race bench bench-check bench-json perf-gate cover lines series-demo chaos fuzz-smoke megascale-smoke net-smoke live-chaos
+.PHONY: ci fmt vet deadcode golden build test race bench bench-check bench-json perf-gate cover lines series-demo chaos fuzz-smoke megascale-smoke net-smoke live-chaos
 
-# ci is the full verification gate: static analysis, the reachability
+# ci is the full verification gate: gofmt, static analysis, the reachability
 # pass (no un-triaged symbol only tests reach), the byte-identity check
 # of the CLI outputs against testdata/golden.sha256, a clean build of
 # every package, vet + tests of the nested bench/ module (which the root
@@ -21,9 +21,14 @@ BENCHTIME ?= 100ms
 # regression against the baseline snapshot; ns/op moves are advisory).
 # The coverage summary and the line count run afterwards as non-fatal
 # reporting steps.
-ci: vet deadcode golden build bench-check race chaos fuzz-smoke series-demo megascale-smoke net-smoke live-chaos perf-gate
+ci: fmt vet deadcode golden build bench-check race chaos fuzz-smoke series-demo megascale-smoke net-smoke live-chaos perf-gate
 	-$(MAKE) cover
 	-$(MAKE) lines
+
+# fmt is the formatting gate: it lists every Go file gofmt would change
+# (bench/ included) and fails when there is one. `gofmt -w <file>` mends it.
+fmt:
+	@files=$$(gofmt -l .); if [ -n "$$files" ]; then echo "gofmt needed:"; echo "$$files"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -40,21 +45,27 @@ deadcode:
 # golden is the output byte-identity gate: it builds unapctl and the
 # five examples, writes `unapctl run -all -seed 1 -scale 0.25` stdout,
 # the `unapctl run -exp exp-intra-as -seed 1 -scale 0.5 -o` run file with
-# and without `-probe 50`, and each example's stdout (example-<name>.txt)
-# into GOLDEN_DIR, and checks their sha256 against
+# and without `-probe 50`, the `-seed 1 -scale 0.25 -probe 1000 -o` run
+# file of each SAMPLED experiment (<id>.jsonl: pins where each one
+# registers health sources and takes samples), and each example's stdout
+# (example-<name>.txt) into GOLDEN_DIR, and checks their sha256 against
 # testdata/golden.sha256. A change that means to alter output
 # regenerates that file (`sha256sum underlaysim-all.txt intra-as.jsonl
-# intra-as-probe50.jsonl example-*.txt` in GOLDEN_DIR) and says why;
-# anything else that moves a byte fails here. The hashes are for
-# linux/amd64 (another GOARCH may round floats differently). ~5 s.
+# intra-as-probe50.jsonl <id>.jsonl... example-*.txt` in GOLDEN_DIR) and
+# says why; anything else that moves a byte fails here. The hashes are
+# for linux/amd64 (another GOARCH may round floats differently). ~8 s.
 GOLDEN_DIR ?= .golden
 EXAMPLES := geosearch ispfriendly latencyoverlay quickstart streamtv
+SAMPLED := exp-pns-kademlia abl-pns-metric exp-chord-pns exp-brocade exp-superpeer exp-resilience exp-streaming
 golden:
 	@mkdir -p $(GOLDEN_DIR)
 	$(GO) build -o $(GOLDEN_DIR)/unapctl ./cmd/unapctl
 	cd $(GOLDEN_DIR) && ./unapctl run -all -seed 1 -scale 0.25 > underlaysim-all.txt
 	cd $(GOLDEN_DIR) && ./unapctl run -exp exp-intra-as -seed 1 -scale 0.5 -o intra-as.jsonl > /dev/null
 	cd $(GOLDEN_DIR) && ./unapctl run -exp exp-intra-as -seed 1 -scale 0.5 -probe 50 -o intra-as-probe50.jsonl > /dev/null
+	for e in $(SAMPLED); do \
+		(cd $(GOLDEN_DIR) && ./unapctl run -exp $$e -seed 1 -scale 0.25 -probe 1000 -o $$e.jsonl > /dev/null) || exit 1; \
+	done
 	for e in $(EXAMPLES); do \
 		$(GO) build -o $(GOLDEN_DIR)/$$e ./examples/$$e && \
 		(cd $(GOLDEN_DIR) && ./$$e > example-$$e.txt) || exit 1; \

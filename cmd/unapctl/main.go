@@ -230,4 +230,3 @@ func (p paramFlag) Set(s string) error {
 	p[name] = value
 	return nil
 }
-

@@ -118,9 +118,9 @@ func cmdRun(args []string, stdout io.Writer) error {
 			emit(stdout, res, *jsonOut)
 		}
 		if *seeds > 1 {
-			printSweep(stdout, results)
+			printSweep(stdout, results, *jsonOut)
 		}
-		if *all {
+		if *all && !*jsonOut {
 			fmt.Fprintln(stdout)
 		}
 	}
@@ -156,11 +156,18 @@ func emit(w io.Writer, res experiments.Result, asJSON bool) {
 }
 
 // printSweep prints the per-row mean [min, max] of every numeric column
-// across a seed sweep; a sweep whose rows differ between seeds prints
-// nothing.
-func printSweep(w io.Writer, results []experiments.Result) {
+// across a seed sweep; under -json it prints one JSON document instead,
+// {"seeds": n, "summary": {row: [CellStat per column]}}, where "n": 0 marks
+// a column that is not numeric in every seed. A sweep whose rows differ
+// between seeds prints nothing.
+func printSweep(w io.Writer, results []experiments.Result, asJSON bool) {
 	stats, err := experiments.Summarize(results)
 	if err != nil {
+		return
+	}
+	if asJSON {
+		data, _ := json.Marshal(map[string]any{"seeds": len(results), "summary": stats})
+		fmt.Fprintf(w, "%s\n", data)
 		return
 	}
 	fmt.Fprintf(w, "sweep of %d seeds — per-row mean [min, max] of numeric columns:\n", len(results))

@@ -49,16 +49,24 @@ func TestRunPrintsRender(t *testing.T) {
 	}
 }
 
-// TestRunJSONSweep checks -json prints one JSON object per seed, each
-// decoding back to the Result the sweep produced, followed by the sweep
-// summary.
+// TestRunJSONSweep checks -json prints only JSON documents, one line
+// each: one per seed, decoding back to the Result the sweep produced,
+// then the sweep summary, decoding back to experiments.Summarize's mean,
+// min and max.
 func TestRunJSONSweep(t *testing.T) {
-	want, err := experiments.RunSeeds("fig2-costs", experiments.RunConfig{Seed: 4, Scale: 0.25}, 4, 3)
+	want, err := experiments.RunSeeds("abl-ics-dim", experiments.RunConfig{Seed: 4, Scale: 0.25}, 4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := runOut(t, "-exp", "fig2-costs", "-seed", "4", "-scale", "0.25", "-seeds", "3", "-json")
-	lines := strings.Split(out, "\n")
+	stats, err := experiments.Summarize(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := runOut(t, "-exp", "abl-ics-dim", "-seed", "4", "-scale", "0.25", "-seeds", "3", "-json")
+	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	if len(lines) != len(want)+1 {
+		t.Fatalf("%d lines, want %d results and a summary:\n%s", len(lines), len(want), out)
+	}
 	for i, w := range want {
 		var got experiments.Result
 		if err := json.Unmarshal([]byte(lines[i]), &got); err != nil {
@@ -68,8 +76,24 @@ func TestRunJSONSweep(t *testing.T) {
 			t.Fatalf("line %d decodes to %+v, want %+v", i, got, w)
 		}
 	}
-	if !strings.HasPrefix(lines[3], "sweep of 3 seeds — per-row mean [min, max]") {
-		t.Fatalf("no sweep summary after the results:\n%s", out)
+	var sum struct {
+		Seeds   int                               `json:"seeds"`
+		Summary map[string][]experiments.CellStat `json:"summary"`
+	}
+	if err := json.Unmarshal([]byte(lines[len(want)]), &sum); err != nil {
+		t.Fatalf("summary line: %v\n%s", err, lines[len(want)])
+	}
+	if sum.Seeds != 3 || !reflect.DeepEqual(sum.Summary, stats) {
+		t.Fatalf("summary over %d seeds %+v, want 3 seeds %+v", sum.Seeds, sum.Summary, stats)
+	}
+	varied := false
+	for _, row := range stats {
+		for _, c := range row {
+			varied = varied || c.Min != c.Max
+		}
+	}
+	if !varied {
+		t.Fatal("every cell has min == max: the sweep does not exercise the summary")
 	}
 }
 

@@ -106,25 +106,14 @@ func runAblCoords(cfg RunConfig) Result {
 
 	// ICS with 10 beacons.
 	const m = 10
-	dm := linalg.NewMatrix(m, m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < m; j++ {
-			if i != j {
-				dm.Set(i, j, rtt(i*(n/m), j*(n/m)))
-			}
-		}
-	}
+	dm, delaysOf := beacons(rtt, m, n/m)
 	ics, err := coords.BuildICS(dm, coords.ICSOptions{VarThreshold: 0.95})
 	if err != nil {
 		panic(err)
 	}
 	hostCoords := make([][]float64, n)
 	for i := range hostCoords {
-		delays := make([]float64, m)
-		for b := 0; b < m; b++ {
-			delays[b] = rtt(i, b*(n/m))
-		}
-		hostCoords[i], _ = ics.HostCoord(delays)
+		hostCoords[i], _ = ics.HostCoord(delaysOf(i))
 	}
 	mre, hit = eval(func(i, j int) float64 { return ics.Predict(hostCoords[i], hostCoords[j]) })
 	res.Rows = append(res.Rows, []string{
@@ -137,11 +126,7 @@ func runAblCoords(cfg RunConfig) Result {
 	bins := make([]coords.Bin, n)
 	bcfg := coords.DefaultBinConfig()
 	for i := range bins {
-		delays := make([]float64, m)
-		for b := 0; b < m; b++ {
-			delays[b] = rtt(i, b*(n/m))
-		}
-		bins[i] = coords.ComputeBin(delays, bcfg)
+		bins[i] = coords.ComputeBin(delaysOf(i), bcfg)
 	}
 	_, hit = eval(func(i, j int) float64 { return 1 - bins[i].Similarity(bins[j]) })
 	res.Rows = append(res.Rows, []string{
@@ -164,12 +149,7 @@ func runAblExternal(cfg RunConfig) Result {
 	}
 	for _, ext := range []int{0, 1, 2, 4} {
 		src := sim.NewSource(cfg.Seed).Fork(fmt.Sprintf("ext-%d", ext))
-		tcfg := topology.TransitStubConfig{
-			Config:   topology.Config{IntraDelay: 5, LinkDelay: 20, Rand: src.Stream("topo")},
-			Transits: 2, Stubs: 12,
-		}
-		net := topology.TransitStub(tcfg)
-		topology.PlaceHosts(net, cfg.scaled(12), false, 1, 6, src.Stream("place"))
+		net, _ := transitStub(src, 2, 12, 20, cfg.scaled(12), 6)
 		k := sim.NewKernel()
 		gcfg := gnutella.DefaultConfig()
 		gcfg.ExternalPerNode = ext
@@ -203,15 +183,7 @@ func runAblICSDim(cfg RunConfig) Result {
 	}
 	net, hosts, _ := ablationNet(cfg, "icsdim")
 	const m = 12
-	step := len(hosts) / m
-	dm := linalg.NewMatrix(m, m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < m; j++ {
-			if i != j {
-				dm.Set(i, j, float64(net.RTT(hosts[i*step], hosts[j*step])))
-			}
-		}
-	}
+	dm, _ := beacons(func(i, j int) float64 { return float64(net.RTT(hosts[i], hosts[j])) }, m, len(hosts)/m)
 	full, err := coords.BuildICS(dm, coords.ICSOptions{Dim: m})
 	if err != nil {
 		panic(err)

@@ -6,7 +6,6 @@ import (
 	"unap2p/internal/overlay/kademlia"
 	"unap2p/internal/resources"
 	"unap2p/internal/sim"
-	"unap2p/internal/topology"
 	"unap2p/internal/underlay"
 )
 
@@ -23,11 +22,7 @@ func runBrocade(cfg RunConfig) Result {
 		Headers: []string{"routing", "mean overlay hops", "mean inter-AS crossings", "mean latency (ms)", "messages"},
 	}
 	src := sim.NewSource(cfg.Seed).Fork("brocade")
-	net := topology.TransitStub(topology.TransitStubConfig{
-		Config:   topology.Config{IntraDelay: 5, LinkDelay: 25, Rand: src.Stream("topo")},
-		Transits: 2, Stubs: 10,
-	})
-	hosts := topology.PlaceHosts(net, cfg.scaled(12), false, 1, 6, src.Stream("place"))
+	net, hosts := transitStub(src, 2, 10, 25, cfg.scaled(12), 6)
 	table := resources.GenerateAll(net, src.Stream("res"))
 
 	// Flat overlay: a Kademlia DHT; delivering to a node = iterative

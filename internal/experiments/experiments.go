@@ -12,8 +12,10 @@ import (
 	"strings"
 
 	"unap2p/internal/churn"
+	"unap2p/internal/linalg"
 	"unap2p/internal/mobility"
 	"unap2p/internal/sim"
+	"unap2p/internal/topology"
 	"unap2p/internal/transport"
 	"unap2p/internal/underlay"
 )
@@ -174,18 +176,58 @@ func (c RunConfig) scaled(n int) int {
 	return s
 }
 
+// transitStub builds the standard experiment world: a transit–stub
+// underlay of transits core ISPs and stubs local ISPs, 5 ms inside an AS
+// and linkDelay per inter-AS link, with perAS hosts in every stub whose
+// access delays are uniform in [1, maxAccess). Its randomness comes from
+// src's "topo" and "place" streams. Every experiment on this world calls
+// it; a world with link jitter, multihoming or stub peering builds its
+// own TransitStubConfig.
+func transitStub(src *sim.Source, transits, stubs int, linkDelay sim.Duration,
+	perAS int, maxAccess sim.Duration) (*underlay.Network, []*underlay.Host) {
+	net := topology.TransitStub(topology.TransitStubConfig{
+		Config:   topology.Config{IntraDelay: 5, LinkDelay: linkDelay, Rand: src.Stream("topo")},
+		Transits: transits, Stubs: stubs,
+	})
+	return net, topology.PlaceHosts(net, perAS, false, 1, maxAccess, src.Stream("place"))
+}
+
+// beacons measures m landmarks, the hosts 0, step, 2·step, …, with rtt.
+// It returns their m×m delay matrix (zero diagonal, entry (i, j) =
+// rtt(i·step, j·step)) and a function giving host i's delays to them,
+// rtt(i, b·step) for each beacon b. Arguments keep this order because
+// routes may be asymmetric. The delay vector is scratch that the next
+// call overwrites: its readers (ICS.HostCoord, ComputeBin) keep none of it.
+func beacons(rtt func(i, j int) float64, m, step int) (*linalg.Matrix, func(i int) []float64) {
+	dm := linalg.NewMatrix(m, m)
+	for i := 0; i < m; i++ {
+		for j := 0; j < m; j++ {
+			if i != j {
+				dm.Set(i, j, rtt(i*step, j*step))
+			}
+		}
+	}
+	delays := make([]float64, m)
+	return dm, func(i int) []float64 {
+		for b := range delays {
+			delays[b] = rtt(i, b*step)
+		}
+		return delays
+	}
+}
+
 // Result is one regenerated artifact.
 type Result struct {
 	// ID is the experiment identifier (e.g. "tab1-gnutella-msgs").
-	ID string
+	ID string `json:"id"`
 	// Title names the paper artifact being reproduced.
-	Title string
+	Title string `json:"title"`
 	// Headers and Rows form the result table.
-	Headers []string
-	Rows    [][]string
+	Headers []string   `json:"headers"`
+	Rows    [][]string `json:"rows"`
 	// Notes record the paper's reference values and the shape checks the
 	// run is expected to satisfy.
-	Notes []string
+	Notes []string `json:"notes,omitempty"`
 }
 
 // Render formats the result as an aligned text table.

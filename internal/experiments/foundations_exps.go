@@ -8,7 +8,6 @@ import (
 	"unap2p/internal/cost"
 	"unap2p/internal/linalg"
 	"unap2p/internal/sim"
-	"unap2p/internal/topology"
 	"unap2p/internal/underlay"
 )
 
@@ -163,38 +162,22 @@ func runFig4(cfg RunConfig) Result {
 
 	// Second half: ICS on a realistic simulated underlay.
 	src := sim.NewSource(cfg.Seed).Fork("fig4")
-	tcfg := topology.TransitStubConfig{
-		Config:   topology.Config{IntraDelay: 5, LinkDelay: 20, Rand: src.Stream("topo")},
-		Transits: 3, Stubs: 12,
-	}
-	net := topology.TransitStub(tcfg)
-	hosts := topology.PlaceHosts(net, 6, false, 1, 8, src.Stream("place"))
-	m := 8 // beacons
-	dm := linalg.NewMatrix(m, m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < m; j++ {
-			if i != j {
-				dm.Set(i, j, float64(net.RTT(hosts[i*7], hosts[j*7])))
-			}
-		}
-	}
+	net, hosts := transitStub(src, 3, 12, 20, 6, 8)
+	rtt := func(i, j int) float64 { return float64(net.RTT(hosts[i], hosts[j])) }
+	dm, delaysOf := beacons(rtt, 8, 7)
 	icsNet, err := coords.BuildICS(dm, coords.ICSOptions{VarThreshold: 0.95})
 	if err != nil {
 		panic(err)
 	}
 	// Median relative prediction error over host pairs.
 	coordsOf := make([][]float64, len(hosts))
-	for i, h := range hosts {
-		delays := make([]float64, m)
-		for b := 0; b < m; b++ {
-			delays[b] = float64(net.RTT(h, hosts[b*7]))
-		}
-		coordsOf[i], _ = icsNet.HostCoord(delays)
+	for i := range hosts {
+		coordsOf[i], _ = icsNet.HostCoord(delaysOf(i))
 	}
 	var errs []float64
 	for i := 0; i < len(hosts); i += 3 {
 		for j := i + 1; j < len(hosts); j += 3 {
-			actual := float64(net.RTT(hosts[i], hosts[j]))
+			actual := rtt(i, j)
 			if actual <= 0 {
 				continue
 			}

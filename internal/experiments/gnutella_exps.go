@@ -8,7 +8,6 @@ import (
 	"unap2p/internal/metrics"
 	"unap2p/internal/overlay/gnutella"
 	"unap2p/internal/sim"
-	"unap2p/internal/topology"
 	"unap2p/internal/underlay"
 	"unap2p/internal/workload"
 )
@@ -39,13 +38,7 @@ type gnutellaSetup struct {
 // the given bias configuration.
 func buildGnutella(cfg RunConfig, variant string, hostcache int, biasJoin, biasSource bool) gnutellaSetup {
 	src := sim.NewSource(cfg.Seed).Fork("gnutella-" + variant)
-	tcfg := topology.TransitStubConfig{
-		Config:   topology.Config{IntraDelay: 5, LinkDelay: 20, Rand: src.Stream("topo")},
-		Transits: 3,
-		Stubs:    40,
-	}
-	net := topology.TransitStub(tcfg)
-	hosts := topology.PlaceHosts(net, cfg.scaled(12), false, 1, 8, src.Stream("place"))
+	net, hosts := transitStub(src, 3, 40, 20, cfg.scaled(12), 8)
 
 	catalog := workload.NewCatalog(cfg.scaled(200))
 	// Locality-correlated content (Rasti et al.): most items have copies

@@ -151,8 +151,7 @@ func buildImpactScenario(cfg RunConfig) *impactScenario {
 	}
 	return &impactScenario{
 		net: net, hosts: hosts, catalog: catalog, table: table,
-		queries: queries,
-		availability: availability, fileMB: 4,
+		queries: queries, availability: availability, fileMB: 4,
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"unap2p/internal/metrics"
 	"unap2p/internal/overlay/gnutella"
 	"unap2p/internal/sim"
-	"unap2p/internal/topology"
 )
 
 func init() {
@@ -22,12 +21,7 @@ func runTopologyMatching(cfg RunConfig) Result {
 	}
 	build := func(bias bool) *gnutella.Overlay {
 		src := sim.NewSource(cfg.Seed).Fork("ltm")
-		tcfg := topology.TransitStubConfig{
-			Config:   topology.Config{IntraDelay: 5, LinkDelay: 20, Rand: src.Stream("topo")},
-			Transits: 2, Stubs: 12,
-		}
-		net := topology.TransitStub(tcfg)
-		topology.PlaceHosts(net, cfg.scaled(12), false, 1, 6, src.Stream("place"))
+		net, _ := transitStub(src, 2, 12, 20, cfg.scaled(12), 6)
 		k := sim.NewKernel()
 		gcfg := gnutella.DefaultConfig()
 		gcfg.HostcacheSize = 300

@@ -99,12 +99,7 @@ func runOracleTrust(cfg RunConfig) Result {
 		Headers: []string{"oracle behaviour", "intra-AS downloads", "mean source RTT (ms)", "oracle queries"},
 	}
 	src := sim.NewSource(cfg.Seed).Fork("trust")
-	tcfg := topology.TransitStubConfig{
-		Config:   topology.Config{IntraDelay: 5, LinkDelay: 20, Rand: src.Stream("topo")},
-		Transits: 2, Stubs: 10,
-	}
-	net := topology.TransitStub(tcfg)
-	hosts := topology.PlaceHosts(net, cfg.scaled(15), false, 1, 8, src.Stream("place"))
+	net, hosts := transitStub(src, 2, 10, 20, cfg.scaled(15), 8)
 	catalog := workload.NewCatalog(cfg.scaled(120))
 	workload.PopulateLocal(catalog, net, hosts, 6, 0.6, src.Stream("content"))
 	gen := workload.NewQueryGen(net, catalog, hosts, 0.5, 1.0, src.Stream("queries"))
@@ -181,12 +176,7 @@ func runAblPongCache(cfg RunConfig) Result {
 	}
 	for _, cached := range []bool{false, true} {
 		src := sim.NewSource(cfg.Seed).Fork(fmt.Sprintf("pongcache-%v", cached))
-		tcfg := topology.TransitStubConfig{
-			Config:   topology.Config{IntraDelay: 5, LinkDelay: 20, Rand: src.Stream("topo")},
-			Transits: 2, Stubs: 10,
-		}
-		net := topology.TransitStub(tcfg)
-		topology.PlaceHosts(net, cfg.scaled(12), false, 1, 6, src.Stream("place"))
+		net, _ := transitStub(src, 2, 10, 20, cfg.scaled(12), 6)
 		k := sim.NewKernel()
 		gcfg := gnutella.DefaultConfig()
 		gcfg.PingTTL = 3
@@ -213,7 +203,7 @@ func runAblPongCache(cfg RunConfig) Result {
 		if cached {
 			total := 0
 			for _, n := range ov.Nodes() {
-				total += len(nodeHostcache(n))
+				total += len(n.Hostcache())
 			}
 			learned = f1(float64(total) / float64(len(ov.Nodes())))
 		}
@@ -231,7 +221,3 @@ func runAblPongCache(cfg RunConfig) Result {
 		"protocol evolution that made the Table 1 message volumes survivable in deployment.")
 	return res
 }
-
-// nodeHostcache exposes the hostcache length for reporting; kept here to
-// avoid widening the gnutella API for one metric.
-func nodeHostcache(n *gnutella.Node) []underlay.HostID { return n.Hostcache() }

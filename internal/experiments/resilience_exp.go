@@ -7,7 +7,6 @@ import (
 	"unap2p/internal/overlay/kademlia"
 	"unap2p/internal/resilience"
 	"unap2p/internal/sim"
-	"unap2p/internal/topology"
 	"unap2p/internal/underlay"
 )
 
@@ -26,12 +25,7 @@ func init() {
 // series EXPERIMENTS.md plots.
 func runResilience(cfg RunConfig) Result {
 	src := sim.NewSource(cfg.Seed).Fork("resilience")
-	net := topology.TransitStub(topology.TransitStubConfig{
-		Config:   topology.Config{IntraDelay: 5, LinkDelay: 20, Rand: src.Stream("topo")},
-		Transits: 2,
-		Stubs:    8,
-	})
-	hosts := topology.PlaceHosts(net, cfg.scaled(5), false, 1, 5, src.Stream("place"))
+	net, hosts := transitStub(src, 2, 8, 20, cfg.scaled(5), 5)
 	k := sim.NewKernel()
 	tr := cfg.newTransport(net, k)
 	tr.Retry = resilience.Backoff{Base: 50, Max: 400, Factor: 2}.Policy(2)

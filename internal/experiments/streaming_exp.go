@@ -8,7 +8,6 @@ import (
 	"unap2p/internal/overlay/streaming"
 	"unap2p/internal/resources"
 	"unap2p/internal/sim"
-	"unap2p/internal/topology"
 )
 
 func init() {
@@ -28,11 +27,7 @@ func runStreaming(cfg RunConfig) Result {
 	}
 	run := func(aware bool) *streaming.Mesh {
 		src := sim.NewSource(cfg.Seed).Fork(fmt.Sprintf("streaming-%v", aware))
-		net := topology.TransitStub(topology.TransitStubConfig{
-			Config:   topology.Config{IntraDelay: 5, LinkDelay: 20, Rand: src.Stream("topo")},
-			Transits: 2, Stubs: 6,
-		})
-		topology.PlaceHosts(net, cfg.scaled(14), false, 1, 5, src.Stream("place"))
+		net, _ := transitStub(src, 2, 6, 20, cfg.scaled(14), 5)
 		table := resources.GenerateAll(net, src.Stream("res"))
 		sel := &core.ResourceSelector{Table: table, WeightParents: aware}
 		m := streaming.NewMesh(cfg.newTransportOver(net), sel, net.Hosts()[0], src.Stream("mesh"))
@@ -85,11 +80,7 @@ func runChordPNS(cfg RunConfig) Result {
 	}
 	run := func(pns bool) (float64, float64) {
 		src := sim.NewSource(cfg.Seed).Fork(fmt.Sprintf("chordpns-%v", pns))
-		net := topology.TransitStub(topology.TransitStubConfig{
-			Config:   topology.Config{IntraDelay: 5, LinkDelay: 25, Rand: src.Stream("topo")},
-			Transits: 2, Stubs: 10,
-		})
-		topology.PlaceHosts(net, cfg.scaled(12), false, 1, 6, src.Stream("place"))
+		net, _ := transitStub(src, 2, 10, 25, cfg.scaled(12), 6)
 		var sel core.Selector
 		if pns {
 			sel = core.RTTSelector(net)

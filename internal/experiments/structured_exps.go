@@ -125,11 +125,7 @@ func runSuperPeer(cfg RunConfig) Result {
 	}
 	runPolicy := func(aware bool) outcome {
 		src := sim.NewSource(cfg.Seed).Fork(fmt.Sprintf("superpeer-%v", aware))
-		net := topology.TransitStub(topology.TransitStubConfig{
-			Config:   topology.Config{IntraDelay: 5, LinkDelay: 20, Rand: src.Stream("topo")},
-			Transits: 2, Stubs: 8,
-		})
-		hosts := topology.PlaceHosts(net, cfg.scaled(12), false, 1, 5, src.Stream("place"))
+		net, hosts := transitStub(src, 2, 8, 20, cfg.scaled(12), 5)
 		table := resources.GenerateAll(net, src.Stream("res"))
 
 		// Elect 20% of peers as ultrapeers: capability-aware via the
@@ -243,12 +239,7 @@ func runAblPNSMetric(cfg RunConfig) Result {
 		Headers: []string{"proximity source", "mean lookup latency (ms)", "mean hops", "latency vs plain"},
 	}
 	src := sim.NewSource(cfg.Seed).Fork("pnsmetric")
-	tcfg := topology.TransitStubConfig{
-		Config:   topology.Config{IntraDelay: 5, LinkDelay: 25, Rand: src.Stream("topo")},
-		Transits: 2, Stubs: 10,
-	}
-	net := topology.TransitStub(tcfg)
-	hosts := topology.PlaceHosts(net, cfg.scaled(12), false, 1, 6, src.Stream("place"))
+	net, hosts := transitStub(src, 2, 10, 25, cfg.scaled(12), 6)
 
 	// A converged Vivaldi system to serve as the predictive source. Run
 	// it in sampled slices so a probe records the convergence curve —

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"strconv"
@@ -48,8 +47,10 @@ func RunSeeds(id string, base RunConfig, firstSeed int64, n int) ([]Result, erro
 
 // CellStat summarizes one numeric table cell across a sweep.
 type CellStat struct {
-	Mean, Min, Max float64
-	N              int
+	Mean float64 `json:"mean"`
+	Min  float64 `json:"min"`
+	Max  float64 `json:"max"`
+	N    int     `json:"n"`
 }
 
 // Summarize aggregates a sweep: for every (row, column) position whose
@@ -108,20 +109,4 @@ func parseCell(s string) (float64, error) {
 	}
 	s = strings.TrimSuffix(s, "%")
 	return strconv.ParseFloat(s, 64)
-}
-
-// jsonResult mirrors Result with stable field names for output tooling.
-type jsonResult struct {
-	ID      string     `json:"id"`
-	Title   string     `json:"title"`
-	Headers []string   `json:"headers"`
-	Rows    [][]string `json:"rows"`
-	Notes   []string   `json:"notes,omitempty"`
-}
-
-// MarshalJSON renders the result as a stable JSON object.
-func (r Result) MarshalJSON() ([]byte, error) {
-	return json.Marshal(jsonResult{
-		ID: r.ID, Title: r.Title, Headers: r.Headers, Rows: r.Rows, Notes: r.Notes,
-	})
 }

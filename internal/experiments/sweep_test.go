@@ -94,4 +94,28 @@ func TestResultJSON(t *testing.T) {
 	if back.ID != "fig2-costs" || len(back.Rows) != len(r.Rows) {
 		t.Fatalf("round trip lost data: %+v", back)
 	}
+	// The encoding is pinned byte for byte, with and without notes:
+	// `unapctl run -json` prints it, and tools read those bytes.
+	for _, c := range []struct {
+		r    Result
+		want string
+	}{
+		{
+			Result{ID: "x-notes", Title: `A <b> & "q" — ∝`, Headers: []string{"h1", "h2"},
+				Rows: [][]string{{"1", "2.50%"}, {"a&b", "<3>"}}, Notes: []string{"first", "second — ∝"}},
+			`{"id":"x-notes","title":"A \u003cb\u003e \u0026 \"q\" — ∝","headers":["h1","h2"],"rows":[["1","2.50%"],["a\u0026b","\u003c3\u003e"]],"notes":["first","second — ∝"]}`,
+		},
+		{
+			Result{ID: "x-bare", Title: "no notes", Headers: []string{"h"}, Rows: [][]string{{"7"}}},
+			`{"id":"x-bare","title":"no notes","headers":["h"],"rows":[["7"]]}`,
+		},
+	} {
+		got, err := json.Marshal(c.r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != c.want {
+			t.Errorf("%s:\n got %s\nwant %s", c.r.ID, got, c.want)
+		}
+	}
 }

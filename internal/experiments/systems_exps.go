@@ -37,12 +37,7 @@ func runBNSSwarm(cfg RunConfig) Result {
 	}
 	run := func(biased bool) (bittorrent.Stats, float64) {
 		src := sim.NewSource(cfg.Seed).Fork(fmt.Sprintf("bns-%v", biased))
-		tcfg := topology.TransitStubConfig{
-			Config:   topology.Config{IntraDelay: 5, LinkDelay: 20, Rand: src.Stream("topo")},
-			Transits: 2, Stubs: 8,
-		}
-		net := topology.TransitStub(tcfg)
-		topology.PlaceHosts(net, cfg.scaled(14), false, 1, 6, src.Stream("place"))
+		net, _ := transitStub(src, 2, 8, 20, cfg.scaled(14), 6)
 		scfg := bittorrent.DefaultConfig()
 		scfg.Pieces = cfg.scaled(48)
 		var sel core.Selector
@@ -102,12 +97,7 @@ func runPNSKademlia(cfg RunConfig) Result {
 	}
 	run := func(pns bool) (float64, float64, float64, float64) {
 		src := sim.NewSource(cfg.Seed).Fork(fmt.Sprintf("pns-%v", pns))
-		tcfg := topology.TransitStubConfig{
-			Config:   topology.Config{IntraDelay: 5, LinkDelay: 25, Rand: src.Stream("topo")},
-			Transits: 2, Stubs: 10,
-		}
-		net := topology.TransitStub(tcfg)
-		topology.PlaceHosts(net, cfg.scaled(12), false, 1, 6, src.Stream("place"))
+		net, _ := transitStub(src, 2, 10, 25, cfg.scaled(12), 6)
 		kcfg := kademlia.DefaultConfig()
 		var sel core.Selector
 		if pns {

@@ -8,11 +8,9 @@ import (
 	"unap2p/internal/core"
 	"unap2p/internal/geo"
 	"unap2p/internal/ipmap"
-	"unap2p/internal/linalg"
 	"unap2p/internal/oracle"
 	"unap2p/internal/resources"
 	"unap2p/internal/sim"
-	"unap2p/internal/topology"
 	"unap2p/internal/underlay"
 )
 
@@ -29,12 +27,7 @@ func init() {
 // shared demo network, exercising each collection path.
 func buildEstimators(cfg RunConfig) (*underlay.Network, []core.Estimator) {
 	src := sim.NewSource(cfg.Seed).Fork("fig3")
-	tcfg := topology.TransitStubConfig{
-		Config:   topology.Config{IntraDelay: 5, LinkDelay: 20, Rand: src.Stream("topo")},
-		Transits: 2, Stubs: 8,
-	}
-	net := topology.TransitStub(tcfg)
-	hosts := topology.PlaceHosts(net, 8, false, 1, 6, src.Stream("place"))
+	net, hosts := transitStub(src, 2, 8, 20, 8, 6)
 	plan := ipmap.AssignAll(net)
 
 	// ISP-location estimators.
@@ -54,26 +47,15 @@ func buildEstimators(cfg RunConfig) (*underlay.Network, []core.Estimator) {
 	for i, h := range hosts {
 		vidx[h.ID] = i
 	}
-	const beacons = 6
-	dm := linalg.NewMatrix(beacons, beacons)
-	for i := 0; i < beacons; i++ {
-		for j := 0; j < beacons; j++ {
-			if i != j {
-				dm.Set(i, j, rttFn(i*5, j*5))
-			}
-		}
-	}
+	const nBeacons = 6
+	dm, delaysOf := beacons(rttFn, nBeacons, 5)
 	ics, err := coords.BuildICS(dm, coords.ICSOptions{VarThreshold: 0.95})
 	if err != nil {
 		panic(err)
 	}
 	icsCoords := map[underlay.HostID][]float64{}
 	for i, h := range hosts {
-		delays := make([]float64, beacons)
-		for b := 0; b < beacons; b++ {
-			delays[b] = rttFn(i, b*5)
-		}
-		icsCoords[h.ID], _ = ics.HostCoord(delays)
+		icsCoords[h.ID], _ = ics.HostCoord(delaysOf(i))
 	}
 
 	// Geolocation estimators.
@@ -99,7 +81,7 @@ func buildEstimators(cfg RunConfig) (*underlay.Network, []core.Estimator) {
 		&core.CDNEstimator{Maps: maps, Observations: cdnNet.Redirections},
 		&core.RTTEstimator{U: net},
 		&core.VivaldiEstimator{S: vs, Index: vidx},
-		&core.ICSEstimator{ICS: ics, Coords: icsCoords, Measurements: uint64(len(hosts) * beacons)},
+		&core.ICSEstimator{ICS: ics, Coords: icsCoords, Measurements: uint64(len(hosts) * nBeacons)},
 		&core.GeoEstimator{Positions: gpsPos, Via: core.GPS, Fixes: uint64(len(gpsPos))},
 		&core.GeoEstimator{Positions: ipPos, Via: core.IPToLocationMapping, Fixes: uint64(len(ipPos))},
 		&core.ResourceEstimator{Table: table, UpdateMsgs: uint64(len(hosts))},
