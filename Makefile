@@ -11,14 +11,15 @@ BENCHTIME ?= 100ms
 # of the CLI outputs against testdata/golden.sha256, a clean build of
 # every package, vet + tests of the nested bench/ module (which the root
 # ./... patterns skip), the test suite under the race detector, the chaos
-# suite, fuzz smokes of the schedule parser, the XOR ground-truth trie
-# and the real-socket wire codec, an end-to-end smoke of the probe
-# plane (record → sample → series), a mid-size sharded-kernel run of
-# all three compact overlays under race, a live multi-process cluster
-# smoke over localhost UDP, the live chaos campaign (sim-vs-live
-# conformance plus schedule-driven fault injection against real
-# clusters), and the perf gate (fails on a >15% B/op or allocs/op
-# regression against the baseline snapshot; ns/op moves are advisory).
+# suite, fuzz smokes of the schedule parser, the XOR ground-truth trie,
+# the real-socket wire codec and compact Kademlia's packed rows, an
+# end-to-end smoke of the probe plane (record → sample → series), a
+# mid-size sharded-kernel run of all three compact overlays under race,
+# a live multi-process cluster smoke over localhost UDP, the live chaos
+# campaign (sim-vs-live conformance plus schedule-driven fault injection
+# against real clusters), and the perf gate (fails on a >15% B/op or
+# allocs/op regression against the baseline snapshot; ns/op moves are
+# advisory).
 # The coverage summary and the line count run afterwards as non-fatal
 # reporting steps.
 ci: fmt vet deadcode golden build bench-check race chaos fuzz-smoke series-demo megascale-smoke net-smoke live-chaos perf-gate
@@ -115,9 +116,14 @@ bench-json:
 # parent/change runs on BENCHMARK.json. Benchmarks that exist on only one
 # side are reported but never gate.
 #
-# The baseline is BENCH_PR35.json, taken when the live RPC path stopped
-# allocating per frame (call slots, handlers on the receive goroutine,
-# codecs that append into caller storage): BenchmarkNetCallLoopback
+# The baseline is BENCH_PR40.json, taken when compact Kademlia's flat
+# n×Buckets×K table became packed rows sized by what they hold: no
+# benchmark's B/op or allocs/op moved beyond run-to-run spread against
+# BENCH_PR35.json (BenchmarkCompactLookup kademlia 108 allocs / 2.7 kB
+# per op at the same b.N on both sides). Rows from BENCH_PR35.json, taken
+# when the live RPC path stopped allocating per frame (call slots,
+# handlers on the receive goroutine, codecs that append into caller
+# storage): BenchmarkNetCallLoopback
 # 1 alloc / 186 B per op (was 8 / 737; the one left is the response copy
 # Call hands its caller, CallAppend has none), BenchmarkPeersCodec 0
 # (was 3 / 704 B) and BenchmarkClosestXor 0 (was 1). Rows from
@@ -131,9 +137,9 @@ bench-json:
 # / 2.7 kB per op and chord 161 / 4.1 kB, nearly all of it the sharded
 # kernel's ~7 allocations per epoch barrier; BenchmarkCompactFloodQuery
 # 44 allocs / 3.6 kB. Its e2e section holds the paired end-to-end runs
-# of BENCHMARK.json's workloads against the parent commit; bench-diff
-# reads only the benchmarks.
-BENCH_BASELINE ?= BENCH_PR35.json
+# of BENCHMARK.json's workloads against the parent commit, plus the
+# 1M-peer mega-dht point; bench-diff reads only the benchmarks.
+BENCH_BASELINE ?= BENCH_PR40.json
 PERF_THRESHOLD ?= 0.15
 perf-gate:
 	$(MAKE) bench-json
@@ -167,14 +173,17 @@ chaos:
 # against a naive scan), the nettransport wire codec (arbitrary
 # datagrams must never panic the receive loop), the address-book peer
 # codec (a lying entry count must never drive the allocator; decode →
-# merge → encode is a fixpoint), and the codec's IPv4 address fast path
-# (it accepts nothing netip.ParseAddrPort would read differently).
+# merge → encode is a fixpoint), the codec's IPv4 address fast path
+# (it accepts nothing netip.ParseAddrPort would read differently), and
+# compact Kademlia's packed rows (any Observe stream, before and after
+# Seed, leaves every bucket as the flat n×Buckets×K reference does).
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseSchedule -fuzztime=10s ./internal/chaos/
 	$(GO) test -run='^$$' -fuzz=FuzzClosestGlobal -fuzztime=10s ./internal/megascale/
 	$(GO) test -run='^$$' -fuzz=FuzzWireCodec -fuzztime=10s ./internal/nettransport/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodePeers -fuzztime=10s ./internal/nettransport/
 	$(GO) test -run='^$$' -fuzz=FuzzPeerAddr -fuzztime=10s ./internal/nettransport/
+	$(GO) test -run='^$$' -fuzz=FuzzCompactObserve -fuzztime=10s ./internal/overlay/kademlia/
 
 # net-smoke boots a real multi-process cluster per overlay: 5 unapnode
 # OS processes on localhost UDP ports, joined through a bootstrap, each

@@ -158,11 +158,18 @@ func emit(w io.Writer, res experiments.Result, asJSON bool) {
 // printSweep prints the per-row mean [min, max] of every numeric column
 // across a seed sweep; under -json it prints one JSON document instead,
 // {"seeds": n, "summary": {row: [CellStat per column]}}, where "n": 0 marks
-// a column that is not numeric in every seed. A sweep whose rows differ
-// between seeds prints nothing.
+// a column that is not numeric in every seed. A sweep with no summary
+// (its rows differ between seeds, say) says why: "sweep of n seeds: no
+// summary: <reason>", or {"seeds": n, "error": "<reason>"} under -json.
 func printSweep(w io.Writer, results []experiments.Result, asJSON bool) {
 	stats, err := experiments.Summarize(results)
+	if err != nil && asJSON {
+		data, _ := json.Marshal(map[string]any{"seeds": len(results), "error": err.Error()})
+		fmt.Fprintf(w, "%s\n", data)
+		return
+	}
 	if err != nil {
+		fmt.Fprintf(w, "sweep of %d seeds: no summary: %v\n", len(results), err)
 		return
 	}
 	if asJSON {

@@ -97,6 +97,36 @@ func TestRunJSONSweep(t *testing.T) {
 	}
 }
 
+// TestRunSweepWithoutSummary checks a sweep whose rows differ between
+// seeds (exp-resilience keys rows by victim host) says why it has no
+// summary: one text line after the tables, one JSON document under -json.
+func TestRunSweepWithoutSummary(t *testing.T) {
+	want, err := experiments.RunSeeds("exp-resilience", experiments.RunConfig{Seed: 1, Scale: 0.25}, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, reason := experiments.Summarize(want)
+	if reason == nil {
+		t.Fatal("exp-resilience rows are stable across seeds: the test needs a sweep with no summary")
+	}
+	args := []string{"-exp", "exp-resilience", "-seed", "1", "-scale", "0.25", "-seeds", "2"}
+	out := runOut(t, args...)
+	if line := "sweep of 2 seeds: no summary: " + reason.Error() + "\n"; !strings.HasSuffix(out, line) {
+		t.Fatalf("text output does not end with %q:\n%s", line, out)
+	}
+	lines := strings.Split(strings.TrimSuffix(runOut(t, append(args, "-json")...), "\n"), "\n")
+	if len(lines) != len(want)+1 {
+		t.Fatalf("%d JSON lines, want %d results and one error document", len(lines), len(want))
+	}
+	var doc map[string]any
+	if err := json.Unmarshal([]byte(lines[len(want)]), &doc); err != nil {
+		t.Fatalf("last line: %v\n%s", err, lines[len(want)])
+	}
+	if wantDoc := map[string]any{"seeds": 2.0, "error": reason.Error()}; !reflect.DeepEqual(doc, wantDoc) {
+		t.Fatalf("last line decodes to %v, want %v", doc, wantDoc)
+	}
+}
+
 // TestRunRecordsRunFile checks -o writes a run file that reads back with
 // its manifest and closing summary, while stdout stays the plain table.
 func TestRunRecordsRunFile(t *testing.T) {

@@ -1,7 +1,9 @@
 package kademlia
 
 import (
+	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -14,7 +16,7 @@ import (
 
 // buildCompact wires a small sharded stack: star underlay, peer table,
 // partition, kernel, transport, DHT.
-func buildCompact(t *testing.T, perAS, K int, seed uint64) (*CompactDHT, *transport.ShardedNet) {
+func buildCompact(t testing.TB, perAS, K int, seed uint64) (*CompactDHT, *transport.ShardedNet) {
 	t.Helper()
 	u := underlay.New()
 	transit := u.AddAS(underlay.TransitISP, 2)
@@ -164,9 +166,8 @@ func TestCompactObserveAware(t *testing.T) {
 		}
 		cnt := 0
 		for b := 0; b < dht.cfg.Buckets; b++ {
-			base := b * dht.cfg.K
-			for i := 0; i < int(dht.cnt[b]); i++ {
-				if pt.AS(underlay.PeerID(dht.rt[base+i])) == pt.AS(p0) {
+			for _, q := range bucket(dht, p0, b) {
+				if pt.AS(underlay.PeerID(q)) == pt.AS(p0) {
 					cnt++
 				}
 			}
@@ -177,6 +178,218 @@ func TestCompactObserveAware(t *testing.T) {
 	aware := sameAS(da)
 	if aware <= plain {
 		t.Fatalf("aware table holds %d same-AS contacts, plain %d", aware, plain)
+	}
+}
+
+// bucket returns bucket b of peer p's packed row: it starts where the
+// counts of the buckets before it end.
+func bucket(d *CompactDHT, p underlay.PeerID, b int) []uint32 {
+	cnt := d.cnt[int(p)*d.cfg.Buckets:][:d.cfg.Buckets]
+	at := 0
+	for _, c := range cnt[:b] {
+		at += int(c)
+	}
+	return d.row(p)[at : at+int(cnt[b])]
+}
+
+// flatTable is the compact routing table as a flat n×Buckets×K array,
+// the layout before packed rows: observe is CompactDHT.Observe of that
+// layout verbatim, kept as the reference the packed rows must match
+// bucket for bucket, in order.
+type flatTable struct {
+	d   *CompactDHT // ids, bucket bands, config and peer table
+	rt  []uint32    // routing table slots, peer p at rt[p*Buckets*K:]
+	cnt []uint8     // bucket fill counts, peer p at cnt[p*Buckets:]
+}
+
+func newFlatTable(d *CompactDHT) *flatTable {
+	n := len(d.ids)
+	return &flatTable{d: d, rt: make([]uint32, n*d.cfg.Buckets*d.cfg.K), cnt: make([]uint8, n*d.cfg.Buckets)}
+}
+
+func (f *flatTable) observe(p, q underlay.PeerID) {
+	d := f.d
+	if p == q {
+		return
+	}
+	b := d.bucketOf(Distance(d.ids[p], d.ids[q]))
+	base := (int(p)*d.cfg.Buckets + b) * d.cfg.K
+	c := &f.cnt[int(p)*d.cfg.Buckets+b]
+	for i := 0; i < int(*c); i++ {
+		if f.rt[base+i] == uint32(q) {
+			return
+		}
+	}
+	if int(*c) < d.cfg.K {
+		f.rt[base+int(*c)] = uint32(q)
+		*c++
+		return
+	}
+	if !d.cfg.Aware {
+		return
+	}
+	if i := megascale.ReplaceCrossAS(d.net.Peers(), p, q, f.rt[base:base+d.cfg.K]); i >= 0 {
+		f.rt[base+i] = uint32(q)
+	}
+}
+
+func (f *flatTable) bucket(p underlay.PeerID, b int) []uint32 {
+	row := int(p)*f.d.cfg.Buckets + b
+	return f.rt[row*f.d.cfg.K:][:f.cnt[row]]
+}
+
+// packedVsFlat feeds one Observe stream to a packed CompactDHT and its
+// flat reference and counts each peer's spills.
+type packedVsFlat struct {
+	d      *CompactDHT
+	f      *flatTable
+	spills []int
+}
+
+// newPackedVsFlat builds an unseeded table of bucket width k over net.
+func newPackedVsFlat(net *transport.ShardedNet, k int, aware bool, seed uint64) *packedVsFlat {
+	cfg := DefaultCompactConfig()
+	cfg.K, cfg.Buckets, cfg.Aware = k, 16, aware
+	d := NewCompact(net, cfg, seed, 0, 1)
+	return &packedVsFlat{d: d, f: newFlatTable(d), spills: make([]int, len(d.ids))}
+}
+
+func (pf *packedVsFlat) observe(p, q underlay.PeerID) {
+	off := pf.d.off[p]
+	pf.d.Observe(p, q)
+	if pf.d.off[p] != off && pf.d.off[p]&spilled != 0 {
+		pf.spills[p]++
+	}
+	pf.f.observe(p, q)
+}
+
+// seed runs Seed on the packed table and the same contact stream into
+// the flat one.
+func (pf *packedVsFlat) seed(seed uint64) {
+	pf.d.Seed(seed, 20, 4)
+	pf.d.space.SeedContacts(seed, 20, 4, pf.f.observe)
+}
+
+// check fails t unless every bucket of every peer holds the same
+// contacts in the same order in both tables.
+func (pf *packedVsFlat) check(t *testing.T, stage string) {
+	t.Helper()
+	for p := range pf.d.ids {
+		p := underlay.PeerID(p)
+		for b := 0; b < pf.d.cfg.Buckets; b++ {
+			if got, want := bucket(pf.d, p, b), pf.f.bucket(p, b); !slices.Equal(got, want) {
+				t.Fatalf("%s: K=%d aware=%v peer %d bucket %d: packed %v, flat %v",
+					stage, pf.d.cfg.K, pf.d.cfg.Aware, p, b, got, want)
+			}
+		}
+	}
+}
+
+// TestCompactPackedMatchesFlat feeds the same Observe stream to packed
+// rows and the flat reference: contacts observed before Seed (rows grow
+// from nothing through the spill), Seed itself, then a stream skewed onto
+// a few peers so their rows spill again and again. Unaware and Aware, K
+// from 3 to past the stack shortlist (rows over 255 slots).
+func TestCompactPackedMatchesFlat(t *testing.T) {
+	_, net := buildCompact(t, 64, 2, 17)
+	n := uint64(net.Peers().Len())
+	for _, k := range []int{3, 8, shortlistStack + 4} {
+		for _, aware := range []bool{false, true} {
+			pf := newPackedVsFlat(net, k, aware, 17)
+			stream := func(from, to uint64) {
+				for i := from; i < to; i++ {
+					p := megascale.Mix64(i) % n
+					if i%2 == 0 {
+						p %= 6 // the hot peers
+					}
+					pf.observe(underlay.PeerID(p), underlay.PeerID(megascale.Mix64(i^0xc0ffee)%n))
+				}
+			}
+			stream(0, 2000)
+			pf.check(t, "before Seed")
+			pf.seed(17 ^ 0x5eed)
+			pf.check(t, "after Seed")
+			stream(2000, 8000)
+			pf.check(t, "after the stream")
+			most := 0
+			for _, c := range pf.spills {
+				most = max(most, c)
+			}
+			if most < 2 {
+				t.Fatalf("K=%d aware=%v: no row spilled more than once (most %d)", k, aware, most)
+			}
+		}
+	}
+}
+
+// FuzzCompactObserve checks packed rows against the flat reference on
+// arbitrary Observe streams: each byte pair of stream is one (peer,
+// contact) observation, the first half before Seed and the rest after.
+func FuzzCompactObserve(f *testing.F) {
+	f.Add(uint8(3), false, []byte{0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 7, 9})
+	f.Add(uint8(8), true, []byte("the same Observe stream, packed and flat"))
+	f.Add(uint8(shortlistStack+4), true, make([]byte, 64))
+	f.Add(uint8(1), false, []byte{1, 2, 2, 1, 1, 3, 3, 1, 200, 100})
+	_, net := buildCompact(f, 16, 2, 23)
+	n := net.Peers().Len()
+	f.Fuzz(func(t *testing.T, k uint8, aware bool, stream []byte) {
+		if k == 0 {
+			return
+		}
+		pf := newPackedVsFlat(net, int(k), aware, 23)
+		half := len(stream) / 4 * 2
+		for i := 0; i+1 < len(stream); i += 2 {
+			if i == half {
+				pf.seed(23 ^ 0x5eed)
+			}
+			pf.observe(underlay.PeerID(int(stream[i])%n), underlay.PeerID(int(stream[i+1])%n))
+		}
+		pf.check(t, "end of stream")
+	})
+}
+
+// TestCompactTableFootprint pins what the table costs a peer after
+// Bootstrap at 20k peers: rows sized by the bootstrap bound plus
+// rowSlack, an offset and a capacity per peer, a count per bucket — not
+// Buckets×K slots. An Observe into a row with room allocates nothing.
+func TestCompactTableFootprint(t *testing.T) {
+	_, net := buildCompact(t, 5000, 2, 29)
+	d := NewCompact(net, DefaultCompactConfig(), 29, 0, 1)
+	d.Bootstrap(29 ^ 0x5eed)
+	n := len(d.ids)
+	bytes := 4*cap(d.rt) + 4*len(d.off) + 2*len(d.room) + 2*len(d.fill) + len(d.cnt)
+	for _, sp := range d.spill {
+		bytes += 4 * cap(sp)
+	}
+	most := 20 + 2*4 + 2*int(math.Ceil(math.Log2(float64(n))))
+	if limit := 4*(most+rowSlack) + d.cfg.Buckets + 8; bytes > limit*n {
+		t.Fatalf("table takes %.1f B a peer, want at most %d", float64(bytes)/float64(n), limit)
+	}
+	// Pair each of the first peers with a contact its table lacks whose
+	// bucket has a free slot; each call below is a real insert.
+	type pair struct{ p, q underlay.PeerID }
+	var pairs []pair
+	for p := underlay.PeerID(0); len(pairs) < 101; p++ {
+		if d.room[p] == d.fill[p] {
+			continue
+		}
+		for q := underlay.PeerID(n - 1); q > 0; q-- {
+			b := d.bucketOf(Distance(d.ids[p], d.ids[q]))
+			if q != p && len(bucket(d, p, b)) < d.cfg.K && !slices.Contains(bucket(d, p, b), uint32(q)) {
+				pairs = append(pairs, pair{p, q})
+				break
+			}
+		}
+	}
+	i := 0
+	if a := testing.AllocsPerRun(100, func() { d.Observe(pairs[i].p, pairs[i].q); i++ }); a != 0 {
+		t.Fatalf("Observe into a row with room allocates %.0f times per call, want 0", a)
+	}
+	for _, pr := range pairs {
+		b := d.bucketOf(Distance(d.ids[pr.p], d.ids[pr.q]))
+		if !slices.Contains(bucket(d, pr.p, b), uint32(pr.q)) || d.off[pr.p]&spilled != 0 {
+			t.Fatalf("peer %d did not take contact %d in place", pr.p, pr.q)
+		}
 	}
 }
 
@@ -191,9 +404,8 @@ func refCandidates(d *CompactDHT, p underlay.PeerID, target NodeID, k int) []und
 		if b < 0 || b >= d.cfg.Buckets {
 			return
 		}
-		base := (int(p)*d.cfg.Buckets + b) * d.cfg.K
-		for i := 0; i < int(d.cnt[int(p)*d.cfg.Buckets+b]); i++ {
-			out = append(out, underlay.PeerID(d.rt[base+i]))
+		for _, q := range bucket(d, p, b) {
+			out = append(out, underlay.PeerID(q))
 		}
 	}
 	consider(start)
