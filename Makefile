@@ -12,7 +12,8 @@ BENCHTIME ?= 100ms
 # every package, vet + tests of the nested bench/ module (which the root
 # ./... patterns skip), the test suite under the race detector, the chaos
 # suite, fuzz smokes of the schedule parser, the XOR ground-truth trie,
-# the real-socket wire codec and compact Kademlia's packed rows, an
+# the real-socket wire codec, compact Kademlia's packed rows and compact
+# Chord's derived ring, an
 # end-to-end smoke of the probe plane (record → sample → series), a
 # mid-size sharded-kernel run of all three compact overlays under race,
 # a live multi-process cluster smoke over localhost UDP, the live chaos
@@ -174,9 +175,12 @@ chaos:
 # datagrams must never panic the receive loop), the address-book peer
 # codec (a lying entry count must never drive the allocator; decode →
 # merge → encode is a fixpoint), the codec's IPv4 address fast path
-# (it accepts nothing netip.ParseAddrPort would read differently), and
+# (it accepts nothing netip.ParseAddrPort would read differently),
 # compact Kademlia's packed rows (any Observe stream, before and after
-# Seed, leaves every bucket as the flat n×Buckets×K reference does).
+# Seed, leaves every bucket as the flat n×Buckets×K reference does), and
+# compact Chord's derived ring (for any ring size, seed, Aware setting
+# and target, every peer's candidates match the stored successor and
+# finger rows of refRows).
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseSchedule -fuzztime=10s ./internal/chaos/
 	$(GO) test -run='^$$' -fuzz=FuzzClosestGlobal -fuzztime=10s ./internal/megascale/
@@ -184,6 +188,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodePeers -fuzztime=10s ./internal/nettransport/
 	$(GO) test -run='^$$' -fuzz=FuzzPeerAddr -fuzztime=10s ./internal/nettransport/
 	$(GO) test -run='^$$' -fuzz=FuzzCompactObserve -fuzztime=10s ./internal/overlay/kademlia/
+	$(GO) test -run='^$$' -fuzz=FuzzCompactRingRows -fuzztime=10s ./internal/overlay/chord/
 
 # net-smoke boots a real multi-process cluster per overlay: 5 unapnode
 # OS processes on localhost UDP ports, joined through a bootstrap, each

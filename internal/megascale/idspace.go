@@ -8,11 +8,13 @@ import (
 	"unap2p/internal/underlay"
 )
 
-// IDSpace is the flat-array node-id layer every compact overlay shares:
-// one unique 64-bit id per PeerTable peer, hashed deterministically from
-// (seed, peer), plus the sorted view and rank maps that exact
-// ground-truth checks and geometric bootstrap contacts are built from.
-// Everything is immutable after construction, so any shard may read it.
+// IDSpace is the flat-array node-id layer the structured compact
+// overlays share: one unique 64-bit id per PeerTable peer, hashed
+// deterministically from (seed, peer), plus the sorted view and rank
+// maps that exact ground-truth checks, geometric bootstrap contacts and
+// compact Chord's derived ring are built from. ID reads by peer; Rank,
+// ByRank and IDAt read in ascending-id (ring) order. Everything is
+// immutable after construction, so any shard may read it.
 type IDSpace struct {
 	ids    []uint64 // ids[p] is peer p's node id
 	sorted []uint64 // ids ascending
@@ -118,6 +120,10 @@ func (s *IDSpace) Rank(p underlay.PeerID) int { return int(s.rank[p]) }
 
 // ByRank returns the peer holding ascending-id rank r.
 func (s *IDSpace) ByRank(r int) underlay.PeerID { return s.byRank[r] }
+
+// IDAt returns the id at ascending-id rank r, ID(ByRank(r)) without the
+// second lookup.
+func (s *IDSpace) IDAt(r int) uint64 { return s.sorted[r] }
 
 // ClosestXOR returns the node id globally XOR-closest to target — exact
 // ground truth for Kademlia-style overlays, computed by descending the

@@ -357,6 +357,33 @@ func TestPacerDaemonEventsFire(t *testing.T) {
 	}
 }
 
+// TestPacerWakeAllocs: a pacer wake-up allocates nothing, so what a live
+// node allocates does not depend on how long it runs. A 1 ms daemon tick
+// wakes the pacer about 200 times; the count is process-wide.
+func TestPacerWakeAllocs(t *testing.T) {
+	k := sim.NewKernel()
+	p := NewPacer(k)
+	var ticks atomic.Int64
+	var tick func()
+	tick = func() {
+		ticks.Add(1)
+		k.AtDaemon(k.Now()+1, tick)
+	}
+	k.AtDaemon(1, tick)
+	p.Start()
+	defer p.Stop()
+	await(t, "pacer ticks", func() bool { return ticks.Load() >= 10 })
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	n0 := ticks.Load()
+	time.Sleep(200 * time.Millisecond)
+	runtime.ReadMemStats(&m1)
+	n := ticks.Load() - n0
+	if mallocs := m1.Mallocs - m0.Mallocs; n < 20 || mallocs > uint64(n)/10 {
+		t.Fatalf("%d allocations over %d pacer ticks, want under one a tick in ten", mallocs, n)
+	}
+}
+
 // rawPeer is a bare UDP socket that speaks the wire format by hand, for
 // tests that need a peer to misbehave.
 type rawPeer struct {

@@ -61,6 +61,10 @@ const idleSleep = 100 * time.Millisecond
 
 func (p *Pacer) loop() {
 	defer p.wg.Done()
+	// One timer for the pacer's life: a wake-up allocates nothing.
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
+	defer timer.Stop()
 	for {
 		// Advance the kernel to the current wall time. Run with a finite
 		// horizon fires daemon events too, so detector ticks keep coming.
@@ -76,14 +80,18 @@ func (p *Pacer) loop() {
 				sleep = d
 			}
 		}
-		timer := time.NewTimer(sleep)
+		timer.Reset(sleep)
 		select {
 		case fn := <-p.calls:
-			timer.Stop()
+			if !timer.Stop() {
+				select { // a tick that fired before Stop: drop it
+				case <-timer.C:
+				default:
+				}
+			}
 			fn()
 		case <-timer.C:
 		case <-p.done:
-			timer.Stop()
 			return
 		}
 	}

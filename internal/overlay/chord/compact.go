@@ -34,29 +34,24 @@ const (
 	awareProbe = 16
 )
 
-// CompactRing is a struct-of-arrays Chord ring over PeerTable peers for
-// sharded megascale runs, the second port onto the megascale runtime:
-// ids and ring ground truth come from a megascale.IDSpace, the iterative
-// find-predecessor walk runs on the shared megascale.Iter driver, and
-// accounting lives in megascale.Counters. Chord-specific is only the
-// geometry — flat successor and finger arrays in ring-rank space, and
-// the clockwise predecessor metric.
+// CompactRing is a Chord ring over PeerTable peers for sharded megascale
+// runs, the second port onto the megascale runtime: ids and ring ground
+// truth come from a megascale.IDSpace, the iterative find-predecessor
+// walk runs on the shared megascale.Iter driver, and accounting lives in
+// megascale.Counters. Chord-specific is only the geometry — successors
+// and fingers in ring-rank space, and the clockwise predecessor metric.
 //
-// Per-peer state is two flat slices: compactSuccessors entries of successor
-// list and ~log2(n) rank-doubling fingers (finger j sits 2^j ranks
-// ahead, or anywhere in [2^j, 2^(j+1)) under Aware). Tables are built
-// once at Bootstrap with global knowledge (the standard simulation
-// shortcut — join/stabilize is not the object of study) and stay
-// immutable during the run, so any shard may read any row.
+// A peer's table is compactSuccessors successors and ~log2(n)
+// rank-doubling fingers. With global knowledge (the standard simulation
+// shortcut — join/stabilize is not the object of study) and no table
+// changes during the run, every entry is a pure function of the id
+// space's rank order, so the ring stores none: candidates derives the
+// entries it offers from the peer's rank, and any shard may do so.
 type CompactRing struct {
 	cfg CompactConfig
 	net *transport.ShardedNet
 
 	space *megascale.IDSpace
-	succ  []uint32 // n×S successor peers, rank order
-	fing  []uint32 // n×F finger peers, finger j ≥ 2^j ranks ahead
-	nSucc int      // entries per succ row (min(S, n-1))
-	nFing int      // entries per finger row
 
 	ctr  *megascale.Counters
 	iter *megascale.Iter
@@ -72,17 +67,6 @@ func NewCompactRing(net *transport.ShardedNet, cfg CompactConfig, seed uint64, r
 		cfg: cfg, net: net,
 		space: megascale.NewIDSpace(n, seed),
 		ctr:   megascale.NewCounters(net.Kernel().NumShards()),
-	}
-	c.nSucc = compactSuccessors
-	if c.nSucc > n-1 {
-		c.nSucc = n - 1
-	}
-	if c.nSucc < 0 {
-		c.nSucc = 0
-	}
-	c.nFing = 0
-	for 1<<c.nFing < n {
-		c.nFing++
 	}
 	c.iter = megascale.NewIter(megascale.Iter{
 		Net: net, ReqClass: reqClass, RepClass: repClass, RPCBytes: rpcBytes,
@@ -107,66 +91,62 @@ func (c *CompactRing) predDist(q underlay.PeerID, target uint64) uint64 {
 	return megascale.CWDist(c.space.ID(q), target-1)
 }
 
-// Bootstrap builds every successor list and finger table. Fingers live
-// in rank space: finger j of a peer at rank r is the peer 2^j ranks
-// ahead — with uniformly hashed ids that is the classic successor(p+2^j)
-// table, and it guarantees gap-halving convergence for the predecessor
-// walk. Under Aware, slot j instead takes the first same-AS peer among
-// the band's first awareProbe ranks (all of [2^j, 2^(j+1)) is correct).
-// Single-threaded setup only. The seed only matters for id assignment,
-// which already happened in NewCompactRing; topology is a pure function
-// of the rank order.
-func (c *CompactRing) Bootstrap(seed uint64) {
-	n := c.space.Len()
-	c.succ = make([]uint32, n*c.nSucc)
-	c.fing = make([]uint32, n*c.nFing)
+// Bootstrap implements megascale.CompactOverlay and builds nothing: the
+// table candidates reads is derived from the rank order NewCompactRing
+// already fixed, so the seed, which only matters for id assignment, has
+// nothing left to choose.
+func (c *CompactRing) Bootstrap(uint64) {}
+
+// sameAS returns the first of the limit ranks from f whose peer shares
+// q's AS, or f when none does — the Aware pick for a finger band
+// starting at f.
+func (c *CompactRing) sameAS(q underlay.PeerID, f, limit int) int {
 	pt := c.net.Peers()
-	for p := 0; p < n; p++ {
-		r := c.space.Rank(underlay.PeerID(p))
-		for s := 0; s < c.nSucc; s++ {
-			c.succ[p*c.nSucc+s] = uint32(c.space.ByRank((r + 1 + s) % n))
-		}
-		for j := 0; j < c.nFing; j++ {
-			off := 1 << j
-			pick := c.space.ByRank((r + off) % n)
-			if c.cfg.Aware {
-				// Band [2^j, 2^(j+1)) ∩ [.., n): probe a bounded prefix
-				// for a same-AS node.
-				limit := off
-				if off > n-off {
-					limit = n - off
-				}
-				if limit > awareProbe {
-					limit = awareProbe
-				}
-				for b := 0; b < limit; b++ {
-					q := c.space.ByRank((r + off + b) % n)
-					if pt.AS(q) == pt.AS(underlay.PeerID(p)) {
-						pick = q
-						break
-					}
-				}
-			}
-			c.fing[p*c.nFing+j] = uint32(pick)
+	for b := 0; b < limit; b++ {
+		if e := wrap(f+b, c.space.Len()); pt.AS(c.space.ByRank(e)) == pt.AS(q) {
+			return e
 		}
 	}
+	return f
+}
+
+// wrap reduces a rank below 2n onto the ring.
+func wrap(r, n int) int {
+	if r >= n {
+		r -= n
+	}
+	return r
 }
 
 // candidates appends to buf q's best contacts toward target — the
 // compactSuccessors nearest of its successor list and fingers under the
-// predecessor metric, the compact closest_preceding_node: every table
-// entry is offered to a lookup.Shortlist on the stack (which also drops a
-// peer listed in both rows) and the survivors are read off. Executes on
-// q's shard; the rows are immutable after Bootstrap so the read is safe
-// from anywhere.
+// predecessor metric, the compact closest_preceding_node. Successor s of
+// the peer at rank r is rank r+s, and fingers live in rank space: finger
+// j is 2^j ranks ahead — with uniformly hashed ids that is the classic
+// successor(p+2^j) table, and it guarantees gap-halving convergence for
+// the predecessor walk. Under Aware the slot instead takes the first
+// same-AS peer among the band's first awareProbe ranks (all of
+// [2^j, 2^(j+1)) is correct). Every entry is offered to a
+// lookup.Shortlist on the stack (which also drops a peer that is both
+// successor and finger) and the survivors are read off; an entry's
+// distance comes from the rank-ordered id, so a far finger costs one
+// random read, not two. Executes on q's shard; the table is a pure
+// function of the immutable id space, so the read is safe from anywhere.
 func (c *CompactRing) candidates(q underlay.PeerID, target uint64, buf []underlay.PeerID) []underlay.PeerID {
 	var stack [shortlistStack]lookup.Entry[underlay.PeerID]
 	best := lookup.New(stack[:], compactSuccessors)
-	for _, p := range c.succ[int(q)*c.nSucc:][:c.nSucc] {
-		best.Offer(underlay.PeerID(p), c.predDist(underlay.PeerID(p), target), false)
+	n, r, pred := c.space.Len(), c.space.Rank(q), target-1
+	for s := 1; s <= min(compactSuccessors, n-1); s++ {
+		e := wrap(r+s, n)
+		best.Offer(c.space.ByRank(e), megascale.CWDist(c.space.IDAt(e), pred), false)
 	}
-	for _, p := range c.fing[int(q)*c.nFing:][:c.nFing] {
-		best.Offer(underlay.PeerID(p), c.predDist(underlay.PeerID(p), target), false)
+	for off := 1; off < n; off *= 2 {
+		e := wrap(r+off, n)
+		if c.cfg.Aware {
+			// Band [off, 2·off) ∩ [.., n): probe a bounded prefix.
+			e = c.sameAS(q, e, min(off, n-off, awareProbe))
+		}
+		best.Offer(c.space.ByRank(e), megascale.CWDist(c.space.IDAt(e), pred), false)
 	}
 	return best.AppendIDs(buf)
 }

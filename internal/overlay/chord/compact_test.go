@@ -1,6 +1,7 @@
 package chord
 
 import (
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
@@ -13,7 +14,7 @@ import (
 
 // buildCompactRing wires a small sharded stack: star underlay, peer
 // table, partition, kernel, transport, ring.
-func buildCompactRing(t *testing.T, perAS, K int, seed uint64, aware bool) (*CompactRing, *transport.ShardedNet) {
+func buildCompactRing(t testing.TB, perAS, K int, seed uint64, aware bool) (*CompactRing, *transport.ShardedNet) {
 	t.Helper()
 	u := underlay.New()
 	transit := u.AddAS(underlay.TransitISP, 2)
@@ -157,8 +158,8 @@ func TestCompactRingAwareFingers(t *testing.T) {
 		pt := net.Peers()
 		same, total := 0, 0
 		for p := 0; p < pt.Len(); p++ {
-			for j := 0; j < c.nFing; j++ {
-				q := underlay.PeerID(c.fing[p*c.nFing+j])
+			_, fing := refRows(c, underlay.PeerID(p))
+			for _, q := range fing {
 				total++
 				if pt.AS(q) == pt.AS(underlay.PeerID(p)) {
 					same++
@@ -189,12 +190,61 @@ func TestCompactRingAwareFingers(t *testing.T) {
 	}
 }
 
+// refRows is the successor and finger rows of peer p as NewCompactRing
+// sized them and Bootstrap stored them before the ring derived its table
+// from the rank order — the original sizing and fill loop, kept as the
+// reference for candidates and for the Aware picks.
+func refRows(c *CompactRing, p underlay.PeerID) (succ, fing []underlay.PeerID) {
+	n := c.space.Len()
+	nSucc := compactSuccessors
+	if nSucc > n-1 {
+		nSucc = n - 1
+	}
+	if nSucc < 0 {
+		nSucc = 0
+	}
+	nFing := 0
+	for 1<<nFing < n {
+		nFing++
+	}
+	pt := c.net.Peers()
+	r := c.space.Rank(p)
+	for s := 0; s < nSucc; s++ {
+		succ = append(succ, c.space.ByRank((r+1+s)%n))
+	}
+	for j := 0; j < nFing; j++ {
+		off := 1 << j
+		pick := c.space.ByRank((r + off) % n)
+		if c.cfg.Aware {
+			// Band [2^j, 2^(j+1)) ∩ [.., n): probe a bounded prefix
+			// for a same-AS node.
+			limit := off
+			if off > n-off {
+				limit = n - off
+			}
+			if limit > awareProbe {
+				limit = awareProbe
+			}
+			for b := 0; b < limit; b++ {
+				q := c.space.ByRank((r + off + b) % n)
+				if pt.AS(q) == pt.AS(p) {
+					pick = q
+					break
+				}
+			}
+		}
+		fing = append(fing, pick)
+	}
+	return succ, fing
+}
+
 // refCandidates is candidates as it was before the shared
-// lookup.Shortlist — gather both rows into a slice with a seen scan, sort
-// all of it, truncate — kept as the reference the bounded insertion must
-// match.
+// lookup.Shortlist and the derived table — gather both of refRows' rows
+// into a slice with a seen scan, sort all of it, truncate — kept as the
+// reference the bounded insertion must match.
 func refCandidates(c *CompactRing, q underlay.PeerID, target uint64) []underlay.PeerID {
-	out := make([]underlay.PeerID, 0, c.nSucc+c.nFing)
+	succ, fing := refRows(c, q)
+	out := make([]underlay.PeerID, 0, len(succ)+len(fing))
 	seen := func(p underlay.PeerID) bool {
 		for _, e := range out {
 			if e == p {
@@ -203,14 +253,7 @@ func refCandidates(c *CompactRing, q underlay.PeerID, target uint64) []underlay.
 		}
 		return false
 	}
-	for s := 0; s < c.nSucc; s++ {
-		p := underlay.PeerID(c.succ[int(q)*c.nSucc+s])
-		if !seen(p) {
-			out = append(out, p)
-		}
-	}
-	for j := 0; j < c.nFing; j++ {
-		p := underlay.PeerID(c.fing[int(q)*c.nFing+j])
+	for _, p := range append(succ, fing...) {
 		if !seen(p) {
 			out = append(out, p)
 		}
@@ -230,15 +273,17 @@ func refCandidates(c *CompactRing, q underlay.PeerID, target uint64) []underlay.
 }
 
 // TestCompactCandidatesMatchReference: for every peer of a plain and an
-// aware ring, and a ring too small to fill a successor list, candidates
-// returns the reference's contacts in the reference's order — for far
-// targets and for targets at and either side of a node's own id, where
-// the predecessor metric wraps — without allocating into a warmed buffer.
+// aware ring, a ring too small to fill a successor list, and an aware
+// ring of 76 peers (not a power of two, so the top finger band is
+// clipped below awareProbe), candidates returns the reference's contacts
+// in the reference's order — for far targets and for targets at and
+// either side of a node's own id, where the predecessor metric wraps —
+// without allocating into a warmed buffer.
 func TestCompactCandidatesMatchReference(t *testing.T) {
 	for _, tc := range []struct {
 		perAS int
 		aware bool
-	}{{32, false}, {32, true}, {1, false}} {
+	}{{32, false}, {32, true}, {1, false}, {19, true}} {
 		c, net := buildCompactRing(t, tc.perAS, 1, 17, tc.aware)
 		for q := 0; q < net.Peers().Len(); q++ {
 			q := underlay.PeerID(q)
@@ -246,10 +291,9 @@ func TestCompactCandidatesMatchReference(t *testing.T) {
 			for i, target := range []uint64{
 				megascale.Mix64(uint64(q)), megascale.Mix64(uint64(q) ^ 0xabc), id, id + 1, id - 1,
 			} {
-				got, want := c.candidates(q, target, nil), refCandidates(c, q, target)
-				if len(want) == 0 || !reflect.DeepEqual(got, want) {
-					t.Fatalf("perAS=%d aware=%v peer %d target %d (%x):\n got %v\nwant %v",
-						tc.perAS, tc.aware, q, i, target, got, want)
+				if err := matchReference(c, q, target); err != "" {
+					t.Fatalf("perAS=%d aware=%v peer %d target %d (%x):\n%s",
+						tc.perAS, tc.aware, q, i, target, err)
 				}
 			}
 		}
@@ -257,5 +301,45 @@ func TestCompactCandidatesMatchReference(t *testing.T) {
 		if a := testing.AllocsPerRun(100, func() { buf = c.candidates(3, 0xfeedface, buf[:0]) }); a != 0 {
 			t.Errorf("perAS=%d: candidates into a warmed buffer allocates %.0f times per call, want 0", tc.perAS, a)
 		}
+	}
+}
+
+// matchReference compares candidates with refCandidates for one peer and
+// target, and describes the first difference ("" when they agree).
+func matchReference(c *CompactRing, q underlay.PeerID, target uint64) string {
+	got, want := c.candidates(q, target, nil), refCandidates(c, q, target)
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		return fmt.Sprintf(" got %v\nwant %v", got, want)
+	}
+	return ""
+}
+
+// FuzzCompactRingRows: for any ring size, seed, Aware setting and
+// target, the table candidates derives from the rank order offers what
+// the stored rows of refRows did, in the same order, at every peer.
+func FuzzCompactRingRows(f *testing.F) {
+	f.Add(uint8(31), uint64(17), false, uint64(0xfeedface))
+	f.Add(uint8(31), uint64(17), true, uint64(0))
+	f.Add(uint8(0), uint64(3), false, uint64(1))
+	f.Add(uint8(18), uint64(5), true, ^uint64(0))
+	f.Fuzz(func(t *testing.T, perAS uint8, seed uint64, aware bool, target uint64) {
+		c, net := buildCompactRing(t, 1+int(perAS)%64, 1, seed, aware)
+		for q := 0; q < net.Peers().Len(); q++ {
+			if err := matchReference(c, underlay.PeerID(q), target); err != "" {
+				t.Fatalf("peer %d target %x:\n%s", q, target, err)
+			}
+		}
+	})
+}
+
+// TestCompactRingBootstrapStoresNothing: the ring keeps no per-peer
+// table, so Bootstrap allocates nothing however many peers there are.
+func TestCompactRingBootstrapStoresNothing(t *testing.T) {
+	c, net := buildCompactRing(t, 256, 1, 7, true)
+	if n := net.Peers().Len(); n < 1000 {
+		t.Fatalf("ring of %d peers, want at least 1000", n)
+	}
+	if a := testing.AllocsPerRun(10, func() { c.Bootstrap(7) }); a != 0 {
+		t.Fatalf("Bootstrap allocates %.0f times, want 0", a)
 	}
 }

@@ -52,11 +52,10 @@ const (
 // sharded megascale runs — the unstructured port onto the megascale
 // runtime, which is what turns the million-peer study into the
 // structured-vs-unstructured comparison the 2009 paper could only
-// sketch. Ids come from a megascale.IDSpace (unused for routing, but
-// they key the shared workload targets), accounting lives in
-// megascale.Counters, and the topology is flat arrays: a hashed
-// ultrapeer election, an ultra↔ultra neighbor table, per-leaf parent
-// slots, and a CSR leaf list per ultrapeer.
+// sketch. A flood routes by no id, so peers have none; accounting lives
+// in megascale.Counters, and the topology is flat arrays: a hashed
+// ultrapeer election, an ultra↔ultra neighbor table and per-leaf parent
+// slots.
 //
 // A query is a TTL-bounded flood over the ultrapeer graph with
 // QRP-style last-hop routing: an ultrapeer knows which of its leaves
@@ -71,15 +70,12 @@ type CompactFlood struct {
 	cfg CompactConfig
 	net *transport.ShardedNet
 
-	space *megascale.IDSpace
 	uidx  []int32  // dense ultra index per peer, -1 for leaves
 	ultra []uint32 // ultra peer ids, election order
 	nbr   []uint32 // U×compactMaxDeg ultra neighbors
 	ncnt  []uint8  // neighbor fill per ultra
 	par   []uint32 // n×compactLeafParents parent ultras (leaf rows only)
 	pcnt  []uint8  // parent fill per peer
-	lhead []int32  // U+1 CSR offsets into llist
-	llist []uint32 // leaves per ultra, CSR
 
 	qryClass, hitClass int
 
@@ -97,8 +93,11 @@ type CompactFlood struct {
 
 // NewCompactFlood builds a compact Gnutella over every peer in the
 // net's table. qryClass and hitClass are the transport classes for
-// query and query-hit traffic. Call Bootstrap before the kernel runs.
-func NewCompactFlood(net *transport.ShardedNet, cfg CompactConfig, seed uint64, qryClass, hitClass int) *CompactFlood {
+// query and query-hit traffic. The third argument, the id seed of the
+// structured overlays' constructors, goes unused: a flood has no ids,
+// and Bootstrap's seed draws the topology. Call Bootstrap before the
+// kernel runs.
+func NewCompactFlood(net *transport.ShardedNet, cfg CompactConfig, _ uint64, qryClass, hitClass int) *CompactFlood {
 	n := net.Peers().Len()
 	if cfg.QueryTTL <= 0 || cfg.QueryTTL > math.MaxInt16 {
 		panic("gnutella: bad CompactConfig")
@@ -106,7 +105,6 @@ func NewCompactFlood(net *transport.ShardedNet, cfg CompactConfig, seed uint64, 
 	shards := net.Kernel().NumShards()
 	g := &CompactFlood{
 		cfg: cfg, net: net,
-		space:    megascale.NewIDSpace(n, seed),
 		uidx:     make([]int32, n),
 		qryClass: qryClass, hitClass: hitClass,
 		ctr:       megascale.NewCounters(shards),
@@ -129,7 +127,7 @@ func (g *CompactFlood) Ultras() int { return len(g.ultra) }
 // Bootstrap elects ultrapeers and builds the whole flat topology
 // deterministically from the seed. Single-threaded setup only.
 func (g *CompactFlood) Bootstrap(seed uint64) {
-	n := g.space.Len()
+	n := len(g.uidx)
 	pt := g.net.Peers()
 	// Hashed ultrapeer election; a tiny network promotes everyone so the
 	// graph exists.
@@ -200,11 +198,10 @@ func (g *CompactFlood) Bootstrap(seed uint64) {
 			link(i, pickUltra(seed^0x0b61^uint64(i)<<20^uint64(d), as))
 		}
 	}
-	// Leaves attach to compactLeafParents distinct ultras; CSR-invert for
-	// the per-ultra leaf lists QRP forwarding walks.
+	// Leaves attach to compactLeafParents distinct ultras; QRP reads the
+	// parent rows (attachedTo).
 	g.par = make([]uint32, n*compactLeafParents)
 	g.pcnt = make([]uint8, n)
-	leafCnt := make([]int32, u)
 	for p := 0; p < n; p++ {
 		if g.uidx[p] >= 0 {
 			continue
@@ -225,24 +222,6 @@ func (g *CompactFlood) Bootstrap(seed uint64) {
 			}
 			g.par[base+int(g.pcnt[p])] = g.ultra[c]
 			g.pcnt[p]++
-			leafCnt[c]++
-		}
-	}
-	g.lhead = make([]int32, u+1)
-	for i := 0; i < u; i++ {
-		g.lhead[i+1] = g.lhead[i] + leafCnt[i]
-	}
-	g.llist = make([]uint32, g.lhead[u])
-	fill := make([]int32, u)
-	for p := 0; p < n; p++ {
-		if g.uidx[p] >= 0 {
-			continue
-		}
-		base := p * compactLeafParents
-		for i := 0; i < int(g.pcnt[p]); i++ {
-			ui := g.uidx[g.par[base+i]]
-			g.llist[g.lhead[ui]+fill[ui]] = uint32(p)
-			fill[ui]++
 		}
 	}
 }
@@ -251,7 +230,7 @@ func (g *CompactFlood) Bootstrap(seed uint64) {
 // seed — the deterministic replica placement both the flood's QRP check
 // and the ground truth read.
 func (g *CompactFlood) owners(key uint64, out []underlay.PeerID) []underlay.PeerID {
-	n := uint64(g.space.Len())
+	n := uint64(len(g.uidx))
 	out = out[:0]
 	for r := 0; r < replicas; r++ {
 		out = append(out, underlay.PeerID(megascale.Mix64(key^uint64(r+1)*0xbf58476d1ce4e5b9)%n))

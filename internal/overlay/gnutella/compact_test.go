@@ -3,6 +3,7 @@ package gnutella
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"unap2p/internal/megascale"
@@ -125,26 +126,39 @@ func TestCompactFloodTopology(t *testing.T) {
 			}
 			continue
 		}
-		// Leaves hold ≥1 parent, all ultras, mirrored in the CSR list.
+		// Leaves hold ≥1 parent, all ultras, each of which QRP sees the
+		// leaf attached to.
 		if g.pcnt[p] == 0 {
 			t.Fatalf("leaf %d has no parents", p)
 		}
 		for i := 0; i < int(g.pcnt[p]); i++ {
-			u := g.par[p*compactLeafParents+i]
-			ui := g.uidx[u]
-			if ui < 0 {
+			u := underlay.PeerID(g.par[p*compactLeafParents+i])
+			if !g.IsUltra(u) {
 				t.Fatalf("leaf %d parent %d is not an ultra", p, u)
 			}
-			found := false
-			for k := g.lhead[ui]; k < g.lhead[ui+1]; k++ {
-				if g.llist[k] == uint32(p) {
-					found = true
-				}
-			}
-			if !found {
-				t.Fatalf("leaf %d missing from parent %d's CSR list", p, u)
+			if !g.attachedTo(underlay.PeerID(p), u) {
+				t.Fatalf("leaf %d not attachedTo its parent %d", p, u)
 			}
 		}
+	}
+}
+
+// TestCompactFloodFootprint bounds what building the flood allocates per
+// peer: the election, the neighbor table and the parent rows, about
+// 22 B. An id space (40 B a peer while it sorts, 24 kept) or per-ultra
+// leaf lists, which no query reads, would break the bound.
+func TestCompactFloodFootprint(t *testing.T) {
+	net := buildShardedNet(5000, 1)
+	n := net.Peers().Len()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g := NewCompactFlood(net, DefaultCompactConfig(), 1, 0, 1)
+	g.Bootstrap(1)
+	runtime.ReadMemStats(&after)
+	perPeer := float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+	t.Logf("%d peers: %.1f B a peer", n, perPeer)
+	if perPeer > 32 {
+		t.Fatalf("NewCompactFlood+Bootstrap allocate %.1f B a peer at %d peers, want ≤ 32", perPeer, n)
 	}
 }
 

@@ -34,10 +34,11 @@ func DefaultCompactConfig() CompactConfig {
 }
 
 // CompactDHT is a struct-of-arrays Kademlia over PeerTable peers for
-// sharded megascale runs, built on the megascale runtime: node ids and
-// ground truth come from a megascale.IDSpace, the iterative α-parallel
-// lookup runs on the shared megascale.Iter state-machine driver, and
-// request accounting lives in per-shard megascale.Counters. What stays
+// sharded megascale runs, built on the megascale runtime: node ids (read
+// through ID, never copied) and ground truth come from a
+// megascale.IDSpace, the iterative α-parallel lookup runs on the shared
+// megascale.Iter state-machine driver, and request accounting lives in
+// per-shard megascale.Counters. What stays
 // Kademlia-specific is the routing geometry — the XOR metric, the packed
 // bucket rows, and the outward bucket scan below.
 //
@@ -55,7 +56,6 @@ type CompactDHT struct {
 	net *transport.ShardedNet
 
 	space *megascale.IDSpace
-	ids   []NodeID   // ids[p] is peer p's node id — flat view of space
 	rt    []uint32   // rows laid end to end by Seed
 	spill [][]uint32 // spill[s]: rows shard s moved out of rt, append-only
 	off   []uint32   // peer p's row starts at rt[off[p]], or at spill[s][off[p]&^spilled] once spilled
@@ -86,29 +86,25 @@ func NewCompact(net *transport.ShardedNet, cfg CompactConfig, seed uint64, reqCl
 		cnt:   make([]uint8, n*cfg.Buckets),
 		ctr:   megascale.NewCounters(net.Kernel().NumShards()),
 	}
-	d.ids = make([]NodeID, n)
-	for p := 0; p < n; p++ {
-		d.ids[p] = NodeID(d.space.ID(underlay.PeerID(p)))
-	}
 	d.iter = megascale.NewIter(megascale.Iter{
 		Net: net, ReqClass: reqClass, RepClass: repClass, RPCBytes: RPCBytes,
 		Alpha: alpha, Width: 3 * cfg.K, Ctr: d.ctr,
 		Dist: func(q underlay.PeerID, target uint64) uint64 {
-			return uint64(d.ids[q]) ^ target
+			return d.space.ID(q) ^ target
 		},
 		Candidates: func(q underlay.PeerID, target uint64, buf []underlay.PeerID) []underlay.PeerID {
 			return d.closest(q, NodeID(target), buf)
 		},
 		Learn: d.Observe,
 		OK: func(best underlay.PeerID, target uint64) bool {
-			return uint64(d.ids[best]) == d.space.ClosestXOR(target)
+			return d.space.ID(best) == d.space.ClosestXOR(target)
 		},
 	})
 	return d
 }
 
 // ID returns peer p's node id.
-func (d *CompactDHT) ID(p underlay.PeerID) NodeID { return d.ids[p] }
+func (d *CompactDHT) ID(p underlay.PeerID) NodeID { return NodeID(d.space.ID(p)) }
 
 // bucketOf maps an XOR distance to a bucket slot: the top cfg.Buckets
 // distance bands in order, with everything nearer collapsed into slot 0.
@@ -154,7 +150,7 @@ func (d *CompactDHT) Observe(p, q underlay.PeerID) {
 	if p == q {
 		return
 	}
-	b := d.bucketOf(Distance(d.ids[p], d.ids[q]))
+	b := d.bucketOf(Distance(d.ID(p), d.ID(q)))
 	cnt := d.cnt[int(p)*d.cfg.Buckets:][:d.cfg.Buckets]
 	c := int(cnt[b])
 	if c == d.cfg.K && !d.cfg.Aware {
@@ -226,7 +222,7 @@ func (d *CompactDHT) Seed(seed uint64, fanout, near int) {
 	if d.rt != nil {
 		panic("kademlia: Seed called twice")
 	}
-	n := len(d.ids)
+	n := d.space.Len()
 	most := fanout + 2*near + 2*bits.Len(uint(n-1))
 	held := 0 // contacts observed before Seed, all in spilled rows
 	for _, c := range d.fill {
@@ -246,14 +242,14 @@ func (d *CompactDHT) Seed(seed uint64, fanout, near int) {
 		copy(d.row(p), old)
 		clear(at[:])
 		for _, q := range got {
-			at[d.bucketOf(Distance(d.ids[p], d.ids[q]))+1]++
+			at[d.bucketOf(Distance(d.ID(p), d.ID(q)))+1]++
 		}
 		for b := 1; b <= d.cfg.Buckets; b++ {
 			at[b] += at[b-1]
 		}
 		sorted = append(sorted[:0], got...)
 		for _, q := range got {
-			b := d.bucketOf(Distance(d.ids[p], d.ids[q]))
+			b := d.bucketOf(Distance(d.ID(p), d.ID(q)))
 			sorted[at[b]] = q
 			at[b]++
 		}
@@ -287,12 +283,12 @@ func (d *CompactDHT) closest(p underlay.PeerID, target NodeID, buf []underlay.Pe
 	best := lookup.New(stack[:], d.cfg.K)
 	offer := func(qs []uint32) {
 		for _, q := range qs {
-			best.Offer(underlay.PeerID(q), Distance(d.ids[q], target), false)
+			best.Offer(underlay.PeerID(q), Distance(d.ID(underlay.PeerID(q)), target), false)
 		}
 	}
 	cnt := d.cnt[int(p)*d.cfg.Buckets:][:d.cfg.Buckets]
 	row := d.row(p)
-	start := d.bucketOf(Distance(d.ids[p], target) | 1)
+	start := d.bucketOf(Distance(d.ID(p), target) | 1)
 	hi := int(d.fill[p])
 	for _, c := range cnt[start+1:] {
 		hi -= int(c)

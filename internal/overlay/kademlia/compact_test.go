@@ -69,9 +69,9 @@ func TestCompactClosestGlobalExact(t *testing.T) {
 		target := NodeID(megascale.Mix64(uint64(i) ^ 0xfeed))
 		var best NodeID
 		bd := ^uint64(0)
-		for p := range d.ids {
-			if dd := Distance(d.ids[p], target); dd < bd {
-				best, bd = d.ids[p], dd
+		for p := range d.space.Len() {
+			if id := d.ID(underlay.PeerID(p)); Distance(id, target) < bd {
+				best, bd = id, Distance(id, target)
 			}
 		}
 		if got := d.ClosestGlobal(target); got != best {
@@ -203,7 +203,7 @@ type flatTable struct {
 }
 
 func newFlatTable(d *CompactDHT) *flatTable {
-	n := len(d.ids)
+	n := d.space.Len()
 	return &flatTable{d: d, rt: make([]uint32, n*d.cfg.Buckets*d.cfg.K), cnt: make([]uint8, n*d.cfg.Buckets)}
 }
 
@@ -212,7 +212,7 @@ func (f *flatTable) observe(p, q underlay.PeerID) {
 	if p == q {
 		return
 	}
-	b := d.bucketOf(Distance(d.ids[p], d.ids[q]))
+	b := d.bucketOf(Distance(d.ID(p), d.ID(q)))
 	base := (int(p)*d.cfg.Buckets + b) * d.cfg.K
 	c := &f.cnt[int(p)*d.cfg.Buckets+b]
 	for i := 0; i < int(*c); i++ {
@@ -251,7 +251,7 @@ func newPackedVsFlat(net *transport.ShardedNet, k int, aware bool, seed uint64) 
 	cfg := DefaultCompactConfig()
 	cfg.K, cfg.Buckets, cfg.Aware = k, 16, aware
 	d := NewCompact(net, cfg, seed, 0, 1)
-	return &packedVsFlat{d: d, f: newFlatTable(d), spills: make([]int, len(d.ids))}
+	return &packedVsFlat{d: d, f: newFlatTable(d), spills: make([]int, d.space.Len())}
 }
 
 func (pf *packedVsFlat) observe(p, q underlay.PeerID) {
@@ -274,7 +274,7 @@ func (pf *packedVsFlat) seed(seed uint64) {
 // contacts in the same order in both tables.
 func (pf *packedVsFlat) check(t *testing.T, stage string) {
 	t.Helper()
-	for p := range pf.d.ids {
+	for p := range pf.d.space.Len() {
 		p := underlay.PeerID(p)
 		for b := 0; b < pf.d.cfg.Buckets; b++ {
 			if got, want := bucket(pf.d, p, b), pf.f.bucket(p, b); !slices.Equal(got, want) {
@@ -356,7 +356,7 @@ func TestCompactTableFootprint(t *testing.T) {
 	_, net := buildCompact(t, 5000, 2, 29)
 	d := NewCompact(net, DefaultCompactConfig(), 29, 0, 1)
 	d.Bootstrap(29 ^ 0x5eed)
-	n := len(d.ids)
+	n := d.space.Len()
 	bytes := 4*cap(d.rt) + 4*len(d.off) + 2*len(d.room) + 2*len(d.fill) + len(d.cnt)
 	for _, sp := range d.spill {
 		bytes += 4 * cap(sp)
@@ -374,7 +374,7 @@ func TestCompactTableFootprint(t *testing.T) {
 			continue
 		}
 		for q := underlay.PeerID(n - 1); q > 0; q-- {
-			b := d.bucketOf(Distance(d.ids[p], d.ids[q]))
+			b := d.bucketOf(Distance(d.ID(p), d.ID(q)))
 			if q != p && len(bucket(d, p, b)) < d.cfg.K && !slices.Contains(bucket(d, p, b), uint32(q)) {
 				pairs = append(pairs, pair{p, q})
 				break
@@ -386,7 +386,7 @@ func TestCompactTableFootprint(t *testing.T) {
 		t.Fatalf("Observe into a row with room allocates %.0f times per call, want 0", a)
 	}
 	for _, pr := range pairs {
-		b := d.bucketOf(Distance(d.ids[pr.p], d.ids[pr.q]))
+		b := d.bucketOf(Distance(d.ID(pr.p), d.ID(pr.q)))
 		if !slices.Contains(bucket(d, pr.p, b), uint32(pr.q)) || d.off[pr.p]&spilled != 0 {
 			t.Fatalf("peer %d did not take contact %d in place", pr.p, pr.q)
 		}
@@ -398,7 +398,7 @@ func TestCompactTableFootprint(t *testing.T) {
 // kept as the reference the bounded insertion must match.
 func refCandidates(d *CompactDHT, p underlay.PeerID, target NodeID, k int) []underlay.PeerID {
 	var out []underlay.PeerID
-	self := d.ids[p]
+	self := d.ID(p)
 	start := d.bucketOf(Distance(self, target) | 1)
 	consider := func(b int) {
 		if b < 0 || b >= d.cfg.Buckets {
@@ -414,8 +414,8 @@ func refCandidates(d *CompactDHT, p underlay.PeerID, target NodeID, k int) []und
 		consider(start + off)
 	}
 	sort.Slice(out, func(i, j int) bool {
-		di := Distance(d.ids[out[i]], target)
-		dj := Distance(d.ids[out[j]], target)
+		di := Distance(d.ID(out[i]), target)
+		dj := Distance(d.ID(out[j]), target)
 		if di != dj {
 			return di < dj
 		}
@@ -443,7 +443,7 @@ func TestCompactClosestMatchesReference(t *testing.T) {
 			p := underlay.PeerID(p)
 			for i, target := range []NodeID{
 				NodeID(megascale.Mix64(uint64(p))), NodeID(megascale.Mix64(uint64(p) ^ 0xabc)),
-				d.ids[p], d.ids[p] ^ 1, d.ids[p] ^ 0xffff, d.ids[(int(p)+1)%len(d.ids)],
+				d.ID(p), d.ID(p) ^ 1, d.ID(p) ^ 0xffff, d.ID(underlay.PeerID((int(p) + 1) % net.Peers().Len())),
 			} {
 				got, want := d.closest(p, target, nil), refCandidates(d, p, target, k)
 				if len(want) == 0 || !reflect.DeepEqual(got, want) {
