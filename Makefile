@@ -117,11 +117,23 @@ bench-json:
 # parent/change runs on BENCHMARK.json. Benchmarks that exist on only one
 # side are reported but never gate.
 #
-# The baseline is BENCH_PR40.json, taken when compact Kademlia's flat
-# n×Buckets×K table became packed rows sized by what they hold: no
-# benchmark's B/op or allocs/op moved beyond run-to-run spread against
-# BENCH_PR35.json (BenchmarkCompactLookup kademlia 108 allocs / 2.7 kB
-# per op at the same b.N on both sides). Rows from BENCH_PR35.json, taken
+# The baseline is BENCH_PR43.json, taken when classic Gnutella's
+# messages became recycled 48 B records and the host cache and
+# BitTorrent's rarest-first pick reused their scratch:
+# BenchmarkTab1GnutellaMessages 340 k allocs / 29 MB per op (was 593 k /
+# 54 MB), BenchmarkIntraASExchange 50 k / 12.6 MB (was 198 k / 25 MB),
+# BenchmarkBNSSwarm 2.8 k / 0.67 MB (was 31 k / 6.2 MB),
+# BenchmarkSwarmRound 12 / 13.5 kB (was 910 / 473 kB),
+# BenchmarkSearchFlood 5 / 6.3 kB (was 190 / 17 kB) and
+# BenchmarkPingFlood 0.33 / 2.1 kB (was 103 / 8.8 kB). What is left of
+# the two flood rows is every node's unpruned seen map, amortised over
+# b.N: they read more per op on a slower machine. Its e2e section holds
+# 10 alternating pairs per workload against c515882. Rows from
+# BENCH_PR40.json, taken when compact Kademlia's flat n×Buckets×K table
+# became packed rows sized by what they hold: no benchmark's B/op or
+# allocs/op moved beyond run-to-run spread against BENCH_PR35.json
+# (BenchmarkCompactLookup kademlia 108 allocs / 2.7 kB per op at the
+# same b.N on both sides). Rows from BENCH_PR35.json, taken
 # when the live RPC path stopped allocating per frame (call slots,
 # handlers on the receive goroutine, codecs that append into caller
 # storage): BenchmarkNetCallLoopback
@@ -130,17 +142,14 @@ bench-json:
 # (was 3 / 704 B) and BenchmarkClosestXor 0 (was 1). Rows from
 # BENCH_PR34.json: BenchmarkTab2Impact 9775 allocs / 0.86 MB per op,
 # BenchmarkPNSKademlia 2836 / 0.62 MB, BenchmarkPNSMetric 4042 /
-# 1.16 MB, BenchmarkBrocade 1526 / 0.23 MB,
-# BenchmarkTab1GnutellaMessages 593 k / 54 MB and
-# BenchmarkIntraASExchange 198 k / 25 MB. Megascale rows are as in
+# 1.16 MB and BenchmarkBrocade 1526 / 0.23 MB. Megascale rows are as in
 # BENCH_PR32.json: BenchmarkCompactLookup (one drained compact Kademlia or
 # Chord lookup on a warmed 8 000-peer K=2 substrate) kademlia 108 allocs
 # / 2.7 kB per op and chord 161 / 4.1 kB, nearly all of it the sharded
 # kernel's ~7 allocations per epoch barrier; BenchmarkCompactFloodQuery
-# 44 allocs / 3.6 kB. Its e2e section holds the paired end-to-end runs
-# of BENCHMARK.json's workloads against the parent commit, plus the
-# 1M-peer mega-dht point; bench-diff reads only the benchmarks.
-BENCH_BASELINE ?= BENCH_PR40.json
+# 44 allocs / 3.6 kB. BENCH_PR40.json's e2e section also holds the
+# 1M-peer mega-dht point. bench-diff reads only the benchmarks.
+BENCH_BASELINE ?= BENCH_PR43.json
 PERF_THRESHOLD ?= 0.15
 perf-gate:
 	$(MAKE) bench-json

@@ -80,6 +80,7 @@ type Swarm struct {
 	peers []*Peer
 	r     *rand.Rand
 	sel   core.Selector
+	freq  []int // pickRarest's piece counts, cleared on each call
 	// Ledger records the failure detector's evictions (see heal.go).
 	resilience.Ledger
 }
@@ -251,7 +252,11 @@ func (s *Swarm) Round() int {
 // pickRarest returns the rarest piece (in q's neighborhood) that up has
 // and q lacks, or -1. Ties break on the lowest index for determinism.
 func (s *Swarm) pickRarest(up, q *Peer) int {
-	freq := make([]int, s.Cfg.Pieces)
+	if cap(s.freq) < s.Cfg.Pieces {
+		s.freq = make([]int, s.Cfg.Pieces)
+	}
+	freq := s.freq[:s.Cfg.Pieces]
+	clear(freq)
 	for _, nb := range q.neighbors {
 		for i, h := range nb.have {
 			if h {

@@ -155,6 +155,19 @@ func TestRarestFirstSpreadsPieces(t *testing.T) {
 	}
 }
 
+// TestPickRarestAllocs pins pickRarest at no allocation once its piece
+// counts are sized: it runs for every upload slot of every round.
+func TestPickRarestAllocs(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Pieces = 16
+	_, s := buildSwarm(t, 4, false, cfg, 6)
+	up, q := s.Peers()[0], s.Peers()[1]
+	s.pickRarest(up, q)
+	if allocs := testing.AllocsPerRun(100, func() { s.pickRarest(up, q) }); allocs != 0 {
+		t.Fatalf("pickRarest allocates %.0f times, want 0", allocs)
+	}
+}
+
 func TestOfflinePeersSkipped(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Pieces = 16

@@ -12,6 +12,7 @@ package gnutella
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -169,6 +170,8 @@ type Overlay struct {
 	r           *rand.Rand
 	guid        uint64
 	pendingHits map[uint64]*SearchResult
+	free        *message // recycled message records (see message)
+	perm        []int    // fillHostcache's permutation scratch
 	// Ledger records the failure detector's evictions (see heal.go).
 	resilience.Ledger
 }
@@ -177,6 +180,9 @@ type Overlay struct {
 // kernel for delivery scheduling) and selecting through sel (nil for the
 // unaware protocol).
 func New(tr *transport.Transport, sel core.Selector, cfg Config, r *rand.Rand) *Overlay {
+	if cfg.PingTTL > math.MaxInt16 || cfg.QueryTTL > math.MaxInt16 {
+		panic("gnutella: a TTL above 32767 does not fit a message record")
+	}
 	return &Overlay{
 		T:           tr,
 		U:           tr.Underlay(),
@@ -220,20 +226,40 @@ func (o *Overlay) AddNode(h *underlay.Host, ultra bool) *Node {
 	return n
 }
 
-// fillHostcache gives n a random sample of other nodes' addresses.
+// fillHostcache gives n a random sample of other nodes' addresses, sized
+// once at the most it can hold.
 func (o *Overlay) fillHostcache(n *Node) {
+	size := len(o.order) - 1
+	if c := o.Cfg.HostcacheSize; c > 0 && c < size {
+		size = c
+	}
+	if cap(n.hostcache) < size {
+		n.hostcache = make([]underlay.HostID, 0, size)
+	}
 	n.hostcache = n.hostcache[:0]
-	perm := o.r.Perm(len(o.order))
-	for _, idx := range perm {
-		id := o.order[idx]
-		if id == n.Host.ID {
-			continue
-		}
-		n.hostcache = append(n.hostcache, id)
-		if o.Cfg.HostcacheSize > 0 && len(n.hostcache) >= o.Cfg.HostcacheSize {
+	for _, idx := range o.permute(len(o.order)) {
+		if len(n.hostcache) == size {
 			break
 		}
+		if id := o.order[idx]; id != n.Host.ID {
+			n.hostcache = append(n.hostcache, id)
+		}
 	}
+}
+
+// permute returns a permutation of [0, n) in the overlay's scratch,
+// drawn from o.r exactly as rand.Perm(n) draws it.
+func (o *Overlay) permute(n int) []int {
+	if cap(o.perm) < n {
+		o.perm = make([]int, n)
+	}
+	perm := o.perm[:n]
+	for i := range perm {
+		j := o.r.Intn(i + 1)
+		perm[i] = perm[j]
+		perm[j] = i
+	}
+	return perm
 }
 
 // Join connects a node: leaves attach to ultrapeers; ultrapeers open

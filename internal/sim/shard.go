@@ -1,9 +1,7 @@
 package sim
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sync"
 )
 
@@ -11,14 +9,18 @@ import (
 // are partitioned into K shards, each shard drains its own event heap on
 // its own goroutine inside a fixed epoch window, and cross-shard events
 // are buffered into per-(src,dst) batches that merge at the epoch barrier
-// in canonical (time, source shard, source sequence) order.
+// in canonical order: by time, then source shard, then send order.
 //
 // Determinism contract:
 //
 //   - A run is bit-identical per (workload, K): shards share no mutable
 //     state during an epoch (each writes only its own heap, its own
 //     outboxes, and state it owns), and the barrier merge is sequential
-//     and canonically ordered.
+//     and canonically ordered. The merge needs no sort: it numbers a
+//     destination's inbound events by source shard, then send order, in
+//     one block of sequence numbers above every event already queued, so
+//     the heap's (time, seq) order fires them by (time, source shard,
+//     send order), after any local event at the same time.
 //   - K=1 reproduces the plain Kernel bit-for-bit: a single shard has no
 //     cross-shard events, runs on the calling goroutine, and executes the
 //     same (time, seq) order as Kernel.Run.
@@ -30,7 +32,9 @@ import (
 //     already passed is clamped to the shard's current time (the Kernel's
 //     ordinary past-event rule) and counted in Stats().LateEvents — a
 //     nonzero count means the window was larger than the workload's
-//     lookahead.
+//     lookahead. Clamped events tie at the shard's time in source order
+//     (source shard, then send order), not in the order of the times
+//     they were sent for.
 //
 // Shard callbacks must touch only state owned by their shard; anything
 // destined for another shard's state crosses via Shard.DeferTo. Daemon
@@ -43,8 +47,6 @@ type ShardedKernel struct {
 	crossEvents  uint64
 	crossBatches uint64
 	late         uint64
-
-	scratch []mergeEv
 
 	// OnBarrier, when non-nil, runs after every epoch barrier (merge
 	// complete, all shard goroutines quiescent) with the kernel's current
@@ -64,7 +66,6 @@ type Shard struct {
 	sk *ShardedKernel
 	k  *Kernel
 
-	xseq        uint64
 	out         [][]xevent
 	crossEvents uint64
 	crossBytes  uint64
@@ -72,15 +73,8 @@ type Shard struct {
 
 // xevent is one buffered cross-shard event.
 type xevent struct {
-	at  Time
-	seq uint64
-	fn  func()
-}
-
-// mergeEv tags an xevent with its source shard for the canonical sort.
-type mergeEv struct {
-	x   xevent
-	src int32
+	at Time
+	fn func()
 }
 
 // NewSharded returns a sharded kernel with k shards and the given epoch
@@ -183,7 +177,7 @@ func (s *Shard) AtDaemon(t Time, fn func()) Timer { return s.k.AtDaemon(t, fn) }
 // DeferTo schedules fn on shard dst after delay of this shard's time.
 // Same-shard deferrals go straight into the local heap; cross-shard ones
 // are buffered and merge into dst's heap at the epoch barrier in
-// canonical (time, source shard, sequence) order. bytes is an accounting
+// canonical order (time, source shard, send order). bytes is an accounting
 // hint (message payload size) folded into the shard's CrossBytes
 // statistic; pass 0 when there is no payload.
 func (s *Shard) DeferTo(dst int, delay Duration, bytes uint64, fn func()) {
@@ -200,49 +194,34 @@ func (s *Shard) DeferTo(dst int, delay Duration, bytes uint64, fn func()) {
 	if dst < 0 || dst >= len(s.out) {
 		panic(fmt.Sprintf("sim: DeferTo shard %d of %d", dst, len(s.out)))
 	}
-	s.out[dst] = append(s.out[dst], xevent{at: s.k.now + delay, seq: s.xseq, fn: fn})
-	s.xseq++
+	s.out[dst] = append(s.out[dst], xevent{at: s.k.now + delay, fn: fn})
 	s.crossEvents++
 	s.crossBytes += bytes
 }
 
 // merge delivers every buffered cross-shard batch into its destination
-// heap in canonical order. Sequential; runs at the barrier only.
+// heap by source shard, then send order; the heap's (time, seq) order
+// makes that canonical (see ShardedKernel). Sequential; runs at the
+// barrier only. Each outbox is cleared so delivered callbacks are not
+// kept alive.
 func (sk *ShardedKernel) merge() {
 	for dst, d := range sk.shards {
-		buf := sk.scratch[:0]
-		for src, s := range sk.shards {
+		for _, s := range sk.shards {
 			evs := s.out[dst]
 			if len(evs) == 0 {
 				continue
 			}
 			sk.crossBatches++
+			sk.crossEvents += uint64(len(evs))
 			for i := range evs {
-				buf = append(buf, mergeEv{x: evs[i], src: int32(src)})
+				if evs[i].at < d.k.now {
+					sk.late++
+				}
+				d.k.At(evs[i].at, evs[i].fn)
 			}
+			clear(evs)
 			s.out[dst] = evs[:0]
 		}
-		if len(buf) == 0 {
-			sk.scratch = buf
-			continue
-		}
-		slices.SortFunc(buf, func(a, b mergeEv) int {
-			if c := cmp.Compare(a.x.at, b.x.at); c != 0 {
-				return c
-			}
-			if c := cmp.Compare(a.src, b.src); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.x.seq, b.x.seq)
-		})
-		for i := range buf {
-			if buf[i].x.at < d.k.now {
-				sk.late++
-			}
-			d.k.At(buf[i].x.at, buf[i].x.fn)
-		}
-		sk.crossEvents += uint64(len(buf))
-		sk.scratch = buf[:0]
 	}
 }
 

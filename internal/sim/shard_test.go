@@ -227,3 +227,41 @@ func TestShardedLateClamp(t *testing.T) {
 		t.Fatalf("cross-shard counters empty: %+v", s1)
 	}
 }
+
+// TestShardedMergeOrder holds the barrier merge to its canonical order
+// at K=3: two source shards defer to shard 0 at equal and unequal times,
+// interleaved, and shard 0's events fire by (time, source shard, send
+// order), after a local event queued for the same time before the merge
+// and before those queued after it.
+func TestShardedMergeOrder(t *testing.T) {
+	type ev struct {
+		at  Time
+		tag string
+	}
+	sk := NewSharded(3, 10)
+	dst := sk.Shard(0)
+	var fired []string
+	note := func(tag string) func() { return func() { fired = append(fired, tag) } }
+	dst.At(20, note("local"))
+	send := func(src int, at Time, evs ...ev) {
+		s := sk.Shard(src)
+		s.At(at, func() {
+			for _, e := range evs {
+				s.DeferTo(0, e.at-s.Now(), 0, func() {
+					fired = append(fired, e.tag)
+					if e.at == 15 {
+						dst.At(20, note("after "+e.tag))
+					}
+				})
+			}
+		})
+	}
+	// Shard 2 sends first in simulated time; shard 1 still merges first.
+	send(2, 0, ev{20, "2:20a"}, ev{15, "2:15"}, ev{20, "2:20b"})
+	send(1, 1, ev{20, "1:20a"}, ev{15, "1:15"}, ev{20, "1:20b"})
+	sk.Drain()
+	want := []string{"1:15", "2:15", "local", "1:20a", "1:20b", "2:20a", "2:20b", "after 1:15", "after 2:15"}
+	if !reflect.DeepEqual(fired, want) {
+		t.Fatalf("fired %v, want %v", fired, want)
+	}
+}
