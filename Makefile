@@ -48,8 +48,9 @@ deadcode:
 # five examples, writes `unapctl run -all -seed 1 -scale 0.25` stdout,
 # the `unapctl run -exp exp-intra-as -seed 1 -scale 0.5 -o` run file with
 # and without `-probe 50`, the `-seed 1 -scale 0.25 -probe 1000 -o` run
-# file of each SAMPLED experiment (<id>.jsonl: pins where each one
-# registers health sources and takes samples), and each example's stdout
+# file of each SAMPLED experiment (<id>.jsonl: pins the order in which
+# each one registers observers and health sources and where it takes
+# samples, which stdout does not show), and each example's stdout
 # (example-<name>.txt) into GOLDEN_DIR, and checks their sha256 against
 # testdata/golden.sha256. A change that means to alter output
 # regenerates that file (`sha256sum underlaysim-all.txt intra-as.jsonl
@@ -58,7 +59,8 @@ deadcode:
 # for linux/amd64 (another GOARCH may round floats differently). ~8 s.
 GOLDEN_DIR ?= .golden
 EXAMPLES := geosearch ispfriendly latencyoverlay quickstart streamtv
-SAMPLED := exp-pns-kademlia abl-pns-metric exp-chord-pns exp-brocade exp-superpeer exp-resilience exp-streaming
+SAMPLED := exp-pns-kademlia abl-pns-metric exp-chord-pns exp-brocade exp-superpeer exp-resilience exp-streaming \
+	exp-bns-swarm exp-gsh-leopard abl-pong-cache exp-testlab exp-topology-matching abl-external-links
 golden:
 	@mkdir -p $(GOLDEN_DIR)
 	$(GO) build -o $(GOLDEN_DIR)/unapctl ./cmd/unapctl
