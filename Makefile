@@ -164,9 +164,11 @@ cover:
 	$(GO) tool cover -func=coverage.out | tail -n 1
 
 # lines prints the size of the program the code diet tracks: non-test
-# Go lines outside the bench/ module.
+# Go lines outside the bench/ module, then the non-test lines of
+# internal/experiments, the largest package, on a line of their own.
 lines:
 	@find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
+	@echo "internal/experiments $$(find internal/experiments -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 
 # chaos runs the self-healing suite: every overlay under the standard
 # seeded fault campaign (loss burst + crash wave) with a live failure

@@ -41,7 +41,6 @@ func ablationNet(cfg RunConfig, name string) (*underlay.Network, []*underlay.Hos
 
 func runAblCoords(cfg RunConfig) Result {
 	res := Result{
-		ID:      "abl-coords",
 		Title:   "Latency collection techniques: accuracy vs probing overhead",
 		Headers: []string{"technique", "median rel. error", "closest-peer hit rate", "probes"},
 	}
@@ -143,22 +142,16 @@ func runAblCoords(cfg RunConfig) Result {
 
 func runAblExternal(cfg RunConfig) Result {
 	res := Result{
-		ID:      "abl-external-links",
 		Title:   "External (inter-AS) connection budget under biased neighbor selection",
 		Headers: []string{"external per node", "intra-AS edges", "components", "mean degree"},
 	}
 	for _, ext := range []int{0, 1, 2, 4} {
 		src := sim.NewSource(cfg.Seed).Fork(fmt.Sprintf("ext-%d", ext))
-		net, _ := transitStub(src, 2, 12, 20, cfg.scaled(12), 6)
-		k := sim.NewKernel()
+		net, hosts := transitStub(src, 2, 12, 20, cfg.scaled(12), 6)
 		gcfg := gnutella.DefaultConfig()
 		gcfg.ExternalPerNode = ext
-		ov := gnutella.New(cfg.newTransport(net, k), core.NewOracleSelector(net, true, false),
+		ov := cfg.joinGnutella(net, hosts, nil, core.NewOracleSelector(net, true, false),
 			gcfg, src.Stream("overlay"))
-		for _, h := range net.Hosts() {
-			ov.AddNode(h, true)
-		}
-		ov.JoinAll()
 		edges := ov.Edges()
 		labels := ov.ASLabels()
 		res.Rows = append(res.Rows, []string{
@@ -177,7 +170,6 @@ func runAblExternal(cfg RunConfig) Result {
 
 func runAblICSDim(cfg RunConfig) Result {
 	res := Result{
-		ID:      "abl-ics-dim",
 		Title:   "ICS dimension choice: cumulative variation vs beacon fit error",
 		Headers: []string{"dimension", "cumulative variation", "beacon RMS fit error"},
 	}

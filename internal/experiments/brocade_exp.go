@@ -17,7 +17,6 @@ func init() {
 
 func runBrocade(cfg RunConfig) Result {
 	res := Result{
-		ID:      "exp-brocade",
 		Title:   "Cross-domain message delivery: flat Kademlia walk vs supernode landmark routing",
 		Headers: []string{"routing", "mean overlay hops", "mean inter-AS crossings", "mean latency (ms)", "messages"},
 	}
@@ -27,15 +26,10 @@ func runBrocade(cfg RunConfig) Result {
 
 	// Flat overlay: a Kademlia DHT; delivering to a node = iterative
 	// lookup of its ID, every RPC potentially wide-area.
-	d := kademlia.New(cfg.newTransportOver(net), nil, kademlia.DefaultConfig(), src.Stream("dht"))
-	nodeOf := map[underlay.HostID]*kademlia.Node{}
-	for _, h := range hosts {
-		nodeOf[h.ID] = d.AddNode(h)
-	}
-	d.Bootstrap(4)
+	d := bootKademlia(cfg.newTransport(net, nil), hosts, nil, kademlia.DefaultConfig(), src.Stream("dht"))
 
 	// Landmark overlay over the same population.
-	b := brocade.Build(cfg.newTransportOver(net), &core.ResourceSelector{Table: table}, hosts)
+	b := brocade.Build(cfg.newTransport(net, nil), &core.ResourceSelector{Table: table}, hosts)
 	cfg.observeHealth("brocade", b.HealthStats)
 	cfg.sampleObs()
 
@@ -54,7 +48,7 @@ func runBrocade(cfg RunConfig) Result {
 	var fHops, fCross, fLat, fMsgs float64
 	for _, p := range pairs {
 		intraBefore, totalBefore := d.LookupTraffic.Intra(), d.LookupTraffic.Total()
-		r := d.Lookup(p.src.ID, nodeOf[p.dst.ID].ID)
+		r := d.Lookup(p.src.ID, d.Node(p.dst.ID).ID)
 		fHops += float64(r.Hops)
 		fLat += float64(r.Latency)
 		fMsgs += float64(r.Msgs)

@@ -55,7 +55,6 @@ func buildAsymmetricNet(seed int64) (*underlay.Network, []*underlay.Host, int) {
 
 func runChallenges(cfg RunConfig) Result {
 	res := Result{
-		ID:      "exp-challenges",
 		Title:   "Asymmetric node selection and long-hop inversions on an asymmetric underlay",
 		Headers: []string{"challenge", "metric", "value"},
 	}

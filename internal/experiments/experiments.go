@@ -7,17 +7,22 @@ package experiments
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 	"strconv"
 	"strings"
 
 	"unap2p/internal/churn"
+	"unap2p/internal/core"
 	"unap2p/internal/linalg"
 	"unap2p/internal/mobility"
+	"unap2p/internal/overlay/gnutella"
+	"unap2p/internal/overlay/kademlia"
 	"unap2p/internal/sim"
 	"unap2p/internal/topology"
 	"unap2p/internal/transport"
 	"unap2p/internal/underlay"
+	"unap2p/internal/workload"
 )
 
 // Observer receives the live instrumented components an experiment
@@ -90,8 +95,8 @@ func (c RunConfig) paramInt(name string, def int, notes *[]string) int {
 }
 
 // newTransport builds a Transport and attaches the observer (and the
-// kernel, when present). Experiments construct every messenger through
-// this (or newTransportOver) so telemetry sees all traffic.
+// kernel, when present; kernel-less overlays pass nil). Experiments
+// construct every messenger through this so telemetry sees all traffic.
 func (c RunConfig) newTransport(net *underlay.Network, k *sim.Kernel) *transport.Transport {
 	tr := transport.New(net, k)
 	if c.Obs != nil {
@@ -101,11 +106,6 @@ func (c RunConfig) newTransport(net *underlay.Network, k *sim.Kernel) *transport
 		c.Obs.ObserveTransport(tr)
 	}
 	return tr
-}
-
-// newTransportOver is newTransport for kernel-less overlays.
-func (c RunConfig) newTransportOver(net *underlay.Network) *transport.Transport {
-	return c.newTransport(net, nil)
 }
 
 // observeChurn attaches the observer to a churn driver (and its kernel)
@@ -216,6 +216,78 @@ func beacons(rtt func(i, j int) float64, m, step int) (*linalg.Matrix, func(i in
 	}
 }
 
+// joinGnutella builds a Gnutella overlay over net on a kernel of its own
+// (ov.K): every host joins, as an ultrapeer when ultra(i) holds for its
+// index (every host when ultra is nil).
+func (c RunConfig) joinGnutella(net *underlay.Network, hosts []*underlay.Host, ultra func(i int) bool,
+	sel core.Selector, gcfg gnutella.Config, r *rand.Rand) *gnutella.Overlay {
+	ov := gnutella.New(c.newTransport(net, sim.NewKernel()), sel, gcfg, r)
+	for i, h := range hosts {
+		ov.AddNode(h, ultra == nil || ultra(i))
+	}
+	ov.JoinAll()
+	return ov
+}
+
+// bootKademlia joins every host to a Kademlia DHT that sends through tr
+// and bootstraps it from 4 random seeds a node.
+func bootKademlia(tr *transport.Transport, hosts []*underlay.Host, sel core.Selector,
+	kcfg kademlia.Config, r *rand.Rand) *kademlia.DHT {
+	d := kademlia.New(tr, sel, kcfg, r)
+	for _, h := range hosts {
+		d.AddNode(h)
+	}
+	d.Bootstrap(4)
+	return d
+}
+
+// meanLookups runs n probe lookups through one and returns their mean
+// hops, latency and messages. It samples the observer after every 30th
+// lookup, which gives a sampled run its routing-table locality curve.
+func (c RunConfig) meanLookups(n int, one func() (hops int, lat sim.Duration, msgs int)) (hops, lat, msgs float64) {
+	for i := 0; i < n; i++ {
+		h, l, m := one()
+		hops += float64(h)
+		lat += float64(l)
+		msgs += float64(m)
+		if (i+1)%30 == 0 {
+			c.sampleObs()
+		}
+	}
+	return hops / float64(n), lat / float64(n), msgs / float64(n)
+}
+
+// arm is one side of a comparison: on switches the technique under test,
+// tag names the arm's random-stream fork or health source, and label
+// names its result row.
+type arm struct {
+	on         bool
+	tag, label string
+}
+
+// queryList draws up to n queries from gen at time 0; a draw the
+// generator cannot serve is skipped.
+func queryList(gen *workload.QueryGen, n int) []workload.Query {
+	var queries []workload.Query
+	for i := 0; i < n; i++ {
+		if q, ok := gen.Next(0); ok {
+			queries = append(queries, q)
+		}
+	}
+	return queries
+}
+
+// holdersExcept lists the hosts that hold q's item, the requester left out.
+func holdersExcept(catalog *workload.Catalog, q workload.Query) []underlay.HostID {
+	var holders []underlay.HostID
+	for _, h := range catalog.Replicas(q.Item) {
+		if h != q.From {
+			holders = append(holders, h)
+		}
+	}
+	return holders
+}
+
 // Result is one regenerated artifact.
 type Result struct {
 	// ID is the experiment identifier (e.g. "tab1-gnutella-msgs").
@@ -289,13 +361,16 @@ func register(id, title string, r Runner) {
 	titles[id] = title
 }
 
-// Run executes the experiment with the given id.
+// Run executes the experiment with the given id. The result's ID is that
+// id: runners leave it unset.
 func Run(id string, cfg RunConfig) (Result, error) {
 	r, ok := registry[id]
 	if !ok {
 		return Result{}, fmt.Errorf("unknown experiment %q (try one of %v)", id, IDs())
 	}
-	return r(cfg), nil
+	res := r(cfg)
+	res.ID = id
+	return res, nil
 }
 
 // IDs lists registered experiment ids in sorted order.

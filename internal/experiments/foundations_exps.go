@@ -25,7 +25,6 @@ func init() {
 
 func runFig1(cfg RunConfig) Result {
 	res := Result{
-		ID:      "fig1-hierarchy",
 		Title:   "Transit-stub hierarchy: routed paths and who pays",
 		Headers: []string{"flow", "AS path", "kind sequence", "paying AS(es)"},
 	}
@@ -86,7 +85,6 @@ func runFig1(cfg RunConfig) Result {
 
 func runFig2(cfg RunConfig) Result {
 	res := Result{
-		ID:      "fig2-costs",
 		Title:   "Cost vs exchanged traffic for transit and peering links",
 		Headers: []string{"traffic (Mbps)", "transit total", "transit $/Mbps", "peering total", "peering $/Mbps"},
 	}
@@ -118,7 +116,6 @@ func runFig2(cfg RunConfig) Result {
 
 func runFig4(cfg RunConfig) Result {
 	res := Result{
-		ID:      "fig4-ics",
 		Title:   "ICS beacon calibration and host coordinates (Lim et al. Examples 4/5)",
 		Headers: []string{"quantity", "computed", "published"},
 	}

@@ -45,7 +45,6 @@ func buildGnutella(cfg RunConfig, variant string, hostcache int, biasJoin, biasS
 	// "in the proximity" of their interested users.
 	workload.PopulateLocal(catalog, net, hosts, 5, 0.5, src.Stream("content"))
 
-	k := sim.NewKernel()
 	gcfg := gnutella.DefaultConfig()
 	gcfg.HostcacheSize = hostcache
 	gcfg.PingTTL = 3
@@ -54,12 +53,8 @@ func buildGnutella(cfg RunConfig, variant string, hostcache int, biasJoin, biasS
 	if biasJoin || biasSource {
 		sel = core.NewOracleSelector(net, biasJoin, biasSource)
 	}
-	ov := gnutella.New(cfg.newTransport(net, k), sel, gcfg, src.Stream("overlay"))
+	ov := cfg.joinGnutella(net, hosts, nil, sel, gcfg, src.Stream("overlay"))
 	ov.Catalog = catalog
-	for _, h := range hosts {
-		ov.AddNode(h, true)
-	}
-	ov.JoinAll()
 	// Sampled runs get a health curve per variant; the kernel tick
 	// registered by newTransport samples it as the search phase advances
 	// simulated time.
@@ -87,19 +82,15 @@ func (g gnutellaSetup) drive(nQueries int) {
 
 func runFig5(cfg RunConfig) Result {
 	res := Result{
-		ID:      "fig5-overlay-viz",
 		Title:   "Gnutella overlay clustering: uniform random vs biased neighbor selection",
 		Headers: []string{"overlay", "intra-AS edges", "modularity(AS)", "inter-AS edges", "components", "mean degree"},
 	}
-	for _, v := range []struct {
-		name string
-		bias bool
-	}{{"unbiased", false}, {"biased (oracle)", true}} {
-		g := buildGnutella(cfg, "fig5-"+v.name, 100, v.bias, false)
+	for _, a := range []arm{{false, "fig5-unbiased", "unbiased"}, {true, "fig5-biased (oracle)", "biased (oracle)"}} {
+		g := buildGnutella(cfg, a.tag, 100, a.on, false)
 		edges := g.ov.Edges()
 		labels := g.ov.ASLabels()
 		res.Rows = append(res.Rows, []string{
-			v.name,
+			a.label,
 			pct(metrics.IntraASEdgeFraction(edges, labels)),
 			f3(metrics.Modularity(edges, labels)),
 			di(metrics.InterASEdgeCount(edges, labels)),
@@ -109,12 +100,9 @@ func runFig5(cfg RunConfig) Result {
 	}
 	// The figure itself: AS×AS edge-density heatmaps (dark diagonal =
 	// ISP clustering), appended as notes.
-	for _, v := range []struct {
-		name string
-		bias bool
-	}{{"unbiased", false}, {"biased", true}} {
-		g := buildGnutella(cfg, "fig5viz-"+v.name, 100, v.bias, false)
-		res.Notes = append(res.Notes, v.name+" AS-adjacency heatmap (rows/cols = ASes):")
+	for _, a := range []arm{{false, "fig5viz-unbiased", "unbiased"}, {true, "fig5viz-biased", "biased"}} {
+		g := buildGnutella(cfg, a.tag, 100, a.on, false)
+		res.Notes = append(res.Notes, a.label+" AS-adjacency heatmap (rows/cols = ASes):")
 		for _, line := range strings.Split(strings.TrimSuffix(
 			metrics.ASHeatmap(g.ov.Edges(), g.ov.ASLabels()), "\n"), "\n") {
 			res.Notes = append(res.Notes, "  "+line)
@@ -129,7 +117,6 @@ func runFig5(cfg RunConfig) Result {
 
 func runTab1Gnutella(cfg RunConfig) Result {
 	res := Result{
-		ID:      "tab1-gnutella-msgs",
 		Title:   "Gnutella message counts by type (scaled reproduction of CCR'07 Table 1)",
 		Headers: []string{"message type", "unbiased", "biased cache 100", "biased cache 1000"},
 	}
@@ -168,7 +155,6 @@ func runTab1Gnutella(cfg RunConfig) Result {
 
 func runIntraAS(cfg RunConfig) Result {
 	res := Result{
-		ID:      "exp-intra-as",
 		Title:   "Share of file exchanges that stay inside one AS",
 		Headers: []string{"configuration", "intra-AS file exchange", "downloads", "search success"},
 	}

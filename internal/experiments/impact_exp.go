@@ -143,12 +143,7 @@ func buildImpactScenario(cfg RunConfig) *impactScenario {
 	}
 
 	gen := workload.NewQueryGen(net, catalog, hosts, 0.5, 1.0, src.Stream("queries"))
-	var queries []workload.Query
-	for i := 0; i < cfg.scaled(400); i++ {
-		if q, ok := gen.Next(0); ok {
-			queries = append(queries, q)
-		}
-	}
+	queries := queryList(gen, cfg.scaled(400))
 	return &impactScenario{
 		net: net, hosts: hosts, catalog: catalog, table: table,
 		queries: queries, availability: availability, fileMB: 4,
@@ -265,19 +260,13 @@ func (s *impactScenario) run(kind string, seed int64) impactMeasures {
 
 	for _, q := range s.queries {
 		client := s.net.Host(q.From)
-		var holders []underlay.HostID
-		for _, h := range s.catalog.Replicas(q.Item) {
-			if h != q.From {
-				holders = append(holders, h)
-			}
-		}
-		if len(holders) == 0 {
+		ranked := holdersExcept(s.catalog, q)
+		if len(ranked) == 0 {
 			continue
 		}
 		// Shuffle before ranking: strategies pick randomly among equally
 		// good peers (stable sort preserves the shuffled order within
 		// cost ties), as deployed selectors do for load spreading.
-		ranked := append([]underlay.HostID(nil), holders...)
 		r.Shuffle(len(ranked), func(i, j int) { ranked[i], ranked[j] = ranked[j], ranked[i] })
 		if sel != nil {
 			if rr, ok := sel.Rank(client, ranked); ok {
@@ -342,7 +331,6 @@ func symbol(improvement float64) string {
 
 func runImpact(cfg RunConfig) Result {
 	res := Result{
-		ID:      "tab2-impact",
 		Title:   "Measured impact of underlay awareness vs unaware baseline",
 		Headers: []string{"impact on", "parameter", "ISP-location", "latency", "geolocation", "peer-resources"},
 	}

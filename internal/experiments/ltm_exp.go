@@ -15,26 +15,19 @@ func init() {
 
 func runTopologyMatching(cfg RunConfig) Result {
 	res := Result{
-		ID:      "exp-topology-matching",
 		Title:   "Converging an unbiased overlay onto the underlay by measurement",
 		Headers: []string{"state", "intra-AS edges", "mean neighbor RTT (ms)", "rewires", "probe msgs", "components"},
 	}
 	build := func(bias bool) *gnutella.Overlay {
 		src := sim.NewSource(cfg.Seed).Fork("ltm")
-		net, _ := transitStub(src, 2, 12, 20, cfg.scaled(12), 6)
-		k := sim.NewKernel()
+		net, hosts := transitStub(src, 2, 12, 20, cfg.scaled(12), 6)
 		gcfg := gnutella.DefaultConfig()
 		gcfg.HostcacheSize = 300
 		var sel core.Selector
 		if bias {
 			sel = core.NewOracleSelector(net, true, false)
 		}
-		ov := gnutella.New(cfg.newTransport(net, k), sel, gcfg, src.Stream("overlay"))
-		for _, h := range net.Hosts() {
-			ov.AddNode(h, true)
-		}
-		ov.JoinAll()
-		return ov
+		return cfg.joinGnutella(net, hosts, nil, sel, gcfg, src.Stream("overlay"))
 	}
 
 	ov := build(false)

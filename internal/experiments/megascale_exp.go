@@ -100,7 +100,6 @@ func runMegascale(cfg RunConfig) Result {
 	}
 
 	res := Result{
-		ID:    "exp-megascale",
 		Title: fmt.Sprintf("sharded-kernel scaling, K=%d shards, overlay=%s", shards, strings.Join(overlays, "+")),
 		Headers: []string{"overlay", "peers", "events", "epochs", "xbytes", "late",
 			"lookups", "exact", "hops", "sim_end"},

@@ -27,7 +27,6 @@ func init() {
 
 func runMobility(cfg RunConfig) Result {
 	res := Result{
-		ID:      "exp-mobility",
 		Title:   "Staleness of cached underlay information under peer mobility",
 		Headers: []string{"snapshot age (s)", "wrong ISP-location", "mean geo error (km)", "mean access-delay error (ms)"},
 	}
@@ -94,7 +93,6 @@ func runMobility(cfg RunConfig) Result {
 
 func runOracleTrust(cfg RunConfig) Result {
 	res := Result{
-		ID:      "exp-oracle-trust",
 		Title:   "User and ISP outcomes under oracle behaviours",
 		Headers: []string{"oracle behaviour", "intra-AS downloads", "mean source RTT (ms)", "oracle queries"},
 	}
@@ -103,12 +101,7 @@ func runOracleTrust(cfg RunConfig) Result {
 	catalog := workload.NewCatalog(cfg.scaled(120))
 	workload.PopulateLocal(catalog, net, hosts, 6, 0.6, src.Stream("content"))
 	gen := workload.NewQueryGen(net, catalog, hosts, 0.5, 1.0, src.Stream("queries"))
-	var queries []workload.Query
-	for i := 0; i < cfg.scaled(300); i++ {
-		if q, ok := gen.Next(0); ok {
-			queries = append(queries, q)
-		}
-	}
+	queries := queryList(gen, cfg.scaled(300))
 
 	type mode struct {
 		name string
@@ -131,12 +124,7 @@ func runOracleTrust(cfg RunConfig) Result {
 		var rttSum float64
 		for _, q := range queries {
 			client := net.Host(q.From)
-			var holders []underlay.HostID
-			for _, h := range catalog.Replicas(q.Item) {
-				if h != q.From {
-					holders = append(holders, h)
-				}
-			}
+			holders := holdersExcept(catalog, q)
 			if len(holders) == 0 {
 				continue
 			}
@@ -170,37 +158,27 @@ func runOracleTrust(cfg RunConfig) Result {
 
 func runAblPongCache(cfg RunConfig) Result {
 	res := Result{
-		ID:      "abl-pong-cache",
 		Title:   "Discovery traffic: 0.4 ping flooding vs 0.6 pong caching",
 		Headers: []string{"discovery", "ping msgs", "pong msgs", "total bytes", "addresses learned/node"},
 	}
-	for _, cached := range []bool{false, true} {
-		src := sim.NewSource(cfg.Seed).Fork(fmt.Sprintf("pongcache-%v", cached))
-		net, _ := transitStub(src, 2, 10, 20, cfg.scaled(12), 6)
-		k := sim.NewKernel()
+	for _, a := range []arm{{false, "", "0.4 flooding (TTL 3)"}, {true, "", "0.6 pong caching"}} {
+		src := sim.NewSource(cfg.Seed).Fork(fmt.Sprintf("pongcache-%v", a.on))
+		net, hosts := transitStub(src, 2, 10, 20, cfg.scaled(12), 6)
 		gcfg := gnutella.DefaultConfig()
 		gcfg.PingTTL = 3
-		gcfg.PongCache = cached
+		gcfg.PongCache = a.on
 		gcfg.HostcacheSize = 1000
-		ov := gnutella.New(cfg.newTransport(net, k), nil, gcfg, src.Stream("overlay"))
-		for _, h := range net.Hosts() {
-			ov.AddNode(h, true)
-		}
-		ov.JoinAll()
+		ov := cfg.joinGnutella(net, hosts, nil, nil, gcfg, src.Stream("overlay"))
 		before := net.SentBytes()
 		for _, n := range ov.Nodes() {
 			ov.Ping(n.Host.ID)
 		}
-		k.Drain()
-		name := "0.4 flooding (TTL 3)"
-		if cached {
-			name = "0.6 pong caching"
-		}
+		ov.K.Drain()
 		// Learned addresses: mean growth of the hostcache is only
 		// meaningful for the cached variant; flooding pongs carry no
 		// addresses in this model.
 		learned := "n/a"
-		if cached {
+		if a.on {
 			total := 0
 			for _, n := range ov.Nodes() {
 				total += len(n.Hostcache())
@@ -208,7 +186,7 @@ func runAblPongCache(cfg RunConfig) Result {
 			learned = f1(float64(total) / float64(len(ov.Nodes())))
 		}
 		res.Rows = append(res.Rows, []string{
-			name,
+			a.label,
 			d(ov.Msgs.Value("ping")),
 			d(ov.Msgs.Value("pong")),
 			d(net.SentBytes() - before),

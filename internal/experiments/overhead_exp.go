@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"unap2p/internal/cdn"
 	"unap2p/internal/core"
 	"unap2p/internal/sim"
 	"unap2p/internal/underlay"
@@ -20,7 +19,6 @@ func init() {
 // an open issue.
 func runOverhead(cfg RunConfig) Result {
 	res := Result{
-		ID:      "exp-overhead",
 		Title:   "Collection overhead vs selection benefit, per technique",
 		Headers: []string{"technique", "overhead (ops)", "underlay bytes", "mean RTT to picks (ms)", "RTT gain vs random"},
 	}
@@ -31,7 +29,7 @@ func runOverhead(cfg RunConfig) Result {
 	// each engine's collection cost to "awareness:<method>" counters here,
 	// next to where protocol traffic would be counted — the unified
 	// accounting the §5.4 open issue asks for.
-	tr := cfg.newTransportOver(net)
+	tr := cfg.newTransport(net, nil)
 
 	// Fixed evaluation workload: 80 (client, 25-candidate) selection
 	// problems; every technique ranks the same sets.
@@ -133,5 +131,3 @@ func overheadSetup(est core.Estimator) uint64 {
 		return 0
 	}
 }
-
-var _ = cdn.Cosine // keep the cdn import for the type assertion context

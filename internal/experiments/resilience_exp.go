@@ -30,11 +30,7 @@ func runResilience(cfg RunConfig) Result {
 	tr := cfg.newTransport(net, k)
 	tr.Retry = resilience.Backoff{Base: 50, Max: 400, Factor: 2}.Policy(2)
 
-	d := kademlia.New(tr, nil, kademlia.DefaultConfig(), src.Stream("dht"))
-	for _, h := range hosts {
-		d.AddNode(h)
-	}
-	d.Bootstrap(4)
+	d := bootKademlia(tr, hosts, nil, kademlia.DefaultConfig(), src.Stream("dht"))
 
 	dcfg := resilience.DefaultConfig()
 	dcfg.Backoff.Rand = src.Stream("fd-backoff")
@@ -90,7 +86,6 @@ func runResilience(cfg RunConfig) Result {
 	after := lookupRate(24)
 
 	res := Result{
-		ID:      "exp-resilience",
 		Title:   "Failure detection and overlay self-healing under the standard chaos campaign",
 		Headers: []string{"victim", "crashed_ms", "suspected_ms", "evicted_ms", "detect_ms"},
 	}

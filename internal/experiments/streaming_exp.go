@@ -21,25 +21,20 @@ func init() {
 
 func runStreaming(cfg RunConfig) Result {
 	res := Result{
-		ID:      "exp-streaming",
 		Title:   "Live streaming mesh: random vs bandwidth-aware parent assignment",
 		Headers: []string{"parent assignment", "mean continuity", "worst-peer continuity", "mean parent capacity (chunks/tick)", "chunk traffic (MB)"},
 	}
-	run := func(aware bool) *streaming.Mesh {
-		src := sim.NewSource(cfg.Seed).Fork(fmt.Sprintf("streaming-%v", aware))
+	run := func(a arm) *streaming.Mesh {
+		src := sim.NewSource(cfg.Seed).Fork(fmt.Sprintf("streaming-%v", a.on))
 		net, _ := transitStub(src, 2, 6, 20, cfg.scaled(14), 5)
 		table := resources.GenerateAll(net, src.Stream("res"))
-		sel := &core.ResourceSelector{Table: table, WeightParents: aware}
-		m := streaming.NewMesh(cfg.newTransportOver(net), sel, net.Hosts()[0], src.Stream("mesh"))
+		sel := &core.ResourceSelector{Table: table, WeightParents: a.on}
+		m := streaming.NewMesh(cfg.newTransport(net, nil), sel, net.Hosts()[0], src.Stream("mesh"))
 		for _, h := range net.Hosts()[1:] {
 			m.AddViewer(h)
 		}
 		m.AssignParents()
-		name := "random"
-		if aware {
-			name = "aware"
-		}
-		cfg.observeHealth("streaming-"+name, m.HealthStats)
+		cfg.observeHealth("streaming-"+a.tag, m.HealthStats)
 		// The mesh runs without a kernel, so sample at round boundaries:
 		// every 10 ticks gives a ~30-point continuity curve.
 		ticks := cfg.scaled(300)
@@ -51,14 +46,10 @@ func runStreaming(cfg RunConfig) Result {
 		}
 		return m
 	}
-	for _, aware := range []bool{false, true} {
-		name := "random"
-		if aware {
-			name = "bandwidth-aware"
-		}
-		m := run(aware)
+	for _, a := range []arm{{false, "random", "random"}, {true, "aware", "bandwidth-aware"}} {
+		m := run(a)
 		res.Rows = append(res.Rows, []string{
-			name,
+			a.label,
 			pct(m.Continuity()),
 			pct(m.WorstContinuity()),
 			f2(m.ParentCapacityMean()),
@@ -74,52 +65,36 @@ func runStreaming(cfg RunConfig) Result {
 
 func runChordPNS(cfg RunConfig) Result {
 	res := Result{
-		ID:      "exp-chord-pns",
 		Title:   "Chord lookups: interval-first vs proximity-selected fingers",
 		Headers: []string{"finger policy", "mean hops", "mean lookup latency (ms)", "latency/hop (ms)"},
 	}
-	run := func(pns bool) (float64, float64) {
-		src := sim.NewSource(cfg.Seed).Fork(fmt.Sprintf("chordpns-%v", pns))
+	for _, a := range []arm{
+		{false, "classic", "first node of interval (classic)"},
+		{true, "pns", "proximity-selected (Castro et al.)"},
+	} {
+		src := sim.NewSource(cfg.Seed).Fork(fmt.Sprintf("chordpns-%v", a.on))
 		net, _ := transitStub(src, 2, 10, 25, cfg.scaled(12), 6)
 		var sel core.Selector
-		if pns {
+		if a.on {
 			sel = core.RTTSelector(net)
 		}
-		ring := chord.New(cfg.newTransportOver(net), sel, src.Stream("ring"))
+		ring := chord.New(cfg.newTransport(net, nil), sel, src.Stream("ring"))
 		for _, h := range net.Hosts() {
 			ring.AddNode(h)
 		}
 		ring.Build()
-		name := "classic"
-		if pns {
-			name = "pns"
-		}
-		cfg.observeHealth("chord-"+name, ring.HealthStats)
+		cfg.observeHealth("chord-"+a.tag, ring.HealthStats)
 		probe := src.Stream("probe")
-		var hops, lat float64
-		n := cfg.scaled(150)
-		for i := 0; i < n; i++ {
+		hops, lat, _ := cfg.meanLookups(cfg.scaled(150), func() (int, sim.Duration, int) {
 			from := ring.Nodes()[probe.Intn(len(ring.Nodes()))].Host.ID
 			r := ring.Lookup(from, chord.ID(probe.Uint64()))
-			hops += float64(r.Hops)
-			lat += float64(r.Latency)
-			if (i+1)%30 == 0 {
-				cfg.sampleObs()
-			}
-		}
-		return hops / float64(n), lat / float64(n)
-	}
-	for _, pns := range []bool{false, true} {
-		name := "first node of interval (classic)"
-		if pns {
-			name = "proximity-selected (Castro et al.)"
-		}
-		hops, lat := run(pns)
+			return r.Hops, r.Latency, r.Msgs
+		})
 		perHop := 0.0
 		if hops > 0 {
 			perHop = lat / hops
 		}
-		res.Rows = append(res.Rows, []string{name, f2(hops), f1(lat), f1(perHop)})
+		res.Rows = append(res.Rows, []string{a.label, f2(hops), f1(lat), f1(perHop)})
 	}
 	res.Notes = append(res.Notes,
 		"Castro et al.: structured overlays leave freedom in *which* node fills each routing slot;",

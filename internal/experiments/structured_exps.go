@@ -31,14 +31,13 @@ func init() {
 
 func runGSHLeopard(cfg RunConfig) Result {
 	res := Result{
-		ID:      "exp-gsh-leopard",
 		Title:   "Geographically scoped vs global rendezvous lookups",
 		Headers: []string{"scheme", "mean lookup msgs", "mean latency (ms)", "local resolutions", "max registry load", "load mean"},
 	}
 	src := sim.NewSource(cfg.Seed).Fork("gsh")
 	net := topology.Star(8, topology.DefaultConfig())
 	hosts := topology.PlaceHosts(net, cfg.scaled(35), false, 1, 5, src.Stream("place"))
-	o := gsh.New(cfg.newTransportOver(net), core.GeoSelector{})
+	o := gsh.New(cfg.newTransport(net, nil), core.GeoSelector{})
 	for _, h := range hosts {
 		o.Join(h)
 	}
@@ -90,14 +89,10 @@ func runGSHLeopard(cfg RunConfig) Result {
 		out.maxLoad, out.meanLoad = o.MaxLoad()
 		return out
 	}
-	for _, global := range []bool{true, false} {
-		name := "global rendezvous (plain DHT)"
-		if !global {
-			name = "geographically scoped (GSH)"
-		}
-		oc := runScheme(global)
+	for _, a := range []arm{{true, "", "global rendezvous (plain DHT)"}, {false, "", "geographically scoped (GSH)"}} {
+		oc := runScheme(a.on)
 		res.Rows = append(res.Rows, []string{
-			name,
+			a.label,
 			f2(float64(oc.msgs) / float64(oc.n)),
 			f1(float64(oc.latency) / float64(oc.n)),
 			pct(float64(oc.local) / float64(oc.n)),
@@ -114,7 +109,6 @@ func runGSHLeopard(cfg RunConfig) Result {
 
 func runSuperPeer(cfg RunConfig) Result {
 	res := Result{
-		ID:      "exp-superpeer",
 		Title:   "Ultrapeer election policy vs overlay stability under churn",
 		Headers: []string{"election", "ultrapeer failures", "leaf orphanings", "search success", "mean UP capacity score"},
 	}
@@ -123,15 +117,15 @@ func runSuperPeer(cfg RunConfig) Result {
 		success                float64
 		meanScore              float64
 	}
-	runPolicy := func(aware bool) outcome {
-		src := sim.NewSource(cfg.Seed).Fork(fmt.Sprintf("superpeer-%v", aware))
+	runPolicy := func(a arm) outcome {
+		src := sim.NewSource(cfg.Seed).Fork(fmt.Sprintf("superpeer-%v", a.on))
 		net, hosts := transitStub(src, 2, 8, 20, cfg.scaled(12), 5)
 		table := resources.GenerateAll(net, src.Stream("res"))
 
 		// Elect 20% of peers as ultrapeers: capability-aware via the
 		// SkyEye view, or uniformly at random.
 		ultra := map[underlay.HostID]bool{}
-		if aware {
+		if a.on {
 			se := skyeye.Build(net, table, hosts)
 			se.UpdateRound()
 			for _, id := range resources.ElectSuperPeers(net, table, 0.2, 1) {
@@ -144,21 +138,12 @@ func runSuperPeer(cfg RunConfig) Result {
 			}
 		}
 
-		k := sim.NewKernel()
-		gcfg := gnutella.DefaultConfig()
-		ov := gnutella.New(cfg.newTransport(net, k), nil, gcfg, src.Stream("overlay"))
+		ov := cfg.joinGnutella(net, hosts, func(i int) bool { return ultra[hosts[i].ID] },
+			nil, gnutella.DefaultConfig(), src.Stream("overlay"))
 		ov.SettleTime = 2 * sim.Second
-		for _, h := range hosts {
-			ov.AddNode(h, ultra[h.ID])
-		}
-		ov.JoinAll()
-		name := "random"
-		if aware {
-			name = "aware"
-		}
 		// Kernel-driven sampling catches election churn live: the recorder's
 		// sim-time tick sees ultras/online_fraction move as peers cycle.
-		cfg.observeHealth("superpeer-"+name, ov.HealthStats)
+		cfg.observeHealth("superpeer-"+a.tag, ov.HealthStats)
 		catalog := workload.NewCatalog(cfg.scaled(60))
 		workload.PopulateZipf(catalog, hosts, 6, 1.0, src.Stream("content"))
 		ov.Catalog = catalog
@@ -167,7 +152,7 @@ func runSuperPeer(cfg RunConfig) Result {
 		// to simulation time): capable peers are also the stable ones.
 		var out outcome
 		drv := &churn.Driver{
-			Kernel: k,
+			Kernel: ov.K,
 			ModelFor: func(h *underlay.Host) churn.Model {
 				// 1 hour of real uptime ≈ 2 s of simulated session.
 				return churn.Exponential{
@@ -192,7 +177,7 @@ func runSuperPeer(cfg RunConfig) Result {
 		success, attempts := 0, 0
 		q := src.Stream("queries")
 		for round := 0; round < cfg.scaled(40); round++ {
-			k.Run(k.Now() + sim.Second)
+			ov.K.Run(ov.K.Now() + sim.Second)
 			from := hosts[q.Intn(len(hosts))]
 			if !from.Up {
 				continue
@@ -215,14 +200,10 @@ func runSuperPeer(cfg RunConfig) Result {
 		out.meanScore = scoreSum / float64(n)
 		return out
 	}
-	for _, aware := range []bool{false, true} {
-		name := "random"
-		if aware {
-			name = "resource-aware (SkyEye view)"
-		}
-		oc := runPolicy(aware)
+	for _, a := range []arm{{false, "random", "random"}, {true, "aware", "resource-aware (SkyEye view)"}} {
+		oc := runPolicy(a)
 		res.Rows = append(res.Rows, []string{
-			name, di(oc.upFailures), di(oc.orphanings), pct(oc.success), f3(oc.meanScore),
+			a.label, di(oc.upFailures), di(oc.orphanings), pct(oc.success), f3(oc.meanScore),
 		})
 	}
 	res.Notes = append(res.Notes,
@@ -234,7 +215,6 @@ func runSuperPeer(cfg RunConfig) Result {
 
 func runAblPNSMetric(cfg RunConfig) Result {
 	res := Result{
-		ID:      "abl-pns-metric",
 		Title:   "PNS routing tables filled by different proximity sources",
 		Headers: []string{"proximity source", "mean lookup latency (ms)", "mean hops", "latency vs plain"},
 	}
@@ -256,33 +236,21 @@ func runAblPNSMetric(cfg RunConfig) Result {
 		vidx[h.ID] = i
 	}
 
-	run := func(name string, sel core.Selector) (float64, float64) {
-		kcfg := kademlia.DefaultConfig()
+	run := func(name string, sel core.Selector) (hops, lat, msgs float64) {
 		// Small buckets overflow often, so the replacement policy (where
 		// PNS acts) decides most table entries.
-		kcfg.K = 4
-		d := kademlia.New(cfg.newTransportOver(net), sel, kcfg, sim.NewSource(cfg.Seed).Fork("dht-"+name).Stream("dht"))
-		for _, h := range hosts {
-			d.AddNode(h)
-		}
-		d.Bootstrap(4)
+		d := bootKademlia(cfg.newTransport(net, nil), hosts, sel, kademlia.Config{K: 4},
+			sim.NewSource(cfg.Seed).Fork("dht-"+name).Stream("dht"))
 		cfg.observeHealth("kademlia-"+name, d.HealthStats)
 		probe := sim.NewSource(99).Stream("probe")
-		var lat, hops float64
-		n := cfg.scaled(120)
-		for i := 0; i < n; i++ {
+		return cfg.meanLookups(cfg.scaled(120), func() (int, sim.Duration, int) {
 			from := d.Nodes()[probe.Intn(len(d.Nodes()))].Host
 			r := d.Lookup(from, kademlia.NodeID(probe.Uint64()))
-			lat += float64(r.Latency)
-			hops += float64(r.Hops)
-			if (i+1)%30 == 0 {
-				cfg.sampleObs()
-			}
-		}
-		return lat / float64(n), hops / float64(n)
+			return r.Hops, r.Latency, r.Msgs
+		})
 	}
 
-	plainLat, plainHops := run("plain", nil)
+	plainHops, plainLat, _ := run("plain", nil)
 	res.Rows = append(res.Rows, []string{"none (plain Kademlia)", f1(plainLat), f2(plainHops), "—"})
 	variants := []struct {
 		name string
@@ -299,7 +267,7 @@ func runAblPNSMetric(cfg RunConfig) Result {
 		// Memoize the pure proximity scores; invisible to results, cheaper
 		// on repeated pair lookups during bucket replacement.
 		v.sel.E.EnableCache(core.CacheConfig{Capacity: 4096})
-		lat, hops := run(v.name, v.sel)
+		hops, lat, _ := run(v.name, v.sel)
 		res.Rows = append(res.Rows, []string{
 			v.name, f1(lat), f2(hops), pct((plainLat - lat) / plainLat),
 		})

@@ -31,20 +31,19 @@ func init() {
 
 func runBNSSwarm(cfg RunConfig) Result {
 	res := Result{
-		ID:      "exp-bns-swarm",
 		Title:   "BitTorrent swarm: unbiased vs biased tracker",
 		Headers: []string{"tracker", "inter-AS MB", "intra-AS share", "mean completion (rounds)", "max completion", "neighbor locality"},
 	}
-	run := func(biased bool) (bittorrent.Stats, float64) {
-		src := sim.NewSource(cfg.Seed).Fork(fmt.Sprintf("bns-%v", biased))
+	run := func(a arm) (bittorrent.Stats, float64) {
+		src := sim.NewSource(cfg.Seed).Fork(fmt.Sprintf("bns-%v", a.on))
 		net, _ := transitStub(src, 2, 8, 20, cfg.scaled(14), 6)
 		scfg := bittorrent.DefaultConfig()
 		scfg.Pieces = cfg.scaled(48)
 		var sel core.Selector
-		if biased {
+		if a.on {
 			sel = core.ASHopSelector(net)
 		}
-		s := bittorrent.NewSwarm(cfg.newTransportOver(net), sel, scfg, src.Stream("swarm"))
+		s := bittorrent.NewSwarm(cfg.newTransport(net, nil), sel, scfg, src.Stream("swarm"))
 		for i, h := range net.Hosts() {
 			if i%40 == 0 {
 				s.AddSeed(h)
@@ -53,11 +52,7 @@ func runBNSSwarm(cfg RunConfig) Result {
 			}
 		}
 		s.AssignNeighbors()
-		name := "unbiased"
-		if biased {
-			name = "biased"
-		}
-		cfg.observeHealth("swarm-"+name, s.HealthStats)
+		cfg.observeHealth("swarm-"+a.tag, s.HealthStats)
 		// Per-round sampling turns completion_mean into the download-
 		// progress curve; every 5th round keeps the series compact.
 		s.OnRound = func() {
@@ -68,14 +63,10 @@ func runBNSSwarm(cfg RunConfig) Result {
 		s.Run(100000)
 		return s.Stats(), s.NeighborASMix()
 	}
-	for _, biased := range []bool{false, true} {
-		name := "unbiased"
-		if biased {
-			name = "biased (k external)"
-		}
-		st, mix := run(biased)
+	for _, a := range []arm{{false, "unbiased", "unbiased"}, {true, "biased", "biased (k external)"}} {
+		st, mix := run(a)
 		res.Rows = append(res.Rows, []string{
-			name,
+			a.label,
 			f1(float64(st.InterASBytes) / 1e6),
 			pct(st.IntraASFraction),
 			f1(st.MeanCompletionRound),
@@ -91,56 +82,31 @@ func runBNSSwarm(cfg RunConfig) Result {
 
 func runPNSKademlia(cfg RunConfig) Result {
 	res := Result{
-		ID:      "exp-pns-kademlia",
 		Title:   "Kademlia lookups: plain vs proximity neighbor selection",
 		Headers: []string{"routing table", "mean hops", "mean lookup latency (ms)", "mean msgs", "intra-AS lookup traffic"},
 	}
-	run := func(pns bool) (float64, float64, float64, float64) {
-		src := sim.NewSource(cfg.Seed).Fork(fmt.Sprintf("pns-%v", pns))
-		net, _ := transitStub(src, 2, 10, 25, cfg.scaled(12), 6)
-		kcfg := kademlia.DefaultConfig()
+	for _, a := range []arm{{false, "plain", "plain Kademlia"}, {true, "pns", "PNS (Kaune et al.)"}} {
+		src := sim.NewSource(cfg.Seed).Fork(fmt.Sprintf("pns-%v", a.on))
+		net, hosts := transitStub(src, 2, 10, 25, cfg.scaled(12), 6)
 		var sel core.Selector
-		if pns {
+		if a.on {
 			rtt := core.RTTSelector(net)
 			rtt.E.EnableCache(core.CacheConfig{Capacity: 4096})
 			sel = rtt
 		}
-		d := kademlia.New(cfg.newTransportOver(net), sel, kcfg, src.Stream("dht"))
-		for _, h := range net.Hosts() {
-			d.AddNode(h)
-		}
-		d.Bootstrap(4)
-		name := "plain"
-		if pns {
-			name = "pns"
-		}
-		cfg.observeHealth("kademlia-"+name, d.HealthStats)
+		d := bootKademlia(cfg.newTransport(net, nil), hosts, sel, kademlia.DefaultConfig(), src.Stream("dht"))
+		cfg.observeHealth("kademlia-"+a.tag, d.HealthStats)
 		probe := src.Stream("probe")
-		var hops, lat, msgs float64
 		// Measure only the steady-state probe phase, not bootstrap.
 		intraBefore, totalBefore := d.LookupTraffic.Intra(), d.LookupTraffic.Total()
-		n := cfg.scaled(150)
-		for i := 0; i < n; i++ {
+		h, l, m := cfg.meanLookups(cfg.scaled(150), func() (int, sim.Duration, int) {
 			from := d.Nodes()[probe.Intn(len(d.Nodes()))].Host
 			r := d.Lookup(from, kademlia.NodeID(probe.Uint64()))
-			hops += float64(r.Hops)
-			lat += float64(r.Latency)
-			msgs += float64(r.Msgs)
-			if (i+1)%30 == 0 {
-				cfg.sampleObs() // routing-table locality curve
-			}
-		}
+			return r.Hops, r.Latency, r.Msgs
+		})
 		intra := float64(d.LookupTraffic.Intra()-intraBefore) /
 			float64(d.LookupTraffic.Total()-totalBefore)
-		return hops / float64(n), lat / float64(n), msgs / float64(n), intra
-	}
-	for _, pns := range []bool{false, true} {
-		name := "plain Kademlia"
-		if pns {
-			name = "PNS (Kaune et al.)"
-		}
-		h, l, m, intra := run(pns)
-		res.Rows = append(res.Rows, []string{name, f2(h), f1(l), f1(m), pct(intra)})
+		res.Rows = append(res.Rows, []string{a.label, f2(h), f1(l), f1(m), pct(intra)})
 	}
 	res.Notes = append(res.Notes,
 		"Kaune et al. shape: PNS lowers lookup latency and raises the intra-AS share of DHT traffic",
@@ -151,14 +117,13 @@ func runPNSKademlia(cfg RunConfig) Result {
 
 func runGeoSearch(cfg RunConfig) Result {
 	res := Result{
-		ID:      "exp-geo-search",
 		Title:   "Location-constrained search over the zone tree",
 		Headers: []string{"query radius (km)", "peers found", "zones visited", "messages", "zones visited (full scan)"},
 	}
 	src := sim.NewSource(cfg.Seed).Fork("geosearch")
 	net := topology.Star(8, topology.DefaultConfig())
 	topology.PlaceHosts(net, cfg.scaled(40), false, 1, 5, src.Stream("place"))
-	tr := geotree.New(cfg.newTransportOver(net), core.GeoSelector{})
+	tr := geotree.New(cfg.newTransport(net, nil), core.GeoSelector{})
 	cfg.observeHealth("geotree", tr.HealthStats)
 	for i, h := range net.Hosts() {
 		tr.Insert(h)
@@ -184,7 +149,6 @@ func runGeoSearch(cfg RunConfig) Result {
 
 func runSkyEye(cfg RunConfig) Result {
 	res := Result{
-		ID:      "exp-skyeye",
 		Title:   "Over-overlay statistics collection and capacity-based peer search",
 		Headers: []string{"quantity", "value"},
 	}

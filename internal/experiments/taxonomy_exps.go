@@ -91,7 +91,6 @@ func buildEstimators(cfg RunConfig) (*underlay.Network, []core.Estimator) {
 
 func runFig3(cfg RunConfig) Result {
 	res := Result{
-		ID:      "fig3-taxonomy",
 		Title:   "Underlay information kinds and their collection methods (instantiated)",
 		Headers: []string{"information", "collection method", "estimate(sample pair)", "overhead"},
 	}
@@ -129,7 +128,6 @@ func runFig3(cfg RunConfig) Result {
 
 func runTab1Systems(cfg RunConfig) Result {
 	res := Result{
-		ID:      "tab1-systems",
 		Title:   "Representative underlay-aware systems implemented in unap2p",
 		Headers: []string{"information", "paper's examples", "unap2p implementation", "package"},
 	}

@@ -68,7 +68,6 @@ func runTestlabOnce(cfg RunConfig, kind string, biased bool, uniform bool, seed 
 	src := sim.NewSource(seed).Fork(fmt.Sprintf("testlab-%s-%v-%v", kind, biased, uniform))
 	net, hosts, ultra := testlabTopology(kind, src)
 
-	k := sim.NewKernel()
 	gcfg := gnutella.DefaultConfig()
 	gcfg.UltraDegree = 3
 	gcfg.MaxUltraDegree = 6
@@ -79,11 +78,7 @@ func runTestlabOnce(cfg RunConfig, kind string, biased bool, uniform bool, seed 
 	if biased {
 		sel = core.NewOracleSelector(net, true, true)
 	}
-	ov := gnutella.New(cfg.newTransport(net, k), sel, gcfg, src.Stream("overlay"))
-	for i, h := range hosts {
-		ov.AddNode(h, ultra[i])
-	}
-	ov.JoinAll()
+	ov := cfg.joinGnutella(net, hosts, func(i int) bool { return ultra[i] }, sel, gcfg, src.Stream("overlay"))
 
 	// 270 unique files. Uniform scheme: each node shares 6 files.
 	// Variable scheme: ultrapeers share 12, half the leaves 6, rest none.
@@ -139,7 +134,6 @@ func runTestlabOnce(cfg RunConfig, kind string, biased bool, uniform bool, seed 
 
 func runTestlab(cfg RunConfig) Result {
 	res := Result{
-		ID:      "exp-testlab",
 		Title:   "Gnutella testlab: message counts and search success across topologies",
 		Headers: []string{"topology", "scheme", "mode", "Query msgs", "QueryHit msgs", "failed searches", "intra-AS dl"},
 	}
