@@ -37,25 +37,38 @@ func benchOverlay(tb testing.TB, biased bool) *Overlay {
 	return o
 }
 
-// BenchmarkSearchFlood measures one TTL-limited query flood + hit routing
-// over a 100-node ultrapeer mesh.
+// floodsPerOp is how many floods one BenchmarkSearchFlood or
+// BenchmarkPingFlood op sends, one from each node of a fresh overlay.
+const floodsPerOp = 100
+
+// BenchmarkSearchFlood measures 100 TTL-limited query floods + hit
+// routing over a fresh 100-node ultrapeer mesh, built with the timer
+// stopped. Every node's seen map grows from empty inside each op, so an
+// op's allocations do not depend on b.N.
 func BenchmarkSearchFlood(b *testing.B) {
-	o := benchOverlay(b, false)
-	nodes := o.Nodes()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		o.RunSearch(nodes[i%len(nodes)].Host.ID, workload.ItemID(i%50))
+		b.StopTimer()
+		o := benchOverlay(b, false)
+		nodes := o.Nodes()
+		b.StartTimer()
+		for j := 0; j < floodsPerOp; j++ {
+			o.RunSearch(nodes[j%len(nodes)].Host.ID, workload.ItemID(j%50))
+		}
 	}
 }
 
-// BenchmarkPingFlood measures a discovery flood with reverse-path pongs.
+// BenchmarkPingFlood measures 100 discovery floods with reverse-path
+// pongs over a fresh overlay, as BenchmarkSearchFlood does.
 func BenchmarkPingFlood(b *testing.B) {
-	o := benchOverlay(b, false)
-	nodes := o.Nodes()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		o.Ping(nodes[i%len(nodes)].Host.ID)
-		o.K.Drain()
+		b.StopTimer()
+		o := benchOverlay(b, false)
+		nodes := o.Nodes()
+		b.StartTimer()
+		for j := 0; j < floodsPerOp; j++ {
+			o.Ping(nodes[j%len(nodes)].Host.ID)
+			o.K.Drain()
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package gnutella
 import (
 	"math"
 	"math/bits"
+	"sync/atomic"
 
 	"unap2p/internal/megascale"
 	"unap2p/internal/sim"
@@ -63,9 +64,10 @@ const (
 // and forwards the query only to those, which answer with a QueryHit
 // straight to the origin. Flood dedup state belongs to the query (see
 // floodQuery), one peer set per shard, so every mutation stays on the
-// owning shard and the state is garbage once the query's last message
-// has run. Messages are recycled records (see floodMsg). The
-// ground-truth BFS at each query's deadline reuses its shard's scratch.
+// owning shard. A query counts its deadline and its messages in flight,
+// and the last of them to run clears its sets and frees it for reuse.
+// Messages are recycled records (see floodMsg). The ground-truth BFS at
+// each query's deadline reuses its shard's scratch.
 type CompactFlood struct {
 	cfg CompactConfig
 	net *transport.ShardedNet
@@ -86,8 +88,9 @@ type CompactFlood struct {
 	// scratch is the ground-truth BFS state of each shard, touched only by
 	// deadline events of queries that shard originated.
 	scratch []bfsScratch
-	// spare holds each shard's free message records, one allocation per
-	// shard so that no two shards write the same cache line.
+	// spare holds each shard's free message records and queries, one
+	// allocation per shard so that no two shards write the same cache
+	// line.
 	spare []*msgList
 }
 
@@ -309,21 +312,37 @@ func (s *peerSet) grow() {
 // floodQuery is one in-flight query's state. g, origin and owners are
 // fixed at Query and read from any shard, so a message carries only the
 // query, its next peer and the narrowed ttl and hop count. hits,
-// firstHop and best belong to the origin's shard; seen[i] is the set of
-// peers on shard i the query has reached and is touched by shard i alone
-// (the barrier orders Query's allocation before any other shard's first
-// use). Nothing outside the query's deadline and its in-flight messages
-// points here, so the dedup state is collected once the last of them has
-// run. The query itself is not recycled: a message may land after the
-// deadline, and nothing counts them.
+// firstHop and best belong to the origin's shard (oshard), and so does
+// the deadline, which calls onDone; seen[i] is the set of peers on shard
+// i the query has reached and is touched by shard i alone (the barrier
+// orders Query's set-up before any other shard's first use).
+//
+// A query is recycled. refs counts what may still touch it: the
+// deadline, and each message from its send until its handler has run. A
+// handler settles in one step, after it has run: it takes a reference
+// for each message it sent and drops its own, so a handler that sent one
+// message leaves refs as it was. A message may land after the deadline,
+// on any shard, so refs is the one field every shard writes, and it is
+// atomic, on a cache line of its own: the fields above it are read on
+// every message. Whoever drops the last reference clears the seen sets,
+// which keep the size they grew to, and puts the query on its own
+// shard's free list; the atomic decrement orders every shard's last
+// touch of the sets before the clear.
 type floodQuery struct {
 	g        *CompactFlood
+	next     *floodQuery // free-list link
+	onDone   func(megascale.Result)
+	deadline func() // finish, bound once when the query is allocated
+	oshard   int32
 	origin   underlay.PeerID
 	owners   [replicas]underlay.PeerID
 	hits     int
 	firstHop int
 	best     underlay.PeerID
 	seen     []peerSet
+	_        [64]byte
+	refs     atomic.Int32
+	_        [60]byte
 }
 
 // seenSlots is the per-shard dedup table size Query presizes for K
@@ -343,14 +362,17 @@ func (g *CompactFlood) Query(origin underlay.PeerID, seed uint64, onDone func(me
 	key := megascale.Mix64(seed ^ 0x6e7e11a)
 	oshard := g.net.ShardOf(origin)
 	g.ctr.Start(oshard)
-	shards := g.net.Kernel().NumShards()
-	size := seenSlots(shards)
-	st := &floodQuery{g: g, origin: origin, best: origin, seen: make([]peerSet, shards)}
-	g.owners(key, st.owners[:0])
-	slots := make([]uint32, shards*size)
-	for i := range st.seen {
-		st.seen[i].slots = slots[i*size : (i+1)*size]
+	l := g.spare[oshard]
+	st := l.queries
+	if st != nil {
+		l.queries, st.next = st.next, nil
+	} else {
+		st = g.newQuery()
 	}
+	st.origin, st.oshard, st.onDone = origin, int32(oshard), onDone
+	st.hits, st.firstHop, st.best = 0, 0, origin
+	g.owners(key, st.owners[:0])
+	l.sent = 0
 	ttl := int16(g.cfg.QueryTTL)
 	if g.uidx[origin] >= 0 {
 		// Ultra origin processes the query locally, no self-message.
@@ -362,16 +384,56 @@ func (g *CompactFlood) Query(origin underlay.PeerID, seed uint64, onDone func(me
 			st.send(origin, oshard, up, msgDeliver, ttl, 1)
 		}
 	}
-	g.net.Kernel().Shard(oshard).Schedule(queryTimeout, func() {
-		ok := st.hits > 0
-		g.ctr.Finish(oshard, ok, st.firstHop)
-		if g.potentialHit(origin, &st.owners, &g.scratch[oshard]) {
-			g.potential[oshard]++
-		}
-		if onDone != nil {
-			onDone(megascale.Result{Origin: origin, Best: st.best, OK: ok, Hops: st.firstHop})
-		}
-	})
+	// The deadline's reference and one per message sent; none of those
+	// messages runs before Query returns.
+	st.refs.Store(1 + l.sent)
+	g.net.Kernel().Shard(oshard).Schedule(queryTimeout, st.deadline)
+}
+
+// newQuery allocates a query with its K dedup sets presized from one
+// backing array.
+func (g *CompactFlood) newQuery() *floodQuery {
+	shards := len(g.spare)
+	size := seenSlots(shards)
+	st := &floodQuery{g: g, seen: make([]peerSet, shards)}
+	slots := make([]uint32, shards*size)
+	for i := range st.seen {
+		st.seen[i].slots = slots[i*size : (i+1)*size]
+	}
+	st.deadline = st.finish
+	return st
+}
+
+// finish scores the query at its deadline, on the origin's shard, and
+// drops the deadline's reference.
+func (st *floodQuery) finish() {
+	g, oshard := st.g, int(st.oshard)
+	ok := st.hits > 0
+	g.ctr.Finish(oshard, ok, st.firstHop)
+	if g.potentialHit(st.origin, &st.owners, &g.scratch[oshard]) {
+		g.potential[oshard]++
+	}
+	if st.onDone != nil {
+		st.onDone(megascale.Result{Origin: st.origin, Best: st.best, OK: ok, Hops: st.firstHop})
+	}
+	st.settle(oshard, -1)
+}
+
+// settle moves the reference count by delta on shard shard. A zero delta
+// is a handler that sent one message: its own reference held the count
+// above zero, and the new message's holds it now. The count reaching
+// zero clears the dedup sets and frees the query onto that shard's list.
+func (st *floodQuery) settle(shard int, delta int32) {
+	if delta == 0 || st.refs.Add(delta) != 0 {
+		return
+	}
+	for i := range st.seen {
+		clear(st.seen[i].slots)
+		st.seen[i].n = 0
+	}
+	st.onDone = nil
+	l := st.g.spare[shard]
+	st.next, l.queries = l.queries, st
 }
 
 // msgKind is what a floodMsg carries.
@@ -409,11 +471,16 @@ type floodMsg struct {
 	shard int32 // the shard that consumes the message
 }
 
-// msgList is one shard's message records: those at home, free, and
-// those of other shards, waiting for a message to their home.
+// msgList is one shard's recycled state: its message records at home,
+// free, those of other shards, waiting for a message to their home, and
+// the queries whose last reference it dropped.
 type msgList struct {
-	free *floodMsg
-	away []*floodMsg // away[h] chains records of home h
+	free    *floodMsg
+	away    []*floodMsg // away[h] chains records of home h
+	queries *floodQuery
+	// sent counts the messages the running handler, or Query, has sent,
+	// whose references it takes in one step.
+	sent int32
 }
 
 // send carries a message of the given kind from peer from, on shard
@@ -436,12 +503,14 @@ func (st *floodQuery) send(from underlay.PeerID, shard int, to underlay.PeerID, 
 	if kind == msgHit {
 		m.peer, class, bytes = from, g.hitClass, queryHitBytes
 	}
+	l.sent++
 	g.net.Send(from, to, class, bytes, m.run)
 }
 
 // handle runs a message on the shard that consumes it: the records it
 // carried home go on the free list, the record itself is freed or set
-// aside for its ride home, and then the message is processed.
+// aside for its ride home, the message is processed, and then it settles
+// the query's reference count for its own message and those it sent.
 func (m *floodMsg) handle() {
 	st, peer, ttl, hops, kind, shard := m.st, m.peer, m.ttl, m.hops, m.kind, int(m.shard)
 	l := st.g.spare[shard]
@@ -450,7 +519,7 @@ func (m *floodMsg) handle() {
 		c.next, l.free = l.free, c
 		c = next
 	}
-	m.st = nil
+	m.st, l.sent = nil, 0
 	if int(m.home) == shard {
 		m.next, l.free = l.free, m
 	} else {
@@ -468,6 +537,7 @@ func (m *floodMsg) handle() {
 		}
 		st.hits++
 	}
+	st.settle(shard, l.sent-1)
 }
 
 // deliver processes the query at ultrapeer u, on u's shard: liveness

@@ -16,22 +16,28 @@ import (
 // table, partition, kernel, transport, flood overlay.
 func buildCompactFlood(tb testing.TB, perAS, K int, seed uint64, aware bool) (*CompactFlood, *transport.ShardedNet) {
 	tb.Helper()
-	net := buildShardedNet(perAS, K)
+	net := buildShardedNet(perAS, K, 10)
+	return compactFloodOn(net, seed, aware), net
+}
+
+// compactFloodOn builds and bootstraps a flood overlay on net.
+func compactFloodOn(net *transport.ShardedNet, seed uint64, aware bool) *CompactFlood {
 	cfg := DefaultCompactConfig()
 	cfg.Aware = aware
 	g := NewCompactFlood(net, cfg, seed, 0, 1)
 	g.Bootstrap(seed ^ 0x5eed)
-	return g, net
+	return g
 }
 
 // buildShardedNet is buildCompactFlood's stack without the overlay:
-// perAS peers in each of 4 stub ASes, split over K shards.
-func buildShardedNet(perAS, K int) *transport.ShardedNet {
+// perAS peers in each of 4 stub ASes, split over K shards, each stub
+// linked to the transit with the given delay.
+func buildShardedNet(perAS, K int, link sim.Duration) *transport.ShardedNet {
 	u := underlay.New()
 	transit := u.AddAS(underlay.TransitISP, 2)
 	for i := 0; i < 4; i++ {
 		stub := u.AddAS(underlay.LocalISP, 4)
-		u.ConnectTransit(stub, transit, 10)
+		u.ConnectTransit(stub, transit, link)
 	}
 	u.ComputeRoutes()
 	pt := underlay.NewPeerTable(u, 4*perAS)
@@ -60,7 +66,7 @@ func TestCompactFloodQueryTTLBound(t *testing.T) {
 		ttl int
 		ok  bool
 	}{{0, false}, {1, true}, {math.MaxInt16, true}, {math.MaxInt16 + 1, false}} {
-		net := buildShardedNet(16, 2)
+		net := buildShardedNet(16, 2, 10)
 		var g *CompactFlood
 		func() {
 			defer func() {
@@ -148,7 +154,7 @@ func TestCompactFloodTopology(t *testing.T) {
 // 22 B. An id space (40 B a peer while it sorts, 24 kept) or per-ultra
 // leaf lists, which no query reads, would break the bound.
 func TestCompactFloodFootprint(t *testing.T) {
-	net := buildShardedNet(5000, 1)
+	net := buildShardedNet(5000, 1, 10)
 	n := net.Peers().Len()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

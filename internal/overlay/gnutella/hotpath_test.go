@@ -44,6 +44,11 @@ func (r *refFlood) query(origin underlay.PeerID, seed uint64, onDone func(megasc
 	qid := uint64(r.qseq[oshard])<<8 | uint64(oshard)
 	r.qseq[oshard]++
 	st := &floodQuery{g: g, origin: origin, best: origin}
+	// The reference's hits go through the production reply, and each
+	// hit's handler drops a reference that no reference handler took:
+	// hold more than its hits can drop, so its query is never recycled
+	// under it.
+	st.refs.Store(math.MaxInt32)
 	if g.uidx[origin] >= 0 {
 		r.deliver(origin, origin, qid, owners, g.cfg.QueryTTL, 0, st)
 	} else {
@@ -172,7 +177,16 @@ type floodOutcome struct {
 // runFlood drives a churned workload in which every peer issues
 // overlapping queries, through the production flood or the reference.
 func runFlood(t *testing.T, seed uint64, K int, aware, reference bool) floodOutcome {
-	g, net := buildCompactFlood(t, 32, K, seed, aware)
+	out, _ := runFloodOn(seed, K, 10, 40, 8000, aware, reference)
+	return out
+}
+
+// runFloodOn is runFlood on stubs linked to the transit with delay link:
+// every peer issues a query at gap-spaced rounds, staggered by up to
+// 49 ms, and the kernel runs until the horizon.
+func runFloodOn(seed uint64, K int, link, gap sim.Duration, until sim.Time, aware, reference bool) (floodOutcome, *CompactFlood) {
+	net := buildShardedNet(32, K, link)
+	g := compactFloodOn(net, seed, aware)
 	query := g.Query
 	if reference {
 		query = newRefFlood(g).query
@@ -185,17 +199,17 @@ func runFlood(t *testing.T, seed uint64, K int, aware, reference bool) floodOutc
 		shard := net.ShardOf(p)
 		for rep := 0; rep < 3; rep++ {
 			qseed := megascale.Mix64(seed ^ uint64(p)<<8 ^ uint64(rep))
-			net.Kernel().Shard(shard).Schedule(sim.Duration(int(p)%50+40*rep), func() {
+			net.Kernel().Shard(shard).Schedule(sim.Duration(int(p)%50)+gap*sim.Duration(rep), func() {
 				query(p, qseed, func(r megascale.Result) {
 					out.Results[shard] = append(out.Results[shard], r)
 				})
 			})
 		}
 	}
-	net.Kernel().Run(8000)
+	net.Kernel().Run(until)
 	out.Stats, out.Potential = g.MegaStats(), g.Potential()
 	out.Net, out.Processed = net.Stats(), net.Kernel().Stats().Processed
-	return out
+	return out, g
 }
 
 func TestCompactFloodMatchesReference(t *testing.T) {
@@ -213,6 +227,67 @@ func TestCompactFloodMatchesReference(t *testing.T) {
 						got.Stats, got.Potential, got.Net, got.Processed,
 						want.Stats, want.Potential, want.Net, want.Processed)
 				}
+			}
+		}
+	}
+}
+
+// TestCompactFloodLateMessages runs floods that outlive their deadline:
+// with 1 500 ms stub links a cross-AS hop takes over 3 s, so most of a
+// flood's messages, on every shard, run after the query was scored, and
+// the last reference to a query falls to a message, often on a shard
+// other than the origin's. Each peer queries in three rounds 10 s apart,
+// so later rounds run on recycled queries while earlier floods are still
+// in flight, and the flood must match the reference count for count. The
+// horizon leaves the last round twice its longest flood (five hops of
+// ~3.1 s), so once it is reached every query must sit on exactly one
+// free list, with no reference left and its sets cleared.
+func TestCompactFloodLateMessages(t *testing.T) {
+	const link, gap = 1500, 10000
+	const horizon = 2*gap + 50 + 30000
+	for _, K := range []int{2, 4} {
+		for seed := uint64(1); seed <= 2; seed++ {
+			got, g := runFloodOn(seed, K, link, gap, horizon, false, false)
+			want, _ := runFloodOn(seed, K, link, gap, horizon, false, true)
+			if got.Stats.OK == 0 || got.Stats.Done != 3*128 {
+				t.Fatalf("seed %d K=%d: degenerate workload %+v", seed, K, got.Stats)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("seed %d K=%d: late flood diverged from the global-map reference\n got %+v %d %+v %d\nwant %+v %d %+v %d",
+					seed, K, got.Stats, got.Potential, got.Net, got.Processed,
+					want.Stats, want.Potential, want.Net, want.Processed)
+			}
+			// The last round's deadlines have all fired 3 050 ms after it.
+			scored, _ := runFloodOn(seed, K, link, gap, 2*gap+50+queryTimeout, false, false)
+			if scored.Stats.Done != got.Stats.Done || scored.Net.Msgs >= got.Net.Msgs {
+				t.Fatalf("seed %d K=%d: %d of %d messages and %d of %d queries scored by the last deadline: no message ran late",
+					seed, K, scored.Net.Msgs, got.Net.Msgs, scored.Stats.Done, got.Stats.Done)
+			}
+			freed, away := map[*floodQuery]bool{}, 0
+			for shard, l := range g.spare {
+				for st := l.queries; st != nil; st = st.next {
+					if freed[st] {
+						t.Fatalf("seed %d K=%d: a query is freed twice", seed, K)
+					}
+					freed[st] = true
+					if int(st.oshard) != shard {
+						away++
+					}
+					if n := st.refs.Load(); n != 0 {
+						t.Fatalf("seed %d K=%d: a freed query holds %d references", seed, K, n)
+					}
+					for i := range st.seen {
+						if st.seen[i].n != 0 || slices.ContainsFunc(st.seen[i].slots, func(v uint32) bool { return v != 0 }) {
+							t.Fatalf("seed %d K=%d: a freed query's shard-%d set is not cleared", seed, K, i)
+						}
+					}
+				}
+			}
+			t.Logf("seed %d K=%d: %d of %d messages ran after the last deadline; %d queries for %d floods, %d freed by a message off the origin's shard",
+				seed, K, got.Net.Msgs-scored.Net.Msgs, got.Net.Msgs, len(freed), got.Stats.Done, away)
+			if away == 0 || len(freed) >= int(got.Stats.Done) {
+				t.Fatalf("seed %d K=%d: %d queries for %d floods, %d freed off the origin's shard: the late path was not exercised",
+					seed, K, len(freed), got.Stats.Done, away)
 			}
 		}
 	}
@@ -242,9 +317,11 @@ func TestPotentialHitMatchesReference(t *testing.T) {
 }
 
 // TestCompactFloodRetainsNothingPerQuery pins the lifetime of dedup
-// state: once a query's closures have run it leaves nothing behind, so
-// the heap after 2 000 drained queries is the post-Bootstrap heap. The
-// global map held every (query, peer) visit — 5 MB here.
+// state: a drained query leaves nothing behind but its recycled state on
+// a free list, which holds at most the peak number of queries in flight.
+// So the heap after 6 000 drained queries is the heap after the first
+// 2 000, and retention cannot grow with the number of queries. The
+// global map held every (query, peer) visit — 5 MB at 2 000 queries.
 func TestCompactFloodRetainsNothingPerQuery(t *testing.T) {
 	heap := func() uint64 {
 		runtime.GC()
@@ -256,24 +333,30 @@ func TestCompactFloodRetainsNothingPerQuery(t *testing.T) {
 	g, net := buildCompactFlood(t, 256, 2, 13, false)
 	base := heap()
 	pt := net.Peers()
-	const queries = 2000
-	for i := 0; i < queries; i++ {
-		p := underlay.PeerID(megascale.Mix64(uint64(i)) % uint64(pt.Len()))
-		qseed := uint64(i)
-		net.Kernel().Shard(net.ShardOf(p)).Schedule(sim.Duration(20*i), func() {
-			g.Query(p, qseed, nil)
-		})
+	issued := 0
+	issue := func(queries int) uint64 {
+		for j := 0; j < queries; j++ {
+			i := issued + j
+			p := underlay.PeerID(megascale.Mix64(uint64(i)) % uint64(pt.Len()))
+			net.Kernel().Shard(net.ShardOf(p)).Schedule(sim.Duration(20*j), func() {
+				g.Query(p, uint64(i), nil)
+			})
+		}
+		issued += queries
+		net.Kernel().Drain()
+		if st := g.MegaStats(); st.Done != uint64(issued) || st.OK == 0 {
+			t.Fatalf("workload did not run: %+v after %d queries", st, issued)
+		}
+		return heap()
 	}
-	net.Kernel().Drain()
-	if st := g.MegaStats(); st.Done != queries || st.OK == 0 {
-		t.Fatalf("workload did not run: %+v", st)
-	}
-	after := heap()
-	const slack = 1 << 20
-	t.Logf("%d messages; heap %d B after Bootstrap, %d B after the drain", net.Stats().Msgs, base, after)
-	if after > base+slack {
-		t.Fatalf("heap grew %d B over %d drained queries (slack %d): per-query state is being retained",
-			after-base, queries, slack)
+	first := issue(2000)
+	after := issue(4000)
+	const slack = 256 << 10 // 64 B a query over the last 4 000
+	t.Logf("%d messages; heap %d B after Bootstrap, %d B after 2 000 drained queries, %d B after 6 000",
+		net.Stats().Msgs, base, first, after)
+	if after > first+slack {
+		t.Fatalf("heap grew %d B over 4 000 more drained queries (slack %d): per-query state is being retained",
+			after-first, slack)
 	}
 	runtime.KeepAlive(g)
 }
@@ -354,13 +437,12 @@ func TestHostcachePermMatchesRandPerm(t *testing.T) {
 // K=2 flood from one origin, whose traffic between the two shards is as
 // one-sided as a workload gets: a query plus its drain allocates nothing
 // per transport message, in count or in bytes (messages are recycled
-// records that ride home), only a small per-query
-// constant (the query state, its dedup tables presized in one array, the
-// deadline event: 4 allocations, budgeted 8) and the sharded kernel's
-// per-epoch barrier (a WaitGroup, the epoch bounds, one goroutine and its
-// closure per shard, and what the runtime needs to park and wake them:
-// ~7 at K=2). The ground-truth BFS on a warmed shard scratch allocates
-// nothing.
+// records that ride home), and nothing per query (the query, its dedup
+// tables and its bound deadline are recycled once its last message has
+// run), only the sharded kernel's per-epoch barrier (a WaitGroup, the
+// epoch bounds, one goroutine and its closure per shard, and what the
+// runtime needs to park and wake them: ~7 at K=2). The ground-truth BFS
+// on a warmed shard scratch allocates nothing.
 func TestCompactFloodAllocs(t *testing.T) {
 	g, net := buildCompactFlood(t, 1000, 2, 17, false)
 	k := net.Kernel()
@@ -388,11 +470,10 @@ func TestCompactFloodAllocs(t *testing.T) {
 	epochs := float64(k.Stats().Epochs-epochs0) / (runs + 1)
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
 	const (
-		queryAllocs, epochAllocs = 8, 7 // measured: 4 and ~6.9
-		epochBytes               = 256
+		queryAllocs, epochAllocs = 0, 7
+		queryBytes, epochBytes   = 0, 256
 	)
-	queryBytes := 256 + 2*4*float64(seenSlots(2)) // state + the two presized seen tables
-	t.Logf("per query: %.1f messages, %.1f epochs, %.1f allocs, %.0f B", msgs, epochs, allocs, bytes)
+	t.Logf("per query: %.1f messages, %.3f epochs, %.3f allocs, %.0f B", msgs, epochs, allocs, bytes)
 	if msgs < 100 {
 		t.Fatalf("%.1f messages per query: the flood is too small to measure", msgs)
 	}
@@ -401,7 +482,7 @@ func TestCompactFloodAllocs(t *testing.T) {
 			allocs, budget, queryAllocs, epochAllocs)
 	}
 	if budget := queryBytes + epochBytes*epochs; bytes > budget {
-		t.Errorf("%.0f B per query, want ≤ %.0f (%.0f per query + %d per epoch, none per message)",
+		t.Errorf("%.0f B per query, want ≤ %.0f (%d per query + %d per epoch, none per message)",
 			bytes, budget, queryBytes, epochBytes)
 	}
 
