@@ -110,52 +110,15 @@ bench-json:
 
 # perf-gate is the CI benchmark regression gate: re-measure the suite,
 # snapshot it (BENCH_JSON), and compare every benchmark present in both
-# the baseline and the fresh snapshot. It fails on B/op or allocs/op
-# growth beyond PERF_THRESHOLD — the two columns that are exact and read
-# the same on every machine — and lists ns/op moves as advisory rows: on
-# the shared CI machine min ns/op of unchanged packages reads ±25 %
-# between back-to-back runs, so a time column here gates nothing but
-# noise. Time is gated where it can be measured, by the paired
-# parent/change runs on BENCHMARK.json. Benchmarks that exist on only one
-# side are reported but never gate.
-#
-# The baseline is BENCH_PR45.json, taken when compact Gnutella's flood
-# queries became recycled under a reference count:
-# BenchmarkCompactFloodQuery 40 allocs / 1.4 kB per op (was 44 /
-# 3.6 kB), all of it the sharded kernel's per-epoch barrier. An op of
-# BenchmarkSearchFlood and BenchmarkPingFlood became 100 floods on a
-# fresh overlay, built with the timer stopped, so every node's unpruned
-# seen map grows inside the op and the rows no longer depend on b.N:
-# 2165 allocs / 528 kB and 1344 / 256 kB per op. Its e2e section holds
-# 10 alternating mega-flood pairs against f79327d and 3 at 1M peers.
-# Rows from BENCH_PR43.json, taken when classic Gnutella's
-# messages became recycled 48 B records and the host cache and
-# BitTorrent's rarest-first pick reused their scratch:
-# BenchmarkTab1GnutellaMessages 340 k allocs / 29 MB per op (was 593 k /
-# 54 MB), BenchmarkIntraASExchange 50 k / 12.6 MB (was 198 k / 25 MB),
-# BenchmarkBNSSwarm 2.8 k / 0.67 MB (was 31 k / 6.2 MB) and
-# BenchmarkSwarmRound 12 / 13.5 kB (was 910 / 473 kB). Its e2e section
-# holds 10 alternating pairs per workload against c515882. Rows from
-# BENCH_PR40.json, taken when compact Kademlia's flat n×Buckets×K table
-# became packed rows sized by what they hold: no benchmark's B/op or
-# allocs/op moved beyond run-to-run spread against BENCH_PR35.json
-# (BenchmarkCompactLookup kademlia 108 allocs / 2.7 kB per op at the
-# same b.N on both sides). Rows from BENCH_PR35.json, taken
-# when the live RPC path stopped allocating per frame (call slots,
-# handlers on the receive goroutine, codecs that append into caller
-# storage): BenchmarkNetCallLoopback
-# 1 alloc / 186 B per op (was 8 / 737; the one left is the response copy
-# Call hands its caller, CallAppend has none), BenchmarkPeersCodec 0
-# (was 3 / 704 B) and BenchmarkClosestXor 0 (was 1). Rows from
-# BENCH_PR34.json: BenchmarkTab2Impact 9775 allocs / 0.86 MB per op,
-# BenchmarkPNSKademlia 2836 / 0.62 MB, BenchmarkPNSMetric 4042 /
-# 1.16 MB and BenchmarkBrocade 1526 / 0.23 MB. Megascale rows are as in
-# BENCH_PR32.json: BenchmarkCompactLookup (one drained compact Kademlia or
-# Chord lookup on a warmed 8 000-peer K=2 substrate) kademlia 108 allocs
-# / 2.7 kB per op and chord 161 / 4.1 kB, nearly all of it the sharded
-# kernel's ~7 allocations per epoch barrier. BENCH_PR40.json's e2e
-# section also holds the 1M-peer mega-dht point. bench-diff reads only
-# the benchmarks.
+# the baseline and the fresh snapshot. It fails when a benchmark's B/op
+# or allocs/op grows by more than PERF_THRESHOLD (15 %): those two
+# columns are exact and read the same on every machine. ns/op rows are
+# listed as advisory only: on a shared machine min ns/op of unchanged
+# packages reads ±25 % between back-to-back runs, so a time column would
+# gate on noise. Time is gated by the paired parent/change runs of
+# BENCHMARK.json instead. The baseline is BENCH_PR45.json. A benchmark
+# present on only one side is reported but never gates. What each
+# baseline snapshot measured is recorded in CHANGES.md.
 BENCH_BASELINE ?= BENCH_PR45.json
 PERF_THRESHOLD ?= 0.15
 perf-gate:

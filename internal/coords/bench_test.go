@@ -79,9 +79,8 @@ func BenchmarkHostCoord(b *testing.B) {
 // BenchmarkComputeBin measures landmark-bin derivation.
 func BenchmarkComputeBin(b *testing.B) {
 	rtts := []float64{12, 88, 45, 190, 7, 33, 140, 61}
-	cfg := DefaultBinConfig()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ComputeBin(rtts, cfg)
+		ComputeBin(rtts)
 	}
 }

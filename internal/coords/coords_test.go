@@ -245,22 +245,17 @@ func TestVivaldiClone(t *testing.T) {
 }
 
 func TestComputeBinOrdering(t *testing.T) {
-	cfg := DefaultBinConfig()
-	b := ComputeBin([]float64{150, 10, 60}, cfg)
-	// Sorted by RTT: landmark 1 (10ms, class 0), 2 (60ms, class 1), 0 (150ms, class 2).
+	b := ComputeBin([]float64{150, 10, 60})
+	// Sorted by RTT: landmark 1 (10ms), 2 (60ms), 0 (150ms).
 	if b.Order[0] != 1 || b.Order[1] != 2 || b.Order[2] != 0 {
 		t.Fatalf("order = %v", b.Order)
-	}
-	if b.Level[0] != 0 || b.Level[1] != 1 || b.Level[2] != 2 {
-		t.Fatalf("levels = %v", b.Level)
 	}
 }
 
 func TestBinSimilarity(t *testing.T) {
-	cfg := DefaultBinConfig()
-	a := ComputeBin([]float64{10, 50, 200}, cfg)
-	b := ComputeBin([]float64{12, 55, 190}, cfg)
-	c := ComputeBin([]float64{200, 50, 10}, cfg)
+	a := ComputeBin([]float64{10, 50, 200})
+	b := ComputeBin([]float64{12, 55, 190})
+	c := ComputeBin([]float64{200, 50, 10})
 	if s := a.Similarity(b); s != 1 {
 		t.Fatalf("identical ordering similarity = %v", s)
 	}
@@ -283,10 +278,9 @@ func TestBinsClusterSameASNodes(t *testing.T) {
 		}
 		return out
 	}
-	cfg := DefaultBinConfig()
-	a1 := ComputeBin(lmRTT(0), cfg)
-	a2 := ComputeBin(lmRTT(0), cfg)
-	b1 := ComputeBin(lmRTT(1), cfg)
+	a1 := ComputeBin(lmRTT(0))
+	a2 := ComputeBin(lmRTT(0))
+	b1 := ComputeBin(lmRTT(1))
 	if !reflect.DeepEqual(a1, a2) {
 		t.Fatal("same-AS nodes got different bins")
 	}
@@ -314,10 +308,9 @@ func TestQuickVivaldiDistanceSymmetric(t *testing.T) {
 // Property: the bin is a function of the RTT vector (deterministic)
 // and bins of permuted-identical vectors differ when the ordering differs.
 func TestQuickBinDeterministic(t *testing.T) {
-	cfg := DefaultBinConfig()
 	f := func(rtts [4]uint16) bool {
 		v := []float64{float64(rtts[0]), float64(rtts[1]), float64(rtts[2]), float64(rtts[3])}
-		return reflect.DeepEqual(ComputeBin(v, cfg), ComputeBin(v, cfg))
+		return reflect.DeepEqual(ComputeBin(v), ComputeBin(v))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -8,48 +8,22 @@ import (
 // construction and server selection", INFOCOM 2002 — [26] in the paper):
 // each node measures its RTT to a fixed set of landmarks and sorts the
 // landmarks by proximity; nodes with the same landmark ordering are likely
-// topologically close. A coarser variant also buckets each RTT into
-// distance classes.
+// topologically close.
 
 // Bin is a node's landmark signature.
 type Bin struct {
 	// Order is the landmark permutation sorted by increasing RTT.
 	Order []int
-	// Level holds each landmark's RTT bucket, aligned with Order.
-	Level []int
 }
-
-// BinConfig controls bucket boundaries.
-type BinConfig struct {
-	// Boundaries are the RTT thresholds (ms) separating distance classes;
-	// e.g. [20, 100] yields classes <20, 20–100, ≥100.
-	Boundaries []float64
-}
-
-// DefaultBinConfig uses the three-class split common in the literature.
-func DefaultBinConfig() BinConfig { return BinConfig{Boundaries: []float64{20, 100}} }
 
 // ComputeBin builds a node's bin from its landmark RTT vector.
-func ComputeBin(rtts []float64, cfg BinConfig) Bin {
+func ComputeBin(rtts []float64) Bin {
 	order := make([]int, len(rtts))
 	for i := range order {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool { return rtts[order[a]] < rtts[order[b]] })
-	level := make([]int, len(rtts))
-	for i, lm := range order {
-		level[i] = bucket(rtts[lm], cfg.Boundaries)
-	}
-	return Bin{Order: order, Level: level}
-}
-
-func bucket(v float64, bounds []float64) int {
-	for i, b := range bounds {
-		if v < b {
-			return i
-		}
-	}
-	return len(bounds)
+	return Bin{Order: order}
 }
 
 // Similarity scores how alike two bins are: the length of the common

@@ -123,9 +123,8 @@ func runAblCoords(cfg RunConfig) Result {
 	// Landmark bins: no numeric predictions; score via bin similarity
 	// (more similar = assumed closer). Report hit rate only.
 	bins := make([]coords.Bin, n)
-	bcfg := coords.DefaultBinConfig()
 	for i := range bins {
-		bins[i] = coords.ComputeBin(delaysOf(i), bcfg)
+		bins[i] = coords.ComputeBin(delaysOf(i))
 	}
 	_, hit = eval(func(i, j int) float64 { return 1 - bins[i].Similarity(bins[j]) })
 	res.Rows = append(res.Rows, []string{

@@ -28,79 +28,6 @@ func TestHaversineKnownDistances(t *testing.T) {
 	}
 }
 
-func TestUTMKnownPoint(t *testing.T) {
-	// TU Darmstadt: 49.8728N 8.6512E is UTM zone 32U, ~475151E 5524444N.
-	u := ToUTM(Coord{49.8728, 8.6512})
-	if u.Zone != 32 || !u.Northern {
-		t.Fatalf("zone = %v", u)
-	}
-	if math.Abs(u.Easting-474949) > 1000 || math.Abs(u.Northing-5524130) > 1200 {
-		t.Fatalf("utm = %v, want ~474949E 5524130N", u)
-	}
-}
-
-func TestUTMRoundTrip(t *testing.T) {
-	coords := []Coord{
-		{49.8728, 8.6512},
-		{-33.8688, 151.2093}, // Sydney, southern hemisphere
-		{0.01, 0.01},
-		{60, -135},
-		{-45, 170},
-	}
-	for _, c := range coords {
-		got := FromUTM(ToUTM(c))
-		if math.Abs(got.Lat-c.Lat) > 1e-6 || math.Abs(got.Lon-c.Lon) > 1e-6 {
-			t.Fatalf("round trip %v → %v", c, got)
-		}
-	}
-}
-
-func TestQuickUTMRoundTrip(t *testing.T) {
-	f := func(latRaw, lonRaw uint16) bool {
-		// Stay away from poles and zone edges handled by known tests.
-		lat := float64(latRaw)/65535*160 - 80
-		lon := float64(lonRaw)/65535*359.9 - 180
-		c := Coord{lat, lon}
-		got := FromUTM(ToUTM(c))
-		return math.Abs(got.Lat-c.Lat) < 1e-5 && math.Abs(got.Lon-c.Lon) < 1e-5
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestUTMDistanceMatchesHaversineLocally(t *testing.T) {
-	a := Coord{49.87, 8.65}
-	b := Coord{49.93, 8.70}
-	ua, ub := ToUTM(a), ToUTM(b)
-	planar := UTMDistance(ua, ub) / 1000
-	sphere := Haversine(a, b)
-	if math.Abs(planar-sphere)/sphere > 0.01 {
-		t.Fatalf("planar %.3f km vs haversine %.3f km", planar, sphere)
-	}
-}
-
-func TestUTMDistancePanicsAcrossZones(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	UTMDistance(ToUTM(Coord{50, 8}), ToUTM(Coord{50, 20}))
-}
-
-func TestZoneFor(t *testing.T) {
-	cases := []struct {
-		lon  float64
-		zone int
-	}{{-180, 1}, {-177, 1}, {0, 31}, {8.65, 32}, {179.9, 60}}
-	for _, c := range cases {
-		if z := ZoneFor(c.lon); z != c.zone {
-			t.Fatalf("ZoneFor(%v) = %d, want %d", c.lon, z, c.zone)
-		}
-	}
-}
-
 func TestGPSFix(t *testing.T) {
 	r := sim.NewSource(1).Stream("gps")
 	truth := Coord{49.87, 8.65}
@@ -169,14 +96,5 @@ func TestStringers(t *testing.T) {
 	c := Coord{49.8728, 8.6512}
 	if s := c.String(); s != "(49.8728,8.6512)" {
 		t.Fatalf("Coord.String = %q", s)
-	}
-	u := ToUTM(c)
-	s := u.String()
-	if len(s) == 0 || s[len(s)-1] != 'N' {
-		t.Fatalf("UTM.String = %q", s)
-	}
-	south := ToUTM(Coord{-33.9, 151.2})
-	if got := south.String(); got[2] != 'S' && got[3] != 'S' {
-		t.Fatalf("southern hemisphere marker missing: %q", got)
 	}
 }

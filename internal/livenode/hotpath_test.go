@@ -10,6 +10,7 @@ import (
 
 	"unap2p/internal/lookup"
 	"unap2p/internal/megascale"
+	"unap2p/internal/transport"
 	"unap2p/internal/underlay"
 )
 
@@ -312,5 +313,26 @@ func TestLookupAllocs(t *testing.T) {
 				t.Fatalf("a %s lookup allocates %.2f objects, want ≤ 1", overlay, allocs)
 			}
 		})
+	}
+}
+
+// TestPingAllocs pins a failure-detector probe at zero allocations once
+// warmed: the fd_ping payload is not made per probe and the fd_ack is
+// appended into a buffer the pinger keeps. The ping period is long
+// enough that the node's own detector sends nothing during the count.
+func TestPingAllocs(t *testing.T) {
+	nodes := bootClusterWith(t, 2, Config{Overlay: "kademlia", PingInterval: time.Hour, Timeout: time.Second})
+	ping := nodes[0].Detector().T
+	target := &underlay.Host{ID: nodes[1].Net().Self(), Up: true}
+	probe := func() {
+		if res := ping.RoundTripWith(transport.RetryPolicy{}, nil, target, 32, 32, "fd_ping", "fd_ack"); !res.OK {
+			t.Fatal("fd_ping to a live peer failed")
+		}
+	}
+	for range 8 { // the call slot, the ack buffer and the counters exist
+		probe()
+	}
+	if allocs := testing.AllocsPerRun(200, probe); allocs != 0 {
+		t.Fatalf("an fd_ping round trip allocates %.2f objects, want 0", allocs)
 	}
 }

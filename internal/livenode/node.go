@@ -1,7 +1,6 @@
 package livenode
 
 import (
-	"context"
 	"fmt"
 	"net"
 	"sync"
@@ -70,11 +69,22 @@ type Node struct {
 // unused — the detector always passes the zero policy and spaces its own
 // re-probes — so every ping is one attempt bounded by the Net's timeout.
 // The detector reads only OK; the measured RTT is in Net.RTT().
-type pinger struct{ net *nettransport.Net }
+//
+// A probe allocates nothing: the payload is a slice of pingPayload,
+// which nothing writes, and the ack is appended into ack, which needs no
+// lock because detector ticks run on the pacer goroutine only.
+type pinger struct {
+	net *nettransport.Net
+	ack []byte
+}
 
-func (p pinger) RoundTripWith(_ transport.RetryPolicy, _, to *underlay.Host,
+// pingPayload backs every fd_ping payload (the detector's are 32 B).
+var pingPayload [64]byte
+
+func (p *pinger) RoundTripWith(_ transport.RetryPolicy, _, to *underlay.Host,
 	reqBytes, _ uint64, reqType, _ string) transport.Result {
-	_, err := p.net.Call(to.ID, reqType, make([]byte, reqBytes))
+	var err error
+	p.ack, err = p.net.CallAppend(p.ack[:0], to.ID, reqType, pingPayload[:reqBytes])
 	return transport.Result{OK: err == nil}
 }
 
@@ -146,7 +156,7 @@ func Start(cfg Config) (*Node, error) {
 	tr.Handle("fd_ping", func(_ underlay.HostID, payload []byte) []byte { return payload })
 	kernel := sim.NewKernel()
 	n.pacer = nettransport.NewPacer(kernel)
-	n.det = resilience.New(pinger{tr}, kernel, dcfg)
+	n.det = resilience.New(&pinger{net: tr}, kernel, dcfg)
 	n.det.Heal(n.engine)
 	n.det.OnRecover = n.core.Recover
 
@@ -162,7 +172,7 @@ func Start(cfg Config) (*Node, error) {
 	n.reg.RegisterHistogram("rtt_ms", tr.RTT())
 	n.reg.RegisterGauge("peers", func() float64 { return float64(tr.Book().Len()) })
 	if cfg.MetricsAddr != "" {
-		srv, err := telemetry.ServeContext(context.Background(), cfg.MetricsAddr, n.reg.Snapshot)
+		srv, err := telemetry.Serve(cfg.MetricsAddr, n.reg.Snapshot)
 		if err != nil {
 			n.Close()
 			return nil, err

@@ -346,11 +346,12 @@ type floodQuery struct {
 }
 
 // seenSlots is the per-shard dedup table size Query presizes for K
-// shards: 512 slots over K rounded up to a power of two, never below 16.
-// One flood reaches a few hundred peers, so most tables end at this size
-// without regrowing.
+// shards: 1024 slots over K rounded up to a power of two, never below
+// 16. It is the size the tables settle at: one flood reaches a few
+// hundred peers, and half as many slots left three in four tables of a
+// 250 000-peer mega-flood run to grow once.
 func seenSlots(K int) int {
-	return max(16, 512>>bits.Len(uint(K-1)))
+	return max(16, 1024>>bits.Len(uint(K-1)))
 }
 
 // Query implements megascale.CompactOverlay: one keyword query for a

@@ -422,13 +422,6 @@ func (o *Overlay) nextGUID() uint64 {
 	return o.guid
 }
 
-// send routes one protocol message through the transport, which counts it
-// under kind and charges the underlay; the result carries the delivery
-// latency and whether the message survived fault injection.
-func (o *Overlay) send(kind string, from, to *underlay.Host, bytes uint64) transport.Result {
-	return o.T.Send(from, to, bytes, kind)
-}
-
 // HealthStats feeds telemetry.Recorder.ObserveHealth: live gauges
 // over the two-tier topology, computed by pure reads in join order so
 // sampling never perturbs a run.

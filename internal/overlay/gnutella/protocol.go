@@ -22,7 +22,7 @@ func (o *Overlay) Ping(from underlay.HostID) {
 	guid := o.nextGUID()
 	n.seen[guid] = from // origin marks itself
 	for _, nb := range n.neighbors {
-		o.forwardPing(guid, from, nb, o.Cfg.PingTTL)
+		o.forward(kindPing, guid, 0, from, nb, o.Cfg.PingTTL)
 	}
 }
 
@@ -37,7 +37,7 @@ func (o *Overlay) cachedPing(n *Node) {
 		if recv == nil || !recv.Host.Up {
 			continue
 		}
-		r := o.send("ping", n.Host, recv.Host, pingBytes)
+		r := o.T.Send(n.Host, recv.Host, pingBytes, "ping")
 		if !r.OK {
 			continue // ping lost: this neighbor never answers
 		}
@@ -53,7 +53,7 @@ func (o *Overlay) answerCachedPing(n, recv *Node) {
 		if sent >= pongCacheSize || id == n.Host.ID {
 			return
 		}
-		back := o.send("pong", recv.Host, n.Host, pongBytes)
+		back := o.T.Send(recv.Host, n.Host, pongBytes, "pong")
 		sent++ // the cache slot is spent even if the pong is lost
 		if back.OK {
 			o.post(back.Latency, kindCachePong, 0, id, n.Host.ID, 0, 0)
@@ -91,7 +91,9 @@ func (o *Overlay) learn(n *Node, id underlay.HostID) {
 	n.hostcache = append(n.hostcache, id)
 }
 
-func (o *Overlay) forwardPing(guid uint64, from, to underlay.HostID, ttl int) {
+// forward relays a flooded Ping or Query (kind) from node from to its
+// neighbor to, which receives it after the underlay latency.
+func (o *Overlay) forward(kind messageKind, guid uint64, item workload.ItemID, from, to underlay.HostID, ttl int) {
 	if ttl <= 0 {
 		return
 	}
@@ -99,49 +101,66 @@ func (o *Overlay) forwardPing(guid uint64, from, to underlay.HostID, ttl int) {
 	if sender == nil || recv == nil || !recv.Host.Up {
 		return
 	}
-	r := o.send("ping", sender.Host, recv.Host, pingBytes)
+	w := wire[kind]
+	r := o.T.Send(sender.Host, recv.Host, w.bytes, w.typ)
 	if !r.OK {
-		return // lost ping prunes this branch of the flood
+		return // a lost flood message prunes this branch of the flood
 	}
-	o.post(r.Latency, kindPing, guid, from, to, 0, ttl)
+	o.post(r.Latency, kind, guid, from, to, item, ttl)
 }
 
-// recvPing is a flooded Ping from reaching to: a first sighting answers
-// with a Pong along the reverse path and relays to the other neighbors.
-func (o *Overlay) recvPing(guid uint64, from, to underlay.HostID, ttl int) {
+// recv is a flooded Ping or Query (kind) from reaching to. A first
+// sighting answers — a Ping with a Pong along the reverse path, a Query
+// from to's files and its leaves' — and relays to the other neighbors.
+func (o *Overlay) recv(kind messageKind, guid uint64, item workload.ItemID, from, to underlay.HostID, ttl int) {
 	recv := o.nodes[to]
 	if _, dup := recv.seen[guid]; dup {
 		return
 	}
 	recv.seen[guid] = from
-	o.routeBack(guid, to)
+	if kind == kindPing {
+		o.back(kindPong, guid, to, 0)
+	} else {
+		o.answerLocal(guid, recv, item)
+	}
 	for _, nb := range recv.neighbors {
 		if nb != from {
-			o.forwardPing(guid, to, nb, ttl-1)
+			o.forward(kind, guid, item, to, nb, ttl-1)
 		}
 	}
 }
 
-// routeBack relays a Pong from node at back to the GUID's origin, one
-// overlay hop at a time, counting a message per hop.
-func (o *Overlay) routeBack(guid uint64, at underlay.HostID) {
+// back moves a Pong or a QueryHit naming holder (kind) one overlay hop
+// from node at toward the GUID's origin along the reverse path, counting
+// a message per hop. A QueryHit that is at the origin lands in the
+// pending result; a Pong there is done.
+func (o *Overlay) back(kind messageKind, guid uint64, at, holder underlay.HostID) {
 	n := o.nodes[at]
 	if n == nil {
 		return
 	}
 	prev, ok := n.seen[guid]
-	if !ok || prev == at {
-		return // origin reached (or unknown GUID)
+	if !ok {
+		return // unknown GUID
+	}
+	if prev == at {
+		if kind == kindHit {
+			if res := o.pendingHits[guid]; res != nil {
+				res.Hits = append(res.Hits, holder)
+			}
+		}
+		return
 	}
 	next := o.nodes[prev]
 	if next == nil || !next.Host.Up {
 		return
 	}
-	r := o.send("pong", n.Host, next.Host, pongBytes)
+	w := wire[kind]
+	r := o.T.Send(n.Host, next.Host, w.bytes, w.typ)
 	if !r.OK {
 		return // response lost mid-route: the origin never hears it
 	}
-	o.post(r.Latency, kindPong, guid, 0, prev, 0, 0)
+	o.post(r.Latency, kind, guid, holder, prev, 0, 0)
 }
 
 // SearchResult accumulates the hits of one query.
@@ -182,12 +201,12 @@ func (o *Overlay) Search(from underlay.HostID, item workload.ItemID) *SearchResu
 	if n.Ultra {
 		o.answerLocal(guid, n, item)
 		for _, nb := range n.neighbors {
-			o.forwardQuery(guid, item, from, nb, o.Cfg.QueryTTL)
+			o.forward(kindQuery, guid, item, from, nb, o.Cfg.QueryTTL)
 		}
 		return res
 	}
 	for _, p := range n.parents {
-		o.forwardQuery(guid, item, from, p, o.Cfg.QueryTTL)
+		o.forward(kindQuery, guid, item, from, p, o.Cfg.QueryTTL)
 	}
 	return res
 }
@@ -198,73 +217,11 @@ func (o *Overlay) Search(from underlay.HostID, item workload.ItemID) *SearchResu
 // directly without messages).
 func (o *Overlay) answerLocal(guid uint64, up *Node, item workload.ItemID) {
 	if o.Catalog.Has(up.Host.ID, item) {
-		o.sendHitBack(guid, up.Host.ID, up.Host.ID)
+		o.back(kindHit, guid, up.Host.ID, up.Host.ID)
 	}
 	for _, leaf := range up.leaves {
 		if o.nodes[leaf].Host.Up && o.Catalog.Has(leaf, item) {
-			o.sendHitBack(guid, up.Host.ID, leaf)
-		}
-	}
-}
-
-// sendHitBack starts a QueryHit at node 'at' carrying 'holder' and routes
-// it to the origin along the reverse path, delivering into the pending
-// result when it arrives.
-func (o *Overlay) sendHitBack(guid uint64, at, holder underlay.HostID) {
-	n := o.nodes[at]
-	if n == nil {
-		return
-	}
-	prev, ok := n.seen[guid]
-	if !ok {
-		return
-	}
-	if prev == at {
-		// We are the origin.
-		if res := o.pendingHits[guid]; res != nil {
-			res.Hits = append(res.Hits, holder)
-		}
-		return
-	}
-	next := o.nodes[prev]
-	if next == nil || !next.Host.Up {
-		return
-	}
-	r := o.send("queryhit", n.Host, next.Host, queryHitBytes)
-	if !r.OK {
-		return // hit lost mid-route
-	}
-	o.post(r.Latency, kindHit, guid, holder, prev, 0, 0)
-}
-
-func (o *Overlay) forwardQuery(guid uint64, item workload.ItemID, from, to underlay.HostID, ttl int) {
-	if ttl <= 0 {
-		return
-	}
-	sender, recv := o.nodes[from], o.nodes[to]
-	if sender == nil || recv == nil || !recv.Host.Up {
-		return
-	}
-	r := o.send("query", sender.Host, recv.Host, queryBytes)
-	if !r.OK {
-		return // lost query prunes this branch of the flood
-	}
-	o.post(r.Latency, kindQuery, guid, from, to, item, ttl)
-}
-
-// recvQuery is a flooded Query from reaching to: a first sighting
-// answers from to's files and its leaves' and relays to the other
-// neighbors.
-func (o *Overlay) recvQuery(guid uint64, item workload.ItemID, from, to underlay.HostID, ttl int) {
-	recv := o.nodes[to]
-	if _, dup := recv.seen[guid]; dup {
-		return
-	}
-	recv.seen[guid] = from
-	o.answerLocal(guid, recv, item)
-	for _, nb := range recv.neighbors {
-		if nb != from {
-			o.forwardQuery(guid, item, to, nb, ttl-1)
+			o.back(kindHit, guid, up.Host.ID, leaf)
 		}
 	}
 }
@@ -345,6 +302,18 @@ const (
 	kindCachePong                    // a cached Pong, teaching to the address from
 )
 
+// wire gives each flood and reverse-path kind its transport message type
+// and size.
+var wire = [...]struct {
+	typ   string
+	bytes uint64
+}{
+	kindPing:  {"ping", pingBytes},
+	kindQuery: {"query", queryBytes},
+	kindPong:  {"pong", pongBytes},
+	kindHit:   {"queryhit", queryHitBytes},
+}
+
 // message is one classic message in flight. run is the record's handle
 // method, bound once when the record is allocated, so a send allocates
 // nothing: records come from the overlay's free list, and handle returns
@@ -389,14 +358,10 @@ func (m *message) handle() {
 	from, to, item := underlay.HostID(m.from), underlay.HostID(m.to), workload.ItemID(m.item)
 	m.next, o.free = o.free, m
 	switch kind {
-	case kindPing:
-		o.recvPing(guid, from, to, ttl)
-	case kindQuery:
-		o.recvQuery(guid, item, from, to, ttl)
-	case kindPong:
-		o.routeBack(guid, to)
-	case kindHit:
-		o.sendHitBack(guid, to, from)
+	case kindPing, kindQuery:
+		o.recv(kind, guid, item, from, to, ttl)
+	case kindPong, kindHit:
+		o.back(kind, guid, to, from)
 	case kindCachePing:
 		o.answerCachedPing(o.nodes[from], o.nodes[to])
 	case kindCachePong:

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"context"
 	"fmt"
 	"net"
 	"net/http"
@@ -22,9 +21,6 @@ type Server struct {
 
 	closeOnce sync.Once
 	closeErr  error
-	// stop detaches the context watcher installed by ServeContext, so a
-	// plain Close does not leak its goroutine.
-	stop context.CancelFunc
 }
 
 // Serve starts an HTTP server on addr (e.g. "127.0.0.1:0" or ":0" for an
@@ -36,14 +32,6 @@ type Server struct {
 // snapshot — pprof-only mode. The server runs on its own goroutine;
 // Close shuts it down.
 func Serve(addr string, src func() MetricsSnapshot) (*Server, error) {
-	return ServeContext(context.Background(), addr, src)
-}
-
-// ServeContext is Serve bound to a context: when ctx is cancelled the
-// server closes itself and releases the port, so callers can tie the
-// metrics endpoint to a daemon's lifetime instead of tracking the Server
-// handle. Close remains safe to call (before or after cancellation).
-func ServeContext(ctx context.Context, addr string, src func() MetricsSnapshot) (*Server, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		snap := newMetricsSnapshot()
@@ -65,13 +53,6 @@ func ServeContext(ctx context.Context, addr string, src func() MetricsSnapshot) 
 	}
 	s := &Server{ln: ln, srv: &http.Server{Handler: mux}, err: make(chan error, 1)}
 	go func() { s.err <- s.srv.Serve(ln) }()
-
-	watchCtx, stop := context.WithCancel(ctx)
-	s.stop = stop
-	go func() {
-		<-watchCtx.Done()
-		s.Close()
-	}()
 	return s, nil
 }
 
@@ -80,10 +61,9 @@ func ServeContext(ctx context.Context, addr string, src func() MetricsSnapshot) 
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // Close shuts the server down and releases the port. It is idempotent
-// and safe to call concurrently with (or after) context cancellation.
+// and safe to call concurrently.
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
-		s.stop()
 		s.closeErr = s.srv.Close()
 		<-s.err // wait for the serve goroutine to exit
 	})

@@ -1,11 +1,11 @@
 package telemetry
 
 import (
-	"context"
 	"io"
 	"net"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -71,11 +71,10 @@ func TestServeMetricsAndPprof(t *testing.T) {
 
 // TestServeEphemeralPort pins the ":0" contract the in-process cluster
 // harness depends on: the listener binds an ephemeral port, Addr reports
-// the real one, and cancelling the context shuts the server down cleanly
-// and releases it (a second bind of the same port succeeds).
+// the real one, and Close shuts the server down cleanly and releases it
+// (a second bind of the same port succeeds).
 func TestServeEphemeralPort(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	srv, err := ServeContext(ctx, ":0", nil)
+	srv, err := Serve(":0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,9 +91,8 @@ func TestServeEphemeralPort(t *testing.T) {
 		t.Fatalf("/metrics status %d on ephemeral port", code)
 	}
 
-	cancel()
 	if err := srv.Close(); err != nil && err != http.ErrServerClosed {
-		t.Fatalf("Close after cancel: %v", err)
+		t.Fatalf("Close: %v", err)
 	}
 	// The port must be free again; retry briefly in case the kernel is
 	// slow to tear the socket down.
@@ -111,22 +109,27 @@ func TestServeEphemeralPort(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	if _, err := http.Get("http://127.0.0.1:" + port + "/metrics"); err == nil {
-		t.Fatal("server still answering after context cancellation")
+		t.Fatal("server still answering after Close")
 	}
 }
 
 // TestServeCloseIdempotent pins that Close is safe to call repeatedly and
-// concurrently with context cancellation.
+// concurrently.
 func TestServeCloseIdempotent(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	srv, err := ServeContext(ctx, "127.0.0.1:0", nil)
+	srv, err := Serve("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cancel()
+	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
-		srv.Close()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			srv.Close()
+		}()
 	}
+	wg.Wait()
+	srv.Close()
 }
 
 func TestServeNilSource(t *testing.T) {
